@@ -23,7 +23,7 @@ use hail_bench::{
     ExperimentScale, Report, SystemSetup,
 };
 use hail_core::HailQuery;
-use hail_exec::{HailInputFormat, PlanCache, PlannerConfig, SelectivityFeedback};
+use hail_exec::{PlanCache, PlannedInputFormat, PlannerConfig, SelectivityFeedback};
 use hail_index::ReplicaIndexConfig;
 use hail_mr::{run_map_job, JobRun, MapJob};
 use hail_sim::{ClusterSpec, HardwareProfile};
@@ -50,7 +50,7 @@ fn run_mode(
     let cache = Arc::new(PlanCache::default());
     let feedback = Arc::new(SelectivityFeedback::default());
     let mut format =
-        HailInputFormat::new(setup.dataset.clone(), query.clone()).with_planner(PlannerConfig {
+        PlannedInputFormat::new(setup.dataset.clone(), query.clone()).with_planner(PlannerConfig {
             plan_cache: Some(Arc::clone(&cache)),
             feedback: Some(Arc::clone(&feedback)),
             synopsis_pruning,

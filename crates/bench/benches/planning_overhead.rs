@@ -1,6 +1,6 @@
 //! Planning overhead, before vs after the adaptive layer: the stateless
 //! planner re-prices every `(replica, access path)` candidate on every
-//! plan (what each `read_split` used to pay), while a warm
+//! plan (what each split read used to pay), while a warm
 //! fingerprinted `PlanCache` serves the same per-block plans with zero
 //! cost-model evaluations. A third target measures the cache's own
 //! bookkeeping on a cold pass, and a fourth the marginal cost of
@@ -65,7 +65,7 @@ fn bench_planning(c: &mut Criterion) {
     );
 
     // Before: the stateless planner — every plan enumerates and prices
-    // all candidates from Dir_rep (this is per read_split cost without
+    // all candidates from Dir_rep (this is per split-read cost without
     // the cache).
     c.bench_function("plan/stateless_reprice", |b| {
         let planner = QueryPlanner::new(&cluster);

@@ -20,7 +20,7 @@ use hail_bench::{
 };
 use hail_core::HailQuery;
 use hail_exec::SelectivityFeedback;
-use hail_exec::{env_job_parallelism, ExecutorConfig, JobPool, JobPoolConfig, PlanCache};
+use hail_exec::{ExecutorConfig, JobPool, JobPoolConfig, PlanCache};
 use hail_mr::JobManager;
 use hail_sim::HardwareProfile;
 use hail_workloads::bob_queries;
@@ -35,7 +35,7 @@ const REPEATS: usize = 4;
 /// `shared_job_pool`, no registry attached.
 fn infra_without_sharing(max_jobs: usize) -> SharedJobInfra {
     let executor = ExecutorConfig::default();
-    let job_workers = env_job_parallelism().max(1);
+    let job_workers = hail_core::knobs::job_parallelism().max(1);
     SharedJobInfra {
         plan_cache: Arc::new(PlanCache::default()),
         feedback: Some(Arc::new(SelectivityFeedback::default())),

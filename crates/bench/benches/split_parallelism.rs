@@ -6,7 +6,7 @@
 //! asserted identical to the serial run. Two tables:
 //!
 //! 1. *Per-split fan-out* — one multi-block split (all of the
-//!    dataset's blocks) read through `read_split_with` at each
+//!    dataset's blocks) read as a batch of one at each
 //!    parallelism, on a scan-heavy query where each block read does
 //!    real decode work. This is where wall clock improves
 //!    monotonically from 1 to 4 workers (8 plateaus at the machine's
@@ -21,8 +21,8 @@ use hail_bench::{
     json_mode, run_query_at, setup_hail, uv_testbed, BenchSummary, ExperimentScale, Report,
 };
 use hail_core::HailQuery;
-use hail_exec::HailInputFormat;
-use hail_mr::{InputFormat, InputSplit, SplitContext};
+use hail_exec::PlannedInputFormat;
+use hail_mr::{read_one_split, InputSplit, SplitContext};
 use hail_sim::HardwareProfile;
 use hail_workloads::bob_queries;
 use std::time::Instant;
@@ -42,13 +42,13 @@ fn main() {
     // scan, so a multi-block split carries real per-block decode work.
     let scan_query =
         HailQuery::parse("@7 = 'searchword0'", "{@1, @7}", &tb.schema).expect("scan query");
-    let format = HailInputFormat::new(hail.dataset.clone(), scan_query);
+    let format = PlannedInputFormat::new(hail.dataset.clone(), scan_query);
     let split = InputSplit::new(hail.dataset.blocks.clone(), hail.cluster.live_nodes());
 
     let mut per_split = Report::new(
         "split-parallelism/per-split",
         format!(
-            "One {}-block full-scan split via read_split_with",
+            "One {}-block full-scan split via read_one_split",
             split.blocks.len()
         ),
         "measured ms (min of 5)",
@@ -62,11 +62,10 @@ fn main() {
         for _ in 0..SAMPLES {
             rows.clear();
             let started = Instant::now();
-            format
-                .read_split_with(&hail.cluster, &split, &ctx, &mut |rec| {
-                    rows.push(rec.row.to_string())
-                })
-                .expect("split read");
+            read_one_split(&format, &hail.cluster, &split, ctx, &mut |rec| {
+                rows.push(rec.row.to_string())
+            })
+            .expect("split read");
             best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
         }
         match &baseline_records {

@@ -14,8 +14,8 @@ use hail_core::{
 };
 use hail_dfs::DfsCluster;
 use hail_exec::{
-    apply_reindex, shared_job_pool, ExecutorConfig, HadoopInputFormat, HadoopPlusPlusInputFormat,
-    HailInputFormat, JobPool, PlanCache, ReindexAdvisor, ReindexOutcome, SelectivityFeedback,
+    apply_reindex, shared_job_pool, ExecutorConfig, JobPool, PlanCache, PlannedInputFormat,
+    ReindexAdvisor, ReindexOutcome, SelectivityFeedback,
 };
 use hail_index::ReplicaIndexConfig;
 use hail_mr::{run_map_job, InputFormat, JobManager, JobRun, MapJob};
@@ -250,7 +250,7 @@ pub fn run_query(
     hail_splitting: bool,
 ) -> Result<JobRun> {
     let format = make_format(setup, spec, query, hail_splitting);
-    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), format.as_ref());
+    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), &format);
     run_map_job(&setup.cluster, spec, &job)
 }
 
@@ -266,7 +266,7 @@ pub fn run_query_at(
     parallelism: usize,
 ) -> Result<JobRun> {
     let format = make_format(setup, spec, query, hail_splitting);
-    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), format.as_ref())
+    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), &format)
         .with_parallelism(parallelism);
     run_map_job(&setup.cluster, spec, &job)
 }
@@ -286,34 +286,25 @@ pub fn run_query_overlapped(
     job_parallelism: usize,
 ) -> Result<JobRun> {
     let format = make_format(setup, spec, query, hail_splitting);
-    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), format.as_ref())
+    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), &format)
         .with_parallelism(split_parallelism)
         .with_job_parallelism(job_parallelism);
     run_map_job(&setup.cluster, spec, &job)
 }
 
-/// Builds the input format for a dataset (shared by the two runners).
+/// Builds the input format for a dataset (shared by every runner).
+/// `hail_splitting` and the map-slot count only matter on HAIL
+/// datasets; the baselines always split per block.
 fn make_format(
     setup: &SystemSetup,
     spec: &ClusterSpec,
     query: &HailQuery,
     hail_splitting: bool,
-) -> Box<dyn InputFormat> {
-    match setup.dataset.format {
-        DatasetFormat::HadoopText => {
-            Box::new(HadoopInputFormat::new(setup.dataset.clone(), query.clone()))
-        }
-        DatasetFormat::HailPax => {
-            let mut f = HailInputFormat::new(setup.dataset.clone(), query.clone());
-            f.splitting = hail_splitting;
-            f.map_slots = spec.profile.map_slots;
-            Box::new(f)
-        }
-        DatasetFormat::HadoopPlusPlus => Box::new(HadoopPlusPlusInputFormat::new(
-            setup.dataset.clone(),
-            query.clone(),
-        )),
-    }
+) -> PlannedInputFormat {
+    let mut format = PlannedInputFormat::new(setup.dataset.clone(), query.clone());
+    format.splitting = hail_splitting;
+    format.map_slots = spec.profile.map_slots;
+    format
 }
 
 /// The cross-job resources a multi-job deployment shares: one plan
@@ -364,10 +355,10 @@ impl SharedJobInfra {
 }
 
 /// [`make_shared_format`]'s solo-format counterpart is the private
-/// `make_format`; this builds the matching input format wired to the
+/// `make_format`; this builds the same input format wired to the
 /// shared multi-job infrastructure: every format built from one
-/// `infra` shares its plan cache (HAIL formats — the planner-cached
-/// path), its feedback store if any, and its cluster-wide job pool.
+/// `infra` draws from its cluster-wide job pool, and HAIL formats
+/// also share its plan cache and its feedback store if any.
 pub fn make_shared_format(
     setup: &SystemSetup,
     spec: &ClusterSpec,
@@ -375,29 +366,23 @@ pub fn make_shared_format(
     hail_splitting: bool,
     infra: &SharedJobInfra,
 ) -> Box<dyn InputFormat> {
-    match setup.dataset.format {
-        DatasetFormat::HadoopText => Box::new(
-            HadoopInputFormat::new(setup.dataset.clone(), query.clone())
-                .with_shared_pool(infra.pool.clone()),
-        ),
-        DatasetFormat::HailPax => {
-            let mut f = HailInputFormat::new(setup.dataset.clone(), query.clone())
-                .with_shared_pool(infra.pool.clone());
-            f.splitting = hail_splitting;
-            f.map_slots = spec.profile.map_slots;
-            f.planner.plan_cache = Some(infra.plan_cache.clone());
-            f.planner.feedback = infra.feedback.clone();
-            // Freeze the shared store during the job; the batch runner
-            // absorbs observations afterwards in submission order (the
-            // determinism contract on [`SharedJobInfra`]).
-            f.planner.defer_feedback = true;
-            Box::new(f)
-        }
-        DatasetFormat::HadoopPlusPlus => Box::new(
-            HadoopPlusPlusInputFormat::new(setup.dataset.clone(), query.clone())
-                .with_shared_pool(infra.pool.clone()),
-        ),
+    let mut format =
+        make_format(setup, spec, query, hail_splitting).with_shared_pool(infra.pool.clone());
+    // The baselines keep planning statelessly. HAIL's `splits()` plans
+    // every block — warming the cache — before the scheduler asks for
+    // estimates; a baseline's per-block splits do not, so its estimates
+    // (and with them node choice and simulated time) would depend on
+    // whether an earlier same-shaped job had warmed the shared cache: a
+    // race at concurrency above 1.
+    if setup.dataset.format == DatasetFormat::HailPax {
+        format.planner.plan_cache = Some(infra.plan_cache.clone());
+        format.planner.feedback = infra.feedback.clone();
+        // Freeze the shared store during the job; the batch runner
+        // absorbs observations afterwards in submission order (the
+        // determinism contract on [`SharedJobInfra`]).
+        format.planner.defer_feedback = true;
     }
+    Box::new(format)
 }
 
 /// Batch-level aggregates [`run_queries_managed`] computes over its
@@ -620,7 +605,7 @@ pub fn run_query_with_failure(
     scenario: hail_mr::FailureScenario,
 ) -> Result<hail_mr::FailoverRun> {
     let format = make_format(setup, spec, query, hail_splitting);
-    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), format.as_ref());
+    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), &format);
     hail_mr::run_map_job_with_failure(&mut setup.cluster, spec, &job, scenario)
 }
 

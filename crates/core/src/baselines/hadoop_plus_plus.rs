@@ -315,6 +315,7 @@ pub fn upload_hadoop_plus_plus(
     // Job 1: convert every block to binary row layout (unsorted, no
     // index yet), written back with full replication + shuffle
     // materialization.
+    let delimiter = cluster.config().delimiter;
     let mut binary_blocks: Vec<BlockId> = Vec::new();
     for &text_block in &text_ds.blocks {
         let hosts = cluster.namenode().get_hosts(text_block)?;
@@ -329,7 +330,7 @@ pub fn upload_hadoop_plus_plus(
         let mut rows = Vec::new();
         let mut bad = Vec::new();
         for line in text.lines() {
-            match parse_line(line, schema, '|') {
+            match parse_line(line, schema, delimiter) {
                 ParsedRecord::Good(r) => rows.push(r),
                 ParsedRecord::Bad { line, .. } => bad.push(line),
             }

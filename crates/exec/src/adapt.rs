@@ -51,18 +51,6 @@ use hail_types::{BlockId, DatanodeId, Result};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Environment knob: set to `1` to force adaptive re-indexing off (the
-/// conservative static-design fallback). Registered in
-/// [`hail_core::knobs`].
-pub const DISABLE_REINDEX_ENV: &str = hail_core::knobs::DISABLE_REINDEX.name;
-
-/// Whether adaptive re-indexing is enabled; on by default,
-/// [`DISABLE_REINDEX_ENV`] turns it off. Delegates to the central knob
-/// registry.
-pub fn env_reindex_enabled() -> bool {
-    hail_core::knobs::reindex_enabled()
-}
-
 /// What kind of index a recommendation builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReindexKind {
@@ -97,7 +85,7 @@ pub struct ReindexAction {
 /// Evidence thresholds and hysteresis for the advisor.
 #[derive(Debug, Clone)]
 pub struct ReindexPolicy {
-    /// Master switch; defaults to [`env_reindex_enabled`]. Disabled
+    /// Master switch; defaults to [`hail_core::knobs::reindex_enabled`]. Disabled
     /// advisors never recommend anything (the conservative fallback the
     /// `HAIL_DISABLE_REINDEX=1` CI leg pins).
     pub enabled: bool,
@@ -120,7 +108,7 @@ pub struct ReindexPolicy {
 impl Default for ReindexPolicy {
     fn default() -> Self {
         ReindexPolicy {
-            enabled: env_reindex_enabled(),
+            enabled: hail_core::knobs::reindex_enabled(),
             min_observations: 6,
             max_selectivity: 0.15,
             hysteresis_rounds: 2,
@@ -602,7 +590,10 @@ mod tests {
     #[test]
     fn env_knob_parses() {
         // Whatever the ambient environment, the function answers.
-        let _ = env_reindex_enabled();
-        assert_eq!(DISABLE_REINDEX_ENV, "HAIL_DISABLE_REINDEX");
+        let _ = hail_core::knobs::reindex_enabled();
+        assert_eq!(
+            hail_core::knobs::DISABLE_REINDEX.name,
+            "HAIL_DISABLE_REINDEX"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! (§4.3: split computation from main-memory `Dir_rep` state, no block
 //! reads). The base [`crate::planner::QueryPlanner`] is stateless and
 //! re-prices every `(replica, access path)` candidate on every
-//! `read_split`; this module adds the two pieces of cross-query state
+//! split read; this module adds the two pieces of cross-query state
 //! that turn it into an adaptive subsystem:
 //!
 //! - [`PlanCache`] memoizes per-block [`BlockPlan`] fragments keyed on
@@ -581,7 +581,7 @@ impl PlanCache {
 
     /// Counter-free, validation-free peek at a memoized plan's
     /// estimated cost — the assignment phase's pricing source
-    /// (`QueryPlanner::estimate_split`). Deliberately bypasses hit/miss
+    /// (`QueryPlanner::estimate_splits`). Deliberately bypasses hit/miss
     /// accounting and fingerprint revalidation: a scheduling estimate
     /// must not perturb cache effectiveness counters, and a mildly
     /// stale estimate is still a fine slot-occupancy price (the read

@@ -37,31 +37,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Environment variable overriding the default executor parallelism
-/// (`HAIL_PARALLELISM=4` runs every split's block reads on 4 workers).
-/// Unset, unparsable, or zero values mean serial execution. Registered
-/// in [`hail_core::knobs`].
-pub const PARALLELISM_ENV: &str = hail_core::knobs::PARALLELISM.name;
-
-/// Environment variable overriding the default *job-level* parallelism
-/// (`HAIL_JOB_PARALLELISM=4` lets the planner-backed formats overlap 4
-/// whole splits). Unset, unparsable, or zero values mean sequential
-/// split execution. Registered in [`hail_core::knobs`].
-pub const JOB_PARALLELISM_ENV: &str = hail_core::knobs::JOB_PARALLELISM.name;
-
-/// The parallelism configured by [`PARALLELISM_ENV`], defaulting to 1
-/// (serial) — the knob CI uses to exercise the parallel path across the
-/// whole suite without touching any call site.
-pub fn env_parallelism() -> usize {
-    hail_core::knobs::parallelism()
-}
-
-/// The job-level parallelism configured by [`JOB_PARALLELISM_ENV`],
-/// defaulting to 1 (sequential split execution).
-pub fn env_job_parallelism() -> usize {
-    hail_core::knobs::job_parallelism()
-}
-
 /// Executor knobs: worker-pool width and the optional per-node slot
 /// cap.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,10 +53,11 @@ pub struct ExecutorConfig {
 }
 
 impl Default for ExecutorConfig {
-    /// Serial unless [`PARALLELISM_ENV`] overrides, no per-node cap.
+    /// Serial unless the `HAIL_PARALLELISM` knob
+    /// ([`hail_core::knobs::parallelism`]) overrides, no per-node cap.
     fn default() -> Self {
         ExecutorConfig {
-            parallelism: env_parallelism(),
+            parallelism: hail_core::knobs::parallelism(),
             per_node_slots: None,
         }
     }
@@ -985,6 +961,6 @@ mod tests {
     fn env_job_parallelism_defaults_serial() {
         // The suite cannot mutate the process environment safely, but
         // the parser contract is pinned: absent/zero → 1.
-        assert!(env_job_parallelism() >= 1);
+        assert!(hail_core::knobs::job_parallelism() >= 1);
     }
 }

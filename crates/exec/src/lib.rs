@@ -48,9 +48,11 @@
 //!   the old design or the new one — never a half-registered hybrid
 //! - [`splitting`] — default Hadoop splitting and `HailSplitting`
 //!   (§4.3), consuming plans instead of re-deriving replica choices
-//! - [`formats`] — the three `InputFormat`s (Hadoop, Hadoop++, HAIL),
-//!   all routed through `QueryPlanner::plan` → `AccessPath::execute`,
-//!   and all driving the executor for multi-block splits
+//! - [`formats`] — the one [`PlannedInputFormat`] serving all three
+//!   systems (Hadoop, Hadoop++, HAIL — told apart by the dataset's
+//!   format), routed through `QueryPlanner::plan` →
+//!   `AccessPath::execute` and driving the executor for multi-block
+//!   splits
 //! - [`readers`] — single-block reader entry points (planner-backed)
 //!
 //! New access paths or index types plug into the planner's candidate
@@ -116,19 +118,18 @@ pub mod splitting;
 pub mod synopsis;
 
 pub use adapt::{
-    apply_reindex, env_reindex_enabled, plan_rewrites, ReindexAction, ReindexAdvisor, ReindexKind,
-    ReindexOutcome, ReindexPolicy, ReplicaRewrite, DISABLE_REINDEX_ENV,
+    apply_reindex, plan_rewrites, ReindexAction, ReindexAdvisor, ReindexKind, ReindexOutcome,
+    ReindexPolicy, ReplicaRewrite,
 };
 pub use cache::{
     BlockFingerprint, CacheStats, FilterShape, PlanCache, SelectivityChoice, SelectivityFeedback,
     SelectivitySource, ValidatedLookup,
 };
 pub use executor::{
-    env_job_parallelism, env_parallelism, ExecutorConfig, ExecutorContext, IntraClaim, JobPool,
-    JobPoolConfig, NodeGate, NodePermit, ParallelismBudget, SplitLease, JOB_PARALLELISM_ENV,
-    PARALLELISM_ENV,
+    ExecutorConfig, ExecutorContext, IntraClaim, JobPool, JobPoolConfig, NodeGate, NodePermit,
+    ParallelismBudget, SplitLease,
 };
-pub use formats::{shared_job_pool, HadoopInputFormat, HadoopPlusPlusInputFormat, HailInputFormat};
+pub use formats::{shared_job_pool, PlannedInputFormat};
 pub use path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
     ScanLayout, TrojanIndexScan,
@@ -137,9 +138,6 @@ pub use planner::{
     BlockPlan, Candidate, CostModel, PlannerConfig, QueryPlan, QueryPlanner, SelectivityEstimate,
 };
 pub use readers::{read_hadoop_text_block, read_hail_block, read_hpp_block};
-pub use sharing::{
-    env_scan_sharing_enabled, Acquired, DecodedBlock, ScanShareRegistry, ShareKey, ShareShape,
-    ShareStats, DISABLE_SCAN_SHARING_ENV,
-};
+pub use sharing::{Acquired, DecodedBlock, ScanShareRegistry, ShareKey, ShareShape, ShareStats};
 pub use splitting::{default_splits, hail_splits, plan_default_splits, plan_hail_splits};
-pub use synopsis::{env_synopsis_pruning, PruneInfo, PruneReason, DISABLE_SYNOPSES_ENV};
+pub use synopsis::{PruneInfo, PruneReason};

@@ -19,7 +19,7 @@
 //! Planning is adaptive when the two [`crate::cache`] stores are plugged
 //! into the [`PlannerConfig`]: a [`crate::cache::PlanCache`] memoizes
 //! per-block plans keyed on (canonical filter shape, replica-index
-//! fingerprint) so a repeated `read_split` with an identical filter
+//! fingerprint) so a repeated split read with an identical filter
 //! shape prices nothing, and a [`crate::cache::SelectivityFeedback`]
 //! store blends observed per-block selectivities into the static
 //! [`SelectivityEstimate`] prior. `explain()` annotates both: every
@@ -240,9 +240,9 @@ pub struct PlannerConfig {
     pub feedback: Option<Arc<SelectivityFeedback>>,
     /// Consult persisted zone-map/Bloom synopses before candidate
     /// enumeration, skipping blocks they prove empty
-    /// ([`crate::synopsis`]). Defaults on; the
-    /// [`crate::synopsis::DISABLE_SYNOPSES_ENV`] environment variable
-    /// flips the default off for a whole process (CI's unpruned leg).
+    /// ([`crate::synopsis`]). Defaults on; the `HAIL_DISABLE_SYNOPSES`
+    /// knob ([`hail_core::knobs::synopsis_pruning_enabled`]) flips the
+    /// default off for a whole process (CI's unpruned leg).
     pub synopsis_pruning: bool,
     /// Freeze [`PlannerConfig::feedback`] for the duration of a job:
     /// observations are still *collected* into each task's
@@ -265,7 +265,7 @@ impl Default for PlannerConfig {
             text_delimiter: None,
             plan_cache: None,
             feedback: None,
-            synopsis_pruning: crate::synopsis::env_synopsis_pruning(),
+            synopsis_pruning: hail_core::knobs::synopsis_pruning_enabled(),
             defer_feedback: false,
         }
     }
@@ -636,8 +636,9 @@ impl<'a> QueryPlanner<'a> {
         PlanContext { selectivity, shape }
     }
 
-    /// Estimated record-reader seconds for reading `blocks` under
-    /// `query` — the scheduler's assignment-phase seam.
+    /// Estimated record-reader seconds for each of a job's `splits`
+    /// under `query`, positionally aligned — the scheduler's
+    /// assignment-phase seam.
     ///
     /// Priced from memoized [`BlockPlan`]s where the [`PlanCache`]
     /// holds one for the query's filter shape (a counter-free,
@@ -645,64 +646,33 @@ impl<'a> QueryPlanner<'a> {
     /// effectiveness accounting), falling back to a uniform
     /// full-scan-of-one-logical-block heuristic per uncached block.
     /// Never prices candidates, never inserts, never blocks on more
-    /// than the cache's read lock.
-    pub fn estimate_split(
-        &self,
-        format: DatasetFormat,
-        blocks: &[BlockId],
-        query: &HailQuery,
-    ) -> f64 {
-        let heuristic = self.heuristic_block_seconds();
-        let shape = match &self.config.plan_cache {
-            Some(_) if self.config.bad_record_tokens.is_empty() => {
-                let selectivity = self.effective_selectivities(query);
-                Some(self.filter_shape(format, query, &selectivity))
-            }
-            _ => None,
-        };
-        match shape.as_ref().zip(self.config.plan_cache.as_ref()) {
-            Some((shape, cache)) => cache
-                .peek_est_seconds_many(shape, blocks)
-                .into_iter()
-                .map(|est| est.unwrap_or(heuristic))
-                .sum(),
-            None => heuristic * blocks.len() as f64,
-        }
-    }
-
-    /// [`QueryPlanner::estimate_split`] over a whole job's splits at
-    /// once: the canonical filter shape (feedback lookups, shape
-    /// hashing, cost-model digest) is derived **once** and reused for
-    /// every split, instead of once per `estimate_split` call. The
-    /// scheduler's assignment phase estimates every split of a job
-    /// against the same query, so this is its batch seam; results are
-    /// positionally aligned with `splits`.
-    pub fn estimate_split_batch(
+    /// than the cache's read lock. The canonical filter shape
+    /// (feedback lookups, shape hashing, cost-model digest) is derived
+    /// **once** for the whole job, not once per split.
+    pub fn estimate_splits(
         &self,
         format: DatasetFormat,
         splits: &[hail_mr::InputSplit],
         query: &HailQuery,
     ) -> Vec<f64> {
         let heuristic = self.heuristic_block_seconds();
-        let shape = match &self.config.plan_cache {
-            Some(_) if self.config.bad_record_tokens.is_empty() => {
+        let shaped_cache = match &self.config.plan_cache {
+            Some(cache) if self.config.bad_record_tokens.is_empty() => {
                 let selectivity = self.effective_selectivities(query);
-                Some(self.filter_shape(format, query, &selectivity))
+                Some((self.filter_shape(format, query, &selectivity), cache))
             }
             _ => None,
         };
         splits
             .iter()
-            .map(
-                |split| match shape.as_ref().zip(self.config.plan_cache.as_ref()) {
-                    Some((shape, cache)) => cache
-                        .peek_est_seconds_many(shape, &split.blocks)
-                        .into_iter()
-                        .map(|est| est.unwrap_or(heuristic))
-                        .sum(),
-                    None => heuristic * split.blocks.len() as f64,
-                },
-            )
+            .map(|split| match &shaped_cache {
+                Some((shape, cache)) => cache
+                    .peek_est_seconds_many(shape, &split.blocks)
+                    .into_iter()
+                    .map(|est| est.unwrap_or(heuristic))
+                    .sum(),
+                None => heuristic * split.blocks.len() as f64,
+            })
             .collect()
     }
 
@@ -803,7 +773,7 @@ impl<'a> QueryPlanner<'a> {
     /// The zero-cost placeholder plan for a synopsis-pruned block: no
     /// candidates were priced, execution will skip the read, and the
     /// scheduler sees it as free (`est_seconds` 0, so
-    /// [`QueryPlanner::estimate_split`] naturally prices it at zero
+    /// [`QueryPlanner::estimate_splits`] naturally prices it at zero
     /// once memoized). Locations still list the live holders so split
     /// construction and locality grouping treat the block normally.
     fn pruned_block_plan(

@@ -64,7 +64,8 @@
 //! [`Acquired::Fallback`] — without it, a worker panic would strand
 //! the marker and every later acquirer of that key would wait forever.
 //!
-//! Set [`DISABLE_SCAN_SHARING_ENV`] to opt out: every read degrades to
+//! Set `HAIL_DISABLE_SCAN_SHARING`
+//! ([`hail_core::knobs::scan_sharing_enabled`]) to opt out: every read degrades to
 //! today's independent path with identical results.
 
 use hail_index::IndexedBlock;
@@ -75,17 +76,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-
-/// Environment kill switch: set to a non-empty value other than `0` to
-/// disable cooperative scan sharing (every job reads independently, as
-/// before this module existed). Registered in [`hail_core::knobs`].
-pub const DISABLE_SCAN_SHARING_ENV: &str = hail_core::knobs::DISABLE_SCAN_SHARING.name;
-
-/// The default for scan sharing: on, unless [`DISABLE_SCAN_SHARING_ENV`]
-/// turns it off. Delegates to the central knob registry.
-pub fn env_scan_sharing_enabled() -> bool {
-    hail_core::knobs::scan_sharing_enabled()
-}
 
 /// Retained produced-decode cap (entries, not bytes): a backstop for
 /// registries running without an in-flight tracker, where no drain
@@ -563,6 +553,6 @@ mod tests {
     #[test]
     fn env_knob_reports_a_bool() {
         // Just exercise the parse; CI runs the suite with the knob set.
-        let _ = env_scan_sharing_enabled();
+        let _ = hail_core::knobs::scan_sharing_enabled();
     }
 }

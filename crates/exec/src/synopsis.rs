@@ -30,19 +30,6 @@ use hail_index::{HailBlockReplicaInfo, IndexedBlock};
 use hail_types::{BlockId, Value};
 use std::fmt;
 
-/// Environment variable force-disabling synopsis pruning (set to any
-/// value other than `0` or the empty string). CI uses it to keep the
-/// unpruned planning path exercised by the whole suite. Registered in
-/// [`hail_core::knobs`].
-pub const DISABLE_SYNOPSES_ENV: &str = hail_core::knobs::DISABLE_SYNOPSES.name;
-
-/// The default for [`PlannerConfig::synopsis_pruning`]: on, unless
-/// [`DISABLE_SYNOPSES_ENV`] turns it off. Delegates to the central
-/// knob registry.
-pub fn env_synopsis_pruning() -> bool {
-    hail_core::knobs::synopsis_pruning_enabled()
-}
-
 /// Which synopsis kind proved a block empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneReason {
@@ -204,7 +191,7 @@ mod tests {
     fn env_knob_semantics() {
         // The default (unset in the test environment unless CI set it)
         // must parse without panicking either way.
-        let _ = env_synopsis_pruning();
+        let _ = hail_core::knobs::synopsis_pruning_enabled();
         assert_eq!(PruneReason::Zone.to_string(), "zone");
         assert_eq!(PruneReason::Bloom.to_string(), "bloom");
     }

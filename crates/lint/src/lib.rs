@@ -1,15 +1,12 @@
 //! Hand-rolled workspace source lint enforcing the HAIL concurrency
 //! contract (no registry deps, consistent with `crates/compat`).
 //!
-//! Five rules, each converting a convention PRs 4–9 kept by hand into
+//! Four rules, each converting a convention PRs 4–9 kept by hand into
 //! a CI failure:
 //!
 //! - **no-raw-sync** — direct `std::sync::{Mutex, RwLock, Condvar}`
 //!   use outside `hail-sync` (test code exempt). Every engine lock
 //!   must carry a `LockRank`.
-//! - **safety-comment** — every `unsafe` token is preceded by a
-//!   `// SAFETY:` comment. (The workspace also forbids `unsafe_code`
-//!   outright; this rule keeps the doc contract if that ever loosens.)
 //! - **knob-registry** — `env::var` reads outside
 //!   `hail_core::knobs` (test code exempt). Every `HAIL_*` knob goes
 //!   through the one typed table.
@@ -309,36 +306,6 @@ pub fn check_no_raw_sync(path: &Path, stripped: &str, mask: &[bool]) -> Vec<Viol
     out
 }
 
-/// Rule `safety-comment`: every `unsafe` token needs a `// SAFETY:`
-/// comment on a directly preceding line (checked against the original
-/// source, since comments are blanked in the stripped copy).
-pub fn check_safety_comment(path: &Path, original: &str, stripped: &str) -> Vec<Violation> {
-    let lines: Vec<&str> = original.lines().collect();
-    let mut out = Vec::new();
-    for at in word_offsets(stripped, "unsafe") {
-        let line = line_of(stripped, at);
-        // Walk upward over blank/attribute lines to the nearest prose.
-        let mut ok = false;
-        for prev in (0..line.saturating_sub(1)).rev() {
-            let text = lines[prev].trim();
-            if text.is_empty() || text.starts_with("#[") {
-                continue;
-            }
-            ok = text.contains("// SAFETY:");
-            break;
-        }
-        if !ok {
-            out.push(Violation {
-                rule: "safety-comment",
-                file: path.to_path_buf(),
-                line,
-                excerpt: "unsafe without a preceding // SAFETY: comment".into(),
-            });
-        }
-    }
-    out
-}
-
 /// Rule `knob-registry`: `env::var` reads outside the central knob
 /// registry (test code exempt).
 pub fn check_knob_registry(path: &Path, stripped: &str, mask: &[bool]) -> Vec<Violation> {
@@ -597,7 +564,6 @@ pub fn scan_workspace(root: &Path) -> Vec<Violation> {
         if !in_sync_crate {
             out.extend(check_no_raw_sync(&rel, &stripped, &mask));
         }
-        out.extend(check_safety_comment(&rel, &original, &stripped));
         if !is_knobs {
             out.extend(check_knob_registry(&rel, &stripped, &mask));
         }

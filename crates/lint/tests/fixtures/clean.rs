@@ -20,8 +20,7 @@ pub fn bump(g: &Good) -> u32 {
     *v
 }
 
-// SAFETY: this block is empty; the comment satisfies the rule.
-pub fn annotated() {
+pub fn raw_literal() {
     let raw = r"RwLock in a raw string";
     let _ = raw;
 }

@@ -5,9 +5,8 @@
 //! in test subdirectories, so they can contain deliberately bad code.
 
 use hail_lint::{
-    check_doc_sync, check_knob_registry, check_no_lock_unwrap, check_no_raw_sync,
-    check_safety_comment, marked_section, parse_knob_names, parse_lock_ranks, scan_workspace,
-    strip_code, test_region_mask,
+    check_doc_sync, check_knob_registry, check_no_lock_unwrap, check_no_raw_sync, marked_section,
+    parse_knob_names, parse_lock_ranks, scan_workspace, strip_code, test_region_mask,
 };
 use std::path::{Path, PathBuf};
 
@@ -25,7 +24,6 @@ fn run_file_rules(name: &str) -> Vec<hail_lint::Violation> {
     let mask = test_region_mask(&stripped);
     let mut out = Vec::new();
     out.extend(check_no_raw_sync(&path, &stripped, &mask));
-    out.extend(check_safety_comment(&path, &src, &stripped));
     out.extend(check_knob_registry(&path, &stripped, &mask));
     out.extend(check_no_lock_unwrap(&path, &stripped, &mask));
     out
@@ -68,17 +66,6 @@ fn raw_sync_fixture_is_caught() {
     }
     // unwrap_or_else recovery is NOT a no-lock-unwrap violation.
     assert!(violations.iter().all(|v| v.rule != "no-lock-unwrap"));
-}
-
-#[test]
-fn missing_safety_fixture_is_caught() {
-    let violations = run_file_rules("missing_safety.rs");
-    let hits: Vec<_> = violations
-        .iter()
-        .filter(|v| v.rule == "safety-comment")
-        .collect();
-    assert_eq!(hits.len(), 1, "{violations:?}");
-    assert_eq!(hits[0].line, 3);
 }
 
 #[test]

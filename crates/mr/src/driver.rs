@@ -104,9 +104,9 @@ impl<'a> ChunkedDrive<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{InputSplit, SplitContext, SplitPlan};
+    use crate::input_format::{read_splits_sequentially, InputSplit, SplitContext, SplitPlan};
     use crate::job::{MapRecord, TaskStats};
-    use hail_types::{BlockId, DatanodeId, HailError, Row, StorageConfig, Value};
+    use hail_types::{BlockId, HailError, Row, StorageConfig, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -137,46 +137,24 @@ mod tests {
             })
         }
 
-        fn read_split(
-            &self,
-            _cluster: &DfsCluster,
-            split: &InputSplit,
-            _task_node: DatanodeId,
-            emit: &mut dyn FnMut(MapRecord),
-        ) -> Result<TaskStats> {
-            if self.fail_at == Some(split.blocks[0]) {
-                return Err(HailError::Job(format!("block {}", split.blocks[0])));
-            }
-            emit(MapRecord::good(Row::new(vec![Value::Long(
-                split.blocks[0] as i64,
-            )])));
-            Ok(TaskStats {
-                records: 1,
-                ..Default::default()
-            })
-        }
-
         fn read_split_batch(
             &self,
-            cluster: &DfsCluster,
+            _cluster: &DfsCluster,
             batch: &[SplitTask<'_>],
             _job_parallelism: Option<usize>,
         ) -> Result<Vec<SplitRead>> {
             self.batch_sizes.lock().unwrap().push(batch.len());
-            batch
-                .iter()
-                .map(|t| {
-                    let mut records = Vec::new();
-                    let stats = self.read_split(cluster, t.split, t.ctx.task_node, &mut |rec| {
-                        records.push(rec)
-                    })?;
-                    Ok(SplitRead {
-                        records,
-                        stats,
-                        reader_wall_seconds: 0.0,
-                    })
+            read_splits_sequentially(batch, |task, emit| {
+                let block = task.split.blocks[0];
+                if self.fail_at == Some(block) {
+                    return Err(HailError::Job(format!("block {block}")));
+                }
+                emit(MapRecord::good(Row::new(vec![Value::Long(block as i64)])));
+                Ok(TaskStats {
+                    records: 1,
+                    ..Default::default()
                 })
-                .collect()
+            })
         }
 
         fn name(&self) -> &str {

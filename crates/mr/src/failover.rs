@@ -231,7 +231,7 @@ pub fn run_map_job_with_failure(
     // copy), fan the re-reads through the job-level pool, then price
     // the real schedule from the actual statistics — in order, never
     // before `resume_at`.
-    let lost_splits: Vec<&InputSplit> = lost
+    let lost_splits: Vec<InputSplit> = lost
         .iter()
         .map(|&idx| {
             let base = baseline_split(idx)?;
@@ -240,20 +240,17 @@ pub fn run_map_job_with_failure(
             Ok(degraded_by_blocks
                 .get(&sorted_blocks(base))
                 .copied()
-                .unwrap_or(base))
+                .unwrap_or(base)
+                .clone())
         })
         .collect::<Result<_>>()?;
     let mut planning = slots.clone();
     let mut rerun_nodes = Vec::with_capacity(lost_splits.len());
-    for split in &lost_splits {
+    let ests = crate::scheduler::estimate_or_fallback(cluster, hw, job.format, &lost_splits);
+    for (split, est) in lost_splits.iter().zip(ests) {
         let node = planning
             .choose_node(&split.locations)
             .ok_or_else(|| HailError::Job("no live nodes to re-schedule on".into()))?;
-        let est = job
-            .format
-            .estimate_split(cluster, split)
-            .unwrap_or_else(|| crate::scheduler::fallback_split_estimate(hw, split))
-            .max(0.0);
         planning.assign(node, hw.task_overhead_s + est, resume_at);
         rerun_nodes.push(node);
     }
@@ -313,7 +310,9 @@ pub fn run_map_job_with_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{InputFormat, InputSplit, SplitPlan};
+    use crate::input_format::{
+        read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead,
+    };
     use crate::job::{MapRecord, TaskStats};
     use crate::scheduler::run_map_job;
     use hail_sim::HardwareProfile;
@@ -343,30 +342,32 @@ mod tests {
             })
         }
 
-        fn read_split(
+        fn read_split_batch(
             &self,
             cluster: &DfsCluster,
-            split: &InputSplit,
-            _task_node: usize,
-            emit: &mut dyn FnMut(MapRecord),
-        ) -> Result<TaskStats> {
-            // Fail if every location is dead (data genuinely lost).
-            if split
-                .locations
-                .iter()
-                .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
-            {
-                return Err(HailError::DeadDatanode(split.locations[0]));
-            }
-            emit(MapRecord::good(Row::new(vec![Value::Long(
-                split.blocks[0] as i64,
-            )])));
-            let mut stats = TaskStats {
-                records: 1,
-                ..Default::default()
-            };
-            stats.ledger.disk_read = self.read_seconds_bytes;
-            Ok(stats)
+            batch: &[SplitTask<'_>],
+            _job_parallelism: Option<usize>,
+        ) -> Result<Vec<SplitRead>> {
+            read_splits_sequentially(batch, |task, emit| {
+                let split = task.split;
+                // Fail if every location is dead (data genuinely lost).
+                if split
+                    .locations
+                    .iter()
+                    .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
+                {
+                    return Err(HailError::DeadDatanode(split.locations[0]));
+                }
+                emit(MapRecord::good(Row::new(vec![Value::Long(
+                    split.blocks[0] as i64,
+                )])));
+                let mut stats = TaskStats {
+                    records: 1,
+                    ..Default::default()
+                };
+                stats.ledger.disk_read = self.read_seconds_bytes;
+                Ok(stats)
+            })
         }
 
         fn name(&self) -> &str {
@@ -462,29 +463,31 @@ mod tests {
             })
         }
 
-        fn read_split(
+        fn read_split_batch(
             &self,
             cluster: &DfsCluster,
-            split: &InputSplit,
-            _task_node: usize,
-            emit: &mut dyn FnMut(MapRecord),
-        ) -> Result<TaskStats> {
-            if split
-                .locations
-                .iter()
-                .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
-            {
-                return Err(HailError::DeadDatanode(split.locations[0]));
-            }
-            for &b in &split.blocks {
-                emit(MapRecord::good(Row::new(vec![Value::Long(b as i64)])));
-            }
-            let mut stats = TaskStats {
-                records: split.blocks.len() as u64,
-                ..Default::default()
-            };
-            stats.ledger.disk_read = 95_000_000 * split.blocks.len() as u64;
-            Ok(stats)
+            batch: &[SplitTask<'_>],
+            _job_parallelism: Option<usize>,
+        ) -> Result<Vec<SplitRead>> {
+            read_splits_sequentially(batch, |task, emit| {
+                let split = task.split;
+                if split
+                    .locations
+                    .iter()
+                    .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
+                {
+                    return Err(HailError::DeadDatanode(split.locations[0]));
+                }
+                for &b in &split.blocks {
+                    emit(MapRecord::good(Row::new(vec![Value::Long(b as i64)])));
+                }
+                let mut stats = TaskStats {
+                    records: split.blocks.len() as u64,
+                    ..Default::default()
+                };
+                stats.ledger.disk_read = 95_000_000 * split.blocks.len() as u64;
+                Ok(stats)
+            })
         }
 
         fn name(&self) -> &str {
@@ -559,26 +562,26 @@ mod tests {
                     client_cost: Default::default(),
                 })
             }
-            fn read_split(
+            fn read_split_batch(
                 &self,
                 _c: &DfsCluster,
-                split: &InputSplit,
-                _n: usize,
-                emit: &mut dyn FnMut(MapRecord),
-            ) -> Result<TaskStats> {
-                emit(MapRecord::good(Row::new(vec![Value::Long(
-                    split.blocks[0] as i64,
-                )])));
-                let mut stats = TaskStats {
-                    records: 1,
-                    ..Default::default()
-                };
-                stats.ledger.disk_read = if split.blocks[0] == 0 {
-                    95_000_000 * 20 // 20 s
-                } else {
-                    95_000_000 // 1 s
-                };
-                Ok(stats)
+                batch: &[SplitTask<'_>],
+                _job_parallelism: Option<usize>,
+            ) -> Result<Vec<SplitRead>> {
+                read_splits_sequentially(batch, |task, emit| {
+                    let block = task.split.blocks[0];
+                    emit(MapRecord::good(Row::new(vec![Value::Long(block as i64)])));
+                    let mut stats = TaskStats {
+                        records: 1,
+                        ..Default::default()
+                    };
+                    stats.ledger.disk_read = if block == 0 {
+                        95_000_000 * 20 // 20 s
+                    } else {
+                        95_000_000 // 1 s
+                    };
+                    Ok(stats)
+                })
             }
             fn name(&self) -> &str {
                 "skewed"
@@ -659,14 +662,13 @@ mod tests {
                 self.derivations.fetch_add(1, Ordering::Relaxed);
                 self.inner.splits(cluster, input)
             }
-            fn read_split(
+            fn read_split_batch(
                 &self,
                 cluster: &DfsCluster,
-                split: &InputSplit,
-                task_node: DatanodeId,
-                emit: &mut dyn FnMut(MapRecord),
-            ) -> Result<TaskStats> {
-                self.inner.read_split(cluster, split, task_node, emit)
+                batch: &[SplitTask<'_>],
+                job_parallelism: Option<usize>,
+            ) -> Result<Vec<SplitRead>> {
+                self.inner.read_split_batch(cluster, batch, job_parallelism)
             }
             fn name(&self) -> &str {
                 "counting"

@@ -1,17 +1,18 @@
 //! The `InputFormat` abstraction: how a job's input is cut into splits
-//! and how one split is read on a worker.
+//! and how batches of splits are read on workers.
 //!
 //! Hadoop's `InputFormat`/`RecordReader` UDFs are the paper's integration
-//! point: HAIL ships `HailInputFormat` + `HailRecordReader` and changes
+//! point: HAIL ships its own input format + record reader and changes
 //! nothing else in the engine (§4.3). The engine in this crate likewise
-//! only sees this trait; the Hadoop, Hadoop++ and HAIL behaviours live in
-//! `hail-exec`, routed through its cost-based `QueryPlanner` and
-//! `AccessPath` implementations.
+//! only sees this four-method trait; the Hadoop, Hadoop++ and HAIL
+//! behaviours live in `hail-exec`'s one `PlannedInputFormat`, routed
+//! through its cost-based `QueryPlanner` and `AccessPath`
+//! implementations.
 
 use crate::job::{MapRecord, TaskStats};
 use hail_dfs::DfsCluster;
 use hail_sim::CostLedger;
-use hail_types::{BlockId, DatanodeId, Result};
+use hail_types::{BlockId, DatanodeId, HailError, Result};
 
 /// A logical input split: one map task's input.
 ///
@@ -55,10 +56,9 @@ pub struct SplitPlan {
 /// read for fanning out independent block reads within the split.
 ///
 /// This is the seam through which `run_map_job` drives the execution
-/// layer's parallel executor without depending on it: formats that can
-/// parallelize (the planner-backed ones in `hail-exec`) honor
-/// `parallelism`; simple formats ignore it via the default
-/// [`InputFormat::read_split_with`].
+/// layer's parallel executor without depending on it: the
+/// planner-backed format in `hail-exec` honors `parallelism`; simple
+/// formats ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitContext {
     /// The node the map task runs on; remote reads charge the network.
@@ -105,8 +105,9 @@ pub struct SplitRead {
     pub reader_wall_seconds: f64,
 }
 
-/// How a job's input is split and read. Implemented by the Hadoop
-/// baseline, Hadoop++, and HAIL in `hail-exec`.
+/// How a job's input is split and read. Implemented by the one
+/// planner-backed format in `hail-exec`, which serves Hadoop, Hadoop++
+/// and HAIL datasets alike.
 ///
 /// Formats must be `Send + Sync`: a [`crate::manager::JobManager`]
 /// runs concurrent jobs on worker threads, each holding a shared
@@ -117,109 +118,92 @@ pub trait InputFormat: Send + Sync {
     /// Computes input splits for the given input blocks.
     fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan>;
 
-    /// Reads one split on behalf of a map task running on `task_node`,
-    /// emitting each record to `emit`. Returns the task's physical
-    /// statistics.
-    fn read_split(
-        &self,
-        cluster: &DfsCluster,
-        split: &InputSplit,
-        task_node: DatanodeId,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats>;
-
-    /// Reads one split under an explicit [`SplitContext`] — the entry
-    /// point the scheduler uses, so job-level parallelism reaches the
-    /// format. Formats without intra-split parallelism inherit this
-    /// default, which ignores the parallelism hint. On a **successful**
-    /// read, the emitted records, their order, and the returned
-    /// statistics must be identical to [`InputFormat::read_split`]
-    /// whatever the context; on a failing read only the returned error
-    /// is guaranteed parallelism-independent — a parallel read may
-    /// have emitted fewer of the pre-failure records than a serial one
-    /// (never different ones, never out of order) by the time the
-    /// error surfaces.
-    fn read_split_with(
-        &self,
-        cluster: &DfsCluster,
-        split: &InputSplit,
-        ctx: &SplitContext,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats> {
-        self.read_split(cluster, split, ctx.task_node, emit)
-    }
-
-    /// Reads a whole batch of splits — the scheduler's execution phase.
+    /// Reads a whole batch of splits — the scheduler's execution phase,
+    /// and the only read entry point.
     ///
-    /// Returns one [`SplitRead`] per task **in batch order**, each
-    /// holding exactly what [`InputFormat::read_split_with`] would have
-    /// produced for that task. `job_parallelism` is the job-level
-    /// overlap budget (`None` defers to the format's own policy, which
-    /// for the planner-backed formats is the `HAIL_JOB_PARALLELISM`
-    /// environment override); formats without job-level overlap inherit
-    /// this sequential default.
+    /// Returns one [`SplitRead`] per task **in batch order**: the
+    /// records the map task on `ctx.task_node` sees, in emission order,
+    /// plus the task's physical statistics. `job_parallelism` is the
+    /// job-level overlap budget (`None` defers to the format's own
+    /// policy, which for the planner-backed format is the
+    /// `HAIL_JOB_PARALLELISM` environment override). Formats without
+    /// any overlap implement this with [`read_splits_sequentially`].
     ///
-    /// Contract for overriding implementations: on a **successful**
-    /// batch, records, their order, every statistic, and any
-    /// cross-query state the reads mutate (plan caches, selectivity
-    /// feedback) must be bit-for-bit identical at every
-    /// `job_parallelism` — overlap may only change the measured
-    /// `reader_wall_seconds`. In particular, state folded per split
-    /// (selectivity feedback) must be absorbed **in batch order after
-    /// all reads complete**, never in completion order. On a failing
-    /// batch only the returned error — the lowest-indexed failing
-    /// task's — is guaranteed parallelism-independent: as with
-    /// [`InputFormat::read_split_with`]'s failing reads, overlapped
-    /// workers may have raced ahead of the failure and planned (and
-    /// cached plans for) splits a sequential run would never have
-    /// reached.
+    /// Contract: on a **successful** batch, records, their order, every
+    /// statistic, and any cross-query state the reads mutate (plan
+    /// caches, selectivity feedback) must be bit-for-bit identical at
+    /// every `job_parallelism` and every [`SplitContext::parallelism`]
+    /// — overlap may only change the measured `reader_wall_seconds`.
+    /// In particular, state folded per split (selectivity feedback)
+    /// must be absorbed **in batch order after all reads complete**,
+    /// never in completion order. On a failing batch only the returned
+    /// error — the lowest-indexed failing task's — is guaranteed
+    /// parallelism-independent: overlapped workers may have raced ahead
+    /// of the failure and planned (and cached plans for) splits a
+    /// sequential run would never have reached.
     fn read_split_batch(
         &self,
         cluster: &DfsCluster,
         batch: &[SplitTask<'_>],
-        _job_parallelism: Option<usize>,
-    ) -> Result<Vec<SplitRead>> {
-        batch
-            .iter()
-            .map(|t| {
-                let mut records = Vec::new();
-                let wall = std::time::Instant::now();
-                let stats =
-                    self.read_split_with(cluster, t.split, &t.ctx, &mut |rec| records.push(rec))?;
-                Ok(SplitRead {
-                    records,
-                    stats,
-                    reader_wall_seconds: wall.elapsed().as_secs_f64(),
-                })
-            })
-            .collect()
-    }
+        job_parallelism: Option<usize>,
+    ) -> Result<Vec<SplitRead>>;
 
-    /// Estimated record-reader seconds for one split — the scheduler's
-    /// assignment phase prices slot occupancy with this *before* any
-    /// read happens, so node choices decouple from read results.
-    /// `None` (the default) lets the scheduler fall back to a uniform
-    /// block-count heuristic; the planner-backed formats answer from
-    /// memoized `BlockPlan`s. Must be cheap and must not perturb any
-    /// cross-query state or counters.
-    fn estimate_split(&self, _cluster: &DfsCluster, _split: &InputSplit) -> Option<f64> {
-        None
-    }
-
-    /// Batch form of [`InputFormat::estimate_split`]: estimates for a
-    /// whole job's splits in one call, so a format can derive
-    /// query-level state (the canonical filter shape, feedback
-    /// lookups) **once** instead of once per split. `None` (the
+    /// Estimated record-reader seconds for each of a job's splits,
+    /// positionally aligned with `splits` — the scheduler's assignment
+    /// phase prices slot occupancy with this *before* any read happens,
+    /// so node choices decouple from read results. One call covers the
+    /// whole job so a format can derive query-level state (the
+    /// canonical filter shape, feedback lookups) **once**. `None` (the
     /// default) or a result of the wrong length makes the scheduler
-    /// fall back to per-split [`InputFormat::estimate_split`] calls.
-    /// Same contract: cheap, and must not perturb any cross-query
-    /// state or counters.
+    /// fall back to a uniform block-count heuristic; the planner-backed
+    /// format answers from memoized `BlockPlan`s. Must be cheap and
+    /// must not perturb any cross-query state or counters.
     fn estimate_splits(&self, _cluster: &DfsCluster, _splits: &[InputSplit]) -> Option<Vec<f64>> {
         None
     }
 
     /// A short name for reports ("Hadoop", "Hadoop++", "HAIL").
     fn name(&self) -> &str;
+}
+
+/// [`InputFormat::read_split_batch`] for formats without job-level
+/// overlap: runs `read_one` on each task in batch order, buffering what
+/// it emits and timing it.
+pub fn read_splits_sequentially(
+    batch: &[SplitTask<'_>],
+    mut read_one: impl FnMut(&SplitTask<'_>, &mut dyn FnMut(MapRecord)) -> Result<TaskStats>,
+) -> Result<Vec<SplitRead>> {
+    batch
+        .iter()
+        .map(|task| {
+            let mut records = Vec::new();
+            let wall = std::time::Instant::now();
+            let stats = read_one(task, &mut |rec| records.push(rec))?;
+            Ok(SplitRead {
+                records,
+                stats,
+                reader_wall_seconds: wall.elapsed().as_secs_f64(),
+            })
+        })
+        .collect()
+}
+
+/// Reads one split as a batch of one and replays its records to `emit`
+/// — for callers outside the scheduler that want a single split's
+/// records and statistics.
+pub fn read_one_split(
+    format: &dyn InputFormat,
+    cluster: &DfsCluster,
+    split: &InputSplit,
+    ctx: SplitContext,
+    emit: &mut dyn FnMut(MapRecord),
+) -> Result<TaskStats> {
+    let read = format
+        .read_split_batch(cluster, &[SplitTask { split, ctx }], None)?
+        .pop()
+        .ok_or_else(|| HailError::Job("batch read of one split returned no read".into()))?;
+    read.records.into_iter().for_each(emit);
+    Ok(read.stats)
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! A deterministic Hadoop-MapReduce-like execution engine:
 //!
-//! - [`input_format`] — the `InputFormat` UDF surface (splits + readers)
+//! - [`input_format`] — the four-method `InputFormat` UDF surface
+//!   (`splits`, `read_split_batch`, `estimate_splits`, `name`)
 //! - [`job`] — records, task statistics, job reports (T_ideal, overhead)
 //! - [`scheduler`] — locality-aware wave scheduling with Hadoop's
 //!   per-task overhead model
@@ -30,11 +31,11 @@
 //! a split's independent block reads across threads. Since the
 //! job-overlap change, [`run_map_job`] itself is two-phase: an
 //! *assignment* phase chooses nodes for every split up front from
-//! planner estimates ([`InputFormat::estimate_split`]), and an
+//! planner estimates ([`InputFormat::estimate_splits`]), and an
 //! *execution* phase that drives the whole batch through the shared
 //! [`ChunkedDrive`] loop — fixed [`SPLIT_BATCH_CHUNK`]-sized calls to
-//! [`InputFormat::read_split_batch`], which the planner-backed formats
-//! fan across a job-level work-stealing pool
+//! [`InputFormat::read_split_batch`], which the planner-backed format
+//! fans across a job-level work-stealing pool
 //! ([`MapJob::job_parallelism`], or the `HAIL_JOB_PARALLELISM`
 //! environment override). Parallelism at either level only changes
 //! real wall clock — results, their order, and every simulated-clock
@@ -62,8 +63,11 @@ pub mod shuffle;
 pub use driver::{ChunkedDrive, SPLIT_BATCH_CHUNK};
 pub use failover::{run_map_job_with_failure, FailoverRun, FailureScenario};
 pub use inflight::{InFlightBlocks, InterestGuard};
-pub use input_format::{InputFormat, InputSplit, SplitContext, SplitPlan, SplitRead, SplitTask};
+pub use input_format::{
+    read_one_split, read_splits_sequentially, InputFormat, InputSplit, SplitContext, SplitPlan,
+    SplitRead, SplitTask,
+};
 pub use job::{JobReport, MapRecord, PathCounts, SelectivityObservation, TaskReport, TaskStats};
-pub use manager::{JobManager, MAX_CONCURRENT_JOBS_ENV};
+pub use manager::JobManager;
 pub use scheduler::{run_map_job, run_map_job_with_interest, JobRun, MapJob};
 pub use shuffle::{run_map_reduce_job, MapReduceJob, MapReduceRun};

@@ -62,19 +62,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Environment override for the manager's in-flight-job bound, read by
-/// [`JobManager::from_env`]. Unset, unparsable, or `0` mean 1 (serial
-/// admission) — the same "absent means no concurrency" convention as
-/// `HAIL_PARALLELISM` / `HAIL_JOB_PARALLELISM`. Registered in
-/// [`hail_core::knobs`].
-pub const MAX_CONCURRENT_JOBS_ENV: &str = hail_core::knobs::MAX_CONCURRENT_JOBS.name;
-
-/// The in-flight bound from [`MAX_CONCURRENT_JOBS_ENV`], via the
-/// central knob registry.
-fn env_max_concurrent_jobs() -> usize {
-    hail_core::knobs::max_concurrent_jobs()
-}
-
 /// Admits and runs concurrent map jobs with FIFO dequeue order and a
 /// bounded number in flight.
 ///
@@ -103,10 +90,11 @@ impl JobManager {
         }
     }
 
-    /// A manager bounded by the [`MAX_CONCURRENT_JOBS_ENV`]
-    /// environment variable (1 when unset).
+    /// A manager bounded by the `HAIL_MAX_CONCURRENT_JOBS` knob
+    /// ([`hail_core::knobs::max_concurrent_jobs`]; 1 — serial admission
+    /// — when unset, unparsable, or `0`).
     pub fn from_env() -> Self {
-        JobManager::new(env_max_concurrent_jobs())
+        JobManager::new(hail_core::knobs::max_concurrent_jobs())
     }
 
     /// The in-flight-job bound.
@@ -187,11 +175,13 @@ impl JobManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask};
+    use crate::input_format::{
+        read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask,
+    };
     use crate::job::{MapRecord, TaskStats};
     use crate::scheduler::run_map_job;
     use hail_sim::HardwareProfile;
-    use hail_types::{BlockId, DatanodeId, Row, StorageConfig, Value};
+    use hail_types::{BlockId, Row, StorageConfig, Value};
     use std::sync::Mutex;
 
     /// Emits one row per block and tracks how many batch reads are in
@@ -222,44 +212,23 @@ mod tests {
             })
         }
 
-        fn read_split(
-            &self,
-            _cluster: &DfsCluster,
-            split: &InputSplit,
-            _task_node: DatanodeId,
-            emit: &mut dyn FnMut(MapRecord),
-        ) -> Result<TaskStats> {
-            emit(MapRecord::good(Row::new(vec![Value::Long(
-                split.blocks[0] as i64,
-            )])));
-            Ok(TaskStats {
-                records: 1,
-                ..Default::default()
-            })
-        }
-
         fn read_split_batch(
             &self,
-            cluster: &DfsCluster,
+            _cluster: &DfsCluster,
             batch: &[SplitTask<'_>],
             _job_parallelism: Option<usize>,
         ) -> Result<Vec<SplitRead>> {
             let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             self.high_water.fetch_max(now, Ordering::SeqCst);
-            let reads = batch
-                .iter()
-                .map(|t| {
-                    let mut records = Vec::new();
-                    let stats = self.read_split(cluster, t.split, t.ctx.task_node, &mut |rec| {
-                        records.push(rec)
-                    })?;
-                    Ok(SplitRead {
-                        records,
-                        stats,
-                        reader_wall_seconds: 0.0,
-                    })
+            let reads = read_splits_sequentially(batch, |task, emit| {
+                emit(MapRecord::good(Row::new(vec![Value::Long(
+                    task.split.blocks[0] as i64,
+                )])));
+                Ok(TaskStats {
+                    records: 1,
+                    ..Default::default()
                 })
-                .collect();
+            });
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             reads
         }

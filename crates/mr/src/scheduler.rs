@@ -42,7 +42,7 @@ pub struct MapJob<'a> {
     /// Job-level overlap: how many whole splits the execution phase may
     /// read concurrently through [`InputFormat::read_split_batch`].
     /// `None` — the default — lets the format's own policy decide
-    /// (which for the planner-backed formats honors the
+    /// (which for the planner-backed format honors the
     /// `HAIL_JOB_PARALLELISM` environment override); `Some(1)` forces
     /// strictly sequential split reads. Like intra-split parallelism,
     /// this never changes results or simulated times, only real wall
@@ -239,13 +239,38 @@ impl NodeSlots {
 const FALLBACK_LOGICAL_BLOCK_BYTES: f64 = 64.0 * 1024.0 * 1024.0;
 
 /// The assignment phase's duration estimate for one split when the
-/// format offers none ([`InputFormat::estimate_split`] returned
+/// format offers none ([`InputFormat::estimate_splits`] returned
 /// `None`): a sequential scan of one logical 64 MB block per split
 /// block. Uniform per block, so relative slot-occupancy ordering — the
 /// only thing node choice consumes — matches any uniform actual
 /// durations exactly.
-pub(crate) fn fallback_split_estimate(hw: &HardwareProfile, split: &InputSplit) -> f64 {
+fn fallback_split_estimate(hw: &HardwareProfile, split: &InputSplit) -> f64 {
     split.blocks.len().max(1) as f64 * (FALLBACK_LOGICAL_BLOCK_BYTES / (hw.disk_read_mb_s * 1e6))
+}
+
+/// Estimated reader seconds for `splits`, one per split: the format's
+/// one batch answer ([`InputFormat::estimate_splits`] — the
+/// planner-backed format derives the query's filter shape once there),
+/// or [`fallback_split_estimate`] for every split when the format has
+/// none. A wrong-length answer is treated as no answer.
+pub(crate) fn estimate_or_fallback(
+    cluster: &DfsCluster,
+    hw: &HardwareProfile,
+    format: &dyn InputFormat,
+    splits: &[InputSplit],
+) -> Vec<f64> {
+    format
+        .estimate_splits(cluster, splits)
+        .filter(|ests| ests.len() == splits.len())
+        .unwrap_or_else(|| {
+            splits
+                .iter()
+                .map(|split| fallback_split_estimate(hw, split))
+                .collect()
+        })
+        .into_iter()
+        .map(|est| est.max(0.0))
+        .collect()
 }
 
 /// Phase 1 of [`run_map_job`]: choose a node for **every** split up
@@ -254,8 +279,7 @@ pub(crate) fn fallback_split_estimate(hw: &HardwareProfile, split: &InputSplit) 
 ///
 /// Runs the exact delay-scheduling [`NodeSlots`] logic the engine has
 /// always used, but prices slot occupancy with *planner estimates*
-/// ([`InputFormat::estimate_split`], falling back to a uniform
-/// block-count heuristic) instead of actual read results — the
+/// ([`estimate_or_fallback`]) instead of actual read results — the
 /// decoupling that makes split-level overlap possible. The planning
 /// pools here are throwaway: the final simulated schedule is replayed
 /// in phase 3 from actual per-split durations on these pre-chosen
@@ -270,23 +294,11 @@ pub(crate) fn assign_split_nodes(
     let hw = &spec.profile;
     let mut planning = NodeSlots::new(cluster, hw.map_slots);
     let mut nodes = Vec::with_capacity(splits.len());
-    // One batch estimate for the whole job when the format offers it
-    // (the planner-backed formats derive the query's filter shape once
-    // there instead of once per split); a missing or wrong-length
-    // answer degrades to per-split estimates.
-    let batch_est = format
-        .estimate_splits(cluster, splits)
-        .filter(|ests| ests.len() == splits.len());
-    for (i, split) in splits.iter().enumerate() {
+    let ests = estimate_or_fallback(cluster, hw, format, splits);
+    for (split, est) in splits.iter().zip(ests) {
         let node = planning
             .choose_node_delayed(&split.locations, spec.locality_delay_s)
             .ok_or_else(|| HailError::Job("no live nodes to schedule on".into()))?;
-        let est = batch_est
-            .as_ref()
-            .map(|ests| ests[i])
-            .or_else(|| format.estimate_split(cluster, split))
-            .unwrap_or_else(|| fallback_split_estimate(hw, split))
-            .max(0.0);
         planning.assign(node, hw.task_overhead_s + est, 0.0);
         nodes.push(node);
     }
@@ -450,7 +462,7 @@ pub(crate) fn run_map_job_with_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{InputSplit, SplitPlan};
+    use crate::input_format::{read_splits_sequentially, InputSplit, SplitPlan, SplitRead};
     use crate::job::TaskStats;
     use hail_sim::HardwareProfile;
     use hail_types::{StorageConfig, Value};
@@ -473,22 +485,23 @@ mod tests {
             })
         }
 
-        fn read_split(
+        fn read_split_batch(
             &self,
             _cluster: &DfsCluster,
-            split: &InputSplit,
-            _task_node: DatanodeId,
-            emit: &mut dyn FnMut(MapRecord),
-        ) -> Result<TaskStats> {
-            emit(MapRecord::good(Row::new(vec![Value::Long(
-                split.blocks[0] as i64,
-            )])));
-            let mut stats = TaskStats {
-                records: 1,
-                ..Default::default()
-            };
-            stats.ledger.disk_read = self.bytes_per_block;
-            Ok(stats)
+            batch: &[SplitTask<'_>],
+            _job_parallelism: Option<usize>,
+        ) -> Result<Vec<SplitRead>> {
+            read_splits_sequentially(batch, |task, emit| {
+                emit(MapRecord::good(Row::new(vec![Value::Long(
+                    task.split.blocks[0] as i64,
+                )])));
+                let mut stats = TaskStats {
+                    records: 1,
+                    ..Default::default()
+                };
+                stats.ledger.disk_read = self.bytes_per_block;
+                Ok(stats)
+            })
         }
 
         fn name(&self) -> &str {
@@ -563,22 +576,23 @@ mod tests {
                     client_cost: Default::default(),
                 })
             }
-            fn read_split(
+            fn read_split_batch(
                 &self,
                 _c: &DfsCluster,
-                split: &InputSplit,
-                _n: DatanodeId,
-                emit: &mut dyn FnMut(MapRecord),
-            ) -> Result<TaskStats> {
-                emit(MapRecord::good(Row::new(vec![Value::Long(
-                    split.blocks[0] as i64,
-                )])));
-                let mut stats = TaskStats {
-                    records: 1,
-                    ..Default::default()
-                };
-                stats.ledger.disk_read = 95_000_000; // 1 s
-                Ok(stats)
+                batch: &[SplitTask<'_>],
+                _job_parallelism: Option<usize>,
+            ) -> Result<Vec<SplitRead>> {
+                read_splits_sequentially(batch, |task, emit| {
+                    emit(MapRecord::good(Row::new(vec![Value::Long(
+                        task.split.blocks[0] as i64,
+                    )])));
+                    let mut stats = TaskStats {
+                        records: 1,
+                        ..Default::default()
+                    };
+                    stats.ledger.disk_read = 95_000_000; // 1 s
+                    Ok(stats)
+                })
             }
             fn name(&self) -> &str {
                 "hotspot"

@@ -123,10 +123,12 @@ pub fn run_map_reduce_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{InputFormat, InputSplit, SplitPlan};
+    use crate::input_format::{
+        read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask,
+    };
     use crate::job::TaskStats;
     use hail_sim::HardwareProfile;
-    use hail_types::{DatanodeId, StorageConfig};
+    use hail_types::StorageConfig;
 
     /// Emits `block_id % 3` as a one-column row per block.
     struct ModFormat;
@@ -142,19 +144,20 @@ mod tests {
             })
         }
 
-        fn read_split(
+        fn read_split_batch(
             &self,
             _cluster: &DfsCluster,
-            split: &InputSplit,
-            _task_node: DatanodeId,
-            emit: &mut dyn FnMut(MapRecord),
-        ) -> Result<TaskStats> {
-            emit(MapRecord::good(Row::new(vec![Value::Long(
-                (split.blocks[0] % 3) as i64,
-            )])));
-            Ok(TaskStats {
-                records: 1,
-                ..Default::default()
+            batch: &[SplitTask<'_>],
+            _job_parallelism: Option<usize>,
+        ) -> Result<Vec<SplitRead>> {
+            read_splits_sequentially(batch, |task, emit| {
+                emit(MapRecord::good(Row::new(vec![Value::Long(
+                    (task.split.blocks[0] % 3) as i64,
+                )])));
+                Ok(TaskStats {
+                    records: 1,
+                    ..Default::default()
+                })
             })
         }
 

@@ -22,7 +22,7 @@ fn drill(
     let dataset = upload_hail(&mut cluster, schema, "weblog", texts, index_config)?;
     let query = HailQuery::parse("@3 between(1999-01-01, 2000-01-01)", "{@1}", schema)?;
 
-    let format = HailInputFormat::new(dataset.clone(), query).without_splitting();
+    let format = PlannedInputFormat::new(dataset.clone(), query).without_splitting();
     let job = MapJob::collecting("Bob-Q1", dataset.blocks.clone(), &format);
     let run = run_map_job_with_failure(&mut cluster, spec, &job, FailureScenario::at_half(4))?;
 

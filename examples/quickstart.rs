@@ -48,7 +48,7 @@ fn main() -> Result<()> {
     // 5. Bob's Q1, exactly as annotated in the paper:
     //    @HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})
     let query = HailQuery::parse("@3 between(1999-01-01, 2000-01-01)", "{@1}", &schema)?;
-    let format = HailInputFormat::new(dataset.clone(), query.clone());
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
     let job = MapJob::collecting("Bob-Q1", dataset.blocks.clone(), &format);
     let run = run_map_job(&cluster, &spec, &job)?;
 

@@ -31,7 +31,7 @@ fn main() -> Result<()> {
 
     // Filter on visitDate (index scan), project countryCode + adRevenue.
     let query = HailQuery::parse("@3 between(1999-01-01, 2000-01-01)", "{@6, @4}", &schema)?;
-    let format = HailInputFormat::new(dataset.clone(), query.clone());
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
 
     let job = MapReduceJob {
         name: "revenue-by-country".into(),

@@ -19,25 +19,12 @@ fn run_on(
     dataset: &Dataset,
     query: &HailQuery,
 ) -> Result<(usize, f64)> {
-    let output_len;
-    let seconds;
-    match dataset.format {
-        DatasetFormat::HadoopText => {
-            let format = HadoopInputFormat::new(dataset.clone(), query.clone());
-            let job = MapJob::collecting(name, dataset.blocks.clone(), &format);
-            let run = run_map_job(cluster, spec, &job)?;
-            output_len = run.output.len();
-            seconds = run.report.end_to_end_seconds;
-        }
-        _ => {
-            let format = HailInputFormat::new(dataset.clone(), query.clone());
-            let job = MapJob::collecting(name, dataset.blocks.clone(), &format);
-            let run = run_map_job(cluster, spec, &job)?;
-            output_len = run.output.len();
-            seconds = run.report.end_to_end_seconds;
-        }
-    }
-    Ok((output_len, seconds))
+    // One format type for both systems: it reads which one it serves
+    // off `dataset.format`.
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
+    let job = MapJob::collecting(name, dataset.blocks.clone(), &format);
+    let run = run_map_job(cluster, spec, &job)?;
+    Ok((run.output.len(), run.report.end_to_end_seconds))
 }
 
 fn main() -> Result<()> {

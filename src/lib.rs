@@ -4,8 +4,9 @@
 //! Elephants"* (Dittrich et al., VLDB 2012): an HDFS-like replicated
 //! block store whose upload pipeline creates a **different clustered
 //! index on every block replica**, plus the MapReduce-side machinery
-//! (`HailInputFormat`, `HailSplitting`, `@HailQuery` annotations) that
-//! exploits those indexes at query time.
+//! (the paper's `HailInputFormat` — here the one `PlannedInputFormat`
+//! that also serves the Hadoop and Hadoop++ baselines — `HailSplitting`,
+//! `@HailQuery` annotations) that exploits those indexes at query time.
 //!
 //! All query execution is unified behind `hail-exec`'s cost-based
 //! `QueryPlanner`: per block, it consults the namenode's per-replica
@@ -28,9 +29,9 @@
 //! | [`sim`] | `hail-sim` | hardware profiles and the cost model |
 //! | [`sync`] | `hail-sync` | ranked lock wrappers (`LockRank`, debug hierarchy checking) |
 //! | [`dfs`] | `hail-dfs` | namenode (`Dir_rep`), datanodes, upload pipelines |
-//! | [`mr`] | `hail-mr` | MapReduce engine, scheduler, failover |
+//! | [`mr`] | `hail-mr` | MapReduce engine, four-method `InputFormat` trait, scheduler, failover |
 //! | [`core`] | `hail-core` | upload clients, `@HailQuery`, Hadoop++ storage |
-//! | [`exec`] | `hail-exec` | `AccessPath` trait, cost-based `QueryPlanner`, input formats |
+//! | [`exec`] | `hail-exec` | `AccessPath` trait, cost-based `QueryPlanner`, the one `PlannedInputFormat` |
 //! | [`workloads`] | `hail-workloads` | UserVisits/Synthetic generators, Bob/Syn queries |
 //!
 //! ## Quickstart
@@ -64,7 +65,7 @@
 //!
 //! // The input format consumes the same planner layer end to end.
 //! let spec = ClusterSpec::new(4, HardwareProfile::physical());
-//! let format = HailInputFormat::new(dataset.clone(), query);
+//! let format = PlannedInputFormat::new(dataset.clone(), query);
 //! let job = MapJob::collecting("q1", dataset.blocks.clone(), &format);
 //! let run = run_map_job(&cluster, &spec, &job).unwrap();
 //! assert_eq!(run.output.len(), 1);
@@ -96,10 +97,9 @@ pub mod prelude {
     };
     pub use hail_exec::{
         apply_reindex, default_splits, hail_splits, read_hail_block, AccessPath, CacheStats,
-        ExecutorConfig, ExecutorContext, HadoopInputFormat, HadoopPlusPlusInputFormat,
-        HailInputFormat, JobPool, JobPoolConfig, PlanCache, PlannerConfig, QueryPlan, QueryPlanner,
-        ReindexAction, ReindexAdvisor, ReindexKind, ReindexOutcome, ReindexPolicy,
-        SelectivityEstimate, SelectivityFeedback,
+        ExecutorConfig, ExecutorContext, JobPool, JobPoolConfig, PlanCache, PlannedInputFormat,
+        PlannerConfig, QueryPlan, QueryPlanner, ReindexAction, ReindexAdvisor, ReindexKind,
+        ReindexOutcome, ReindexPolicy, SelectivityEstimate, SelectivityFeedback,
     };
     pub use hail_index::{
         ClusteredIndex, IndexKind, IndexedBlock, KeyBounds, ReplicaIndexConfig, SidecarMetadata,

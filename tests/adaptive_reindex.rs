@@ -25,7 +25,6 @@ use hail_bench::{
     run_adaptive_workload, run_query, run_query_with_failure, setup_hail, uv_testbed, AdaptiveRun,
     ExperimentScale, SharedJobInfra, SystemSetup, Testbed,
 };
-use hail_exec::env_reindex_enabled;
 use hail_mr::JobReport;
 use hail_types::BlockId;
 
@@ -398,7 +397,7 @@ fn default_policy_honours_disable_env() {
     )
     .unwrap();
 
-    if env_reindex_enabled() {
+    if hail::core::knobs::reindex_enabled() {
         assert_eq!(run.events.len(), 1, "default policy closes the loop");
         assert_eq!(run.events[0].outcome.action.column, DURATION_COL);
     } else {

@@ -1,5 +1,5 @@
 //! Concurrency stress tests for the cross-query planner state: many
-//! threads hammer `plan_block` (and full `read_split`s) through one
+//! threads hammer `plan_block` (and full split reads) through one
 //! shared `PlanCache` + `SelectivityFeedback` while death-log evictions
 //! and feedback absorption run against them.
 //!
@@ -18,7 +18,7 @@
 //!   equal what a stateless planner computes.
 
 use hail::exec::{BlockFingerprint, BlockPlan, FilterShape, FullScan, PlannerConfig, ScanLayout};
-use hail::mr::TaskStats;
+use hail::mr::{read_one_split, SplitContext, TaskStats};
 use hail::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -214,7 +214,7 @@ fn plan_block_vs_death_evictions_and_feedback_absorption() {
     }
 }
 
-/// Whole `read_split`s racing through one shared adaptive state: the
+/// Whole split reads racing through one shared adaptive state: the
 /// total records across threads equal the serial total, and the
 /// per-split cache attribution (hits + misses per task) covers every
 /// block exactly once.
@@ -224,20 +224,20 @@ fn concurrent_read_splits_share_adaptive_state() {
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
     let cache = Arc::new(PlanCache::default());
     let feedback = Arc::new(SelectivityFeedback::default());
-    let format = HailInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
-        plan_cache: Some(Arc::clone(&cache)),
-        feedback: Some(Arc::clone(&feedback)),
-        ..Default::default()
-    });
+    let format =
+        PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
+            plan_cache: Some(Arc::clone(&cache)),
+            feedback: Some(Arc::clone(&feedback)),
+            ..Default::default()
+        });
     let plan = format.splits(&cluster, &dataset.blocks).unwrap();
     assert!(plan.splits.len() >= 2);
 
     // Serial oracle.
     let mut serial_records = 0u64;
     for split in &plan.splits {
-        let stats = format
-            .read_split(&cluster, split, split.locations[0], &mut |_| {})
-            .unwrap();
+        let ctx = SplitContext::on(split.locations[0]);
+        let stats = read_one_split(&format, &cluster, split, ctx, &mut |_| {}).unwrap();
         serial_records += stats.records;
     }
     cache.clear();
@@ -255,9 +255,8 @@ fn concurrent_read_splits_share_adaptive_state() {
                 let format = &format;
                 let cluster = &cluster;
                 scope.spawn(move || {
-                    format
-                        .read_split(cluster, split, split.locations[0], &mut |_| {})
-                        .unwrap()
+                    let ctx = SplitContext::on(split.locations[0]);
+                    read_one_split(format, cluster, split, ctx, &mut |_| {}).unwrap()
                 })
             })
             .collect();

@@ -12,25 +12,10 @@ fn run(
     query: &HailQuery,
     splitting: bool,
 ) -> Vec<Row> {
-    let run = match dataset.format {
-        DatasetFormat::HadoopText => {
-            let format = HadoopInputFormat::new(dataset.clone(), query.clone());
-            let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
-            run_map_job(cluster, spec, &job).unwrap()
-        }
-        DatasetFormat::HadoopPlusPlus => {
-            let format = HadoopPlusPlusInputFormat::new(dataset.clone(), query.clone());
-            let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
-            run_map_job(cluster, spec, &job).unwrap()
-        }
-        DatasetFormat::HailPax => {
-            let mut format = HailInputFormat::new(dataset.clone(), query.clone());
-            format.splitting = splitting;
-            let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
-            run_map_job(cluster, spec, &job).unwrap()
-        }
-    };
-    run.output
+    let mut format = PlannedInputFormat::new(dataset.clone(), query.clone());
+    format.splitting = splitting;
+    let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
+    run_map_job(cluster, spec, &job).unwrap().output
 }
 
 fn storage() -> StorageConfig {
@@ -125,6 +110,59 @@ fn synthetic_queries_agree_across_all_paths() {
     }
 }
 
+/// The cluster's `StorageConfig::delimiter` is the one field delimiter
+/// every system parses uploaded text with: on a `,`-configured cluster
+/// Hadoop (read side) and Hadoop++ (conversion job) must split fields
+/// exactly as HAIL's upload does, not on a hard-coded `|`.
+#[test]
+fn three_systems_agree_on_a_comma_delimited_cluster() {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::VarChar),
+    ])
+    .unwrap();
+    let piped: String = (0..900)
+        .map(|i| format!("{}|w{i}\n", (i * 7) % 500))
+        .collect();
+    let texts = vec![(0usize, piped.replace('|', ","))];
+    let spec = ClusterSpec::new(3, HardwareProfile::physical());
+    let comma_storage = || StorageConfig {
+        delimiter: ',',
+        ..storage()
+    };
+
+    let mut hadoop_cluster = DfsCluster::new(3, comma_storage());
+    let hadoop = upload_hadoop(&mut hadoop_cluster, &schema, "d", &texts).unwrap();
+    let mut hail_cluster = DfsCluster::new(3, comma_storage());
+    let hail = upload_hail(
+        &mut hail_cluster,
+        &schema,
+        "d",
+        &texts,
+        &ReplicaIndexConfig::first_indexed(3, &[0]),
+    )
+    .unwrap();
+    let mut hpp_cluster = DfsCluster::new(3, comma_storage());
+    let (hpp, _) =
+        upload_hadoop_plus_plus(&mut hpp_cluster, &spec, &schema, "d", &texts, Some(0)).unwrap();
+
+    let query = HailQuery::parse("@1 between(100, 140)", "{@2, @1}", &schema).unwrap();
+    // The oracle parses `|`-delimited text; same rows, other delimiter.
+    let expected = canonical(&oracle_eval(&[(0, piped)], &schema, &query));
+    assert!(!expected.is_empty());
+    for (name, cluster, dataset) in [
+        ("Hadoop", &hadoop_cluster, &hadoop),
+        ("HAIL", &hail_cluster, &hail),
+        ("Hadoop++", &hpp_cluster, &hpp),
+    ] {
+        assert_eq!(
+            canonical(&run(cluster, &spec, dataset, &query, true)),
+            expected,
+            "{name} on a `,`-delimited cluster"
+        );
+    }
+}
+
 #[test]
 fn bad_records_survive_upload_and_reach_the_map_function() {
     use hail::workloads::badness::inject_bad_records;
@@ -145,7 +183,7 @@ fn bad_records_survive_upload_and_reach_the_map_function() {
 
     // Run a full scan and count bad records handed to the map function.
     let query = HailQuery::full_scan();
-    let format = HailInputFormat::new(dataset.clone(), query);
+    let format = PlannedInputFormat::new(dataset.clone(), query);
     let bad_seen = std::sync::atomic::AtomicUsize::new(0);
     let job = MapJob {
         name: "badscan".into(),
@@ -188,7 +226,7 @@ fn projections_and_row_order_content() {
     let spec = ClusterSpec::new(3, HardwareProfile::physical());
     // Project duration then sourceIP (reversed order).
     let query = HailQuery::parse("@4 >= 1 and @4 <= 50", "{@9, @1}", &schema).unwrap();
-    let format = HailInputFormat::new(dataset.clone(), query.clone());
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
     let job = MapJob::collecting("proj", dataset.blocks.clone(), &format);
     let run = run_map_job(&cluster, &spec, &job).unwrap();
     assert!(!run.output.is_empty());

@@ -30,7 +30,7 @@ fn results_identical_after_any_single_node_death() {
         let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
         cluster.kill_node(victim).unwrap();
-        let format = HailInputFormat::new(dataset.clone(), query.clone());
+        let format = PlannedInputFormat::new(dataset.clone(), query.clone());
         let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
         let run = run_map_job(&cluster, &spec, &job).unwrap();
         assert_eq!(
@@ -53,7 +53,7 @@ fn results_identical_after_two_node_deaths() {
     let expected = canonical(&oracle_eval(&texts, &schema, &query));
     cluster.kill_node(1).unwrap();
     cluster.kill_node(4).unwrap();
-    let format = HailInputFormat::new(dataset.clone(), query.clone());
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
     let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
     let run = run_map_job(&cluster, &spec, &job).unwrap();
     assert_eq!(canonical(&run.output), expected);
@@ -68,7 +68,7 @@ fn mid_job_failure_preserves_output() {
     let (mut cluster, dataset, texts) = setup(5, &config);
     let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
-    let format = HailInputFormat::new(dataset.clone(), query).without_splitting();
+    let format = PlannedInputFormat::new(dataset.clone(), query).without_splitting();
     let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
     let run =
         run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(2)).unwrap();

@@ -52,7 +52,7 @@ fn advisor_recommendation_serves_every_bob_query_with_an_index() {
 
     for q in bob_queries() {
         let query = q.to_query(&schema).unwrap();
-        let format = HailInputFormat::new(dataset.clone(), query.clone());
+        let format = PlannedInputFormat::new(dataset.clone(), query.clone());
         let job = MapJob::collecting(q.id, dataset.blocks.clone(), &format);
         let run = run_map_job(&cluster, &spec, &job).unwrap();
         // No task needed to fall back to a scan: the advisor covered
@@ -87,7 +87,7 @@ fn uncovered_column_falls_back_and_still_answers() {
     .unwrap();
     let spec = ClusterSpec::new(3, HardwareProfile::physical());
     let query = bob_queries()[0].to_query(&schema).unwrap(); // visitDate
-    let format = HailInputFormat::new(dataset.clone(), query.clone());
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
     let job = MapJob::collecting("q1", dataset.blocks.clone(), &format);
     let run = run_map_job(&cluster, &spec, &job).unwrap();
     assert!(run.report.fallback_count() > 0, "must fall back to scans");

@@ -24,7 +24,7 @@ use hail_bench::{
     make_shared_format, run_queries_managed, setup_hail, uv_testbed, ExperimentScale,
     SharedJobInfra, SystemSetup,
 };
-use hail_mr::{InputSplit, JobReport, JobRun, SplitContext, SplitPlan, SplitRead, SplitTask};
+use hail_mr::{InputSplit, JobReport, JobRun, SplitPlan, SplitRead, SplitTask};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const CONCURRENCIES: [usize; 3] = [1, 2, 4];
@@ -351,6 +351,35 @@ fn concurrent_jobs_on_a_degraded_cluster_match_solo() {
     }
 }
 
+/// The baselines run through the shared pool too (one format type),
+/// but plan statelessly: a managed Hadoop or Hadoop++ batch at
+/// concurrency 2 returns each job's plain solo output and simulated
+/// time, whatever same-shaped job ran before it.
+#[test]
+fn managed_baselines_match_their_solo_runs() {
+    let scale = ExperimentScale::query(4, 300)
+        .with_blocks_per_node(4)
+        .with_partition_size(64);
+    let tb = uv_testbed(scale, HardwareProfile::physical());
+    let hadoop = hail_bench::setup_hadoop(&tb).unwrap();
+    let (hpp, _) = hail_bench::setup_hpp(&tb, Some(2)).unwrap();
+    let queries = uv_queries(10, &bob_schema());
+    for setup in [&hadoop, &hpp] {
+        let infra = SharedJobInfra::for_jobs(2);
+        let batch =
+            run_queries_managed(setup, &tb.spec, &queries, true, &JobManager::new(2), &infra)
+                .unwrap();
+        for (run, query) in batch.runs.iter().zip(&queries) {
+            let solo = hail_bench::run_query(setup, &tb.spec, query, true).unwrap();
+            assert_eq!(run.output, solo.output);
+            assert_eq!(
+                run.report.end_to_end_seconds,
+                solo.report.end_to_end_seconds
+            );
+        }
+    }
+}
+
 /// Wraps a format and records the largest `read_split_batch` it is
 /// ever handed — the O(chunk) memory-bound probe.
 struct BatchRecordingFormat {
@@ -374,26 +403,6 @@ impl InputFormat for BatchRecordingFormat {
         self.inner.splits(cluster, input)
     }
 
-    fn read_split(
-        &self,
-        cluster: &DfsCluster,
-        split: &InputSplit,
-        task_node: hail::types::DatanodeId,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats> {
-        self.inner.read_split(cluster, split, task_node, emit)
-    }
-
-    fn read_split_with(
-        &self,
-        cluster: &DfsCluster,
-        split: &InputSplit,
-        ctx: &SplitContext,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats> {
-        self.inner.read_split_with(cluster, split, ctx, emit)
-    }
-
     fn read_split_batch(
         &self,
         cluster: &DfsCluster,
@@ -403,10 +412,6 @@ impl InputFormat for BatchRecordingFormat {
         self.max_batch.fetch_max(batch.len(), Ordering::SeqCst);
         self.calls.fetch_add(1, Ordering::SeqCst);
         self.inner.read_split_batch(cluster, batch, job_parallelism)
-    }
-
-    fn estimate_split(&self, cluster: &DfsCluster, split: &InputSplit) -> Option<f64> {
-        self.inner.estimate_split(cluster, split)
     }
 
     fn estimate_splits(&self, cluster: &DfsCluster, splits: &[InputSplit]) -> Option<Vec<f64>> {

@@ -10,7 +10,7 @@
 //! the simulated accounting).
 
 use hail::exec::{ExecutorConfig, PlannerConfig};
-use hail::mr::{JobReport, SplitContext};
+use hail::mr::{read_one_split, JobReport, SplitContext};
 use hail::prelude::*;
 use std::sync::Arc;
 
@@ -70,7 +70,7 @@ fn run_at_levels(
     planner: PlannerConfig,
 ) -> (Vec<Row>, JobReport) {
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-    let format = HailInputFormat::new(dataset.clone(), query).with_planner(planner);
+    let format = PlannedInputFormat::new(dataset.clone(), query).with_planner(planner);
     let job = MapJob::collecting("par", dataset.blocks.clone(), &format)
         .with_parallelism(split_parallelism)
         .with_job_parallelism(job_parallelism);
@@ -114,7 +114,7 @@ fn any_parallelism_reproduces_the_serial_run() {
     let (cluster, dataset) = setup();
     let multi_block = {
         let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-        let format = HailInputFormat::new(dataset.clone(), query);
+        let format = PlannedInputFormat::new(dataset.clone(), query);
         let plan = format.splits(&cluster, &dataset.blocks).unwrap();
         plan.splits.iter().map(|s| s.blocks.len()).max().unwrap()
     };
@@ -199,7 +199,7 @@ fn failover_is_parallelism_invariant() {
     let run_failure = |parallelism: usize| {
         let (mut cluster, dataset) = setup();
         let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-        let format = HailInputFormat::new(dataset.clone(), query);
+        let format = PlannedInputFormat::new(dataset.clone(), query);
         let job =
             MapJob::collecting("fo", dataset.blocks.clone(), &format).with_parallelism(parallelism);
         let spec = ClusterSpec::new(4, HardwareProfile::physical());
@@ -278,7 +278,7 @@ fn failover_through_the_shared_pool_is_invariant() {
     let run_failure = |split_p: usize, job_p: usize| {
         let (mut cluster, dataset) = setup();
         let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-        let format = HailInputFormat::new(dataset.clone(), query);
+        let format = PlannedInputFormat::new(dataset.clone(), query);
         let job = MapJob::collecting("fo", dataset.blocks.clone(), &format)
             .with_parallelism(split_p)
             .with_job_parallelism(job_p);
@@ -306,26 +306,26 @@ fn failover_through_the_shared_pool_is_invariant() {
 fn split_context_parallelism_overrides_format_config() {
     let (cluster, dataset) = setup();
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-    let format = HailInputFormat::new(dataset.clone(), query.clone())
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone())
         .with_executor(ExecutorConfig::with_parallelism(2).with_per_node_slots(1));
     let plan = format.splits(&cluster, &dataset.blocks).unwrap();
     let split = plan.splits.iter().max_by_key(|s| s.blocks.len()).unwrap();
 
+    let on_node = SplitContext::on(split.locations[0]);
     let mut via_format = Vec::new();
-    format
-        .read_split(&cluster, split, split.locations[0], &mut |r| {
-            via_format.push(r)
-        })
-        .unwrap();
+    read_one_split(&format, &cluster, split, on_node, &mut |r| {
+        via_format.push(r)
+    })
+    .unwrap();
     let mut via_override = Vec::new();
-    format
-        .read_split_with(
-            &cluster,
-            split,
-            &SplitContext::on(split.locations[0]).with_parallelism(8),
-            &mut |r| via_override.push(r),
-        )
-        .unwrap();
+    read_one_split(
+        &format,
+        &cluster,
+        split,
+        on_node.with_parallelism(8),
+        &mut |r| via_override.push(r),
+    )
+    .unwrap();
     assert_eq!(via_format, via_override);
     assert!(!via_format.is_empty());
 }

@@ -2,7 +2,7 @@
 //! selectivity-feedback loop.
 //!
 //! Covers the acceptance criteria of the adaptive-planning change: a
-//! repeated `read_split` with an identical filter shape performs zero
+//! repeated split read with an identical filter shape performs zero
 //! cost-model evaluations (asserted via the cache's pricing counter);
 //! replica death evicts exactly the affected block entries and failover
 //! re-plans; a changed `ReplicaIndexConfig` fingerprint misses the
@@ -12,6 +12,7 @@
 use hail::exec::{
     PlanCache, PlannerConfig, QueryPlanner, SelectivityEstimate, SelectivityFeedback,
 };
+use hail::mr::{read_one_split, SplitContext};
 use hail::prelude::*;
 use std::sync::Arc;
 
@@ -53,7 +54,7 @@ fn cached_config(cache: &Arc<PlanCache>) -> PlannerConfig {
     }
 }
 
-/// Acceptance: a repeated `read_split` with an identical filter shape
+/// Acceptance: a repeated split read with an identical filter shape
 /// performs **zero** cost-model evaluations — every block plan comes
 /// out of the cache, and the per-task counters say so.
 #[test]
@@ -61,14 +62,15 @@ fn repeated_read_split_prices_nothing() {
     let (cluster, dataset) = setup(800);
     let cache = Arc::new(PlanCache::default());
     let query = HailQuery::parse("@1 between(100, 140)", "{@2}", &schema()).unwrap();
-    let format = HailInputFormat::new(dataset.clone(), query).with_planner(cached_config(&cache));
+    let format =
+        PlannedInputFormat::new(dataset.clone(), query).with_planner(cached_config(&cache));
 
     let split_plan = format.splits(&cluster, &dataset.blocks).unwrap();
     let read_all = |label: &str| {
         let mut total = TaskStats::default();
         for split in &split_plan.splits {
-            let stats = format
-                .read_split(&cluster, split, split.locations[0], &mut |_| {})
+            let ctx = SplitContext::on(split.locations[0]);
+            let stats = read_one_split(&format, &cluster, split, ctx, &mut |_| {})
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             total.merge(&stats);
         }
@@ -89,7 +91,7 @@ fn repeated_read_split_prices_nothing() {
     let after = cache.stats();
     assert_eq!(
         after.cost_evaluations, warm.cost_evaluations,
-        "a repeated read_split must not price any candidate"
+        "a repeated split read must not price any candidate"
     );
     assert_eq!(
         second.plan_cache_hits,
@@ -103,7 +105,7 @@ fn repeated_read_split_prices_nothing() {
     // cache entry and must be priced.
     let eq_query = HailQuery::parse("@1 = 107", "", &schema()).unwrap();
     let eq_format =
-        HailInputFormat::new(dataset.clone(), eq_query).with_planner(cached_config(&cache));
+        PlannedInputFormat::new(dataset.clone(), eq_query).with_planner(cached_config(&cache));
     eq_format.splits(&cluster, &dataset.blocks).unwrap();
     assert!(
         cache.stats().cost_evaluations > after.cost_evaluations,
@@ -357,13 +359,12 @@ fn feedback_flips_mispriced_plan() {
     // Execute the mispriced plan repeatedly; every block read records
     // its observed key-column selectivity, and the format-level
     // plumbing feeds it into the store split by split.
-    let format = HailInputFormat::new(dataset.clone(), query.clone()).with_planner(config);
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(config);
     let splits = format.splits(&cluster, &dataset.blocks).unwrap();
     for _ in 0..12 {
         for split in &splits.splits {
-            format
-                .read_split(&cluster, split, split.locations[0], &mut |_| {})
-                .unwrap();
+            let ctx = SplitContext::on(split.locations[0]);
+            read_one_split(&format, &cluster, split, ctx, &mut |_| {}).unwrap();
         }
     }
     let (observed_mean, weight) = feedback.observed(0, false).expect("observations recorded");
@@ -414,7 +415,8 @@ fn job_report_exposes_cache_counters() {
     let (cluster, dataset) = setup(600);
     let cache = Arc::new(PlanCache::default());
     let query = HailQuery::parse("@1 between(5, 45)", "{@2}", &schema()).unwrap();
-    let format = HailInputFormat::new(dataset.clone(), query).with_planner(cached_config(&cache));
+    let format =
+        PlannedInputFormat::new(dataset.clone(), query).with_planner(cached_config(&cache));
     let spec = ClusterSpec::new(4, HardwareProfile::physical());
 
     let job = MapJob::collecting("q", dataset.blocks.clone(), &format);

@@ -236,7 +236,7 @@ fn job_reports_expose_planner_choices() {
     .unwrap();
 
     let query = bob_queries()[0].to_query(&schema).unwrap();
-    let format = HailInputFormat::new(dataset.clone(), query.clone());
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
     let job = MapJob::collecting("q1", dataset.blocks.clone(), &format);
     let run = run_map_job(&cluster, &spec, &job).unwrap();
 

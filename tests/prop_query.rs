@@ -74,7 +74,7 @@ fn all_paths_agree() {
             &ReplicaIndexConfig::first_indexed(3, &[0]),
         )
         .unwrap();
-        let format = HailInputFormat::new(hail.clone(), query.clone());
+        let format = PlannedInputFormat::new(hail.clone(), query.clone());
         let job = MapJob::collecting("q", hail.blocks.clone(), &format);
         let via_index = run_map_job(&hail_cluster, &spec, &job).unwrap();
         assert_eq!(
@@ -93,7 +93,7 @@ fn all_paths_agree() {
             &ReplicaIndexConfig::unindexed(3),
         )
         .unwrap();
-        let format = HailInputFormat::new(unindexed.clone(), query.clone());
+        let format = PlannedInputFormat::new(unindexed.clone(), query.clone());
         let job = MapJob::collecting("q", unindexed.blocks.clone(), &format);
         let via_scan = run_map_job(&scan_cluster, &spec, &job).unwrap();
         assert_eq!(
@@ -105,7 +105,7 @@ fn all_paths_agree() {
         // Hadoop text.
         let mut text_cluster = DfsCluster::new(3, storage());
         let text_ds = upload_hadoop(&mut text_cluster, &schema, "d", &texts).unwrap();
-        let format = HadoopInputFormat::new(text_ds.clone(), query.clone());
+        let format = PlannedInputFormat::new(text_ds.clone(), query.clone());
         let job = MapJob::collecting("q", text_ds.blocks.clone(), &format);
         let via_text = run_map_job(&text_cluster, &spec, &job).unwrap();
         assert_eq!(
@@ -181,7 +181,7 @@ fn conjunction_correct() {
         )
         .unwrap();
         let spec = ClusterSpec::new(3, HardwareProfile::physical());
-        let format = HailInputFormat::new(ds.clone(), query);
+        let format = PlannedInputFormat::new(ds.clone(), query);
         let job = MapJob::collecting("q", ds.blocks.clone(), &format);
         let run = run_map_job(&cluster, &spec, &job).unwrap();
         assert_eq!(canonical(&run.output), expected, "case {case}");

@@ -24,15 +24,13 @@
 //!   `SelectivityFeedback` state at every concurrency, including
 //!   across an adaptive reindex flip whose boundary must not move.
 
+use hail::core::knobs;
 use hail::prelude::*;
 use hail_bench::{
     make_shared_format, run_adaptive_workload, run_queries_managed, setup_hail, uv_testbed,
     ExperimentScale, SharedJobInfra, SystemSetup,
 };
-use hail_exec::{
-    env_job_parallelism, env_scan_sharing_enabled, ExecutorConfig, JobPool, JobPoolConfig,
-    PlanCache,
-};
+use hail_exec::{ExecutorConfig, JobPool, JobPoolConfig, PlanCache};
 use hail_mr::{JobReport, JobRun};
 use std::sync::Arc;
 
@@ -107,7 +105,7 @@ fn feedback_state(infra: &SharedJobInfra) -> String {
 /// `HAIL_DISABLE_SCAN_SHARING=1`, with the same sizing.
 fn infra_without_sharing(max_jobs: usize) -> SharedJobInfra {
     let executor = ExecutorConfig::default();
-    let job_workers = env_job_parallelism().max(1);
+    let job_workers = knobs::job_parallelism().max(1);
     SharedJobInfra {
         plan_cache: Arc::new(PlanCache::default()),
         feedback: Some(Arc::new(SelectivityFeedback::default())),
@@ -140,7 +138,7 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
         // stripped it, the default infra carries a registry.
         assert_eq!(
             infra.pool.scan_share().is_some(),
-            env_scan_sharing_enabled()
+            knobs::scan_sharing_enabled()
         );
         let batch = run_queries_managed(
             &setup,

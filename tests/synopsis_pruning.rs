@@ -340,17 +340,18 @@ fn job_reports_aggregate_pruning_counters() {
 
     // Explicit `synopsis_pruning: true` so the test holds under the
     // CI leg that force-disables synopses via `HAIL_DISABLE_SYNOPSES`.
-    let format = HailInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
-        synopsis_pruning: true,
-        ..Default::default()
-    });
+    let format =
+        PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
+            synopsis_pruning: true,
+            ..Default::default()
+        });
     let job = MapJob::collecting("needle", dataset.blocks.clone(), &format);
     let run = run_map_job(&cluster, &spec, &job).unwrap();
     assert!(run.output.is_empty());
     assert_eq!(run.report.blocks_pruned(), dataset.blocks.len() as u64);
     assert!(run.report.synopsis_bytes_read() > 0);
 
-    let off = HailInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
+    let off = PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
         synopsis_pruning: false,
         ..Default::default()
     });
