@@ -12,6 +12,11 @@
 //! - [`path`] — the [`AccessPath`] trait and its implementations:
 //!   [`FullScan`], [`ClusteredIndexScan`], [`TrojanIndexScan`],
 //!   [`BitmapScan`], [`InvertedListScan`]
+//! - `kernel` (private) — the one PAX scan kernel under [`FullScan`],
+//!   [`ClusteredIndexScan`] and [`BitmapScan`]: evaluate the conjunction
+//!   conjunct by conjunct into an ascending selection vector over
+//!   `hail_pax::ColumnCursor`s, then materialise only the projected
+//!   columns of only the selected rows
 //! - [`planner`] — the cost-based [`QueryPlanner`]: per block, consult
 //!   the namenode's per-replica index metadata (`Dir_rep`), price each
 //!   `(replica, access path)` candidate with the `hail-sim` cost model,
@@ -110,6 +115,7 @@ pub mod adapt;
 pub mod cache;
 pub mod executor;
 pub mod formats;
+mod kernel;
 pub mod path;
 pub mod planner;
 pub mod readers;

@@ -20,12 +20,12 @@
 //! filter column, a [`SelectivityObservation`] that feeds the planner's
 //! [`crate::cache::SelectivityFeedback`] store.
 
+use crate::kernel;
 use crate::sharing::{DecodedBlock, ShareShape};
 use hail_core::{CmpOp, HailQuery, Predicate, RowBlock};
 use hail_dfs::DfsCluster;
 use hail_index::{IndexKind, IndexedBlock, UnclusteredIndex};
 use hail_mr::{MapRecord, SelectivityObservation, TaskStats};
-use hail_pax::PaxBlock;
 use hail_sim::CostLedger;
 use hail_types::{AccessPathKind, BlockId, DatanodeId, HailError, Result, Schema, Value};
 use std::fmt;
@@ -133,8 +133,9 @@ pub enum ScanLayout {
     RowLayout,
 }
 
-/// Streams the whole replica, filters row by row, reconstructs the
-/// projection. Works on all three storage layouts.
+/// Streams the whole replica, filters it, reconstructs the projection
+/// (PAX: column at a time through the scan kernel; text and row layout:
+/// row by row). Works on all three storage layouts.
 #[derive(Debug, Clone, Copy)]
 pub struct FullScan {
     pub layout: ScanLayout,
@@ -298,23 +299,21 @@ impl AccessPath for FullScan {
         stats.ledger.scan_cpu += pax.byte_len() as u64;
         a.charge_remote(&mut stats, pax.byte_len() as u64);
 
-        // When the whole conjunction sits on one column, the match count
-        // below doubles as that column's selectivity observation — no
-        // extra per-row decode.
-        let mut matched = 0u64;
+        // When the whole conjunction sits on one column, the selection's
+        // length doubles as that column's selectivity observation — no
+        // extra decode.
         let projection = a.query.projected_columns(a.schema);
-        for row in 0..pax.row_count() {
-            if full_predicate_match(a.query, pax, row)? {
-                matched += 1;
-                emit(MapRecord::good(pax.reconstruct(row, &projection)?));
-                stats.records += 1;
-            }
-        }
+        let mut selection = kernel::candidates(0..pax.row_count())?;
+        kernel::retain_conjunction(pax, &a.query.predicates, &mut selection)?;
+        kernel::materialize(pax, &projection, &selection, |row| {
+            emit(MapRecord::good(row));
+            stats.records += 1;
+        })?;
         if let Some((column, eq)) = sole_filter_column(a.query) {
             stats.selectivity.push(SelectivityObservation {
                 column,
                 eq,
-                matched,
+                matched: selection.len() as u64,
                 total: pax.row_count() as u64,
             });
         }
@@ -405,21 +404,17 @@ impl AccessPath for ClusteredIndexScan {
             stats.ledger.scan_cpu += scan_bytes as u64;
 
             let projection = a.query.projected_columns(a.schema);
-            for row in index.partition_rows(first, last) {
-                let key = pax.value(self.column, row)?;
-                if !bounds.contains(&key) {
-                    continue;
-                }
-                bounds_matched += 1;
-                // Post-filter with the *full* conjunction — other
-                // predicates may touch other columns or even the index
-                // column again (e.g. `@4 >= 1 and @4 <= 10`).
-                if !full_predicate_match(a.query, pax, row)? {
-                    continue;
-                }
-                emit(MapRecord::good(pax.reconstruct(row, &projection)?));
+            let mut selection = kernel::candidates(index.partition_rows(first, last))?;
+            kernel::retain_within(pax, self.column, &bounds, &mut selection)?;
+            bounds_matched = selection.len() as u64;
+            // Post-filter with the *full* conjunction — other
+            // predicates may touch other columns or even the index
+            // column again (e.g. `@4 >= 1 and @4 <= 10`).
+            kernel::retain_conjunction(pax, &a.query.predicates, &mut selection)?;
+            kernel::materialize(pax, &projection, &selection, |row| {
+                emit(MapRecord::good(row));
                 stats.records += 1;
-            }
+            })?;
         }
         stats.selectivity.push(SelectivityObservation {
             column: self.column,
@@ -596,18 +591,16 @@ impl AccessPath for BitmapScan {
         stats.ledger.seeks += UnclusteredIndex::seek_count(&rows) as u64;
 
         let projection = a.query.projected_columns(a.schema);
-        for row in rows {
-            if !full_predicate_match(a.query, pax, row)? {
-                continue;
-            }
-            let out = pax.reconstruct(row, &projection)?;
+        let mut selection = kernel::candidates(rows)?;
+        kernel::retain_conjunction(pax, &a.query.predicates, &mut selection)?;
+        kernel::materialize(pax, &projection, &selection, |out| {
             let row_bytes = out.encoded_len() as u64;
             stats.ledger.disk_read += row_bytes;
             stats.ledger.scan_cpu += row_bytes;
             remote_bytes += row_bytes;
             emit(MapRecord::good(out));
             stats.records += 1;
-        }
+        })?;
 
         emit_pax_bad_records(&indexed, &mut stats, emit)?;
         a.charge_remote(&mut stats, remote_bytes);
@@ -695,18 +688,6 @@ pub(crate) fn sole_filter_column(query: &HailQuery) -> Option<(usize, bool)> {
         .iter()
         .all(|p| p.column() == column && p.index_friendly())
         .then(|| (column, crate::cache::has_eq_on(query, column)))
-}
-
-/// Evaluates the query's full conjunction against one PAX row.
-/// Decode errors propagate: a corrupt block must fail the read rather
-/// than silently dropping rows that no longer decode.
-fn full_predicate_match(query: &HailQuery, pax: &PaxBlock, row: usize) -> Result<bool> {
-    for p in &query.predicates {
-        if !p.matches_value(&pax.value(p.column(), row)?) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
 }
 
 fn emit_pax_bad_records(

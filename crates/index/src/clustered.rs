@@ -15,7 +15,8 @@
 //! seek and never pays off (§3.5 "Why not a multi-level tree?").
 
 use hail_types::bytes_util::{put_str, put_u32, ByteReader};
-use hail_types::{DataType, HailError, Result, Value};
+use hail_types::{DataType, HailError, Result, Value, ValueRef};
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Bounds on the clustered key, as extracted from a query predicate.
@@ -102,15 +103,21 @@ impl KeyBounds {
 
     /// True if a key value satisfies the bounds.
     pub fn contains(&self, v: &Value) -> bool {
+        self.contains_ref(v.as_ref())
+    }
+
+    /// [`KeyBounds::contains`] for a value still borrowed from its block.
+    #[inline]
+    pub fn contains_ref(&self, v: ValueRef<'_>) -> bool {
         let lo_ok = match &self.lo {
             Bound::Unbounded => true,
-            Bound::Included(b) => v >= b,
-            Bound::Excluded(b) => v > b,
+            Bound::Included(b) => v.total_cmp(b.as_ref()) != Ordering::Less,
+            Bound::Excluded(b) => v.total_cmp(b.as_ref()) == Ordering::Greater,
         };
         let hi_ok = match &self.hi {
             Bound::Unbounded => true,
-            Bound::Included(b) => v <= b,
-            Bound::Excluded(b) => v < b,
+            Bound::Included(b) => v.total_cmp(b.as_ref()) != Ordering::Greater,
+            Bound::Excluded(b) => v.total_cmp(b.as_ref()) == Ordering::Less,
         };
         lo_ok && hi_ok
     }

@@ -28,7 +28,7 @@
 
 use crate::column::ColumnData;
 use bytes::Bytes;
-use hail_types::bytes_util::{put_str, put_u32, ByteReader};
+use hail_types::bytes_util::{put_str, put_u32, u32_at, ByteReader};
 use hail_types::{DataType, Field, HailError, Result, Row, Schema, Value};
 
 /// Magic number at the start of every PAX block ("HAIL" in LE order).
@@ -208,14 +208,66 @@ impl PaxBlock {
             }
             directory.push((off, len));
         }
-        Ok(PaxBlock {
+        let block = PaxBlock {
             schema,
             row_count,
             partition_size,
             bad_count,
             directory,
             bytes,
-        })
+        };
+        block.validate_regions()?;
+        Ok(block)
+    }
+
+    /// Holds every region to the header's counts, so that readers can
+    /// index a region without re-checking it per row: a fixed-width region
+    /// is exactly `row_count × width` bytes; a varchar region holds its
+    /// whole sparse offset list and every offset points into the value
+    /// data behind it; the bad section has room for `bad_count` records.
+    fn validate_regions(&self) -> Result<()> {
+        for (col, field) in self.schema.fields().iter().enumerate() {
+            let region = self.column_slice(col)?;
+            let corrupt = |what: String| {
+                HailError::Corrupt(format!(
+                    "column {col} ({} rows, region of {} bytes): {what}",
+                    self.row_count,
+                    region.len()
+                ))
+            };
+            match field.data_type.fixed_width() {
+                Some(w) => {
+                    if region.len() != self.row_count * w {
+                        return Err(corrupt(format!("expected {w} bytes per row")));
+                    }
+                }
+                None => {
+                    let partitions = self.partition_count();
+                    let data_len = region
+                        .len()
+                        .checked_sub(partitions * 4)
+                        .ok_or_else(|| corrupt(format!("no room for {partitions} offsets")))?;
+                    for p in 0..partitions {
+                        let off = u32_at(region, p)? as usize;
+                        if off >= data_len {
+                            return Err(corrupt(format!(
+                                "partition {p} starts at {off}, past {data_len} value bytes"
+                            )));
+                        }
+                    }
+                }
+            }
+        }
+        // Every bad record ends in its own terminator, which bounds what
+        // `bad_records` allocates for a count read from disk.
+        let (_, bad_len) = self.directory[self.schema.len()];
+        if self.bad_count > bad_len {
+            return Err(HailError::Corrupt(format!(
+                "{} bad records in a section of {bad_len} bytes",
+                self.bad_count
+            )));
+        }
+        Ok(())
     }
 
     /// The block's schema (from Block Metadata).
@@ -253,7 +305,7 @@ impl PaxBlock {
         self.row_count.div_ceil(self.partition_size)
     }
 
-    fn column_slice(&self, col: usize) -> Result<&[u8]> {
+    pub(crate) fn column_slice(&self, col: usize) -> Result<&[u8]> {
         let (off, len) = *self
             .directory
             .get(col)
@@ -435,6 +487,12 @@ impl PaxBlock {
         if self.row_count == 0 || first_partition > last_partition {
             return Ok(0);
         }
+        if last_partition >= self.partition_count() {
+            return Err(HailError::Corrupt(format!(
+                "partition {last_partition} out of range ({} partitions)",
+                self.partition_count()
+            )));
+        }
         let mut total = 0usize;
         for &col in columns {
             let dtype = self.schema.field(col)?.data_type;
@@ -600,6 +658,100 @@ mod tests {
         let truncated = Bytes::from(raw[..raw.len() / 2].to_vec());
         // Either header parse fails or a directory bound check fails.
         assert!(PaxBlock::parse(truncated).is_err());
+    }
+
+    /// Byte offset of the column directory in a block of [`schema`].
+    fn directory_pos() -> usize {
+        let fields: usize = schema().fields().iter().map(|f| 3 + f.name.len()).sum();
+        4 + 1 + 2 + fields + 12
+    }
+
+    fn patch_u32(raw: &mut [u8], at: usize, f: impl Fn(u32) -> u32) {
+        let old = u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
+        raw[at..at + 4].copy_from_slice(&f(old).to_le_bytes());
+    }
+
+    /// Every read a corrupt-but-parseable block could be asked for.
+    fn read_everything(b: &PaxBlock) {
+        let partitions = b.partition_count();
+        for col in 0..b.schema().len() {
+            let mut cursor = b.cursor(col).unwrap();
+            for row in 0..b.row_count() {
+                let _ = b.value(col, row);
+                let _ = cursor.get(row);
+            }
+            let _ = b.decode_column(col);
+            for first in 0..partitions {
+                let _ = b.partition_scan_bytes(&[col], first, partitions - 1);
+            }
+            let _ = b.partition_scan_bytes(&[col], 0, partitions);
+        }
+        let _ = b.bad_records();
+    }
+
+    #[test]
+    fn rejects_column_regions_that_contradict_the_row_count() {
+        let rows: Vec<String> = (0..10)
+            .map(|i| format!("host{i}|1999-01-01|1.0|{i}"))
+            .collect();
+        let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let good = build(&refs, &["bad"], 4).bytes().to_vec();
+        let dir = directory_pos();
+        let corrupt = |patch: &dyn Fn(&mut [u8])| {
+            let mut raw = good.clone();
+            patch(&mut raw);
+            matches!(
+                PaxBlock::parse(Bytes::from(raw)),
+                Err(HailError::Corrupt(_))
+            )
+        };
+        // Header row count one more than the regions hold.
+        assert!(corrupt(&|raw| patch_u32(raw, dir - 12, |n| n + 1)));
+        // A fixed-width region one value short, and one value long.
+        assert!(corrupt(
+            &|raw| patch_u32(raw, dir + 3 * 8 + 4, |len| len - 4)
+        ));
+        assert!(corrupt(&|raw| patch_u32(raw, dir + 8 + 4, |len| len + 4)));
+        // A varchar region too short for its three sparse offsets.
+        assert!(corrupt(&|raw| patch_u32(raw, dir + 4, |_| 8)));
+        // Sparse offsets at and past the end of the value data.
+        let ip = u32::from_le_bytes(good[dir..dir + 4].try_into().unwrap()) as usize;
+        let ip_len = u32::from_le_bytes(good[dir + 4..dir + 8].try_into().unwrap());
+        assert!(corrupt(&|raw| patch_u32(raw, ip + 8, |_| ip_len - 12)));
+        assert!(corrupt(&|raw| patch_u32(raw, ip + 4, |_| u32::MAX)));
+        // The last value's own offset is the largest the parser accepts.
+        let mut raw = good.clone();
+        patch_u32(&mut raw, ip + 8, |_| ip_len - 12 - 6);
+        let b = PaxBlock::parse(Bytes::from(raw)).unwrap();
+        assert_eq!(b.value(0, 8).unwrap(), Value::Str("host9".into()));
+        assert!(b.value(0, 9).is_err());
+        read_everything(&b);
+    }
+
+    /// Any single damaged header or directory byte is `Err` at parse or
+    /// at the read that meets it — never a panic.
+    #[test]
+    fn damaged_metadata_never_panics() {
+        let rows: Vec<String> = (0..23)
+            .map(|i| format!("h{}|1999-01-01|1.0|{i}", "é".repeat(i % 5)))
+            .collect();
+        let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let good = build(&refs, &["bad", "worse"], 4).bytes().to_vec();
+        let ip = u32::from_le_bytes(good[directory_pos()..][..4].try_into().unwrap()) as usize;
+        // Header, directory, and the varchar column's sparse offsets.
+        let metadata_end = ip + 6 * 4;
+        for at in 0..metadata_end {
+            for mask in [0x01, 0x04, 0x10, 0x80, 0xFF] {
+                let mut raw = good.clone();
+                raw[at] ^= mask;
+                if let Ok(b) = PaxBlock::parse(Bytes::from(raw)) {
+                    // Row and partition counts are pinned by the
+                    // validated regions, so this terminates quickly.
+                    assert!(b.row_count() <= 23 && b.partition_count() <= 23);
+                    read_everything(&b);
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,33 +13,58 @@
 use hail_types::config::{CHUNK_SIZE, PACKET_SIZE};
 use hail_types::{HailError, Result};
 
-/// CRC-32 (IEEE 802.3) lookup table, generated at first use.
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    })
-}
+/// The reflected IEEE 802.3 polynomial.
+const POLY: u32 = 0xEDB8_8320;
 
-/// Computes the CRC-32 of a byte slice.
+/// Slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is the
+/// classic byte-at-a-time table; `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, which lets [`crc32`] fold eight input bytes
+/// per step with eight independent lookups.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Computes the CRC-32 (IEEE 802.3) of a byte slice, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -53,15 +78,15 @@ pub fn chunk_checksums(data: &[u8]) -> Vec<u32> {
 /// Verifies every chunk of `data` against the stored checksums, returning
 /// the index of the first mismatching chunk on failure.
 pub fn verify_chunks(data: &[u8], checksums: &[u32]) -> Result<()> {
-    let chunks: Vec<&[u8]> = data.chunks(CHUNK_SIZE).collect();
-    if chunks.len() != checksums.len() {
+    let chunks = data.len().div_ceil(CHUNK_SIZE);
+    if chunks != checksums.len() {
         return Err(HailError::Corrupt(format!(
             "checksum count mismatch: {} chunks, {} checksums",
-            chunks.len(),
+            chunks,
             checksums.len()
         )));
     }
-    for (i, (chunk, &expected)) in chunks.iter().zip(checksums).enumerate() {
+    for (i, (chunk, &expected)) in data.chunks(CHUNK_SIZE).zip(checksums).enumerate() {
         let actual = crc32(chunk);
         if actual != expected {
             return Err(HailError::ChecksumMismatch {
@@ -204,11 +229,81 @@ pub fn reassemble(packets: &[Packet]) -> Result<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time table CRC [`crc32`] replaced, kept as the
+    /// reference the sliced implementation is held to.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc_equals_bytewise_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..1_108u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=1_100 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    /// The checksum file of one fixed PAX block, digested (FNV-1a 64) with
+    /// the byte-at-a-time implementation before it was replaced: neither
+    /// the CRC nor the file format may move.
+    #[test]
+    fn checksum_file_of_a_fixed_block_is_golden() {
+        use crate::block::encode_block;
+        use crate::column::ColumnData;
+        use hail_types::{DataType, Field, Schema};
+
+        let schema = Schema::new(vec![
+            Field::new("ip", DataType::VarChar),
+            Field::new("day", DataType::Date),
+            Field::new("revenue", DataType::Float),
+            Field::new("duration", DataType::Int),
+            Field::new("visits", DataType::Long),
+        ])
+        .unwrap();
+        let n = 700usize;
+        let columns = vec![
+            ColumnData::Str(
+                (0..n)
+                    .map(|i| format!("10.{}.{}.{}", i % 7, i % 251, i))
+                    .collect(),
+            ),
+            ColumnData::Date((0..n).map(|i| 10_000 + (i as i32 * 37) % 4_000).collect()),
+            ColumnData::Float((0..n).map(|i| i as f64 * 0.25 - 3.0).collect()),
+            ColumnData::Int((0..n).map(|i| (i as i32 * 7919) % 1_000 - 500).collect()),
+            ColumnData::Long((0..n).map(|i| i as i64 * 1_000_003).collect()),
+        ];
+        let bad = vec!["not|a|row".to_string(), "żółw|x".to_string()];
+        let block = encode_block(&schema, &columns, &bad, 64).unwrap();
+        assert_eq!(block.len(), 25_632);
+        let file = checksums_to_bytes(&chunk_checksums(&block));
+        assert_eq!(file.len(), 204);
+        assert_eq!(file[..4], 0x4FA1_1EDCu32.to_le_bytes());
+        assert_eq!(file[200..], 0x6F2C_E53Eu32.to_le_bytes());
+        let digest = file.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!(digest, 0xBA98_DDE8_5C26_D178);
     }
 
     #[test]

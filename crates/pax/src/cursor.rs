@@ -1,0 +1,276 @@
+//! Per-column cursors: the scan kernel's way into a [`PaxBlock`].
+//!
+//! [`PaxBlock::value`] answers "column `c` of row `r`" from scratch every
+//! time, which for a variable-size attribute means seeking the row's
+//! partition and walking up to `partition_size - 1` zero-terminated
+//! values (§3.5) — per predicate, per projected column, per row. A scan
+//! asks for rows in ascending order, so a [`ColumnCursor`] remembers where
+//! the last answer ended: it jumps to a partition's sparse offset once and
+//! from then on only walks forward, and it hands out a borrowed
+//! [`ValueRef`] instead of allocating a `String` per varchar value.
+//!
+//! The cursor trusts what [`PaxBlock::parse`] validated — a fixed-width
+//! region is exactly `row_count × width` bytes, a varchar region holds its
+//! whole sparse offset list and every offset points into the value data —
+//! so the only per-row failures left are the ones only a walk can find:
+//! a row past the end, an unterminated value, invalid UTF-8.
+
+use crate::block::PaxBlock;
+use hail_types::bytes_util::u32_at;
+use hail_types::{DataType, HailError, Result, ValueRef};
+
+/// Reads one column of a [`PaxBlock`] row by row. Rows may be asked for in
+/// any order; ascending order is the cheap one.
+#[derive(Debug, Clone)]
+pub struct ColumnCursor<'a> {
+    dtype: DataType,
+    /// The column's whole region (fixed width), or its sparse offset list
+    /// (varchar).
+    head: &'a [u8],
+    /// Varchar only: the zero-terminated values behind the offset list.
+    values: &'a [u8],
+    row_count: usize,
+    partition_size: usize,
+    /// Varchar only: the value of row `next_row` starts at byte `pos` of
+    /// `values`, inside the partition that ends before row
+    /// `partition_end` — before row 0 until the first `get` seeks.
+    next_row: usize,
+    partition_end: usize,
+    pos: usize,
+}
+
+impl PaxBlock {
+    /// A cursor over column `col` (0-based).
+    pub fn cursor(&self, col: usize) -> Result<ColumnCursor<'_>> {
+        let dtype = self.schema().field(col)?.data_type;
+        let region = self.column_slice(col)?;
+        let (head, values) = match dtype.fixed_width() {
+            Some(_) => (region, &region[..0]),
+            None => region.split_at(self.partition_count() * 4),
+        };
+        Ok(ColumnCursor {
+            dtype,
+            head,
+            values,
+            row_count: self.row_count(),
+            partition_size: self.partition_size(),
+            next_row: 0,
+            partition_end: 0,
+            pos: 0,
+        })
+    }
+}
+
+impl<'a> ColumnCursor<'a> {
+    /// The value of `row`, borrowed from the block.
+    #[inline]
+    pub fn get(&mut self, row: usize) -> Result<ValueRef<'a>> {
+        let past_end = || HailError::Corrupt(format!("row {row} out of range"));
+        Ok(match self.dtype {
+            DataType::Int => ValueRef::Int(i32::from_le_bytes(
+                fixed(self.head, row).ok_or_else(past_end)?,
+            )),
+            DataType::Date => ValueRef::Date(i32::from_le_bytes(
+                fixed(self.head, row).ok_or_else(past_end)?,
+            )),
+            DataType::Long => ValueRef::Long(i64::from_le_bytes(
+                fixed(self.head, row).ok_or_else(past_end)?,
+            )),
+            DataType::Float => ValueRef::Float(f64::from_bits(u64::from_le_bytes(
+                fixed(self.head, row).ok_or_else(past_end)?,
+            ))),
+            DataType::VarChar => {
+                if row >= self.row_count {
+                    return Err(past_end());
+                }
+                ValueRef::Str(self.varchar(row)?)
+            }
+        })
+    }
+
+    /// Enters `row`'s partition through its sparse offset — unless the
+    /// cursor already stands inside it, at or before `row` — walks forward
+    /// to `row`, and validates only the value asked for: exactly the bytes
+    /// [`PaxBlock::value`] would return, found without starting over.
+    fn varchar(&mut self, row: usize) -> Result<&'a str> {
+        if row < self.next_row || row >= self.partition_end {
+            let partition = row / self.partition_size;
+            self.pos = u32_at(self.head, partition)? as usize;
+            self.next_row = partition * self.partition_size;
+            self.partition_end = self.next_row + self.partition_size;
+        }
+        self.skip_terminators(row - self.next_row)?;
+        self.next_row = row;
+        let start = self.pos;
+        self.skip_terminators(1)?;
+        self.next_row = row + 1;
+        std::str::from_utf8(&self.values[start..self.pos - 1])
+            .map_err(|_| HailError::Corrupt("invalid UTF-8 in varchar value".into()))
+    }
+
+    /// Moves `pos` just past the `n`-th zero byte at or after it, eight
+    /// bytes per step: the walk over values nobody asked for is the bulk
+    /// of a selective scan's work on a varchar column.
+    fn skip_terminators(&mut self, mut n: usize) -> Result<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        let rest = self.values.get(self.pos..).unwrap_or_default();
+        let mut words = rest.chunks_exact(8);
+        let mut skipped = 0;
+        for word in &mut words {
+            let word = u64::from_le_bytes(
+                word.try_into()
+                    .expect("chunks_exact(8) yields 8-byte chunks"),
+            );
+            let mut zeros = zero_bytes(word);
+            let count = zeros.count_ones() as usize;
+            if count >= n {
+                for _ in 1..n {
+                    zeros &= zeros - 1;
+                }
+                self.pos += skipped + zeros.trailing_zeros() as usize / 8 + 1;
+                return Ok(());
+            }
+            n -= count;
+            skipped += 8;
+        }
+        for (i, &b) in words.remainder().iter().enumerate() {
+            if b == 0 {
+                n -= 1;
+                if n == 0 {
+                    self.pos += skipped + i + 1;
+                    return Ok(());
+                }
+            }
+        }
+        Err(HailError::Corrupt(
+            "unterminated zero-terminated value".into(),
+        ))
+    }
+}
+
+/// Bit 7 of every byte of `word` that is zero, and no other bit.
+#[inline]
+fn zero_bytes(word: u64) -> u64 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    // Per byte: adding 0x7F to the low seven bits carries into bit 7
+    // unless they are all zero, and never into the next byte.
+    !(((word & LOW7) + LOW7) | word | LOW7)
+}
+
+/// The `row`-th `W`-byte value of a dense fixed-width region.
+#[inline]
+fn fixed<const W: usize>(region: &[u8], row: usize) -> Option<[u8; W]> {
+    region.chunks_exact(W).nth(row)?.try_into().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::encode_block;
+    use crate::column::ColumnData;
+    use hail_types::{Field, Schema};
+
+    fn block(rows: usize, partition_size: usize) -> PaxBlock {
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("l", DataType::Long),
+            Field::new("f", DataType::Float),
+            Field::new("d", DataType::Date),
+            Field::new("s", DataType::VarChar),
+        ])
+        .unwrap();
+        let words = [
+            "",
+            "a",
+            "żółw",
+            "a much longer value than eight bytes",
+            "日本",
+        ];
+        let columns = [
+            ColumnData::Int((0..rows as i32).map(|i| i * 7 - 50).collect()),
+            ColumnData::Long((0..rows as i64).map(|i| i << 33).collect()),
+            ColumnData::Float((0..rows).map(|i| i as f64 / 4.0).collect()),
+            ColumnData::Date((0..rows as i32).map(|i| 10_000 - i).collect()),
+            ColumnData::Str(
+                (0..rows)
+                    .map(|i| format!("{}{i}", words[i % words.len()]))
+                    .collect(),
+            ),
+        ];
+        let bytes = encode_block(&schema, &columns, &[], partition_size).unwrap();
+        PaxBlock::parse(bytes).unwrap()
+    }
+
+    /// Whatever order rows are asked for in, a cursor answers what
+    /// `PaxBlock::value` answers.
+    #[test]
+    fn cursor_agrees_with_value_in_any_order() {
+        for partition_size in [1, 4, 64] {
+            let b = block(151, partition_size);
+            let n = b.row_count();
+            let orders: [Vec<usize>; 4] = [
+                (0..n).collect(),
+                (0..n).step_by(7).collect(),
+                (0..n).rev().collect(),
+                (0..n).map(|i| i * 37 % n).collect(),
+            ];
+            for col in 0..b.schema().len() {
+                for order in &orders {
+                    let mut cursor = b.cursor(col).unwrap();
+                    for &row in order {
+                        assert_eq!(
+                            cursor.get(row).unwrap().to_value(),
+                            b.value(col, row).unwrap(),
+                            "partition size {partition_size}, column {col}, row {row}"
+                        );
+                        // Asking again is answered again.
+                        assert_eq!(
+                            cursor.get(row).unwrap().to_value(),
+                            b.value(col, row).unwrap()
+                        );
+                    }
+                    assert!(cursor.get(n).is_err());
+                }
+            }
+        }
+        assert!(block(0, 4).cursor(4).unwrap().get(0).is_err());
+        assert!(block(0, 4).cursor(5).is_err());
+    }
+
+    /// A partition is always entered through its sparse offset, also when
+    /// the walk arrives at its first row — so where an offset and the walk
+    /// disagree, cursor and `value` still read the same bytes.
+    #[test]
+    fn cursor_enters_every_partition_through_its_offset() {
+        let good = block(12, 4);
+        let mut raw = good.bytes().to_vec();
+        let region = raw.len() - good.column_byte_len(4).unwrap();
+        // Partition 1 now starts at row 5's value instead of row 4's.
+        let second = u32::from_le_bytes(raw[region + 4..region + 8].try_into().unwrap());
+        let row4_len = good.value(4, 4).unwrap().encoded_len() as u32;
+        raw[region + 4..region + 8].copy_from_slice(&(second + row4_len).to_le_bytes());
+        let b = PaxBlock::parse(bytes::Bytes::from(raw)).unwrap();
+        assert_eq!(b.value(4, 4).unwrap(), good.value(4, 5).unwrap());
+        let mut cursor = b.cursor(4).unwrap();
+        for row in 0..12 {
+            assert_eq!(
+                cursor.get(row).unwrap().to_value(),
+                b.value(4, row).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn zero_bytes_marks_exactly_the_zero_bytes() {
+        for (word, want) in [
+            (0u64, 0x8080_8080_8080_8080u64),
+            (u64::MAX, 0),
+            (0x0100_0001_8000_FF7F, 0x0080_8000_0080_0000),
+            (0x0101_0101_0101_0100, 0x80),
+        ] {
+            assert_eq!(zero_bytes(word), want, "{word:#018x}");
+        }
+    }
+}

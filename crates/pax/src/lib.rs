@@ -4,6 +4,7 @@
 //! checksum machinery.
 //!
 //! - [`block`] — the serialized PAX block format and its reader
+//! - [`cursor`] — forward per-column cursors for the scan kernel
 //! - [`builder`] — content-aware block building (never split a row)
 //! - [`column`](mod@column) — decoded, typed column vectors used for sorting
 //! - [`reorg`] — sort permutations and per-replica block rewriting
@@ -15,6 +16,7 @@ pub mod block;
 pub mod builder;
 pub mod checksum;
 pub mod column;
+pub mod cursor;
 pub mod reorg;
 
 pub use block::{encode_block, PaxBlock, PAX_MAGIC, PAX_VERSION};
@@ -24,4 +26,5 @@ pub use checksum::{
     verify_chunks, Packet, CHUNKS_PER_PACKET,
 };
 pub use column::ColumnData;
+pub use cursor::ColumnCursor;
 pub use reorg::{is_sorted_on, sort_block, sort_permutation};

@@ -22,7 +22,7 @@ pub use config::StorageConfig;
 pub use error::{HailError, Result};
 pub use row::{parse_line, parse_line_strict, ParsedRecord, Row};
 pub use schema::{DataType, Field, Schema};
-pub use value::Value;
+pub use value::{Value, ValueRef};
 
 /// Identifier of a logical HDFS block.
 pub type BlockId = u64;

@@ -27,13 +27,7 @@ pub enum Value {
 impl Value {
     /// The [`DataType`] of this value.
     pub fn data_type(&self) -> DataType {
-        match self {
-            Value::Int(_) => DataType::Int,
-            Value::Long(_) => DataType::Long,
-            Value::Float(_) => DataType::Float,
-            Value::Date(_) => DataType::Date,
-            Value::Str(_) => DataType::VarChar,
-        }
+        self.as_ref().data_type()
     }
 
     /// Parses a text token into a value of the requested type.
@@ -131,16 +125,71 @@ impl Value {
     /// — comparisons across types only occur in corrupted inputs and must
     /// still be deterministic.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
+        self.as_ref().total_cmp(other.as_ref())
+    }
+
+    /// Borrows this value; strings are not copied.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Long(v) => ValueRef::Long(*v),
+            Value::Float(v) => ValueRef::Float(*v),
+            Value::Date(v) => ValueRef::Date(*v),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+/// A [`Value`] whose string payload is borrowed — what a reader hands out
+/// when it decodes an attribute in place, so comparing a stored varchar
+/// with a literal allocates nothing. Ordering is defined here once;
+/// [`Value::total_cmp`] is this comparison over two borrowed values.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Int(i32),
+    Long(i64),
+    Float(f64),
+    /// Days since the Unix epoch.
+    Date(i32),
+    Str(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// The [`DataType`] of this value.
+    pub fn data_type(self) -> DataType {
+        match self {
+            ValueRef::Int(_) => DataType::Int,
+            ValueRef::Long(_) => DataType::Long,
+            ValueRef::Float(_) => DataType::Float,
+            ValueRef::Date(_) => DataType::Date,
+            ValueRef::Str(_) => DataType::VarChar,
+        }
+    }
+
+    /// The owned form (copies a string payload).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Long(v) => Value::Long(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Date(v) => Value::Date(v),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+
+    /// See [`Value::total_cmp`].
+    #[inline]
+    pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
         match (self, other) {
-            (Int(a), Int(b)) => a.cmp(b),
-            (Long(a), Long(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Long(a), Long(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Date(a), Date(b)) => a.cmp(&b),
             (Str(a), Str(b)) => a.cmp(b),
             // Cross-type: compare numeric families loosely, else by tag.
-            (Int(a), Long(b)) => (*a as i64).cmp(b),
-            (Long(a), Int(b)) => a.cmp(&(*b as i64)),
+            (Int(a), Long(b)) => (a as i64).cmp(&b),
+            (Long(a), Int(b)) => a.cmp(&(b as i64)),
             _ => self.data_type().tag().cmp(&other.data_type().tag()),
         }
     }
