@@ -18,7 +18,8 @@
 use crate::cluster::DfsCluster;
 use bytes::Bytes;
 use hail_index::{
-    HailBlockReplicaInfo, IndexMetadata, IndexedBlock, ReplicaIndexConfig, SidecarSpec, SortOrder,
+    BlockPrep, HailBlockReplicaInfo, IndexMetadata, IndexedBlock, ReplicaIndexConfig, SidecarSpec,
+    SortOrder,
 };
 use hail_pax::checksum::{chunk_checksums, packetize, reassemble, Packet};
 use hail_pax::PaxBlock;
@@ -176,7 +177,13 @@ pub fn hdfs_upload_block(
 ///
 /// `config.orders()[i]` is the sort order and `config.sidecar(i)` the
 /// sidecar spec for the replica at chain position `i`; the config's
-/// replication must equal the cluster's.
+/// replication must equal the cluster's and its columns must exist in
+/// the block's schema.
+///
+/// The upload is two-phase: every position's replica is computed before
+/// any is flushed, so an upload that fails — in the chain or in any
+/// position's build, the lowest position's error winning — abandons the
+/// block with nothing written and nothing registered.
 pub fn hail_upload_block(
     cluster: &mut DfsCluster,
     writer: DatanodeId,
@@ -191,12 +198,15 @@ pub fn hail_upload_block(
             config.replication()
         )));
     }
+    config.validate(pax.schema())?;
     let (block, chain) = cluster.allocate(writer, replication)?;
 
     // Client: cut the PAX block into packets (checksums computed here are
     // reused on the wire, §3.2 step 4).
     let packets = packetize(pax.bytes());
-    let received = match stream_chain(cluster, writer, &chain, packets, fault) {
+    let replicas = stream_chain(cluster, writer, &chain, packets, fault)
+        .and_then(|received| build_replicas(&received, config));
+    let replicas = match replicas {
         Ok(r) => r,
         Err(e) => {
             cluster.namenode_mut().abandon_block(block);
@@ -204,40 +214,28 @@ pub fn hail_upload_block(
         }
     };
 
-    for ((pos, dn), packets) in chain.iter().enumerate().zip(received) {
-        let order = config.orders()[pos];
-        let spec = config.sidecar(pos);
-        // Step 6: reassemble the block in main memory — nothing flushed
-        // yet.
-        let data = reassemble(&packets)?;
-        let pax_block = PaxBlock::parse(Bytes::from(data))?;
-
-        // Step 7: sort + index in memory, forming the HAIL block. This is
-        // pure CPU; charge the binary block size (sort + permute +
-        // index build all stream over it).
-        let indexed = IndexedBlock::build_with(&pax_block, order, spec)?;
-        if order.column().is_some() {
+    for ((pos, dn), (bytes, checksums, meta)) in chain.iter().enumerate().zip(replicas) {
+        // Step 7 was pure CPU on this datanode; charge the binary block
+        // size (sort + permute + index build all stream over it).
+        if config.orders()[pos].column().is_some() {
             cluster
                 .datanode_mut(*dn)?
-                .add_sort_cpu(pax_block.byte_len() as u64);
+                .add_sort_cpu(pax.byte_len() as u64);
         }
         // Building sidecars streams once over the indexed columns / bad
         // records; charge their serialized size as CPU.
-        let sidecar_total = indexed.metadata().sidecar_bytes_total();
+        let sidecar_total = meta.sidecar_bytes_total();
         if sidecar_total > 0 {
             cluster
                 .datanode_mut(*dn)?
                 .add_sort_cpu(sidecar_total as u64);
         }
 
-        // Recompute checksums over this replica's (unique) bytes and
-        // flush data + checksum files.
-        let checksums = chunk_checksums(indexed.bytes());
-        let meta = indexed.metadata().clone();
-        let replica_bytes = indexed.byte_len();
+        // Flush data + checksum files.
+        let replica_bytes = bytes.len();
         cluster
             .datanode_mut(*dn)?
-            .write_replica(block, indexed.bytes().clone(), checksums)?;
+            .write_replica(block, bytes, checksums)?;
 
         // Steps 11/14: each datanode informs the namenode about its new
         // replica — size, index, sort order.
@@ -246,6 +244,39 @@ pub fn hail_upload_block(
             .register_replica(HailBlockReplicaInfo::new(block, *dn, meta, replica_bytes))?;
     }
     Ok(block)
+}
+
+/// Steps 6 and 7 for every chain position: reassemble the block in main
+/// memory — nothing flushed yet — then sort + index it in each
+/// position's order, forming the HAIL blocks, and recompute the checksums
+/// over each replica's (unique) bytes.
+///
+/// A chain that delivered at all delivered the same verified packets to
+/// every position, so the block is reassembled and parsed once, and what
+/// its replicas have in common is computed once ([`BlockPrep`]); each
+/// datanode's ledger is still charged for its own copy of that work.
+/// Per position: the replica's data file, checksum file and `Dir_rep`
+/// metadata.
+fn build_replicas(
+    received: &[Vec<Packet>],
+    config: &ReplicaIndexConfig,
+) -> Result<Vec<(Bytes, Vec<u32>, IndexMetadata)>> {
+    let Some(packets) = received.first() else {
+        return Ok(Vec::new());
+    };
+    let pax_block = PaxBlock::parse(Bytes::from(reassemble(packets)?))?;
+    let mut prep = BlockPrep::new(&pax_block);
+    (0..received.len())
+        .map(|pos| {
+            let indexed = prep.build(config.orders()[pos], config.sidecar(pos))?;
+            let checksums = chunk_checksums(indexed.bytes());
+            Ok((
+                indexed.bytes().clone(),
+                checksums,
+                indexed.metadata().clone(),
+            ))
+        })
+        .collect()
 }
 
 /// Rewrites one stored replica in place with a new sort order and

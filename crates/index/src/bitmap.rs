@@ -10,8 +10,9 @@
 //! low-cardinality secondary columns (e.g. `countryCode`,
 //! `languageCode`) at a few bits per row.
 
+use crate::{display_str, infallible};
 use hail_types::bytes_util::{put_str, put_u32, ByteReader};
-use hail_types::{HailError, Result, Value};
+use hail_types::{HailError, Result, Value, ValueRef};
 use std::collections::BTreeMap;
 
 /// Maximum number of distinct values a column may have before bitmap
@@ -37,23 +38,11 @@ impl BitmapIndex {
     /// Builds the index from a column's values; refuses columns whose
     /// cardinality exceeds `cardinality_limit`.
     pub fn build(column: usize, values: &[Value], cardinality_limit: usize) -> Result<BitmapIndex> {
-        let mut bitmaps: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        let words = words_for(values.len());
-        for (row, v) in values.iter().enumerate() {
-            let key = v.to_string();
-            if !bitmaps.contains_key(&key) && bitmaps.len() >= cardinality_limit {
-                return Err(HailError::Schema(format!(
-                    "column @{} exceeds bitmap cardinality limit {cardinality_limit}",
-                    column + 1
-                )));
-            }
-            let bm = bitmaps.entry(key).or_insert_with(|| vec![0u64; words]);
-            bm[row / 64] |= 1 << (row % 64);
-        }
-        Ok(BitmapIndex {
-            column,
-            row_count: values.len(),
-            bitmaps,
+        Self::build_if_low_cardinality(column, values, cardinality_limit).ok_or_else(|| {
+            HailError::Schema(format!(
+                "column @{} exceeds bitmap cardinality limit {cardinality_limit}",
+                column + 1
+            ))
         })
     }
 
@@ -66,8 +55,43 @@ impl BitmapIndex {
         values: &[Value],
         cardinality_limit: usize,
     ) -> Option<BitmapIndex> {
-        // Cardinality overflow is build()'s only failure mode.
-        Self::build(column, values, cardinality_limit).ok()
+        infallible(Self::from_refs(
+            column,
+            values.iter().map(|v| Ok(v.as_ref())),
+            cardinality_limit,
+        ))
+    }
+
+    /// Builds the index from a column's values as a reader hands them
+    /// out, in rowid order — borrowed from their block, each read
+    /// fallible. `None` when the column has more than
+    /// `cardinality_limit` distinct values. A display string is only
+    /// allocated for the first row of each distinct value.
+    pub fn from_refs<'a, E>(
+        column: usize,
+        values: impl ExactSizeIterator<Item = std::result::Result<ValueRef<'a>, E>>,
+        cardinality_limit: usize,
+    ) -> std::result::Result<Option<BitmapIndex>, E> {
+        let mut bitmaps: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        let row_count = values.len();
+        let words = words_for(row_count);
+        let mut scratch = String::new();
+        for (row, v) in values.enumerate() {
+            let key = display_str(v?, &mut scratch);
+            if !bitmaps.contains_key(key) {
+                if bitmaps.len() >= cardinality_limit {
+                    return Ok(None);
+                }
+                bitmaps.insert(key.to_string(), vec![0u64; words]);
+            }
+            let bm = bitmaps.get_mut(key).expect("present or just inserted");
+            bm[row / 64] |= 1 << (row % 64);
+        }
+        Ok(Some(BitmapIndex {
+            column,
+            row_count,
+            bitmaps,
+        }))
     }
 
     /// The indexed 0-based column.

@@ -14,6 +14,7 @@
 //! for block sizes below ~5 GB a second level would cost an extra disk
 //! seek and never pays off (§3.5 "Why not a multi-level tree?").
 
+use hail_pax::PaxBlock;
 use hail_types::bytes_util::{put_str, put_u32, ByteReader};
 use hail_types::{DataType, HailError, Result, Value, ValueRef};
 use std::cmp::Ordering;
@@ -170,6 +171,23 @@ impl ClusteredIndex {
             key_type,
             partition_size,
             row_count: sorted_keys.len(),
+            keys,
+        })
+    }
+
+    /// Builds the index over a block that is sorted on `key_column`,
+    /// reading only the first key of each partition.
+    pub fn over_sorted(sorted: &PaxBlock, key_column: usize) -> Result<Self> {
+        let mut cursor = sorted.cursor(key_column)?;
+        let keys = (0..sorted.row_count())
+            .step_by(sorted.partition_size())
+            .map(|row| cursor.get(row).map(ValueRef::to_value))
+            .collect::<Result<_>>()?;
+        Ok(ClusteredIndex {
+            key_column,
+            key_type: sorted.schema().field(key_column)?.data_type,
+            partition_size: sorted.partition_size(),
+            row_count: sorted.row_count(),
             keys,
         })
     }

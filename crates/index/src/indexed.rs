@@ -24,6 +24,17 @@
 //! │ trailer magic u32            │
 //! └──────────────────────────────┘
 //! ```
+//!
+//! Building one is upload step 7, the work of one datanode. The replicas
+//! of a block differ only in row order, so what does not depend on row
+//! order is computed once per block and borrowed by every replica's
+//! build — the located varchar rows the sort gathers from
+//! ([`hail_pax::BlockRows`]), the decoded bad records, each zone map and
+//! each Bloom filter: that is [`BlockPrep`]. Per replica there remain the
+//! sort itself, the clustered index over the sorted keys, the bitmaps
+//! (their bits are rowids of the *stored* order) and the assembly. Every
+//! structure is built from values borrowed from the block through
+//! cursors; nothing is decoded into a `Vec<Value>`.
 
 use crate::bitmap::{BitmapIndex, DEFAULT_CARDINALITY_LIMIT};
 use crate::clustered::ClusteredIndex;
@@ -32,8 +43,8 @@ use crate::metadata::{IndexKind, IndexMetadata, SidecarMetadata};
 use crate::sort::{SidecarSpec, SortOrder};
 use crate::synopsis::{BloomSynopsis, ZoneMapSynopsis};
 use bytes::Bytes;
-use hail_pax::{sort_block, PaxBlock};
-use hail_types::{HailError, Result};
+use hail_pax::{BlockRows, PaxBlock};
+use hail_types::{HailError, Result, ValueRef};
 
 /// Trailer magic ("LIAH").
 pub const TRAILER_MAGIC: u32 = 0x4841_494C;
@@ -52,6 +63,131 @@ pub struct IndexedBlock {
     bytes: Bytes,
 }
 
+/// Column `column` of `pax` in rowid order, each value borrowed from the
+/// block.
+fn column_refs(
+    pax: &PaxBlock,
+    column: usize,
+) -> Result<impl ExactSizeIterator<Item = Result<ValueRef<'_>>>> {
+    let mut cursor = pax.cursor(column)?;
+    Ok((0..pax.row_count()).map(move |row| cursor.get(row)))
+}
+
+/// One uploaded block, prepared for building its replicas: everything a
+/// replica's build needs that does not depend on the replica's row
+/// order, each computed at most once — on the first
+/// [`BlockPrep::build`] that asks for it — and shared by the ones after.
+///
+/// Sharing is a property of this process's wall clock only: every
+/// datanode of the chain still does (and is charged for) its own sort
+/// and index build on the simulated clock.
+#[derive(Debug)]
+pub struct BlockPrep<'a> {
+    block: &'a PaxBlock,
+    rows: Option<BlockRows<'a>>,
+    bad_records: Option<Vec<String>>,
+    zone_maps: Vec<ZoneMapSynopsis>,
+    blooms: Vec<BloomSynopsis>,
+}
+
+impl<'a> BlockPrep<'a> {
+    /// Prepares `block`, the *unsorted* PAX block as uploaded.
+    pub fn new(block: &'a PaxBlock) -> BlockPrep<'a> {
+        BlockPrep {
+            block,
+            rows: None,
+            bad_records: None,
+            zone_maps: Vec::new(),
+            blooms: Vec::new(),
+        }
+    }
+
+    /// Builds one replica's content: sorts (if requested), builds the
+    /// clustered index over the sorted key column and the §3.5 sidecar
+    /// extension indexes the spec asks for, and serializes the
+    /// container. Bitmap columns whose cardinality exceeds
+    /// [`DEFAULT_CARDINALITY_LIMIT`] are skipped (the replica simply
+    /// stores no bitmap for them) rather than failing the upload.
+    pub fn build(&mut self, order: SortOrder, spec: &SidecarSpec) -> Result<IndexedBlock> {
+        let block = self.block;
+        let (pax, index) = match order {
+            SortOrder::Unsorted => (block.clone(), None),
+            SortOrder::Clustered { column } => {
+                block.schema().field(column)?;
+                let rows = match &mut self.rows {
+                    Some(rows) => rows,
+                    empty => empty.insert(BlockRows::locate(block)?),
+                };
+                let (sorted, _perm) = rows.sorted_on(column)?;
+                let index = ClusteredIndex::over_sorted(&sorted, column)?;
+                (sorted, Some(index))
+            }
+        };
+        // Bitmaps index rowids of the *stored* (possibly sorted) block.
+        let mut bitmaps: Vec<BitmapIndex> = Vec::new();
+        for &column in &spec.bitmap_columns {
+            // A hand-built spec may repeat a column; one sidecar is
+            // enough.
+            if bitmaps.iter().any(|b| b.column() == column) {
+                continue;
+            }
+            bitmaps.extend(BitmapIndex::from_refs(
+                column,
+                column_refs(&pax, column)?,
+                DEFAULT_CARDINALITY_LIMIT,
+            )?);
+        }
+        // Zone maps and Bloom filters summarize the same rows in every
+        // replica; both persist the bad-record count so the prune pass
+        // can back off on any block that would still emit bad records.
+        let bad_records = match &mut self.bad_records {
+            Some(bad) => bad,
+            empty => empty.insert(block.bad_records()?),
+        };
+        for &column in &spec.zone_map_columns {
+            if !self.zone_maps.iter().any(|z| z.column() == column) {
+                let values = column_refs(block, column)?;
+                self.zone_maps.push(ZoneMapSynopsis::from_refs(
+                    column,
+                    values,
+                    bad_records.len(),
+                )?);
+            }
+        }
+        for &column in &spec.bloom_columns {
+            if !self.blooms.iter().any(|b| b.column() == column) {
+                let values = column_refs(block, column)?;
+                self.blooms
+                    .push(BloomSynopsis::from_refs(column, values, bad_records.len())?);
+            }
+        }
+        let inverted = spec.inverted_list.then(|| InvertedList::build(bad_records));
+        IndexedBlock::assemble_with(
+            pax,
+            index,
+            &bitmaps,
+            &wanted(
+                &self.zone_maps,
+                &spec.zone_map_columns,
+                ZoneMapSynopsis::column,
+            ),
+            &wanted(&self.blooms, &spec.bloom_columns, BloomSynopsis::column),
+            inverted.as_ref(),
+        )
+    }
+}
+
+/// The built synopses over `columns`, in `columns` order, each once.
+fn wanted<'s, S>(built: &'s [S], columns: &[usize], column_of: fn(&S) -> usize) -> Vec<&'s S> {
+    let mut out: Vec<&S> = Vec::with_capacity(columns.len());
+    for &column in columns {
+        if !out.iter().any(|s| column_of(s) == column) {
+            out.extend(built.iter().find(|s| column_of(s) == column));
+        }
+    }
+    out
+}
+
 impl IndexedBlock {
     /// Builds a replica's content from an *unsorted* PAX block and the
     /// replica's sort order: sorts (if requested), builds the clustered
@@ -63,76 +199,19 @@ impl IndexedBlock {
     }
 
     /// Like [`IndexedBlock::build`], but additionally builds the §3.5
-    /// sidecar extension indexes the spec asks for. Bitmap columns whose
-    /// cardinality exceeds [`DEFAULT_CARDINALITY_LIMIT`] are skipped
-    /// (the replica simply stores no bitmap for them) rather than
-    /// failing the upload.
+    /// sidecar extension indexes the spec asks for: [`BlockPrep::build`]
+    /// for a block of which only this one replica is built.
     pub fn build_with(
         block: &PaxBlock,
         order: SortOrder,
         spec: &SidecarSpec,
     ) -> Result<IndexedBlock> {
-        let (pax, index) = match order {
-            SortOrder::Unsorted => (block.clone(), None),
-            SortOrder::Clustered { column } => {
-                let (sorted, _perm) = sort_block(block, column)?;
-                let col = sorted.decode_column(column)?;
-                let keys: Vec<_> = (0..col.len()).map(|i| col.value(i)).collect();
-                let key_type = sorted.schema().field(column)?.data_type;
-                let index =
-                    ClusteredIndex::build(column, key_type, sorted.partition_size(), &keys)?;
-                (sorted, Some(index))
-            }
-        };
-        // Sidecars index rowids of the *stored* (possibly sorted) block.
-        let mut bitmaps: Vec<BitmapIndex> = Vec::new();
-        for &column in &spec.bitmap_columns {
-            // A hand-built spec may repeat a column; one sidecar is
-            // enough.
-            if bitmaps.iter().any(|b| b.column() == column) {
-                continue;
-            }
-            let col = pax.decode_column(column)?;
-            let values: Vec<_> = (0..col.len()).map(|i| col.value(i)).collect();
-            if let Some(bm) =
-                BitmapIndex::build_if_low_cardinality(column, &values, DEFAULT_CARDINALITY_LIMIT)
-            {
-                bitmaps.push(bm);
-            }
-        }
-        // Zone maps and Bloom filters summarize the same stored rowids;
-        // both persist the bad-record count so the prune pass can back
-        // off on any block that would still emit bad records.
-        let bad_records = pax.bad_records()?.len();
-        let mut zone_maps: Vec<ZoneMapSynopsis> = Vec::new();
-        for &column in &spec.zone_map_columns {
-            if zone_maps.iter().any(|z| z.column() == column) {
-                continue;
-            }
-            let col = pax.decode_column(column)?;
-            let values: Vec<_> = (0..col.len()).map(|i| col.value(i)).collect();
-            zone_maps.push(ZoneMapSynopsis::build(column, &values, bad_records));
-        }
-        let mut blooms: Vec<BloomSynopsis> = Vec::new();
-        for &column in &spec.bloom_columns {
-            if blooms.iter().any(|b| b.column() == column) {
-                continue;
-            }
-            let col = pax.decode_column(column)?;
-            let values: Vec<_> = (0..col.len()).map(|i| col.value(i)).collect();
-            blooms.push(BloomSynopsis::build(column, &values, bad_records));
-        }
-        let inverted = if spec.inverted_list {
-            Some(InvertedList::build(&pax.bad_records()?))
-        } else {
-            None
-        };
-        Self::assemble_with(pax, index, bitmaps, zone_maps, blooms, inverted)
+        BlockPrep::new(block).build(order, spec)
     }
 
     /// Serializes a (pax, index) pair into the container format.
     pub fn assemble(pax: PaxBlock, index: Option<ClusteredIndex>) -> Result<IndexedBlock> {
-        Self::assemble_with(pax, index, Vec::new(), Vec::new(), Vec::new(), None)
+        Self::assemble_with(pax, index, &[], &[], &[], None)
     }
 
     /// Serializes PAX data, an optional clustered index, and the built
@@ -140,10 +219,10 @@ impl IndexedBlock {
     pub fn assemble_with(
         pax: PaxBlock,
         index: Option<ClusteredIndex>,
-        bitmaps: Vec<BitmapIndex>,
-        zone_maps: Vec<ZoneMapSynopsis>,
-        blooms: Vec<BloomSynopsis>,
-        inverted: Option<InvertedList>,
+        bitmaps: &[BitmapIndex],
+        zone_maps: &[&ZoneMapSynopsis],
+        blooms: &[&BloomSynopsis],
+        inverted: Option<&InvertedList>,
     ) -> Result<IndexedBlock> {
         let index_bytes = index
             .as_ref()
@@ -151,43 +230,27 @@ impl IndexedBlock {
             .unwrap_or_default();
 
         // Sidecar region: bitmaps in configuration order, then the
-        // inverted list; offsets are absolute within the replica file.
+        // synopses, then the inverted list; offsets are absolute within
+        // the replica file.
+        let sidecar_base = pax.byte_len() + index_bytes.len();
         let mut sidecar_region = Vec::new();
         let mut sidecars = Vec::new();
-        let sidecar_base = pax.byte_len() + index_bytes.len();
-        for bm in &bitmaps {
-            let encoded = bm.to_bytes();
+        let bitmaps = bitmaps.iter().map(|b| {
+            let kind = IndexKind::Bitmap { column: b.column() };
+            (kind, b.to_bytes())
+        });
+        let zone_maps = zone_maps.iter().map(|z| {
+            let kind = IndexKind::ZoneMap { column: z.column() };
+            (kind, z.to_bytes())
+        });
+        let blooms = blooms.iter().map(|b| {
+            let kind = IndexKind::Bloom { column: b.column() };
+            (kind, b.to_bytes())
+        });
+        let inverted = inverted.map(|list| (IndexKind::InvertedList, list.to_bytes()));
+        for (kind, encoded) in bitmaps.chain(zone_maps).chain(blooms).chain(inverted) {
             sidecars.push(SidecarMetadata {
-                kind: IndexKind::Bitmap {
-                    column: bm.column(),
-                },
-                sidecar_bytes: encoded.len(),
-                sidecar_offset: sidecar_base + sidecar_region.len(),
-            });
-            sidecar_region.extend_from_slice(&encoded);
-        }
-        for z in &zone_maps {
-            let encoded = z.to_bytes();
-            sidecars.push(SidecarMetadata {
-                kind: IndexKind::ZoneMap { column: z.column() },
-                sidecar_bytes: encoded.len(),
-                sidecar_offset: sidecar_base + sidecar_region.len(),
-            });
-            sidecar_region.extend_from_slice(&encoded);
-        }
-        for b in &blooms {
-            let encoded = b.to_bytes();
-            sidecars.push(SidecarMetadata {
-                kind: IndexKind::Bloom { column: b.column() },
-                sidecar_bytes: encoded.len(),
-                sidecar_offset: sidecar_base + sidecar_region.len(),
-            });
-            sidecar_region.extend_from_slice(&encoded);
-        }
-        if let Some(list) = &inverted {
-            let encoded = list.to_bytes();
-            sidecars.push(SidecarMetadata {
-                kind: IndexKind::InvertedList,
+                kind,
                 sidecar_bytes: encoded.len(),
                 sidecar_offset: sidecar_base + sidecar_region.len(),
             });

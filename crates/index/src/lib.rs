@@ -27,7 +27,7 @@ pub mod unclustered;
 
 pub use bitmap::{BitmapIndex, DEFAULT_CARDINALITY_LIMIT};
 pub use clustered::{ClusteredIndex, KeyBounds};
-pub use indexed::{IndexedBlock, TRAILER_LEN, TRAILER_MAGIC};
+pub use indexed::{BlockPrep, IndexedBlock, TRAILER_LEN, TRAILER_MAGIC};
 pub use inverted::{tokenize, InvertedList};
 pub use metadata::{
     HailBlockReplicaInfo, IndexKind, IndexMetadata, SidecarMetadata, SIDECAR_META_LEN,
@@ -37,3 +37,28 @@ pub use sort::{ReplicaIndexConfig, SidecarSpec, SortOrder};
 pub use synopsis::{BloomSynopsis, ZoneMapSynopsis};
 pub use trojan::{TrojanIndex, TROJAN_GRANULARITY};
 pub use unclustered::UnclusteredIndex;
+
+/// A value's display string — what the Bloom filter hashes and the bitmap
+/// index keys on. A string is lent as it lies in its block; any other
+/// value is formatted into `scratch`, which callers reuse from value to
+/// value.
+fn display_str<'s>(v: hail_types::ValueRef<'s>, scratch: &'s mut String) -> &'s str {
+    use std::fmt::Write;
+    match v {
+        hail_types::ValueRef::Str(s) => s,
+        other => {
+            scratch.clear();
+            write!(scratch, "{other}").expect("formatting into a String cannot fail");
+            scratch
+        }
+    }
+}
+
+/// Unwraps the result of a fallible builder run over values that cannot
+/// fail to be read.
+fn infallible<T>(result: std::result::Result<T, std::convert::Infallible>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
+    }
+}

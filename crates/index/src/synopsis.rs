@@ -17,8 +17,10 @@
 //! prune", never "no match".
 
 use crate::clustered::KeyBounds;
+use crate::{display_str, infallible};
 use hail_types::bytes_util::{put_f64, put_i32, put_i64, put_str, put_u32, ByteReader};
-use hail_types::{HailError, Result, Value};
+use hail_types::{HailError, Result, Value, ValueRef};
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Bloom hash count: a fixed `k` keeps the encoding self-describing
@@ -89,16 +91,49 @@ pub struct ZoneMapSynopsis {
 impl ZoneMapSynopsis {
     /// Builds the zone map from a column's (parsed) values.
     pub fn build(column: usize, values: &[Value], bad_records: usize) -> ZoneMapSynopsis {
-        let bounds = match (values.iter().min(), values.iter().max()) {
-            (Some(lo), Some(hi)) => Some((lo.clone(), hi.clone())),
-            _ => None,
-        };
-        ZoneMapSynopsis {
+        infallible(Self::from_refs(
             column,
-            bounds,
-            row_count: values.len(),
+            values.iter().map(|v| Ok(v.as_ref())),
             bad_records,
+        ))
+    }
+
+    /// Builds the zone map from a column's values as a reader hands them
+    /// out — borrowed from their block, each read fallible. Min and max
+    /// do not depend on row order, so one zone map serves every replica
+    /// of a block.
+    pub fn from_refs<'a, E>(
+        column: usize,
+        values: impl Iterator<Item = std::result::Result<ValueRef<'a>, E>>,
+        bad_records: usize,
+    ) -> std::result::Result<ZoneMapSynopsis, E> {
+        let mut bounds: Option<(ValueRef<'a>, ValueRef<'a>)> = None;
+        let mut row_count = 0;
+        for v in values {
+            let v = v?;
+            row_count += 1;
+            bounds = Some(match bounds {
+                None => (v, v),
+                Some((lo, hi)) => (
+                    if v.total_cmp(lo) == Ordering::Less {
+                        v
+                    } else {
+                        lo
+                    },
+                    if v.total_cmp(hi) == Ordering::Less {
+                        hi
+                    } else {
+                        v
+                    },
+                ),
+            });
         }
+        Ok(ZoneMapSynopsis {
+            column,
+            bounds: bounds.map(|(lo, hi)| (lo.to_value(), hi.to_value())),
+            row_count,
+            bad_records,
+        })
     }
 
     /// The summarized 0-based column.
@@ -220,36 +255,47 @@ impl BloomSynopsis {
     /// Builds the filter from a column's (parsed) values, sized at
     /// ~`BLOOM_BITS_PER_ROW` bits per row.
     pub fn build(column: usize, values: &[Value], bad_records: usize) -> BloomSynopsis {
-        let bits = (values.len() * BLOOM_BITS_PER_ROW).max(BLOOM_MIN_BITS);
-        let words = bits.div_ceil(64);
-        let mut filter = BloomSynopsis {
+        infallible(Self::from_refs(
             column,
-            bits: vec![0u64; words],
-            row_count: values.len(),
+            values.iter().map(|v| Ok(v.as_ref())),
             bad_records,
-        };
-        for v in values {
-            filter.insert(v);
-        }
-        filter
+        ))
     }
 
-    fn probes(&self, v: &Value) -> impl Iterator<Item = usize> + '_ {
-        let bytes = v.to_string().into_bytes();
-        let h1 = fnv1a(&bytes);
+    /// Builds the filter from a column's values as a reader hands them
+    /// out — borrowed from their block, each read fallible. The set bits
+    /// do not depend on row order, so one filter serves every replica of
+    /// a block.
+    pub fn from_refs<'a, E>(
+        column: usize,
+        values: impl ExactSizeIterator<Item = std::result::Result<ValueRef<'a>, E>>,
+        bad_records: usize,
+    ) -> std::result::Result<BloomSynopsis, E> {
+        let row_count = values.len();
+        let bits = (row_count * BLOOM_BITS_PER_ROW).max(BLOOM_MIN_BITS);
+        let mut filter = BloomSynopsis {
+            column,
+            bits: vec![0u64; bits.div_ceil(64)],
+            row_count,
+            bad_records,
+        };
+        let mut scratch = String::new();
+        for v in values {
+            for bit in filter.probes(fnv1a(display_str(v?, &mut scratch).as_bytes())) {
+                filter.bits[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        Ok(filter)
+    }
+
+    /// The bit positions of a value whose display string hashes to `h1`.
+    fn probes(&self, h1: u64) -> impl Iterator<Item = usize> {
         // A second independent base hash: re-fold the first through
         // FNV-1a and force it odd so every probe stride visits all
         // word offsets.
         let h2 = fnv1a(&h1.to_le_bytes()) | 1;
         let m = (self.bits.len() * 64) as u64;
         (0..BLOOM_HASHES as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
-    }
-
-    fn insert(&mut self, v: &Value) {
-        let positions: Vec<usize> = self.probes(v).collect();
-        for bit in positions {
-            self.bits[bit / 64] |= 1 << (bit % 64);
-        }
     }
 
     /// The summarized 0-based column.
@@ -273,8 +319,10 @@ impl BloomSynopsis {
         if self.row_count == 0 {
             return false;
         }
-        self.probes(v)
-            .all(|bit| self.bits[bit / 64] & (1 << (bit % 64)) != 0)
+        self.probes(fnv1a(
+            display_str(v.as_ref(), &mut String::new()).as_bytes(),
+        ))
+        .all(|bit| self.bits[bit / 64] & (1 << (bit % 64)) != 0)
     }
 
     /// Serialized size in bytes.

@@ -36,7 +36,121 @@ pub const PAX_MAGIC: u32 = 0x4C49_4148;
 /// Current format version.
 pub const PAX_VERSION: u8 = 1;
 
+/// Writes a block front to back — header, a directory patched at the end,
+/// then one region after the other — so that the layout above is spelled
+/// out once for [`encode_block`], the builder and the sort gather.
+pub(crate) struct BlockWriter {
+    buf: Vec<u8>,
+    dir_pos: usize,
+    /// Finished regions, in order: the columns, then the bad section.
+    directory: Vec<(usize, usize)>,
+    /// Where the open region starts.
+    region_start: usize,
+    row_count: usize,
+    partition_size: usize,
+    bad_count: usize,
+}
+
+impl BlockWriter {
+    /// Starts a block whose regions will take `body_len` bytes in all.
+    pub(crate) fn new(
+        schema: &Schema,
+        row_count: usize,
+        partition_size: usize,
+        bad_count: usize,
+        body_len: usize,
+    ) -> Result<BlockWriter> {
+        let partition_size_u32 = u32::try_from(partition_size)
+            .ok()
+            .filter(|&p| p > 0)
+            .ok_or_else(|| HailError::Schema("partition size must be a positive u32".into()))?;
+        let names: usize = schema.fields().iter().map(|f| 3 + f.name.len()).sum();
+        let dir_pos = 4 + 1 + 2 + names + 12;
+        let head_len = dir_pos + (schema.len() + 1) * 8;
+        let mut buf = Vec::with_capacity(head_len + body_len);
+        put_u32(&mut buf, PAX_MAGIC);
+        buf.push(PAX_VERSION);
+        buf.extend_from_slice(&(schema.len() as u16).to_le_bytes());
+        for f in schema.fields() {
+            buf.push(f.data_type.tag());
+            put_str(&mut buf, &f.name)?;
+        }
+        // Neither count exceeds the block's size, which `finish` holds
+        // to a u32.
+        put_u32(&mut buf, row_count as u32);
+        put_u32(&mut buf, partition_size_u32);
+        put_u32(&mut buf, bad_count as u32);
+        debug_assert_eq!(buf.len(), dir_pos);
+        buf.resize(head_len, 0);
+        Ok(BlockWriter {
+            buf,
+            dir_pos,
+            directory: Vec::with_capacity(schema.len() + 1),
+            region_start: head_len,
+            row_count,
+            partition_size,
+            bad_count,
+        })
+    }
+
+    /// The bytes written so far; the open region is their tail.
+    pub(crate) fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Closes the open region: everything written since the last one.
+    pub(crate) fn end_region(&mut self) {
+        self.directory
+            .push((self.region_start, self.buf.len() - self.region_start));
+        self.region_start = self.buf.len();
+    }
+
+    /// Writes the finished regions' offsets and lengths into the
+    /// directory.
+    fn patch_directory(&mut self) -> Result<()> {
+        // Every offset, length and count of the format is a u32, and
+        // none of them exceeds the block's size.
+        if u32::try_from(self.buf.len()).is_err() {
+            return Err(HailError::Schema(
+                "block too large for the PAX format".into(),
+            ));
+        }
+        for (i, &(off, len)) in self.directory.iter().enumerate() {
+            let at = self.dir_pos + i * 8;
+            self.buf[at..at + 4].copy_from_slice(&(off as u32).to_le_bytes());
+            self.buf[at + 4..at + 8].copy_from_slice(&(len as u32).to_le_bytes());
+        }
+        Ok(())
+    }
+
+    /// The finished block's bytes.
+    fn into_bytes(mut self) -> Result<Bytes> {
+        self.patch_directory()?;
+        Ok(Bytes::from(self.buf))
+    }
+
+    /// The finished block, without parsing back what was just written:
+    /// the caller vouches that the regions hold `row_count` values each
+    /// and `bad_count` terminated records, as [`PaxBlock::parse`] checks.
+    pub(crate) fn into_block(mut self, schema: Schema) -> Result<PaxBlock> {
+        debug_assert_eq!(self.directory.len(), schema.len() + 1);
+        self.patch_directory()?;
+        Ok(PaxBlock {
+            schema,
+            row_count: self.row_count,
+            partition_size: self.partition_size,
+            bad_count: self.bad_count,
+            directory: self.directory,
+            bytes: Bytes::from(self.buf),
+        })
+    }
+}
+
 /// Serializes columns + bad records into the PAX block format.
+///
+/// The naive encoder, from fully decoded columns: the upload and rewrite
+/// paths write their bytes directly ([`crate::builder`],
+/// [`crate::reorg`]) and are tested against this one.
 pub fn encode_block(
     schema: &Schema,
     columns: &[ColumnData],
@@ -66,34 +180,9 @@ pub fn encode_block(
             )));
         }
     }
-    if partition_size == 0 {
-        return Err(HailError::Schema("partition size must be positive".into()));
-    }
-
-    // --- header ---
-    let mut buf = Vec::new();
-    put_u32(&mut buf, PAX_MAGIC);
-    buf.push(PAX_VERSION);
-    buf.extend_from_slice(&(schema.len() as u16).to_le_bytes());
-    for f in schema.fields() {
-        buf.push(f.data_type.tag());
-        put_str(&mut buf, &f.name)?;
-    }
-    put_u32(&mut buf, row_count as u32);
-    put_u32(&mut buf, partition_size as u32);
-    put_u32(&mut buf, bad_records.len() as u32);
-
-    // Column directory placeholder, patched below.
-    let dir_pos = buf.len();
-    for _ in 0..schema.len() + 1 {
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, 0);
-    }
-
-    // --- columns ---
-    let mut dir: Vec<(u32, u32)> = Vec::with_capacity(schema.len() + 1);
+    let mut w = BlockWriter::new(schema, row_count, partition_size, bad_records.len(), 0)?;
     for col in columns {
-        let start = buf.len();
+        let buf = w.buf();
         match col {
             ColumnData::Int(v) | ColumnData::Date(v) => {
                 for x in v {
@@ -113,18 +202,12 @@ pub fn encode_block(
             ColumnData::Str(v) => {
                 // Sparse offset list: one entry per partition, relative to
                 // the start of the value data.
-                let n_parts = v.len().div_ceil(partition_size);
-                let mut offsets = Vec::with_capacity(n_parts);
                 let mut pos = 0u32;
                 for (i, s) in v.iter().enumerate() {
                     if i % partition_size == 0 {
-                        offsets.push(pos);
+                        put_u32(buf, pos);
                     }
                     pos += s.len() as u32 + 1;
-                }
-                debug_assert_eq!(offsets.len(), n_parts);
-                for off in offsets {
-                    put_u32(&mut buf, off);
                 }
                 for s in v {
                     buf.extend_from_slice(s.as_bytes());
@@ -132,25 +215,14 @@ pub fn encode_block(
                 }
             }
         }
-        dir.push((start as u32, (buf.len() - start) as u32));
+        w.end_region();
     }
-
-    // --- bad section ---
-    let bad_start = buf.len();
     for line in bad_records {
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(0);
+        w.buf().extend_from_slice(line.as_bytes());
+        w.buf().push(0);
     }
-    dir.push((bad_start as u32, (buf.len() - bad_start) as u32));
-
-    // Patch directory.
-    for (i, (off, len)) in dir.iter().enumerate() {
-        let at = dir_pos + i * 8;
-        buf[at..at + 4].copy_from_slice(&off.to_le_bytes());
-        buf[at + 4..at + 8].copy_from_slice(&len.to_le_bytes());
-    }
-
-    Ok(Bytes::from(buf))
+    w.end_region();
+    w.into_bytes()
 }
 
 /// A parsed PAX block: header fields plus a shared handle on the raw
@@ -457,11 +529,15 @@ impl PaxBlock {
         self.reconstruct(row, &all)
     }
 
+    /// The bad section: `bad_count` raw lines, each zero-terminated.
+    pub(crate) fn bad_section(&self) -> &[u8] {
+        let (off, len) = self.directory[self.schema.len()];
+        &self.bytes[off..off + len]
+    }
+
     /// The raw bad-record lines stored in the bad section.
     pub fn bad_records(&self) -> Result<Vec<String>> {
-        let (off, len) = *self.directory.last().unwrap();
-        let slice = &self.bytes[off..off + len];
-        let mut r = ByteReader::new(slice);
+        let mut r = ByteReader::new(self.bad_section());
         let mut out = Vec::with_capacity(self.bad_count);
         for _ in 0..self.bad_count {
             let bytes = r.cstr()?;
@@ -685,6 +761,8 @@ mod tests {
                 let _ = b.partition_scan_bytes(&[col], first, partitions - 1);
             }
             let _ = b.partition_scan_bytes(&[col], 0, partitions);
+            // The write path reads blocks back too (`rewrite_replica`).
+            let _ = crate::reorg::sort_block(b, col);
         }
         let _ = b.bad_records();
     }
@@ -751,6 +829,41 @@ mod tests {
                     read_everything(&b);
                 }
             }
+        }
+    }
+
+    /// What only a walk over the values can find is still found by the
+    /// sort gather, as `Corrupt`: a varchar region with a terminator
+    /// missing, invalid UTF-8 in a value — of the key column or any
+    /// other — and the same in the bad section.
+    #[test]
+    fn sort_block_rejects_damaged_values() {
+        use crate::reorg::sort_block;
+        let rows: Vec<String> = (0..9)
+            .map(|i| format!("host{i}|1999-01-0{}|1.0|{i}", 9 - i))
+            .collect();
+        let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let good = build(&refs, &["bad", "worse"], 4);
+        assert!((0..4).all(|col| sort_block(&good, col).is_ok()));
+        let damaged = |needle: &[u8], with: u8| {
+            let mut raw = good.bytes().to_vec();
+            let at = raw.windows(needle.len()).position(|w| w == needle).unwrap();
+            raw[at + needle.len() - 1] = with;
+            PaxBlock::parse(Bytes::from(raw)).unwrap()
+        };
+        for block in [
+            damaged(b"host8\0", b'!'),
+            damaged(b"host3", 0xFF),
+            damaged(b"worse\0", b'!'),
+            damaged(b"bad", 0xC3),
+        ] {
+            for col in 0..4 {
+                assert!(
+                    matches!(sort_block(&block, col), Err(HailError::Corrupt(_))),
+                    "sorted on column {col}"
+                );
+            }
+            read_everything(&block);
         }
     }
 

@@ -6,10 +6,72 @@
 //! constant number of bytes. Each block's rows are parsed against the
 //! user schema; rows that fail to parse become bad records inside the same
 //! block.
+//!
+//! The builder keeps no row and no string: a line's fields are split and
+//! validated once, each appended in its binary form to one byte buffer
+//! per column as it is validated (a line that turns out bad is cut off
+//! the buffers again), and [`PaxBlockBuilder::finish`] stitches the
+//! buffers into the block. The route over owned values —
+//! [`hail_types::parse_line`] → [`ColumnData`](crate::ColumnData) →
+//! [`encode_block`](crate::encode_block) — is what it is tested against:
+//! same good/bad split, same bytes.
 
-use crate::block::{encode_block, PaxBlock};
-use crate::column::ColumnData;
-use hail_types::{parse_line, ParsedRecord, Result, Row, Schema, StorageConfig};
+use crate::block::{BlockWriter, PaxBlock};
+use hail_types::{DataType, HailError, Result, Row, Schema, StorageConfig, Value};
+
+/// One column of the block under construction, already in its on-disk
+/// form.
+#[derive(Debug, Default)]
+struct ColumnBuf {
+    /// Fixed width: the dense values. Varchar: `value ++ 0` per row.
+    values: Vec<u8>,
+    /// How much of `values` belongs to whole rows; what lies behind is
+    /// the row being appended.
+    committed: usize,
+    /// Varchar only: where every `partition_size`-th row starts.
+    sparse_offsets: Vec<u32>,
+}
+
+impl ColumnBuf {
+    /// Validates one field of a text line as [`Value::parse`] does and
+    /// appends it. The caller has ruled out NUL, so every varchar token
+    /// is valid.
+    fn push_token(&mut self, token: &str, data_type: DataType) -> bool {
+        if data_type == DataType::VarChar {
+            self.push_str(token);
+            return true;
+        }
+        match Value::parse(token, data_type) {
+            Ok(value) => {
+                self.push_value(&value);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    fn push_value(&mut self, value: &Value) {
+        match value {
+            Value::Int(v) | Value::Date(v) => self.values.extend_from_slice(&v.to_le_bytes()),
+            Value::Long(v) => self.values.extend_from_slice(&v.to_le_bytes()),
+            Value::Float(v) => self.values.extend_from_slice(&v.to_bits().to_le_bytes()),
+            Value::Str(s) => self.push_str(s),
+        }
+    }
+
+    fn push_str(&mut self, value: &str) {
+        self.values.extend_from_slice(value.as_bytes());
+        self.values.push(0);
+    }
+
+    /// Makes the appended value a row of the column.
+    fn commit(&mut self, data_type: DataType, starts_partition: bool) {
+        if starts_partition && data_type == DataType::VarChar {
+            self.sparse_offsets.push(self.committed as u32);
+        }
+        self.committed = self.values.len();
+    }
+}
 
 /// Accumulates parsed rows until a block is full, then serializes a
 /// [`PaxBlock`].
@@ -17,8 +79,10 @@ use hail_types::{parse_line, ParsedRecord, Result, Row, Schema, StorageConfig};
 pub struct PaxBlockBuilder {
     schema: Schema,
     config: StorageConfig,
-    columns: Vec<ColumnData>,
-    bad: Vec<String>,
+    columns: Vec<ColumnBuf>,
+    /// The bad section: raw lines, each zero-terminated.
+    bad: Vec<u8>,
+    bad_count: usize,
     row_count: usize,
     /// Bytes of *original text* consumed so far — the fullness criterion,
     /// so HAIL's logical blocks cover the same data range as HDFS blocks
@@ -31,13 +95,14 @@ impl PaxBlockBuilder {
         let columns = schema
             .fields()
             .iter()
-            .map(|f| ColumnData::new(f.data_type))
+            .map(|_| ColumnBuf::default())
             .collect();
         PaxBlockBuilder {
             schema,
             config,
             columns,
             bad: Vec::new(),
+            bad_count: 0,
             row_count: 0,
             text_bytes: 0,
         }
@@ -50,7 +115,7 @@ impl PaxBlockBuilder {
 
     /// Number of bad records currently buffered.
     pub fn bad_count(&self) -> usize {
-        self.bad.len()
+        self.bad_count
     }
 
     /// True once the accumulated original-text volume reaches the
@@ -61,58 +126,114 @@ impl PaxBlockBuilder {
 
     /// True if nothing has been buffered.
     pub fn is_empty(&self) -> bool {
-        self.row_count == 0 && self.bad.is_empty()
+        self.row_count == 0 && self.bad_count == 0
     }
 
     /// Parses one text line (without trailing newline) and buffers it as a
     /// good row or bad record.
+    ///
+    /// A line containing NUL is an error, not a bad record: values and
+    /// bad records are stored zero-terminated, so the block could not
+    /// give the line back.
     pub fn push_line(&mut self, line: &str) -> Result<()> {
-        self.text_bytes += line.len() + 1;
-        match parse_line(line, &self.schema, self.config.delimiter) {
-            ParsedRecord::Good(row) => self.push_parsed(row),
-            ParsedRecord::Bad { line, .. } => {
-                self.bad.push(line);
-                Ok(())
-            }
+        if line.as_bytes().contains(&0) {
+            return Err(HailError::BadRecord {
+                line: line.to_string(),
+                reason: "line contains NUL, which a zero-terminated PAX block cannot store".into(),
+            });
         }
+        self.text_bytes += line.len() + 1;
+        // Field-count mismatches and per-field parse failures both make
+        // the line a bad record, as in `hail_types::parse_line`.
+        let mut tokens = line.split(self.config.delimiter);
+        let good = (self.columns.iter_mut().zip(self.schema.fields())).all(|(column, field)| {
+            tokens
+                .next()
+                .is_some_and(|token| column.push_token(token, field.data_type))
+        }) && tokens.next().is_none();
+        if good {
+            self.commit_row();
+        } else {
+            for column in &mut self.columns {
+                column.values.truncate(column.committed);
+            }
+            self.bad.extend_from_slice(line.as_bytes());
+            self.bad.push(0);
+            self.bad_count += 1;
+        }
+        Ok(())
+    }
+
+    fn commit_row(&mut self) {
+        let starts_partition = self
+            .row_count
+            .is_multiple_of(self.config.index_partition_size);
+        for (column, field) in self.columns.iter_mut().zip(self.schema.fields()) {
+            column.commit(field.data_type, starts_partition);
+        }
+        self.row_count += 1;
     }
 
     /// Buffers an already-parsed row (used by generators that skip the
     /// text round trip; text size is estimated from the row).
     pub fn push_row(&mut self, row: Row) -> Result<()> {
-        self.text_bytes += row.text_len();
-        self.push_parsed(row)
-    }
-
-    fn push_parsed(&mut self, row: Row) -> Result<()> {
-        for (col, value) in self.columns.iter_mut().zip(row.values()) {
-            col.push(value)?;
+        if row.len() != self.schema.len() {
+            return Err(HailError::Schema(format!(
+                "row of {} values for schema of {} fields",
+                row.len(),
+                self.schema.len()
+            )));
         }
-        self.row_count += 1;
+        for (value, field) in row.values().iter().zip(self.schema.fields()) {
+            if value.data_type() != field.data_type {
+                return Err(HailError::Schema(format!(
+                    "cannot push {} value into {} column",
+                    value.data_type(),
+                    field.data_type
+                )));
+            }
+            if value.as_str().is_some_and(|s| s.as_bytes().contains(&0)) {
+                return Err(HailError::Schema("VARCHAR may not contain NUL".into()));
+            }
+        }
+        self.text_bytes += row.text_len();
+        for (column, value) in self.columns.iter_mut().zip(row.values()) {
+            column.push_value(value);
+        }
+        self.commit_row();
         Ok(())
     }
 
     /// Serializes the buffered rows into a PAX block and resets the
     /// builder for the next block.
     pub fn finish(&mut self) -> Result<PaxBlock> {
-        let columns = std::mem::replace(
-            &mut self.columns,
-            self.schema
-                .fields()
+        let body_len = self.bad.len()
+            + self
+                .columns
                 .iter()
-                .map(|f| ColumnData::new(f.data_type))
-                .collect(),
-        );
-        let bad = std::mem::take(&mut self.bad);
-        self.row_count = 0;
-        self.text_bytes = 0;
-        let bytes = encode_block(
+                .map(|c| c.sparse_offsets.len() * 4 + c.values.len())
+                .sum::<usize>();
+        let mut w = BlockWriter::new(
             &self.schema,
-            &columns,
-            &bad,
+            self.row_count,
             self.config.index_partition_size,
+            self.bad_count,
+            body_len,
         )?;
-        PaxBlock::parse(bytes)
+        for column in &mut self.columns {
+            for offset in column.sparse_offsets.drain(..) {
+                w.buf().extend_from_slice(&offset.to_le_bytes());
+            }
+            w.buf().append(&mut column.values);
+            column.committed = 0;
+            w.end_region();
+        }
+        w.buf().append(&mut self.bad);
+        w.end_region();
+        self.row_count = 0;
+        self.bad_count = 0;
+        self.text_bytes = 0;
+        w.into_block(self.schema.clone())
     }
 }
 
@@ -142,7 +263,7 @@ pub fn blocks_from_text(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hail_types::{DataType, Field, Value};
+    use hail_types::{DataType, Field};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -199,6 +320,36 @@ mod tests {
         let bad = b.bad_records().unwrap();
         assert!(bad.contains(&"bad-line-no-delim".to_string()));
         assert!(bad.contains(&"another|x".to_string()));
+    }
+
+    /// Values and bad records are stored zero-terminated, so a line with
+    /// a NUL cannot be stored as either: it used to be cut in two at the
+    /// NUL inside the bad section, silently losing the record after it.
+    #[test]
+    fn line_with_nul_is_an_error_naming_the_line() {
+        let cfg = StorageConfig::test_scale(1 << 20);
+        // Inside a varchar field of an otherwise good line, and inside a
+        // line that is malformed anyway.
+        for (text, culprit) in [
+            ("a|1\nb\0c|2\nd|3\n", "b\0c|2"),
+            ("a|1\nxx\0yy|zz|q\nb|2\n", "xx\0yy|zz|q"),
+            ("a|1\0\n", "a|1\0"),
+        ] {
+            match blocks_from_text(text, &schema(), &cfg) {
+                Err(HailError::BadRecord { line, .. }) => assert_eq!(line, culprit),
+                other => panic!("expected a BadRecord error, got {other:?}"),
+            }
+        }
+        // NUL-free input is stored as before, bad records and all.
+        let blocks = blocks_from_text("1|a\nxx|zz|q\nw|3\n", &schema(), &cfg).unwrap();
+        assert_eq!(blocks[0].bad_records().unwrap(), ["1|a", "xx|zz|q"]);
+        assert_eq!(blocks[0].row_count(), 1);
+
+        let mut builder = PaxBlockBuilder::new(schema(), cfg);
+        let row = Row::new(vec![Value::Str("a\0b".into()), Value::Int(1)]);
+        assert!(builder.push_row(row).is_err());
+        assert!(builder.push_row(Row::new(vec![Value::Int(1)])).is_err());
+        assert!(builder.is_empty());
     }
 
     #[test]

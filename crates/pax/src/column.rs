@@ -1,14 +1,14 @@
-//! In-memory column representations used while building, sorting and
-//! re-encoding PAX blocks.
+//! Decoded, typed column vectors: the naive in-memory form of a PAX block.
+//!
+//! The upload and rewrite paths no longer pass through it — the builder
+//! appends binary values to byte buffers and the sort gathers serialized
+//! cells ([`crate::builder`], [`crate::reorg`]). It stays as the public
+//! decoded view of a column and as the reference those kernels are tested
+//! against.
 
 use hail_types::{DataType, HailError, Result, Value};
 
 /// A fully decoded column: one dense, typed vector.
-///
-/// This is the working representation the upload pipeline sorts and
-/// permutes in main memory — the paper's observation is that a whole block
-/// (64 MB–1 GB) comfortably fits in RAM, so we never sort on serialized
-/// bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     Int(Vec<i32>),

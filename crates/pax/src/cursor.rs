@@ -150,6 +150,45 @@ impl<'a> ColumnCursor<'a> {
     }
 }
 
+/// Where each of the first `rows` zero-terminated values of `values`
+/// starts, and where the last of them ends: `rows + 1` offsets, one pass
+/// over the bytes, eight per step. Fewer terminators than rows is
+/// corruption.
+pub(crate) fn row_starts(values: &[u8], rows: usize) -> Result<Vec<u32>> {
+    // A count read from disk: no more values than bytes to hold them.
+    let mut starts = Vec::with_capacity(rows.min(values.len()) + 1);
+    starts.push(0u32);
+    let mut words = values.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        if starts.len() > rows {
+            return Ok(starts);
+        }
+        let word = u64::from_le_bytes(
+            word.try_into()
+                .expect("chunks_exact(8) yields 8-byte chunks"),
+        );
+        let mut zeros = zero_bytes(word);
+        while zeros != 0 && starts.len() <= rows {
+            starts.push((base + zeros.trailing_zeros() as usize / 8 + 1) as u32);
+            zeros &= zeros - 1;
+        }
+        base += 8;
+    }
+    for (i, &b) in words.remainder().iter().enumerate() {
+        if b == 0 && starts.len() <= rows {
+            starts.push((base + i + 1) as u32);
+        }
+    }
+    if starts.len() <= rows {
+        return Err(HailError::Corrupt(format!(
+            "{} zero-terminated values where {rows} are expected",
+            starts.len() - 1
+        )));
+    }
+    Ok(starts)
+}
+
 /// Bit 7 of every byte of `word` that is zero, and no other bit.
 #[inline]
 fn zero_bytes(word: u64) -> u64 {

@@ -6,8 +6,10 @@
 //! - [`block`] — the serialized PAX block format and its reader
 //! - [`cursor`] — forward per-column cursors for the scan kernel
 //! - [`builder`] — content-aware block building (never split a row)
-//! - [`column`](mod@column) — decoded, typed column vectors used for sorting
-//! - [`reorg`] — sort permutations and per-replica block rewriting
+//! - [`column`](mod@column) — decoded, typed column vectors: the naive form
+//!   the byte-level write path is tested against
+//! - [`reorg`] — per-replica block rewriting: a byte-level sort gather over
+//!   row offsets located once per block
 //! - [`checksum`] — CRC-32 chunks, packets, and checksum files
 
 #![forbid(unsafe_code)]
@@ -27,4 +29,4 @@ pub use checksum::{
 };
 pub use column::ColumnData;
 pub use cursor::ColumnCursor;
-pub use reorg::{is_sorted_on, sort_block, sort_permutation};
+pub use reorg::{is_sorted_on, sort_block, sort_permutation, BlockRows};

@@ -228,15 +228,41 @@ impl std::hash::Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Long(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Date(v) => {
-                let (y, m, d) = date_from_days(*v);
-                write!(f, "{y:04}-{m:02}-{d:02}")
+        self.as_ref().fmt(f)
+    }
+}
+
+/// The text form of a value — what it looked like in the uploaded line,
+/// and the string the Bloom filter and the bitmap index key on.
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ValueRef::Int(v) => write!(f, "{v}"),
+            ValueRef::Long(v) => write!(f, "{v}"),
+            ValueRef::Float(v) => write!(f, "{v}"),
+            ValueRef::Date(v) => {
+                let (y, m, d) = date_from_days(v);
+                match u32::try_from(y) {
+                    Ok(y @ 0..=9999) => {
+                        let digit = |n: u32| b'0' + (n % 10) as u8;
+                        let text = [
+                            digit(y / 1000),
+                            digit(y / 100),
+                            digit(y / 10),
+                            digit(y),
+                            b'-',
+                            digit(m / 10),
+                            digit(m),
+                            b'-',
+                            digit(d / 10),
+                            digit(d),
+                        ];
+                        f.write_str(std::str::from_utf8(&text).expect("ASCII digits and dashes"))
+                    }
+                    _ => write!(f, "{y:04}-{m:02}-{d:02}"),
+                }
             }
-            Value::Str(s) => f.write_str(s),
+            ValueRef::Str(s) => f.write_str(s),
         }
     }
 }
@@ -290,31 +316,23 @@ pub fn days_from_ymd(year: i32, month: u32, day: u32) -> Option<i32> {
 }
 
 /// Inverse of [`days_from_ymd`]: converts days-since-epoch back to
-/// `(year, month, day)`.
+/// `(year, month, day)`, in constant time — every Bloom insert and bitmap
+/// key of a date column formats one.
 pub fn date_from_days(days: i32) -> (i32, u32, u32) {
-    let mut remaining = days as i64 + DAYS_FROM_CE_TO_EPOCH;
-    // 400-year cycles of 146097 days keep this O(1)-ish.
-    let cycles = remaining.div_euclid(146_097);
-    remaining = remaining.rem_euclid(146_097);
-    let mut year = (cycles * 400 + 1) as i32;
-    loop {
-        let len = if is_leap(year) { 366 } else { 365 };
-        if remaining < len {
-            break;
-        }
-        remaining -= len;
-        year += 1;
-    }
-    let mut month = 1u32;
-    loop {
-        let len = days_in_month(year, month) as i64;
-        if remaining < len {
-            break;
-        }
-        remaining -= len;
-        month += 1;
-    }
-    (year, month, remaining as u32 + 1)
+    // Count from 0000-03-01, so that the leap day is the last day of a
+    // year and of every 4-, 100- and 400-year cycle.
+    let z = days as i64 + DAYS_FROM_CE_TO_EPOCH + 306;
+    let era = z.div_euclid(146_097);
+    let day_of_era = z.rem_euclid(146_097);
+    let year_of_era =
+        (day_of_era - day_of_era / 1_460 + day_of_era / 36_524 - day_of_era / 146_096) / 365;
+    let day_of_year = day_of_era - (365 * year_of_era + year_of_era / 4 - year_of_era / 100);
+    // Months from March: 153 days to every five of them.
+    let month_from_march = (5 * day_of_year + 2) / 153;
+    let day = day_of_year - (153 * month_from_march + 2) / 5 + 1;
+    let month = (month_from_march + 2) % 12 + 1;
+    let year = year_of_era + era * 400 + (month <= 2) as i64;
+    (year as i32, month as u32, day as u32)
 }
 
 #[cfg(test)]
@@ -384,6 +402,71 @@ mod tests {
             let days = parse_date(s).unwrap();
             assert_eq!(Value::Date(days).to_string(), s);
         }
+    }
+
+    /// The year-by-year, month-by-month walk `date_from_days` replaced.
+    fn date_from_days_walking(days: i32) -> (i32, u32, u32) {
+        let mut remaining = days as i64 + DAYS_FROM_CE_TO_EPOCH;
+        let cycles = remaining.div_euclid(146_097);
+        remaining = remaining.rem_euclid(146_097);
+        let mut year = (cycles * 400 + 1) as i32;
+        loop {
+            let len = if is_leap(year) { 366 } else { 365 };
+            if remaining < len {
+                break;
+            }
+            remaining -= len;
+            year += 1;
+        }
+        let mut month = 1u32;
+        loop {
+            let len = days_in_month(year, month) as i64;
+            if remaining < len {
+                break;
+            }
+            remaining -= len;
+            month += 1;
+        }
+        (year, month, remaining as u32 + 1)
+    }
+
+    #[test]
+    fn date_from_days_inverts_days_from_ymd_for_every_day() {
+        let first = days_from_ymd(1, 1, 1).unwrap();
+        let last = days_from_ymd(9999, 12, 31).unwrap();
+        assert_eq!((first, last), (-719_162, 2_932_896));
+        let mut expected = (1, 1, 1);
+        for days in first..=last {
+            let (y, m, d) = date_from_days(days);
+            assert_eq!((y, m, d), expected, "day {days}");
+            assert_eq!(days_from_ymd(y, m, d), Some(days));
+            expected = if d < days_in_month(y, m) {
+                (y, m, d + 1)
+            } else if m < 12 {
+                (y, m + 1, 1)
+            } else {
+                (y + 1, 1, 1)
+            };
+        }
+    }
+
+    /// Outside the years a date can be parsed into, the display form
+    /// still is what it was.
+    #[test]
+    fn date_from_days_agrees_with_the_calendar_walk_out_of_range() {
+        let far = (i32::MIN..=i32::MAX).step_by(999_983);
+        let near = -800_000..-700_000;
+        let late = 2_900_000..3_000_000;
+        for days in far.chain(near).chain(late) {
+            assert_eq!(
+                date_from_days(days),
+                date_from_days_walking(days),
+                "day {days}"
+            );
+        }
+        assert_eq!(Value::Date(-719_163).to_string(), "0000-12-31");
+        assert_eq!(Value::Date(2_932_897).to_string(), "10000-01-01");
+        assert_eq!(Value::Date(-1_000_000).to_string(), "-768-02-04");
     }
 
     #[test]
