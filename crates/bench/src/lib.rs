@@ -1,24 +1,22 @@
 //! # hail-bench
 //!
-//! The experiment harness: every table and figure of the paper's §6 has
-//! a bench target under `benches/` that prints a paper-vs-measured
-//! report, plus repo-grown targets such as `planning_overhead` (the
-//! stateless planner vs the warm fingerprinted plan cache).
+//! The experiment harness. Two programs drive it:
+//! `benches/paper_figures.rs` prints every table and figure of the
+//! paper's §6 (plus the §3 ablations) next to the paper's numbers and
+//! asserts their shape, and the `hail-bench` suite (`src/bin/hail-bench`)
+//! is the fixed end-to-end + per-layer benchmark.
 //!
 //! - [`setup`] — scaled testbeds, per-system upload, query execution
-//! - [`report`] — table rendering
 //! - [`paper`] — the paper's reported numbers, transcribed
 
 #![forbid(unsafe_code)]
 
 pub mod paper;
-pub mod report;
 pub mod setup;
 
-pub use report::{json_mode, BenchSummary, Report, ReportRow};
 pub use setup::{
-    make_shared_format, run_adaptive_workload, run_queries_managed, run_query, run_query_at,
+    make_shared_format, run_adaptive_workload, run_queries_managed, run_query,
     run_query_overlapped, run_query_with_failure, setup_hadoop, setup_hail, setup_hail_with_config,
-    setup_hpp, syn_testbed, uv_testbed, AdaptiveRun, BatchSummary, ExperimentScale, ManagedBatch,
-    ReindexEvent, SharedJobInfra, SystemSetup, Testbed, LOGICAL_BLOCK,
+    setup_hpp, syn_testbed, uv_testbed, AdaptiveRun, ExperimentScale, SharedJobInfra, SystemSetup,
+    Testbed, LOGICAL_BLOCK,
 };

@@ -1,5 +1,6 @@
 //! The paper's reported numbers, transcribed from the figures and tables
-//! of §6. Bench targets print these next to measured values.
+//! of §6. `benches/paper_figures.rs` prints them next to measured values;
+//! the `hail-bench` suite scores three of them (`sim.paper_rel_err_*`).
 
 /// Fig. 4(a): UserVisits upload seconds by number of created indexes.
 pub mod fig4a {

@@ -254,24 +254,7 @@ pub fn run_query(
     run_map_job(&setup.cluster, spec, &job)
 }
 
-/// [`run_query`] with an explicit intra-split executor parallelism:
-/// each task's independent block reads fan out across this many
-/// workers. Results and simulated times are identical at any setting;
-/// only the measured `reader_wall_seconds` changes.
-pub fn run_query_at(
-    setup: &SystemSetup,
-    spec: &ClusterSpec,
-    query: &HailQuery,
-    hail_splitting: bool,
-    parallelism: usize,
-) -> Result<JobRun> {
-    let format = make_format(setup, spec, query, hail_splitting);
-    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), &format)
-        .with_parallelism(parallelism);
-    run_map_job(&setup.cluster, spec, &job)
-}
-
-/// [`run_query_at`] with an explicit *job-level* overlap as well: up to
+/// [`run_query`] with explicit executor parallelism: up to
 /// `job_parallelism` whole splits execute concurrently through the
 /// format's work-stealing pool, each fanning its block reads across
 /// `split_parallelism` workers claimed from the shared budget. Results
@@ -386,22 +369,21 @@ pub fn make_shared_format(
 }
 
 /// Batch-level aggregates [`run_queries_managed`] computes over its
-/// runs, so benches and tests stop recomputing percentiles by hand.
+/// runs, so the suite and tests stop recomputing them by hand.
 ///
-/// The queue-wait percentiles use the nearest-rank method over every
+/// The queue-wait median uses the nearest-rank method over every
 /// job's [`hail_mr::JobReport::queue_wait_seconds`]. The sharing
 /// counters aggregate the telemetry-only
 /// [`hail_mr::TaskStats::blocks_read_shared`] /
 /// [`hail_mr::TaskStats::shared_bytes_saved`] fields — which decode
 /// was shared depends on real thread timing, so these (and the wait
-/// percentiles) are **outside** the determinism contract; everything
-/// else in the runs is bit-for-bit reproducible.
+/// median) are **outside** the determinism contract; everything else in
+/// the runs is bit-for-bit reproducible.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchSummary {
     /// Jobs in the batch.
     pub jobs: usize,
     pub queue_wait_p50_seconds: f64,
-    pub queue_wait_p95_seconds: f64,
     /// Block reads served by attaching to another job's decode.
     pub blocks_read_shared: u64,
     /// Simulated disk bytes those attached reads did not re-read.
@@ -409,8 +391,6 @@ pub struct BatchSummary {
     /// Logical block reads requested across all jobs (before pruning
     /// or sharing).
     pub logical_blocks: u64,
-    /// Blocks skipped via synopsis pruning, summed across jobs.
-    pub blocks_pruned: u64,
 }
 
 /// What [`run_queries_managed`] returns: per-query runs in submission
@@ -436,17 +416,15 @@ fn summarize_batch(runs: &[JobRun], logical_blocks: u64) -> BatchSummary {
     BatchSummary {
         jobs: runs.len(),
         queue_wait_p50_seconds: percentile(&mut waits, 50.0),
-        queue_wait_p95_seconds: percentile(&mut waits, 95.0),
         blocks_read_shared: runs.iter().map(|r| r.report.blocks_read_shared()).sum(),
         shared_bytes_saved: runs.iter().map(|r| r.report.shared_bytes_saved()).sum(),
         logical_blocks,
-        blocks_pruned: runs.iter().map(|r| r.report.blocks_pruned()).sum(),
     }
 }
 
 /// Runs many queries as one [`JobManager`] batch over shared multi-job
 /// infrastructure, returning per-query runs in submission order plus
-/// batch aggregates. Failing jobs fail the whole call (the benches and
+/// batch aggregates. Failing jobs fail the whole call (the suite and
 /// tests expect all-success).
 ///
 /// Two pieces of cross-job wiring happen here:

@@ -992,7 +992,8 @@ mod tests {
         assert!(cache.lookup_validated(&shape, b, &nn).is_none());
         cache.insert_validated(&shape, b, BlockFingerprint::of(&nn, b), &nn, plan.clone());
         // Unchanged epoch: hit (the fast path — nothing to observe here
-        // beyond correctness; the planning_overhead bench measures it).
+        // beyond correctness; `hail-bench`'s `exec.plan_warm_us_per_block`
+        // measures it).
         let hit = cache.lookup_validated(&shape, b, &nn).unwrap();
         assert!(hit.cached);
 

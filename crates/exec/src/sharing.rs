@@ -1,9 +1,10 @@
 //! Cooperative scan sharing: one physical decode serves every
 //! concurrent job that wants the same block the same way.
 //!
-//! HAIL's multi-job premise (and the lesson BENCH_7 taught: 4× job
-//! concurrency bought only 1.04× throughput) is that overlapping jobs
-//! should not each pay for their own reads of the same blocks. The
+//! HAIL's multi-job premise (and the lesson of the first multi-job
+//! measurement: 4× job concurrency bought only 1.04× throughput) is
+//! that overlapping jobs should not each pay for their own reads of the
+//! same blocks. The
 //! [`ScanShareRegistry`] is the rendezvous: the first job to want a
 //! `(block, replica, shape)` becomes the **producer** — it decodes the
 //! replica once ([`crate::path::AccessPath::produce_decoded`]) — and

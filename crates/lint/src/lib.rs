@@ -212,34 +212,47 @@ fn utf8_len(first: u8) -> usize {
 
 /// Per-byte mask of `#[cfg(test)]`-gated item regions (brace-tracked
 /// from the attribute's following `{`), computed on stripped source.
+/// A braceless item (`#[cfg(test)] mod tests;`, `#[cfg(test)] use …;`)
+/// ends at its `;`.
 pub fn test_region_mask(stripped: &str) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
     let b = stripped.as_bytes();
     let mut mask = vec![false; b.len()];
     let mut from = 0;
-    while let Some(rel) = stripped[from..].find("#[cfg(test)]") {
+    while let Some(rel) = stripped[from..].find(ATTR) {
         let attr = from + rel;
-        // Find the first `{` after the attribute and brace-match it.
-        let Some(open_rel) = stripped[attr..].find('{') else {
-            break;
-        };
-        let open = attr + open_rel;
-        let mut depth = 0usize;
+        // The item ends where its first `{…}` closes, or at a `;` before
+        // that `{` and outside any `(…)`/`[…]` (not the one in `[u8; 4]`).
+        let (mut nesting, mut depth) = (0usize, 0usize);
         let mut end = b.len();
-        for (k, &c) in b.iter().enumerate().skip(open) {
-            if c == b'{' {
-                depth += 1;
-            } else if c == b'}' {
-                depth -= 1;
-                if depth == 0 {
-                    end = k + 1;
-                    break;
+        for (k, &c) in b.iter().enumerate().skip(attr + ATTR.len()) {
+            let item_ends = match c {
+                b'(' | b'[' => {
+                    nesting += 1;
+                    false
                 }
+                b')' | b']' => {
+                    nesting = nesting.saturating_sub(1);
+                    false
+                }
+                b'{' => {
+                    depth += 1;
+                    false
+                }
+                b'}' => {
+                    depth = depth.saturating_sub(1);
+                    depth == 0
+                }
+                b';' => depth == 0 && nesting == 0,
+                _ => false,
+            };
+            if item_ends {
+                end = k + 1;
+                break;
             }
         }
-        for m in mask.iter_mut().take(end).skip(attr) {
-            *m = true;
-        }
-        from = end.max(attr + 1);
+        mask[attr..end].fill(true);
+        from = end;
     }
     mask
 }

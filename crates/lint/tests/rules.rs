@@ -91,6 +91,28 @@ fn lock_unwrap_fixture_is_caught() {
     assert_eq!(hits.len(), 3, "{violations:?}");
 }
 
+/// `#[cfg(test)] mod tests;` (as `crates/exec/src/kernel.rs` has it)
+/// gates only itself: the next item's body is still checked.
+#[test]
+fn braceless_test_item_does_not_mask_the_next_item() {
+    let f = "pub fn f() { let m = std::sync::Mutex::new(0); }";
+    let count = |src: &str| {
+        let stripped = strip_code(src);
+        let mask = test_region_mask(&stripped);
+        check_no_raw_sync(Path::new("x.rs"), &stripped, &mask).len()
+    };
+    assert_eq!(count(f), 1);
+    for gate in [
+        "#[cfg(test)]\nmod tests;\n\n",
+        "#[cfg(test)]\nuse a::{b, c};\n",
+    ] {
+        assert_eq!(count(&format!("{gate}{f}")), 1, "{gate:?} masked f");
+    }
+    // A `;` inside a type does not end a braced item early.
+    let gated = "#[cfg(test)]\nfn g() -> [u8; 4] { let m = std::sync::Mutex::new(0); [0; 4] }\n";
+    assert_eq!(count(gated), 0);
+}
+
 #[test]
 fn clean_fixture_passes_every_rule() {
     let violations = run_file_rules("clean.rs");

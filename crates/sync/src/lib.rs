@@ -14,7 +14,8 @@
 //! naming **both** locks on an out-of-order or same-rank re-entrant
 //! acquisition. In release builds the checking code is compiled out
 //! entirely (`cfg(debug_assertions)`) and the wrappers are
-//! zero-overhead newtypes over `std::sync` — BENCH_10.json pins that.
+//! zero-overhead newtypes over `std::sync` (`hail-bench`'s
+//! `sync.ordered_mutex_acquire_ns` probe tracks it).
 //!
 //! Poison policy: [`OrderedMutex::acquire`] and the `OrderedRwLock`
 //! accessors recover from poisoning via

@@ -146,11 +146,14 @@ fn repeated_selective_workload_flips_fullscan_to_index() {
     }
 
     // The driver query full-scanned before the boundary and uses the
-    // clustered index — never a FullScan — after it.
+    // clustered index — never a FullScan — after it, and the index makes
+    // its simulated job cheaper.
+    let mut sim_seconds = [Vec::new(), Vec::new()]; // pre-, post-flip
     for (i, job) in run.runs.iter().enumerate() {
         if i % round_size != 0 {
             continue; // only the duration-predicate jobs
         }
+        sim_seconds[usize::from(i >= event.after_job)].push(job.report.end_to_end_seconds);
         let counts = job.report.path_counts();
         if i < event.after_job {
             assert!(
@@ -174,6 +177,11 @@ fn repeated_selective_workload_flips_fullscan_to_index() {
             );
         }
     }
+    let [pre, post] = sim_seconds.map(|s| s.iter().sum::<f64>() / s.len() as f64);
+    assert!(
+        post < pre,
+        "the index must make the simulated job cheaper: {post} vs {pre}"
+    );
 
     // Outputs are identical on both sides of the flip and match the
     // oracle: the rewrite changed layout, never data.
