@@ -309,7 +309,7 @@ fn make_format(
 /// every job plans against the same read-only snapshot, and the write
 /// order is fixed by submission rather than by completion races — so
 /// outputs, reports, and the post-batch feedback state are bit-for-bit
-/// identical at every `HAIL_MAX_CONCURRENT_JOBS`. Use
+/// identical at every `JobManager` concurrency. Use
 /// [`SharedJobInfra::without_shared_feedback`] to opt out and plan
 /// from the static prior alone.
 pub struct SharedJobInfra {
@@ -515,8 +515,8 @@ pub struct AdaptiveRun {
 /// hybrid, and no admitted job ever blocks mid-split on background
 /// maintenance. Because rounds are cut by job count (not by
 /// concurrency) and feedback is absorbed in submission order, the
-/// FullScan→index flip lands at the same job boundary whatever
-/// `HAIL_MAX_CONCURRENT_JOBS` is.
+/// FullScan→index flip lands at the same job boundary whatever the
+/// manager's concurrency is.
 ///
 /// A disabled advisor (policy `enabled: false`, e.g. under
 /// `HAIL_DISABLE_REINDEX=1`) turns this into plain batched serving:

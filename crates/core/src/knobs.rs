@@ -2,19 +2,25 @@
 //!
 //! Every runtime-tunable environment variable the engine reads is
 //! declared here — name, parse rule, default, and one documentation
-//! line — and every read goes through this module's typed accessors.
-//! Nothing else in the workspace may call `std::env::var`: the
-//! `hail-lint` `knob-registry` rule fails CI on any `HAIL_*` read (or
-//! any `env::var` call at all) outside this file, so a knob cannot be
-//! added without registering it, and two call sites cannot silently
-//! parse the same variable differently.
+//! line — and every read goes through [`Knob::read_raw`]. The
+//! workspace `clippy.toml` disallows `std::env::{var, var_os, vars,
+//! vars_os}` everywhere else, so a knob cannot be added without
+//! registering it, and two call sites cannot silently parse the same
+//! variable differently.
 //!
-//! [`list`] enumerates the registry for the lint and for the generated
-//! knob table in ARCHITECTURE.md ("Concurrency invariants &
-//! enforcement"); [`doc_table`] renders that table.
+//! A knob only supplies a *default*: each one seeds a config field
+//! that callers can set explicitly (`ExecutorConfig::parallelism`,
+//! `MapJob::job_parallelism`, `PlannerConfig::synopsis_pruning`,
+//! `ReindexPolicy::enabled`, and whether `shared_job_pool` gives its
+//! pool a scan-share registry). The test suite sets those fields to
+//! sweep every setting in one process.
 //!
-//! Parse rules are deliberately preserved bit-for-bit from the
-//! pre-registry call sites (CI matrix legs pin them):
+//! [`doc_table`] renders the registry as the knob table in
+//! ARCHITECTURE.md ("Concurrency invariants & enforcement");
+//! `tests/architecture_tables.rs` fails if the two differ.
+//!
+//! One private `parse` function holds the parse rules, one per
+//! [`KnobKind`], preserved bit-for-bit from the pre-registry call sites:
 //!
 //! - [`KnobKind::Count`]: unset, unparsable, or `0` mean 1 — "absent
 //!   means no concurrency".
@@ -23,10 +29,6 @@
 //! - [`KnobKind::DisableFlagExact`]: the feature is ON unless the
 //!   variable is exactly `1` (the historical `HAIL_DISABLE_REINDEX`
 //!   contract).
-//! - [`KnobKind::CheckFlag`]: the check is ON unless the variable is
-//!   set to `0` — and only ever consulted in debug builds
-//!   (`hail-sync` compiles its rank checking out of release builds
-//!   entirely, so release never pays even the read).
 
 /// How a knob's raw string value is interpreted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +39,22 @@ pub enum KnobKind {
     DisableFlag,
     /// Feature on unless the value is exactly `1`.
     DisableFlagExact,
-    /// Debug-build check on unless the value is `0`.
-    CheckFlag,
+}
+
+/// What `raw` (the variable's value, `None` when unset) means for a
+/// knob of `kind`: a count parses to itself (at least 1), a flag to 1
+/// when the feature it guards is on and to 0 when it is off.
+fn parse(kind: KnobKind, raw: Option<&str>) -> usize {
+    match kind {
+        KnobKind::Count => raw
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or(1),
+        KnobKind::DisableFlag => {
+            usize::from(!raw.is_some_and(|v| !v.trim().is_empty() && v.trim() != "0"))
+        }
+        KnobKind::DisableFlagExact => usize::from(raw != Some("1")),
+    }
 }
 
 /// One registered environment knob.
@@ -55,8 +71,12 @@ pub struct Knob {
 }
 
 impl Knob {
-    /// The raw environment value, if set. The single `env::var` choke
-    /// point for the whole workspace.
+    /// The raw environment value, if set. The single environment read
+    /// of the whole workspace.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the knob registry is the one place allowed to read the environment"
+    )]
     pub fn read_raw(&self) -> Option<String> {
         std::env::var(self.name).ok()
     }
@@ -64,24 +84,13 @@ impl Knob {
     /// Parses this knob as a [`KnobKind::Count`].
     pub fn count(&self) -> usize {
         debug_assert_eq!(self.kind, KnobKind::Count);
-        self.read_raw()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
+        parse(self.kind, self.read_raw().as_deref())
     }
 
-    /// Parses this knob as an on/off state per its [`KnobKind`]
-    /// (`true` = the guarded feature/check is enabled).
+    /// Whether the feature this flag guards is enabled.
     pub fn enabled(&self) -> bool {
-        match self.kind {
-            KnobKind::Count => self.count() > 1,
-            KnobKind::DisableFlag => !self
-                .read_raw()
-                .map(|v| !v.trim().is_empty() && v.trim() != "0")
-                .unwrap_or(false),
-            KnobKind::DisableFlagExact => !self.read_raw().map(|v| v == "1").unwrap_or(false),
-            KnobKind::CheckFlag => !self.read_raw().map(|v| v.trim() == "0").unwrap_or(false),
-        }
+        debug_assert_ne!(self.kind, KnobKind::Count);
+        parse(self.kind, self.read_raw().as_deref()) != 0
     }
 }
 
@@ -101,14 +110,6 @@ pub const JOB_PARALLELISM: Knob = Knob {
     kind: KnobKind::Count,
     default: "1 (sequential splits)",
     doc: "Whole splits of one job overlapping on the work-stealing JobPool.",
-};
-
-/// The `JobManager`'s in-flight job bound.
-pub const MAX_CONCURRENT_JOBS: Knob = Knob {
-    name: "HAIL_MAX_CONCURRENT_JOBS",
-    kind: KnobKind::Count,
-    default: "1 (serial admission)",
-    doc: "Concurrent jobs the JobManager keeps in flight (FIFO admission).",
 };
 
 /// Kill switch for cooperative scan sharing.
@@ -135,26 +136,14 @@ pub const DISABLE_REINDEX: Knob = Knob {
     doc: "Set to exactly 1 to freeze the physical design (no advisor rewrites).",
 };
 
-/// Debug-build lock-rank checking in `hail-sync`.
-pub const LOCK_ORDER_CHECK: Knob = Knob {
-    name: "HAIL_LOCK_ORDER_CHECK",
-    kind: KnobKind::CheckFlag,
-    default: "on in debug builds, compiled out of release",
-    doc: "Set to 0 to silence hail-sync's lock-hierarchy checker in debug builds.",
-};
-
-/// Every registered knob, in documentation order. The lint's
-/// `doc-sync` rule checks ARCHITECTURE.md's knob table against this
-/// list (via the source), so a knob cannot be added without a doc row.
+/// Every registered knob, in documentation order.
 pub fn list() -> &'static [Knob] {
     &[
         PARALLELISM,
         JOB_PARALLELISM,
-        MAX_CONCURRENT_JOBS,
         DISABLE_SCAN_SHARING,
         DISABLE_SYNOPSES,
         DISABLE_REINDEX,
-        LOCK_ORDER_CHECK,
     ]
 }
 
@@ -178,11 +167,6 @@ pub fn job_parallelism() -> usize {
     JOB_PARALLELISM.count()
 }
 
-/// The manager's in-flight job bound ([`MAX_CONCURRENT_JOBS`]).
-pub fn max_concurrent_jobs() -> usize {
-    MAX_CONCURRENT_JOBS.count()
-}
-
 /// Whether cooperative scan sharing is enabled.
 pub fn scan_sharing_enabled() -> bool {
     DISABLE_SCAN_SHARING.enabled()
@@ -196,13 +180,6 @@ pub fn synopsis_pruning_enabled() -> bool {
 /// Whether adaptive re-indexing is enabled.
 pub fn reindex_enabled() -> bool {
     DISABLE_REINDEX.enabled()
-}
-
-/// Whether debug-build lock-rank checking is requested. `hail-sync`
-/// consults this once (release builds compile the checker out and
-/// never call it).
-pub fn lock_order_check() -> bool {
-    LOCK_ORDER_CHECK.enabled()
 }
 
 #[cfg(test)]
@@ -223,29 +200,23 @@ mod tests {
 
     #[test]
     fn counts_clamp_to_one_and_flags_default_on() {
-        // The suite cannot mutate the process environment safely, but
-        // the contracts hold whatever CI's matrix leg set: counts are
-        // ≥ 1, and the doc table names every knob.
-        assert!(parallelism() >= 1);
-        assert!(job_parallelism() >= 1);
-        assert!(max_concurrent_jobs() >= 1);
-        let table = doc_table();
-        for k in list() {
-            assert!(table.contains(k.name), "doc table missing {}", k.name);
+        for raw in [None, Some(""), Some("0"), Some("two"), Some("-3")] {
+            assert_eq!(parse(KnobKind::Count, raw), 1, "{raw:?}");
         }
+        assert_eq!(parse(KnobKind::Count, Some(" 4 ")), 4);
+        assert_eq!(parse(KnobKind::DisableFlag, None), 1);
+        assert_eq!(parse(KnobKind::DisableFlagExact, None), 1);
     }
 
     #[test]
     fn parse_rules_match_historical_call_sites() {
+        let on = |kind, raw| parse(kind, raw) == 1;
         // DisableFlag: non-empty, non-zero disables (trimmed).
-        let f = |v: Option<&str>| {
-            !v.map(|v| !v.trim().is_empty() && v.trim() != "0")
-                .unwrap_or(false)
-        };
+        let f = |raw| on(KnobKind::DisableFlag, raw);
         assert!(f(None) && f(Some("")) && f(Some("0")) && f(Some(" 0 ")));
         assert!(!f(Some("1")) && !f(Some("yes")));
         // DisableFlagExact: only the exact string "1" disables.
-        let g = |v: Option<&str>| !v.map(|v| v == "1").unwrap_or(false);
+        let g = |raw| on(KnobKind::DisableFlagExact, raw);
         assert!(g(None) && g(Some("true")) && g(Some(" 1")));
         assert!(!g(Some("1")));
     }

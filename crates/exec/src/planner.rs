@@ -242,7 +242,7 @@ pub struct PlannerConfig {
     /// enumeration, skipping blocks they prove empty
     /// ([`crate::synopsis`]). Defaults on; the `HAIL_DISABLE_SYNOPSES`
     /// knob ([`hail_core::knobs::synopsis_pruning_enabled`]) flips the
-    /// default off for a whole process (CI's unpruned leg).
+    /// default off for a whole process.
     pub synopsis_pruning: bool,
     /// Freeze [`PlannerConfig::feedback`] for the duration of a job:
     /// observations are still *collected* into each task's

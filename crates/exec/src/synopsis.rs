@@ -189,9 +189,6 @@ mod tests {
 
     #[test]
     fn env_knob_semantics() {
-        // The default (unset in the test environment unless CI set it)
-        // must parse without panicking either way.
-        let _ = hail_core::knobs::synopsis_pruning_enabled();
         assert_eq!(PruneReason::Zone.to_string(), "zone");
         assert_eq!(PruneReason::Bloom.to_string(), "bloom");
     }

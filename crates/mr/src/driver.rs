@@ -102,6 +102,10 @@ impl<'a> ChunkedDrive<'a> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "a test-only recorder, not an engine lock, so it carries no LockRank"
+)]
 mod tests {
     use super::*;
     use crate::input_format::{read_splits_sequentially, InputSplit, SplitContext, SplitPlan};

@@ -166,6 +166,10 @@ impl Drop for InterestGuard {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "a test-only recorder, not an engine lock, so it carries no LockRank"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

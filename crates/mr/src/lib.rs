@@ -10,7 +10,7 @@
 //! - [`driver`] — the shared chunked drive loop every execution pass
 //!   (scheduler and both failover passes) reads splits through
 //! - [`manager`] — FIFO admission of concurrent jobs with a bounded
-//!   in-flight limit (`HAIL_MAX_CONCURRENT_JOBS`)
+//!   in-flight limit ([`JobManager::new`])
 //! - [`inflight`] — cross-job in-flight block interest
 //!   ([`InFlightBlocks`]): which blocks admitted jobs are still going
 //!   to read, with drain notifications the execution layer's
@@ -44,7 +44,7 @@
 //! separately from the simulated [`TaskReport::reader_seconds`].
 //!
 //! Above single-job execution sits the [`JobManager`]: FIFO admission
-//! of many jobs with at most `HAIL_MAX_CONCURRENT_JOBS` in flight.
+//! of many jobs with at most [`JobManager::max_concurrent`] in flight.
 //! Each managed job's output and report stay bit-for-bit identical to
 //! a solo run at any interleaving — concurrency only changes measured
 //! wall clock and the [`JobReport::queue_wait_seconds`] telemetry.

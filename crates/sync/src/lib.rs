@@ -3,16 +3,16 @@
 //! Every lock in the engine is an [`OrderedMutex`] / [`OrderedRwLock`]
 //! carrying a [`LockRank`] — the one enum encoding the full documented
 //! hierarchy (see ARCHITECTURE.md, "Concurrency invariants &
-//! enforcement"; the `hail-lint` `doc-sync` rule keeps the two in
+//! enforcement"; `tests/architecture_tables.rs` keeps the two in
 //! lockstep). A thread may only acquire a lock whose rank is *strictly
 //! below* every rank it already holds, which makes lock-order
 //! deadlocks impossible by construction: any cycle would need at least
 //! one edge going up the order.
 //!
-//! In debug builds (unless `HAIL_LOCK_ORDER_CHECK=0`), a thread-local
-//! stack of held ranks verifies this on every acquisition and panics
-//! naming **both** locks on an out-of-order or same-rank re-entrant
-//! acquisition. In release builds the checking code is compiled out
+//! In debug builds a thread-local stack of held ranks verifies this on
+//! every acquisition and panics naming **both** locks on an
+//! out-of-order or same-rank re-entrant acquisition; there is no
+//! switch to turn it off. In release builds the checking code is compiled out
 //! entirely (`cfg(debug_assertions)`) and the wrappers are
 //! zero-overhead newtypes over `std::sync` (`hail-bench`'s
 //! `sync.ordered_mutex_acquire_ns` probe tracks it).
@@ -26,6 +26,14 @@
 //! `PlanCache`, the `JobManager` result slots, or a scan-share waiter.
 //! Code that needs "the producer died" signalling handles it
 //! explicitly (RAII cleanup guards), not via poisoning.
+//!
+//! This crate is the one place the raw `std::sync` locks may appear:
+//! the workspace `clippy.toml` disallows them everywhere else.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the ranked wrappers are built on the raw std::sync locks"
+)]
 
 use std::fmt;
 use std::sync::{
@@ -36,8 +44,8 @@ use std::sync::{
 /// lock may only acquire locks of *strictly lower* rank.
 ///
 /// The variant order here is the canonical rank table; ARCHITECTURE.md
-/// embeds the same table between `lock-rank-table` markers and the
-/// `doc-sync` lint fails if the two drift.
+/// embeds the same table between `lock-rank-table` markers and
+/// `tests/architecture_tables.rs` fails if the two drift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum LockRank {
@@ -95,7 +103,6 @@ impl fmt::Display for LockRank {
 mod check {
     use super::LockRank;
     use std::cell::RefCell;
-    use std::sync::OnceLock;
 
     thread_local! {
         /// Ranks (with lock names) this thread currently holds, in
@@ -104,17 +111,9 @@ mod check {
         static HELD: RefCell<Vec<(LockRank, &'static str)>> = const { RefCell::new(Vec::new()) };
     }
 
-    fn enabled() -> bool {
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(hail_core::knobs::lock_order_check)
-    }
-
     /// Records an acquisition, panicking (naming both locks) if `rank`
     /// is not strictly below everything already held.
     pub(super) fn on_acquire(rank: LockRank, name: &'static str) {
-        if !enabled() {
-            return;
-        }
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(held_rank, held_name)) = held.last() {
@@ -136,9 +135,6 @@ mod check {
     /// matching entry wherever it sits (ranks are unique in the stack:
     /// same-rank re-acquisition panics in `on_acquire`).
     pub(super) fn on_release(rank: LockRank) {
-        if !enabled() {
-            return;
-        }
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(pos) = held.iter().rposition(|&(r, _)| r == rank) {
@@ -498,15 +494,11 @@ mod tests {
     }
 
     // The inversion-injection test: checking only exists in debug
-    // builds, and respects the HAIL_LOCK_ORDER_CHECK=0 opt-out, so it
-    // runs in a fresh thread (thread-local stack) and only when the
-    // checker is active.
+    // builds, so it runs in a fresh thread (thread-local stack) and
+    // only there.
     #[cfg(debug_assertions)]
     #[test]
     fn inversion_panics_naming_both_locks() {
-        if !hail_core::knobs::lock_order_check() {
-            return; // explicitly silenced for this run
-        }
         let err = std::thread::spawn(|| {
             let cache = OrderedRwLock::new(LockRank::PlanCache, "plan-cache", ());
             let gate = OrderedMutex::new(LockRank::NodeGate, "node-gate", ());
@@ -537,9 +529,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn same_rank_reentry_panics() {
-        if !hail_core::knobs::lock_order_check() {
-            return;
-        }
         let err = std::thread::spawn(|| {
             let a = OrderedMutex::new(LockRank::Feedback, "feedback-a", ());
             let b = OrderedMutex::new(LockRank::Feedback, "feedback-b", ());
@@ -563,9 +552,6 @@ mod tests {
     #[test]
     fn panic_unwinding_releases_held_ranks() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        if !hail_core::knobs::lock_order_check() {
-            return;
-        }
         let cache = OrderedRwLock::new(LockRank::PlanCache, "plan-cache", ());
         let _ = catch_unwind(AssertUnwindSafe(|| {
             let _g = cache.write();

@@ -11,14 +11,14 @@
 //! - equality evidence on a low-cardinality column builds a bitmap
 //!   sidecar instead, and the planner picks BitmapScan;
 //! - the flip boundary, per-job outputs, and reports (modulo measured
-//!   wall clocks) are bit-for-bit identical at
-//!   `HAIL_MAX_CONCURRENT_JOBS` 1/2/4 — re-indexing does not perturb
-//!   the multi-job determinism contract;
+//!   wall clocks) are bit-for-bit identical at job concurrency 1/2/4 —
+//!   re-indexing does not perturb the multi-job determinism contract;
 //! - killing the replica that holds a freshly built adaptive index
 //!   mid-workload loses no rows, and subsequent planning degrades
 //!   gracefully to the surviving replicas' paths;
-//! - a default-policy advisor honours `HAIL_DISABLE_REINDEX=1` (the
-//!   CI disable leg): evidence accumulates but the design never moves.
+//! - the default policy re-indexes, and a disabled one (what
+//!   `HAIL_DISABLE_REINDEX=1` selects) lets evidence accumulate but
+//!   never moves the design.
 
 use hail::prelude::*;
 use hail_bench::{
@@ -46,11 +46,11 @@ fn adaptive_setup(rows_per_node: usize, blocks_per_node: usize) -> (Testbed, Sys
     (tb, setup)
 }
 
-/// An always-on advisor with the default evidence thresholds, so the
-/// tests hold even under the `HAIL_DISABLE_REINDEX=1` CI leg.
-fn enabled_advisor() -> ReindexAdvisor {
+/// An advisor with the default evidence thresholds, switched on or off
+/// explicitly rather than by the `HAIL_DISABLE_REINDEX` default.
+fn advisor(enabled: bool) -> ReindexAdvisor {
     ReindexAdvisor::new(ReindexPolicy {
-        enabled: true,
+        enabled,
         ..ReindexPolicy::default()
     })
 }
@@ -86,7 +86,7 @@ fn drive(tb: &Testbed, conc: usize, rounds: usize) -> (SystemSetup, AdaptiveRun)
     let round_size = round_queries(&tb.schema).len();
     let manager = JobManager::new(conc);
     let infra = SharedJobInfra::for_jobs(conc);
-    let advisor = enabled_advisor();
+    let advisor = advisor(true);
     let feedback = SelectivityFeedback::default();
     let run = run_adaptive_workload(
         &mut setup, &tb.spec, &queries, true, &manager, &infra, &advisor, &feedback, round_size,
@@ -217,7 +217,7 @@ fn equality_evidence_builds_a_bitmap_sidecar() {
 
     let manager = JobManager::new(1);
     let infra = SharedJobInfra::for_jobs(1);
-    let advisor = enabled_advisor();
+    let advisor = advisor(true);
     let feedback = SelectivityFeedback::default();
     let run = run_adaptive_workload(
         &mut setup, &tb.spec, &queries, true, &manager, &infra, &advisor, &feedback, 1,
@@ -387,58 +387,61 @@ fn killing_freshly_indexed_replica_degrades_gracefully() {
     );
 }
 
-/// A default-policy advisor pins the `HAIL_DISABLE_REINDEX` knob: with
-/// the variable unset the loop closes exactly as with an explicitly
-/// enabled policy; under the `=1` CI leg evidence accumulates but the
-/// design never moves, and every job still matches the oracle.
+/// The `HAIL_DISABLE_REINDEX` switch, both ways: the default policy is
+/// on and closes the loop; a disabled one lets evidence accumulate but
+/// never moves the design. Every job matches the oracle either way.
 #[test]
 fn default_policy_honours_disable_env() {
-    let (tb, mut setup) = adaptive_setup(300, 2);
-    let queries = workload(&tb.schema, 3);
+    assert!(ReindexPolicy::default().enabled, "re-indexing defaults on");
+    let tb = adaptive_setup(300, 2).0;
     let round_size = round_queries(&tb.schema).len();
-    let manager = JobManager::new(2);
-    let infra = SharedJobInfra::for_jobs(2);
-    let advisor = ReindexAdvisor::default();
-    let feedback = SelectivityFeedback::default();
-    let run = run_adaptive_workload(
-        &mut setup, &tb.spec, &queries, true, &manager, &infra, &advisor, &feedback, round_size,
-    )
-    .unwrap();
+    for enabled in [true, false] {
+        let mut setup = setup_hail(&tb, &[2, 0]).unwrap();
+        let feedback = SelectivityFeedback::default();
+        let run = run_adaptive_workload(
+            &mut setup,
+            &tb.spec,
+            &workload(&tb.schema, 3),
+            true,
+            &JobManager::new(2),
+            &SharedJobInfra::for_jobs(2),
+            &advisor(enabled),
+            &feedback,
+            round_size,
+        )
+        .unwrap();
 
-    if hail::core::knobs::reindex_enabled() {
-        assert_eq!(run.events.len(), 1, "default policy closes the loop");
-        assert_eq!(run.events[0].outcome.action.column, DURATION_COL);
-    } else {
-        assert!(
-            run.events.is_empty(),
-            "HAIL_DISABLE_REINDEX=1: the design never moves"
-        );
-        assert!(
-            feedback.observation_count(DURATION_COL, false) > 0,
-            "evidence still accumulates while disabled"
-        );
-        for &block in &setup.dataset.blocks {
+        if enabled {
+            assert_eq!(run.events.len(), 1, "an enabled policy closes the loop");
+            assert_eq!(run.events[0].outcome.action.column, DURATION_COL);
+        } else {
+            assert!(run.events.is_empty(), "disabled: the design never moves");
             assert!(
-                setup
-                    .cluster
-                    .namenode()
-                    .get_hosts_with_index(block, DURATION_COL)
-                    .unwrap()
-                    .is_empty(),
-                "block {block}: duration stays unindexed"
+                feedback.observation_count(DURATION_COL, false) > 0,
+                "evidence still accumulates while disabled"
             );
+            for &block in &setup.dataset.blocks {
+                assert!(
+                    setup
+                        .cluster
+                        .namenode()
+                        .get_hosts_with_index(block, DURATION_COL)
+                        .unwrap()
+                        .is_empty(),
+                    "block {block}: duration stays unindexed"
+                );
+            }
         }
-    }
 
-    // Enabled or not, every job's rows match the oracle.
-    for (qi, query) in round_queries(&tb.schema).iter().enumerate() {
-        let expected = canonical(&oracle_eval(&tb.texts, &tb.schema, query));
-        for round in 0..3 {
-            assert_eq!(
-                canonical(&run.runs[round * round_size + qi].output),
-                expected,
-                "query {qi} round {round}"
-            );
+        for (qi, query) in round_queries(&tb.schema).iter().enumerate() {
+            let expected = canonical(&oracle_eval(&tb.texts, &tb.schema, query));
+            for round in 0..3 {
+                assert_eq!(
+                    canonical(&run.runs[round * round_size + qi].output),
+                    expected,
+                    "enabled {enabled}: query {qi} round {round}"
+                );
+            }
         }
     }
 }

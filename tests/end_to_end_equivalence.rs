@@ -1,9 +1,22 @@
 //! End-to-end equivalence: every paper query returns *identical* results
 //! on the Hadoop text path, the Hadoop++ trojan path, the HAIL index
 //! path, and the HAIL scan path — all checked against a direct oracle
-//! evaluation over the original text.
+//! evaluation over the original text, under every engine setting in
+//! [`SETTINGS`].
 
 use hail::prelude::*;
+
+/// (intra-split parallelism, job parallelism, synopsis pruning): serial,
+/// the two executors alone and together, and pruning off. A `HAIL_*`
+/// knob supplies each field's default; none may change a result.
+const SETTINGS: [(usize, usize, bool); 6] = [
+    (1, 1, true),
+    (2, 2, true),
+    (4, 1, true),
+    (4, 4, true),
+    (1, 2, true),
+    (1, 1, false),
+];
 
 fn run(
     cluster: &DfsCluster,
@@ -11,10 +24,14 @@ fn run(
     dataset: &Dataset,
     query: &HailQuery,
     splitting: bool,
+    (parallelism, job_parallelism, synopsis_pruning): (usize, usize, bool),
 ) -> Vec<Row> {
-    let mut format = PlannedInputFormat::new(dataset.clone(), query.clone());
+    let mut format = PlannedInputFormat::new(dataset.clone(), query.clone())
+        .with_executor(ExecutorConfig::with_parallelism(parallelism));
     format.splitting = splitting;
-    let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
+    format.planner.synopsis_pruning = synopsis_pruning;
+    let job = MapJob::collecting("q", dataset.blocks.clone(), &format)
+        .with_job_parallelism(job_parallelism);
     run_map_job(cluster, spec, &job).unwrap().output
 }
 
@@ -38,7 +55,9 @@ fn bob_queries_agree_across_all_paths() {
         &schema,
         "uv",
         &texts,
-        &ReplicaIndexConfig::first_indexed(3, &[2, 0, 3]),
+        &ReplicaIndexConfig::first_indexed(3, &[2, 0, 3])
+            .with_synopses(0)
+            .with_synopses(2),
     )
     .unwrap();
     let mut hpp_cluster = DfsCluster::new(3, storage());
@@ -53,14 +72,16 @@ fn bob_queries_agree_across_all_paths() {
             "{} should match something",
             q.id
         );
-        let h = canonical(&run(&hadoop_cluster, &spec, &hadoop, &query, false));
-        let a1 = canonical(&run(&hail_cluster, &spec, &hail, &query, false));
-        let a2 = canonical(&run(&hail_cluster, &spec, &hail, &query, true));
-        let p = canonical(&run(&hpp_cluster, &spec, &hpp, &query, false));
-        assert_eq!(h, expected, "{}: Hadoop vs oracle", q.id);
-        assert_eq!(a1, expected, "{}: HAIL (default splits) vs oracle", q.id);
-        assert_eq!(a2, expected, "{}: HAIL (HailSplitting) vs oracle", q.id);
-        assert_eq!(p, expected, "{}: Hadoop++ vs oracle", q.id);
+        for s in SETTINGS {
+            let h = canonical(&run(&hadoop_cluster, &spec, &hadoop, &query, false, s));
+            let a1 = canonical(&run(&hail_cluster, &spec, &hail, &query, false, s));
+            let a2 = canonical(&run(&hail_cluster, &spec, &hail, &query, true, s));
+            let p = canonical(&run(&hpp_cluster, &spec, &hpp, &query, false, s));
+            assert_eq!(h, expected, "{} at {s:?}: Hadoop vs oracle", q.id);
+            assert_eq!(a1, expected, "{} at {s:?}: HAIL (default splits)", q.id);
+            assert_eq!(a2, expected, "{} at {s:?}: HAIL (HailSplitting)", q.id);
+            assert_eq!(p, expected, "{} at {s:?}: Hadoop++ vs oracle", q.id);
+        }
     }
 }
 
@@ -78,7 +99,7 @@ fn synthetic_queries_agree_across_all_paths() {
         &schema,
         "syn",
         &texts,
-        &ReplicaIndexConfig::first_indexed(3, &[0, 1, 2]),
+        &ReplicaIndexConfig::first_indexed(3, &[0, 1, 2]).with_synopses(0),
     )
     .unwrap();
     let mut hpp_cluster = DfsCluster::new(3, storage());
@@ -89,24 +110,20 @@ fn synthetic_queries_agree_across_all_paths() {
         let query = q.to_query(&schema).unwrap();
         let expected = canonical(&oracle_eval(&texts, &schema, &query));
         assert!(!expected.is_empty(), "{} should match something", q.id);
-        assert_eq!(
-            canonical(&run(&hadoop_cluster, &spec, &hadoop, &query, false)),
-            expected,
-            "{}: Hadoop",
-            q.id
-        );
-        assert_eq!(
-            canonical(&run(&hail_cluster, &spec, &hail, &query, true)),
-            expected,
-            "{}: HAIL",
-            q.id
-        );
-        assert_eq!(
-            canonical(&run(&hpp_cluster, &spec, &hpp, &query, false)),
-            expected,
-            "{}: Hadoop++",
-            q.id
-        );
+        for s in SETTINGS {
+            for (name, cluster, dataset, splitting) in [
+                ("Hadoop", &hadoop_cluster, &hadoop, false),
+                ("HAIL", &hail_cluster, &hail, true),
+                ("Hadoop++", &hpp_cluster, &hpp, false),
+            ] {
+                assert_eq!(
+                    canonical(&run(cluster, &spec, dataset, &query, splitting, s)),
+                    expected,
+                    "{} at {s:?}: {name}",
+                    q.id
+                );
+            }
+        }
     }
 }
 
@@ -156,7 +173,7 @@ fn three_systems_agree_on_a_comma_delimited_cluster() {
         ("Hadoop++", &hpp_cluster, &hpp),
     ] {
         assert_eq!(
-            canonical(&run(cluster, &spec, dataset, &query, true)),
+            canonical(&run(cluster, &spec, dataset, &query, true, SETTINGS[0])),
             expected,
             "{name} on a `,`-delimited cluster"
         );

@@ -4,6 +4,22 @@
 
 use hail::prelude::*;
 
+/// (intra-split parallelism, job parallelism) every failover job runs
+/// at: serial, and the two executors alone and together.
+const PARALLELISM: [(usize, usize); 5] = [(1, 1), (2, 2), (4, 1), (4, 4), (1, 2)];
+
+/// A collecting job over `dataset` through `format` at job parallelism
+/// `j`.
+fn job<'a>(format: &'a PlannedInputFormat, dataset: &Dataset, j: usize) -> MapJob<'a> {
+    MapJob::collecting("q", dataset.blocks.clone(), format).with_job_parallelism(j)
+}
+
+/// `query`'s format at intra-split parallelism `p`.
+fn format(dataset: &Dataset, query: &HailQuery, p: usize) -> PlannedInputFormat {
+    PlannedInputFormat::new(dataset.clone(), query.clone())
+        .with_executor(ExecutorConfig::with_parallelism(p))
+}
+
 fn storage() -> StorageConfig {
     let mut s = StorageConfig::test_scale(2 * 1024);
     s.index_partition_size = 8;
@@ -30,14 +46,15 @@ fn results_identical_after_any_single_node_death() {
         let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
         cluster.kill_node(victim).unwrap();
-        let format = PlannedInputFormat::new(dataset.clone(), query.clone());
-        let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
-        let run = run_map_job(&cluster, &spec, &job).unwrap();
-        assert_eq!(
-            canonical(&run.output),
-            expected,
-            "node {victim} death changed results"
-        );
+        for (p, j) in PARALLELISM {
+            let format = format(&dataset, &query, p);
+            let run = run_map_job(&cluster, &spec, &job(&format, &dataset, j)).unwrap();
+            assert_eq!(
+                canonical(&run.output),
+                expected,
+                "node {victim} death changed results at p{p}/j{j}"
+            );
+        }
     }
 }
 
@@ -53,10 +70,11 @@ fn results_identical_after_two_node_deaths() {
     let expected = canonical(&oracle_eval(&texts, &schema, &query));
     cluster.kill_node(1).unwrap();
     cluster.kill_node(4).unwrap();
-    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
-    let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
-    let run = run_map_job(&cluster, &spec, &job).unwrap();
-    assert_eq!(canonical(&run.output), expected);
+    for (p, j) in PARALLELISM {
+        let format = format(&dataset, &query, p);
+        let run = run_map_job(&cluster, &spec, &job(&format, &dataset, j)).unwrap();
+        assert_eq!(canonical(&run.output), expected, "p{p}/j{j}");
+    }
 }
 
 #[test]
@@ -65,17 +83,19 @@ fn mid_job_failure_preserves_output() {
     let schema = bob_schema();
     let spec = ClusterSpec::new(5, HardwareProfile::physical());
     let query = bob_queries()[0].to_query(&schema).unwrap();
-    let (mut cluster, dataset, texts) = setup(5, &config);
-    let expected = canonical(&oracle_eval(&texts, &schema, &query));
+    for (p, j) in PARALLELISM {
+        let (mut cluster, dataset, texts) = setup(5, &config);
+        let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
-    let format = PlannedInputFormat::new(dataset.clone(), query).without_splitting();
-    let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
-    let run =
-        run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(2)).unwrap();
-    assert_eq!(canonical(&run.output), expected);
-    assert!(run.with_failure.end_to_end_seconds >= run.baseline.end_to_end_seconds);
-    // The dead node is really dead.
-    assert!(!cluster.datanode(2).unwrap().is_alive());
+        let format = format(&dataset, &query, p).without_splitting();
+        let job = job(&format, &dataset, j);
+        let run = run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(2))
+            .unwrap();
+        assert_eq!(canonical(&run.output), expected, "p{p}/j{j}");
+        assert!(run.with_failure.end_to_end_seconds >= run.baseline.end_to_end_seconds);
+        // The dead node is really dead.
+        assert!(!cluster.datanode(2).unwrap().is_alive());
+    }
 }
 
 #[test]

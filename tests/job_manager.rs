@@ -18,7 +18,12 @@
 //! - failover under concurrency: a mid-job node death, then ≥4
 //!   concurrent jobs over the degraded cluster, still bit-for-bit
 //!   against solo runs on that cluster.
+//!
+//! The two solo-equivalence sweeps run with scan sharing on and off.
 
+mod common;
+
+use common::{infra, settings};
 use hail::prelude::*;
 use hail_bench::{
     make_shared_format, run_queries_managed, setup_hail, uv_testbed, ExperimentScale,
@@ -26,8 +31,6 @@ use hail_bench::{
 };
 use hail_mr::{InputSplit, JobReport, JobRun, SplitPlan, SplitRead, SplitTask};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-const CONCURRENCIES: [usize; 3] = [1, 2, 4];
 
 fn uv_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testbed, SystemSetup) {
     let scale = ExperimentScale::query(4, rows_per_node)
@@ -105,8 +108,9 @@ fn syn_queries(n: usize, schema: &Schema) -> Vec<HailQuery> {
 }
 
 /// ~200 queued Bob/Synthetic queries through the manager at
-/// concurrency 1/2/4: every job's output is bit-for-bit its solo
-/// run's, and queue-wait telemetry surfaces for queued jobs.
+/// concurrency 1/2/4, with scan sharing on and off: every job's output
+/// is bit-for-bit its solo run's, and queue-wait telemetry surfaces for
+/// queued jobs.
 #[test]
 fn two_hundred_queries_match_solo_at_every_concurrency() {
     let (uv_tb, uv) = uv_setup(400, 4);
@@ -124,13 +128,13 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
         .map(|q| solo(&syn, &syn_tb.spec, q, true))
         .collect();
 
-    for conc in CONCURRENCIES {
+    for (sharing, conc) in settings() {
         let manager = JobManager::new(conc);
         for (setup, spec, queries, expected) in [
             (&uv, &uv_tb.spec, &uv_qs, &uv_expected),
             (&syn, &syn_tb.spec, &syn_qs, &syn_expected),
         ] {
-            let infra = SharedJobInfra::for_jobs(conc);
+            let infra = infra(conc, sharing);
             let batch = run_queries_managed(setup, spec, queries, true, &manager, &infra).unwrap();
             assert_eq!(batch.summary.jobs, queries.len());
             let runs = batch.runs;
@@ -139,7 +143,8 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
                 assert_eq!(
                     run.output,
                     expected[i % 25].output,
-                    "concurrency {conc}, job {i}: managed output diverged from solo"
+                    "concurrency {conc}, sharing {sharing}, job {i}: managed output diverged \
+                     from solo"
                 );
                 assert!(run.report.queue_wait_seconds >= 0.0);
             }
@@ -193,7 +198,8 @@ fn distinct_shape_queries(schema: &Schema) -> Vec<HailQuery> {
 
 /// For distinct-shape jobs, managed runs reproduce the solo run's
 /// whole report — every simulated figure, schedule entry, and cache
-/// counter — not just the output, at every concurrency.
+/// counter — not just the output, at every concurrency, with scan
+/// sharing on and off.
 #[test]
 fn distinct_shapes_reproduce_full_reports() {
     let (tb, setup) = uv_setup(500, 4);
@@ -202,8 +208,8 @@ fn distinct_shapes_reproduce_full_reports() {
         .iter()
         .map(|q| solo(&setup, &tb.spec, q, true))
         .collect();
-    for conc in CONCURRENCIES {
-        let infra = SharedJobInfra::for_jobs(conc);
+    for (sharing, conc) in settings() {
+        let infra = infra(conc, sharing);
         let runs = run_queries_managed(
             &setup,
             &tb.spec,
@@ -215,11 +221,12 @@ fn distinct_shapes_reproduce_full_reports() {
         .unwrap()
         .runs;
         for (run, exp) in runs.iter().zip(&expected) {
-            assert_eq!(run.output, exp.output, "concurrency {conc}: output");
+            let at = format!("concurrency {conc}, sharing {sharing}");
+            assert_eq!(run.output, exp.output, "{at}: output");
             assert_eq!(
                 report_modulo_wall(&run.report),
                 report_modulo_wall(&exp.report),
-                "concurrency {conc}: report must be bit-for-bit modulo wall clock"
+                "{at}: report must be bit-for-bit modulo wall clock"
             );
         }
     }

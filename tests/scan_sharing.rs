@@ -13,7 +13,8 @@
 //!   before the next admission;
 //! - a registry-less pool (the `HAIL_DISABLE_SCAN_SHARING=1`
 //!   degradation) produces the same outputs and reports, with zero
-//!   sharing counters;
+//!   sharing counters — the batch and the reindex-flip tests run with
+//!   sharing on and off;
 //! - node death interacts safely with retained decodes: a failover
 //!   run with the registry in play loses no rows, and a concurrent
 //!   batch on the degraded cluster — same registry, potentially
@@ -24,17 +25,15 @@
 //!   `SelectivityFeedback` state at every concurrency, including
 //!   across an adaptive reindex flip whose boundary must not move.
 
-use hail::core::knobs;
+mod common;
+
+use common::{infra, settings};
 use hail::prelude::*;
 use hail_bench::{
     make_shared_format, run_adaptive_workload, run_queries_managed, setup_hail, uv_testbed,
     ExperimentScale, SharedJobInfra, SystemSetup,
 };
-use hail_exec::{ExecutorConfig, JobPool, JobPoolConfig, PlanCache};
 use hail_mr::{JobReport, JobRun};
-use std::sync::Arc;
-
-const CONCURRENCIES: [usize; 3] = [1, 2, 4];
 
 fn uv_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testbed, SystemSetup) {
     let scale = ExperimentScale::query(4, rows_per_node)
@@ -100,27 +99,11 @@ fn feedback_state(infra: &SharedJobInfra) -> String {
     format!("{:?}", infra.feedback.as_ref().expect("shared feedback"))
 }
 
-/// `SharedJobInfra` whose pool carries **no** scan-share registry —
-/// exactly what `shared_job_pool` builds under
-/// `HAIL_DISABLE_SCAN_SHARING=1`, with the same sizing.
-fn infra_without_sharing(max_jobs: usize) -> SharedJobInfra {
-    let executor = ExecutorConfig::default();
-    let job_workers = knobs::job_parallelism().max(1);
-    SharedJobInfra {
-        plan_cache: Arc::new(PlanCache::default()),
-        feedback: Some(Arc::new(SelectivityFeedback::default())),
-        pool: Arc::new(JobPool::new(JobPoolConfig {
-            workers: job_workers * max_jobs,
-            budget: job_workers.max(executor.parallelism.max(1)) * max_jobs,
-            per_node_slots: executor.per_node_slots,
-        })),
-    }
-}
-
-/// Overlapping-block jobs at concurrency 1/2/4: outputs and reports
-/// (modulo wall clocks and sharing counters) bit-for-bit against solo
-/// runs, the post-batch shared feedback state identical at every
-/// concurrency, and the concurrency-1 managed path never attaching.
+/// Overlapping-block jobs at concurrency 1/2/4, with sharing on and
+/// off: outputs and reports (modulo wall clocks and sharing counters)
+/// bit-for-bit against solo runs, the post-batch shared feedback state
+/// identical at every setting, and the concurrency-1 managed path never
+/// attaching.
 #[test]
 fn overlapping_jobs_match_solo_at_every_concurrency() {
     let (tb, setup) = uv_setup(500, 4);
@@ -131,15 +114,11 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
         .map(|q| solo(&setup, &tb.spec, q, true))
         .collect();
 
+    // The default infra carries a registry; the sweep sets it explicitly.
+    assert!(SharedJobInfra::for_jobs(4).pool.scan_share().is_some());
     let mut feedback_baseline: Option<String> = None;
-    for conc in CONCURRENCIES {
-        let infra = SharedJobInfra::for_jobs(conc);
-        // Unless the CI disable leg (`HAIL_DISABLE_SCAN_SHARING=1`)
-        // stripped it, the default infra carries a registry.
-        assert_eq!(
-            infra.pool.scan_share().is_some(),
-            knobs::scan_sharing_enabled()
-        );
+    for (sharing, conc) in settings() {
+        let infra = infra(conc, sharing);
         let batch = run_queries_managed(
             &setup,
             &tb.spec,
@@ -158,12 +137,13 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
             let exp = &expected[i % unique];
             assert_eq!(
                 run.output, exp.output,
-                "concurrency {conc}, job {i}: output diverged from solo"
+                "concurrency {conc}, sharing {sharing}, job {i}: output diverged from solo"
             );
             assert_eq!(
                 report_modulo_wall(&run.report),
                 report_modulo_wall(&exp.report),
-                "concurrency {conc}, job {i}: report must be bit-for-bit modulo wall and sharing"
+                "concurrency {conc}, sharing {sharing}, job {i}: report must be bit-for-bit \
+                 modulo wall and sharing"
             );
         }
         // One slot: each job's interest drains (evicting its retained
@@ -182,7 +162,7 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
             None => feedback_baseline = Some(state),
             Some(base) => assert_eq!(
                 base, &state,
-                "concurrency {conc}: post-batch shared feedback state diverged"
+                "concurrency {conc}, sharing {sharing}: post-batch shared feedback state diverged"
             ),
         }
     }
@@ -199,7 +179,7 @@ fn identical_concurrent_jobs_share_decodes() {
     let queries: Vec<HailQuery> = (0..16).map(|_| query.clone()).collect();
     let expected = solo(&setup, &tb.spec, &query, true);
 
-    let infra = SharedJobInfra::for_jobs(4);
+    let infra = infra(4, true);
     let batch = run_queries_managed(
         &setup,
         &tb.spec,
@@ -212,23 +192,20 @@ fn identical_concurrent_jobs_share_decodes() {
     for run in &batch.runs {
         assert_eq!(run.output, expected.output);
     }
-    // Only meaningful with a registry attached (the CI disable leg
-    // degrades this test to another output-parity check).
-    if let Some(registry) = infra.pool.scan_share() {
-        assert!(
-            batch.summary.blocks_read_shared > 0,
-            "16 identical jobs, 4 in flight over the same blocks: some read must attach"
-        );
-        assert!(
-            batch.summary.shared_bytes_saved > 0,
-            "attached reads save the producer's simulated disk bytes"
-        );
-        assert_eq!(
-            registry.retained(),
-            0,
-            "batch drained: the in-flight tracker evicted every retained decode"
-        );
-    }
+    assert!(
+        batch.summary.blocks_read_shared > 0,
+        "16 identical jobs, 4 in flight over the same blocks: some read must attach"
+    );
+    assert!(
+        batch.summary.shared_bytes_saved > 0,
+        "attached reads save the producer's simulated disk bytes"
+    );
+    let registry = infra.pool.scan_share().expect("sharing on");
+    assert_eq!(
+        registry.retained(),
+        0,
+        "batch drained: the in-flight tracker evicted every retained decode"
+    );
 }
 
 /// A registry-less pool — the `HAIL_DISABLE_SCAN_SHARING=1` shape —
@@ -239,7 +216,7 @@ fn disabled_sharing_is_bit_for_bit_identical_modulo_counters() {
     let (tb, setup) = uv_setup(400, 4);
     let queries = overlapping_queries(&bob_schema(), 2);
 
-    let disabled = infra_without_sharing(4);
+    let disabled = infra(4, false);
     assert!(disabled.pool.scan_share().is_none());
     let without = run_queries_managed(
         &setup,
@@ -253,7 +230,7 @@ fn disabled_sharing_is_bit_for_bit_identical_modulo_counters() {
     assert_eq!(without.summary.blocks_read_shared, 0);
     assert_eq!(without.summary.shared_bytes_saved, 0);
 
-    let enabled = SharedJobInfra::for_jobs(4);
+    let enabled = infra(4, true);
     let with = run_queries_managed(
         &setup,
         &tb.spec,
@@ -345,7 +322,8 @@ fn retained_decodes_survive_node_death_without_poisoning_results() {
 
 /// The adaptive loop with the infra's own shared store driving the
 /// advisor: the FullScan→index flip lands at the same job boundary and
-/// the post-workload feedback state is identical at concurrency 1/2/4.
+/// the post-workload feedback state is identical at concurrency 1/2/4,
+/// with sharing on and off.
 /// Exercises the double-absorption guard in `run_adaptive_workload`
 /// (the batch already absorbed — pointer-equal stores must not absorb
 /// twice) and the registry clear after each rewrite.
@@ -359,7 +337,7 @@ fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
     };
     // Two replicas (visitDate, sourceIP): duration (@9) is unindexed,
     // and replica 1 is the safe rewrite target.
-    let drive = |conc: usize| {
+    let drive = |conc: usize, sharing: bool| {
         let mut setup = setup_hail(&tb, &[2, 0]).unwrap();
         let queries: Vec<HailQuery> = {
             let round = [
@@ -373,7 +351,7 @@ fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
                 .map(|(f, p)| HailQuery::parse(f, p, &tb.schema).unwrap())
                 .collect()
         };
-        let infra = SharedJobInfra::for_jobs(conc);
+        let infra = infra(conc, sharing);
         let advisor = ReindexAdvisor::new(ReindexPolicy {
             enabled: true,
             ..ReindexPolicy::default()
@@ -394,27 +372,29 @@ fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
         (run, feedback_state(&infra))
     };
 
-    let (baseline, base_state) = drive(1);
+    let (baseline, base_state) = drive(1, true);
     assert_eq!(baseline.events.len(), 1, "solo run flips exactly once");
-    for conc in [2usize, 4] {
-        let (run, state) = drive(conc);
-        assert_eq!(run.events.len(), 1, "concurrency {conc}: one rebuild");
+    // (1, true) again too: a repeat of the baseline must not differ.
+    for (sharing, conc) in settings() {
+        let at = format!("concurrency {conc}, sharing {sharing}");
+        let (run, state) = drive(conc, sharing);
+        assert_eq!(run.events.len(), 1, "{at}: one rebuild");
         assert_eq!(
             run.events[0].after_job, baseline.events[0].after_job,
-            "concurrency {conc}: the flip boundary moved"
+            "{at}: the flip boundary moved"
         );
         assert_eq!(run.events[0].outcome, baseline.events[0].outcome);
         for (i, (r, b)) in run.runs.iter().zip(&baseline.runs).enumerate() {
-            assert_eq!(r.output, b.output, "concurrency {conc}, job {i}: output");
+            assert_eq!(r.output, b.output, "{at}, job {i}: output");
             assert_eq!(
                 report_modulo_wall(&r.report),
                 report_modulo_wall(&b.report),
-                "concurrency {conc}, job {i}: report"
+                "{at}, job {i}: report"
             );
         }
         assert_eq!(
             state, base_state,
-            "concurrency {conc}: post-workload shared feedback state diverged"
+            "{at}: post-workload shared feedback state diverged"
         );
     }
 }

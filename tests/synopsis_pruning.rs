@@ -338,8 +338,8 @@ fn job_reports_aggregate_pruning_counters() {
     let spec = ClusterSpec::new(3, HardwareProfile::physical());
     let query = HailQuery::parse("@1 = '999.999.999.999'", "{@1}", &schema).unwrap();
 
-    // Explicit `synopsis_pruning: true` so the test holds under the
-    // CI leg that force-disables synopses via `HAIL_DISABLE_SYNOPSES`.
+    // Pruning on, then off, set explicitly rather than left to the
+    // `HAIL_DISABLE_SYNOPSES` default.
     let format =
         PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
             synopsis_pruning: true,
