@@ -14,8 +14,8 @@ use hail_core::{
 };
 use hail_dfs::DfsCluster;
 use hail_exec::{
-    apply_reindex, shared_job_pool, ExecutorConfig, JobPool, PlanCache, PlannedInputFormat,
-    ReindexAdvisor, ReindexOutcome, SelectivityFeedback,
+    apply_reindex, PlanCache, PlannedInputFormat, ReindexAdvisor, ReindexOutcome,
+    ScanShareRegistry, SelectivityFeedback,
 };
 use hail_index::ReplicaIndexConfig;
 use hail_mr::{run_map_job, InputFormat, JobManager, JobRun, MapJob};
@@ -254,12 +254,13 @@ pub fn run_query(
     run_map_job(&setup.cluster, spec, &job)
 }
 
-/// [`run_query`] with explicit executor parallelism: up to
-/// `job_parallelism` whole splits execute concurrently through the
-/// format's work-stealing pool, each fanning its block reads across
-/// `split_parallelism` workers claimed from the shared budget. Results
-/// and simulated times are identical at any setting; only the measured
-/// wall clock changes.
+/// [`run_query`] reading up to `job_parallelism` whole splits at once.
+/// Results and simulated times are identical at any setting; only the
+/// measured wall clock changes.
+///
+/// `split_parallelism` is frozen-suite residue: the benchmark suite
+/// calls this signature. It no longer names a separate setting; the
+/// job runs at the larger of the two.
 pub fn run_query_overlapped(
     setup: &SystemSetup,
     spec: &ClusterSpec,
@@ -270,8 +271,7 @@ pub fn run_query_overlapped(
 ) -> Result<JobRun> {
     let format = make_format(setup, spec, query, hail_splitting);
     let job = MapJob::collecting("query", setup.dataset.blocks.clone(), &format)
-        .with_parallelism(split_parallelism)
-        .with_job_parallelism(job_parallelism);
+        .with_job_parallelism(split_parallelism.max(job_parallelism));
     run_map_job(&setup.cluster, spec, &job)
 }
 
@@ -291,13 +291,13 @@ fn make_format(
 }
 
 /// The cross-job resources a multi-job deployment shares: one plan
-/// cache, one cluster-wide [`JobPool`] (global thread budget + one
-/// per-node gate across all jobs), and optionally one selectivity
-/// feedback store.
+/// cache, optionally one cross-job scan-share registry, and optionally
+/// one selectivity feedback store.
 ///
 /// Formats built from the same infra ([`make_shared_format`]) hit the
-/// same cache and draw from the same pool, so a query whose filter
-/// shape another job already planned reuses its block plans.
+/// same cache and attach to the same registry, so a query whose filter
+/// shape another job already planned reuses its block plans, and
+/// overlapping block decodes of concurrent jobs are produced once.
 ///
 /// `feedback` defaults to a fresh shared store. Sharing one
 /// [`SelectivityFeedback`] between *concurrently running* jobs is safe
@@ -315,17 +315,23 @@ fn make_format(
 pub struct SharedJobInfra {
     pub plan_cache: Arc<PlanCache>,
     pub feedback: Option<Arc<SelectivityFeedback>>,
-    pub pool: Arc<JobPool>,
+    /// Where concurrent jobs' overlapping block decodes are shared;
+    /// `None` makes every job read independently.
+    pub scan_share: Option<Arc<ScanShareRegistry>>,
 }
 
 impl SharedJobInfra {
-    /// Infrastructure sized for up to `max_jobs` concurrent jobs with
-    /// default executor knobs (the `HAIL_*` environment overrides).
-    pub fn for_jobs(max_jobs: usize) -> Self {
+    /// Infrastructure for concurrent jobs, carrying a scan-share
+    /// registry unless `HAIL_DISABLE_SCAN_SHARING` turns sharing off.
+    ///
+    /// The job count is frozen-suite residue: the benchmark suite
+    /// calls this signature, but nothing here is sized by it any more.
+    pub fn for_jobs(_max_jobs: usize) -> Self {
         SharedJobInfra {
             plan_cache: Arc::new(PlanCache::default()),
             feedback: Some(Arc::new(SelectivityFeedback::default())),
-            pool: shared_job_pool(max_jobs, &ExecutorConfig::default()),
+            scan_share: hail_core::knobs::scan_sharing_enabled()
+                .then(|| Arc::new(ScanShareRegistry::new())),
         }
     }
 
@@ -340,7 +346,7 @@ impl SharedJobInfra {
 /// [`make_shared_format`]'s solo-format counterpart is the private
 /// `make_format`; this builds the same input format wired to the
 /// shared multi-job infrastructure: every format built from one
-/// `infra` draws from its cluster-wide job pool, and HAIL formats
+/// `infra` attaches to its scan-share registry if any, and HAIL formats
 /// also share its plan cache and its feedback store if any.
 pub fn make_shared_format(
     setup: &SystemSetup,
@@ -350,7 +356,7 @@ pub fn make_shared_format(
     infra: &SharedJobInfra,
 ) -> Box<dyn InputFormat> {
     let mut format =
-        make_format(setup, spec, query, hail_splitting).with_shared_pool(infra.pool.clone());
+        make_format(setup, spec, query, hail_splitting).with_scan_share(infra.scan_share.clone());
     // The baselines keep planning statelessly. HAIL's `splits()` plans
     // every block — warming the cache — before the scheduler asks for
     // estimates; a baseline's per-block splits do not, so its estimates
@@ -429,7 +435,7 @@ fn summarize_batch(runs: &[JobRun], logical_blocks: u64) -> BatchSummary {
 ///
 /// Two pieces of cross-job wiring happen here:
 ///
-/// - the pool's scan-share registry (if any) subscribes to the
+/// - the infra's scan-share registry (if any) subscribes to the
 ///   manager's in-flight block interest, so retained decodes are
 ///   evicted the moment no admitted job still wants their block;
 /// - when the infra carries a shared feedback store, every job's
@@ -445,7 +451,23 @@ pub fn run_queries_managed(
     manager: &JobManager,
     infra: &SharedJobInfra,
 ) -> Result<ManagedBatch> {
-    if let Some(registry) = infra.pool.scan_share() {
+    run_queries_managed_at(setup, spec, queries, hail_splitting, manager, infra, None)
+}
+
+/// [`run_queries_managed`] with every job reading up to
+/// `job_parallelism` splits at once (`None`: the
+/// `HAIL_JOB_PARALLELISM` default), so a batch runs on up to
+/// `max_concurrent × job_parallelism` threads.
+pub fn run_queries_managed_at(
+    setup: &SystemSetup,
+    spec: &ClusterSpec,
+    queries: &[HailQuery],
+    hail_splitting: bool,
+    manager: &JobManager,
+    infra: &SharedJobInfra,
+    job_parallelism: Option<usize>,
+) -> Result<ManagedBatch> {
+    if let Some(registry) = &infra.scan_share {
         registry.attach_in_flight(manager.in_flight_blocks());
     }
     let formats: Vec<Box<dyn InputFormat>> = queries
@@ -455,8 +477,9 @@ pub fn run_queries_managed(
     let jobs: Vec<MapJob<'_>> = formats
         .iter()
         .enumerate()
-        .map(|(i, f)| {
-            MapJob::collecting(
+        .map(|(i, f)| MapJob {
+            job_parallelism,
+            ..MapJob::collecting(
                 format!("query-{i}"),
                 setup.dataset.blocks.clone(),
                 f.as_ref(),
@@ -561,7 +584,7 @@ pub fn run_adaptive_workload(
             // A rewrite changes what a block's replicas physically
             // contain; any decode the scan-share registry retained for
             // those blocks is stale now.
-            if let Some(registry) = infra.pool.scan_share() {
+            if let Some(registry) = &infra.scan_share {
                 registry.clear();
             }
             events.push(ReindexEvent {

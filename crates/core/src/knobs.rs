@@ -9,11 +9,11 @@
 //! variable differently.
 //!
 //! A knob only supplies a *default*: each one seeds a config field
-//! that callers can set explicitly (`ExecutorConfig::parallelism`,
-//! `MapJob::job_parallelism`, `PlannerConfig::synopsis_pruning`,
-//! `ReindexPolicy::enabled`, and whether `shared_job_pool` gives its
-//! pool a scan-share registry). The test suite sets those fields to
-//! sweep every setting in one process.
+//! that callers can set explicitly (`MapJob::job_parallelism`,
+//! `PlannerConfig::synopsis_pruning`, `ReindexPolicy::enabled`, and
+//! whether `SharedJobInfra::for_jobs` carries a scan-share registry).
+//! The test suite sets those fields to sweep every setting in one
+//! process.
 //!
 //! [`doc_table`] renders the registry as the knob table in
 //! ARCHITECTURE.md ("Concurrency invariants & enforcement");
@@ -94,22 +94,13 @@ impl Knob {
     }
 }
 
-/// Intra-split read parallelism: worker threads fanning one split's
-/// block reads (`crate::knobs::parallelism`).
-pub const PARALLELISM: Knob = Knob {
-    name: "HAIL_PARALLELISM",
-    kind: KnobKind::Count,
-    default: "1 (serial)",
-    doc: "Worker threads fanning one split's block reads.",
-};
-
-/// Job-level split overlap: how many whole splits of one job may
-/// execute at once.
+/// Split overlap: how many whole splits of one job may be read at
+/// once.
 pub const JOB_PARALLELISM: Knob = Knob {
     name: "HAIL_JOB_PARALLELISM",
     kind: KnobKind::Count,
     default: "1 (sequential splits)",
-    doc: "Whole splits of one job overlapping on the work-stealing JobPool.",
+    doc: "Whole splits of one job read at once.",
 };
 
 /// Kill switch for cooperative scan sharing.
@@ -139,7 +130,6 @@ pub const DISABLE_REINDEX: Knob = Knob {
 /// Every registered knob, in documentation order.
 pub fn list() -> &'static [Knob] {
     &[
-        PARALLELISM,
         JOB_PARALLELISM,
         DISABLE_SCAN_SHARING,
         DISABLE_SYNOPSES,
@@ -157,12 +147,7 @@ pub fn doc_table() -> String {
     out
 }
 
-/// Intra-split parallelism ([`PARALLELISM`]).
-pub fn parallelism() -> usize {
-    PARALLELISM.count()
-}
-
-/// Job-level split overlap ([`JOB_PARALLELISM`]).
+/// Split overlap ([`JOB_PARALLELISM`]).
 pub fn job_parallelism() -> usize {
     JOB_PARALLELISM.count()
 }

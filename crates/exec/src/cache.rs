@@ -46,8 +46,8 @@
 //!
 //! Both structures are **thread-safe** behind `Arc`: one instance is
 //! shared by every `QueryPlanner` a job constructs — including the
-//! worker threads of [`crate::executor::ExecutorContext`] fanning one
-//! split's block reads out in parallel. Internally each store is a
+//! threads reading a job's splits (and concurrent jobs' splits) in
+//! parallel. Internally each store is a
 //! single rank-checked [`OrderedRwLock`]: concurrent `plan_block`
 //! calls take the read lock for warm hits, and only structural changes
 //! (inserts, evictions, death-log processing, fingerprint

@@ -10,13 +10,13 @@
 //! and every block read goes through
 //! [`QueryPlanner::execute_block`] → `AccessPath::execute`.
 
-use crate::executor::{ExecutorConfig, ExecutorContext, JobPool, JobPoolConfig, SplitLease};
 use crate::planner::{PlannerConfig, QueryPlanner};
+use crate::sharing::ScanShareRegistry;
 use crate::splitting::{default_splits, plan_default_splits, plan_hail_splits};
 use hail_core::baselines::hadoop_plus_plus::trojan_header_bytes;
 use hail_core::{Dataset, DatasetFormat, HailQuery};
 use hail_dfs::DfsCluster;
-use hail_mr::{InputFormat, InputSplit, SplitContext, SplitPlan, SplitRead, SplitTask, TaskStats};
+use hail_mr::{run_ordered, InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask, TaskStats};
 use hail_types::{BlockId, Result};
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,13 +42,11 @@ pub struct PlannedInputFormat {
     /// Planner knobs: cost model, selectivity estimates, plan cache and
     /// feedback store.
     pub planner: PlannerConfig,
-    /// Parallel-executor knobs for fanning a split's block reads across
-    /// workers; default serial unless `HAIL_PARALLELISM` overrides.
-    pub executor: ExecutorConfig,
-    /// A [`JobPool`] shared with other concurrently running jobs (see
-    /// [`shared_job_pool`]). `None` — the solo default — builds a
-    /// private pool per batch read.
-    pub shared_pool: Option<Arc<JobPool>>,
+    /// The cross-job scan-share registry, when this format serves a
+    /// managed job whose block decodes may be shared with other
+    /// in-flight jobs ([`crate::sharing`]). `None` — the solo default —
+    /// reads every block independently.
+    pub scan_share: Option<Arc<ScanShareRegistry>>,
 }
 
 impl PlannedInputFormat {
@@ -59,8 +57,7 @@ impl PlannedInputFormat {
             splitting: true,
             map_slots: 2,
             planner: PlannerConfig::default(),
-            executor: ExecutorConfig::default(),
-            shared_pool: None,
+            scan_share: None,
         }
     }
 
@@ -76,16 +73,11 @@ impl PlannedInputFormat {
         self
     }
 
-    /// Overrides the executor configuration.
-    pub fn with_executor(mut self, config: ExecutorConfig) -> Self {
-        self.executor = config;
-        self
-    }
-
-    /// Routes this format's batch reads through a cluster-wide shared
-    /// [`JobPool`] instead of a private per-batch one.
-    pub fn with_shared_pool(mut self, pool: Arc<JobPool>) -> Self {
-        self.shared_pool = Some(pool);
+    /// Builder-style scan-share registry: when set, this format's block
+    /// reads may attach to (or produce for) decodes shared with other
+    /// in-flight jobs.
+    pub fn with_scan_share(mut self, scan_share: Option<Arc<ScanShareRegistry>>) -> Self {
+        self.scan_share = scan_share;
         self
     }
 
@@ -115,19 +107,13 @@ impl PlannedInputFormat {
     }
 
     /// Reads one split: plan its blocks against the *current* cluster
-    /// state and execute each block's chosen access path, buffering the
-    /// records and timing the whole read.
+    /// state and execute each block's chosen access path in block
+    /// order on this thread, buffering the records and timing the whole
+    /// read.
     ///
     /// Planning is deterministic, so this reproduces the split-time plan
     /// on a healthy cluster; after a mid-job failure it transparently
     /// re-plans around dead replicas (HAIL's failover story).
-    ///
-    /// With more than one worker in `context`, the split's independent
-    /// block reads fan out across its pool — every worker sharing the
-    /// same `Sync` planner handle and the same `AccessPath::execute`
-    /// seam — and the per-block results are merged **in split order**,
-    /// so records, statistics, and simulated costs are bit-for-bit
-    /// identical to the serial read.
     ///
     /// Plan-cache hits and misses incurred by this split are recorded
     /// into its [`TaskStats`]. The per-block selectivities the access
@@ -138,11 +124,10 @@ impl PlannedInputFormat {
     fn read_split_unabsorbed(
         &self,
         cluster: &DfsCluster,
-        context: &ExecutorContext,
         task: &SplitTask<'_>,
     ) -> Result<SplitRead> {
         let wall = Instant::now();
-        let (split, task_node) = (task.split, task.ctx.task_node);
+        let (split, task_node) = (task.split, task.task_node);
         let (dataset, query) = (&self.dataset, &self.query);
         let planner = self.query_planner(cluster);
         let plan = planner.plan(dataset.format, &split.blocks, query)?;
@@ -154,55 +139,18 @@ impl PlannedInputFormat {
             stats.plan_cache_hits = plan.blocks.iter().filter(|b| b.cached).count() as u64;
             stats.plan_cache_misses = plan.blocks.len() as u64 - stats.plan_cache_hits;
         }
-        let scan_share = context.scan_share().map(Arc::as_ref);
         let mut records = Vec::new();
-        if context.workers_for(split.blocks.len()) <= 1 && !context.has_shared_gate() {
-            // Serial: every block appends straight to the split's
-            // buffer, no per-block staging.
-            for &block in &split.blocks {
-                let block_stats = planner.execute_block_shared(
-                    &plan,
-                    block,
-                    task_node,
-                    &dataset.schema,
-                    query,
-                    scan_share,
-                    &mut |rec| records.push(rec),
-                )?;
-                stats.merge(&block_stats);
-            }
-        } else {
-            let per_block = context.run(
-                split.blocks.len(),
-                // Per-node slot gating keys on the node the read will
-                // actually hit — the planner's locality resolution, not the
-                // raw planned replica. (A mid-split failover re-plan inside
-                // `execute_block` can still move a read afterwards; the
-                // gate is a bound on the planned physical layout, not a
-                // transactional reservation.)
-                |i| {
-                    plan.block_plan(split.blocks[i])
-                        .map(|bp| planner.resolve_host(bp, task_node))
-                },
-                |i| {
-                    let mut block_records = Vec::new();
-                    let block_stats = planner.execute_block_shared(
-                        &plan,
-                        split.blocks[i],
-                        task_node,
-                        &dataset.schema,
-                        query,
-                        scan_share,
-                        &mut |rec| block_records.push(rec),
-                    )?;
-                    Ok((block_stats, block_records))
-                },
+        for &block in &split.blocks {
+            let block_stats = planner.execute_block_shared(
+                &plan,
+                block,
+                task_node,
+                &dataset.schema,
+                query,
+                self.scan_share.as_deref(),
+                &mut |rec| records.push(rec),
             )?;
-            // Deterministic merge: split order, not completion order.
-            for (block_stats, block_records) in per_block {
-                stats.merge(&block_stats);
-                records.extend(block_records);
-            }
+            stats.merge(&block_stats);
         }
         Ok(SplitRead {
             records,
@@ -233,15 +181,10 @@ impl InputFormat for PlannedInputFormat {
 
     /// The execution phase of [`hail_mr::run_map_job`].
     ///
-    /// Whole splits fan out across a [`JobPool`] — per-worker deques with
-    /// stealing — while each split's block reads still fan out across an
-    /// intra-split [`ExecutorContext`] whose width is *claimed* from the
-    /// pool's global [`crate::executor::ParallelismBudget`]: the budget is
-    /// the larger of the job-level worker count and the widest intra-split
-    /// configuration, so `HAIL_PARALLELISM` / `HAIL_JOB_PARALLELISM` bound
-    /// total threads rather than threads per layer. A per-node slot cap
-    /// ([`ExecutorConfig::per_node_slots`]) becomes one **job-wide**
-    /// [`crate::executor::NodeGate`] shared by every split.
+    /// Up to `job_parallelism` (default: the `HAIL_JOB_PARALLELISM`
+    /// knob) whole splits are read at once through
+    /// [`hail_mr::run_ordered`], each on one thread; at 1 they are read
+    /// in order on the caller's thread.
     ///
     /// Determinism: results return in batch order; the error of the
     /// lowest-indexed failing split wins; and selectivity feedback is
@@ -250,65 +193,16 @@ impl InputFormat for PlannedInputFormat {
     /// feedback state is bit-for-bit identical at any overlap. Splits
     /// cover disjoint blocks, so concurrent plan-cache use stays
     /// per-split deterministic as well.
-    ///
-    /// With a `shared_pool`, every batch (even a single-split one) routes
-    /// through that cluster-wide pool via [`JobPool::run_capped`]: the
-    /// job's own `job_parallelism` caps its fan-out, the pool's budget
-    /// squeezes simultaneous jobs down to the global thread total, and
-    /// the pool's [`crate::executor::NodeGate`] bounds concurrent reads
-    /// per node across *all* jobs. Results stay bit-for-bit identical to
-    /// the private-pool (and sequential) paths.
     fn read_split_batch(
         &self,
         cluster: &DfsCluster,
         batch: &[SplitTask<'_>],
         job_parallelism: Option<usize>,
     ) -> Result<Vec<SplitRead>> {
-        let job_workers = job_parallelism
-            .unwrap_or_else(hail_core::knobs::job_parallelism)
-            .max(1);
-        let intra: Vec<ExecutorConfig> = batch
-            .iter()
-            .map(|t| executor_for(&self.executor, &t.ctx))
-            .collect();
-        let run_split = |i: usize, lease: &SplitLease<'_>| -> Result<SplitRead> {
-            // Claim intra-split workers from whatever the global
-            // budget has free right now; the claim frees when the
-            // split finishes, so the job tail widens automatically.
-            let claim = lease.claim_intra(intra[i].parallelism.max(1));
-            let context = ExecutorContext::new(ExecutorConfig {
-                parallelism: claim.workers(),
-                per_node_slots: None,
-            })
-            .with_shared_gate(lease.shared_gate())
-            .with_scan_share(lease.scan_share());
-            self.read_split_unabsorbed(cluster, &context, &batch[i])
-        };
-        let reads = if let Some(pool) = &self.shared_pool {
-            pool.run_capped(batch.len(), job_workers, run_split)?
-        } else if job_workers <= 1 || batch.len() <= 1 {
-            // Sequential split execution on this thread, each split
-            // under its own intra-split executor.
-            batch
-                .iter()
-                .zip(&intra)
-                .map(|(task, exec)| {
-                    self.read_split_unabsorbed(cluster, &ExecutorContext::new(exec.clone()), task)
-                })
-                .collect::<Result<Vec<_>>>()?
-        } else {
-            let widest_intra = intra
-                .iter()
-                .map(|c| c.parallelism.max(1))
-                .max()
-                .unwrap_or(1);
-            let pool = JobPool::new(JobPoolConfig {
-                workers: job_workers.min(batch.len()),
-                budget: job_workers.max(widest_intra),
-                per_node_slots: self.executor.per_node_slots,
-            });
-            pool.run(batch.len(), run_split)?
-        };
+        let width = job_parallelism.unwrap_or_else(hail_core::knobs::job_parallelism);
+        let reads = run_ordered(batch.len(), width, |i| {
+            self.read_split_unabsorbed(cluster, &batch[i])
+        })?;
         // The barrier: fold every split's observations into the feedback
         // store in batch (split) order — never completion order. Under
         // `defer_feedback` the store stays frozen through the whole job;
@@ -337,44 +231,4 @@ impl InputFormat for PlannedInputFormat {
             DatasetFormat::HailPax => "HAIL",
         }
     }
-}
-
-/// The effective executor configuration for one split read: the
-/// format's own knobs, with the scheduler's [`SplitContext`]
-/// parallelism taking precedence when the job set one.
-fn executor_for(format_config: &ExecutorConfig, ctx: &SplitContext) -> ExecutorConfig {
-    let mut config = format_config.clone();
-    if let Some(parallelism) = ctx.parallelism {
-        config.parallelism = parallelism.max(1);
-    }
-    config
-}
-
-/// One cluster-wide [`JobPool`] for serving up to `max_jobs` jobs at
-/// once — the shared pool a `JobManager` deployment plumbs into every
-/// job's format via `with_shared_pool`.
-///
-/// Sized so each of `max_jobs` concurrent jobs can claim the same
-/// fan-out a solo run would build privately: split-level workers from
-/// the `HAIL_JOB_PARALLELISM` knob and a thread budget covering the
-/// widest intra-split configuration, both multiplied by `max_jobs`.
-/// The per-node slot cap is **not** multiplied: it becomes one gate
-/// bounding concurrent reads per datanode across all jobs — the
-/// cluster-wide resource the gate models is the node, not the job.
-pub fn shared_job_pool(max_jobs: usize, executor: &ExecutorConfig) -> Arc<JobPool> {
-    let max_jobs = max_jobs.max(1);
-    let job_workers = hail_core::knobs::job_parallelism().max(1);
-    // A pool serving concurrent jobs is exactly where overlapping block
-    // decodes can be shared, so it carries the cross-job scan-share
-    // registry (unless `HAIL_DISABLE_SCAN_SHARING` turns sharing off).
-    let scan_share = hail_core::knobs::scan_sharing_enabled()
-        .then(|| Arc::new(crate::sharing::ScanShareRegistry::new()));
-    Arc::new(
-        JobPool::new(JobPoolConfig {
-            workers: job_workers * max_jobs,
-            budget: job_workers.max(executor.parallelism.max(1)) * max_jobs,
-            per_node_slots: executor.per_node_slots,
-        })
-        .with_scan_share(scan_share),
-    )
 }

@@ -25,17 +25,8 @@
 //!   memoizes per-block plans across queries with the same filter
 //!   shape, and a [`SelectivityFeedback`] store that blends observed
 //!   per-block selectivities back into the [`SelectivityEstimate`] prior;
-//!   both thread-safe behind `RwLock`s so concurrent executor workers
-//!   share them
-//! - [`executor`] — the parallel executors: an [`ExecutorContext`]
-//!   worker pool (scoped threads, configurable parallelism via
-//!   [`ExecutorConfig`] or the `HAIL_PARALLELISM` environment override,
-//!   optional per-node slot gating) that fans one split's independent
-//!   block reads across workers with deterministic, split-ordered
-//!   result merging — and a job-level work-stealing [`JobPool`]
-//!   (per-worker deques, `HAIL_JOB_PARALLELISM`) that overlaps whole
-//!   splits across the job, sharing one global thread budget and one
-//!   job-wide per-node gate with the intra-split workers
+//!   both thread-safe behind `RwLock`s so concurrently read splits and
+//!   jobs share them
 //! - [`sharing`] — cooperative scan sharing: a [`ScanShareRegistry`]
 //!   under which a job whose plan touches a block another in-flight job
 //!   is already decoding *attaches* to that decode (producer reads
@@ -56,8 +47,8 @@
 //! - [`formats`] — the one [`PlannedInputFormat`] serving all three
 //!   systems (Hadoop, Hadoop++, HAIL — told apart by the dataset's
 //!   format), routed through `QueryPlanner::plan` →
-//!   `AccessPath::execute` and driving the executor for multi-block
-//!   splits
+//!   `AccessPath::execute`, reading up to `job_parallelism` whole
+//!   splits at once through `hail_mr::run_ordered`
 //! - [`readers`] — single-block reader entry points (planner-backed)
 //!
 //! New access paths or index types plug into the planner's candidate
@@ -113,7 +104,6 @@
 
 pub mod adapt;
 pub mod cache;
-pub mod executor;
 pub mod formats;
 mod kernel;
 pub mod path;
@@ -131,11 +121,7 @@ pub use cache::{
     BlockFingerprint, CacheStats, FilterShape, PlanCache, SelectivityChoice, SelectivityFeedback,
     SelectivitySource, ValidatedLookup,
 };
-pub use executor::{
-    ExecutorConfig, ExecutorContext, IntraClaim, JobPool, JobPoolConfig, NodeGate, NodePermit,
-    ParallelismBudget, SplitLease,
-};
-pub use formats::{shared_job_pool, PlannedInputFormat};
+pub use formats::PlannedInputFormat;
 pub use path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
     ScanLayout, TrojanIndexScan,

@@ -421,19 +421,19 @@ impl QueryPlan {
 
 /// The cost-based planner over one cluster's namenode state.
 ///
-/// The handle is `Send + Sync`: the [`crate::executor::ExecutorContext`]
-/// workers of a parallel split read share one planner reference, and
-/// all cross-query state it touches ([`PlanCache`],
-/// [`SelectivityFeedback`]) is internally locked.
+/// The handle is `Send + Sync`, and all cross-query state it touches
+/// ([`PlanCache`], [`SelectivityFeedback`]) is internally locked, so the
+/// threads reading splits in parallel can plan against the same shared
+/// stores.
 pub struct QueryPlanner<'a> {
     cluster: &'a DfsCluster,
     config: PlannerConfig,
 }
 
-/// Compile-time proof that a planner handle can be shared across the
-/// executor's worker threads. If any field ever loses `Sync` (say, an
-/// `Rc` or `RefCell` sneaks into the config or cluster), this stops
-/// building instead of the executor failing at a distance.
+/// Compile-time proof that a planner handle can be shared across
+/// threads. If any field ever loses `Sync` (say, an `Rc` or `RefCell`
+/// sneaks into the config or cluster), this stops building instead of a
+/// parallel read failing at a distance.
 const _PLANNER_IS_SEND_SYNC: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryPlanner<'static>>();
@@ -1166,10 +1166,7 @@ impl<'a> QueryPlanner<'a> {
 
     /// The host actually serving a block read: the task's own node when
     /// its replica supports the planned path, else the planned replica.
-    /// Also used by the input formats to key the executor's per-node
-    /// slot gate on the node a read will really hit (locality reroutes
-    /// mean this is not always `bp.replica`).
-    pub(crate) fn resolve_host(&self, bp: &BlockPlan, task_node: DatanodeId) -> DatanodeId {
+    fn resolve_host(&self, bp: &BlockPlan, task_node: DatanodeId) -> DatanodeId {
         if bp.replica == task_node || !bp.locations.contains(&task_node) {
             return bp.replica;
         }

@@ -52,12 +52,10 @@
 //! **leaf** of the hierarchy enforced by `hail-sync` (see
 //! ARCHITECTURE.md, "Concurrency invariants & enforcement"): it is
 //! never held while decoding, applying residuals, or doing I/O. A
-//! producer inserts an in-flight marker, *releases the lock*, decodes
-//! (holding its `NodeGate` permit like any other read), then publishes.
-//! Waiters block on the registry's condvar holding no other engine
-//! lock beyond their own node permit — and a producer already holds its
-//! permit before its marker exists, so waiters can never starve the
-//! producer's gate slot.
+//! producer inserts an in-flight marker, *releases the lock*, decodes,
+//! then publishes. Waiters block on the registry's condvar holding no
+//! other engine lock, so a waiter can never hold up the producer it
+//! waits on.
 //!
 //! The in-flight marker is protected by an RAII cleanup guard, so a
 //! producer that **panics** mid-decode (not just one that returns an
@@ -182,8 +180,8 @@ pub struct ShareStats {
 }
 
 /// The shared block-read service. See the module docs for the
-/// protocol; one registry is shared by every job of a
-/// [`crate::executor::JobPool`] (see [`crate::formats::shared_job_pool`]).
+/// protocol; one registry is shared by every concurrent job whose
+/// format carries it ([`crate::PlannedInputFormat::scan_share`]).
 pub struct ScanShareRegistry {
     entries: OrderedMutex<HashMap<ShareKey, Entry>>,
     published: OrderedCondvar,
@@ -282,8 +280,7 @@ impl ScanShareRegistry {
             armed: true,
         };
         // Produce outside the lock (this is the actual read + decode,
-        // done while holding the caller's NodeGate permit like any
-        // independent read).
+        // exactly as an independent read performs it).
         let decoded = produce()?;
         cleanup.armed = false;
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);

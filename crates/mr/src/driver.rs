@@ -20,10 +20,10 @@ use hail_types::{BlockId, Result};
 /// chunk's buffered records are consumed and dropped before the next
 /// chunk is read, so a job over thousands of splits holds at most one
 /// chunk's raw records — not the whole job's — while still giving the
-/// job-level pool plenty of splits to overlap and steal. The boundary
-/// is a fixed constant, independent of any parallelism knob, so chunk
-/// barriers (including the per-chunk feedback absorption inside the
-/// batch read) fall identically at every setting.
+/// format plenty of splits to overlap. The boundary is a fixed
+/// constant, independent of any parallelism knob, so chunk barriers
+/// (including the per-chunk feedback absorption inside the batch read)
+/// fall identically at every setting.
 pub const SPLIT_BATCH_CHUNK: usize = 64;
 
 /// The shared drive loop over one batch of assigned splits.
@@ -108,7 +108,7 @@ impl<'a> ChunkedDrive<'a> {
 )]
 mod tests {
     use super::*;
-    use crate::input_format::{read_splits_sequentially, InputSplit, SplitContext, SplitPlan};
+    use crate::input_format::{read_splits_sequentially, InputSplit, SplitPlan};
     use crate::job::{MapRecord, TaskStats};
     use hail_types::{BlockId, HailError, Row, StorageConfig, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -171,7 +171,7 @@ mod tests {
             .iter()
             .map(|split| SplitTask {
                 split,
-                ctx: SplitContext::on(0),
+                task_node: 0,
             })
             .collect()
     }

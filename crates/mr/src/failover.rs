@@ -150,8 +150,8 @@ pub fn run_map_job_with_failure(
     let is_reevaluated = |t: &TaskReport| t.node != scenario.node && t.start >= failure_makespan_t;
 
     // Re-evaluate every not-yet-started live-node task against the
-    // degraded cluster, fanning the reads through the same job-level
-    // pool `run_map_job` uses. Their nodes are already fixed (the
+    // degraded cluster, reading through the same drive loop
+    // `run_map_job` uses. Their nodes are already fixed (the
     // baseline assignment), so no assignment phase is needed here.
     // (Output was already collected functionally in pass 1; records
     // are discarded.)
@@ -163,7 +163,7 @@ pub fn run_map_job_with_failure(
         .map(|t| {
             Ok(SplitTask {
                 split: baseline_split(t.split)?,
-                ctx: job.split_context(t.node),
+                task_node: t.node,
             })
         })
         .collect::<Result<_>>()?;
@@ -228,7 +228,7 @@ pub fn run_map_job_with_failure(
     // Lost tasks replay through the same two-phase schedule/execute
     // shape as `run_map_job`: choose every rerun's node up front from
     // the post-replay slot state (estimated durations on a throwaway
-    // copy), fan the re-reads through the job-level pool, then price
+    // copy), read them through the shared drive loop, then price
     // the real schedule from the actual statistics — in order, never
     // before `resume_at`.
     let lost_splits: Vec<InputSplit> = lost
@@ -257,10 +257,7 @@ pub fn run_map_job_with_failure(
     let rerun_batch: Vec<SplitTask<'_>> = lost_splits
         .iter()
         .zip(&rerun_nodes)
-        .map(|(split, &node)| SplitTask {
-            split,
-            ctx: job.split_context(node),
-        })
+        .map(|(split, &task_node)| SplitTask { split, task_node })
         .collect();
     let mut output_extra: Vec<Row> = Vec::new();
     let mut rerun_count = 0;

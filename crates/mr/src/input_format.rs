@@ -51,47 +51,13 @@ pub struct SplitPlan {
     pub client_cost: CostLedger,
 }
 
-/// Execution context the scheduler hands a split read: where the map
-/// task runs, and how much worker parallelism the engine grants the
-/// read for fanning out independent block reads within the split.
-///
-/// This is the seam through which `run_map_job` drives the execution
-/// layer's parallel executor without depending on it: the
-/// planner-backed format in `hail-exec` honors `parallelism`; simple
-/// formats ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitContext {
-    /// The node the map task runs on; remote reads charge the network.
-    pub task_node: DatanodeId,
-    /// Worker threads the read may use for independent blocks of the
-    /// split. `None` defers to the format's own executor
-    /// configuration (which defaults to the `HAIL_PARALLELISM`
-    /// environment override); `Some(1)` forces a serial read.
-    pub parallelism: Option<usize>,
-}
-
-impl SplitContext {
-    /// A read on `task_node` with the format's own parallelism policy.
-    pub fn on(task_node: DatanodeId) -> Self {
-        SplitContext {
-            task_node,
-            parallelism: None,
-        }
-    }
-
-    /// Builder-style parallelism override.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = Some(parallelism.max(1));
-        self
-    }
-}
-
-/// One entry of a job-level batch read: an input split plus the
-/// execution context the scheduler's assignment phase gave it.
+/// One entry of a job-level batch read: an input split plus the node
+/// the scheduler's assignment phase runs its map task on.
 #[derive(Debug, Clone)]
 pub struct SplitTask<'a> {
     pub split: &'a InputSplit,
-    pub ctx: SplitContext,
+    /// The node the map task runs on; remote reads charge the network.
+    pub task_node: DatanodeId,
 }
 
 /// A fully buffered split read, as produced by
@@ -122,18 +88,18 @@ pub trait InputFormat: Send + Sync {
     /// and the only read entry point.
     ///
     /// Returns one [`SplitRead`] per task **in batch order**: the
-    /// records the map task on `ctx.task_node` sees, in emission order,
-    /// plus the task's physical statistics. `job_parallelism` is the
-    /// job-level overlap budget (`None` defers to the format's own
-    /// policy, which for the planner-backed format is the
+    /// records the map task on `task_node` sees, in emission order,
+    /// plus the task's physical statistics. `job_parallelism` is how
+    /// many whole splits may be read at once (`None` defers to the
+    /// format's own policy, which for the planner-backed format is the
     /// `HAIL_JOB_PARALLELISM` environment override). Formats without
     /// any overlap implement this with [`read_splits_sequentially`].
     ///
     /// Contract: on a **successful** batch, records, their order, every
     /// statistic, and any cross-query state the reads mutate (plan
     /// caches, selectivity feedback) must be bit-for-bit identical at
-    /// every `job_parallelism` and every [`SplitContext::parallelism`]
-    /// — overlap may only change the measured `reader_wall_seconds`.
+    /// every `job_parallelism` — overlap may only change the measured
+    /// `reader_wall_seconds`.
     /// In particular, state folded per split (selectivity feedback)
     /// must be absorbed **in batch order after all reads complete**,
     /// never in completion order. On a failing batch only the returned
@@ -195,11 +161,11 @@ pub fn read_one_split(
     format: &dyn InputFormat,
     cluster: &DfsCluster,
     split: &InputSplit,
-    ctx: SplitContext,
+    task_node: DatanodeId,
     emit: &mut dyn FnMut(MapRecord),
 ) -> Result<TaskStats> {
     let read = format
-        .read_split_batch(cluster, &[SplitTask { split, ctx }], None)?
+        .read_split_batch(cluster, &[SplitTask { split, task_node }], None)?
         .pop()
         .ok_or_else(|| HailError::Job("batch read of one split returned no read".into()))?;
     read.records.into_iter().for_each(emit);
@@ -224,14 +190,5 @@ mod tests {
         let p = SplitPlan::default();
         assert!(p.splits.is_empty());
         assert_eq!(p.client_cost.disk_read, 0);
-    }
-
-    #[test]
-    fn split_context_builders() {
-        let ctx = SplitContext::on(3);
-        assert_eq!(ctx.task_node, 3);
-        assert_eq!(ctx.parallelism, None);
-        assert_eq!(ctx.with_parallelism(0).parallelism, Some(1));
-        assert_eq!(SplitContext::on(0).with_parallelism(4).parallelism, Some(4));
     }
 }

@@ -180,9 +180,9 @@ impl TaskStats {
 
     /// Merges another task's stats into this one (multi-block splits).
     ///
-    /// Associative, so the parallel executor can merge per-block stats
-    /// pairwise — and because it always merges **in split order**
-    /// (never completion order), even the one order-sensitive field
+    /// Associative, and always applied **in block order** (a split's
+    /// blocks are read on one thread, and splits merge in split order,
+    /// never completion order), so even the one order-sensitive field
     /// (the `selectivity` observation sequence, whose order matters to
     /// the feedback store's decay) is bit-for-bit identical at any
     /// parallelism.
@@ -215,13 +215,12 @@ pub struct TaskReport {
     pub end: f64,
     /// Record-reader seconds within the task, in the **simulated**
     /// clock domain: the cost model's price for the summed per-block
-    /// work of this split, independent of how many executor workers
-    /// performed it. This is the number every `T_ideal`/overhead
-    /// computation uses.
+    /// work of this split, independent of how long the read really
+    /// took. This is the number every `T_ideal`/overhead computation
+    /// uses.
     pub reader_seconds: f64,
     /// Measured **wall-clock** seconds this process actually spent
-    /// inside the record reader, summed-work *divided* by whatever
-    /// speedup the parallel executor achieved. Telemetry only: it must
+    /// inside the record reader for this split. Telemetry only: it must
     /// never feed the simulated accounting (mixing the domains is what
     /// would drive overhead negative once readers run in parallel).
     pub reader_wall_seconds: f64,
@@ -277,10 +276,10 @@ impl JobReport {
     }
 
     /// Measured wall-clock seconds this process spent inside record
-    /// readers, across all tasks. With intra-split executor parallelism
-    /// above 1 this drops below [`JobReport::total_reader_seconds`]
-    /// (the work overlaps); the two are deliberately separate so the
-    /// paper-scale accounting below never mixes domains.
+    /// readers, summed across all tasks (overlapping split reads each
+    /// count in full). It is deliberately separate from
+    /// [`JobReport::total_reader_seconds`] so the paper-scale
+    /// accounting below never mixes domains.
     pub fn reader_wall_seconds(&self) -> f64 {
         self.tasks.iter().map(|t| t.reader_wall_seconds).sum()
     }
@@ -289,7 +288,7 @@ impl JobReport {
     /// `#MapTasks / #ParallelMapTasks × Avg(T_RecordReader)`.
     ///
     /// Computed entirely in the simulated domain from
-    /// [`JobReport::avg_reader_seconds`]; executor parallelism neither
+    /// [`JobReport::avg_reader_seconds`]; real parallelism neither
     /// shrinks it (it is *work*, not elapsed time) nor inflates the
     /// overhead below.
     pub fn ideal_seconds(&self) -> f64 {
@@ -304,7 +303,7 @@ impl JobReport {
     ///
     /// Both operands live in the simulated domain (`end_to_end_seconds`
     /// comes from the slot pools pricing the same summed reader work),
-    /// so parallel executor runs report the identical, non-negative
+    /// so parallel runs report the identical, non-negative
     /// overhead of the serial run. Mixing in the measured
     /// [`JobReport::reader_wall_seconds`] would understate `T_ideal`
     /// and, conversely, a wall-clock end-to-end against summed reader

@@ -9,6 +9,8 @@
 //!   per-task overhead model
 //! - [`driver`] — the shared chunked drive loop every execution pass
 //!   (scheduler and both failover passes) reads splits through
+//! - [`executor`] — [`run_ordered`], the engine's one fan-out: indexed
+//!   tasks on scoped threads, results in index order
 //! - [`manager`] — FIFO admission of concurrent jobs with a bounded
 //!   in-flight limit ([`JobManager::new`])
 //! - [`inflight`] — cross-job in-flight block interest
@@ -24,24 +26,20 @@
 //! plan-cache hit/miss counters, which [`JobReport::plan_cache_hits`]
 //! and [`JobReport::plan_cache_misses`] aggregate per job.
 //!
-//! Split reads run under a [`SplitContext`]: the scheduler grants each
-//! read the node it runs on plus a worker-parallelism budget
-//! ([`MapJob::parallelism`], or the `HAIL_PARALLELISM` environment
-//! override), which the execution layer's parallel executor uses to fan
-//! a split's independent block reads across threads. Since the
-//! job-overlap change, [`run_map_job`] itself is two-phase: an
-//! *assignment* phase chooses nodes for every split up front from
-//! planner estimates ([`InputFormat::estimate_splits`]), and an
-//! *execution* phase that drives the whole batch through the shared
-//! [`ChunkedDrive`] loop — fixed [`SPLIT_BATCH_CHUNK`]-sized calls to
-//! [`InputFormat::read_split_batch`], which the planner-backed format
-//! fans across a job-level work-stealing pool
-//! ([`MapJob::job_parallelism`], or the `HAIL_JOB_PARALLELISM`
-//! environment override). Parallelism at either level only changes
-//! real wall clock — results, their order, and every simulated-clock
-//! figure are identical at any setting, and
-//! [`TaskReport::reader_wall_seconds`] reports the measured wall time
-//! separately from the simulated [`TaskReport::reader_seconds`].
+//! [`run_map_job`] is two-phase: an *assignment* phase chooses nodes
+//! for every split up front from planner estimates
+//! ([`InputFormat::estimate_splits`]), and an *execution* phase drives
+//! the whole batch through the shared [`ChunkedDrive`] loop — fixed
+//! [`SPLIT_BATCH_CHUNK`]-sized calls to [`InputFormat::read_split_batch`],
+//! each [`SplitTask`] naming the node its map task runs on. The
+//! planner-backed format reads up to [`MapJob::job_parallelism`] (or
+//! the `HAIL_JOB_PARALLELISM` environment override) whole splits at
+//! once through [`run_ordered`]; each split reads its blocks on one
+//! thread. Parallelism only changes real wall clock — results, their
+//! order, and every simulated-clock figure are identical at any
+//! setting, and [`TaskReport::reader_wall_seconds`] reports the
+//! measured wall time separately from the simulated
+//! [`TaskReport::reader_seconds`].
 //!
 //! Above single-job execution sits the [`JobManager`]: FIFO admission
 //! of many jobs with at most [`JobManager::max_concurrent`] in flight.
@@ -52,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
+pub mod executor;
 pub mod failover;
 pub mod inflight;
 pub mod input_format;
@@ -61,11 +60,12 @@ pub mod scheduler;
 pub mod shuffle;
 
 pub use driver::{ChunkedDrive, SPLIT_BATCH_CHUNK};
+pub use executor::run_ordered;
 pub use failover::{run_map_job_with_failure, FailoverRun, FailureScenario};
 pub use inflight::{InFlightBlocks, InterestGuard};
 pub use input_format::{
-    read_one_split, read_splits_sequentially, InputFormat, InputSplit, SplitContext, SplitPlan,
-    SplitRead, SplitTask,
+    read_one_split, read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead,
+    SplitTask,
 };
 pub use job::{JobReport, MapRecord, PathCounts, SelectivityObservation, TaskReport, TaskStats};
 pub use manager::JobManager;

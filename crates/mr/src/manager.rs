@@ -52,13 +52,12 @@
 //! produces vs. attaches is a race, but every *other* stat is
 //! synthesized bit-for-bit either way.
 
+use crate::executor::run_ordered;
 use crate::inflight::InFlightBlocks;
 use crate::scheduler::{run_map_job_with_interest, JobRun, MapJob};
 use hail_dfs::DfsCluster;
 use hail_sim::ClusterSpec;
-use hail_sync::{LockRank, OrderedMutex};
 use hail_types::Result;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,15 +65,13 @@ use std::time::Instant;
 /// bounded number in flight.
 ///
 /// The manager owns no execution resources itself — worker threads are
-/// scoped to each [`JobManager::run_batch`] call, and the cross-job
-/// resources worth sharing (the execution layer's `JobPool` budget,
-/// per-node gates, plan cache, selectivity feedback) are shared by
-/// plumbing the same `Arc`s into each job's `InputFormat`, not by the
-/// manager reaching into the formats. That keeps the lock hierarchy
-/// one-directional: JobManager → (per job) JobPool → NodeGate →
-/// planner locks — machine-checked end to end by `hail-sync`'s
-/// `LockRank` (the slots here sit at the top rank, `ManagerSlot`; see
-/// ARCHITECTURE.md, "Concurrency invariants & enforcement").
+/// scoped to each [`JobManager::run_batch`] call ([`run_ordered`] over
+/// whole jobs), and the cross-job resources worth sharing (plan cache,
+/// selectivity feedback, scan-share registry) are shared by plumbing
+/// the same `Arc`s into each job's `InputFormat`, not by the manager
+/// reaching into the formats. The manager takes no lock of its own.
+/// Each job reads at most its own `job_parallelism` splits at once, so
+/// a batch uses at most `max_concurrent × job_parallelism` threads.
 pub struct JobManager {
     max_concurrent: usize,
     in_flight: Arc<InFlightBlocks>,
@@ -120,48 +117,23 @@ impl JobManager {
         spec: &ClusterSpec,
         jobs: &[MapJob<'_>],
     ) -> Vec<Result<JobRun>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
         let admitted = Instant::now();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OrderedMutex<Option<Result<JobRun>>>> = jobs
-            .iter()
-            .map(|_| OrderedMutex::new(LockRank::ManagerSlot, "manager-job-slot", None))
-            .collect();
-        let workers = self.max_concurrent.min(jobs.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let queue_wait_seconds = admitted.elapsed().as_secs_f64();
-                    // Declare this job's blocks in flight for the whole
-                    // read (released chunk by chunk by the drive loop,
-                    // remainder on drop) so overlapping jobs can attach
-                    // to each other's decodes.
-                    let interest = self.in_flight.register(&jobs[i].input);
-                    let result =
-                        run_map_job_with_interest(cluster, spec, &jobs[i], Some(&interest)).map(
-                            |mut run| {
-                                run.report.queue_wait_seconds = queue_wait_seconds;
-                                run
-                            },
-                        );
-                    drop(interest);
-                    *slots[i].acquire() = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every admitted job leaves a result")
-            })
-            .collect()
+        // Each task returns its job's own result as a value, so one
+        // failing job never stops the others from running.
+        run_ordered(jobs.len(), self.max_concurrent, |i| {
+            let queue_wait_seconds = admitted.elapsed().as_secs_f64();
+            // Declare this job's blocks in flight for the whole read
+            // (released chunk by chunk by the drive loop, remainder on
+            // drop) so overlapping jobs can attach to each other's
+            // decodes.
+            let interest = self.in_flight.register(&jobs[i].input);
+            let result = run_map_job_with_interest(cluster, spec, &jobs[i], Some(&interest));
+            Ok(result.map(|mut run| {
+                run.report.queue_wait_seconds = queue_wait_seconds;
+                run
+            }))
+        })
+        .expect("a job task never fails: it returns its job's result")
     }
 }
 
@@ -179,6 +151,7 @@ mod tests {
     use crate::scheduler::run_map_job;
     use hail_sim::HardwareProfile;
     use hail_types::{BlockId, Row, StorageConfig, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     /// Emits one row per block and tracks how many batch reads are in
@@ -244,7 +217,6 @@ mod tests {
             name: name.into(),
             input: blocks.collect(),
             format,
-            parallelism: None,
             job_parallelism: None,
             map: Box::new(|rec, out| out.push(rec.row.clone())),
         }
@@ -271,7 +243,6 @@ mod tests {
                 name: format!("job-{j}"),
                 input: (0..4).collect(),
                 format: &fmt,
-                parallelism: None,
                 job_parallelism: None,
                 map: Box::new(move |rec, out| {
                     if rec.row.get(0) == Some(&Value::Long(0)) {

@@ -11,7 +11,7 @@
 
 use crate::driver::ChunkedDrive;
 use crate::inflight::InterestGuard;
-use crate::input_format::{InputFormat, InputSplit, SplitContext, SplitPlan, SplitTask};
+use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitTask};
 use crate::job::{JobReport, MapRecord, TaskReport};
 use hail_dfs::DfsCluster;
 use hail_sim::{ClusterSpec, HardwareProfile, SlotPool};
@@ -31,22 +31,13 @@ pub struct MapJob<'a> {
     pub name: String,
     pub input: Vec<BlockId>,
     pub format: &'a dyn InputFormat,
-    /// Worker parallelism granted to each split read for fanning out
-    /// its independent block reads (driven through
-    /// [`SplitContext::parallelism`] into the execution layer's
-    /// executor). `None` — the default — lets the format's own
-    /// executor configuration decide (which honors the
-    /// `HAIL_PARALLELISM` environment override). Never changes results
-    /// or simulated times, only real wall clock.
-    pub parallelism: Option<usize>,
-    /// Job-level overlap: how many whole splits the execution phase may
-    /// read concurrently through [`InputFormat::read_split_batch`].
-    /// `None` — the default — lets the format's own policy decide
-    /// (which for the planner-backed format honors the
-    /// `HAIL_JOB_PARALLELISM` environment override); `Some(1)` forces
-    /// strictly sequential split reads. Like intra-split parallelism,
-    /// this never changes results or simulated times, only real wall
-    /// clock.
+    /// How many whole splits the execution phase may read concurrently
+    /// through [`InputFormat::read_split_batch`] — the job's one
+    /// parallelism setting. `None` — the default — lets the format's
+    /// own policy decide (which for the planner-backed format honors
+    /// the `HAIL_JOB_PARALLELISM` environment override); `Some(1)`
+    /// forces strictly sequential split reads on the caller's thread.
+    /// Never changes results or simulated times, only real wall clock.
     pub job_parallelism: Option<usize>,
     #[allow(clippy::type_complexity)]
     pub map: Box<dyn Fn(&MapRecord, &mut Vec<Row>) + Send + Sync + 'a>,
@@ -65,7 +56,6 @@ impl<'a> MapJob<'a> {
             name: name.into(),
             input,
             format,
-            parallelism: None,
             job_parallelism: None,
             map: Box::new(|rec, out| {
                 if !rec.bad {
@@ -75,24 +65,10 @@ impl<'a> MapJob<'a> {
         }
     }
 
-    /// Builder-style intra-split read parallelism override.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = Some(parallelism.max(1));
-        self
-    }
-
-    /// Builder-style job-level (split overlap) parallelism override.
+    /// Builder-style split-overlap parallelism override.
     pub fn with_job_parallelism(mut self, parallelism: usize) -> Self {
         self.job_parallelism = Some(parallelism.max(1));
         self
-    }
-
-    /// The [`SplitContext`] this job's tasks read under on `node`.
-    pub(crate) fn split_context(&self, node: DatanodeId) -> SplitContext {
-        SplitContext {
-            task_node: node,
-            parallelism: self.parallelism,
-        }
     }
 }
 
@@ -355,18 +331,17 @@ pub(crate) fn account_split_read(
 /// 1. **Assignment** (`assign_split_nodes`): nodes are chosen for all
 ///    splits up front from planner *estimates*, decoupling scheduling
 ///    from reading.
-/// 2. **Execution** ([`InputFormat::read_split_batch`]): whole splits
-///    fan out across the format's job-level worker pool (bounded by
-///    [`MapJob::job_parallelism`] / `HAIL_JOB_PARALLELISM`), each read
-///    still fanning its blocks across intra-split workers.
+/// 2. **Execution** ([`InputFormat::read_split_batch`]): up to
+///    [`MapJob::job_parallelism`] / `HAIL_JOB_PARALLELISM` whole splits
+///    are read at once, each on one thread.
 /// 3. **Accounting**: strictly in split order on this thread — map
 ///    application, `TaskReport`s, and the simulated `NodeSlots`
 ///    schedule priced from the *actual* read statistics.
 ///
 /// Every output row, `TaskReport`/`JobReport` field (except the
 /// measured `reader_wall_seconds`), and any adaptive planner state is
-/// bit-for-bit identical at every job/split parallelism; job
-/// parallelism 1 reads the splits strictly sequentially on this thread.
+/// bit-for-bit identical at every job parallelism; job parallelism 1
+/// reads the splits strictly sequentially on this thread.
 pub fn run_map_job(cluster: &DfsCluster, spec: &ClusterSpec, job: &MapJob<'_>) -> Result<JobRun> {
     run_map_job_with_interest(cluster, spec, job, None)
 }
@@ -408,8 +383,8 @@ pub(crate) fn run_map_job_with_plan(
     let nodes = assign_split_nodes(cluster, spec, job.format, &plan.splits)?;
 
     // Phases 2+3 run through the shared chunked drive loop
-    // ([`ChunkedDrive`]): execution (the format's job-level pool
-    // overlaps each chunk's reads), then the deterministic merge +
+    // ([`ChunkedDrive`]): execution (the format may overlap each
+    // chunk's split reads), then the deterministic merge +
     // simulated accounting in split order. Chunking bounds peak memory
     // — a chunk's buffered records are mapped into `output` and dropped
     // before the next chunk reads — without touching determinism: the
@@ -419,10 +394,7 @@ pub(crate) fn run_map_job_with_plan(
         .splits
         .iter()
         .zip(&nodes)
-        .map(|(split, &node)| SplitTask {
-            split,
-            ctx: job.split_context(node),
-        })
+        .map(|(split, &task_node)| SplitTask { split, task_node })
         .collect();
     let mut slots = NodeSlots::new(cluster, hw.map_slots);
     let mut output = Vec::new();
@@ -675,7 +647,6 @@ mod tests {
             name: "filter".into(),
             input: (0..10).collect(),
             format: &fmt,
-            parallelism: None,
             job_parallelism: None,
             map: Box::new(|rec, out| {
                 if let Some(Value::Long(v)) = rec.row.get(0) {

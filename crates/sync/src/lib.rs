@@ -23,7 +23,7 @@
 //! the engine leaves its structure consistent before any call that can
 //! panic (writes are complete assignments, not staged mutations), so a
 //! panicked worker must not cascade into wedging the shared
-//! `PlanCache`, the `JobManager` result slots, or a scan-share waiter.
+//! `PlanCache` or a scan-share waiter.
 //! Code that needs "the producer died" signalling handles it
 //! explicitly (RAII cleanup guards), not via poisoning.
 //!
@@ -49,13 +49,6 @@ use std::sync::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum LockRank {
-    /// `JobManager` per-job result slots (crates/mr/src/manager.rs).
-    ManagerSlot = 9,
-    /// `JobPool` work-stealing deques and per-split result slots
-    /// (crates/exec/src/executor.rs).
-    PoolDeque = 8,
-    /// `NodeGate` per-datanode in-flight counts (crates/exec/src/executor.rs).
-    NodeGate = 7,
     /// `ReindexAdvisor` trigger state — held across `SelectivityFeedback`
     /// reads (crates/exec/src/adapt.rs).
     AdvisorState = 6,
@@ -79,10 +72,7 @@ pub enum LockRank {
 impl LockRank {
     /// All ranks, highest first — the same order as the declaration and
     /// the ARCHITECTURE.md table.
-    pub const ALL: [LockRank; 10] = [
-        LockRank::ManagerSlot,
-        LockRank::PoolDeque,
-        LockRank::NodeGate,
+    pub const ALL: [LockRank; 7] = [
         LockRank::AdvisorState,
         LockRank::PlanCache,
         LockRank::Feedback,
@@ -418,23 +408,23 @@ mod tests {
                 pair[1]
             );
         }
-        assert_eq!(LockRank::ALL.len(), 10);
+        assert_eq!(LockRank::ALL.len(), 7);
         assert_eq!(LockRank::ShareRegistry as u8, 0);
-        assert_eq!(LockRank::ManagerSlot as u8, 9);
+        assert_eq!(LockRank::AdvisorState as u8, 6);
     }
 
     #[test]
     fn descending_acquisition_is_allowed() {
-        let slot = OrderedMutex::new(LockRank::ManagerSlot, "slot", 1u32);
-        let gate = OrderedMutex::new(LockRank::NodeGate, "gate", 2u32);
+        let advisor = OrderedMutex::new(LockRank::AdvisorState, "advisor", 1u32);
+        let scratch = OrderedMutex::new(LockRank::MapScratch, "scratch", 2u32);
         let reg = OrderedMutex::new(LockRank::ShareRegistry, "registry", 3u32);
-        let a = slot.acquire();
-        let b = gate.acquire();
+        let a = advisor.acquire();
+        let b = scratch.acquire();
         let c = reg.acquire();
         assert_eq!(*a + *b + *c, 6);
         drop((a, b, c));
         // Dropping restores a clean stack: re-acquiring top rank works.
-        let _again = slot.acquire();
+        let _again = advisor.acquire();
     }
 
     #[test]
@@ -471,7 +461,11 @@ mod tests {
     #[test]
     fn condvar_wait_keeps_rank_and_recovers() {
         use std::sync::Arc;
-        let state = Arc::new(OrderedMutex::new(LockRank::NodeGate, "gate-state", false));
+        let state = Arc::new(OrderedMutex::new(
+            LockRank::InterestCounts,
+            "counts-state",
+            false,
+        ));
         let cv = Arc::new(OrderedCondvar::new());
         let (s2, c2) = (Arc::clone(&state), Arc::clone(&cv));
         let waiter = std::thread::spawn(move || {
@@ -479,7 +473,7 @@ mod tests {
             while !*g {
                 g = c2.wait(g);
             }
-            // Still holding NodeGate after the wait: a lower-rank
+            // Still holding InterestCounts after the wait: a lower-rank
             // acquisition must be legal, a higher-rank one would panic.
             let leaf = OrderedMutex::new(LockRank::ShareRegistry, "leaf", ());
             let _l = leaf.acquire();
@@ -501,9 +495,9 @@ mod tests {
     fn inversion_panics_naming_both_locks() {
         let err = std::thread::spawn(|| {
             let cache = OrderedRwLock::new(LockRank::PlanCache, "plan-cache", ());
-            let gate = OrderedMutex::new(LockRank::NodeGate, "node-gate", ());
+            let advisor = OrderedMutex::new(LockRank::AdvisorState, "advisor-state", ());
             let _held = cache.read();
-            let _bad = gate.acquire(); // NodeGate after PlanCache: inverted
+            let _bad = advisor.acquire(); // AdvisorState after PlanCache: inverted
         })
         .join()
         .expect_err("inverted acquisition must panic");
@@ -513,7 +507,7 @@ mod tests {
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .expect("panic payload is a string");
         assert!(
-            msg.contains("node-gate"),
+            msg.contains("advisor-state"),
             "panic must name the acquired lock: {msg}"
         );
         assert!(
@@ -559,7 +553,7 @@ mod tests {
         }));
         // The unwound guard must have popped its rank: acquiring a
         // higher rank on this thread is legal again.
-        let slot = OrderedMutex::new(LockRank::ManagerSlot, "slot", ());
-        let _s = slot.acquire();
+        let advisor = OrderedMutex::new(LockRank::AdvisorState, "advisor", ());
+        let _a = advisor.acquire();
     }
 }

@@ -97,9 +97,9 @@ pub mod prelude {
     };
     pub use hail_exec::{
         apply_reindex, default_splits, hail_splits, read_hail_block, AccessPath, CacheStats,
-        ExecutorConfig, ExecutorContext, JobPool, JobPoolConfig, PlanCache, PlannedInputFormat,
-        PlannerConfig, QueryPlan, QueryPlanner, ReindexAction, ReindexAdvisor, ReindexKind,
-        ReindexOutcome, ReindexPolicy, SelectivityEstimate, SelectivityFeedback,
+        PlanCache, PlannedInputFormat, PlannerConfig, QueryPlan, QueryPlanner, ReindexAction,
+        ReindexAdvisor, ReindexKind, ReindexOutcome, ReindexPolicy, SelectivityEstimate,
+        SelectivityFeedback,
     };
     pub use hail_index::{
         ClusteredIndex, IndexKind, IndexedBlock, KeyBounds, ReplicaIndexConfig, SidecarMetadata,

@@ -5,28 +5,23 @@ use hail_bench::SharedJobInfra;
 use hail_exec::ScanShareRegistry;
 use std::sync::Arc;
 
-/// Every `(scan sharing, jobs in flight)` setting the managed sweeps
-/// run: sharing on and off — the two `HAIL_DISABLE_SCAN_SHARING`
-/// settings — at concurrency 1, 2 and 4.
-pub fn settings() -> impl Iterator<Item = (bool, usize)> {
+/// Every `(scan sharing, jobs in flight, job parallelism)` setting the
+/// managed sweeps run: sharing on and off — the two
+/// `HAIL_DISABLE_SCAN_SHARING` settings — at concurrency 1, 2 and 4,
+/// where the two concurrent jobs at concurrency 2 also read two splits
+/// each at once.
+pub fn settings() -> impl Iterator<Item = (bool, usize, usize)> {
     [true, false]
         .into_iter()
-        .flat_map(|sharing| [1, 2, 4].map(|conc| (sharing, conc)))
+        .flat_map(|sharing| [(1, 1), (2, 2), (4, 1)].map(|(conc, j)| (sharing, conc, j)))
 }
 
-/// Infrastructure for `max_jobs` concurrent jobs with serial executors,
-/// sized as `shared_job_pool` sizes it, whose pool carries a scan-share
-/// registry exactly when `sharing` — whatever the environment says.
-pub fn infra(max_jobs: usize, sharing: bool) -> SharedJobInfra {
-    let pool = JobPool::new(JobPoolConfig {
-        workers: max_jobs,
-        budget: max_jobs,
-        per_node_slots: None,
-    })
-    .with_scan_share(sharing.then(|| Arc::new(ScanShareRegistry::new())));
+/// Infrastructure whose scan-share registry exists exactly when
+/// `sharing` — whatever the environment says.
+pub fn infra(sharing: bool) -> SharedJobInfra {
     SharedJobInfra {
         plan_cache: Arc::new(PlanCache::default()),
         feedback: Some(Arc::new(SelectivityFeedback::default())),
-        pool: Arc::new(pool),
+        scan_share: sharing.then(|| Arc::new(ScanShareRegistry::new())),
     }
 }

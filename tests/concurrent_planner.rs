@@ -3,8 +3,7 @@
 //! shared `PlanCache` + `SelectivityFeedback` while death-log evictions
 //! and feedback absorption run against them.
 //!
-//! The properties under test (satellite of the parallel-executor
-//! change):
+//! The properties under test:
 //!
 //! - **No lost evictions.** Every death in the log evicts every entry
 //!   whose fingerprint involved the dead datanode, exactly once, no
@@ -18,7 +17,7 @@
 //!   equal what a stateless planner computes.
 
 use hail::exec::{BlockFingerprint, BlockPlan, FilterShape, FullScan, PlannerConfig, ScanLayout};
-use hail::mr::{read_one_split, SplitContext, TaskStats};
+use hail::mr::{read_one_split, TaskStats};
 use hail::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -272,8 +271,8 @@ fn concurrent_read_splits_share_adaptive_state() {
     // Serial oracle.
     let mut serial_records = 0u64;
     for split in &plan.splits {
-        let ctx = SplitContext::on(split.locations[0]);
-        let stats = read_one_split(&format, &cluster, split, ctx, &mut |_| {}).unwrap();
+        let stats =
+            read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {}).unwrap();
         serial_records += stats.records;
     }
     cache.clear();
@@ -291,8 +290,7 @@ fn concurrent_read_splits_share_adaptive_state() {
                 let format = &format;
                 let cluster = &cluster;
                 scope.spawn(move || {
-                    let ctx = SplitContext::on(split.locations[0]);
-                    read_one_split(format, cluster, split, ctx, &mut |_| {}).unwrap()
+                    read_one_split(format, cluster, split, split.locations[0], &mut |_| {}).unwrap()
                 })
             })
             .collect();

@@ -6,17 +6,10 @@
 
 use hail::prelude::*;
 
-/// (intra-split parallelism, job parallelism, synopsis pruning): serial,
-/// the two executors alone and together, and pruning off. A `HAIL_*`
-/// knob supplies each field's default; none may change a result.
-const SETTINGS: [(usize, usize, bool); 6] = [
-    (1, 1, true),
-    (2, 2, true),
-    (4, 1, true),
-    (4, 4, true),
-    (1, 2, true),
-    (1, 1, false),
-];
+/// (job parallelism, synopsis pruning): sequential, two and four splits
+/// at once, and pruning off. A `HAIL_*` knob supplies each field's
+/// default; none may change a result.
+const SETTINGS: [(usize, bool); 4] = [(1, true), (2, true), (4, true), (1, false)];
 
 fn run(
     cluster: &DfsCluster,
@@ -24,10 +17,9 @@ fn run(
     dataset: &Dataset,
     query: &HailQuery,
     splitting: bool,
-    (parallelism, job_parallelism, synopsis_pruning): (usize, usize, bool),
+    (job_parallelism, synopsis_pruning): (usize, bool),
 ) -> Vec<Row> {
-    let mut format = PlannedInputFormat::new(dataset.clone(), query.clone())
-        .with_executor(ExecutorConfig::with_parallelism(parallelism));
+    let mut format = PlannedInputFormat::new(dataset.clone(), query.clone());
     format.splitting = splitting;
     format.planner.synopsis_pruning = synopsis_pruning;
     let job = MapJob::collecting("q", dataset.blocks.clone(), &format)
@@ -206,7 +198,6 @@ fn bad_records_survive_upload_and_reach_the_map_function() {
         name: "badscan".into(),
         input: dataset.blocks.clone(),
         format: &format,
-        parallelism: None,
         job_parallelism: None,
         map: Box::new(|rec, out| {
             if rec.bad {

@@ -4,20 +4,14 @@
 
 use hail::prelude::*;
 
-/// (intra-split parallelism, job parallelism) every failover job runs
-/// at: serial, and the two executors alone and together.
-const PARALLELISM: [(usize, usize); 5] = [(1, 1), (2, 2), (4, 1), (4, 4), (1, 2)];
+/// The job parallelisms every failover job runs at: sequential, and
+/// two and four splits at once.
+const PARALLELISM: [usize; 3] = [1, 2, 4];
 
 /// A collecting job over `dataset` through `format` at job parallelism
 /// `j`.
 fn job<'a>(format: &'a PlannedInputFormat, dataset: &Dataset, j: usize) -> MapJob<'a> {
     MapJob::collecting("q", dataset.blocks.clone(), format).with_job_parallelism(j)
-}
-
-/// `query`'s format at intra-split parallelism `p`.
-fn format(dataset: &Dataset, query: &HailQuery, p: usize) -> PlannedInputFormat {
-    PlannedInputFormat::new(dataset.clone(), query.clone())
-        .with_executor(ExecutorConfig::with_parallelism(p))
 }
 
 fn storage() -> StorageConfig {
@@ -46,13 +40,13 @@ fn results_identical_after_any_single_node_death() {
         let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
         cluster.kill_node(victim).unwrap();
-        for (p, j) in PARALLELISM {
-            let format = format(&dataset, &query, p);
+        for j in PARALLELISM {
+            let format = PlannedInputFormat::new(dataset.clone(), query.clone());
             let run = run_map_job(&cluster, &spec, &job(&format, &dataset, j)).unwrap();
             assert_eq!(
                 canonical(&run.output),
                 expected,
-                "node {victim} death changed results at p{p}/j{j}"
+                "node {victim} death changed results at j{j}"
             );
         }
     }
@@ -70,10 +64,10 @@ fn results_identical_after_two_node_deaths() {
     let expected = canonical(&oracle_eval(&texts, &schema, &query));
     cluster.kill_node(1).unwrap();
     cluster.kill_node(4).unwrap();
-    for (p, j) in PARALLELISM {
-        let format = format(&dataset, &query, p);
+    for j in PARALLELISM {
+        let format = PlannedInputFormat::new(dataset.clone(), query.clone());
         let run = run_map_job(&cluster, &spec, &job(&format, &dataset, j)).unwrap();
-        assert_eq!(canonical(&run.output), expected, "p{p}/j{j}");
+        assert_eq!(canonical(&run.output), expected, "j{j}");
     }
 }
 
@@ -83,15 +77,15 @@ fn mid_job_failure_preserves_output() {
     let schema = bob_schema();
     let spec = ClusterSpec::new(5, HardwareProfile::physical());
     let query = bob_queries()[0].to_query(&schema).unwrap();
-    for (p, j) in PARALLELISM {
+    for j in PARALLELISM {
         let (mut cluster, dataset, texts) = setup(5, &config);
         let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
-        let format = format(&dataset, &query, p).without_splitting();
+        let format = PlannedInputFormat::new(dataset.clone(), query.clone()).without_splitting();
         let job = job(&format, &dataset, j);
         let run = run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(2))
             .unwrap();
-        assert_eq!(canonical(&run.output), expected, "p{p}/j{j}");
+        assert_eq!(canonical(&run.output), expected, "j{j}");
         assert!(run.with_failure.end_to_end_seconds >= run.baseline.end_to_end_seconds);
         // The dead node is really dead.
         assert!(!cluster.datanode(2).unwrap().is_alive());

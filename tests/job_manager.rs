@@ -1,7 +1,7 @@
 //! Multi-job serving end to end: the `JobManager` admitting ~200
 //! queued Bob/Synthetic queries at concurrency 1/2/4 over one shared
-//! `PlanCache`/`JobPool`, with per-job results bit-for-bit identical
-//! to solo runs at every interleaving.
+//! `PlanCache`, with per-job results bit-for-bit identical to solo runs
+//! at every interleaving.
 //!
 //! Covers the acceptance criteria of the multi-job change:
 //!
@@ -19,15 +19,16 @@
 //!   concurrent jobs over the degraded cluster, still bit-for-bit
 //!   against solo runs on that cluster.
 //!
-//! The two solo-equivalence sweeps run with scan sharing on and off.
+//! The two solo-equivalence sweeps run with scan sharing on and off,
+//! and at concurrency 2 each job also reads two splits at once.
 
 mod common;
 
 use common::{infra, settings};
 use hail::prelude::*;
 use hail_bench::{
-    make_shared_format, run_queries_managed, setup_hail, uv_testbed, ExperimentScale,
-    SharedJobInfra, SystemSetup,
+    make_shared_format, run_queries_managed, run_queries_managed_at, setup_hail, uv_testbed,
+    ExperimentScale, SharedJobInfra, SystemSetup,
 };
 use hail_mr::{InputSplit, JobReport, JobRun, SplitPlan, SplitRead, SplitTask};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,8 +51,8 @@ fn syn_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testb
     (tb, setup)
 }
 
-/// A solo run with private infrastructure — its own cache and pool —
-/// the baseline every managed job must reproduce bit-for-bit.
+/// A solo run with private infrastructure — its own cache and
+/// registry — the baseline every managed job must reproduce bit-for-bit.
 fn solo(setup: &SystemSetup, spec: &ClusterSpec, query: &HailQuery, splitting: bool) -> JobRun {
     let infra = SharedJobInfra::for_jobs(1);
     let format = make_shared_format(setup, spec, query, splitting, &infra);
@@ -108,9 +109,9 @@ fn syn_queries(n: usize, schema: &Schema) -> Vec<HailQuery> {
 }
 
 /// ~200 queued Bob/Synthetic queries through the manager at
-/// concurrency 1/2/4, with scan sharing on and off: every job's output
-/// is bit-for-bit its solo run's, and queue-wait telemetry surfaces for
-/// queued jobs.
+/// concurrency 1/2/4 (two splits per job at once at concurrency 2),
+/// with scan sharing on and off: every job's output is bit-for-bit its
+/// solo run's, and queue-wait telemetry surfaces for queued jobs.
 #[test]
 fn two_hundred_queries_match_solo_at_every_concurrency() {
     let (uv_tb, uv) = uv_setup(400, 4);
@@ -128,14 +129,16 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
         .map(|q| solo(&syn, &syn_tb.spec, q, true))
         .collect();
 
-    for (sharing, conc) in settings() {
+    for (sharing, conc, j) in settings() {
         let manager = JobManager::new(conc);
         for (setup, spec, queries, expected) in [
             (&uv, &uv_tb.spec, &uv_qs, &uv_expected),
             (&syn, &syn_tb.spec, &syn_qs, &syn_expected),
         ] {
-            let infra = infra(conc, sharing);
-            let batch = run_queries_managed(setup, spec, queries, true, &manager, &infra).unwrap();
+            let infra = infra(sharing);
+            let batch =
+                run_queries_managed_at(setup, spec, queries, true, &manager, &infra, Some(j))
+                    .unwrap();
             assert_eq!(batch.summary.jobs, queries.len());
             let runs = batch.runs;
             assert_eq!(runs.len(), queries.len());
@@ -143,8 +146,8 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
                 assert_eq!(
                     run.output,
                     expected[i % 25].output,
-                    "concurrency {conc}, sharing {sharing}, job {i}: managed output diverged \
-                     from solo"
+                    "concurrency {conc}, job parallelism {j}, sharing {sharing}, job {i}: \
+                     managed output diverged from solo"
                 );
                 assert!(run.report.queue_wait_seconds >= 0.0);
             }
@@ -198,8 +201,8 @@ fn distinct_shape_queries(schema: &Schema) -> Vec<HailQuery> {
 
 /// For distinct-shape jobs, managed runs reproduce the solo run's
 /// whole report — every simulated figure, schedule entry, and cache
-/// counter — not just the output, at every concurrency, with scan
-/// sharing on and off.
+/// counter — not just the output, at every concurrency and job
+/// parallelism, with scan sharing on and off.
 #[test]
 fn distinct_shapes_reproduce_full_reports() {
     let (tb, setup) = uv_setup(500, 4);
@@ -208,20 +211,21 @@ fn distinct_shapes_reproduce_full_reports() {
         .iter()
         .map(|q| solo(&setup, &tb.spec, q, true))
         .collect();
-    for (sharing, conc) in settings() {
-        let infra = infra(conc, sharing);
-        let runs = run_queries_managed(
+    for (sharing, conc, j) in settings() {
+        let infra = infra(sharing);
+        let runs = run_queries_managed_at(
             &setup,
             &tb.spec,
             &queries,
             true,
             &JobManager::new(conc),
             &infra,
+            Some(j),
         )
         .unwrap()
         .runs;
         for (run, exp) in runs.iter().zip(&expected) {
-            let at = format!("concurrency {conc}, sharing {sharing}");
+            let at = format!("concurrency {conc}, job parallelism {j}, sharing {sharing}");
             assert_eq!(run.output, exp.output, "{at}: output");
             assert_eq!(
                 report_modulo_wall(&run.report),
@@ -358,8 +362,8 @@ fn concurrent_jobs_on_a_degraded_cluster_match_solo() {
     }
 }
 
-/// The baselines run through the shared pool too (one format type),
-/// but plan statelessly: a managed Hadoop or Hadoop++ batch at
+/// The baselines run through the shared infrastructure too (one format
+/// type), but plan statelessly: a managed Hadoop or Hadoop++ batch at
 /// concurrency 2 returns each job's plain solo output and simulated
 /// time, whatever same-shaped job ran before it.
 #[test]

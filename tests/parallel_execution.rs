@@ -1,16 +1,15 @@
-//! Parallel split execution end to end: the executor must change wall
-//! clock only.
+//! Parallel split execution end to end: reading whole splits at once
+//! must change wall clock only.
 //!
-//! Acceptance criteria of the parallel-executor change: with
-//! parallelism 1 the engine behaves exactly as before; with any higher
-//! parallelism the same jobs produce identical output rows **in the
-//! same order**, identical simulated-clock reports, identical
-//! path/selectivity/cache statistics, and a non-negative framework
-//! overhead (wall clock is reported separately and never leaks into
-//! the simulated accounting).
+//! With job parallelism 1 the engine reads splits in order on the
+//! caller's thread; at 2, 4 and 8 the same jobs produce identical
+//! output rows **in the same order**, identical simulated-clock
+//! reports, identical path/selectivity/cache statistics, and a
+//! non-negative framework overhead (wall clock is reported separately
+//! and never leaks into the simulated accounting).
 
-use hail::exec::{ExecutorConfig, PlannerConfig};
-use hail::mr::{read_one_split, JobReport, SplitContext};
+use hail::exec::PlannerConfig;
+use hail::mr::{FailoverRun, JobReport};
 use hail::prelude::*;
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ fn schema() -> Schema {
 }
 
 /// A 4-node cluster with enough blocks that `HailSplitting` builds
-/// multi-block splits (the executor's fan-out unit).
+/// several splits (the fan-out unit).
 fn setup() -> (DfsCluster, Dataset) {
     let mut cluster = DfsCluster::new(4, storage());
     let texts: Vec<(usize, String)> = (0..4)
@@ -56,27 +55,28 @@ fn setup() -> (DfsCluster, Dataset) {
 fn run_at(
     cluster: &DfsCluster,
     dataset: &Dataset,
-    parallelism: usize,
-    planner: PlannerConfig,
-) -> (Vec<Row>, JobReport) {
-    run_at_levels(cluster, dataset, parallelism, 1, planner)
-}
-
-fn run_at_levels(
-    cluster: &DfsCluster,
-    dataset: &Dataset,
-    split_parallelism: usize,
     job_parallelism: usize,
     planner: PlannerConfig,
 ) -> (Vec<Row>, JobReport) {
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
     let format = PlannedInputFormat::new(dataset.clone(), query).with_planner(planner);
     let job = MapJob::collecting("par", dataset.blocks.clone(), &format)
-        .with_parallelism(split_parallelism)
         .with_job_parallelism(job_parallelism);
     let spec = ClusterSpec::new(4, HardwareProfile::physical());
     let run = run_map_job(cluster, &spec, &job).unwrap();
     (run.output, run.report)
+}
+
+/// A fresh cluster whose node 1 dies halfway through the job, read at
+/// `job_parallelism`.
+fn run_failure(job_parallelism: usize) -> FailoverRun {
+    let (mut cluster, dataset) = setup();
+    let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
+    let format = PlannedInputFormat::new(dataset.clone(), query);
+    let job = MapJob::collecting("fo", dataset.blocks.clone(), &format)
+        .with_job_parallelism(job_parallelism);
+    let spec = ClusterSpec::new(4, HardwareProfile::physical());
+    run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(1)).unwrap()
 }
 
 /// Every simulated-domain figure of two reports must be bit-for-bit
@@ -106,21 +106,24 @@ fn assert_reports_identical(serial: &JobReport, parallel: &JobReport) {
     }
 }
 
-/// Acceptance: parallelism 1 is the old behavior, and parallelism
-/// 2/4/8 reproduce it bit for bit — output rows in the same order and
+/// Acceptance: job parallelism 1 is the sequential run, and 2/4/8
+/// reproduce it bit for bit — output rows in the same order and
 /// identical simulated reports.
 #[test]
 fn any_parallelism_reproduces_the_serial_run() {
     let (cluster, dataset) = setup();
-    let multi_block = {
+    let splits = {
         let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
         let format = PlannedInputFormat::new(dataset.clone(), query);
-        let plan = format.splits(&cluster, &dataset.blocks).unwrap();
-        plan.splits.iter().map(|s| s.blocks.len()).max().unwrap()
+        format
+            .splits(&cluster, &dataset.blocks)
+            .unwrap()
+            .splits
+            .len()
     };
     assert!(
-        multi_block >= 3,
-        "setup must produce multi-block splits, got max {multi_block}"
+        splits >= 4,
+        "setup must give widths above 1 splits to overlap, got {splits}"
     );
 
     let (serial_out, serial_report) = run_at(&cluster, &dataset, 1, PlannerConfig::default());
@@ -163,7 +166,7 @@ fn adaptive_state_is_parallelism_invariant() {
     assert_eq!(s.misses, p.misses);
     assert_eq!(s.cost_evaluations, p.cost_evaluations);
     // The feedback store's decayed estimate is bit-identical: the
-    // executor merged observations in split order both times.
+    // barrier absorbed observations in split order both times.
     assert_eq!(serial_fb.observed(0, false), par_fb.observed(0, false));
     assert_eq!(
         serial_fb.observation_count(0, false),
@@ -184,7 +187,7 @@ fn overhead_accounting_survives_parallel_readers() {
     // measurement: non-negative and finite.
     let wall = report.reader_wall_seconds();
     assert!(wall.is_finite() && wall >= 0.0);
-    // The simulated reader *work* is unaffected by the fan-out.
+    // The simulated reader *work* is unaffected by the overlap.
     let (_, serial_report) = run_at(&cluster, &dataset, 1, PlannerConfig::default());
     assert_eq!(
         report.total_reader_seconds(),
@@ -196,15 +199,6 @@ fn overhead_accounting_survives_parallel_readers() {
 /// degraded re-reads) is parallelism-invariant too.
 #[test]
 fn failover_is_parallelism_invariant() {
-    let run_failure = |parallelism: usize| {
-        let (mut cluster, dataset) = setup();
-        let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-        let format = PlannedInputFormat::new(dataset.clone(), query);
-        let job =
-            MapJob::collecting("fo", dataset.blocks.clone(), &format).with_parallelism(parallelism);
-        let spec = ClusterSpec::new(4, HardwareProfile::physical());
-        run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(1)).unwrap()
-    };
     let serial = run_failure(1);
     let parallel = run_failure(4);
     let mut serial_rows: Vec<String> = serial.output.iter().map(Row::to_string).collect();
@@ -220,14 +214,14 @@ fn failover_is_parallelism_invariant() {
     );
 }
 
-/// Acceptance (job overlap): the full matrix of job-level parallelism
-/// 1/2/4 × intra-split parallelism 1/2 reproduces the strictly
-/// sequential run bit for bit — output rows in order, every simulated
-/// report figure, and the post-job adaptive cache/feedback state.
+/// Acceptance (job overlap): job parallelism 2/4/8 reproduces the
+/// strictly sequential run bit for bit — output rows in order, every
+/// simulated report figure, and the post-job adaptive cache/feedback
+/// state.
 #[test]
 fn job_level_overlap_is_bit_for_bit_invariant() {
     let (cluster, dataset) = setup();
-    let run_with_state = |split_p: usize, job_p: usize| {
+    let run_with_state = |job_p: usize| {
         let cache = Arc::new(PlanCache::default());
         let feedback = Arc::new(SelectivityFeedback::default());
         let planner = PlannerConfig {
@@ -238,94 +232,48 @@ fn job_level_overlap_is_bit_for_bit_invariant() {
         // Two passes: the second plans from a warm cache and absorbed
         // feedback, so any overlap-order leak into the adaptive state
         // would surface as diverging plans or counters.
-        run_at_levels(&cluster, &dataset, split_p, job_p, planner.clone());
-        let (out, report) = run_at_levels(&cluster, &dataset, split_p, job_p, planner);
+        run_at(&cluster, &dataset, job_p, planner.clone());
+        let (out, report) = run_at(&cluster, &dataset, job_p, planner);
         (out, report, cache, feedback)
     };
 
-    let (base_out, base_report, base_cache, base_fb) = run_with_state(1, 1);
+    let (base_out, base_report, base_cache, base_fb) = run_with_state(1);
     assert!(!base_out.is_empty());
-    for job_p in [1, 2, 4] {
-        for split_p in [1, 2] {
-            if (job_p, split_p) == (1, 1) {
-                continue;
-            }
-            let (out, report, cache, fb) = run_with_state(split_p, job_p);
-            assert_eq!(base_out, out, "job={job_p} split={split_p} changed rows");
-            assert_reports_identical(&base_report, &report);
-            let (b, p) = (base_cache.stats(), cache.stats());
-            assert_eq!(b.hits, p.hits, "job={job_p} split={split_p} cache hits");
-            assert_eq!(b.misses, p.misses);
-            assert_eq!(b.cost_evaluations, p.cost_evaluations);
-            assert_eq!(
-                base_fb.observed(0, false),
-                fb.observed(0, false),
-                "job={job_p} split={split_p} feedback state"
-            );
-            assert_eq!(
-                base_fb.observation_count(0, false),
-                fb.observation_count(0, false)
-            );
-        }
+    for job_p in [2, 4, 8] {
+        let (out, report, cache, fb) = run_with_state(job_p);
+        assert_eq!(base_out, out, "job={job_p} changed rows");
+        assert_reports_identical(&base_report, &report);
+        let (b, p) = (base_cache.stats(), cache.stats());
+        assert_eq!(b.hits, p.hits, "job={job_p} cache hits");
+        assert_eq!(b.misses, p.misses);
+        assert_eq!(b.cost_evaluations, p.cost_evaluations);
+        assert_eq!(
+            base_fb.observed(0, false),
+            fb.observed(0, false),
+            "job={job_p} feedback state"
+        );
+        assert_eq!(
+            base_fb.observation_count(0, false),
+            fb.observation_count(0, false)
+        );
     }
 }
 
-/// Acceptance (job overlap): a mid-job failure replayed through the
-/// shared job-level pool is bit-for-bit equivalent to the sequential
-/// replay — same output, same rerun set, same `T_f`.
+/// Acceptance (job overlap): a mid-job failure replayed with
+/// overlapping split reads is bit-for-bit equivalent to the sequential
+/// replay — same output in the same order, same rerun set, same `T_f`.
 #[test]
 fn failover_through_the_shared_pool_is_invariant() {
-    let run_failure = |split_p: usize, job_p: usize| {
-        let (mut cluster, dataset) = setup();
-        let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-        let format = PlannedInputFormat::new(dataset.clone(), query);
-        let job = MapJob::collecting("fo", dataset.blocks.clone(), &format)
-            .with_parallelism(split_p)
-            .with_job_parallelism(job_p);
-        let spec = ClusterSpec::new(4, HardwareProfile::physical());
-        run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(1)).unwrap()
-    };
-    let serial = run_failure(1, 1);
-    for (split_p, job_p) in [(1, 4), (2, 2), (2, 4)] {
-        let pooled = run_failure(split_p, job_p);
-        assert_eq!(serial.output.len(), pooled.output.len());
-        for (a, b) in serial.output.iter().zip(&pooled.output) {
-            assert_eq!(a, b, "job={job_p} split={split_p} changed output order");
+    let serial = run_failure(1);
+    for job_p in [2, 4, 8] {
+        let overlapped = run_failure(job_p);
+        assert_eq!(serial.output.len(), overlapped.output.len());
+        for (a, b) in serial.output.iter().zip(&overlapped.output) {
+            assert_eq!(a, b, "job={job_p} changed output order");
         }
-        assert_eq!(serial.rerun_count, pooled.rerun_count);
-        assert_eq!(serial.failure_time, pooled.failure_time);
-        assert_eq!(serial.slowdown_percent(), pooled.slowdown_percent());
-        assert_reports_identical(&serial.with_failure, &pooled.with_failure);
+        assert_eq!(serial.rerun_count, overlapped.rerun_count);
+        assert_eq!(serial.failure_time, overlapped.failure_time);
+        assert_eq!(serial.slowdown_percent(), overlapped.slowdown_percent());
+        assert_reports_identical(&serial.with_failure, &overlapped.with_failure);
     }
-}
-
-/// The scheduler-level override beats the format's own executor config
-/// (including the `HAIL_PARALLELISM` default), and a `SplitContext`
-/// read honors whichever applies — results identical either way.
-#[test]
-fn split_context_parallelism_overrides_format_config() {
-    let (cluster, dataset) = setup();
-    let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-    let format = PlannedInputFormat::new(dataset.clone(), query.clone())
-        .with_executor(ExecutorConfig::with_parallelism(2).with_per_node_slots(1));
-    let plan = format.splits(&cluster, &dataset.blocks).unwrap();
-    let split = plan.splits.iter().max_by_key(|s| s.blocks.len()).unwrap();
-
-    let on_node = SplitContext::on(split.locations[0]);
-    let mut via_format = Vec::new();
-    read_one_split(&format, &cluster, split, on_node, &mut |r| {
-        via_format.push(r)
-    })
-    .unwrap();
-    let mut via_override = Vec::new();
-    read_one_split(
-        &format,
-        &cluster,
-        split,
-        on_node.with_parallelism(8),
-        &mut |r| via_override.push(r),
-    )
-    .unwrap();
-    assert_eq!(via_format, via_override);
-    assert!(!via_format.is_empty());
 }

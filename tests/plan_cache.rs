@@ -12,7 +12,7 @@
 use hail::exec::{
     PlanCache, PlannerConfig, QueryPlanner, SelectivityEstimate, SelectivityFeedback,
 };
-use hail::mr::{read_one_split, SplitContext};
+use hail::mr::read_one_split;
 use hail::prelude::*;
 use std::sync::Arc;
 
@@ -69,8 +69,7 @@ fn repeated_read_split_prices_nothing() {
     let read_all = |label: &str| {
         let mut total = TaskStats::default();
         for split in &split_plan.splits {
-            let ctx = SplitContext::on(split.locations[0]);
-            let stats = read_one_split(&format, &cluster, split, ctx, &mut |_| {})
+            let stats = read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {})
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             total.merge(&stats);
         }
@@ -363,8 +362,7 @@ fn feedback_flips_mispriced_plan() {
     let splits = format.splits(&cluster, &dataset.blocks).unwrap();
     for _ in 0..12 {
         for split in &splits.splits {
-            let ctx = SplitContext::on(split.locations[0]);
-            read_one_split(&format, &cluster, split, ctx, &mut |_| {}).unwrap();
+            read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {}).unwrap();
         }
     }
     let (observed_mean, weight) = feedback.observed(0, false).expect("observations recorded");

@@ -1,6 +1,6 @@
 //! Cooperative scan sharing end to end: concurrent jobs over
 //! overlapping block sets attach to each other's in-flight decodes
-//! through the pool's `ScanShareRegistry`, and the sharing is
+//! through the infra's `ScanShareRegistry`, and the sharing is
 //! *invisible* everywhere except the telemetry counters.
 //!
 //! Pins the PR's acceptance criteria:
@@ -11,7 +11,7 @@
 //! - at concurrency 1 the managed path provably never attaches — one
 //!   job in flight, interest drained (and retained decodes evicted)
 //!   before the next admission;
-//! - a registry-less pool (the `HAIL_DISABLE_SCAN_SHARING=1`
+//! - a registry-less infra (the `HAIL_DISABLE_SCAN_SHARING=1`
 //!   degradation) produces the same outputs and reports, with zero
 //!   sharing counters — the batch and the reindex-flip tests run with
 //!   sharing on and off;
@@ -30,8 +30,8 @@ mod common;
 use common::{infra, settings};
 use hail::prelude::*;
 use hail_bench::{
-    make_shared_format, run_adaptive_workload, run_queries_managed, setup_hail, uv_testbed,
-    ExperimentScale, SharedJobInfra, SystemSetup,
+    make_shared_format, run_adaptive_workload, run_queries_managed, run_queries_managed_at,
+    setup_hail, uv_testbed, ExperimentScale, SharedJobInfra, SystemSetup,
 };
 use hail_mr::{JobReport, JobRun};
 
@@ -45,7 +45,7 @@ fn uv_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testbe
 }
 
 /// A solo run with private infrastructure — the baseline every managed
-/// job must reproduce bit-for-bit. The solo pool carries a registry
+/// job must reproduce bit-for-bit. The solo infra carries a registry
 /// too, but with one job there is never a concurrent decode to attach
 /// to: every acquire produces.
 fn solo(setup: &SystemSetup, spec: &ClusterSpec, query: &HailQuery, splitting: bool) -> JobRun {
@@ -103,7 +103,8 @@ fn feedback_state(infra: &SharedJobInfra) -> String {
 /// off: outputs and reports (modulo wall clocks and sharing counters)
 /// bit-for-bit against solo runs, the post-batch shared feedback state
 /// identical at every setting, and the concurrency-1 managed path never
-/// attaching.
+/// attaching. At concurrency 2 each job also reads two splits at once,
+/// so producers and consumers run on split threads of concurrent jobs.
 #[test]
 fn overlapping_jobs_match_solo_at_every_concurrency() {
     let (tb, setup) = uv_setup(500, 4);
@@ -115,17 +116,18 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
         .collect();
 
     // The default infra carries a registry; the sweep sets it explicitly.
-    assert!(SharedJobInfra::for_jobs(4).pool.scan_share().is_some());
+    assert!(SharedJobInfra::for_jobs(4).scan_share.is_some());
     let mut feedback_baseline: Option<String> = None;
-    for (sharing, conc) in settings() {
-        let infra = infra(conc, sharing);
-        let batch = run_queries_managed(
+    for (sharing, conc, j) in settings() {
+        let infra = infra(sharing);
+        let batch = run_queries_managed_at(
             &setup,
             &tb.spec,
             &queries,
             true,
             &JobManager::new(conc),
             &infra,
+            Some(j),
         )
         .unwrap();
         assert_eq!(batch.summary.jobs, queries.len());
@@ -137,13 +139,13 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
             let exp = &expected[i % unique];
             assert_eq!(
                 run.output, exp.output,
-                "concurrency {conc}, sharing {sharing}, job {i}: output diverged from solo"
+                "concurrency {conc}, j {j}, sharing {sharing}, job {i}: output diverged from solo"
             );
             assert_eq!(
                 report_modulo_wall(&run.report),
                 report_modulo_wall(&exp.report),
-                "concurrency {conc}, sharing {sharing}, job {i}: report must be bit-for-bit \
-                 modulo wall and sharing"
+                "concurrency {conc}, j {j}, sharing {sharing}, job {i}: report must be \
+                 bit-for-bit modulo wall and sharing"
             );
         }
         // One slot: each job's interest drains (evicting its retained
@@ -162,7 +164,8 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
             None => feedback_baseline = Some(state),
             Some(base) => assert_eq!(
                 base, &state,
-                "concurrency {conc}, sharing {sharing}: post-batch shared feedback state diverged"
+                "concurrency {conc}, j {j}, sharing {sharing}: post-batch shared feedback state \
+                 diverged"
             ),
         }
     }
@@ -179,7 +182,7 @@ fn identical_concurrent_jobs_share_decodes() {
     let queries: Vec<HailQuery> = (0..16).map(|_| query.clone()).collect();
     let expected = solo(&setup, &tb.spec, &query, true);
 
-    let infra = infra(4, true);
+    let infra = infra(true);
     let batch = run_queries_managed(
         &setup,
         &tb.spec,
@@ -200,7 +203,7 @@ fn identical_concurrent_jobs_share_decodes() {
         batch.summary.shared_bytes_saved > 0,
         "attached reads save the producer's simulated disk bytes"
     );
-    let registry = infra.pool.scan_share().expect("sharing on");
+    let registry = infra.scan_share.as_ref().expect("sharing on");
     assert_eq!(
         registry.retained(),
         0,
@@ -208,7 +211,7 @@ fn identical_concurrent_jobs_share_decodes() {
     );
 }
 
-/// A registry-less pool — the `HAIL_DISABLE_SCAN_SHARING=1` shape —
+/// A registry-less infra — the `HAIL_DISABLE_SCAN_SHARING=1` shape —
 /// serves the same batch with identical outputs and reports and zero
 /// sharing counters: degradation to independent reads is lossless.
 #[test]
@@ -216,8 +219,8 @@ fn disabled_sharing_is_bit_for_bit_identical_modulo_counters() {
     let (tb, setup) = uv_setup(400, 4);
     let queries = overlapping_queries(&bob_schema(), 2);
 
-    let disabled = infra(4, false);
-    assert!(disabled.pool.scan_share().is_none());
+    let disabled = infra(false);
+    assert!(disabled.scan_share.is_none());
     let without = run_queries_managed(
         &setup,
         &tb.spec,
@@ -230,7 +233,7 @@ fn disabled_sharing_is_bit_for_bit_identical_modulo_counters() {
     assert_eq!(without.summary.blocks_read_shared, 0);
     assert_eq!(without.summary.shared_bytes_saved, 0);
 
-    let enabled = infra(4, true);
+    let enabled = infra(true);
     let with = run_queries_managed(
         &setup,
         &tb.spec,
@@ -351,7 +354,7 @@ fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
                 .map(|(f, p)| HailQuery::parse(f, p, &tb.schema).unwrap())
                 .collect()
         };
-        let infra = infra(conc, sharing);
+        let infra = infra(sharing);
         let advisor = ReindexAdvisor::new(ReindexPolicy {
             enabled: true,
             ..ReindexPolicy::default()
@@ -375,7 +378,7 @@ fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
     let (baseline, base_state) = drive(1, true);
     assert_eq!(baseline.events.len(), 1, "solo run flips exactly once");
     // (1, true) again too: a repeat of the baseline must not differ.
-    for (sharing, conc) in settings() {
+    for (sharing, conc, _) in settings() {
         let at = format!("concurrency {conc}, sharing {sharing}");
         let (run, state) = drive(conc, sharing);
         assert_eq!(run.events.len(), 1, "{at}: one rebuild");
