@@ -21,11 +21,14 @@ use crate::upload::{upload_hadoop, upload_seconds};
 use bytes::Bytes;
 use hail_dfs::{store_transformed_block, DfsCluster};
 use hail_index::{IndexKind, IndexMetadata, TrojanIndex};
+use hail_pax::ReplicaBytes;
 use hail_sim::{ClusterSpec, CostLedger};
 use hail_types::bytes_util::{put_u32, ByteReader};
 use hail_types::{
     parse_line, BlockId, DataType, DatanodeId, HailError, ParsedRecord, Result, Row, Schema, Value,
 };
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Magic for the Hadoop++ row-layout block ("HPP1").
 pub const HPP_MAGIC: u32 = 0x3150_5048;
@@ -35,6 +38,10 @@ pub const HPP_MAGIC: u32 = 0x3150_5048;
 /// Layout: magic, key column (+1, 0 = unindexed), row/bad counts, index
 /// length, index bytes, dense per-row u32 offsets, row data (fixed
 /// values little-endian, varchars zero-terminated), bad lines.
+///
+/// Like a PAX block, it reads only verified bytes: opening one verifies
+/// the header and the trojan index, and each row, offset and the bad
+/// section are verified when first read.
 #[derive(Debug, Clone)]
 pub struct RowBlock {
     key_column: Option<usize>,
@@ -42,9 +49,8 @@ pub struct RowBlock {
     row_count: usize,
     offsets_start: usize,
     rows_start: usize,
-    bad_start: usize,
     bad_count: usize,
-    bytes: Bytes,
+    replica: Arc<ReplicaBytes>,
 }
 
 /// Serializes rows (already sorted if `index` is present) into the
@@ -108,9 +114,19 @@ pub fn encode_row_block(
 }
 
 impl RowBlock {
-    /// Parses the header of a serialized Hadoop++ block.
+    /// Parses a serialized Hadoop++ block from bytes the caller vouches
+    /// for: [`RowBlock::open`] over [`ReplicaBytes::trusted`].
     pub fn parse(bytes: Bytes) -> Result<RowBlock> {
-        let mut r = ByteReader::new(&bytes);
+        RowBlock::open(ReplicaBytes::trusted(bytes))
+    }
+
+    /// Opens a stored block, verifying and parsing its header and trojan
+    /// index.
+    pub fn open(replica: ReplicaBytes) -> Result<RowBlock> {
+        let len = replica.len();
+        replica.verify(0..len.min(20))?;
+        let bytes = replica.data();
+        let mut r = ByteReader::new(bytes);
         let magic = r.u32()?;
         if magic != HPP_MAGIC {
             return Err(HailError::Corrupt(format!("bad HPP magic {magic:#010x}")));
@@ -121,10 +137,11 @@ impl RowBlock {
         let bad_count = r.u32()? as usize;
         let index_len = r.u32()? as usize;
         let index_start = r.position();
-        if index_start + index_len > bytes.len() {
+        if index_start + index_len > len {
             return Err(HailError::Corrupt("truncated trojan index".into()));
         }
         let index = if index_len > 0 {
+            replica.verify(index_start..index_start + index_len)?;
             Some(TrojanIndex::from_bytes(
                 &bytes[index_start..index_start + index_len],
             )?)
@@ -133,20 +150,17 @@ impl RowBlock {
         };
         let offsets_start = index_start + index_len;
         let rows_start = offsets_start + row_count * 4;
-        if rows_start > bytes.len() {
+        if rows_start > len {
             return Err(HailError::Corrupt("truncated row offsets".into()));
         }
-        // Bad section begins after the last row; locate it by scanning
-        // the last row's encoded values when rows exist.
         Ok(RowBlock {
             key_column,
             index,
             row_count,
             offsets_start,
             rows_start,
-            bad_start: usize::MAX, // resolved lazily in bad_records()
             bad_count,
-            bytes,
+            replica: Arc::new(replica),
         })
     }
 
@@ -174,12 +188,37 @@ impl RowBlock {
 
     /// Total serialized size.
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.replica.len()
     }
 
-    fn row_offset(&self, row: usize) -> usize {
+    /// Verifies `range` of the block and lends its bytes.
+    fn verified(&self, range: Range<usize>) -> Result<&[u8]> {
+        self.replica.verify(range.clone())?;
+        Ok(&self.replica.data()[range])
+    }
+
+    /// Where row `row` starts in the block (`row < row_count`).
+    fn row_offset(&self, row: usize) -> Result<usize> {
         let at = self.offsets_start + row * 4;
-        self.rows_start + u32::from_le_bytes(self.bytes[at..at + 4].try_into().unwrap()) as usize
+        let offset = u32::from_le_bytes(self.verified(at..at + 4)?.try_into().expect("4 bytes"));
+        Ok(self.rows_start + offset as usize)
+    }
+
+    /// The bytes from row `row`'s start to the next row's — or, for the
+    /// last row, to the end of the block, bad section included.
+    fn row_bytes(&self, row: usize) -> Result<&[u8]> {
+        let start = self.row_offset(row)?;
+        let end = if row + 1 < self.row_count {
+            self.row_offset(row + 1)?
+        } else {
+            self.replica.len()
+        };
+        if start > end {
+            return Err(HailError::Corrupt(format!(
+                "row {row} spans bytes {start}..{end}"
+            )));
+        }
+        self.verified(start..end)
     }
 
     /// Decodes one full row.
@@ -187,8 +226,7 @@ impl RowBlock {
         if row >= self.row_count {
             return Err(HailError::Corrupt(format!("row {row} out of range")));
         }
-        let mut r = ByteReader::new(&self.bytes);
-        r.seek(self.row_offset(row))?;
+        let mut r = ByteReader::new(self.row_bytes(row)?);
         let mut values = Vec::with_capacity(schema.len());
         for f in schema.fields() {
             values.push(match f.data_type {
@@ -212,23 +250,23 @@ impl RowBlock {
             return Ok(0);
         }
         let end = end.min(self.row_count);
-        let from = self.row_offset(start);
+        let from = self.row_offset(start)?;
         let to = if end == self.row_count {
             self.rows_end(schema)?
         } else {
-            self.row_offset(end)
+            self.row_offset(end)?
         };
-        Ok(to - from)
+        Ok(to.saturating_sub(from))
     }
 
     /// Offset one past the last row (= bad-section start).
     fn rows_end(&self, schema: &Schema) -> Result<usize> {
-        if self.row_count == 0 {
+        let Some(last) = self.row_count.checked_sub(1) else {
             return Ok(self.rows_start);
-        }
+        };
         // Walk the last row.
-        let mut r = ByteReader::new(&self.bytes);
-        r.seek(self.row_offset(self.row_count - 1))?;
+        let start = self.row_offset(last)?;
+        let mut r = ByteReader::new(self.row_bytes(last)?);
         for f in schema.fields() {
             match f.data_type {
                 DataType::Int | DataType::Date => {
@@ -245,19 +283,17 @@ impl RowBlock {
                 }
             }
         }
-        Ok(r.position())
+        Ok(start + r.position())
     }
 
     /// The stored bad-record lines.
     pub fn bad_records(&self, schema: &Schema) -> Result<Vec<String>> {
-        let start = if self.bad_start == usize::MAX {
-            self.rows_end(schema)?
-        } else {
-            self.bad_start
-        };
-        let mut r = ByteReader::new(&self.bytes);
-        r.seek(start)?;
-        let mut out = Vec::with_capacity(self.bad_count);
+        let start = self.rows_end(schema)?;
+        let bad = self.verified(start..self.replica.len())?;
+        let mut r = ByteReader::new(bad);
+        // Every record ends in its own terminator: no more records than
+        // bytes, whatever the header's count says.
+        let mut out = Vec::with_capacity(self.bad_count.min(bad.len()));
         for _ in 0..self.bad_count {
             out.push(
                 String::from_utf8(r.cstr()?.to_vec())

@@ -5,18 +5,25 @@
 //! a checksum file holding one CRC-32 per 512-byte chunk. The datanode
 //! charges all I/O to cost ledgers; reads charge the *caller's* ledger
 //! (the record reader pays), writes charge the node's own upload ledger.
+//!
+//! Every read verifies what it returns. [`Datanode::read_replica`] checks
+//! the whole replica and [`Datanode::read_range`] the chunks its range
+//! overlaps. The access paths, which read a few regions of a replica and
+//! price those reads themselves, [open](Datanode::open_replica) it
+//! instead: the handle checks each chunk when a reader first touches it.
 
 use bytes::Bytes;
-use hail_pax::checksum::{checksums_to_bytes, verify_chunks};
+use hail_pax::checksum::{checksums_to_bytes, verify_chunks, ReplicaBytes};
 use hail_sim::CostLedger;
 use hail_types::{BlockId, DatanodeId, HailError, Result};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One stored replica: data + per-chunk checksums.
 #[derive(Debug, Clone)]
 struct ReplicaFile {
     data: Bytes,
-    checksums: Vec<u32>,
+    checksums: Arc<[u32]>,
 }
 
 /// A datanode with an in-memory disk.
@@ -88,12 +95,21 @@ impl Datanode {
     }
 
     /// Returns a replica's bytes *without* charging any cost or checking
-    /// checksums. Simulation-internal accessor: record readers use it to
-    /// get at content they price separately via [`Datanode::charge_range_read`],
-    /// so an index scan is charged only for the index + qualifying
-    /// partitions it actually touches.
+    /// any checksum. Kept for the `hail-bench` suite's probes, which time
+    /// parsing apart from verification; nothing in the engine reads
+    /// through it — readers go through [`Datanode::open_replica`].
     pub fn peek_replica(&self, block: BlockId) -> Result<Bytes> {
         Ok(self.replica(block)?.data.clone())
+    }
+
+    /// Opens a replica for reading: its bytes, its checksum file and no
+    /// chunk verified yet ([`ReplicaBytes`]). Charges nothing — the reader
+    /// prices what it reads via [`Datanode::charge_range_read`], so an
+    /// index scan pays only for the index and the partitions it touches,
+    /// and verifies only those chunks.
+    pub fn open_replica(&self, block: BlockId) -> Result<ReplicaBytes> {
+        let file = self.replica(block)?;
+        ReplicaBytes::new(file.data.clone(), Arc::clone(&file.checksums))
     }
 
     fn check_alive(&self) -> Result<()> {
@@ -117,7 +133,13 @@ impl Datanode {
         let checksum_bytes = checksums_to_bytes(&checksums).len() as u64;
         self.upload_ledger.disk_write += data.len() as u64 + checksum_bytes;
         self.upload_ledger.seeks += 2;
-        self.replicas.insert(block, ReplicaFile { data, checksums });
+        self.replicas.insert(
+            block,
+            ReplicaFile {
+                data,
+                checksums: checksums.into(),
+            },
+        );
         Ok(())
     }
 
@@ -148,11 +170,9 @@ impl Datanode {
         Ok(file.data.clone())
     }
 
-    /// Reads a byte range of a replica, charging one seek + the range.
-    ///
-    /// Range reads skip checksum verification of untouched chunks — as
-    /// HDFS does for positioned reads — but the caller still gets
-    /// corruption detection on full-replica reads.
+    /// Reads a byte range of a replica, charging one seek + the range,
+    /// and verifies the chunks the range overlaps — as HDFS does for
+    /// positioned reads: the chunk index of a mismatch is the replica's.
     pub fn read_range(
         &self,
         block: BlockId,
@@ -170,6 +190,8 @@ impl Datanode {
         }
         ledger.seeks += 1;
         ledger.disk_read += len as u64;
+        let replica = ReplicaBytes::new(file.data.clone(), Arc::clone(&file.checksums))?;
+        replica.verify(offset..offset + len)?;
         Ok(file.data.slice(offset..offset + len))
     }
 
@@ -227,6 +249,7 @@ impl Datanode {
 mod tests {
     use super::*;
     use hail_pax::checksum::chunk_checksums;
+    use hail_types::config::CHUNK_SIZE as CHUNK;
 
     fn replica_bytes(n: usize) -> (Bytes, Vec<u32>) {
         let data: Vec<u8> = (0..n).map(|i| (i % 256) as u8).collect();
@@ -269,6 +292,34 @@ mod tests {
         assert_eq!(&r[..], &data[100..150]);
         assert_eq!(ledger.disk_read, 50);
         assert!(dn.read_range(3, 990, 20, &mut ledger).is_err());
+    }
+
+    #[test]
+    fn range_read_verifies_the_chunks_it_overlaps() {
+        let mut dn = Datanode::new(0);
+        let (data, sums) = replica_bytes(CHUNK * 4 + 100);
+        dn.write_replica(5, data, sums).unwrap();
+        dn.corrupt_replica(5, CHUNK * 2 + 7).unwrap();
+        let mut ledger = CostLedger::new();
+        // A range ending in the corrupt chunk, and one starting in it.
+        for (offset, len) in [(CHUNK + 10, CHUNK), (CHUNK * 3 - 1, 2)] {
+            assert!(matches!(
+                dn.read_range(5, offset, len, &mut ledger),
+                Err(HailError::ChecksumMismatch { chunk_index: 2, .. })
+            ));
+        }
+        // Ranges around it read cleanly.
+        assert!(dn.read_range(5, 0, CHUNK * 2, &mut ledger).is_ok());
+        assert!(dn
+            .read_range(5, CHUNK * 3, CHUNK + 100, &mut ledger)
+            .is_ok());
+        // A replica opened for reading fails the same way, and only there.
+        let replica = dn.open_replica(5).unwrap();
+        replica.verify(0..CHUNK * 2).unwrap();
+        assert!(matches!(
+            replica.verify(CHUNK * 2..CHUNK * 2 + 1),
+            Err(HailError::ChecksumMismatch { chunk_index: 2, .. })
+        ));
     }
 
     #[test]

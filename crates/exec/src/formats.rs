@@ -148,7 +148,7 @@ impl PlannedInputFormat {
                 &dataset.schema,
                 query,
                 self.scan_share.as_deref(),
-                &mut |rec| records.push(rec),
+                &mut records,
             )?;
             stats.merge(&block_stats);
         }

@@ -245,7 +245,7 @@ fn reference_clustered(
     emit: &mut dyn FnMut(MapRecord),
 ) -> Result<TaskStats> {
     let dn = a.cluster.datanode(a.replica)?;
-    let indexed = IndexedBlock::parse(dn.peek_replica(a.block)?)?;
+    let indexed = IndexedBlock::open(dn.open_replica(a.block)?)?;
     let index = indexed.index().expect("replica is clustered");
     let pax = indexed.pax();
     let mut stats = TaskStats {
@@ -296,7 +296,7 @@ fn reference_bitmap(
     emit: &mut dyn FnMut(MapRecord),
 ) -> Result<TaskStats> {
     let dn = a.cluster.datanode(a.replica)?;
-    let indexed = IndexedBlock::parse(dn.peek_replica(a.block)?)?;
+    let indexed = IndexedBlock::open(dn.open_replica(a.block)?)?;
     let pax = indexed.pax();
     let (sidecar, bitmap) = indexed.bitmap_sidecar(TAG)?.expect("replica stores it");
     let mut stats = TaskStats {

@@ -31,8 +31,8 @@
 //!   under which a job whose plan touches a block another in-flight job
 //!   is already decoding *attaches* to that decode (producer reads
 //!   once, each consumer applies its own residual predicate/projection
-//!   with solo-identical accounting), keyed by (block, replica,
-//!   access-path shape) and disabled via `HAIL_DISABLE_SCAN_SHARING`
+//!   with solo-identical accounting), keyed by (block, replica) and
+//!   disabled via `HAIL_DISABLE_SCAN_SHARING`
 //! - [`synopsis`] — block skipping: evaluate the query against the
 //!   persisted per-block zone-map/Bloom synopses *before* candidate
 //!   enumeration, so provably-empty blocks get zero-cost plans and are
@@ -130,6 +130,6 @@ pub use planner::{
     BlockPlan, Candidate, CostModel, PlannerConfig, QueryPlan, QueryPlanner, SelectivityEstimate,
 };
 pub use readers::{read_hadoop_text_block, read_hail_block, read_hpp_block};
-pub use sharing::{Acquired, DecodedBlock, ScanShareRegistry, ShareKey, ShareShape, ShareStats};
+pub use sharing::{Acquired, DecodedBlock, ScanShareRegistry, ShareKey, ShareStats};
 pub use splitting::{default_splits, hail_splits, plan_default_splits, plan_hail_splits};
 pub use synopsis::{PruneInfo, PruneReason};

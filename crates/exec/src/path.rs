@@ -19,14 +19,23 @@
 //! including, where the read can attribute its row counts to a single
 //! filter column, a [`SelectivityObservation`] that feeds the planner's
 //! [`crate::cache::SelectivityFeedback`] store.
+//!
+//! Every path reads only bytes it verified against the replica's chunk
+//! checksums, and verifies only what it reads. The PAX paths and the
+//! trojan scan open the replica ([`hail_dfs::Datanode::open_replica`]) and
+//! verify each region, partition or sidecar when they first touch it; the
+//! text and row-layout full scans read the whole replica and verify all
+//! of it. A chunk that fails is [`HailError::ChecksumMismatch`], which the
+//! planner answers by reading another replica
+//! ([`crate::QueryPlanner::execute_block_shared`]). Verification never
+//! changes a ledger: what a path charges is what it would read from disk.
 
 use crate::kernel;
-use crate::sharing::{DecodedBlock, ShareShape};
+use crate::sharing::DecodedBlock;
 use hail_core::{CmpOp, HailQuery, Predicate, RowBlock};
 use hail_dfs::DfsCluster;
 use hail_index::{IndexKind, IndexedBlock, UnclusteredIndex};
 use hail_mr::{MapRecord, SelectivityObservation, TaskStats};
-use hail_sim::CostLedger;
 use hail_types::{AccessPathKind, BlockId, DatanodeId, HailError, Result, Schema, Value};
 use std::fmt;
 
@@ -79,22 +88,30 @@ pub trait AccessPath: fmt::Debug {
         emit: &mut dyn FnMut(MapRecord),
     ) -> Result<TaskStats>;
 
-    /// The scan-share shape of this path's decode, if the read splits
-    /// into "produce decoded block" + "apply residual" so concurrent
-    /// jobs can share one physical decode. `None` (the default) means
-    /// the path never shares and always executes independently.
-    fn share_shape(&self) -> Option<ShareShape> {
-        None
+    /// Whether the read splits into "produce decoded block" + "apply
+    /// residual", so concurrent jobs can share one physical decode. Every
+    /// such decode is the same thing — the replica opened as an
+    /// [`IndexedBlock`], verified as it is read — so any two sharing
+    /// paths can share one. `false` (the default) means the path always
+    /// executes independently.
+    fn shares_decode(&self) -> bool {
+        false
+    }
+
+    /// [`AccessPath::shares_decode`] as an `Option`, the form the
+    /// `hail-bench` suite's replay asks for it in.
+    fn share_shape(&self) -> Option<()> {
+        self.shares_decode().then_some(())
     }
 
     /// Performs only the physical decode of this path's read — the part
-    /// one producer can do on behalf of every attached consumer. Must
-    /// behave exactly like the decode inside [`AccessPath::execute`]
-    /// (same checksum verification, same failure modes); the I/O cost
-    /// is *not* charged here but replayed per consumer by
-    /// [`AccessPath::apply_residual`], so each job's ledger is
-    /// bit-for-bit what a solo read records. Only meaningful when
-    /// [`AccessPath::share_shape`] is `Some`.
+    /// one producer can do on behalf of every attached consumer: open the
+    /// replica and its container. Must behave exactly like the decode
+    /// inside [`AccessPath::execute`]; the I/O cost is *not* charged here
+    /// but replayed per consumer by [`AccessPath::apply_residual`], so
+    /// each job's ledger is bit-for-bit what a solo read records, and the
+    /// chunks are verified by whichever consumer reads them first. Only
+    /// meaningful when [`AccessPath::shares_decode`].
     fn produce_decoded(&self, _access: &BlockAccess<'_>) -> Result<DecodedBlock> {
         Err(HailError::Internal(
             "access path does not support scan sharing".into(),
@@ -102,8 +119,8 @@ pub trait AccessPath: fmt::Debug {
     }
 
     /// Applies this path's residual work — cost accounting, predicate
-    /// evaluation, projection, record emission — against an
-    /// already-decoded block of this path's [`AccessPath::share_shape`].
+    /// evaluation, projection, record emission, and the verification of
+    /// every chunk that reads — against an already-decoded block.
     /// `execute` == `produce_decoded` + `apply_residual` by
     /// construction: shareable paths implement `execute` as exactly
     /// that composition, so a shared read cannot diverge from a solo
@@ -192,11 +209,11 @@ impl FullScan {
 
     fn scan_rows(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
         let dn = a.cluster.datanode(a.replica)?;
-        let bytes = dn.peek_replica(a.block)?;
-        let row_block = RowBlock::parse(bytes)?;
         let mut stats = TaskStats::default();
+        // The scan reads every row, so it reads — and verifies — the
+        // whole replica.
+        let row_block = RowBlock::parse(dn.read_replica(a.block, &mut stats.ledger)?)?;
         let blen = row_block.byte_len();
-        dn.charge_range_read(blen, &mut stats.ledger)?;
         stats.ledger.scan_cpu += blen as u64;
         a.charge_remote(&mut stats, blen as u64);
         let mut matched = 0u64;
@@ -257,8 +274,8 @@ impl AccessPath for FullScan {
         Ok(stats)
     }
 
-    fn share_shape(&self) -> Option<ShareShape> {
-        (self.layout == ScanLayout::HailPax).then_some(ShareShape::PaxVerified)
+    fn shares_decode(&self) -> bool {
+        self.layout == ScanLayout::HailPax
     }
 
     fn produce_decoded(&self, a: &BlockAccess<'_>) -> Result<DecodedBlock> {
@@ -267,14 +284,7 @@ impl AccessPath for FullScan {
                 "full scan shares only the PAX layout".into(),
             ));
         }
-        let dn = a.cluster.datanode(a.replica)?;
-        // The same checksum-verified read a solo scan performs; the
-        // scratch ledger is discarded because every consumer — producer
-        // included — replays the identical charge via
-        // `charge_replica_read` in `apply_residual`.
-        let mut scratch = CostLedger::default();
-        let bytes = dn.read_replica(a.block, &mut scratch)?;
-        Ok(DecodedBlock::new(IndexedBlock::parse(bytes)?))
+        open_pax(a)
     }
 
     fn apply_residual(
@@ -290,6 +300,8 @@ impl AccessPath for FullScan {
         }
         let dn = a.cluster.datanode(a.replica)?;
         let mut stats = TaskStats::default();
+        // Charged as the sequential read of the whole replica it models;
+        // verified only where the kernel's cursors read.
         dn.charge_replica_read(a.block, &mut stats.ledger)?;
         let indexed = decoded.indexed();
         let pax = indexed.pax();
@@ -348,14 +360,12 @@ impl AccessPath for ClusteredIndexScan {
         self.apply_residual(&decoded, a, emit)
     }
 
-    fn share_shape(&self) -> Option<ShareShape> {
-        Some(ShareShape::PaxPeek)
+    fn shares_decode(&self) -> bool {
+        true
     }
 
     fn produce_decoded(&self, a: &BlockAccess<'_>) -> Result<DecodedBlock> {
-        let dn = a.cluster.datanode(a.replica)?;
-        let bytes = dn.peek_replica(a.block)?;
-        Ok(DecodedBlock::new(IndexedBlock::parse(bytes)?))
+        open_pax(a)
     }
 
     fn apply_residual(
@@ -451,8 +461,9 @@ impl AccessPath for TrojanIndexScan {
 
     fn execute(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
         let dn = a.cluster.datanode(a.replica)?;
-        let bytes = dn.peek_replica(a.block)?;
-        let row_block = RowBlock::parse(bytes)?;
+        // Opening verifies the header and the index; each row of the
+        // looked-up range is verified as it is read.
+        let row_block = RowBlock::open(dn.open_replica(a.block)?)?;
         let index = row_block.index().ok_or_else(|| {
             HailError::Internal("block advertised a trojan index it lacks".into())
         })?;
@@ -557,8 +568,7 @@ impl AccessPath for BitmapScan {
             .probe_value(a.query)
             .ok_or_else(|| HailError::Internal("bitmap scan without equality predicate".into()))?;
         let dn = a.cluster.datanode(a.replica)?;
-        let bytes = dn.peek_replica(a.block)?;
-        let indexed = IndexedBlock::parse(bytes)?;
+        let indexed = IndexedBlock::open(dn.open_replica(a.block)?)?;
         let pax = indexed.pax();
 
         // The sidecar was built at upload time and stored with the
@@ -636,8 +646,7 @@ impl AccessPath for InvertedListScan {
 
     fn execute(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
         let dn = a.cluster.datanode(a.replica)?;
-        let bytes = dn.peek_replica(a.block)?;
-        let indexed = IndexedBlock::parse(bytes)?;
+        let indexed = IndexedBlock::open(dn.open_replica(a.block)?)?;
 
         // Read the persisted sidecar; the replica must carry it or the
         // planner mis-routed the read.
@@ -660,7 +669,12 @@ impl AccessPath for InvertedListScan {
         if !hits.is_empty() {
             let bad = indexed.pax().bad_records()?;
             for id in hits {
-                let line = &bad[id as usize];
+                let line = bad.get(id as usize).ok_or_else(|| {
+                    HailError::Corrupt(format!(
+                        "inverted list names bad record {id} of {}",
+                        bad.len()
+                    ))
+                })?;
                 let line_bytes = line.len() as u64;
                 stats.ledger.disk_read += line_bytes;
                 remote_bytes += line_bytes;
@@ -688,6 +702,15 @@ pub(crate) fn sole_filter_column(query: &HailQuery) -> Option<(usize, bool)> {
         .iter()
         .all(|p| p.column() == column && p.index_friendly())
         .then(|| (column, crate::cache::has_eq_on(query, column)))
+}
+
+/// Opens the serving replica's HAIL container, verified as it is read:
+/// the decode every PAX path shares.
+fn open_pax(a: &BlockAccess<'_>) -> Result<DecodedBlock> {
+    let dn = a.cluster.datanode(a.replica)?;
+    Ok(DecodedBlock::new(IndexedBlock::open(
+        dn.open_replica(a.block)?,
+    )?))
 }
 
 fn emit_pax_bad_records(

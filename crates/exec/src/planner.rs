@@ -750,7 +750,8 @@ impl<'a> QueryPlanner<'a> {
             ) {
                 Some(info) => self.pruned_block_plan(format, block, info, ctx.selectivity.clone()),
                 None => {
-                    let plan = self.price_block(format, block, query, ctx.selectivity.clone())?;
+                    let plan =
+                        self.price_block(format, block, query, ctx.selectivity.clone(), &[])?;
                     cache.record_cost_evaluations(plan.candidates.len() as u64);
                     plan
                 }
@@ -766,7 +767,7 @@ impl<'a> QueryPlanner<'a> {
         {
             Ok(self.pruned_block_plan(format, block, info, ctx.selectivity.clone()))
         } else {
-            self.price_block(format, block, query, ctx.selectivity.clone())
+            self.price_block(format, block, query, ctx.selectivity.clone(), &[])
         }
     }
 
@@ -808,12 +809,15 @@ impl<'a> QueryPlanner<'a> {
 
     /// Prices one block: enumerate candidates, price them, pick the
     /// cheapest (deterministic tie-break on replica id then kind).
+    /// Replicas in `excluded` — ones a read found corrupt — are left out
+    /// as if dead.
     fn price_block(
         &self,
         format: DatasetFormat,
         block: BlockId,
         query: &HailQuery,
         selectivity: Vec<SelectivityChoice>,
+        excluded: &[DatanodeId],
     ) -> Result<BlockPlan> {
         let sel_for = |column: usize| {
             selectivity
@@ -822,7 +826,8 @@ impl<'a> QueryPlanner<'a> {
                 .map(|s| s.value)
                 .unwrap_or_else(|| self.config.estimate.for_column(column))
         };
-        let replicas = self.cluster.namenode().live_replicas(block);
+        let mut replicas = self.cluster.namenode().live_replicas(block);
+        replicas.retain(|info| !excluded.contains(&info.datanode));
         if replicas.is_empty() {
             // The block exists but no live node serves it (or it is
             // unknown): surface the same error the readers used to.
@@ -1077,12 +1082,16 @@ impl<'a> QueryPlanner<'a> {
         query: &HailQuery,
         emit: &mut dyn FnMut(MapRecord),
     ) -> Result<TaskStats> {
-        self.execute_block_shared(plan, block, task_node, schema, query, None, emit)
+        let mut records = Vec::new();
+        let stats =
+            self.execute_block_shared(plan, block, task_node, schema, query, None, &mut records)?;
+        records.into_iter().for_each(emit);
+        Ok(stats)
     }
 
     /// [`QueryPlanner::execute_block`] with cooperative scan sharing:
     /// when a registry is passed and the planned path's decode is
-    /// shareable ([`AccessPath::share_shape`]), the read goes through
+    /// shareable ([`AccessPath::shares_decode`]), the read goes through
     /// [`ScanShareRegistry::acquire`] — one concurrent job decodes the
     /// block, every other job attaches to that decode and applies only
     /// its own residual predicate/projection. Attached reads synthesize
@@ -1093,6 +1102,17 @@ impl<'a> QueryPlanner<'a> {
     /// unshareable path, registry says fall back, residual fails
     /// against a stale decode — degrades to an independent
     /// [`AccessPath::execute`].
+    ///
+    /// The block's records are appended to `records`; a read that fails
+    /// leaves `records` as it found it.
+    ///
+    /// **Read failover.** A read that finds the serving replica corrupt
+    /// ([`HailError::ChecksumMismatch`] or [`HailError::Corrupt`]) keeps
+    /// none of its records: the block is re-priced on its other live
+    /// replicas, bypassing the plan cache, and read again, until one read
+    /// succeeds — or every replica has failed, and the first error is
+    /// returned. Which replica serves next depends only on which ones
+    /// were found corrupt, never on timing.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_block_shared(
         &self,
@@ -1102,7 +1122,7 @@ impl<'a> QueryPlanner<'a> {
         schema: &Schema,
         query: &HailQuery,
         scan_share: Option<&ScanShareRegistry>,
-        emit: &mut dyn FnMut(MapRecord),
+        records: &mut Vec<MapRecord>,
     ) -> Result<TaskStats> {
         let bp_owned;
         let mut bp = match plan.block_plan(block) {
@@ -1136,7 +1156,7 @@ impl<'a> QueryPlanner<'a> {
             }
             return Ok(stats);
         }
-        let replanned;
+        let mut replanned;
         let replica_alive = self
             .cluster
             .datanode(bp.replica)
@@ -1148,20 +1168,42 @@ impl<'a> QueryPlanner<'a> {
             bp = &replanned;
         }
 
-        // Locality: prefer the task's own node when it can serve the
-        // same access path, so colocated reads stay local.
-        let host = self.resolve_host(bp, task_node);
-        let access = BlockAccess {
-            cluster: self.cluster,
-            block,
-            replica: host,
-            task_node,
-            schema,
-            query,
-        };
-        let mut stats = execute_access(&*bp.path, &access, scan_share, emit)?;
-        stats.fell_back_to_scan |= bp.fallback || (originally_indexed && !bp.kind.is_index_scan());
-        Ok(stats)
+        let mut corrupt: Vec<DatanodeId> = Vec::new();
+        let mut first_error = None;
+        loop {
+            // Locality: prefer the task's own node when it can serve the
+            // same access path, so colocated reads stay local.
+            let host = self.resolve_host(bp, task_node);
+            let access = BlockAccess {
+                cluster: self.cluster,
+                block,
+                replica: host,
+                task_node,
+                schema,
+                query,
+            };
+            match execute_access(&*bp.path, &access, scan_share, records) {
+                Ok(mut stats) => {
+                    stats.fell_back_to_scan |=
+                        bp.fallback || (originally_indexed && !bp.kind.is_index_scan());
+                    return Ok(stats);
+                }
+                Err(e @ (HailError::ChecksumMismatch { .. } | HailError::Corrupt(_))) => {
+                    let first = first_error.get_or_insert(e);
+                    corrupt.push(host);
+                    let selectivity = self.effective_selectivities(query);
+                    match self.price_block(plan.format, block, query, selectivity, &corrupt) {
+                        Ok(next) => {
+                            replanned = next;
+                            bp = &replanned;
+                        }
+                        // No replica left to read.
+                        Err(_) => return Err(first.clone()),
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// The host actually serving a block read: the task's own node when
@@ -1223,43 +1265,66 @@ impl QueryPlanner<'_> {
     }
 }
 
-/// Runs one resolved block access, routing it through the scan-share
-/// registry when both sides can share (a registry is plugged in *and*
-/// the path's decode has a [`crate::sharing::ShareShape`]); anything
-/// else is a plain independent [`AccessPath::execute`].
+/// Runs one resolved block access, appending its records to `records`
+/// and, when it fails, leaving `records` as it found it. The read goes
+/// through the scan-share registry when both sides can share (a registry
+/// is plugged in *and* the path's decode is shareable); anything else is
+/// a plain independent [`AccessPath::execute`]. A residual that fails
+/// against a shared decode drops the block's retained decodes, so no
+/// later job attaches to one that cannot be read.
 fn execute_access(
     path: &dyn AccessPath,
     access: &BlockAccess<'_>,
     scan_share: Option<&ScanShareRegistry>,
-    emit: &mut dyn FnMut(MapRecord),
+    records: &mut Vec<MapRecord>,
 ) -> Result<TaskStats> {
-    let (registry, shape) = match (scan_share, path.share_shape()) {
-        (Some(registry), Some(shape)) => (registry, shape),
-        _ => return path.execute(access, emit),
+    let mark = records.len();
+    let result = match scan_share {
+        Some(registry) if path.shares_decode() => shared_access(path, access, registry, records),
+        _ => path.execute(access, &mut |record| records.push(record)),
     };
+    if result.is_err() {
+        records.truncate(mark);
+    }
+    result
+}
+
+/// [`execute_access`] through the scan-share registry.
+fn shared_access(
+    path: &dyn AccessPath,
+    access: &BlockAccess<'_>,
+    registry: &ScanShareRegistry,
+    records: &mut Vec<MapRecord>,
+) -> Result<TaskStats> {
     let key = ShareKey {
         block: access.block,
         replica: access.replica,
-        shape,
     };
-    match registry.acquire(key, || path.produce_decoded(access))? {
-        Acquired::Produced(decoded) => path.apply_residual(&decoded, access, emit),
-        Acquired::Attached(decoded) => match path.apply_residual(&decoded, access, emit) {
-            Ok(mut stats) => {
+    let (decoded, attached) = match registry.acquire(key, || path.produce_decoded(access))? {
+        Acquired::Produced(decoded) => (decoded, false),
+        Acquired::Attached(decoded) => (decoded, true),
+        Acquired::Fallback => return path.execute(access, &mut |record| records.push(record)),
+    };
+    let mark = records.len();
+    match path.apply_residual(&decoded, access, &mut |record| records.push(record)) {
+        Ok(mut stats) => {
+            if attached {
                 stats.blocks_read_shared = 1;
                 stats.shared_bytes_saved = stats.ledger.disk_read;
-                Ok(stats)
             }
-            Err(_) => {
-                // A retained decode that no longer applies (say the
-                // serving replica died between the producer's decode
-                // and this residual) must not poison later consumers:
-                // drop it and read independently.
-                registry.evict_blocks(&[key.block]);
-                path.execute(access, emit)
+            Ok(stats)
+        }
+        Err(e) => {
+            records.truncate(mark);
+            registry.evict_blocks(&[key.block]);
+            if !attached {
+                return Err(e);
             }
-        },
-        Acquired::Fallback => path.execute(access, emit),
+            // A retained decode that no longer applies (say the serving
+            // replica died between the producer's decode and this
+            // residual): read independently.
+            path.execute(access, &mut |record| records.push(record))
+        }
     }
 }
 

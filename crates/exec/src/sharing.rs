@@ -6,11 +6,21 @@
 //! that overlapping jobs should not each pay for their own reads of the
 //! same blocks. The
 //! [`ScanShareRegistry`] is the rendezvous: the first job to want a
-//! `(block, replica, shape)` becomes the **producer** — it decodes the
+//! `(block, replica)` becomes the **producer** — it decodes the
 //! replica once ([`crate::path::AccessPath::produce_decoded`]) — and
 //! every other in-flight job that wants the same key **attaches** to
 //! that decode, applying only its own residual predicate/projection
 //! ([`crate::path::AccessPath::apply_residual`]).
+//!
+//! # Keying
+//!
+//! Every shareable decode is the same container: the replica opened as an
+//! [`IndexedBlock`] whose chunks are verified as they are read. A full
+//! scan and a clustered-index scan of one replica therefore share one
+//! decode, and the key is just `(block, replica)`. The decode carries the
+//! replica's "verified" bitmap, so consumers on other threads verify only
+//! the chunks they touch, each chunk once per decode; a chunk that fails
+//! verification fails every consumer that touches it.
 //!
 //! # Accounting and determinism
 //!
@@ -81,23 +91,9 @@ use std::sync::{Arc, Weak};
 /// signal bounds retention.
 pub const RETAINED_CAP: usize = 256;
 
-/// The access-path *shape* of a shareable decode: what the producer's
-/// decode must have done for a consumer's residual to be valid against
-/// it. Part of the registry key — reads with different shapes never
-/// share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShareShape {
-    /// Full sequential replica read with checksum verification, parsed
-    /// as an `IndexedBlock` (the PAX [`crate::path::FullScan`]).
-    PaxVerified,
-    /// Unverified whole-replica peek parsed as an `IndexedBlock` (the
-    /// [`crate::path::ClusteredIndexScan`], which prices index +
-    /// partition ranges itself).
-    PaxPeek,
-}
-
-/// One decoded block, shareable across jobs. Immutable by construction:
-/// consumers only read it.
+/// One decoded block, shareable across jobs: the opened container and
+/// its replica handle. Consumers only read it; the one thing they write
+/// is the replica's bitmap of verified chunks.
 #[derive(Clone)]
 pub struct DecodedBlock {
     indexed: Arc<IndexedBlock>,
@@ -115,13 +111,12 @@ impl DecodedBlock {
     }
 }
 
-/// Registry key: a decode is shareable only between reads of the same
-/// block, from the same replica, with the same access-path shape.
+/// Registry key: a decode is shareable between reads of the same block
+/// from the same replica, whatever path reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShareKey {
     pub block: BlockId,
     pub replica: DatanodeId,
-    pub shape: ShareShape,
 }
 
 /// Outcome of [`ScanShareRegistry::acquire`].
@@ -312,8 +307,8 @@ impl ScanShareRegistry {
 
     /// Drops every published decode. **Must** be called after in-place
     /// replica rewrites (`apply_reindex`): the registry keys on (block,
-    /// replica, shape), not content, so a rewrite would otherwise serve
-    /// stale decodes to later attachers.
+    /// replica), not content, so a rewrite would otherwise serve stale
+    /// decodes to later attachers.
     pub fn clear(&self) {
         self.entries
             .acquire()
@@ -401,11 +396,7 @@ mod tests {
     }
 
     fn key(block: BlockId) -> ShareKey {
-        ShareKey {
-            block,
-            replica: 0,
-            shape: ShareShape::PaxVerified,
-        }
+        ShareKey { block, replica: 0 }
     }
 
     #[test]
@@ -424,9 +415,9 @@ mod tests {
         assert_eq!(reg.stats().attached, 1);
         assert_eq!(reg.retained(), 1);
 
-        // A different shape is a different key.
+        // Another replica of the block is another key.
         let other = ShareKey {
-            shape: ShareShape::PaxPeek,
+            replica: 1,
             ..key(1)
         };
         let got = reg

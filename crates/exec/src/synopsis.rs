@@ -10,13 +10,20 @@
 //! proof is "no prune":
 //!
 //! - no synopsis on any live replica (per `Dir_rep`) ⇒ no prune;
-//! - the synopsis-holding replica is dead or its read/parse fails ⇒
-//!   try the next holder, then give up (HAIL's failover story:
-//!   planning degrades to the unpruned path, never errors);
+//! - the synopsis-holding replica is dead, fails to open, or its
+//!   synopsis fails its checksums or does not decode ⇒ try the next
+//!   holder, then give up (HAIL's failover story: planning degrades to
+//!   the unpruned path, never errors) — so a corrupt synopsis can never
+//!   prove a block empty;
 //! - the block has *any* bad records ⇒ no prune, because every access
 //!   path emits bad records unconditionally and skipping the block
 //!   would drop them;
 //! - bad-record token searches and non-PAX formats are never pruned.
+//!
+//! Each holder is opened at most once per decision, however many
+//! synopses are probed on it (`Holders`): opening verifies the
+//! container's trailer, metadata and header, and decoding a synopsis
+//! verifies that sidecar's chunks — nothing else of the replica is read.
 //!
 //! Synopsis probes are priced like the namenode's `Dir_rep` lookups —
 //! free main-memory operations — but their stored bytes are surfaced
@@ -26,7 +33,7 @@
 use crate::planner::PlannerConfig;
 use hail_core::{CmpOp, DatasetFormat, HailQuery, Predicate};
 use hail_dfs::DfsCluster;
-use hail_index::{HailBlockReplicaInfo, IndexedBlock};
+use hail_index::{HailBlockReplicaInfo, IndexMetadata, IndexedBlock};
 use hail_types::{BlockId, Value};
 use std::fmt;
 
@@ -92,7 +99,7 @@ pub(crate) fn try_prune(
         return None;
     }
 
-    let replicas = cluster.namenode().live_replicas(block);
+    let mut holders = Holders::new(cluster, block);
     let mut synopsis_bytes: u64 = 0;
     for column in columns {
         let eq = crate::cache::has_eq_on(query, column);
@@ -100,10 +107,13 @@ pub(crate) fn try_prune(
         // Zone map first: it serves every predicate shape the bounds
         // capture (ranges and points alike).
         if let Some(bounds) = query.bounds_on(column) {
-            if let Some(zm) = read_synopsis(cluster, &replicas, block, |b| {
-                b.zone_map_sidecar(column)
-                    .map(|s| s.map(|(meta, z)| (meta.sidecar_bytes as u64, z)))
-            }) {
+            if let Some(zm) = holders.read_synopsis(
+                |m| m.zone_map_on(column).is_some(),
+                |b| {
+                    b.zone_map_sidecar(column)
+                        .map(|s| s.map(|(meta, z)| (meta.sidecar_bytes as u64, z)))
+                },
+            ) {
                 synopsis_bytes += zm.0;
                 let z = zm.1;
                 if z.bad_records() == 0 && !z.overlaps(&bounds) {
@@ -133,10 +143,13 @@ pub(crate) fn try_prune(
             })
             .collect();
         if !eq_values.is_empty() {
-            if let Some(bl) = read_synopsis(cluster, &replicas, block, |b| {
-                b.bloom_sidecar(column)
-                    .map(|s| s.map(|(meta, f)| (meta.sidecar_bytes as u64, f)))
-            }) {
+            if let Some(bl) = holders.read_synopsis(
+                |m| m.bloom_on(column).is_some(),
+                |b| {
+                    b.bloom_sidecar(column)
+                        .map(|s| s.map(|(meta, f)| (meta.sidecar_bytes as u64, f)))
+                },
+            ) {
                 synopsis_bytes += bl.0;
                 let f = bl.1;
                 if f.bad_records() == 0 && eq_values.iter().any(|v| !f.might_contain(v)) {
@@ -154,33 +167,55 @@ pub(crate) fn try_prune(
     None
 }
 
-/// Reads one synopsis from the first live replica that stores it and
-/// parses cleanly. Replicas of a block hold the same logical rows, so
-/// every copy of a synopsis is identical — the first readable one
-/// decides. Any failure (dead node mid-probe, corrupt container) falls
-/// through to the next holder; exhausting them means "no synopsis".
-fn read_synopsis<T>(
-    cluster: &DfsCluster,
-    replicas: &[&HailBlockReplicaInfo],
+/// The live replicas of one block, each opened at most once per prune
+/// decision — on the first probe that needs it — and kept for the probes
+/// after.
+struct Holders<'a> {
+    cluster: &'a DfsCluster,
     block: BlockId,
-    extract: impl Fn(&IndexedBlock) -> hail_types::Result<Option<(u64, T)>>,
-) -> Option<(u64, T)> {
-    for info in replicas {
-        let Ok(dn) = cluster.datanode(info.datanode) else {
-            continue;
-        };
-        let Ok(raw) = dn.peek_replica(block) else {
-            continue;
-        };
-        let Ok(parsed) = IndexedBlock::parse(raw) else {
-            continue;
-        };
-        match extract(&parsed) {
-            Ok(Some(found)) => return Some(found),
-            _ => continue,
+    replicas: Vec<&'a HailBlockReplicaInfo>,
+    /// Per replica: not yet opened, failed to open, or opened.
+    opened: Vec<Option<Option<IndexedBlock>>>,
+}
+
+impl<'a> Holders<'a> {
+    fn new(cluster: &'a DfsCluster, block: BlockId) -> Holders<'a> {
+        let replicas = cluster.namenode().live_replicas(block);
+        Holders {
+            cluster,
+            block,
+            opened: vec![None; replicas.len()],
+            replicas,
         }
     }
-    None
+
+    /// Reads one synopsis from the first live replica whose `Dir_rep`
+    /// entry lists it (`holds`) and whose copy opens, verifies and
+    /// decodes — a replica that stores none is never opened. Replicas of
+    /// a block hold the same logical rows, so every copy of a synopsis is
+    /// identical — the first readable one decides. Any failure (dead
+    /// node, corrupt container or sidecar) falls through to the next
+    /// holder; exhausting them means "no synopsis".
+    fn read_synopsis<T>(
+        &mut self,
+        holds: impl Fn(&IndexMetadata) -> bool,
+        extract: impl Fn(&IndexedBlock) -> hail_types::Result<Option<(u64, T)>>,
+    ) -> Option<(u64, T)> {
+        let (cluster, block) = (self.cluster, self.block);
+        for (info, opened) in self.replicas.iter().zip(&mut self.opened) {
+            if !holds(&info.index) {
+                continue;
+            }
+            let opened = opened.get_or_insert_with(|| {
+                let replica = cluster.datanode(info.datanode).ok()?.open_replica(block);
+                IndexedBlock::open(replica.ok()?).ok()
+            });
+            if let Some(Ok(Some(found))) = opened.as_ref().map(&extract) {
+                return Some(found);
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]

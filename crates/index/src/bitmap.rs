@@ -176,7 +176,8 @@ impl BitmapIndex {
         let mut bitmaps = BTreeMap::new();
         for _ in 0..n {
             let key = r.str()?;
-            let mut bm = Vec::with_capacity(words);
+            // A count read from disk: no more words than bytes to hold them.
+            let mut bm = Vec::with_capacity(words.min(r.remaining() / 8));
             for _ in 0..words {
                 bm.push(r.u64()?);
             }

@@ -304,7 +304,8 @@ impl ClusteredIndex {
                 "index key count {n_keys} inconsistent with {row_count} rows / {partition_size}"
             )));
         }
-        let mut keys = Vec::with_capacity(n_keys);
+        // A count read from disk: every key takes at least two bytes.
+        let mut keys = Vec::with_capacity(n_keys.min(r.remaining() / 2));
         for _ in 0..n_keys {
             keys.push(match key_type {
                 DataType::Int => Value::Int(r.i32()?),

@@ -25,6 +25,13 @@
 //! └──────────────────────────────┘
 //! ```
 //!
+//! Reading one trusts only verified bytes: [`IndexedBlock::open`] takes a
+//! replica together with its checksum file ([`ReplicaBytes`]), verifies
+//! the trailer, the metadata, the PAX header and directory and the
+//! clustered index before parsing them, and leaves every other region —
+//! columns, bad records, each sidecar — to be verified by the read that
+//! first needs it, chunk by chunk.
+//!
 //! Building one is upload step 7, the work of one datanode. The replicas
 //! of a block differ only in row order, so what does not depend on row
 //! order is computed once per block and borrowed by every replica's
@@ -43,8 +50,9 @@ use crate::metadata::{IndexKind, IndexMetadata, SidecarMetadata};
 use crate::sort::{SidecarSpec, SortOrder};
 use crate::synopsis::{BloomSynopsis, ZoneMapSynopsis};
 use bytes::Bytes;
-use hail_pax::{BlockRows, PaxBlock};
+use hail_pax::{BlockRows, PaxBlock, ReplicaBytes};
 use hail_types::{HailError, Result, ValueRef};
+use std::sync::Arc;
 
 /// Trailer magic ("LIAH").
 pub const TRAILER_MAGIC: u32 = 0x4841_494C;
@@ -52,15 +60,15 @@ pub const TRAILER_MAGIC: u32 = 0x4841_494C;
 pub const TRAILER_LEN: usize = 5 * 4;
 
 /// A replica's physical content, parsed: the PAX data plus its optional
-/// clustered index. Sidecar extension indexes stay serialized in
-/// `bytes` and decode lazily via [`IndexedBlock::bitmap`] /
+/// clustered index. Sidecar extension indexes stay serialized in the
+/// replica and decode lazily via [`IndexedBlock::bitmap`] /
 /// [`IndexedBlock::inverted_list`].
 #[derive(Debug, Clone)]
 pub struct IndexedBlock {
     pax: PaxBlock,
     index: Option<ClusteredIndex>,
     meta: IndexMetadata,
-    bytes: Bytes,
+    replica: Arc<ReplicaBytes>,
 }
 
 /// Column `column` of `pax` in rowid order, each value borrowed from the
@@ -291,19 +299,29 @@ impl IndexedBlock {
             pax,
             index,
             meta,
-            bytes: Bytes::from(buf),
+            replica: Arc::new(ReplicaBytes::trusted(Bytes::from(buf))),
         })
     }
 
-    /// Parses a serialized HAIL block.
+    /// Parses a serialized HAIL block from bytes the caller vouches for:
+    /// [`IndexedBlock::open`] over [`ReplicaBytes::trusted`].
     pub fn parse(bytes: Bytes) -> Result<IndexedBlock> {
-        if bytes.len() < TRAILER_LEN {
+        IndexedBlock::open(ReplicaBytes::trusted(bytes))
+    }
+
+    /// Opens a stored replica: verifies and parses the trailer, the index
+    /// metadata, the PAX header and directory and the clustered index.
+    /// Everything else is verified by the reads that need it.
+    pub fn open(replica: ReplicaBytes) -> Result<IndexedBlock> {
+        let len = replica.len();
+        if len < TRAILER_LEN {
             return Err(HailError::Corrupt(format!(
-                "block of {} bytes is smaller than the trailer",
-                bytes.len()
+                "block of {len} bytes is smaller than the trailer"
             )));
         }
-        let t = bytes.len() - TRAILER_LEN;
+        let t = len - TRAILER_LEN;
+        replica.verify(t..len)?;
+        let bytes = replica.data();
         let word =
             |i: usize| u32::from_le_bytes(bytes[t + 4 * i..t + 4 * i + 4].try_into().unwrap());
         let pax_len = word(0) as usize;
@@ -316,17 +334,17 @@ impl IndexedBlock {
                 "bad trailer magic {magic:#010x}"
             )));
         }
-        if pax_len + index_len + sidecar_len + meta_len + TRAILER_LEN != bytes.len() {
+        if pax_len + index_len + sidecar_len + meta_len + TRAILER_LEN != len {
             return Err(HailError::Corrupt(format!(
                 "trailer lengths ({pax_len} + {index_len} + {sidecar_len} + {meta_len}) \
-                 inconsistent with block of {} bytes",
-                bytes.len()
+                 inconsistent with block of {len} bytes"
             )));
         }
         let meta_start = pax_len + index_len + sidecar_len;
-        let meta = IndexMetadata::from_bytes(&bytes[meta_start..meta_start + meta_len])?;
-        let pax = PaxBlock::parse(bytes.slice(0..pax_len))?;
+        replica.verify(meta_start..t)?;
+        let meta = IndexMetadata::from_bytes(&bytes[meta_start..t])?;
         let index = if meta.kind == IndexKind::Clustered && index_len > 0 {
+            replica.verify(pax_len..pax_len + index_len)?;
             Some(ClusteredIndex::from_bytes(
                 &bytes[pax_len..pax_len + index_len],
             )?)
@@ -335,8 +353,8 @@ impl IndexedBlock {
         };
 
         // Validate the sidecar directory against the region; the
-        // sidecar *contents* decode lazily on access, so scans that
-        // never touch a sidecar never pay to decode it.
+        // sidecar *contents* are verified and decoded on access, so scans
+        // that never touch a sidecar never pay for it.
         for s in &meta.sidecars {
             let start = s.sidecar_offset;
             let end = start.saturating_add(s.sidecar_bytes);
@@ -348,11 +366,12 @@ impl IndexedBlock {
                 )));
             }
         }
+        let replica = Arc::new(replica);
         Ok(IndexedBlock {
-            pax,
+            pax: PaxBlock::open(Arc::clone(&replica), pax_len)?,
             index,
             meta,
-            bytes,
+            replica,
         })
     }
 
@@ -366,10 +385,12 @@ impl IndexedBlock {
         self.index.as_ref()
     }
 
-    /// The raw bytes of one sidecar (directory offsets were validated
-    /// at parse time).
-    fn sidecar_raw(&self, s: &SidecarMetadata) -> &[u8] {
-        &self.bytes[s.sidecar_offset..s.sidecar_offset + s.sidecar_bytes]
+    /// The raw bytes of one sidecar, verified (directory offsets were
+    /// validated when the block was opened).
+    fn sidecar_raw(&self, s: &SidecarMetadata) -> Result<&[u8]> {
+        let range = s.sidecar_offset..s.sidecar_offset + s.sidecar_bytes;
+        self.replica.verify(range.clone())?;
+        Ok(&self.replica.data()[range])
     }
 
     /// The sidecar bitmap over `column` together with its directory
@@ -379,7 +400,7 @@ impl IndexedBlock {
     pub fn bitmap_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BitmapIndex)>> {
         self.meta
             .bitmap_on(column)
-            .map(|s| Ok((*s, BitmapIndex::from_bytes(self.sidecar_raw(s))?)))
+            .map(|s| Ok((*s, BitmapIndex::from_bytes(self.sidecar_raw(s)?)?)))
             .transpose()
     }
 
@@ -395,7 +416,7 @@ impl IndexedBlock {
     pub fn inverted_list_sidecar(&self) -> Result<Option<(SidecarMetadata, InvertedList)>> {
         self.meta
             .inverted_list()
-            .map(|s| Ok((*s, InvertedList::from_bytes(self.sidecar_raw(s))?)))
+            .map(|s| Ok((*s, InvertedList::from_bytes(self.sidecar_raw(s)?)?)))
             .transpose()
     }
 
@@ -412,7 +433,7 @@ impl IndexedBlock {
     ) -> Result<Option<(SidecarMetadata, ZoneMapSynopsis)>> {
         self.meta
             .zone_map_on(column)
-            .map(|s| Ok((*s, ZoneMapSynopsis::from_bytes(self.sidecar_raw(s))?)))
+            .map(|s| Ok((*s, ZoneMapSynopsis::from_bytes(self.sidecar_raw(s)?)?)))
             .transpose()
     }
 
@@ -427,7 +448,7 @@ impl IndexedBlock {
     pub fn bloom_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BloomSynopsis)>> {
         self.meta
             .bloom_on(column)
-            .map(|s| Ok((*s, BloomSynopsis::from_bytes(self.sidecar_raw(s))?)))
+            .map(|s| Ok((*s, BloomSynopsis::from_bytes(self.sidecar_raw(s)?)?)))
             .transpose()
     }
 
@@ -441,14 +462,19 @@ impl IndexedBlock {
         &self.meta
     }
 
-    /// The full serialized file content.
+    /// The full serialized file content, verified or not.
     pub fn bytes(&self) -> &Bytes {
-        &self.bytes
+        self.replica.data()
+    }
+
+    /// The replica the block was opened from, with its verified chunks.
+    pub fn replica(&self) -> &ReplicaBytes {
+        &self.replica
     }
 
     /// Physical file size in bytes.
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.replica.len()
     }
 
     /// The sort order of this replica.
@@ -614,6 +640,85 @@ mod tests {
         );
     }
 
+    /// Opening a stored replica verifies its head and its tail — header,
+    /// directory, clustered index, metadata, trailer — and a synopsis
+    /// probe adds only its sidecar's chunks; a damaged column fails only
+    /// the reads of it.
+    #[test]
+    fn opening_and_probing_verify_only_what_they_read() {
+        use hail_pax::chunk_checksums;
+        use hail_types::config::CHUNK_SIZE;
+
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::VarChar),
+        ])
+        .unwrap();
+        let text: String = (0..3_000)
+            .map(|i| format!("{}|value-{}\n", (i * 7) % 3_000, i))
+            .collect();
+        let mut storage = StorageConfig::test_scale(1 << 20);
+        storage.index_partition_size = 64;
+        let block = blocks_from_text(&text, &schema, &storage)
+            .unwrap()
+            .pop()
+            .unwrap();
+        let spec = SidecarSpec {
+            zone_map_columns: vec![0],
+            ..SidecarSpec::default()
+        };
+        let built =
+            IndexedBlock::build_with(&block, SortOrder::Clustered { column: 0 }, &spec).unwrap();
+        let bytes = built.bytes().to_vec();
+        let sums = chunk_checksums(&bytes);
+        let chunks =
+            |range: std::ops::Range<usize>| range.start / CHUNK_SIZE..=(range.end - 1) / CHUNK_SIZE;
+        let meta = built.metadata();
+        let zone = meta.zone_map_on(0).unwrap();
+        let zone = chunks(zone.sidecar_offset..zone.sidecar_offset + zone.sidecar_bytes);
+        let index = chunks(meta.index_offset..meta.index_offset + meta.index_bytes);
+        let tail = chunks(bytes.len() - TRAILER_LEN - meta.to_bytes().len()..bytes.len());
+        let expected = |with_zone: bool| {
+            let mut set: Vec<usize> = [0..=0, index.clone(), tail.clone()]
+                .into_iter()
+                .chain(with_zone.then(|| zone.clone()))
+                .flatten()
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            set.len()
+        };
+
+        let open = |raw: Vec<u8>| {
+            IndexedBlock::open(ReplicaBytes::new(raw.into(), sums.clone().into()).unwrap())
+        };
+        let opened = open(bytes.clone()).unwrap();
+        assert_eq!(opened.replica().verified_chunks(), expected(false));
+        assert!(opened.zone_map(0).unwrap().is_some());
+        assert_eq!(opened.replica().verified_chunks(), expected(true));
+        assert!(expected(true) * 4 < bytes.len().div_ceil(CHUNK_SIZE));
+
+        // A damaged byte in the varchar column: opening and the probe
+        // never read it; the column's reader does.
+        let mut raw = bytes.clone();
+        raw[block.byte_len() / 2] ^= 1;
+        let damaged = open(raw).unwrap();
+        assert!(damaged.zone_map(0).unwrap().is_some());
+        let mut cursor = damaged.pax().cursor(1).unwrap();
+        let read: hail_types::Result<Vec<_>> =
+            (0..3_000).map(|r| cursor.get(r).map(|_| ())).collect();
+        assert!(matches!(read, Err(HailError::ChecksumMismatch { .. })));
+
+        // A damaged zone map fails its probe — or the open, when it
+        // shares a chunk with the metadata.
+        let mut raw = bytes;
+        raw[meta.zone_map_on(0).unwrap().sidecar_offset + 2] ^= 1;
+        assert!(matches!(
+            open(raw).and_then(|b| b.zone_map(0)),
+            Err(HailError::ChecksumMismatch { .. })
+        ));
+    }
+
     #[test]
     fn replicas_differ_physically() {
         let pax = pax_block();
@@ -657,6 +762,35 @@ mod tests {
         let tag_pos = raw.len() - TRAILER_LEN - meta_len + 20;
         raw[tag_pos] = 200;
         assert!(IndexedBlock::parse(Bytes::from(raw)).is_err());
+    }
+
+    /// A count read from disk sizes nothing beyond what the bytes behind
+    /// it could hold: each decoder fails on the short input instead of
+    /// allocating for four billion entries first.
+    #[test]
+    fn decoders_bound_what_a_count_allocates_by_their_bytes() {
+        use crate::trojan::TrojanIndex;
+        let words = |ws: &[u32]| -> Vec<u8> { ws.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let huge = u32::MAX;
+        // column, rows, bad records, words
+        assert!(BloomSynopsis::from_bytes(&words(&[0, 9, 0, huge, 1])).is_err());
+        // column, rows, one bitmap keyed "", its words
+        let mut bitmap = words(&[0, huge, 1]);
+        bitmap.extend_from_slice(&[0, 0, 1, 2, 3]);
+        assert!(BitmapIndex::from_bytes(&bitmap).is_err());
+        // records, one token "", its ids
+        let mut list = words(&[1, 1]);
+        list.extend_from_slice(&[0, 0]);
+        list.extend(words(&[huge, 7]));
+        assert!(InvertedList::from_bytes(&list).is_err());
+        // key type, key column, partition size (granularity), rows, keys
+        for index in [
+            ClusteredIndex::from_bytes(&[&[0][..], &words(&[0, 1, huge, huge, 5])].concat())
+                .is_err(),
+            TrojanIndex::from_bytes(&[&[0][..], &words(&[0, 1, huge, huge, 5])].concat()).is_err(),
+        ] {
+            assert!(index);
+        }
     }
 
     #[test]

@@ -107,7 +107,8 @@ impl InvertedList {
         for _ in 0..n {
             let token = r.str()?;
             let len = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(len);
+            // A count read from disk: no more ids than bytes to hold them.
+            let mut ids = Vec::with_capacity(len.min(r.remaining() / 4));
             for _ in 0..len {
                 ids.push(r.u32()?);
             }

@@ -350,7 +350,8 @@ impl BloomSynopsis {
         let row_count = r.u32()? as usize;
         let bad_records = r.u32()? as usize;
         let words = r.u32()? as usize;
-        let mut bits = Vec::with_capacity(words);
+        // A count read from disk: no more words than bytes to hold them.
+        let mut bits = Vec::with_capacity(words.min(r.remaining() / 8));
         for _ in 0..words {
             bits.push(r.u64()?);
         }

@@ -155,7 +155,8 @@ impl TrojanIndex {
                 "trojan key count inconsistent with row count".into(),
             ));
         }
-        let mut keys = Vec::with_capacity(n);
+        // A count read from disk: every key takes at least two bytes.
+        let mut keys = Vec::with_capacity(n.min(r.remaining() / 2));
         for _ in 0..n {
             keys.push(match key_type {
                 DataType::Int => Value::Int(r.i32()?),

@@ -25,11 +25,21 @@
 //! values are zero-terminated and only every `partition_size`-th offset is
 //! stored, in front of the value data. Random access to row `r` seeks the
 //! partition `r / partition_size` and scans forward in memory.
+//!
+//! A block is the prefix of its replica's file, so a byte's chunk index in
+//! the replica's checksum file is its offset in the block divided by 512.
+//! Every read of a block verifies the chunks it lands in first
+//! ([`ReplicaBytes::verify`]): opening one verifies the header and the
+//! directory, and each reader verifies the region, partition or value it
+//! reads — never more.
 
+use crate::checksum::ReplicaBytes;
 use crate::column::ColumnData;
 use bytes::Bytes;
 use hail_types::bytes_util::{put_str, put_u32, u32_at, ByteReader};
 use hail_types::{DataType, Field, HailError, Result, Row, Schema, Value};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Magic number at the start of every PAX block ("HAIL" in LE order).
 pub const PAX_MAGIC: u32 = 0x4C49_4148;
@@ -135,13 +145,15 @@ impl BlockWriter {
     pub(crate) fn into_block(mut self, schema: Schema) -> Result<PaxBlock> {
         debug_assert_eq!(self.directory.len(), schema.len() + 1);
         self.patch_directory()?;
+        let bytes = Bytes::from(self.buf);
         Ok(PaxBlock {
             schema,
             row_count: self.row_count,
             partition_size: self.partition_size,
             bad_count: self.bad_count,
             directory: self.directory,
-            bytes: Bytes::from(self.buf),
+            replica: Arc::new(ReplicaBytes::trusted(bytes.clone())),
+            bytes,
         })
     }
 }
@@ -226,9 +238,9 @@ pub fn encode_block(
 }
 
 /// A parsed PAX block: header fields plus a shared handle on the raw
-/// bytes. Cloning is O(1) (`Bytes` is reference-counted), which models
-/// replicas cheaply in tests while the DFS layer still charges full byte
-/// costs.
+/// bytes and on the replica they are the prefix of. Cloning is O(1)
+/// (`Bytes` and the replica are reference-counted), which models replicas
+/// cheaply in tests while the DFS layer still charges full byte costs.
 #[derive(Debug, Clone)]
 pub struct PaxBlock {
     schema: Schema,
@@ -238,12 +250,41 @@ pub struct PaxBlock {
     /// Per-column (offset, length), with a final entry for the bad section.
     directory: Vec<(usize, usize)>,
     bytes: Bytes,
+    /// The replica `bytes` begin: its checksums and verified chunks.
+    replica: Arc<ReplicaBytes>,
 }
 
 impl PaxBlock {
-    /// Parses the header of a serialized PAX block.
+    /// Parses a serialized PAX block from bytes the caller vouches for —
+    /// built in memory, or read whole and verified: [`PaxBlock::open`]
+    /// over [`ReplicaBytes::trusted`].
     pub fn parse(bytes: Bytes) -> Result<PaxBlock> {
+        let len = bytes.len();
+        PaxBlock::open(Arc::new(ReplicaBytes::trusted(bytes)), len)
+    }
+
+    /// Opens the PAX block held by the first `len` bytes of `replica`,
+    /// verifying each chunk of the header and the directory before
+    /// reading it. The regions are verified by the reads that need them.
+    pub fn open(replica: Arc<ReplicaBytes>, len: usize) -> Result<PaxBlock> {
+        if len > replica.len() {
+            return Err(HailError::Corrupt(format!(
+                "PAX block of {len} bytes in a replica of {} bytes",
+                replica.len()
+            )));
+        }
+        let bytes = replica.data().slice(0..len);
+        let mut verified = 0;
+        let mut need = |end: usize| -> Result<()> {
+            let end = end.min(len);
+            if end > verified {
+                replica.verify(verified..end)?;
+                verified = end;
+            }
+            Ok(())
+        };
         let mut r = ByteReader::new(&bytes);
+        need(7)?;
         let magic = r.u32()?;
         if magic != PAX_MAGIC {
             return Err(HailError::Corrupt(format!(
@@ -257,11 +298,16 @@ impl PaxBlock {
         let n_fields = u16::from_le_bytes([r.u8()?, r.u8()?]) as usize;
         let mut fields = Vec::with_capacity(n_fields);
         for _ in 0..n_fields {
+            need(r.position() + 3)?;
             let tag = r.u8()?;
-            let name = r.str()?;
+            let name_len = u16::from_le_bytes([r.u8()?, r.u8()?]) as usize;
+            need(r.position() + name_len)?;
+            let name = std::str::from_utf8(r.bytes(name_len)?)
+                .map_err(|_| HailError::Corrupt("invalid UTF-8 in a field name".into()))?;
             fields.push(Field::new(name, DataType::from_tag(tag)?));
         }
         let schema = Schema::new(fields)?;
+        need(r.position() + 12 + (n_fields + 1) * 8)?;
         let row_count = r.u32()? as usize;
         let partition_size = r.u32()? as usize;
         let bad_count = r.u32()? as usize;
@@ -287,45 +333,38 @@ impl PaxBlock {
             bad_count,
             directory,
             bytes,
+            replica,
         };
         block.validate_regions()?;
         Ok(block)
     }
 
-    /// Holds every region to the header's counts, so that readers can
-    /// index a region without re-checking it per row: a fixed-width region
-    /// is exactly `row_count × width` bytes; a varchar region holds its
-    /// whole sparse offset list and every offset points into the value
-    /// data behind it; the bad section has room for `bad_count` records.
+    /// Holds every region's length to the header's counts, so that readers
+    /// can index a region without re-checking it per row: a fixed-width
+    /// region is exactly `row_count × width` bytes; a varchar region has
+    /// room for its whole sparse offset list; the bad section has room for
+    /// `bad_count` records. Only the directory is read: the offsets
+    /// themselves are checked by `varchar_offsets` when a reader first
+    /// needs them.
     fn validate_regions(&self) -> Result<()> {
         for (col, field) in self.schema.fields().iter().enumerate() {
-            let region = self.column_slice(col)?;
+            let (_, len) = self.region(col)?;
             let corrupt = |what: String| {
                 HailError::Corrupt(format!(
-                    "column {col} ({} rows, region of {} bytes): {what}",
+                    "column {col} ({} rows, region of {len} bytes): {what}",
                     self.row_count,
-                    region.len()
                 ))
             };
             match field.data_type.fixed_width() {
                 Some(w) => {
-                    if region.len() != self.row_count * w {
+                    if len != self.row_count * w {
                         return Err(corrupt(format!("expected {w} bytes per row")));
                     }
                 }
                 None => {
                     let partitions = self.partition_count();
-                    let data_len = region
-                        .len()
-                        .checked_sub(partitions * 4)
-                        .ok_or_else(|| corrupt(format!("no room for {partitions} offsets")))?;
-                    for p in 0..partitions {
-                        let off = u32_at(region, p)? as usize;
-                        if off >= data_len {
-                            return Err(corrupt(format!(
-                                "partition {p} starts at {off}, past {data_len} value bytes"
-                            )));
-                        }
+                    if len < partitions * 4 {
+                        return Err(corrupt(format!("no room for {partitions} offsets")));
                     }
                 }
             }
@@ -377,23 +416,61 @@ impl PaxBlock {
         self.row_count.div_ceil(self.partition_size)
     }
 
-    pub(crate) fn column_slice(&self, col: usize) -> Result<&[u8]> {
-        let (off, len) = *self
-            .directory
+    /// Where column `col`'s region lies in the block, as (offset,
+    /// length): its directory entry, with no region byte read.
+    pub(crate) fn region(&self, col: usize) -> Result<(usize, usize)> {
+        self.directory
             .get(col)
-            .ok_or(HailError::UnknownAttribute(col + 1))?;
-        Ok(&self.bytes[off..off + len])
+            .copied()
+            .ok_or(HailError::UnknownAttribute(col + 1))
+    }
+
+    /// The replica this block is the prefix of.
+    pub(crate) fn replica(&self) -> &ReplicaBytes {
+        &self.replica
+    }
+
+    /// Verifies `range` of the block and lends its bytes.
+    fn verified(&self, range: Range<usize>) -> Result<&[u8]> {
+        self.replica.verify(range.clone())?;
+        Ok(&self.bytes[range])
+    }
+
+    /// Column `col`'s whole region, verified.
+    pub(crate) fn column_slice(&self, col: usize) -> Result<&[u8]> {
+        let (off, len) = self.region(col)?;
+        self.verified(off..off + len)
+    }
+
+    /// The sparse offset list of varchar column `col`, verified, with
+    /// every offset checked to point into the value data behind it; and
+    /// where that value data lies in the block, as (offset, length).
+    pub(crate) fn varchar_offsets(&self, col: usize) -> Result<(&[u8], (usize, usize))> {
+        let (off, len) = self.region(col)?;
+        let list = self.partition_count() * 4;
+        let offsets = self.verified(off..off + list)?;
+        let data_len = len - list;
+        for p in 0..self.partition_count() {
+            let start = u32_at(offsets, p)? as usize;
+            if start >= data_len {
+                return Err(HailError::Corrupt(format!(
+                    "column {col}: partition {p} starts at {start}, past {data_len} value bytes"
+                )));
+            }
+        }
+        Ok((offsets, (off + list, data_len)))
     }
 
     /// Byte length of one column's region (offset list included for
     /// varchar columns). Used by the cost model.
     pub fn column_byte_len(&self, col: usize) -> Result<usize> {
-        Ok(self.column_slice(col)?.len())
+        Ok(self.region(col)?.1)
     }
 
     /// Reads a single value. Fixed-size attributes are read by direct
     /// offset arithmetic; variable-size attributes locate the partition
-    /// via the sparse offset list and scan forward (§3.5).
+    /// via the sparse offset list and scan forward (§3.5). What is
+    /// verified is the value's own bytes, or its partition's.
     pub fn value(&self, col: usize, row: usize) -> Result<Value> {
         if row >= self.row_count {
             return Err(HailError::Corrupt(format!(
@@ -402,29 +479,23 @@ impl PaxBlock {
             )));
         }
         let dtype = self.schema.field(col)?.data_type;
-        let slice = self.column_slice(col)?;
+        let (off, _) = self.region(col)?;
+        let fixed = |w: usize| self.verified(off + row * w..off + (row + 1) * w);
         match dtype {
             DataType::Int | DataType::Date => {
-                let off = row * 4;
-                let v = i32::from_le_bytes(slice[off..off + 4].try_into().unwrap());
+                let v = i32::from_le_bytes(fixed(4)?.try_into().expect("a 4-byte value"));
                 Ok(if dtype == DataType::Int {
                     Value::Int(v)
                 } else {
                     Value::Date(v)
                 })
             }
-            DataType::Long => {
-                let off = row * 8;
-                Ok(Value::Long(i64::from_le_bytes(
-                    slice[off..off + 8].try_into().unwrap(),
-                )))
-            }
-            DataType::Float => {
-                let off = row * 8;
-                Ok(Value::Float(f64::from_bits(u64::from_le_bytes(
-                    slice[off..off + 8].try_into().unwrap(),
-                ))))
-            }
+            DataType::Long => Ok(Value::Long(i64::from_le_bytes(
+                fixed(8)?.try_into().expect("an 8-byte value"),
+            ))),
+            DataType::Float => Ok(Value::Float(f64::from_bits(u64::from_le_bytes(
+                fixed(8)?.try_into().expect("an 8-byte value"),
+            )))),
             DataType::VarChar => {
                 let bytes = self.varlen_bytes(col, row)?;
                 String::from_utf8(bytes.to_vec())
@@ -435,19 +506,13 @@ impl PaxBlock {
     }
 
     /// Raw bytes of a variable-size value: partition seek + in-partition
-    /// scan, exactly the paper's `rowID / 1024` walk.
+    /// scan, exactly the paper's `rowID / 1024` walk, within the
+    /// partition's value range.
     fn varlen_bytes(&self, col: usize, row: usize) -> Result<&[u8]> {
-        let slice = self.column_slice(col)?;
-        let n_parts = self.partition_count();
-        let offsets_len = n_parts * 4;
-        let data = &slice[offsets_len..];
-        let partition = row / self.partition_size;
-        let start = u32::from_le_bytes(slice[partition * 4..partition * 4 + 4].try_into().unwrap())
-            as usize;
-        let mut r = ByteReader::new(data);
-        r.seek(start)?;
-        let in_part = row % self.partition_size;
-        for _ in 0..in_part {
+        let (offsets, (data_off, data_len)) = self.varchar_offsets(col)?;
+        let values = partition_values(offsets, row / self.partition_size, data_len)?;
+        let mut r = ByteReader::new(self.verified(data_off + values.start..data_off + values.end)?);
+        for _ in 0..row % self.partition_size {
             r.cstr()?;
         }
         r.cstr()
@@ -494,7 +559,8 @@ impl PaxBlock {
                 let offsets_len = self.partition_count() * 4;
                 let data = &slice[offsets_len..];
                 let mut r = ByteReader::new(data);
-                let mut v = Vec::with_capacity(n);
+                // Every value ends in its own terminator.
+                let mut v = Vec::with_capacity(n.min(data.len()));
                 for _ in 0..n {
                     let bytes = r.cstr()?;
                     v.push(String::from_utf8(bytes.to_vec()).map_err(|_| {
@@ -529,15 +595,16 @@ impl PaxBlock {
         self.reconstruct(row, &all)
     }
 
-    /// The bad section: `bad_count` raw lines, each zero-terminated.
-    pub(crate) fn bad_section(&self) -> &[u8] {
+    /// The bad section, verified: `bad_count` raw lines, each
+    /// zero-terminated.
+    pub(crate) fn bad_section(&self) -> Result<&[u8]> {
         let (off, len) = self.directory[self.schema.len()];
-        &self.bytes[off..off + len]
+        self.verified(off..off + len)
     }
 
     /// The raw bad-record lines stored in the bad section.
     pub fn bad_records(&self) -> Result<Vec<String>> {
-        let mut r = ByteReader::new(self.bad_section());
+        let mut r = ByteReader::new(self.bad_section()?);
         let mut out = Vec::with_capacity(self.bad_count);
         for _ in 0..self.bad_count {
             let bytes = r.cstr()?;
@@ -571,29 +638,19 @@ impl PaxBlock {
         }
         let mut total = 0usize;
         for &col in columns {
-            let dtype = self.schema.field(col)?.data_type;
-            let slice = self.column_slice(col)?;
-            match dtype.fixed_width() {
+            match self.schema.field(col)?.data_type.fixed_width() {
                 Some(w) => {
                     let start_row = first_partition * self.partition_size;
                     let end_row = ((last_partition + 1) * self.partition_size).min(self.row_count);
                     total += end_row.saturating_sub(start_row) * w;
                 }
                 None => {
-                    let n_parts = self.partition_count();
-                    let offsets_len = n_parts * 4;
-                    let data_len = slice.len() - offsets_len;
-                    let start = u32::from_le_bytes(
-                        slice[first_partition * 4..first_partition * 4 + 4]
-                            .try_into()
-                            .unwrap(),
-                    ) as usize;
-                    let end = if last_partition + 1 < n_parts {
-                        u32::from_le_bytes(
-                            slice[(last_partition + 1) * 4..(last_partition + 1) * 4 + 4]
-                                .try_into()
-                                .unwrap(),
-                        ) as usize
+                    // Only the two sparse offsets bounding the window are
+                    // needed, and only the offset list is verified.
+                    let (offsets, (_, data_len)) = self.varchar_offsets(col)?;
+                    let start = u32_at(offsets, first_partition)? as usize;
+                    let end = if last_partition + 1 < self.partition_count() {
+                        u32_at(offsets, last_partition + 1)? as usize
                     } else {
                         data_len
                     };
@@ -603,6 +660,29 @@ impl PaxBlock {
         }
         Ok(total)
     }
+}
+
+/// Where partition `partition`'s values lie in a varchar column's value
+/// data of `data_len` bytes: from its sparse offset up to the next
+/// partition's, or to the end of the data for the last one. Offsets that
+/// run backwards are corrupt.
+pub(crate) fn partition_values(
+    offsets: &[u8],
+    partition: usize,
+    data_len: usize,
+) -> Result<Range<usize>> {
+    let start = u32_at(offsets, partition)? as usize;
+    let end = if partition + 1 < offsets.len() / 4 {
+        u32_at(offsets, partition + 1)? as usize
+    } else {
+        data_len
+    };
+    if start > end || end > data_len {
+        return Err(HailError::Corrupt(format!(
+            "partition {partition} holds value bytes {start}..{end} of {data_len}"
+        )));
+    }
+    Ok(start..end)
 }
 
 #[cfg(test)]
@@ -751,10 +831,12 @@ mod tests {
     fn read_everything(b: &PaxBlock) {
         let partitions = b.partition_count();
         for col in 0..b.schema().len() {
-            let mut cursor = b.cursor(col).unwrap();
+            let mut cursor = b.cursor(col);
             for row in 0..b.row_count() {
                 let _ = b.value(col, row);
-                let _ = cursor.get(row);
+                if let Ok(cursor) = &mut cursor {
+                    let _ = cursor.get(row);
+                }
             }
             let _ = b.decode_column(col);
             for first in 0..partitions {
@@ -775,13 +857,22 @@ mod tests {
         let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
         let good = build(&refs, &["bad"], 4).bytes().to_vec();
         let dir = directory_pos();
+        // Region lengths are checked when the block is opened; the sparse
+        // offsets inside a varchar region when a reader first needs them.
         let corrupt = |patch: &dyn Fn(&mut [u8])| {
             let mut raw = good.clone();
             patch(&mut raw);
-            matches!(
-                PaxBlock::parse(Bytes::from(raw)),
-                Err(HailError::Corrupt(_))
-            )
+            match PaxBlock::parse(Bytes::from(raw)) {
+                Err(e) => matches!(e, HailError::Corrupt(_)),
+                Ok(b) => {
+                    matches!(b.cursor(0), Err(HailError::Corrupt(_)))
+                        && matches!(b.value(0, 0), Err(HailError::Corrupt(_)))
+                        && matches!(
+                            b.partition_scan_bytes(&[0], 0, 0),
+                            Err(HailError::Corrupt(_))
+                        )
+                }
+            }
         };
         // Header row count one more than the regions hold.
         assert!(corrupt(&|raw| patch_u32(raw, dir - 12, |n| n + 1)));

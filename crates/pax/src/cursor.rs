@@ -9,14 +9,22 @@
 //! from then on only walks forward, and it hands out a borrowed
 //! [`ValueRef`] instead of allocating a `String` per varchar value.
 //!
-//! The cursor trusts what [`PaxBlock::parse`] validated — a fixed-width
-//! region is exactly `row_count × width` bytes, a varchar region holds its
-//! whole sparse offset list and every offset points into the value data —
-//! so the only per-row failures left are the ones only a walk can find:
-//! a row past the end, an unterminated value, invalid UTF-8.
+//! A cursor reads only bytes it has verified against the replica's chunk
+//! checksums, and verifies only what it reads: a varchar cursor verifies
+//! and checks the column's sparse offset list when it opens and a
+//! partition's value range when it enters the partition; a fixed-width
+//! cursor verifies a chunk when a value first lands in it. Between those
+//! points a read costs one range comparison.
+//!
+//! The cursor trusts the region lengths [`PaxBlock::open`] validated — a
+//! fixed-width region is exactly `row_count × width` bytes, a varchar
+//! region holds its whole sparse offset list — so the only per-row
+//! failures left are the ones only a walk can find: a row past the end, an
+//! unterminated value, invalid UTF-8, a chunk that fails its checksum.
 
-use crate::block::PaxBlock;
-use hail_types::bytes_util::u32_at;
+use crate::block::{partition_values, PaxBlock};
+use crate::checksum::ReplicaBytes;
+use hail_types::config::CHUNK_SIZE;
 use hail_types::{DataType, HailError, Result, ValueRef};
 
 /// Reads one column of a [`PaxBlock`] row by row. Rows may be asked for in
@@ -24,16 +32,25 @@ use hail_types::{DataType, HailError, Result, ValueRef};
 #[derive(Debug, Clone)]
 pub struct ColumnCursor<'a> {
     dtype: DataType,
-    /// The column's whole region (fixed width), or its sparse offset list
-    /// (varchar).
-    head: &'a [u8],
-    /// Varchar only: the zero-terminated values behind the offset list.
-    values: &'a [u8],
+    replica: &'a ReplicaBytes,
+    /// The column's whole region (fixed width), or the value data behind
+    /// its sparse offset list (varchar).
+    data: &'a [u8],
+    /// Where `data` starts in the replica.
+    base: usize,
+    /// Varchar only: the sparse offset list, verified and checked when the
+    /// cursor opened.
+    offsets: &'a [u8],
     row_count: usize,
     partition_size: usize,
+    /// `data[checked_start..checked_end]` is verified: the chunks around
+    /// the last fixed-width value read, or the value range of the varchar
+    /// partition the cursor stands in.
+    checked_start: usize,
+    checked_end: usize,
     /// Varchar only: the value of row `next_row` starts at byte `pos` of
-    /// `values`, inside the partition that ends before row
-    /// `partition_end` — before row 0 until the first `get` seeks.
+    /// `data`, inside the partition that ends before row `partition_end`
+    /// — before row 0 until the first `get` seeks.
     next_row: usize,
     partition_end: usize,
     pos: usize,
@@ -43,17 +60,20 @@ impl PaxBlock {
     /// A cursor over column `col` (0-based).
     pub fn cursor(&self, col: usize) -> Result<ColumnCursor<'_>> {
         let dtype = self.schema().field(col)?.data_type;
-        let region = self.column_slice(col)?;
-        let (head, values) = match dtype.fixed_width() {
-            Some(_) => (region, &region[..0]),
-            None => region.split_at(self.partition_count() * 4),
+        let (offsets, (base, len)) = match dtype.fixed_width() {
+            Some(_) => (&[][..], self.region(col)?),
+            None => self.varchar_offsets(col)?,
         };
         Ok(ColumnCursor {
             dtype,
-            head,
-            values,
+            replica: self.replica(),
+            data: &self.bytes()[base..base + len],
+            base,
+            offsets,
             row_count: self.row_count(),
             partition_size: self.partition_size(),
+            checked_start: 0,
+            checked_end: 0,
             next_row: 0,
             partition_end: 0,
             pos: 0,
@@ -65,27 +85,44 @@ impl<'a> ColumnCursor<'a> {
     /// The value of `row`, borrowed from the block.
     #[inline]
     pub fn get(&mut self, row: usize) -> Result<ValueRef<'a>> {
-        let past_end = || HailError::Corrupt(format!("row {row} out of range"));
+        if row >= self.row_count {
+            return Err(HailError::Corrupt(format!("row {row} out of range")));
+        }
         Ok(match self.dtype {
-            DataType::Int => ValueRef::Int(i32::from_le_bytes(
-                fixed(self.head, row).ok_or_else(past_end)?,
-            )),
-            DataType::Date => ValueRef::Date(i32::from_le_bytes(
-                fixed(self.head, row).ok_or_else(past_end)?,
-            )),
-            DataType::Long => ValueRef::Long(i64::from_le_bytes(
-                fixed(self.head, row).ok_or_else(past_end)?,
-            )),
-            DataType::Float => ValueRef::Float(f64::from_bits(u64::from_le_bytes(
-                fixed(self.head, row).ok_or_else(past_end)?,
-            ))),
-            DataType::VarChar => {
-                if row >= self.row_count {
-                    return Err(past_end());
-                }
-                ValueRef::Str(self.varchar(row)?)
+            DataType::Int => ValueRef::Int(i32::from_le_bytes(self.fixed(row)?)),
+            DataType::Date => ValueRef::Date(i32::from_le_bytes(self.fixed(row)?)),
+            DataType::Long => ValueRef::Long(i64::from_le_bytes(self.fixed(row)?)),
+            DataType::Float => {
+                ValueRef::Float(f64::from_bits(u64::from_le_bytes(self.fixed(row)?)))
             }
+            DataType::VarChar => ValueRef::Str(self.varchar(row)?),
         })
+    }
+
+    /// The `row`-th `W`-byte value of a dense fixed-width region, whose
+    /// length [`PaxBlock::open`] held to `row_count × W`.
+    #[inline]
+    fn fixed<const W: usize>(&mut self, row: usize) -> Result<[u8; W]> {
+        let start = row * W;
+        if start < self.checked_start || start + W > self.checked_end {
+            self.check_chunks(start, start + W)?;
+        }
+        Ok(self.data[start..start + W]
+            .try_into()
+            .expect("a W-byte slice"))
+    }
+
+    /// Verifies the chunks `data[start..end]` lies in and makes them the
+    /// checked window.
+    #[cold]
+    fn check_chunks(&mut self, start: usize, end: usize) -> Result<()> {
+        let (from, to) = (self.base + start, self.base + end);
+        self.replica.verify(from..to)?;
+        let chunks_start = from / CHUNK_SIZE * CHUNK_SIZE;
+        let chunks_end = to.div_ceil(CHUNK_SIZE) * CHUNK_SIZE;
+        self.checked_start = chunks_start.saturating_sub(self.base);
+        self.checked_end = (chunks_end - self.base).min(self.data.len());
+        Ok(())
     }
 
     /// Enters `row`'s partition through its sparse offset — unless the
@@ -95,7 +132,11 @@ impl<'a> ColumnCursor<'a> {
     fn varchar(&mut self, row: usize) -> Result<&'a str> {
         if row < self.next_row || row >= self.partition_end {
             let partition = row / self.partition_size;
-            self.pos = u32_at(self.head, partition)? as usize;
+            let values = partition_values(self.offsets, partition, self.data.len())?;
+            self.replica
+                .verify(self.base + values.start..self.base + values.end)?;
+            (self.checked_start, self.checked_end) = (values.start, values.end);
+            self.pos = values.start;
             self.next_row = partition * self.partition_size;
             self.partition_end = self.next_row + self.partition_size;
         }
@@ -104,18 +145,19 @@ impl<'a> ColumnCursor<'a> {
         let start = self.pos;
         self.skip_terminators(1)?;
         self.next_row = row + 1;
-        std::str::from_utf8(&self.values[start..self.pos - 1])
+        std::str::from_utf8(&self.data[start..self.pos - 1])
             .map_err(|_| HailError::Corrupt("invalid UTF-8 in varchar value".into()))
     }
 
-    /// Moves `pos` just past the `n`-th zero byte at or after it, eight
-    /// bytes per step: the walk over values nobody asked for is the bulk
-    /// of a selective scan's work on a varchar column.
+    /// Moves `pos` just past the `n`-th zero byte at or after it, within
+    /// the partition, eight bytes per step: the walk over values nobody
+    /// asked for is the bulk of a selective scan's work on a varchar
+    /// column.
     fn skip_terminators(&mut self, mut n: usize) -> Result<()> {
         if n == 0 {
             return Ok(());
         }
-        let rest = self.values.get(self.pos..).unwrap_or_default();
+        let rest = &self.data[self.pos..self.checked_end];
         let mut words = rest.chunks_exact(8);
         let mut skipped = 0;
         for word in &mut words {
@@ -198,12 +240,6 @@ fn zero_bytes(word: u64) -> u64 {
     !(((word & LOW7) + LOW7) | word | LOW7)
 }
 
-/// The `row`-th `W`-byte value of a dense fixed-width region.
-#[inline]
-fn fixed<const W: usize>(region: &[u8], row: usize) -> Option<[u8; W]> {
-    region.chunks_exact(W).nth(row)?.try_into().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,8 +315,10 @@ mod tests {
     }
 
     /// A partition is always entered through its sparse offset, also when
-    /// the walk arrives at its first row — so where an offset and the walk
-    /// disagree, cursor and `value` still read the same bytes.
+    /// the walk arrives at its first row, and is walked only up to the
+    /// next partition's offset — so where an offset and the walk
+    /// disagree, cursor and `value` still read the same bytes, and the
+    /// row the moved offset leaves no room for fails in both.
     #[test]
     fn cursor_enters_every_partition_through_its_offset() {
         let good = block(12, 4);
@@ -294,11 +332,64 @@ mod tests {
         assert_eq!(b.value(4, 4).unwrap(), good.value(4, 5).unwrap());
         let mut cursor = b.cursor(4).unwrap();
         for row in 0..12 {
-            assert_eq!(
-                cursor.get(row).unwrap().to_value(),
-                b.value(4, row).unwrap()
-            );
+            let got = cursor.get(row).map(ValueRef::to_value).ok();
+            assert_eq!(got, b.value(4, row).ok(), "row {row}");
+            assert_eq!(got.is_none(), row == 7, "row {row}");
         }
+    }
+
+    /// A cursor reads only chunks it verified, and verifies only the
+    /// chunks it reads: a damaged chunk fails exactly the reads that land
+    /// in it, and fails them every time.
+    #[test]
+    fn cursor_verifies_only_the_chunks_it_reads() {
+        use crate::checksum::{chunk_checksums, ReplicaBytes};
+        use hail_types::config::CHUNK_SIZE;
+        use std::sync::Arc;
+
+        let good = block(2_000, 64);
+        let bytes = good.bytes().to_vec();
+        let (off, len) = good.region(1).unwrap(); // the Long column
+        let damaged = off + len / 2;
+        let mut raw = bytes.clone();
+        raw[damaged] ^= 0x10;
+        let replica = Arc::new(
+            ReplicaBytes::new(bytes::Bytes::from(raw), chunk_checksums(&bytes).into()).unwrap(),
+        );
+        let b = PaxBlock::open(Arc::clone(&replica), bytes.len()).unwrap();
+        let opened = replica.verified_chunks();
+        assert!(opened <= 2, "opening verified {opened} chunks");
+
+        // The rows of the damaged chunk fail; the ones around it read.
+        let chunk = damaged / CHUNK_SIZE;
+        let in_chunk =
+            |row: usize| (off + row * 8..off + row * 8 + 8).any(|at| at / CHUNK_SIZE == chunk);
+        let mut longs = b.cursor(1).unwrap();
+        for row in 0..b.row_count() {
+            match longs.get(row) {
+                Ok(v) => {
+                    assert!(!in_chunk(row), "row {row}");
+                    assert_eq!(v.to_value(), good.value(1, row).unwrap());
+                }
+                Err(e) => {
+                    assert!(in_chunk(row), "row {row}: {e}");
+                    assert!(matches!(
+                        e,
+                        HailError::ChecksumMismatch { chunk_index, .. } if chunk_index == chunk
+                    ));
+                }
+            }
+        }
+        // One varchar value: the offset list and one partition.
+        let before = replica.verified_chunks();
+        let mut strings = b.cursor(4).unwrap();
+        assert_eq!(
+            strings.get(1_000).unwrap().to_value(),
+            good.value(4, 1_000).unwrap()
+        );
+        let (_, varchar_len) = b.region(4).unwrap();
+        assert!(replica.verified_chunks() - before < varchar_len / CHUNK_SIZE / 4);
+        assert!(replica.verified_chunks() < bytes.len().div_ceil(CHUNK_SIZE));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   the byte-level write path is tested against
 //! - [`reorg`] — per-replica block rewriting: a byte-level sort gather over
 //!   row offsets located once per block
-//! - [`checksum`] — CRC-32 chunks, packets, and checksum files
+//! - [`checksum`] — CRC-32 chunks, packets, checksum files, and
+//!   [`ReplicaBytes`]: a replica verified chunk by chunk as it is read
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +26,7 @@ pub use block::{encode_block, PaxBlock, PAX_MAGIC, PAX_VERSION};
 pub use builder::{blocks_from_text, PaxBlockBuilder};
 pub use checksum::{
     checksums_from_bytes, checksums_to_bytes, chunk_checksums, crc32, packetize, reassemble,
-    verify_chunks, Packet, CHUNKS_PER_PACKET,
+    verify_chunks, Packet, ReplicaBytes, CHUNKS_PER_PACKET,
 };
 pub use column::ColumnData;
 pub use cursor::ColumnCursor;

@@ -105,7 +105,7 @@ impl<'a> BlockRows<'a> {
                 )?),
             });
         }
-        let bad = VarcharRows::locate(block.bad_section(), block.bad_count(), "bad record")?.text;
+        let bad = VarcharRows::locate(block.bad_section()?, block.bad_count(), "bad record")?.text;
         Ok(BlockRows {
             block,
             varchar,
