@@ -2,11 +2,13 @@
 //! [`SelectivityFeedback`] store.
 //!
 //! HAIL's planning win only holds if planning stays near-zero-overhead
-//! (§4.3: split computation from main-memory `Dir_rep` state, no block
-//! reads). The base [`crate::planner::QueryPlanner`] is stateless and
-//! re-prices every `(replica, access path)` candidate on every
-//! split read; this module adds the two pieces of cross-query state
-//! that turn it into an adaptive subsystem:
+//! (§4.3: split computation from main-memory `Dir_rep` state). The base
+//! [`crate::planner::QueryPlanner`] is stateless: a job plans each block
+//! once, when its splits are cut, and its split reads execute that plan
+//! (`PlannedInputFormat`), but every new job probes the synopses and
+//! prices every `(replica, access path)` candidate again. This module
+//! adds the two pieces of cross-query state that turn it into an
+//! adaptive subsystem:
 //!
 //! - [`PlanCache`] memoizes per-block [`BlockPlan`] fragments keyed on
 //!   (canonical [`FilterShape`], block, replica-index **fingerprint**).

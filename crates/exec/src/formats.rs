@@ -7,16 +7,19 @@
 //!
 //! Splitting consumes a [`crate::planner::QueryPlan`] (the scheduler
 //! follows the plan's locations; it never re-derives replica choices),
-//! and every block read goes through
+//! the split reads execute that same plan while it still holds — a job
+//! plans each block once — and every block read goes through
 //! [`QueryPlanner::execute_block`] → `AccessPath::execute`.
 
-use crate::planner::{PlannerConfig, QueryPlanner};
+use crate::planner::{PlannerConfig, QueryPlan, QueryPlanner, StampedPlan};
 use crate::sharing::ScanShareRegistry;
 use crate::splitting::{default_splits, plan_default_splits, plan_hail_splits};
 use hail_core::baselines::hadoop_plus_plus::trojan_header_bytes;
 use hail_core::{Dataset, DatasetFormat, HailQuery};
 use hail_dfs::DfsCluster;
-use hail_mr::{run_ordered, InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask, TaskStats};
+use hail_mr::{
+    run_ordered, InputFormat, InputSplit, SplitPlan, SplitRead, SplitSource, SplitTask, TaskStats,
+};
 use hail_types::{BlockId, Result};
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,38 +89,48 @@ impl PlannedInputFormat {
     }
 
     /// HAIL computes splits from the namenode's main-memory `Dir_rep` —
-    /// no block header reads, so `client_cost` stays zero (§6.4.1).
+    /// no block header reads, so `client_cost` stays zero (§6.4.1). A
+    /// planned split plan carries the stamped plan it was cut from as its
+    /// [`SplitPlan::source`], for the split reads to execute.
     fn planned_splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
-        let planner = self.query_planner(cluster);
-        if self.splitting && !self.query.filter_columns().is_empty() {
-            let plan = planner.plan_lenient(self.dataset.format, input, &self.query)?;
-            Ok(plan_hail_splits(&plan, self.map_slots))
-        } else if self.query.filter_columns().is_empty()
-            && self.planner.bad_record_tokens.is_empty()
-        {
+        let filtered = !self.query.filter_columns().is_empty();
+        if !filtered && self.planner.bad_record_tokens.is_empty() {
             // Pure scan queries keep Hadoop's splitting and failover
             // granularity.
-            default_splits(cluster, input)
+            return default_splits(cluster, input);
+        }
+        let planner = self.query_planner(cluster);
+        let stamped = planner.plan_stamped(self.dataset.format, input, &self.query)?;
+        let mut splits = if self.splitting && filtered {
+            plan_hail_splits(&stamped.plan, self.map_slots)
         } else {
             // Default (per-block) splitting, but still scheduling toward
             // the replica the plan chose.
-            let plan = planner.plan_lenient(self.dataset.format, input, &self.query)?;
-            Ok(plan_default_splits(&plan))
-        }
+            plan_default_splits(&stamped.plan)
+        };
+        splits.source = Some(SplitSource::new(stamped));
+        Ok(splits)
     }
 
-    /// Reads one split: plan its blocks against the *current* cluster
-    /// state and execute each block's chosen access path in block
+    /// Reads one split: executes each block's chosen access path in block
     /// order on this thread, buffering the records and timing the whole
     /// read.
     ///
-    /// Planning is deterministic, so this reproduces the split-time plan
-    /// on a healthy cluster; after a mid-job failure it transparently
-    /// re-plans around dead replicas (HAIL's failover story).
+    /// A block's plan is the one its splits were cut from (the task's
+    /// [`StampedPlan`] source) while that plan's stamp holds; otherwise
+    /// the block is planned now, against the *current* cluster state —
+    /// after a mid-job death (HAIL's failover story: it re-plans around
+    /// dead replicas), after feedback absorbed between chunks moved a
+    /// selectivity, for a block the split-time pass degraded, and for a
+    /// split read without a source. Planning is deterministic in what
+    /// the stamp records, so both give the plan that planning the split
+    /// afresh would.
     ///
-    /// Plan-cache hits and misses incurred by this split are recorded
-    /// into its [`TaskStats`]. The per-block selectivities the access
-    /// paths observed are *not* absorbed into the feedback store here:
+    /// With a plan cache configured, the split's blocks are attributed to
+    /// this split's [`TaskStats`]: a reused plan counts as a hit (it does
+    /// no lookup at all), a block planned now by whether the cache served
+    /// it. The per-block selectivities the access paths observed are
+    /// *not* absorbed into the feedback store here:
     /// [`InputFormat::read_split_batch`] absorbs every split's
     /// observations **in batch order after the barrier**, so the
     /// store's decayed state is identical at any job-level parallelism.
@@ -130,19 +143,39 @@ impl PlannedInputFormat {
         let (split, task_node) = (task.split, task.task_node);
         let (dataset, query) = (&self.dataset, &self.query);
         let planner = self.query_planner(cluster);
-        let plan = planner.plan(dataset.format, &split.blocks, query)?;
+        let stamped = task
+            .source
+            .and_then(SplitSource::downcast_ref::<StampedPlan>)
+            .filter(|stamped| stamped.holds(&planner, query));
+        let reused = |block| stamped.is_some_and(|s| s.reusable(block));
+        let replan: Vec<BlockId> = split
+            .blocks
+            .iter()
+            .copied()
+            .filter(|&b| !reused(b))
+            .collect();
+        let fresh = if replan.is_empty() {
+            QueryPlan::empty(dataset.format)
+        } else {
+            planner.plan(dataset.format, &replan, query)?
+        };
         let mut stats = TaskStats::default();
-        // Attribute cache effectiveness from this plan's own blocks (not a
-        // diff of the shared cache's global counters, which would misassign
-        // other tasks' lookups once splits execute concurrently).
+        // Attribute cache effectiveness from this split's own blocks (not
+        // a diff of the shared cache's global counters, which would
+        // misassign other tasks' lookups once splits execute concurrently).
         if self.planner.plan_cache.is_some() {
-            stats.plan_cache_hits = plan.blocks.iter().filter(|b| b.cached).count() as u64;
-            stats.plan_cache_misses = plan.blocks.len() as u64 - stats.plan_cache_hits;
+            let fresh_hits = fresh.blocks.iter().filter(|b| b.cached).count();
+            stats.plan_cache_hits = (split.blocks.len() - replan.len() + fresh_hits) as u64;
+            stats.plan_cache_misses = (fresh.blocks.len() - fresh_hits) as u64;
         }
         let mut records = Vec::new();
         for &block in &split.blocks {
+            let plan = match stamped.filter(|s| s.reusable(block)) {
+                Some(stamped) => &stamped.plan,
+                None => &fresh,
+            };
             let block_stats = planner.execute_block_shared(
-                &plan,
+                plan,
                 block,
                 task_node,
                 &dataset.schema,

@@ -19,8 +19,8 @@
 //! Planning is adaptive when the two [`crate::cache`] stores are plugged
 //! into the [`PlannerConfig`]: a [`crate::cache::PlanCache`] memoizes
 //! per-block plans keyed on (canonical filter shape, replica-index
-//! fingerprint) so a repeated split read with an identical filter
-//! shape prices nothing, and a [`crate::cache::SelectivityFeedback`]
+//! fingerprint) so a repeated job with an identical filter shape prices
+//! nothing, and a [`crate::cache::SelectivityFeedback`]
 //! store blends observed per-block selectivities into the static
 //! [`SelectivityEstimate`] prior. `explain()` annotates both: every
 //! block line says whether its plan was `[cached]` or `[priced]`, and
@@ -328,6 +328,17 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
+    /// A plan of no blocks.
+    pub(crate) fn empty(format: DatasetFormat) -> QueryPlan {
+        QueryPlan {
+            format,
+            filter: String::new(),
+            projection: String::new(),
+            blocks: Vec::new(),
+            by_block: BTreeMap::new(),
+        }
+    }
+
     /// The plan for one block.
     pub fn block_plan(&self, block: BlockId) -> Option<&BlockPlan> {
         self.by_block.get(&block).map(|&i| &self.blocks[i])
@@ -416,6 +427,42 @@ impl QueryPlan {
         }
         let _ = writeln!(out, "paths: {}", parts.join(", "));
         out
+    }
+}
+
+/// A [`QueryPlan`] from [`QueryPlanner::plan_lenient`], stamped with what
+/// it was priced against: the namenode's `(instance id, design epoch)`
+/// and the exact effective selectivities. Planning is deterministic in
+/// these (the query and the planner configuration being fixed), so while
+/// both still hold, planning a block again gives the plan already here —
+/// which is why a split read may execute this one instead. A block the
+/// lenient pass degraded (no live replica) is never handed out: its read
+/// plans it again and fails as it always did.
+#[derive(Debug)]
+pub(crate) struct StampedPlan {
+    pub(crate) plan: QueryPlan,
+    design: (u64, u64),
+    selectivity: Vec<SelectivityChoice>,
+    /// Per entry of `plan.blocks`: whether the lenient pass degraded it.
+    degraded: Vec<bool>,
+}
+
+impl StampedPlan {
+    /// True while `planner` would price `query` against what this plan
+    /// was priced against: no design change or death since (either moves
+    /// the design epoch), and no feedback that moved a selectivity.
+    pub(crate) fn holds(&self, planner: &QueryPlanner<'_>, query: &HailQuery) -> bool {
+        let namenode = planner.cluster.namenode();
+        self.design == (namenode.instance_id(), namenode.design_epoch())
+            && planner.effective_selectivities(query) == self.selectivity
+    }
+
+    /// Whether this plan has `block`, not degraded.
+    pub(crate) fn reusable(&self, block: BlockId) -> bool {
+        self.plan
+            .by_block
+            .get(&block)
+            .is_some_and(|&i| !self.degraded[i])
     }
 }
 
@@ -511,12 +558,27 @@ impl<'a> QueryPlanner<'a> {
         blocks: &[BlockId],
         query: &HailQuery,
     ) -> Result<QueryPlan> {
+        Ok(self.plan_stamped(format, blocks, query)?.plan)
+    }
+
+    /// [`QueryPlanner::plan_lenient`], stamped with what the plan was
+    /// priced against — the plan a split read may execute instead of
+    /// planning its blocks again ([`StampedPlan`]).
+    pub(crate) fn plan_stamped(
+        &self,
+        format: DatasetFormat,
+        blocks: &[BlockId],
+        query: &HailQuery,
+    ) -> Result<StampedPlan> {
         let ctx = self.plan_context(format, query);
         let mut plans = Vec::with_capacity(blocks.len());
         let mut by_block = BTreeMap::new();
+        let mut degraded = Vec::with_capacity(blocks.len());
         for &b in blocks {
             by_block.insert(b, plans.len());
-            match self.plan_block_in(&ctx, format, b, query) {
+            let planned = self.plan_block_in(&ctx, format, b, query);
+            degraded.push(planned.is_err());
+            match planned {
                 Ok(bp) => plans.push(bp),
                 Err(e) => {
                     // A token search cannot degrade to a full scan — the
@@ -547,12 +609,18 @@ impl<'a> QueryPlanner<'a> {
                 }
             }
         }
-        Ok(QueryPlan {
-            format,
-            filter: render_filter(query),
-            projection: render_projection(query),
-            blocks: plans,
-            by_block,
+        let namenode = self.cluster.namenode();
+        Ok(StampedPlan {
+            plan: QueryPlan {
+                format,
+                filter: render_filter(query),
+                projection: render_projection(query),
+                blocks: plans,
+                by_block,
+            },
+            design: (namenode.instance_id(), namenode.design_epoch()),
+            selectivity: ctx.selectivity,
+            degraded,
         })
     }
 

@@ -32,7 +32,7 @@ pub fn default_splits(cluster: &DfsCluster, blocks: &[BlockId]) -> Result<SplitP
     }
     Ok(SplitPlan {
         splits,
-        client_cost: Default::default(),
+        ..Default::default()
     })
 }
 
@@ -47,7 +47,7 @@ pub fn plan_default_splits(plan: &QueryPlan) -> SplitPlan {
             .iter()
             .map(|bp| InputSplit::for_block(bp.block, bp.locations.clone()))
             .collect(),
-        client_cost: Default::default(),
+        ..Default::default()
     }
 }
 
@@ -85,7 +85,7 @@ pub fn plan_hail_splits(plan: &QueryPlan, map_slots: usize) -> SplitPlan {
     }
     SplitPlan {
         splits,
-        client_cost: Default::default(),
+        ..Default::default()
     }
 }
 

@@ -10,7 +10,7 @@
 //! proof is "no prune":
 //!
 //! - no synopsis on any live replica (per `Dir_rep`) ⇒ no prune;
-//! - the synopsis-holding replica is dead, fails to open, or its
+//! - the synopsis-holding replica is dead, its tail fails to open, or its
 //!   synopsis fails its checksums or does not decode ⇒ try the next
 //!   holder, then give up (HAIL's failover story: planning degrades to
 //!   the unpruned path, never errors) — so a corrupt synopsis can never
@@ -21,9 +21,12 @@
 //! - bad-record token searches and non-PAX formats are never pruned.
 //!
 //! Each holder is opened at most once per decision, however many
-//! synopses are probed on it (`Holders`): opening verifies the
-//! container's trailer, metadata and header, and decoding a synopsis
-//! verifies that sidecar's chunks — nothing else of the replica is read.
+//! synopses are probed on it (`Holders`), and only as far as its tail
+//! ([`ReplicaTail`]): opening verifies the container's trailer and
+//! metadata, and decoding a synopsis verifies that sidecar's chunks —
+//! the PAX header, directory and clustered index are never read, so a
+//! probe costs far less than the read it may skip, and damage there
+//! cannot stop a sound prune.
 //!
 //! Synopsis probes are priced like the namenode's `Dir_rep` lookups —
 //! free main-memory operations — but their stored bytes are surfaced
@@ -33,7 +36,7 @@
 use crate::planner::PlannerConfig;
 use hail_core::{CmpOp, DatasetFormat, HailQuery, Predicate};
 use hail_dfs::DfsCluster;
-use hail_index::{HailBlockReplicaInfo, IndexMetadata, IndexedBlock};
+use hail_index::{HailBlockReplicaInfo, IndexMetadata, ReplicaTail};
 use hail_types::{BlockId, Value};
 use std::fmt;
 
@@ -167,15 +170,15 @@ pub(crate) fn try_prune(
     None
 }
 
-/// The live replicas of one block, each opened at most once per prune
-/// decision — on the first probe that needs it — and kept for the probes
-/// after.
+/// The live replicas of one block, each opened as far as its tail at
+/// most once per prune decision — on the first probe that needs it — and
+/// kept for the probes after.
 struct Holders<'a> {
     cluster: &'a DfsCluster,
     block: BlockId,
     replicas: Vec<&'a HailBlockReplicaInfo>,
     /// Per replica: not yet opened, failed to open, or opened.
-    opened: Vec<Option<Option<IndexedBlock>>>,
+    opened: Vec<Option<Option<ReplicaTail>>>,
 }
 
 impl<'a> Holders<'a> {
@@ -190,16 +193,16 @@ impl<'a> Holders<'a> {
     }
 
     /// Reads one synopsis from the first live replica whose `Dir_rep`
-    /// entry lists it (`holds`) and whose copy opens, verifies and
-    /// decodes — a replica that stores none is never opened. Replicas of
-    /// a block hold the same logical rows, so every copy of a synopsis is
-    /// identical — the first readable one decides. Any failure (dead
-    /// node, corrupt container or sidecar) falls through to the next
-    /// holder; exhausting them means "no synopsis".
+    /// entry lists it (`holds`), whose tail opens and whose copy verifies
+    /// and decodes — a replica that stores none is never opened. Replicas
+    /// of a block hold the same logical rows, so every copy of a synopsis
+    /// is identical — the first readable one decides. Any failure (dead
+    /// node, corrupt trailer, metadata or sidecar) falls through to the
+    /// next holder; exhausting them means "no synopsis".
     fn read_synopsis<T>(
         &mut self,
         holds: impl Fn(&IndexMetadata) -> bool,
-        extract: impl Fn(&IndexedBlock) -> hail_types::Result<Option<(u64, T)>>,
+        extract: impl Fn(&ReplicaTail) -> hail_types::Result<Option<(u64, T)>>,
     ) -> Option<(u64, T)> {
         let (cluster, block) = (self.cluster, self.block);
         for (info, opened) in self.replicas.iter().zip(&mut self.opened) {
@@ -208,7 +211,7 @@ impl<'a> Holders<'a> {
             }
             let opened = opened.get_or_insert_with(|| {
                 let replica = cluster.datanode(info.datanode).ok()?.open_replica(block);
-                IndexedBlock::open(replica.ok()?).ok()
+                ReplicaTail::open(replica.ok()?).ok()
             });
             if let Some(Ok(Some(found))) = opened.as_ref().map(&extract) {
                 return Some(found);

@@ -25,12 +25,14 @@
 //! └──────────────────────────────┘
 //! ```
 //!
-//! Reading one trusts only verified bytes: [`IndexedBlock::open`] takes a
-//! replica together with its checksum file ([`ReplicaBytes`]), verifies
-//! the trailer, the metadata, the PAX header and directory and the
-//! clustered index before parsing them, and leaves every other region —
-//! columns, bad records, each sidecar — to be verified by the read that
-//! first needs it, chunk by chunk.
+//! Reading one trusts only verified bytes. [`ReplicaTail::open`] takes a
+//! replica together with its checksum file ([`ReplicaBytes`]) and
+//! verifies and parses only the trailer and the metadata: that is all a
+//! synopsis probe needs before it decodes one sidecar.
+//! [`IndexedBlock::open`] starts from the tail and also verifies the PAX
+//! header and directory and the clustered index before parsing them.
+//! Every other region — columns, bad records, each sidecar — is verified
+//! by the read that first needs it, chunk by chunk.
 //!
 //! Building one is upload step 7, the work of one datanode. The replicas
 //! of a block differ only in row order, so what does not depend on row
@@ -67,8 +69,21 @@ pub const TRAILER_LEN: usize = 5 * 4;
 pub struct IndexedBlock {
     pax: PaxBlock,
     index: Option<ClusteredIndex>,
+    tail: ReplicaTail,
+}
+
+/// A stored replica opened only as far as its tail: the trailer and the
+/// index metadata, verified and parsed, with the sidecar directory
+/// checked against the sidecar region. That is enough to decode any
+/// sidecar, each verified chunk by chunk on access, so a synopsis probe
+/// reads nothing else of the replica. [`IndexedBlock::open`] starts here
+/// and goes on to the PAX header, directory and clustered index.
+#[derive(Debug, Clone)]
+pub struct ReplicaTail {
     meta: IndexMetadata,
     replica: Arc<ReplicaBytes>,
+    pax_len: usize,
+    index_len: usize,
 }
 
 /// Column `column` of `pax` in rowid order, each value borrowed from the
@@ -296,10 +311,14 @@ impl IndexedBlock {
         buf.extend_from_slice(&(meta_bytes.len() as u32).to_le_bytes());
         buf.extend_from_slice(&TRAILER_MAGIC.to_le_bytes());
         Ok(IndexedBlock {
+            tail: ReplicaTail {
+                meta,
+                replica: Arc::new(ReplicaBytes::trusted(Bytes::from(buf))),
+                pax_len: pax.byte_len(),
+                index_len: index_bytes.len(),
+            },
             pax,
             index,
-            meta,
-            replica: Arc::new(ReplicaBytes::trusted(Bytes::from(buf))),
         })
     }
 
@@ -309,10 +328,117 @@ impl IndexedBlock {
         IndexedBlock::open(ReplicaBytes::trusted(bytes))
     }
 
-    /// Opens a stored replica: verifies and parses the trailer, the index
-    /// metadata, the PAX header and directory and the clustered index.
-    /// Everything else is verified by the reads that need it.
+    /// Opens a stored replica: verifies and parses its tail
+    /// ([`ReplicaTail::open`]), then the clustered index and the PAX
+    /// header and directory. Everything else is verified by the reads
+    /// that need it.
     pub fn open(replica: ReplicaBytes) -> Result<IndexedBlock> {
+        let tail = ReplicaTail::open(replica)?;
+        let (pax_len, index_len) = (tail.pax_len, tail.index_len);
+        let index = if tail.meta.kind == IndexKind::Clustered && index_len > 0 {
+            let range = pax_len..pax_len + index_len;
+            tail.replica.verify(range.clone())?;
+            Some(ClusteredIndex::from_bytes(&tail.replica.data()[range])?)
+        } else {
+            None
+        };
+        Ok(IndexedBlock {
+            pax: PaxBlock::open(Arc::clone(&tail.replica), pax_len)?,
+            index,
+            tail,
+        })
+    }
+
+    /// The PAX data of this replica.
+    pub fn pax(&self) -> &PaxBlock {
+        &self.pax
+    }
+
+    /// The clustered index, if the replica has one.
+    pub fn index(&self) -> Option<&ClusteredIndex> {
+        self.index.as_ref()
+    }
+
+    /// The sidecar bitmap over `column` with its directory entry
+    /// ([`ReplicaTail::bitmap_sidecar`]).
+    pub fn bitmap_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BitmapIndex)>> {
+        self.tail.bitmap_sidecar(column)
+    }
+
+    /// Decodes the sidecar bitmap over `column`, if this replica stores
+    /// one (see [`ReplicaTail::bitmap_sidecar`]).
+    pub fn bitmap(&self, column: usize) -> Result<Option<BitmapIndex>> {
+        Ok(self.bitmap_sidecar(column)?.map(|(_, b)| b))
+    }
+
+    /// The sidecar inverted list with its directory entry
+    /// ([`ReplicaTail::inverted_list_sidecar`]).
+    pub fn inverted_list_sidecar(&self) -> Result<Option<(SidecarMetadata, InvertedList)>> {
+        self.tail.inverted_list_sidecar()
+    }
+
+    /// Decodes the sidecar inverted list over bad records, if stored.
+    pub fn inverted_list(&self) -> Result<Option<InvertedList>> {
+        Ok(self.inverted_list_sidecar()?.map(|(_, l)| l))
+    }
+
+    /// The sidecar zone map over `column` with its directory entry
+    /// ([`ReplicaTail::zone_map_sidecar`]).
+    pub fn zone_map_sidecar(
+        &self,
+        column: usize,
+    ) -> Result<Option<(SidecarMetadata, ZoneMapSynopsis)>> {
+        self.tail.zone_map_sidecar(column)
+    }
+
+    /// Decodes the sidecar zone map over `column`, if stored.
+    pub fn zone_map(&self, column: usize) -> Result<Option<ZoneMapSynopsis>> {
+        Ok(self.zone_map_sidecar(column)?.map(|(_, z)| z))
+    }
+
+    /// The sidecar Bloom filter over `column` with its directory entry
+    /// ([`ReplicaTail::bloom_sidecar`]).
+    pub fn bloom_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BloomSynopsis)>> {
+        self.tail.bloom_sidecar(column)
+    }
+
+    /// Decodes the sidecar Bloom filter over `column`, if stored.
+    pub fn bloom(&self, column: usize) -> Result<Option<BloomSynopsis>> {
+        Ok(self.bloom_sidecar(column)?.map(|(_, b)| b))
+    }
+
+    /// The replica's index metadata.
+    pub fn metadata(&self) -> &IndexMetadata {
+        &self.tail.meta
+    }
+
+    /// The full serialized file content, verified or not.
+    pub fn bytes(&self) -> &Bytes {
+        self.tail.replica.data()
+    }
+
+    /// The replica the block was opened from, with its verified chunks.
+    pub fn replica(&self) -> &ReplicaBytes {
+        &self.tail.replica
+    }
+
+    /// Physical file size in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.tail.replica.len()
+    }
+
+    /// The sort order of this replica.
+    pub fn sort_order(&self) -> SortOrder {
+        self.tail.meta.sort_order()
+    }
+}
+
+impl ReplicaTail {
+    /// Opens a stored replica as far as its tail: verifies and parses the
+    /// trailer and the index metadata, and checks that every sidecar the
+    /// directory lists lies inside the sidecar region. Nothing before the
+    /// sidecar region is read.
+    pub fn open(replica: ReplicaBytes) -> Result<ReplicaTail> {
         let len = replica.len();
         if len < TRAILER_LEN {
             return Err(HailError::Corrupt(format!(
@@ -343,18 +469,8 @@ impl IndexedBlock {
         let meta_start = pax_len + index_len + sidecar_len;
         replica.verify(meta_start..t)?;
         let meta = IndexMetadata::from_bytes(&bytes[meta_start..t])?;
-        let index = if meta.kind == IndexKind::Clustered && index_len > 0 {
-            replica.verify(pax_len..pax_len + index_len)?;
-            Some(ClusteredIndex::from_bytes(
-                &bytes[pax_len..pax_len + index_len],
-            )?)
-        } else {
-            None
-        };
-
-        // Validate the sidecar directory against the region; the
-        // sidecar *contents* are verified and decoded on access, so scans
-        // that never touch a sidecar never pay for it.
+        // The sidecar *contents* are verified and decoded on access, so
+        // reads that never touch a sidecar never pay for it.
         for s in &meta.sidecars {
             let start = s.sidecar_offset;
             let end = start.saturating_add(s.sidecar_bytes);
@@ -366,120 +482,59 @@ impl IndexedBlock {
                 )));
             }
         }
-        let replica = Arc::new(replica);
-        Ok(IndexedBlock {
-            pax: PaxBlock::open(Arc::clone(&replica), pax_len)?,
-            index,
+        Ok(ReplicaTail {
             meta,
-            replica,
+            replica: Arc::new(replica),
+            pax_len,
+            index_len,
         })
     }
 
-    /// The PAX data of this replica.
-    pub fn pax(&self) -> &PaxBlock {
-        &self.pax
-    }
-
-    /// The clustered index, if the replica has one.
-    pub fn index(&self) -> Option<&ClusteredIndex> {
-        self.index.as_ref()
-    }
-
-    /// The raw bytes of one sidecar, verified (directory offsets were
-    /// validated when the block was opened).
+    /// The raw bytes of one sidecar, verified (the directory was checked
+    /// against the sidecar region when the tail was opened).
     fn sidecar_raw(&self, s: &SidecarMetadata) -> Result<&[u8]> {
         let range = s.sidecar_offset..s.sidecar_offset + s.sidecar_bytes;
         self.replica.verify(range.clone())?;
         Ok(&self.replica.data()[range])
     }
 
-    /// The sidecar bitmap over `column` together with its directory
-    /// entry (stored size and offset), if this replica stores one — one
-    /// directory lookup. Decoding happens on access so non-sidecar
-    /// scans never pay for it; errors only on a corrupt stored sidecar.
-    pub fn bitmap_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BitmapIndex)>> {
-        self.meta
-            .bitmap_on(column)
-            .map(|s| Ok((*s, BitmapIndex::from_bytes(self.sidecar_raw(s)?)?)))
+    /// Decodes the sidecar `s` names, if this replica stores it: one
+    /// directory lookup, then the sidecar's chunks verified and decoded.
+    /// Errors only on a corrupt stored sidecar.
+    fn decode<T>(
+        &self,
+        s: Option<&SidecarMetadata>,
+        from_bytes: fn(&[u8]) -> Result<T>,
+    ) -> Result<Option<(SidecarMetadata, T)>> {
+        s.map(|s| Ok((*s, from_bytes(self.sidecar_raw(s)?)?)))
             .transpose()
     }
 
-    /// Decodes the sidecar bitmap over `column`, if this replica stores
-    /// one (see [`IndexedBlock::bitmap_sidecar`]).
-    pub fn bitmap(&self, column: usize) -> Result<Option<BitmapIndex>> {
-        Ok(self.bitmap_sidecar(column)?.map(|(_, b)| b))
+    /// The sidecar bitmap over `column` together with its directory
+    /// entry (stored size and offset), if this replica stores one.
+    pub fn bitmap_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BitmapIndex)>> {
+        self.decode(self.meta.bitmap_on(column), BitmapIndex::from_bytes)
     }
 
     /// The sidecar inverted list over bad records together with its
-    /// directory entry, if stored (lazily, like
-    /// [`IndexedBlock::bitmap_sidecar`]).
+    /// directory entry, if stored.
     pub fn inverted_list_sidecar(&self) -> Result<Option<(SidecarMetadata, InvertedList)>> {
-        self.meta
-            .inverted_list()
-            .map(|s| Ok((*s, InvertedList::from_bytes(self.sidecar_raw(s)?)?)))
-            .transpose()
-    }
-
-    /// Decodes the sidecar inverted list over bad records, if stored.
-    pub fn inverted_list(&self) -> Result<Option<InvertedList>> {
-        Ok(self.inverted_list_sidecar()?.map(|(_, l)| l))
+        self.decode(self.meta.inverted_list(), InvertedList::from_bytes)
     }
 
     /// The sidecar zone map over `column` together with its directory
-    /// entry, if stored (lazily, like [`IndexedBlock::bitmap_sidecar`]).
+    /// entry, if stored.
     pub fn zone_map_sidecar(
         &self,
         column: usize,
     ) -> Result<Option<(SidecarMetadata, ZoneMapSynopsis)>> {
-        self.meta
-            .zone_map_on(column)
-            .map(|s| Ok((*s, ZoneMapSynopsis::from_bytes(self.sidecar_raw(s)?)?)))
-            .transpose()
-    }
-
-    /// Decodes the sidecar zone map over `column`, if stored.
-    pub fn zone_map(&self, column: usize) -> Result<Option<ZoneMapSynopsis>> {
-        Ok(self.zone_map_sidecar(column)?.map(|(_, z)| z))
+        self.decode(self.meta.zone_map_on(column), ZoneMapSynopsis::from_bytes)
     }
 
     /// The sidecar Bloom filter over `column` together with its
-    /// directory entry, if stored (lazily, like
-    /// [`IndexedBlock::bitmap_sidecar`]).
+    /// directory entry, if stored.
     pub fn bloom_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BloomSynopsis)>> {
-        self.meta
-            .bloom_on(column)
-            .map(|s| Ok((*s, BloomSynopsis::from_bytes(self.sidecar_raw(s)?)?)))
-            .transpose()
-    }
-
-    /// Decodes the sidecar Bloom filter over `column`, if stored.
-    pub fn bloom(&self, column: usize) -> Result<Option<BloomSynopsis>> {
-        Ok(self.bloom_sidecar(column)?.map(|(_, b)| b))
-    }
-
-    /// The replica's index metadata.
-    pub fn metadata(&self) -> &IndexMetadata {
-        &self.meta
-    }
-
-    /// The full serialized file content, verified or not.
-    pub fn bytes(&self) -> &Bytes {
-        self.replica.data()
-    }
-
-    /// The replica the block was opened from, with its verified chunks.
-    pub fn replica(&self) -> &ReplicaBytes {
-        &self.replica
-    }
-
-    /// Physical file size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.replica.len()
-    }
-
-    /// The sort order of this replica.
-    pub fn sort_order(&self) -> SortOrder {
-        self.meta.sort_order()
+        self.decode(self.meta.bloom_on(column), BloomSynopsis::from_bytes)
     }
 }
 
@@ -642,10 +697,12 @@ mod tests {
 
     /// Opening a stored replica verifies its head and its tail — header,
     /// directory, clustered index, metadata, trailer — and a synopsis
-    /// probe adds only its sidecar's chunks; a damaged column fails only
-    /// the reads of it.
+    /// probe adds only its sidecar's chunks; a prune decision over the
+    /// tail alone reads the trailer, the metadata and that sidecar and
+    /// nothing else; a damaged column fails only the reads of it.
     #[test]
     fn opening_and_probing_verify_only_what_they_read() {
+        use crate::clustered::KeyBounds;
         use hail_pax::chunk_checksums;
         use hail_types::config::CHUNK_SIZE;
 
@@ -658,7 +715,7 @@ mod tests {
             .map(|i| format!("{}|value-{}\n", (i * 7) % 3_000, i))
             .collect();
         let mut storage = StorageConfig::test_scale(1 << 20);
-        storage.index_partition_size = 64;
+        storage.index_partition_size = 8;
         let block = blocks_from_text(&text, &schema, &storage)
             .unwrap()
             .pop()
@@ -678,25 +735,54 @@ mod tests {
         let zone = chunks(zone.sidecar_offset..zone.sidecar_offset + zone.sidecar_bytes);
         let index = chunks(meta.index_offset..meta.index_offset + meta.index_bytes);
         let tail = chunks(bytes.len() - TRAILER_LEN - meta.to_bytes().len()..bytes.len());
-        let expected = |with_zone: bool| {
-            let mut set: Vec<usize> = [0..=0, index.clone(), tail.clone()]
-                .into_iter()
-                .chain(with_zone.then(|| zone.clone()))
-                .flatten()
-                .collect();
+        let count = |ranges: &[std::ops::RangeInclusive<usize>]| {
+            let mut set: Vec<usize> = ranges.iter().cloned().flatten().collect();
             set.sort_unstable();
             set.dedup();
             set.len()
         };
-
-        let open = |raw: Vec<u8>| {
-            IndexedBlock::open(ReplicaBytes::new(raw.into(), sums.clone().into()).unwrap())
+        let expected = |with_zone: bool| {
+            let mut ranges = vec![0..=0, index.clone(), tail.clone()];
+            ranges.extend(with_zone.then(|| zone.clone()));
+            count(&ranges)
         };
+        let stored = |raw: Vec<u8>| ReplicaBytes::new(raw.into(), sums.clone().into()).unwrap();
+        let open = |raw: Vec<u8>| IndexedBlock::open(stored(raw));
+
         let opened = open(bytes.clone()).unwrap();
         assert_eq!(opened.replica().verified_chunks(), expected(false));
         assert!(opened.zone_map(0).unwrap().is_some());
         assert_eq!(opened.replica().verified_chunks(), expected(true));
         assert!(expected(true) * 4 < bytes.len().div_ceil(CHUNK_SIZE));
+
+        // A prune decision reads the tail and the probed sidecar only —
+        // so damage to the PAX header or the clustered index, which
+        // fails a full open, leaves the decision sound.
+        let past_every_key = KeyBounds::at_least(Value::Int(3_000));
+        let probe = |raw: Vec<u8>| {
+            let opened = ReplicaTail::open(stored(raw)).unwrap();
+            assert_eq!(
+                opened.replica.verified_chunks(),
+                count(std::slice::from_ref(&tail))
+            );
+            let (_, zm) = opened.zone_map_sidecar(0).unwrap().unwrap();
+            assert!(!zm.overlaps(&past_every_key), "the block is provably empty");
+            assert_eq!(
+                opened.replica.verified_chunks(),
+                count(&[tail.clone(), zone.clone()])
+            );
+        };
+        probe(bytes.clone());
+        let unprobed = |at: &usize| !zone.contains(&(at / CHUNK_SIZE));
+        let in_index = (meta.index_offset..meta.index_offset + meta.index_bytes)
+            .find(unprobed)
+            .expect("the index has a chunk of its own");
+        for at in [10, in_index] {
+            let mut raw = bytes.clone();
+            raw[at] ^= 1;
+            assert!(open(raw.clone()).is_err(), "byte {at} fails a full open");
+            probe(raw);
+        }
 
         // A damaged byte in the varchar column: opening and the probe
         // never read it; the column's reader does.

@@ -27,7 +27,7 @@ pub mod unclustered;
 
 pub use bitmap::{BitmapIndex, DEFAULT_CARDINALITY_LIMIT};
 pub use clustered::{ClusteredIndex, KeyBounds};
-pub use indexed::{BlockPrep, IndexedBlock, TRAILER_LEN, TRAILER_MAGIC};
+pub use indexed::{BlockPrep, IndexedBlock, ReplicaTail, TRAILER_LEN, TRAILER_MAGIC};
 pub use inverted::{tokenize, InvertedList};
 pub use metadata::{
     HailBlockReplicaInfo, IndexKind, IndexMetadata, SidecarMetadata, SIDECAR_META_LEN,

@@ -7,7 +7,9 @@
 //! and rerun passes of [`crate::failover::run_map_job_with_failure`].
 //! They now all call [`ChunkedDrive::run`], so the chunk-boundary
 //! discipline (fixed boundaries, per-chunk record drop, split-order
-//! delivery) cannot silently diverge between them.
+//! delivery) cannot silently diverge between them. Each task carries the
+//! [`crate::SplitSource`] of the plan its split came from through to the
+//! format unchanged.
 
 use crate::inflight::InterestGuard;
 use crate::input_format::{InputFormat, SplitRead, SplitTask};
@@ -137,7 +139,7 @@ mod tests {
                     .iter()
                     .map(|&b| InputSplit::for_block(b, vec![live[b as usize % live.len()]]))
                     .collect(),
-                client_cost: Default::default(),
+                ..Default::default()
             })
         }
 
@@ -172,6 +174,7 @@ mod tests {
             .map(|split| SplitTask {
                 split,
                 task_node: 0,
+                source: None,
             })
             .collect()
     }

@@ -129,10 +129,11 @@ pub fn run_map_job_with_failure(
     // Kill the node up front: every re-evaluated read below must see
     // dead replicas.
     cluster.kill_node(scenario.node)?;
-    // Degraded re-plan, consulted only to *freshen the locations* of
-    // lost splits (the planner may now prefer surviving replicas).
-    // Splits are matched by block set — never by index, which the
-    // degraded plan does not preserve.
+    // Degraded re-plan, consulted to *freshen the locations* of lost
+    // splits (the planner may now prefer surviving replicas) — matched by
+    // block set, never by index, which the degraded plan does not
+    // preserve. It covers every input block, so its source serves the
+    // reads of both passes below, whichever plan their splits came from.
     let degraded_plan = job.format.splits(cluster, &job.input)?;
     let degraded_by_blocks: BTreeMap<Vec<BlockId>, &InputSplit> = degraded_plan
         .splits
@@ -164,6 +165,7 @@ pub fn run_map_job_with_failure(
             Ok(SplitTask {
                 split: baseline_split(t.split)?,
                 task_node: t.node,
+                source: degraded_plan.source.as_ref(),
             })
         })
         .collect::<Result<_>>()?;
@@ -257,7 +259,11 @@ pub fn run_map_job_with_failure(
     let rerun_batch: Vec<SplitTask<'_>> = lost_splits
         .iter()
         .zip(&rerun_nodes)
-        .map(|(split, &task_node)| SplitTask { split, task_node })
+        .map(|(split, &task_node)| SplitTask {
+            split,
+            task_node,
+            source: degraded_plan.source.as_ref(),
+        })
         .collect();
     let mut output_extra: Vec<Row> = Vec::new();
     let mut rerun_count = 0;
@@ -335,7 +341,7 @@ mod tests {
                         InputSplit::for_block(b, locs)
                     })
                     .collect(),
-                client_cost: Default::default(),
+                ..Default::default()
             })
         }
 
@@ -456,7 +462,7 @@ mod tests {
             }
             Ok(SplitPlan {
                 splits,
-                client_cost: Default::default(),
+                ..Default::default()
             })
         }
 
@@ -556,7 +562,7 @@ mod tests {
                             InputSplit::for_block(b, locs)
                         })
                         .collect(),
-                    client_cost: Default::default(),
+                    ..Default::default()
                 })
             }
             fn read_split_batch(

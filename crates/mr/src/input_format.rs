@@ -13,6 +13,9 @@ use crate::job::{MapRecord, TaskStats};
 use hail_dfs::DfsCluster;
 use hail_sim::CostLedger;
 use hail_types::{BlockId, DatanodeId, HailError, Result};
+use std::any::Any;
+use std::fmt;
+use std::sync::Arc;
 
 /// A logical input split: one map task's input.
 ///
@@ -44,11 +47,41 @@ impl InputSplit {
 /// The split plan returned by an `InputFormat`: the splits plus the
 /// physical cost the JobClient paid computing them (namenode lookups are
 /// free main-memory operations; Hadoop++ additionally reads a block
-/// header per block here).
+/// header per block here), and what the format cut them from.
 #[derive(Debug, Clone, Default)]
 pub struct SplitPlan {
     pub splits: Vec<InputSplit>,
     pub client_cost: CostLedger,
+    /// The format's own record of what it cut these splits from, handed
+    /// back with every split read of them ([`SplitTask::source`]). The
+    /// planner-backed format stores the query plan it priced, so a split
+    /// read need not plan its blocks a second time. `None` when the
+    /// format keeps nothing.
+    pub source: Option<SplitSource>,
+}
+
+/// An opaque, shareable record an input format attaches to its
+/// [`SplitPlan`]. The engine only carries it from [`InputFormat::splits`]
+/// to [`InputFormat::read_split_batch`]; only the format that made it
+/// knows its type.
+#[derive(Clone)]
+pub struct SplitSource(Arc<dyn Any + Send + Sync>);
+
+impl SplitSource {
+    pub fn new(source: impl Any + Send + Sync) -> Self {
+        SplitSource(Arc::new(source))
+    }
+
+    /// The record, if it is a `T`.
+    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
+        self.0.downcast_ref()
+    }
+}
+
+impl fmt::Debug for SplitSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SplitSource(..)")
+    }
 }
 
 /// One entry of a job-level batch read: an input split plus the node
@@ -58,6 +91,11 @@ pub struct SplitTask<'a> {
     pub split: &'a InputSplit,
     /// The node the map task runs on; remote reads charge the network.
     pub task_node: DatanodeId,
+    /// The [`SplitPlan::source`] of a split plan the same format cut over
+    /// the same input — the one `split` came from or, after a node death,
+    /// the one cut on the degraded cluster — if any. A format must read a
+    /// split the same way with or without it.
+    pub source: Option<&'a SplitSource>,
 }
 
 /// A fully buffered split read, as produced by
@@ -87,9 +125,11 @@ pub trait InputFormat: Send + Sync {
     /// Reads a whole batch of splits — the scheduler's execution phase,
     /// and the only read entry point.
     ///
-    /// Returns one [`SplitRead`] per task **in batch order**: the
-    /// records the map task on `task_node` sees, in emission order,
-    /// plus the task's physical statistics. `job_parallelism` is how
+    /// Each task carries the [`SplitPlan::source`] of the plan its split
+    /// came from, when the engine has it. Returns one [`SplitRead`] per
+    /// task **in batch order**: the records the map task on `task_node`
+    /// sees, in emission order, plus the task's physical statistics.
+    /// `job_parallelism` is how
     /// many whole splits may be read at once (`None` defers to the
     /// format's own policy, which for the planner-backed format is the
     /// `HAIL_JOB_PARALLELISM` environment override). Formats without
@@ -156,7 +196,8 @@ pub fn read_splits_sequentially(
 
 /// Reads one split as a batch of one and replays its records to `emit`
 /// — for callers outside the scheduler that want a single split's
-/// records and statistics.
+/// records and statistics. The read carries no [`SplitSource`], so the
+/// format derives whatever it needs from the split alone.
 pub fn read_one_split(
     format: &dyn InputFormat,
     cluster: &DfsCluster,
@@ -164,8 +205,13 @@ pub fn read_one_split(
     task_node: DatanodeId,
     emit: &mut dyn FnMut(MapRecord),
 ) -> Result<TaskStats> {
+    let task = SplitTask {
+        split,
+        task_node,
+        source: None,
+    };
     let read = format
-        .read_split_batch(cluster, &[SplitTask { split, task_node }], None)?
+        .read_split_batch(cluster, &[task], None)?
         .pop()
         .ok_or_else(|| HailError::Job("batch read of one split returned no read".into()))?;
     read.records.into_iter().for_each(emit);

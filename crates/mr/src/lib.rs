@@ -31,7 +31,9 @@
 //! ([`InputFormat::estimate_splits`]), and an *execution* phase drives
 //! the whole batch through the shared [`ChunkedDrive`] loop — fixed
 //! [`SPLIT_BATCH_CHUNK`]-sized calls to [`InputFormat::read_split_batch`],
-//! each [`SplitTask`] naming the node its map task runs on. The
+//! each [`SplitTask`] naming the node its map task runs on and carrying
+//! the [`SplitSource`] its format attached to the split plan — for the
+//! planner-backed format, the plan the split reads execute. The
 //! planner-backed format reads up to [`MapJob::job_parallelism`] (or
 //! the `HAIL_JOB_PARALLELISM` environment override) whole splits at
 //! once through [`run_ordered`]; each split reads its blocks on one
@@ -65,7 +67,7 @@ pub use failover::{run_map_job_with_failure, FailoverRun, FailureScenario};
 pub use inflight::{InFlightBlocks, InterestGuard};
 pub use input_format::{
     read_one_split, read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead,
-    SplitTask,
+    SplitSource, SplitTask,
 };
 pub use job::{JobReport, MapRecord, PathCounts, SelectivityObservation, TaskReport, TaskStats};
 pub use manager::JobManager;

@@ -178,7 +178,7 @@ mod tests {
                     .iter()
                     .map(|&b| InputSplit::for_block(b, vec![live[b as usize % live.len()]]))
                     .collect(),
-                client_cost: Default::default(),
+                ..Default::default()
             })
         }
 

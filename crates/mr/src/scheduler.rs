@@ -394,7 +394,11 @@ pub(crate) fn run_map_job_with_plan(
         .splits
         .iter()
         .zip(&nodes)
-        .map(|(split, &task_node)| SplitTask { split, task_node })
+        .map(|(split, &task_node)| SplitTask {
+            split,
+            task_node,
+            source: plan.source.as_ref(),
+        })
         .collect();
     let mut slots = NodeSlots::new(cluster, hw.map_slots);
     let mut output = Vec::new();
@@ -453,7 +457,7 @@ mod tests {
                     .iter()
                     .map(|&b| InputSplit::for_block(b, vec![live[b as usize % live.len()]]))
                     .collect(),
-                client_cost: Default::default(),
+                ..Default::default()
             })
         }
 
@@ -545,7 +549,7 @@ mod tests {
                         .iter()
                         .map(|&b| InputSplit::for_block(b, vec![0]))
                         .collect(),
-                    client_cost: Default::default(),
+                    ..Default::default()
                 })
             }
             fn read_split_batch(

@@ -140,7 +140,7 @@ mod tests {
                     .iter()
                     .map(|&b| InputSplit::for_block(b, vec![0]))
                     .collect(),
-                client_cost: Default::default(),
+                ..Default::default()
             })
         }
 

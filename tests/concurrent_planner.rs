@@ -17,7 +17,7 @@
 //!   equal what a stateless planner computes.
 
 use hail::exec::{BlockFingerprint, BlockPlan, FilterShape, FullScan, PlannerConfig, ScanLayout};
-use hail::mr::{read_one_split, TaskStats};
+use hail::mr::{read_one_split, SplitSource, SplitTask, TaskStats};
 use hail::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -249,65 +249,91 @@ fn plan_block_vs_death_evictions_and_feedback_absorption() {
     }
 }
 
-/// Whole split reads racing through one shared adaptive state: the
-/// total records across threads equal the serial total, and the
-/// per-split cache attribution (hits + misses per task) covers every
-/// block exactly once.
+/// Whole split reads racing through one shared adaptive state. Without
+/// the split-time plan each read plans its blocks through the shared
+/// cache: the per-split attribution covers every block exactly once,
+/// whichever thread's read warmed the cache for another. Under the
+/// split-time plan the reads look nothing up and price nothing, and every
+/// block is attributed as a hit. Both rounds return the serial records,
+/// and, absorbed in split order, leave the serial feedback state.
 #[test]
 fn concurrent_read_splits_share_adaptive_state() {
     let (cluster, dataset) = setup(4000);
+    let blocks = dataset.blocks.len() as u64;
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
     let cache = Arc::new(PlanCache::default());
     let feedback = Arc::new(SelectivityFeedback::default());
+    // Deferred, as in a managed batch: the store is read-only while the
+    // splits race, and absorbed afterwards in split order.
     let format =
         PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
             plan_cache: Some(Arc::clone(&cache)),
             feedback: Some(Arc::clone(&feedback)),
+            defer_feedback: true,
             ..Default::default()
         });
     let plan = format.splits(&cluster, &dataset.blocks).unwrap();
     assert!(plan.splits.len() >= 2);
+    let absorb = |reads: &[TaskStats]| {
+        reads.iter().for_each(|stats| feedback.absorb(stats));
+        feedback.observed(0, false)
+    };
 
     // Serial oracle.
-    let mut serial_records = 0u64;
-    for split in &plan.splits {
-        let stats =
-            read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {}).unwrap();
-        serial_records += stats.records;
-    }
-    cache.clear();
-    feedback.clear();
-    // `clear` keeps the effectiveness counters: snapshot them so the
-    // parallel phase is measured as a delta.
-    let before = cache.stats();
-
-    // All splits at once, each read on its own thread.
-    let totals: Vec<TaskStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .splits
-            .iter()
-            .map(|split| {
-                let format = &format;
-                let cluster = &cluster;
-                scope.spawn(move || {
-                    read_one_split(format, cluster, split, split.locations[0], &mut |_| {}).unwrap()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let parallel_records: u64 = totals.iter().map(|t| t.records).sum();
-    assert_eq!(parallel_records, serial_records);
-    // Per-task attribution sums to one lookup per block, regardless of
-    // which thread's read warmed the cache for another.
-    let attributed: u64 = totals
+    let serial: Vec<TaskStats> = plan
+        .splits
         .iter()
-        .map(|t| t.plan_cache_hits + t.plan_cache_misses)
-        .sum();
-    assert_eq!(attributed, dataset.blocks.len() as u64);
-    let stats = cache.stats();
-    assert_eq!(
-        (stats.hits + stats.misses) - (before.hits + before.misses),
-        dataset.blocks.len() as u64
-    );
+        .map(|split| {
+            read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {}).unwrap()
+        })
+        .collect();
+    let serial_records: u64 = serial.iter().map(|t| t.records).sum();
+    let serial_feedback = absorb(&serial);
+
+    // All splits at once, each read on its own thread, with or without
+    // the split-time plan.
+    let race = |source: Option<&SplitSource>| -> Vec<TaskStats> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = plan
+                .splits
+                .iter()
+                .map(|split| {
+                    let format = &format;
+                    let cluster = &cluster;
+                    scope.spawn(move || {
+                        let task = SplitTask {
+                            split,
+                            task_node: split.locations[0],
+                            source,
+                        };
+                        let mut reads = format.read_split_batch(cluster, &[task], None).unwrap();
+                        reads.pop().unwrap().stats
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    };
+    for source in [None, plan.source.as_ref()] {
+        cache.clear();
+        feedback.clear();
+        // `clear` keeps the effectiveness counters: measure each round as
+        // a delta.
+        let before = cache.stats();
+        let totals = race(source);
+        let records: u64 = totals.iter().map(|t| t.records).sum();
+        assert_eq!(records, serial_records);
+        let hits: u64 = totals.iter().map(|t| t.plan_cache_hits).sum();
+        let misses: u64 = totals.iter().map(|t| t.plan_cache_misses).sum();
+        assert_eq!(hits + misses, blocks);
+        let after = cache.stats();
+        let lookups = (after.hits + after.misses) - (before.hits + before.misses);
+        if source.is_some() {
+            assert_eq!((hits, lookups), (blocks, 0), "the split-time plan serves");
+            assert_eq!(after.cost_evaluations, before.cost_evaluations);
+        } else {
+            assert_eq!(lookups, blocks, "one lookup per block");
+        }
+        assert_eq!(absorb(&totals), serial_feedback);
+    }
 }

@@ -2,8 +2,9 @@
 //! selectivity-feedback loop.
 //!
 //! Covers the acceptance criteria of the adaptive-planning change: a
-//! repeated split read with an identical filter shape performs zero
-//! cost-model evaluations (asserted via the cache's pricing counter);
+//! split read under its split-time plan looks nothing up, and a repeated
+//! split read with an identical filter shape performs zero cost-model
+//! evaluations (asserted via the cache's counters);
 //! replica death evicts exactly the affected block entries and failover
 //! re-plans; a changed `ReplicaIndexConfig` fingerprint misses the
 //! cache; and observed selectivity feedback flips a plan the static
@@ -12,7 +13,7 @@
 use hail::exec::{
     PlanCache, PlannerConfig, QueryPlanner, SelectivityEstimate, SelectivityFeedback,
 };
-use hail::mr::read_one_split;
+use hail::mr::{read_one_split, SplitTask};
 use hail::prelude::*;
 use std::sync::Arc;
 
@@ -54,51 +55,71 @@ fn cached_config(cache: &Arc<PlanCache>) -> PlannerConfig {
     }
 }
 
-/// Acceptance: a repeated split read with an identical filter shape
-/// performs **zero** cost-model evaluations — every block plan comes
-/// out of the cache, and the per-task counters say so.
+/// Acceptance: a split read under the plan its splits were cut from
+/// looks nothing up and prices nothing — every block plan is the
+/// split-time one, counted as a hit — and a repeated read without that
+/// plan, planning its blocks again with an identical filter shape, is
+/// all cache hits and prices nothing either.
 #[test]
 fn repeated_read_split_prices_nothing() {
     let (cluster, dataset) = setup(800);
+    let blocks = dataset.blocks.len() as u64;
     let cache = Arc::new(PlanCache::default());
     let query = HailQuery::parse("@1 between(100, 140)", "{@2}", &schema()).unwrap();
     let format =
         PlannedInputFormat::new(dataset.clone(), query).with_planner(cached_config(&cache));
 
+    // Cutting the splits priced every block once.
     let split_plan = format.splits(&cluster, &dataset.blocks).unwrap();
-    let read_all = |label: &str| {
-        let mut total = TaskStats::default();
-        for split in &split_plan.splits {
-            let stats = read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {})
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-            total.merge(&stats);
-        }
-        total
-    };
-
-    // First pass: split planning already warmed the cache, so the reads
-    // hit; whatever was priced happened exactly once.
-    let first = read_all("first");
     let warm = cache.stats();
-    assert!(warm.misses > 0, "cold planning priced something");
-    assert_eq!(warm.misses, dataset.blocks.len() as u64);
-    assert!(first.plan_cache_hits > 0);
+    assert_eq!((warm.hits, warm.misses), (0, blocks));
+    assert!(warm.cost_evaluations > 0, "cold planning priced something");
 
-    // Second pass, identical filter shape: all hits, and — the core
-    // claim — not a single additional cost-model evaluation.
-    let second = read_all("second");
+    // The reads execute that plan: no lookup at all.
+    let tasks: Vec<SplitTask<'_>> = split_plan
+        .splits
+        .iter()
+        .map(|split| SplitTask {
+            split,
+            task_node: split.locations[0],
+            source: split_plan.source.as_ref(),
+        })
+        .collect();
+    let mut first = TaskStats::default();
+    for read in format.read_split_batch(&cluster, &tasks, Some(1)).unwrap() {
+        first.merge(&read.stats);
+    }
+    assert_eq!(
+        cache.stats(),
+        warm,
+        "a read under the split-time plan looks nothing up"
+    );
+    assert_eq!(
+        (first.plan_cache_hits, first.plan_cache_misses),
+        (blocks, 0)
+    );
+
+    // Without it, each read plans its blocks: all hits, nothing priced.
+    let mut second = TaskStats::default();
+    for split in &split_plan.splits {
+        let stats =
+            read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {}).unwrap();
+        second.merge(&stats);
+    }
     let after = cache.stats();
     assert_eq!(
         after.cost_evaluations, warm.cost_evaluations,
         "a repeated split read must not price any candidate"
     );
     assert_eq!(
-        second.plan_cache_hits,
-        dataset.blocks.len() as u64,
-        "every block plan served from the cache"
+        (second.plan_cache_hits, second.plan_cache_misses),
+        (blocks, 0)
     );
-    assert_eq!(second.plan_cache_misses, 0);
-    assert_eq!(after.hits - warm.hits, dataset.blocks.len() as u64);
+    assert_eq!(
+        (after.hits - warm.hits, after.misses),
+        (blocks, warm.misses)
+    );
+    assert_eq!(first.records, second.records);
 
     // A *different* filter shape (equality instead of range) is its own
     // cache entry and must be priced.

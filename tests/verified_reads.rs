@@ -16,16 +16,19 @@
 //!
 //! A damaged zone map or Bloom filter must never prune a block that has
 //! matching rows: the flipped byte is one that would make an unverified
-//! reader prove the block empty. The Hadoop++ row layout's trojan scan
-//! and full scan get the same treatment.
+//! reader prove the block empty. The prune probe reads only a holder's
+//! trailer, metadata and probed sidecar, so damage anywhere else must
+//! not stop a sound prune. The Hadoop++ row layout's trojan scan and full
+//! scan get the same treatment as the PAX paths.
 
 use hail::prelude::*;
 use hail_bench::{run_queries_managed, setup_hpp, SharedJobInfra, SystemSetup, Testbed};
 use hail_exec::{
-    BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan, ScanLayout,
-    ScanShareRegistry, TrojanIndexScan,
+    BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan, PruneReason,
+    ScanLayout, ScanShareRegistry, TrojanIndexScan,
 };
 use hail_index::{BloomSynopsis, ZoneMapSynopsis, TRAILER_LEN};
+use hail_types::config::CHUNK_SIZE;
 use hail_types::{BlockId, DatanodeId};
 use std::ops::Range;
 use std::sync::Arc;
@@ -600,6 +603,100 @@ fn row_layout_reads_fail_over_too() {
                 .unwrap()
                 .corrupt_replica(block, at)
                 .unwrap();
+        }
+    }
+}
+
+/// The prune probe reads a holder's trailer, metadata and the probed
+/// sidecar, and nothing else: damage to the PAX header or the clustered
+/// index of every holder no longer stops a sound prune, and a damaged
+/// zone map falls through to the next holder — with every holder's
+/// damaged, nothing is pruned — and no row is ever dropped.
+#[test]
+fn the_prune_probe_reads_only_the_tail_and_its_sidecar() {
+    let mut setup = setup();
+    let block = setup.dataset.blocks[1];
+    let mut hosts = setup.cluster.namenode().get_hosts(block).unwrap();
+    hosts.sort_unstable();
+    let absent = query("@1 >= 100000", "{@3}");
+    let present = query("@1 = 5", "{@3}");
+    let pruned = |cluster: &DfsCluster| {
+        let config = PlannerConfig {
+            synopsis_pruning: true,
+            ..Default::default()
+        };
+        let plan = QueryPlanner::with_config(cluster, config)
+            .plan_dataset(&setup.dataset, &absent)
+            .unwrap();
+        plan.block_plan(block).unwrap().pruned.clone()
+    };
+    let rows_are_the_oracles = |setup: &SystemSetup, queries: &[&HailQuery], what: &str| {
+        for &q in queries {
+            let format = PlannedInputFormat::new(setup.dataset.clone(), q.clone());
+            let job = MapJob::collecting("probe", setup.dataset.blocks.clone(), &format);
+            let run = run_map_job(&setup.cluster, &spec(), &job).unwrap();
+            let oracle = canonical(&oracle_eval(&texts(), &schema(), q));
+            assert_eq!(canonical(&run.output), oracle, "{what}: {q:?}");
+        }
+    };
+    assert_eq!(pruned(&setup.cluster).unwrap().reason, PruneReason::Zone);
+    let chunks = |r: &Range<usize>| r.start / CHUNK_SIZE..=(r.end - 1) / CHUNK_SIZE;
+
+    for region in ["pax header", "clustered index"] {
+        let mut flips = Vec::new();
+        for &node in &hosts {
+            let regions = regions(&setup.cluster, block, node);
+            let Some((_, range)) = regions.iter().find(|(name, _)| name == region) else {
+                continue; // the unsorted replica has no clustered index
+            };
+            let probed: Vec<_> = regions
+                .iter()
+                .filter(|(name, _)| {
+                    ["zone-map(@1)", "bloom(@1)", "index metadata", "trailer"].contains(&&**name)
+                })
+                .map(|(_, r)| chunks(r))
+                .collect();
+            let at = range
+                .clone()
+                .find(|at| probed.iter().all(|c| !c.contains(&(at / CHUNK_SIZE))))
+                .unwrap_or_else(|| panic!("{region} of DN{node} has a chunk of its own"));
+            let dn = setup.cluster.datanode_mut(node).unwrap();
+            dn.corrupt_replica(block, at).unwrap();
+            flips.push((node, at));
+        }
+        assert!(flips.len() >= 2, "{region}");
+        let what = format!("{region} damaged on every holder");
+        assert!(pruned(&setup.cluster).is_some(), "{what}");
+        // Only a pruned block is never read: every copy of it is damaged.
+        rows_are_the_oracles(&setup, &[&absent], &what);
+        for (node, at) in flips {
+            let dn = setup.cluster.datanode_mut(node).unwrap();
+            dn.corrupt_replica(block, at).unwrap();
+        }
+    }
+
+    for damaged in 1..=hosts.len() {
+        let mut flips = Vec::new();
+        for &node in &hosts[..damaged] {
+            let (_, range) = regions(&setup.cluster, block, node)
+                .into_iter()
+                .find(|(name, _)| name == "zone-map(@1)")
+                .unwrap();
+            let at = (range.start + range.end) / 2;
+            let dn = setup.cluster.datanode_mut(node).unwrap();
+            dn.corrupt_replica(block, at).unwrap();
+            flips.push((node, at));
+        }
+        let what = format!("zone map damaged on {damaged} holder(s)");
+        assert_eq!(
+            pruned(&setup.cluster).is_some(),
+            damaged < hosts.len(),
+            "{what}"
+        );
+        rows_are_the_oracles(&setup, &[&absent, &present], &what);
+        for (node, at) in flips {
+            let dn = setup.cluster.datanode_mut(node).unwrap();
+            dn.corrupt_replica(block, at).unwrap();
         }
     }
 }
