@@ -5,8 +5,9 @@
 //! store:
 //!
 //! - [`upload`] — the HAIL upload client (parse → PAX → per-replica
-//!   sort + index inside the replication pipeline), plus the standard
-//!   HDFS upload and the naive two-pass ablation
+//!   sort + index, prepared for several nodes' portions in parallel and
+//!   committed through the replication pipeline in order), plus the
+//!   standard HDFS upload and the naive two-pass ablation
 //! - [`annotation`] — the `@HailQuery` filter/projection language
 //! - [`baselines`] — Hadoop++'s storage format and upload jobs (trojan
 //!   index, row layout)

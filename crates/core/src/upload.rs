@@ -4,14 +4,24 @@
 //! generates 20 GB/13 GB *per node*). The cluster-wide upload time is the
 //! slowest node's pipelined time, computed from the per-node cost
 //! ledgers the upload fills.
+//!
+//! The HAIL client uses the pipeline's two phases: the pure per-block
+//! [`prepare_hail_block`] runs for several nodes' portions at once, off
+//! the chain, and [`commit_hail_block`] streams, flushes and registers
+//! on the caller's thread in node order, block order.
 
 use crate::dataset::{Dataset, DatasetFormat};
 use bytes::Bytes;
-use hail_dfs::{hail_upload_block, hdfs_upload_block, DfsCluster, FaultPlan};
+use hail_dfs::{
+    commit_hail_block, hail_upload_block, hdfs_upload_block, prepare_hail_block, DfsCluster,
+    FaultPlan, PreparedBlock,
+};
 use hail_index::ReplicaIndexConfig;
-use hail_pax::PaxBlockBuilder;
+use hail_pax::{PaxBlock, PaxBlockBuilder};
 use hail_sim::ClusterSpec;
-use hail_types::{BlockId, DatanodeId, HailError, Result, Schema};
+use hail_sync::run_ordered;
+use hail_types::{BlockId, DatanodeId, HailError, Result, Schema, StorageConfig};
+use std::convert::Infallible;
 
 /// Computes the cluster-wide upload time from the per-node ledgers: each
 /// node's client + datanode work forms one pipeline; the cluster finishes
@@ -83,12 +93,54 @@ pub fn upload_hadoop(
 /// Uploads text through the HAIL client (Fig. 1): content-aware block
 /// cutting, parse to binary PAX (charged to the node's client ledger),
 /// then the HAIL pipeline sorts and indexes each replica.
+///
+/// Every node uploads its own portion at the same time, as in the paper:
+/// the nodes' cutting and [replica preparation](prepare_hail_block) fan
+/// out over up to the machine's available parallelism, while the chain,
+/// the flushes and the registrations commit on this thread in node
+/// order, block order. Block ids, ledgers, replica bytes and `Dir_rep`
+/// are those of a node-after-node upload; only the wall clock differs.
 pub fn upload_hail(
     cluster: &mut DfsCluster,
     schema: &Schema,
     name: &str,
     node_texts: &[(DatanodeId, String)],
     index_config: &ReplicaIndexConfig,
+) -> Result<Dataset> {
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+    upload_hail_at(
+        cluster,
+        schema,
+        name,
+        node_texts,
+        index_config,
+        width,
+        prepare_hail_block,
+    )
+}
+
+/// How the client prepares one cut block: [`prepare_hail_block`],
+/// except in tests that damage a block on its way to the datanodes.
+type Prepare = fn(&PaxBlock, &ReplicaIndexConfig) -> Result<PreparedBlock>;
+
+/// [`upload_hail`] preparing up to `width` nodes' portions at once, each
+/// block through `prepare`.
+///
+/// Nodes go in waves of `width` (capped at the node count), which bounds
+/// the prepared blocks held in memory to `width` nodes' worth. Per wave,
+/// [`run_ordered`] cuts and prepares each node's portion; then, node by
+/// node, the client ledger is charged and the node's blocks are
+/// committed in order, and the node's cut error, if any, is returned
+/// after its blocks — where a serial upload stops. At width 1 this is a
+/// serial upload's order of effects.
+fn upload_hail_at(
+    cluster: &mut DfsCluster,
+    schema: &Schema,
+    name: &str,
+    node_texts: &[(DatanodeId, String)],
+    index_config: &ReplicaIndexConfig,
+    width: usize,
+    prepare: Prepare,
 ) -> Result<Dataset> {
     index_config.validate(schema)?;
     if index_config.replication() != cluster.config().replication {
@@ -98,39 +150,37 @@ pub fn upload_hail(
             cluster.config().replication
         )));
     }
+    let width = width.max(1);
+    let storage = cluster.config().clone();
     let mut blocks = Vec::new();
-    for (node, text) in node_texts {
-        // The client reads the file from local disk and parses every byte
-        // to binary (steps 1–2).
-        {
+    for wave in node_texts.chunks(width) {
+        let Ok(prepared) = run_ordered(wave.len(), width, |i| {
+            Ok::<_, Infallible>(cut_and_prepare(
+                &wave[i].1,
+                schema,
+                &storage,
+                index_config,
+                prepare,
+            ))
+        });
+        for ((node, text), (node_blocks, cut_error)) in wave.iter().zip(prepared) {
+            // The client reads the file from local disk and parses every
+            // byte to binary (steps 1–2).
             let ledger = cluster.client_ledger_mut(*node);
             ledger.disk_read += text.len() as u64;
             ledger.seeks += 1;
             ledger.parse_cpu += text.len() as u64;
-        }
-        let mut builder = PaxBlockBuilder::new(schema.clone(), cluster.config().clone());
-        for line in text.lines() {
-            builder.push_line(line)?;
-            if builder.is_full() {
-                let pax = builder.finish()?;
-                blocks.push(hail_upload_block(
+            for block in node_blocks {
+                blocks.push(commit_hail_block(
                     cluster,
                     *node,
-                    &pax,
-                    index_config,
+                    block,
                     &FaultPlan::none(),
                 )?);
             }
-        }
-        if !builder.is_empty() {
-            let pax = builder.finish()?;
-            blocks.push(hail_upload_block(
-                cluster,
-                *node,
-                &pax,
-                index_config,
-                &FaultPlan::none(),
-            )?);
+            if let Some(e) = cut_error {
+                return Err(e);
+            }
         }
     }
     Ok(Dataset::new(
@@ -139,6 +189,34 @@ pub fn upload_hail(
         blocks,
         DatasetFormat::HailPax,
     ))
+}
+
+/// One node's client work off the chain: cuts `text` into PAX blocks and
+/// prepares each. Returns the blocks prepared before the first error,
+/// and that error.
+fn cut_and_prepare(
+    text: &str,
+    schema: &Schema,
+    storage: &StorageConfig,
+    index_config: &ReplicaIndexConfig,
+    prepare: Prepare,
+) -> (Vec<PreparedBlock>, Option<HailError>) {
+    let mut prepared = Vec::new();
+    let mut builder = PaxBlockBuilder::new(schema.clone(), storage.clone());
+    let mut cut = || -> Result<()> {
+        for line in text.lines() {
+            builder.push_line(line)?;
+            if builder.is_full() {
+                prepared.push(prepare(&builder.finish()?, index_config)?);
+            }
+        }
+        if !builder.is_empty() {
+            prepared.push(prepare(&builder.finish()?, index_config)?);
+        }
+        Ok(())
+    };
+    let error = cut().err();
+    (prepared, error)
 }
 
 /// The naive two-pass upload the paper's first prototype used (§3.1):
@@ -204,8 +282,9 @@ pub fn upload_hail_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hail_sim::HardwareProfile;
-    use hail_types::{DataType, Field, StorageConfig};
+    use hail_index::HailBlockReplicaInfo;
+    use hail_sim::{CostLedger, HardwareProfile};
+    use hail_types::{DataType, Field};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -387,5 +466,227 @@ mod tests {
         let mut c = DfsCluster::new(4, StorageConfig::test_scale(512));
         let cfg = ReplicaIndexConfig::unindexed(5);
         assert!(upload_hail(&mut c, &schema(), "t", &texts(1, 10), &cfg).is_err());
+    }
+
+    fn indexed_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::VarChar),
+            Field::new("c", DataType::Int),
+        ])
+        .unwrap()
+    }
+
+    /// Four nodes' portions of several blocks each, with one bad record
+    /// apiece for the inverted list.
+    fn portions() -> Vec<(DatanodeId, String)> {
+        (0..4)
+            .map(|n| {
+                let mut text: String = (0..120)
+                    .map(|i| format!("{}|value-{n}-{i}|{}\n", (i * 31 + n * 7) % 101, i % 5))
+                    .collect();
+                text.push_str(&format!("not-a-key|bad-{n}|0\n"));
+                (n, text)
+            })
+            .collect()
+    }
+
+    fn storage() -> StorageConfig {
+        StorageConfig::test_scale(1024)
+    }
+
+    /// Everything an upload leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Stored {
+        /// Every datanode's replicas, read back whole; a whole read
+        /// checks the checksum file against the bytes.
+        replicas: Vec<(DatanodeId, BlockId, Bytes)>,
+        dir_rep: Vec<HailBlockReplicaInfo>,
+        stored_bytes: u64,
+        ledgers: Vec<CostLedger>,
+        upload_seconds: u64,
+        /// The id the next upload gets: failed uploads consume ids too.
+        next_block: BlockId,
+    }
+
+    impl Stored {
+        fn of(c: &mut DfsCluster) -> Stored {
+            let mut ledger = CostLedger::new();
+            let mut replicas = Vec::new();
+            for dn in 0..c.node_count() {
+                let node = c.datanode(dn).unwrap();
+                for block in node.stored_blocks() {
+                    replicas.push((dn, block, node.read_replica(block, &mut ledger).unwrap()));
+                }
+            }
+            let nn = c.namenode();
+            let dir_rep = nn
+                .blocks()
+                .into_iter()
+                .flat_map(|b| nn.get_hosts(b).unwrap().into_iter().map(move |dn| (b, dn)))
+                .map(|(b, dn)| nn.replica_info(b, dn).unwrap().clone())
+                .collect();
+            let spec = ClusterSpec::new(4, HardwareProfile::physical());
+            let stored = Stored {
+                replicas,
+                dir_rep,
+                stored_bytes: c.stored_bytes(),
+                ledgers: c.upload_ledgers(),
+                upload_seconds: upload_seconds(c, &spec).to_bits(),
+                next_block: 0,
+            };
+            let probe = hail_pax::blocks_from_text("1|next|2\n", &indexed_schema(), &storage())
+                .unwrap()
+                .remove(0);
+            let config = ReplicaIndexConfig::unindexed(3);
+            let next_block = hail_upload_block(c, 0, &probe, &config, &FaultPlan::none()).unwrap();
+            Stored {
+                next_block,
+                ..stored
+            }
+        }
+    }
+
+    type Outcome = (std::result::Result<Vec<BlockId>, String>, Stored);
+
+    fn upload_at(
+        width: usize,
+        texts: &[(DatanodeId, String)],
+        config: &ReplicaIndexConfig,
+        prepare: Prepare,
+    ) -> Outcome {
+        let mut c = DfsCluster::new(4, storage());
+        let result = upload_hail_at(
+            &mut c,
+            &indexed_schema(),
+            "t",
+            texts,
+            config,
+            width,
+            prepare,
+        )
+        .map(|ds| ds.blocks)
+        .map_err(|e| e.to_string());
+        (result, Stored::of(&mut c))
+    }
+
+    /// The node-after-node, block-after-block upload through
+    /// `hail_upload_block`: the oracle the fan-out must reproduce.
+    fn serial_oracle(texts: &[(DatanodeId, String)], config: &ReplicaIndexConfig) -> Outcome {
+        let mut c = DfsCluster::new(4, storage());
+        let mut blocks = Vec::new();
+        let mut upload = |c: &mut DfsCluster| -> Result<()> {
+            for (node, text) in texts {
+                let ledger = c.client_ledger_mut(*node);
+                ledger.disk_read += text.len() as u64;
+                ledger.seeks += 1;
+                ledger.parse_cpu += text.len() as u64;
+                let mut builder = PaxBlockBuilder::new(indexed_schema(), storage());
+                for line in text.lines() {
+                    builder.push_line(line)?;
+                    if builder.is_full() {
+                        let pax = damaged(builder.finish()?);
+                        blocks.push(hail_upload_block(
+                            c,
+                            *node,
+                            &pax,
+                            config,
+                            &FaultPlan::none(),
+                        )?);
+                    }
+                }
+                if !builder.is_empty() {
+                    let pax = damaged(builder.finish()?);
+                    blocks.push(hail_upload_block(
+                        c,
+                        *node,
+                        &pax,
+                        config,
+                        &FaultPlan::none(),
+                    )?);
+                }
+            }
+            Ok(())
+        };
+        let result = upload(&mut c).map_err(|e| e.to_string());
+        (result.map(|()| blocks), Stored::of(&mut c))
+    }
+
+    /// A block holding the value `poison` loses that value's terminator
+    /// on its way to the datanodes, which a sorting position trips over;
+    /// any other block passes unchanged.
+    fn damaged(pax: PaxBlock) -> PaxBlock {
+        let Some(at) = pax.bytes().windows(7).position(|w| w == b"poison\0") else {
+            return pax;
+        };
+        let mut raw = pax.bytes().to_vec();
+        raw[at + 6] = b'!';
+        PaxBlock::parse(Bytes::from(raw)).unwrap()
+    }
+
+    fn damaging_prepare(pax: &PaxBlock, config: &ReplicaIndexConfig) -> Result<PreparedBlock> {
+        prepare_hail_block(&damaged(pax.clone()), config)
+    }
+
+    fn configs() -> [ReplicaIndexConfig; 3] {
+        [
+            ReplicaIndexConfig::unindexed(3),
+            ReplicaIndexConfig::first_indexed(3, &[0, 1, 2]),
+            ReplicaIndexConfig::first_indexed(3, &[0])
+                .with_bitmap(2)
+                .with_zone_map(0)
+                .with_bloom(1)
+                .with_inverted_list(),
+        ]
+    }
+
+    /// Blocks, replica bytes and checksums, `Dir_rep`, ledgers and the
+    /// simulated upload time do not depend on how many nodes' portions
+    /// are prepared at once, and equal a serial upload's.
+    #[test]
+    fn upload_is_identical_at_every_width() {
+        let texts = portions();
+        for config in configs() {
+            let oracle = serial_oracle(&texts, &config);
+            let blocks = oracle.0.as_ref().unwrap();
+            assert!(blocks.len() >= 8, "{} blocks", blocks.len());
+            for width in [1, 2, 4, 8] {
+                let out = upload_at(width, &texts, &config, damaging_prepare);
+                assert!(out == oracle, "width {width}, {config:?}");
+            }
+        }
+        // The last config really built every sidecar kind.
+        let (_, stored) = serial_oracle(&texts, &configs()[2]);
+        assert!(stored.dir_rep.iter().all(|r| r.index.sidecars.len() == 4));
+    }
+
+    /// A NUL line in node 1's text, and a last block of node 2 that
+    /// fails to build: at every width the upload commits what a serial
+    /// upload commits before the failure, consumes the same block ids,
+    /// and returns the same error.
+    #[test]
+    fn a_failed_upload_stops_where_a_serial_upload_stops() {
+        let mut nul = portions();
+        // Just before node 1's bad record: after its full blocks.
+        let at = nul[1].1.find("not-a-key").unwrap();
+        nul[1].1.insert_str(at, "7|nul\0here|1\n");
+        let mut poisoned = portions();
+        poisoned[2].1.push_str("5|poison|1\n");
+        let config = ReplicaIndexConfig::first_indexed(3, &[0, 1]);
+        for (texts, error) in [(nul, "NUL"), (poisoned, "corrupt block")] {
+            let oracle = serial_oracle(&texts, &config);
+            let message = oracle.0.as_ref().unwrap_err();
+            assert!(message.contains(error), "{message}");
+            assert!(!oracle.1.replicas.is_empty());
+            for width in [1, 2, 4, 8] {
+                let out = upload_at(width, &texts, &config, damaging_prepare);
+                assert!(
+                    out == oracle,
+                    "width {width}: {:?} vs {:?}",
+                    out.0,
+                    oracle.0
+                );
+            }
+        }
     }
 }

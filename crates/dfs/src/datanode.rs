@@ -13,7 +13,7 @@
 //! instead: the handle checks each chunk when a reader first touches it.
 
 use bytes::Bytes;
-use hail_pax::checksum::{checksums_to_bytes, verify_chunks, ReplicaBytes};
+use hail_pax::checksum::{verify_chunks, ReplicaBytes};
 use hail_sim::CostLedger;
 use hail_types::{BlockId, DatanodeId, HailError, Result};
 use std::collections::BTreeMap;
@@ -122,24 +122,21 @@ impl Datanode {
 
     /// Flushes a replica: writes the data file and its checksum file,
     /// charging this node's upload ledger (data + checksum bytes, one
-    /// seek per file).
+    /// seek per file). Identical replicas may share one `data` buffer and
+    /// one checksum list.
     pub fn write_replica(
         &mut self,
         block: BlockId,
         data: Bytes,
-        checksums: Vec<u32>,
+        checksums: impl Into<Arc<[u32]>>,
     ) -> Result<()> {
         self.check_alive()?;
-        let checksum_bytes = checksums_to_bytes(&checksums).len() as u64;
+        let checksums = checksums.into();
+        // The checksum file is a bare u32 array (`checksums_to_bytes`).
+        let checksum_bytes = std::mem::size_of_val(&*checksums) as u64;
         self.upload_ledger.disk_write += data.len() as u64 + checksum_bytes;
         self.upload_ledger.seeks += 2;
-        self.replicas.insert(
-            block,
-            ReplicaFile {
-                data,
-                checksums: checksums.into(),
-            },
-        );
+        self.replicas.insert(block, ReplicaFile { data, checksums });
         Ok(())
     }
 

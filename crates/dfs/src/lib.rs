@@ -6,7 +6,9 @@
 //! - [`namenode`] — `Dir_block` plus HAIL's per-replica `Dir_rep` (§3.3)
 //! - [`datanode`] — data + checksum files on cost-accounted in-memory disks
 //! - [`placement`] — writer-local, round-robin replica placement
-//! - [`pipeline`] — the HDFS and HAIL upload pipelines (Fig. 1)
+//! - [`pipeline`] — the HDFS and HAIL upload pipelines (Fig. 1); HAIL's
+//!   runs in two phases, a pure per-block prepare (packetize, sort,
+//!   index, checksum every position) and a commit through the chain
 //! - [`cluster`] — the assembled DFS with per-node cost ledgers
 //! - [`failure`] — node death, recovery, and replica-equivalence checks
 
@@ -26,6 +28,7 @@ pub use failure::{
 };
 pub use namenode::Namenode;
 pub use pipeline::{
-    hail_upload_block, hdfs_upload_block, rewrite_replica, store_transformed_block, FaultPlan,
+    commit_hail_block, hail_upload_block, hdfs_upload_block, prepare_hail_block, rewrite_replica,
+    store_transformed_block, FaultPlan, PreparedBlock,
 };
 pub use placement::PlacementPolicy;

@@ -14,6 +14,21 @@
 //! flush both files. The ACK semantics change from "received, validated,
 //! and flushed" to "received and validated" — except the block's last
 //! packet, which is only acknowledged after the flush completes.
+//!
+//! The HAIL path runs in two phases. [`prepare_hail_block`] is pure CPU
+//! on one block — packetize, then sort, index and checksum every chain
+//! position's replica — so an upload client can prepare many blocks at
+//! once. [`commit_hail_block`] then takes `&mut DfsCluster`: it allocates
+//! the block, streams the packets through the chain with every hop
+//! charge and fault, and flushes and registers the prepared replicas.
+//! Building before the chain is building from the bytes the datanodes
+//! receive: the chain tail verifies every chunk, so a chain that
+//! succeeds delivered exactly the client's bytes, and the commit checks
+//! that once more before it flushes.
+//!
+//! Every position of a chain receives the same verified packets, so the
+//! chain keeps one received copy, the tail's; identical (HDFS and
+//! transformed) replicas share one buffer and one checksum list.
 
 use crate::cluster::DfsCluster;
 use bytes::Bytes;
@@ -25,6 +40,7 @@ use hail_pax::checksum::{chunk_checksums, packetize, reassemble, Packet};
 use hail_pax::PaxBlock;
 use hail_sim::CostLedger;
 use hail_types::{BlockId, DatanodeId, HailError, Result};
+use std::sync::Arc;
 
 /// Fault-injection plan for upload tests.
 #[derive(Debug, Clone, Default)]
@@ -47,16 +63,17 @@ impl FaultPlan {
 }
 
 /// Streams packets through the replica chain, applying faults, charging
-/// network hops, and verifying checksums at the tail. Returns each
-/// datanode's received packet list.
+/// network hops, and verifying checksums at the tail. Returns the packets
+/// the tail received and verified — what every position of a chain that
+/// succeeds holds, since a corruption at any hop travels on to the tail.
 fn stream_chain(
     cluster: &mut DfsCluster,
     writer: DatanodeId,
     chain: &[DatanodeId],
     packets: Vec<Packet>,
     fault: &FaultPlan,
-) -> Result<Vec<Vec<Packet>>> {
-    let mut received: Vec<Vec<Packet>> = vec![Vec::with_capacity(packets.len()); chain.len()];
+) -> Result<Vec<Packet>> {
+    let mut received: Vec<Packet> = Vec::with_capacity(packets.len());
     for packet in packets {
         let mut current = packet;
         for (hop, &dn) in chain.iter().enumerate() {
@@ -90,15 +107,12 @@ fn stream_chain(
             if hop + 1 == chain.len() {
                 current.verify()?;
             }
-            received[hop].push(current.clone());
         }
+        received.push(current);
     }
     // ACK chain: the client checks that ACKs arrive in order. We model
     // the ACK stream as the sequence of packet seqnos echoed back.
-    let mut acks: Vec<u32> = received
-        .last()
-        .map(|p| p.iter().map(|p| p.seqno).collect())
-        .unwrap_or_default();
+    let mut acks: Vec<u32> = received.iter().map(|p| p.seqno).collect();
     if fault.reorder_acks && acks.len() >= 2 {
         acks.swap(0, 1);
     }
@@ -122,6 +136,52 @@ impl DfsCluster {
     }
 }
 
+/// Streams `payload` through the chain of the freshly allocated `block`
+/// and flushes it as identical replicas on every position, registered
+/// with `meta`: the shared tail of the HDFS upload and
+/// [`store_transformed_block`]. A failed chain abandons the block, as
+/// the HDFS client does.
+fn upload_identical_replicas(
+    cluster: &mut DfsCluster,
+    writer: DatanodeId,
+    (block, chain): (BlockId, Vec<DatanodeId>),
+    payload: &[u8],
+    meta: IndexMetadata,
+    fault: &FaultPlan,
+) -> Result<BlockId> {
+    let packets = packetize(payload);
+    let received = match stream_chain(cluster, writer, &chain, packets, fault) {
+        Ok(r) => r,
+        Err(e) => {
+            cluster.namenode_mut().abandon_block(block);
+            return Err(e);
+        }
+    };
+
+    // HDFS datanodes flush chunk data and checksums as packets arrive;
+    // the net effect is one data file + one checksum file, the same on
+    // every position.
+    let data = Bytes::from(reassemble(&received)?);
+    let checksums: Arc<[u32]> = received
+        .iter()
+        .flat_map(|p| p.checksums.iter().copied())
+        .collect();
+    for dn in chain {
+        cluster
+            .datanode_mut(dn)?
+            .write_replica(block, data.clone(), Arc::clone(&checksums))?;
+        cluster
+            .namenode_mut()
+            .register_replica(HailBlockReplicaInfo::new(
+                block,
+                dn,
+                meta.clone(),
+                data.len(),
+            ))?;
+    }
+    Ok(block)
+}
+
 /// Uploads one block the standard HDFS way: identical replicas, flushed
 /// as received, no transformation. `raw` is whatever the file contains
 /// (text lines for the Hadoop baseline).
@@ -132,41 +192,19 @@ pub fn hdfs_upload_block(
     fault: &FaultPlan,
 ) -> Result<BlockId> {
     let replication = cluster.config().replication;
-    let (block, chain) = cluster.allocate(writer, replication)?;
-
+    let allocated = cluster.allocate(writer, replication)?;
     // The client reads the source file from local disk.
-    cluster.client_ledger_mut(writer).disk_read += raw.len() as u64;
-    cluster.client_ledger_mut(writer).seeks += 1;
-
-    let packets = packetize(&raw);
-    let received = match stream_chain(cluster, writer, &chain, packets, fault) {
-        Ok(r) => r,
-        Err(e) => {
-            // Failed uploads abandon the block, as the HDFS client does.
-            cluster.namenode_mut().abandon_block(block);
-            return Err(e);
-        }
-    };
-
-    for (dn, packets) in chain.iter().zip(received) {
-        // HDFS datanodes flush chunk data and checksums as packets
-        // arrive; the net effect is one data file + one checksum file.
-        let data = reassemble(&packets)?;
-        let checksums: Vec<u32> = packets.iter().flat_map(|p| p.checksums.clone()).collect();
-        cluster
-            .datanode_mut(*dn)?
-            .write_replica(block, Bytes::from(data), checksums)?;
-        let replica_bytes = cluster.datanode(*dn)?.replica_len(block)?;
-        cluster
-            .namenode_mut()
-            .register_replica(HailBlockReplicaInfo::new(
-                block,
-                *dn,
-                IndexMetadata::none(),
-                replica_bytes,
-            ))?;
-    }
-    Ok(block)
+    let ledger = cluster.client_ledger_mut(writer);
+    ledger.disk_read += raw.len() as u64;
+    ledger.seeks += 1;
+    upload_identical_replicas(
+        cluster,
+        writer,
+        allocated,
+        &raw,
+        IndexMetadata::none(),
+        fault,
+    )
 }
 
 /// Uploads one block the HAIL way (Fig. 1): the client ships the binary
@@ -180,10 +218,12 @@ pub fn hdfs_upload_block(
 /// replication must equal the cluster's and its columns must exist in
 /// the block's schema.
 ///
-/// The upload is two-phase: every position's replica is computed before
-/// any is flushed, so an upload that fails — in the chain or in any
-/// position's build, the lowest position's error winning — abandons the
-/// block with nothing written and nothing registered.
+/// This is [`prepare_hail_block`] followed by [`commit_hail_block`]. A
+/// config error is raised before any block id is allocated; an upload
+/// that fails in the chain or in any position's build — a chain error
+/// winning over a build error, the lowest position's build error over
+/// the others — abandons the block with nothing written and nothing
+/// registered.
 pub fn hail_upload_block(
     cluster: &mut DfsCluster,
     writer: DatanodeId,
@@ -191,21 +231,110 @@ pub fn hail_upload_block(
     config: &ReplicaIndexConfig,
     fault: &FaultPlan,
 ) -> Result<BlockId> {
-    let replication = cluster.config().replication;
-    if config.replication() != replication {
-        return Err(HailError::Job(format!(
-            "{} sort orders for replication factor {replication}",
-            config.replication()
-        )));
+    check_replication(config.replication(), cluster.config().replication)?;
+    let prepared = prepare_hail_block(pax, config)?;
+    commit_hail_block(cluster, writer, prepared, fault)
+}
+
+fn check_replication(positions: usize, replication: usize) -> Result<()> {
+    if positions == replication {
+        Ok(())
+    } else {
+        Err(HailError::Job(format!(
+            "{positions} sort orders for replication factor {replication}"
+        )))
     }
+}
+
+/// One chain position's replica, built before the block enters the
+/// chain: its data file, its checksum file, its `Dir_rep` metadata, and
+/// the sort CPU (bytes streamed) its build charges the datanode.
+#[derive(Debug)]
+struct PreparedReplica {
+    bytes: Bytes,
+    checksums: Vec<u32>,
+    meta: IndexMetadata,
+    sort_cpu: u64,
+}
+
+/// A HAIL block ready for [`commit_hail_block`]: the client's packets
+/// and, per chain position, the replica that position will flush — or
+/// the lowest position's build error, which the commit reports only if
+/// the chain itself succeeds.
+#[derive(Debug)]
+pub struct PreparedBlock {
+    packets: Vec<Packet>,
+    replicas: Result<Vec<PreparedReplica>>,
+}
+
+/// Phase one of [`hail_upload_block`], pure CPU on one block: validates
+/// `config` against the block's schema, cuts the block into packets
+/// (the client's checksums, reused on the wire, §3.2 step 4), and runs
+/// steps 6 and 7 for every chain position — sort and index the block in
+/// the position's order and recompute the checksums over its (unique)
+/// bytes.
+///
+/// The positions' replicas are built through one [`BlockPrep`], so what
+/// they have in common is computed once; each datanode's ledger is still
+/// charged for its own copy of that work at commit. Only the validation
+/// error is returned here; a build error travels inside the prepared
+/// block, so that a chain error still wins over it.
+pub fn prepare_hail_block(pax: &PaxBlock, config: &ReplicaIndexConfig) -> Result<PreparedBlock> {
     config.validate(pax.schema())?;
+    let packets = packetize(pax.bytes());
+    let mut prep = BlockPrep::new(pax);
+    let replicas = (0..config.replication())
+        .map(|pos| {
+            let order = config.orders()[pos];
+            let indexed = prep.build(order, config.sidecar(pos))?;
+            Ok(PreparedReplica {
+                bytes: indexed.bytes().clone(),
+                checksums: chunk_checksums(indexed.bytes()),
+                meta: indexed.metadata().clone(),
+                // Sort + permute + index build all stream over the
+                // binary block.
+                sort_cpu: if order.column().is_some() {
+                    pax.byte_len() as u64
+                } else {
+                    0
+                },
+            })
+        })
+        .collect();
+    Ok(PreparedBlock { packets, replicas })
+}
+
+/// Phase two of [`hail_upload_block`]: allocates the block, streams the
+/// prepared packets through its chain (hop charges, injected faults,
+/// tail verification and the ACK check exactly as for any upload), checks
+/// that the tail's verified copy is the block the replicas were built
+/// from, and then flushes and registers every position's replica.
+///
+/// A chain error wins over a build error; either abandons the allocated
+/// block with nothing written and nothing registered.
+pub fn commit_hail_block(
+    cluster: &mut DfsCluster,
+    writer: DatanodeId,
+    prepared: PreparedBlock,
+    fault: &FaultPlan,
+) -> Result<BlockId> {
+    let replication = cluster.config().replication;
+    if let Ok(replicas) = &prepared.replicas {
+        check_replication(replicas.len(), replication)?;
+    }
     let (block, chain) = cluster.allocate(writer, replication)?;
 
-    // Client: cut the PAX block into packets (checksums computed here are
-    // reused on the wire, §3.2 step 4).
-    let packets = packetize(pax.bytes());
-    let replicas = stream_chain(cluster, writer, &chain, packets, fault)
-        .and_then(|received| build_replicas(&received, config));
+    let replicas = stream_chain(cluster, writer, &chain, prepared.packets.clone(), fault)
+        .and_then(|received| {
+            if received == prepared.packets {
+                Ok(())
+            } else {
+                Err(HailError::Pipeline(
+                    "the chain tail holds other bytes than the client sent".into(),
+                ))
+            }
+        })
+        .and(prepared.replicas);
     let replicas = match replicas {
         Ok(r) => r,
         Err(e) => {
@@ -214,69 +343,37 @@ pub fn hail_upload_block(
         }
     };
 
-    for ((pos, dn), (bytes, checksums, meta)) in chain.iter().enumerate().zip(replicas) {
+    for (dn, replica) in chain.into_iter().zip(replicas) {
         // Step 7 was pure CPU on this datanode; charge the binary block
-        // size (sort + permute + index build all stream over it).
-        if config.orders()[pos].column().is_some() {
-            cluster
-                .datanode_mut(*dn)?
-                .add_sort_cpu(pax.byte_len() as u64);
+        // size for a sorted position.
+        if replica.sort_cpu > 0 {
+            cluster.datanode_mut(dn)?.add_sort_cpu(replica.sort_cpu);
         }
         // Building sidecars streams once over the indexed columns / bad
         // records; charge their serialized size as CPU.
-        let sidecar_total = meta.sidecar_bytes_total();
+        let sidecar_total = replica.meta.sidecar_bytes_total();
         if sidecar_total > 0 {
-            cluster
-                .datanode_mut(*dn)?
-                .add_sort_cpu(sidecar_total as u64);
+            cluster.datanode_mut(dn)?.add_sort_cpu(sidecar_total as u64);
         }
 
         // Flush data + checksum files.
-        let replica_bytes = bytes.len();
+        let replica_bytes = replica.bytes.len();
         cluster
-            .datanode_mut(*dn)?
-            .write_replica(block, bytes, checksums)?;
+            .datanode_mut(dn)?
+            .write_replica(block, replica.bytes, replica.checksums)?;
 
         // Steps 11/14: each datanode informs the namenode about its new
         // replica — size, index, sort order.
         cluster
             .namenode_mut()
-            .register_replica(HailBlockReplicaInfo::new(block, *dn, meta, replica_bytes))?;
+            .register_replica(HailBlockReplicaInfo::new(
+                block,
+                dn,
+                replica.meta,
+                replica_bytes,
+            ))?;
     }
     Ok(block)
-}
-
-/// Steps 6 and 7 for every chain position: reassemble the block in main
-/// memory — nothing flushed yet — then sort + index it in each
-/// position's order, forming the HAIL blocks, and recompute the checksums
-/// over each replica's (unique) bytes.
-///
-/// A chain that delivered at all delivered the same verified packets to
-/// every position, so the block is reassembled and parsed once, and what
-/// its replicas have in common is computed once ([`BlockPrep`]); each
-/// datanode's ledger is still charged for its own copy of that work.
-/// Per position: the replica's data file, checksum file and `Dir_rep`
-/// metadata.
-fn build_replicas(
-    received: &[Vec<Packet>],
-    config: &ReplicaIndexConfig,
-) -> Result<Vec<(Bytes, Vec<u32>, IndexMetadata)>> {
-    let Some(packets) = received.first() else {
-        return Ok(Vec::new());
-    };
-    let pax_block = PaxBlock::parse(Bytes::from(reassemble(packets)?))?;
-    let mut prep = BlockPrep::new(&pax_block);
-    (0..received.len())
-        .map(|pos| {
-            let indexed = prep.build(config.orders()[pos], config.sidecar(pos))?;
-            let checksums = chunk_checksums(indexed.bytes());
-            Ok((
-                indexed.bytes().clone(),
-                checksums,
-                indexed.metadata().clone(),
-            ))
-        })
-        .collect()
 }
 
 /// Rewrites one stored replica in place with a new sort order and
@@ -355,27 +452,15 @@ pub fn store_transformed_block(
     meta: IndexMetadata,
 ) -> Result<BlockId> {
     let replication = cluster.config().replication;
-    let (block, chain) = cluster.allocate(writer, replication)?;
-    let packets = packetize(&payload);
-    let received = match stream_chain(cluster, writer, &chain, packets, &FaultPlan::none()) {
-        Ok(r) => r,
-        Err(e) => {
-            cluster.namenode_mut().abandon_block(block);
-            return Err(e);
-        }
-    };
-    for (dn, packets) in chain.iter().zip(received) {
-        let data = reassemble(&packets)?;
-        let checksums: Vec<u32> = packets.iter().flat_map(|p| p.checksums.clone()).collect();
-        let len = data.len();
-        cluster
-            .datanode_mut(*dn)?
-            .write_replica(block, Bytes::from(data), checksums)?;
-        cluster
-            .namenode_mut()
-            .register_replica(HailBlockReplicaInfo::new(block, *dn, meta.clone(), len))?;
-    }
-    Ok(block)
+    let allocated = cluster.allocate(writer, replication)?;
+    upload_identical_replicas(
+        cluster,
+        writer,
+        allocated,
+        &payload,
+        meta,
+        &FaultPlan::none(),
+    )
 }
 
 #[cfg(test)]

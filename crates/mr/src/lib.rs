@@ -9,8 +9,9 @@
 //!   per-task overhead model
 //! - [`driver`] — the shared chunked drive loop every execution pass
 //!   (scheduler and both failover passes) reads splits through
-//! - [`executor`] — [`run_ordered`], the engine's one fan-out: indexed
-//!   tasks on scoped threads, results in index order
+//! - [`run_ordered`] — the engine's one fan-out (indexed tasks on
+//!   scoped threads, results in index order), re-exported from
+//!   `hail-sync` so the upload client below this crate shares it
 //! - [`manager`] — FIFO admission of concurrent jobs with a bounded
 //!   in-flight limit ([`JobManager::new`])
 //! - [`inflight`] — cross-job in-flight block interest
@@ -52,7 +53,6 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod executor;
 pub mod failover;
 pub mod inflight;
 pub mod input_format;
@@ -62,8 +62,8 @@ pub mod scheduler;
 pub mod shuffle;
 
 pub use driver::{ChunkedDrive, SPLIT_BATCH_CHUNK};
-pub use executor::run_ordered;
 pub use failover::{run_map_job_with_failure, FailoverRun, FailureScenario};
+pub use hail_sync::run_ordered;
 pub use inflight::{InFlightBlocks, InterestGuard};
 pub use input_format::{
     read_one_split, read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead,

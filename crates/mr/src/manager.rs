@@ -52,12 +52,13 @@
 //! produces vs. attaches is a race, but every *other* stat is
 //! synthesized bit-for-bit either way.
 
-use crate::executor::run_ordered;
 use crate::inflight::InFlightBlocks;
 use crate::scheduler::{run_map_job_with_interest, JobRun, MapJob};
 use hail_dfs::DfsCluster;
 use hail_sim::ClusterSpec;
+use hail_sync::run_ordered;
 use hail_types::Result;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -120,7 +121,7 @@ impl JobManager {
         let admitted = Instant::now();
         // Each task returns its job's own result as a value, so one
         // failing job never stops the others from running.
-        run_ordered(jobs.len(), self.max_concurrent, |i| {
+        let Ok(runs) = run_ordered(jobs.len(), self.max_concurrent, |i| {
             let queue_wait_seconds = admitted.elapsed().as_secs_f64();
             // Declare this job's blocks in flight for the whole read
             // (released chunk by chunk by the drive loop, remainder on
@@ -128,12 +129,12 @@ impl JobManager {
             // decodes.
             let interest = self.in_flight.register(&jobs[i].input);
             let result = run_map_job_with_interest(cluster, spec, &jobs[i], Some(&interest));
-            Ok(result.map(|mut run| {
+            Ok::<_, Infallible>(result.map(|mut run| {
                 run.report.queue_wait_seconds = queue_wait_seconds;
                 run
             }))
-        })
-        .expect("a job task never fails: it returns its job's result")
+        });
+        runs
     }
 }
 

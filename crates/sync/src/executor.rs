@@ -1,14 +1,14 @@
 //! The engine's one fan-out: [`run_ordered`] runs a static set of
-//! indexed tasks on up to `width` scoped threads and returns their
-//! results in index order.
+//! indexed tasks on up to `width` threads — the caller and scoped
+//! helpers — and returns their results in index order.
 //!
-//! It has two callers, each with its own kind of task: the
-//! planner-backed input format reads whole splits of one job at
-//! [`crate::MapJob::job_parallelism`], and the
-//! [`crate::manager::JobManager`] runs whole jobs at its
-//! `max_concurrent`. A split's blocks are read on the thread that reads
-//! the split, so the map task (the paper's unit of parallel work) is
-//! the unit here too.
+//! It has three callers, each with its own kind of task: the
+//! planner-backed input format reads whole splits of one job at the
+//! job's parallelism, the job manager runs whole jobs at its
+//! `max_concurrent`, and the HAIL upload client cuts and prepares
+//! whole nodes' portions at the machine's parallelism. A split's blocks
+//! are read on the thread that reads the split, so the map task (the
+//! paper's unit of parallel work) is the unit here too.
 //!
 //! Determinism: results merge in index order, never completion order,
 //! and on failure the error of the **lowest-indexed** failing task is
@@ -18,23 +18,24 @@
 //! the task set is fixed up front and pulled in index order from one
 //! counter, which balances load without per-worker queues.
 
-use hail_types::Result;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs tasks `0..n` on at most `width` threads and returns their
 /// results **in index order**.
 ///
 /// At width 1 (or with fewer than two tasks) the tasks run on the
-/// caller's thread, in order, stopping at the first error. Otherwise
-/// scoped workers pull the next index from a shared counter and stop
-/// pulling once the index passes the lowest failure seen so far; each
-/// worker hands its `(index, result)` pairs back through its join
-/// handle, and the merge sorts them by index, so the lowest-index error
-/// wins. A panicking task panics the caller with the task's payload.
-pub fn run_ordered<T, F>(n: usize, width: usize, task: F) -> Result<Vec<T>>
+/// caller's thread, in order, stopping at the first error. Otherwise the
+/// caller and `width - 1` scoped helper threads are the workers: each
+/// pulls the next index from a shared counter and stops pulling once the
+/// index passes the lowest failure seen so far; the helpers hand their
+/// `(index, result)` pairs back through their join handles, and the
+/// merge sorts them by index, so the lowest-index error wins. A
+/// panicking task panics the caller with the task's payload.
+pub fn run_ordered<T, E, F>(n: usize, width: usize, task: F) -> Result<Vec<T>, E>
 where
     T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
 {
     let width = width.min(n);
     if width <= 1 {
@@ -43,36 +44,34 @@ where
     let next = AtomicUsize::new(0);
     // Lowest failing index seen so far (monotonically decreasing).
     let failed_at = AtomicUsize::new(usize::MAX);
-    let mut done: Vec<(usize, Result<T>)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..width)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        // Indices are pulled in increasing order, so once
-                        // `i` passes `n` or a known failure there is
-                        // nothing smaller left to pull.
-                        if i >= n || i > failed_at.load(Ordering::Relaxed) {
-                            return mine;
-                        }
-                        let result = task(i);
-                        if result.is_err() {
-                            failed_at.fetch_min(i, Ordering::Relaxed);
-                        }
-                        mine.push((i, result));
-                    }
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|worker| {
-                worker
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            // Indices are pulled in increasing order, so once `i` passes
+            // `n` or a known failure there is nothing smaller left to
+            // pull.
+            if i >= n || i > failed_at.load(Ordering::Relaxed) {
+                return mine;
+            }
+            let result = task(i);
+            if result.is_err() {
+                failed_at.fetch_min(i, Ordering::Relaxed);
+            }
+            mine.push((i, result));
+        }
+    };
+    let mut done: Vec<(usize, Result<T, E>)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..width).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
                     .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
     });
     // Every index below the final failure ran (skipping requires being
     // above one), so in index order the lowest-index error is reached
@@ -84,7 +83,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hail_types::HailError;
     use std::sync::atomic::AtomicBool;
     use std::time::{Duration, Instant};
 
@@ -96,7 +94,7 @@ mod tests {
                 if i % 3 == 0 {
                     std::thread::yield_now();
                 }
-                Ok(i * 10)
+                Ok::<_, String>(i * 10)
             })
             .unwrap();
             assert_eq!(out, (0..17).map(|i| i * 10).collect::<Vec<_>>());
@@ -107,13 +105,13 @@ mod tests {
     fn lowest_index_error_wins() {
         let err = run_ordered(16, 4, |i| {
             if i == 11 || i == 3 {
-                Err(HailError::Job(format!("task {i}")))
+                Err(format!("task {i}"))
             } else {
                 Ok(i)
             }
         })
         .unwrap_err();
-        assert_eq!(err.to_string(), HailError::Job("task 3".into()).to_string());
+        assert_eq!(err, "task 3");
     }
 
     /// The input format's split pool: one job's splits, read at
@@ -125,7 +123,7 @@ mod tests {
                 if i % 3 == 0 {
                     std::thread::yield_now();
                 }
-                Ok(i * 7)
+                Ok::<_, String>(i * 7)
             })
             .unwrap();
             assert_eq!(out, (0..19).map(|i| i * 7).collect::<Vec<_>>());
@@ -137,16 +135,13 @@ mod tests {
     fn job_pool_lowest_index_error_wins() {
         let err = run_ordered(16, 4, |i| {
             if i == 2 || i == 13 {
-                Err(HailError::Job(format!("split {i}")))
+                Err(format!("split {i}"))
             } else {
                 Ok(i)
             }
         })
         .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            HailError::Job("split 2".into()).to_string()
-        );
+        assert_eq!(err, "split 2");
     }
 
     #[test]
@@ -157,13 +152,13 @@ mod tests {
             assert_eq!(std::thread::current().id(), caller);
             ran.fetch_add(1, Ordering::Relaxed);
             if i == 4 {
-                Err(HailError::Job("boom".into()))
+                Err("boom")
             } else {
                 Ok(())
             }
         })
         .unwrap_err();
-        assert!(err.to_string().contains("boom"));
+        assert_eq!(err, "boom");
         // Nothing past the failing task runs.
         assert_eq!(ran.load(Ordering::Relaxed), 5);
     }
@@ -180,7 +175,7 @@ mod tests {
             ran.fetch_add(1, Ordering::SeqCst);
             if i == 0 {
                 failing_started.store(true, Ordering::SeqCst);
-                Err(HailError::Job("early".into()))
+                Err("early")
             } else {
                 let deadline = Instant::now() + Duration::from_secs(5);
                 while !failing_started.load(Ordering::SeqCst) && Instant::now() < deadline {
@@ -191,7 +186,7 @@ mod tests {
             }
         })
         .unwrap_err();
-        assert!(err.to_string().contains("early"));
+        assert_eq!(err, "early");
         let ran = ran.load(Ordering::SeqCst);
         // Only assert what cannot flake on an oversubscribed machine: at
         // least one task above the failure was skipped.
@@ -212,7 +207,7 @@ mod tests {
                 while others_done.load(Ordering::SeqCst) < 7 && Instant::now() < deadline {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                Ok(others_done.load(Ordering::SeqCst))
+                Ok::<_, String>(others_done.load(Ordering::SeqCst))
             } else {
                 others_done.fetch_add(1, Ordering::SeqCst);
                 Ok(i)
@@ -230,7 +225,7 @@ mod tests {
             if i == 3 {
                 panic!("task 3 panicked");
             }
-            Ok(i)
+            Ok::<_, String>(i)
         });
     }
 }

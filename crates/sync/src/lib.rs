@@ -29,11 +29,19 @@
 //!
 //! This crate is the one place the raw `std::sync` locks may appear:
 //! the workspace `clippy.toml` disallows them everywhere else.
+//!
+//! It also holds the engine's one ordered fan-out, [`run_ordered`]
+//! (module [`executor`]): a leaf crate, so the split pool and job
+//! manager in `hail-mr` and the upload client in `hail-core` share it.
 
 #![allow(
     clippy::disallowed_types,
     reason = "the ranked wrappers are built on the raw std::sync locks"
 )]
+
+pub mod executor;
+
+pub use executor::run_ordered;
 
 use std::fmt;
 use std::sync::{

@@ -155,6 +155,47 @@ fn failed_replica_build_leaves_no_half_registered_block() {
     );
 }
 
+/// A chain error wins over a build error, and a failed upload consumes
+/// exactly one block id: a block that a sorting position cannot build
+/// *and* whose packet is corrupted in the chain fails the checksum, not
+/// the build, and the next clean upload gets the id after it.
+#[test]
+fn a_chain_error_beats_a_build_error_and_consumes_one_id() {
+    let pax = pax_block(50);
+    let mut raw = pax.bytes().to_vec();
+    let at = raw.windows(6).position(|w| w == b"val49\0").unwrap();
+    raw[at + 5] = b'!';
+    let damaged = hail::pax::PaxBlock::parse(bytes::Bytes::from(raw)).unwrap();
+    let sorts = ReplicaIndexConfig::first_indexed(3, &[0]);
+
+    let mut cluster = DfsCluster::new(4, StorageConfig::test_scale(1 << 20));
+    let first = hail_upload_block(&mut cluster, 0, &pax, &sorts, &FaultPlan::none()).unwrap();
+    for hop in 0..3 {
+        let fault = FaultPlan {
+            corrupt_after_hop: Some((hop, 0)),
+            ..Default::default()
+        };
+        let err = hail_upload_block(&mut cluster, 0, &damaged, &sorts, &fault).unwrap_err();
+        assert!(
+            matches!(err, HailError::ChecksumMismatch { .. }),
+            "hop {hop}: expected checksum failure, got {err}"
+        );
+    }
+    // Without the corruption the same block fails its build.
+    let err = hail_upload_block(&mut cluster, 0, &damaged, &sorts, &FaultPlan::none());
+    assert!(matches!(err, Err(HailError::Corrupt(_))));
+    assert_eq!(cluster.namenode().blocks(), vec![first]);
+
+    // Four failed attempts, four ids consumed and abandoned.
+    let next = hail_upload_block(&mut cluster, 0, &pax, &sorts, &FaultPlan::none()).unwrap();
+    assert_eq!(next, first + 5);
+    assert_eq!(cluster.namenode().blocks(), vec![first, next]);
+    assert_eq!(
+        cluster.stored_bytes(),
+        cluster.namenode().total_replica_bytes()
+    );
+}
+
 #[test]
 fn at_rest_corruption_detected_and_other_replicas_serve() {
     let schema = schema();
