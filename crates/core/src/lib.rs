@@ -5,8 +5,9 @@
 //! store:
 //!
 //! - [`upload`] — the HAIL upload client (parse → PAX → per-replica
-//!   sort + index, prepared for several nodes' portions in parallel and
-//!   committed through the replication pipeline in order), plus the
+//!   sort + index, prepared a bounded window of blocks at a time in
+//!   parallel and committed through the replication pipeline in order),
+//!   plus the
 //!   standard HDFS upload and the naive two-pass ablation
 //! - [`annotation`] — the `@HailQuery` filter/projection language
 //! - [`baselines`] — Hadoop++'s storage format and upload jobs (trojan

@@ -6,9 +6,9 @@
 //! ledgers the upload fills.
 //!
 //! The HAIL client uses the pipeline's two phases: the pure per-block
-//! [`prepare_hail_block`] runs for several nodes' portions at once, off
-//! the chain, and [`commit_hail_block`] streams, flushes and registers
-//! on the caller's thread in node order, block order.
+//! [`prepare_hail_block`] runs for a window of blocks at once, off the
+//! chain, and [`commit_hail_block`] streams, flushes and registers on the
+//! caller's thread in node order, block order.
 
 use crate::dataset::{Dataset, DatasetFormat};
 use bytes::Bytes;
@@ -95,11 +95,12 @@ pub fn upload_hadoop(
 /// then the HAIL pipeline sorts and indexes each replica.
 ///
 /// Every node uploads its own portion at the same time, as in the paper:
-/// the nodes' cutting and [replica preparation](prepare_hail_block) fan
-/// out over up to the machine's available parallelism, while the chain,
-/// the flushes and the registrations commit on this thread in node
-/// order, block order. Block ids, ledgers, replica bytes and `Dir_rep`
-/// are those of a node-after-node upload; only the wall clock differs.
+/// cutting and [replica preparation](prepare_hail_block) fan out over up
+/// to the machine's available parallelism, a window of blocks at a time,
+/// while the chain, the flushes and the registrations commit on this
+/// thread in node order, block order. Block ids, ledgers, replica bytes
+/// and `Dir_rep` are those of a node-after-node upload; only the wall
+/// clock differs.
 pub fn upload_hail(
     cluster: &mut DfsCluster,
     schema: &Schema,
@@ -123,16 +124,24 @@ pub fn upload_hail(
 /// except in tests that damage a block on its way to the datanodes.
 type Prepare = fn(&PaxBlock, &ReplicaIndexConfig) -> Result<PreparedBlock>;
 
-/// [`upload_hail`] preparing up to `width` nodes' portions at once, each
-/// block through `prepare`.
+/// Consecutive blocks one task cuts and prepares, at most, with one
+/// builder: an upload at width `w` holds at most `w × BLOCKS_PER_TASK`
+/// prepared blocks that are not yet committed, however many nodes and
+/// blocks it uploads.
+const BLOCKS_PER_TASK: usize = 4;
+
+/// [`upload_hail`] on up to `width` threads, each block through
+/// `prepare`.
 ///
-/// Nodes go in waves of `width` (capped at the node count), which bounds
-/// the prepared blocks held in memory to `width` nodes' worth. Per wave,
-/// [`run_ordered`] cuts and prepares each node's portion; then, node by
-/// node, the client ledger is charged and the node's blocks are
-/// committed in order, and the node's cut error, if any, is returned
-/// after its blocks — where a serial upload stops. At width 1 this is a
-/// serial upload's order of effects.
+/// The upload's blocks, in commit order, are found up front: a block's
+/// cut depends only on its lines' lengths, so [`block_spans`] finds every
+/// cut without parsing. Window by window — up to `width` ×
+/// [`BLOCKS_PER_TASK`] blocks, split into at most `width` runs of
+/// consecutive blocks — [`run_ordered`] cuts and prepares the window's
+/// blocks; then, block by block, the client ledgers of the nodes reached
+/// so far are charged and the block is committed, or its error returned
+/// — where a serial upload stops. At width 1 this is a serial upload's
+/// order of effects.
 fn upload_hail_at(
     cluster: &mut DfsCluster,
     schema: &Schema,
@@ -152,37 +161,46 @@ fn upload_hail_at(
     }
     let width = width.max(1);
     let storage = cluster.config().clone();
-    let mut blocks = Vec::new();
-    for wave in node_texts.chunks(width) {
-        let Ok(prepared) = run_ordered(wave.len(), width, |i| {
+    // Every block of the upload: the index of its node and its lines.
+    let spans: Vec<(usize, &str)> = node_texts
+        .iter()
+        .enumerate()
+        .flat_map(|(node, (_, text))| {
+            block_spans(text, storage.block_size)
+                .into_iter()
+                .map(move |span| (node, span))
+        })
+        .collect();
+    let mut blocks = Vec::with_capacity(spans.len());
+    // `node_texts[..charged]` have had their client ledgers charged.
+    let mut charged = 0;
+    for window in spans.chunks(width * BLOCKS_PER_TASK) {
+        // At most `width` runs of consecutive blocks, of near-equal length.
+        let tasks: Vec<_> = window.chunks(window.len().div_ceil(width)).collect();
+        let Ok(prepared) = run_ordered(tasks.len(), width, |t| {
             Ok::<_, Infallible>(cut_and_prepare(
-                &wave[i].1,
+                tasks[t],
                 schema,
                 &storage,
                 index_config,
                 prepare,
             ))
         });
-        for ((node, text), (node_blocks, cut_error)) in wave.iter().zip(prepared) {
-            // The client reads the file from local disk and parses every
-            // byte to binary (steps 1–2).
-            let ledger = cluster.client_ledger_mut(*node);
-            ledger.disk_read += text.len() as u64;
-            ledger.seeks += 1;
-            ledger.parse_cpu += text.len() as u64;
-            for block in node_blocks {
-                blocks.push(commit_hail_block(
-                    cluster,
-                    *node,
-                    block,
-                    &FaultPlan::none(),
-                )?);
+        // A task's results end at its first error, which ends the upload.
+        for (&(node, _), block) in window.iter().zip(prepared.into_iter().flatten()) {
+            if node >= charged {
+                charge_clients(cluster, &node_texts[charged..=node]);
+                charged = node + 1;
             }
-            if let Some(e) = cut_error {
-                return Err(e);
-            }
+            blocks.push(commit_hail_block(
+                cluster,
+                node_texts[node].0,
+                block?,
+                &FaultPlan::none(),
+            )?);
         }
     }
+    charge_clients(cluster, &node_texts[charged..]);
     Ok(Dataset::new(
         name,
         schema.clone(),
@@ -191,32 +209,70 @@ fn upload_hail_at(
     ))
 }
 
-/// One node's client work off the chain: cuts `text` into PAX blocks and
-/// prepares each. Returns the blocks prepared before the first error,
-/// and that error.
+/// One task's client work off the chain: cuts each span to PAX with one
+/// builder and prepares it, up to and including the first failure.
 fn cut_and_prepare(
-    text: &str,
+    spans: &[(usize, &str)],
     schema: &Schema,
     storage: &StorageConfig,
     index_config: &ReplicaIndexConfig,
     prepare: Prepare,
-) -> (Vec<PreparedBlock>, Option<HailError>) {
-    let mut prepared = Vec::new();
+) -> Vec<Result<PreparedBlock>> {
     let mut builder = PaxBlockBuilder::new(schema.clone(), storage.clone());
-    let mut cut = || -> Result<()> {
-        for line in text.lines() {
-            builder.push_line(line)?;
-            if builder.is_full() {
-                prepared.push(prepare(&builder.finish()?, index_config)?);
-            }
+    let mut prepared = Vec::with_capacity(spans.len());
+    for (_, lines) in spans {
+        let block = cut_block(&mut builder, lines).and_then(|pax| prepare(&pax, index_config));
+        let failed = block.is_err();
+        prepared.push(block);
+        if failed {
+            break;
         }
-        if !builder.is_empty() {
-            prepared.push(prepare(&builder.finish()?, index_config)?);
+    }
+    prepared
+}
+
+/// The client reads each node's file from local disk and parses every
+/// byte to binary (steps 1–2).
+fn charge_clients(cluster: &mut DfsCluster, node_texts: &[(DatanodeId, String)]) {
+    for (node, text) in node_texts {
+        let ledger = cluster.client_ledger_mut(*node);
+        ledger.disk_read += text.len() as u64;
+        ledger.seeks += 1;
+        ledger.parse_cpu += text.len() as u64;
+    }
+}
+
+/// Cuts `text` where a [`PaxBlockBuilder`] fed its lines in order fills
+/// up: after the first line that brings a block's text bytes (each line
+/// plus one for its terminator) to `block_size`, and at the end. Each
+/// block comes back as the slice of `text` holding its lines, so its
+/// `lines()` are the lines the builder would have taken.
+fn block_spans(text: &str, block_size: usize) -> Vec<&str> {
+    let mut spans = Vec::new();
+    let (mut start, mut end, mut filled) = (0, 0, 0);
+    // `split_inclusive` yields each line with its terminator, in step
+    // with `lines()`.
+    for (piece, line) in text.split_inclusive('\n').zip(text.lines()) {
+        end += piece.len();
+        filled += line.len() + 1;
+        if filled >= block_size {
+            spans.push(&text[start..end]);
+            (start, filled) = (end, 0);
         }
-        Ok(())
-    };
-    let error = cut().err();
-    (prepared, error)
+    }
+    if start < end {
+        spans.push(&text[start..end]);
+    }
+    spans
+}
+
+/// Parses one block's lines to binary PAX through `builder`, which must
+/// be empty.
+fn cut_block(builder: &mut PaxBlockBuilder, lines: &str) -> Result<PaxBlock> {
+    for line in lines.lines() {
+        builder.push_line(line)?;
+    }
+    builder.finish()
 }
 
 /// The naive two-pass upload the paper's first prototype used (§3.1):
@@ -480,9 +536,13 @@ mod tests {
     /// Four nodes' portions of several blocks each, with one bad record
     /// apiece for the inverted list.
     fn portions() -> Vec<(DatanodeId, String)> {
+        portions_of(120)
+    }
+
+    fn portions_of(rows: usize) -> Vec<(DatanodeId, String)> {
         (0..4)
             .map(|n| {
-                let mut text: String = (0..120)
+                let mut text: String = (0..rows)
                     .map(|i| format!("{}|value-{n}-{i}|{}\n", (i * 31 + n * 7) % 101, i % 5))
                     .collect();
                 text.push_str(&format!("not-a-key|bad-{n}|0\n"));
@@ -658,6 +718,70 @@ mod tests {
         // The last config really built every sidecar kind.
         let (_, stored) = serial_oracle(&texts, &configs()[2]);
         assert!(stored.dir_rep.iter().all(|r| r.index.sidecars.len() == 4));
+    }
+
+    /// The cuts found from line lengths alone are the builder's: each
+    /// span parses to exactly the block the builder cuts there, with
+    /// CRLF and bare line ends, empty lines, a missing final newline and
+    /// lines longer than a block.
+    #[test]
+    fn block_spans_cut_where_the_builder_fills_up() {
+        let long = format!("9|{}|1", "y".repeat(90));
+        let texts = [
+            portions().remove(0).1,
+            "1|a|2\r\n2|b|3\r\n\r\n3|c|4\r\n".repeat(9),
+            format!("1|a|2\n\n{long}\n4|d|5\n{long}\n5|e|6"),
+            String::new(),
+            "\n\n\n".into(),
+        ];
+        for text in &texts {
+            for block_size in [1, 7, 40, 100, 1024] {
+                let storage = StorageConfig::test_scale(block_size);
+                let expected =
+                    hail_pax::blocks_from_text(text, &indexed_schema(), &storage).unwrap();
+                let spans = block_spans(text, block_size);
+                assert_eq!(spans.concat(), *text);
+                let mut builder = PaxBlockBuilder::new(indexed_schema(), storage.clone());
+                let cut: Vec<PaxBlock> = spans
+                    .iter()
+                    .map(|span| cut_block(&mut builder, span).unwrap())
+                    .collect();
+                let bytes = |blocks: &[PaxBlock]| -> Vec<Bytes> {
+                    blocks.iter().map(|b| b.bytes().clone()).collect()
+                };
+                assert_eq!(bytes(&cut), bytes(&expected), "{text:?} at {block_size}");
+            }
+        }
+    }
+
+    static PREPARED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    fn counting_prepare(pax: &PaxBlock, config: &ReplicaIndexConfig) -> Result<PreparedBlock> {
+        PREPARED.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        prepare_hail_block(pax, config)
+    }
+
+    /// The upload runs at most one window ahead of its commits: when
+    /// node 0's first block fails to cut, fewer than one window of blocks
+    /// were prepared, however many nodes wait behind it.
+    #[test]
+    fn an_upload_prepares_at_most_one_window_ahead() {
+        let mut texts = portions_of(600);
+        let per_node = block_spans(&texts[1].1, storage().block_size).len();
+        assert!(per_node >= 2 * BLOCKS_PER_TASK, "{per_node} blocks a node");
+        texts[0].1.insert_str(0, "7|nul\0here|1\n");
+        let config = ReplicaIndexConfig::first_indexed(3, &[0]);
+        for width in [1, 2, 4] {
+            PREPARED.store(0, std::sync::atomic::Ordering::SeqCst);
+            let (result, stored) = upload_at(width, &texts, &config, counting_prepare);
+            assert!(result.unwrap_err().contains("NUL"));
+            assert!(stored.replicas.is_empty());
+            let prepared = PREPARED.load(std::sync::atomic::Ordering::SeqCst);
+            assert!(
+                prepared < width * BLOCKS_PER_TASK,
+                "width {width}: {prepared} blocks prepared"
+            );
+        }
     }
 
     /// A NUL line in node 1's text, and a last block of node 2 that

@@ -23,12 +23,13 @@
 //! charge and fault, and flushes and registers the prepared replicas.
 //! Building before the chain is building from the bytes the datanodes
 //! receive: the chain tail verifies every chunk, so a chain that
-//! succeeds delivered exactly the client's bytes, and the commit checks
-//! that once more before it flushes.
+//! succeeds delivered exactly the client's bytes, and the chain checks
+//! that once more before the commit flushes.
 //!
-//! Every position of a chain receives the same verified packets, so the
-//! chain keeps one received copy, the tail's; identical (HDFS and
-//! transformed) replicas share one buffer and one checksum list.
+//! Every position of a chain that succeeds received exactly the client's
+//! packets, so the chain copies a packet only when a fault damages it on
+//! the wire; identical (HDFS and transformed) replicas share one buffer
+//! and one checksum list.
 
 use crate::cluster::DfsCluster;
 use bytes::Bytes;
@@ -40,6 +41,7 @@ use hail_pax::checksum::{chunk_checksums, packetize, reassemble, Packet};
 use hail_pax::PaxBlock;
 use hail_sim::CostLedger;
 use hail_types::{BlockId, DatanodeId, HailError, Result};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Fault-injection plan for upload tests.
@@ -62,20 +64,21 @@ impl FaultPlan {
     }
 }
 
-/// Streams packets through the replica chain, applying faults, charging
-/// network hops, and verifying checksums at the tail. Returns the packets
-/// the tail received and verified — what every position of a chain that
-/// succeeds holds, since a corruption at any hop travels on to the tail.
+/// Streams `packets` through the replica chain, applying faults, charging
+/// network hops, and verifying checksums at the tail. Succeeds only if
+/// the tail verified every packet and holds exactly what the client sent
+/// — what every position of the chain then holds, since a corruption at
+/// any hop travels on to the tail. A packet is copied only when a fault
+/// damages it on the wire.
 fn stream_chain(
     cluster: &mut DfsCluster,
     writer: DatanodeId,
     chain: &[DatanodeId],
-    packets: Vec<Packet>,
+    packets: &[Packet],
     fault: &FaultPlan,
-) -> Result<Vec<Packet>> {
-    let mut received: Vec<Packet> = Vec::with_capacity(packets.len());
+) -> Result<()> {
     for packet in packets {
-        let mut current = packet;
+        let mut current = Cow::Borrowed(packet);
         for (hop, &dn) in chain.iter().enumerate() {
             // Charge the sender of this hop.
             let from_node = if hop == 0 { writer } else { chain[hop - 1] };
@@ -90,7 +93,7 @@ fn stream_chain(
             // Fault: corrupt the payload after it leaves `hop`.
             if let Some((at_hop, seqno)) = fault.corrupt_after_hop {
                 if at_hop == hop && current.seqno == seqno && !current.data.is_empty() {
-                    current.data[0] ^= 0xFF;
+                    current.to_mut().data[0] ^= 0xFF;
                 }
             }
             // Fault: the datanode dies mid-stream.
@@ -108,11 +111,17 @@ fn stream_chain(
                 current.verify()?;
             }
         }
-        received.push(current);
+        if let Cow::Owned(received) = &current {
+            if received != packet {
+                return Err(HailError::Pipeline(
+                    "the chain tail holds other bytes than the client sent".into(),
+                ));
+            }
+        }
     }
     // ACK chain: the client checks that ACKs arrive in order. We model
     // the ACK stream as the sequence of packet seqnos echoed back.
-    let mut acks: Vec<u32> = received.iter().map(|p| p.seqno).collect();
+    let mut acks: Vec<u32> = packets.iter().map(|p| p.seqno).collect();
     if fault.reorder_acks && acks.len() >= 2 {
         acks.swap(0, 1);
     }
@@ -123,7 +132,7 @@ fn stream_chain(
             )));
         }
     }
-    Ok(received)
+    Ok(())
 }
 
 impl DfsCluster {
@@ -150,19 +159,16 @@ fn upload_identical_replicas(
     fault: &FaultPlan,
 ) -> Result<BlockId> {
     let packets = packetize(payload);
-    let received = match stream_chain(cluster, writer, &chain, packets, fault) {
-        Ok(r) => r,
-        Err(e) => {
-            cluster.namenode_mut().abandon_block(block);
-            return Err(e);
-        }
-    };
+    if let Err(e) = stream_chain(cluster, writer, &chain, &packets, fault) {
+        cluster.namenode_mut().abandon_block(block);
+        return Err(e);
+    }
 
     // HDFS datanodes flush chunk data and checksums as packets arrive;
     // the net effect is one data file + one checksum file, the same on
     // every position.
-    let data = Bytes::from(reassemble(&received)?);
-    let checksums: Arc<[u32]> = received
+    let data = Bytes::from(reassemble(&packets)?);
+    let checksums: Arc<[u32]> = packets
         .iter()
         .flat_map(|p| p.checksums.iter().copied())
         .collect();
@@ -306,9 +312,9 @@ pub fn prepare_hail_block(pax: &PaxBlock, config: &ReplicaIndexConfig) -> Result
 
 /// Phase two of [`hail_upload_block`]: allocates the block, streams the
 /// prepared packets through its chain (hop charges, injected faults,
-/// tail verification and the ACK check exactly as for any upload), checks
-/// that the tail's verified copy is the block the replicas were built
-/// from, and then flushes and registers every position's replica.
+/// tail verification and the ACK check exactly as for any upload, and
+/// the check that the tail holds the bytes the replicas were built
+/// from), and then flushes and registers every position's replica.
 ///
 /// A chain error wins over a build error; either abandons the allocated
 /// block with nothing written and nothing registered.
@@ -324,17 +330,8 @@ pub fn commit_hail_block(
     }
     let (block, chain) = cluster.allocate(writer, replication)?;
 
-    let replicas = stream_chain(cluster, writer, &chain, prepared.packets.clone(), fault)
-        .and_then(|received| {
-            if received == prepared.packets {
-                Ok(())
-            } else {
-                Err(HailError::Pipeline(
-                    "the chain tail holds other bytes than the client sent".into(),
-                ))
-            }
-        })
-        .and(prepared.replicas);
+    let replicas =
+        stream_chain(cluster, writer, &chain, &prepared.packets, fault).and(prepared.replicas);
     let replicas = match replicas {
         Ok(r) => r,
         Err(e) => {

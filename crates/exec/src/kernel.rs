@@ -123,12 +123,12 @@ pub(crate) fn materialize(
         .iter()
         .map(|&col| pax.cursor(col))
         .collect::<Result<Vec<_>>>()?;
+    let mut values = Vec::with_capacity(cursors.len());
     for &row in selection {
-        let mut values = Vec::with_capacity(cursors.len());
         for cursor in &mut cursors {
             values.push(cursor.get(row as usize)?.to_value());
         }
-        sink(Row::new(values));
+        sink(values.drain(..).collect());
     }
     Ok(())
 }

@@ -5,8 +5,9 @@
 //! It has three callers, each with its own kind of task: the
 //! planner-backed input format reads whole splits of one job at the
 //! job's parallelism, the job manager runs whole jobs at its
-//! `max_concurrent`, and the HAIL upload client cuts and prepares
-//! whole nodes' portions at the machine's parallelism. A split's blocks
+//! `max_concurrent`, and the HAIL upload client cuts and prepares runs
+//! of consecutive blocks, one window at a time, at the machine's
+//! parallelism. A split's blocks
 //! are read on the thread that reads the split, so the map task (the
 //! paper's unit of parallel work) is the unit here too.
 //!

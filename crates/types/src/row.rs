@@ -9,16 +9,33 @@ use crate::error::{HailError, Result};
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed row: one [`Value`] per schema attribute.
+///
+/// A row is immutable and its values are shared: cloning one — as a map
+/// function emitting the records its reader hands it does — bumps a
+/// reference count instead of copying every value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Row {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
+}
+
+/// Collects the values into one allocation when the iterator knows its
+/// length (e.g. a `Vec`'s drain).
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Row {
+            values: values.into_iter().collect(),
+        }
+    }
 }
 
 impl Row {
     pub fn new(values: Vec<Value>) -> Self {
-        Row { values }
+        Row {
+            values: values.into(),
+        }
     }
 
     pub fn values(&self) -> &[Value] {
@@ -50,7 +67,7 @@ impl Row {
 
     /// Projects the row to the given 0-based column indexes.
     pub fn project(&self, indexes: &[usize]) -> Row {
-        Row::new(indexes.iter().map(|&i| self.values[i].clone()).collect())
+        indexes.iter().map(|&i| self.values[i].clone()).collect()
     }
 
     /// Total binary encoding size of the row in bytes.
@@ -219,6 +236,18 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert_eq!(p.get(0).unwrap().as_i32(), Some(9));
         assert_eq!(p.get(1).unwrap().as_str(), Some("a"));
+    }
+
+    /// A clone shares the values; a collected row equals the row built
+    /// from the same values.
+    #[test]
+    fn clones_share_values() {
+        let row = parse_line_strict("a|1999-06-01|1.5|9", &schema(), '|').unwrap();
+        let copy = row.clone();
+        assert!(std::ptr::eq(row.values(), copy.values()));
+        let collected: Row = row.values().iter().cloned().collect();
+        assert_eq!(collected, row);
+        assert_eq!(collected, Row::new(row.values().to_vec()));
     }
 
     #[test]
