@@ -96,11 +96,11 @@ pub fn upload_hadoop(
 ///
 /// Every node uploads its own portion at the same time, as in the paper:
 /// cutting and [replica preparation](prepare_hail_block) fan out over up
-/// to the machine's available parallelism, a window of blocks at a time,
-/// while the chain, the flushes and the registrations commit on this
-/// thread in node order, block order. Block ids, ledgers, replica bytes
-/// and `Dir_rep` are those of a node-after-node upload; only the wall
-/// clock differs.
+/// to the machine's available parallelism (one worker per node at most),
+/// a window of blocks at a time, while the chain, the flushes and the
+/// registrations commit on this thread in node order, block order. Block
+/// ids, ledgers, replica bytes and `Dir_rep` are those of a
+/// node-after-node upload; only the wall clock differs.
 pub fn upload_hail(
     cluster: &mut DfsCluster,
     schema: &Schema,
@@ -130,8 +130,8 @@ type Prepare = fn(&PaxBlock, &ReplicaIndexConfig) -> Result<PreparedBlock>;
 /// blocks it uploads.
 const BLOCKS_PER_TASK: usize = 4;
 
-/// [`upload_hail`] on up to `width` threads, each block through
-/// `prepare`.
+/// [`upload_hail`] on up to `width` threads, but no more than there are
+/// nodes, each block through `prepare`.
 ///
 /// The upload's blocks, in commit order, are found up front: a block's
 /// cut depends only on its lines' lengths, so [`block_spans`] finds every
@@ -159,7 +159,8 @@ fn upload_hail_at(
             cluster.config().replication
         )));
     }
-    let width = width.max(1);
+    // One client per node, as in the paper.
+    let width = width.clamp(1, node_texts.len().max(1));
     let storage = cluster.config().clone();
     // Every block of the upload: the index of its node and its lines.
     let spans: Vec<(usize, &str)> = node_texts
