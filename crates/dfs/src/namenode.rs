@@ -6,9 +6,10 @@
 //! can be routed to the replica carrying a suitable clustered index —
 //! the per-replica metadata `hail-exec`'s `QueryPlanner` prices its
 //! `(replica, access path)` candidates from, and the material its plan
-//! cache fingerprints. The [`Namenode::death_log`] is the matching
-//! notification feed: plans derived from `Dir_rep` state are invalidated
-//! when a replica holder dies.
+//! cache fingerprints. Every mutation of `Dir_rep` — replica
+//! registration, datanode death, block abandonment — bumps the
+//! [`Namenode::design_epoch`], the one signal that plans derived from
+//! `Dir_rep` state must be revalidated.
 
 use hail_index::{HailBlockReplicaInfo, IndexMetadata};
 use hail_types::{BlockId, DatanodeId, HailError, Result};
@@ -33,11 +34,6 @@ pub struct Namenode {
     dir_rep: BTreeMap<(BlockId, DatanodeId), HailBlockReplicaInfo>,
     /// Datanodes declared dead (expired heartbeats).
     dead: BTreeSet<DatanodeId>,
-    /// Deaths in declaration order — the pull-based death notification
-    /// feed. Consumers that cache planning state derived from `Dir_rep`
-    /// (the `hail-exec` plan cache) remember how much of this log they
-    /// have processed and invalidate the affected entries on growth.
-    death_log: Vec<DatanodeId>,
     /// Physical-design epoch: bumped on every mutation that can change
     /// what `Dir_rep` reports for some block — replica registration
     /// (upload), datanode death (failover), block abandonment. An
@@ -59,7 +55,6 @@ impl Default for Namenode {
             dir_block: BTreeMap::new(),
             dir_rep: BTreeMap::new(),
             dead: BTreeSet::new(),
-            death_log: Vec::new(),
             design_epoch: 0,
             instance_id: NAMENODE_IDS.fetch_add(1, Ordering::Relaxed),
             next_block: 0,
@@ -233,11 +228,10 @@ impl Namenode {
     }
 
     /// Marks a datanode dead (heartbeat expiry). Its replicas stop being
-    /// returned by `get_hosts*`, and the death is appended to the
-    /// [`Namenode::death_log`] notification feed (once per datanode).
+    /// returned by `get_hosts*` and `live_replicas`, and the first
+    /// declaration bumps the [`Namenode::design_epoch`].
     pub fn mark_dead(&mut self, datanode: DatanodeId) {
         if self.dead.insert(datanode) {
-            self.death_log.push(datanode);
             self.design_epoch += 1;
         }
     }
@@ -258,13 +252,6 @@ impl Namenode {
     /// namenodes prove nothing.
     pub fn instance_id(&self) -> u64 {
         self.instance_id
-    }
-
-    /// Every death declared so far, in order. Monotonically growing;
-    /// cache layers compare its length against what they last processed
-    /// to learn which datanodes died since (replica-death invalidation).
-    pub fn death_log(&self) -> &[DatanodeId] {
-        &self.death_log
     }
 
     /// True if the datanode has been marked dead.
@@ -388,16 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn death_log_grows_once_per_datanode() {
-        let (mut nn, _b) = setup();
-        assert!(nn.death_log().is_empty());
-        nn.mark_dead(1);
-        nn.mark_dead(2);
-        nn.mark_dead(1); // duplicate declaration: no new notification
-        assert_eq!(nn.death_log(), &[1, 2]);
-    }
-
-    #[test]
     fn design_epoch_tracks_dir_rep_mutations() {
         let mut nn = Namenode::new();
         assert_eq!(nn.design_epoch(), 0);
@@ -410,7 +387,7 @@ mod tests {
         nn.register_replica(HailBlockReplicaInfo::new(b, 1, meta_on(1), 100))
             .unwrap();
         assert_eq!(nn.design_epoch(), 2);
-        // Death bumps once per datanode, like the death log.
+        // Death bumps once per datanode.
         nn.mark_dead(1);
         nn.mark_dead(1);
         assert_eq!(nn.design_epoch(), 3);

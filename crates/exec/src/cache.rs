@@ -11,7 +11,7 @@
 //! adaptive subsystem:
 //!
 //! - [`PlanCache`] memoizes per-block [`BlockPlan`] fragments keyed on
-//!   (canonical [`FilterShape`], block, replica-index **fingerprint**).
+//!   (canonical filter shape, block, replica-index **fingerprint**).
 //!   The fingerprint covers everything `Dir_rep` knows about each live
 //!   replica — primary index kind and key column, index size/offset,
 //!   replica size, and the full [`hail_index::SidecarMetadata`]
@@ -25,16 +25,18 @@
 //!
 //! # Invalidation rules
 //!
-//! 1. **Replica death.** `DfsCluster::kill_node` appends to the
-//!    namenode's death log; the planner calls [`PlanCache::sync_deaths`]
-//!    before every lookup, evicting exactly the entries whose fingerprint
-//!    involved a dead datanode. Failover therefore re-plans instead of
-//!    executing a plan pinned to a dead replica.
-//! 2. **Fingerprint mismatch.** A hit requires the stored fingerprint to
-//!    equal the one recomputed from the current `Dir_rep` state; a
-//!    changed `ReplicaIndexConfig` (different primary index or sidecar
-//!    directory) misses and replaces the stale entry.
-//! 3. **Estimate drift.** The [`FilterShape`] embeds the (quantized)
+//! 1. **Design change.** Every entry carries the `(namenode instance
+//!    id, design epoch)` watermark at which its fingerprint last matched
+//!    `Dir_rep`. A lookup at the same watermark hits with no fingerprint
+//!    work. When the watermark has moved — a replica registration, a
+//!    datanode death or a block abandonment anywhere on the cluster, or
+//!    a lookup against a different namenode — the fingerprint is
+//!    recomputed once: a match re-arms the entry at the new watermark, a
+//!    mismatch drops it and the lookup misses. A dead replica leaves
+//!    `live_replicas`, so a death changes the fingerprint of exactly the
+//!    blocks it held: failover re-plans instead of executing a plan
+//!    pinned to a dead replica, and every other block keeps hitting.
+//! 2. **Estimate drift.** The filter shape embeds the (quantized)
 //!    effective selectivity of every filter column, so selectivity
 //!    feedback that moves an estimate also moves the key: adapted plans
 //!    are re-priced, and once the feedback converges the quantized value
@@ -52,18 +54,17 @@
 //! parallel. Internally each store is a
 //! single rank-checked [`OrderedRwLock`]: concurrent `plan_block`
 //! calls take the read lock for warm hits, and only structural changes
-//! (inserts, evictions, death-log processing, fingerprint
-//! revalidation) take the write lock. Effectiveness counters are
-//! separate atomics so read-path hits never contend on a write lock.
+//! (inserts, evictions, fingerprint revalidation) take the write lock.
+//! Effectiveness counters are separate atomics so read-path hits never
+//! contend on a write lock.
 //!
 //! Both locks sit in the global hierarchy enforced by `hail-sync`
 //! (see ARCHITECTURE.md, "Concurrency invariants & enforcement"):
 //! [`LockRank::PlanCache`] ranks above [`LockRank::Feedback`], and
 //! neither lock is ever held across an `AccessPath::execute` call.
 //! Acquisitions recover from poisoning, so a worker panicking mid-read
-//! cannot wedge every other job's planner. Death-log eviction
-//! ([`PlanCache::sync_deaths`]) and feedback absorption
-//! ([`SelectivityFeedback::absorb`]) each run under one continuous
+//! cannot wedge every other job's planner. Feedback absorption
+//! ([`SelectivityFeedback::absorb`]) runs under one continuous
 //! write-lock section, so an in-flight `plan_block` observes either
 //! none or all of a batch — never a torn prefix.
 
@@ -72,7 +73,7 @@ use hail_core::{CmpOp, DatasetFormat, HailQuery, Predicate};
 use hail_dfs::Namenode;
 use hail_mr::TaskStats;
 use hail_sync::{LockRank, OrderedRwLock};
-use hail_types::{BlockId, DatanodeId};
+use hail_types::BlockId;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -92,7 +93,7 @@ const SEL_QUANTUM: f64 = 1000.0;
 /// execution time, and `AccessPath::execute` reads them from the query
 /// it is handed, not from the plan.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FilterShape {
+pub(crate) struct FilterShape {
     /// Physical format tag (text / PAX / row layout).
     format: u8,
     /// Per column: bit 0 = index-friendly bounds present, bit 1 =
@@ -101,24 +102,18 @@ pub struct FilterShape {
     /// Text delimiter override, part of the full-scan path identity.
     delimiter: Option<char>,
     /// Quantized effective selectivity per filter column (estimate
-    /// drift must move the key — invalidation rule 3).
+    /// drift must move the key — invalidation rule 2).
     selectivities: Vec<(usize, u32)>,
-    /// Digest of the cost model the plan was priced under, so planners
-    /// with different hardware profiles or scale rules sharing one
-    /// cache never cross-serve each other's choices.
-    cost_digest: u64,
 }
 
 impl FilterShape {
     /// Canonicalizes a query's filter against the effective per-column
-    /// selectivities — and the cost-model digest — the planner will
-    /// price with.
-    pub fn of(
+    /// selectivities the planner will price with.
+    pub(crate) fn of(
         format: DatasetFormat,
         query: &HailQuery,
         delimiter: Option<char>,
         selectivities: &[(usize, f64)],
-        cost_digest: u64,
     ) -> FilterShape {
         let mut classes: BTreeMap<usize, u8> = BTreeMap::new();
         for p in &query.predicates {
@@ -146,7 +141,6 @@ impl FilterShape {
             predicates: classes.into_iter().collect(),
             delimiter,
             selectivities: sels,
-            cost_digest,
         }
     }
 }
@@ -162,22 +156,16 @@ pub fn has_eq_on(query: &HailQuery, column: usize) -> bool {
 }
 
 /// The per-block replica-index fingerprint a cached plan is valid for:
-/// a digest of the `Dir_rep` state planning depended on, plus the set of
-/// datanodes that state came from (for death-driven eviction).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockFingerprint {
-    /// FNV-1a digest over every live replica's `Dir_rep` entry.
-    pub digest: u64,
-    /// Datanodes whose replicas fed the digest, ascending.
-    pub datanodes: Vec<DatanodeId>,
-}
+/// an FNV-1a digest of the `Dir_rep` state planning depended on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockFingerprint(u64);
 
 impl BlockFingerprint {
     /// Fingerprints a block's current `Dir_rep` state: for each live
     /// replica, the datanode id, the physical replica size, and the full
     /// serialized [`hail_index::IndexMetadata`] — primary index kind,
     /// key column, size, offset, and the complete sidecar directory.
-    pub fn of(namenode: &Namenode, block: BlockId) -> BlockFingerprint {
+    pub(crate) fn of(namenode: &Namenode, block: BlockId) -> BlockFingerprint {
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
         let mut fold = |bytes: &[u8]| {
             for &b in bytes {
@@ -185,24 +173,21 @@ impl BlockFingerprint {
                 digest = digest.wrapping_mul(0x100_0000_01b3);
             }
         };
-        let mut datanodes = Vec::new();
         for info in namenode.live_replicas(block) {
             fold(&(info.datanode as u64).to_le_bytes());
             fold(&(info.replica_bytes as u64).to_le_bytes());
             fold(&info.index.to_bytes());
-            datanodes.push(info.datanode);
         }
-        datanodes.sort_unstable();
-        BlockFingerprint { digest, datanodes }
+        BlockFingerprint(digest)
     }
 }
 
-/// Outcome of an epoch-validated cache lookup
-/// ([`PlanCache::lookup_validated_full`]): a hit carries the memoized
-/// plan; a miss carries the [`BlockFingerprint`] the revalidation pass
-/// computed, if any, so the caller's insert need not recompute it.
+/// Outcome of a cache lookup ([`PlanCache::lookup`]): a hit carries the
+/// memoized plan; a miss carries the [`BlockFingerprint`] the
+/// revalidation pass computed, if any, so the caller's insert need not
+/// recompute it.
 #[derive(Debug)]
-pub enum ValidatedLookup {
+pub(crate) enum ValidatedLookup {
     Hit(BlockPlan),
     Miss(Option<BlockFingerprint>),
 }
@@ -214,22 +199,17 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to price candidates (absent or stale entry).
     pub misses: u64,
-    /// Entries evicted by replica death or capacity pressure.
+    /// Entries evicted by capacity pressure or [`PlanCache::clear`].
     pub evictions: u64,
     /// Entries dropped because their fingerprint no longer matched the
-    /// current `Dir_rep` state (invalidation rule 2).
+    /// current `Dir_rep` state (invalidation rule 1): a changed design,
+    /// or a dead replica holder.
     pub fingerprint_invalidations: u64,
     /// Individual `(replica, access path)` candidates priced through the
     /// cost model on behalf of cache misses. A repeat plan with an
     /// identical shape must not move this counter.
     pub cost_evaluations: u64,
 }
-
-/// Sentinel for entries inserted without epoch validation (the plain
-/// [`PlanCache::insert`] API): such entries always revalidate by
-/// fingerprint on their next lookup. Namenode instance ids start at 1,
-/// so instance 0 never matches a real namenode.
-const EPOCH_UNVALIDATED: (u64, u64) = (0, 0);
 
 #[derive(Debug)]
 struct CacheEntry {
@@ -251,8 +231,6 @@ struct CacheInner {
     entries: BTreeMap<(FilterShape, BlockId), CacheEntry>,
     /// Insertion order, for capacity eviction.
     order: VecDeque<(FilterShape, BlockId)>,
-    /// Prefix of the namenode death log already processed.
-    deaths_seen: usize,
 }
 
 /// Effectiveness counters as shared atomics, so warm read-path hits
@@ -280,16 +258,15 @@ pub struct PlanCache {
 }
 
 impl Default for PlanCache {
-    /// A cache bounded at 1024 block-plan entries.
+    /// A cache bounded at 1024 block-plan entries; the oldest entry is
+    /// evicted when a new insert would exceed it.
     fn default() -> Self {
         PlanCache::with_capacity(1024)
     }
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` block-plan entries; the oldest
-    /// entry is evicted when a new insert would exceed it.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         PlanCache {
             inner: OrderedRwLock::new(LockRank::PlanCache, "plan-cache", CacheInner::default()),
             counters: CacheCounters::default(),
@@ -297,138 +274,17 @@ impl PlanCache {
         }
     }
 
-    /// Processes the namenode's death log (invalidation rule 1): every
-    /// death not yet seen evicts exactly the entries whose fingerprint
-    /// involved that datanode. Idempotent; the planner calls this before
-    /// every lookup.
-    ///
-    /// One cache tracks **one** namenode's log: the seen-prefix cursor
-    /// is meaningless across different logs, so a cache shared between
-    /// clusters loses rule-1 eviction granularity (a shorter log resets
-    /// the cursor; an unrelated equal-length log is indistinguishable).
-    /// Correctness is still guarded either way — dead replicas drop out
-    /// of `live_replicas`, so rule 2's fingerprint mismatch catches any
-    /// plan a missed death would have invalidated.
-    pub fn sync_deaths(&self, death_log: &[DatanodeId]) {
-        // Fast path: nothing new — a read lock suffices, so concurrent
-        // planners only serialize when a death actually needs work.
-        {
-            let inner = self.inner.read();
-            if death_log.len() == inner.deaths_seen {
-                return;
-            }
-        }
-        let mut inner = self.inner.write();
-        let seen = inner.deaths_seen;
-        if death_log.len() < seen {
-            // A shorter log than the one we tracked: this is a
-            // different namenode. Restart the cursor so its future
-            // deaths are processed rather than skipped forever.
-            inner.deaths_seen = death_log.len();
-            return;
-        }
-        // One continuous write section covers every unseen death plus
-        // the cursor bump, so a concurrent `plan_block` sees either the
-        // pre-sync or the fully synced cache — never a torn prefix, and
-        // two racing sync calls cannot double-process a death.
-        for &dn in death_log.iter().skip(seen) {
-            self.evict_datanode_locked(&mut inner, dn);
-        }
-        inner.deaths_seen = death_log.len();
-    }
-
-    /// Evicts every entry whose fingerprint involved `datanode`. The
-    /// death-log path calls this automatically; it is public for callers
-    /// that learn about a failure out of band.
-    pub fn invalidate_datanode(&self, datanode: DatanodeId) {
-        let mut inner = self.inner.write();
-        self.evict_datanode_locked(&mut inner, datanode);
-    }
-
-    fn evict_datanode_locked(&self, inner: &mut CacheInner, datanode: DatanodeId) {
-        let before = inner.entries.len();
-        inner
-            .entries
-            .retain(|_, e| !e.fingerprint.datanodes.contains(&datanode));
-        let evicted = before - inner.entries.len();
-        if evicted > 0 {
-            let entries = &inner.entries;
-            inner.order.retain(|k| entries.contains_key(k));
-            self.counters
-                .evictions
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Entries whose fingerprint involves `datanode` — diagnostics for
-    /// eviction tests; a fully synced cache reports zero for every dead
-    /// datanode.
-    pub fn entries_involving(&self, datanode: DatanodeId) -> usize {
-        let inner = self.inner.read();
-        inner
-            .entries
-            .values()
-            .filter(|e| e.fingerprint.datanodes.contains(&datanode))
-            .count()
-    }
-
-    /// Looks up the memoized plan for `(shape, block)`. A hit requires
-    /// the stored fingerprint to match `fingerprint` exactly; a stale
-    /// entry is dropped (invalidation rule 2) and the lookup misses.
-    /// Returned plans are marked [`BlockPlan::cached`].
-    pub fn lookup(
-        &self,
-        shape: &FilterShape,
-        block: BlockId,
-        fingerprint: &BlockFingerprint,
-    ) -> Option<BlockPlan> {
-        let key = (shape.clone(), block);
-        // Hits resolve under the read lock; only dropping a stale entry
-        // needs the write lock.
-        {
-            let inner = self.inner.read();
-            match inner.entries.get(&key) {
-                Some(e) if e.fingerprint == *fingerprint => {
-                    return Some(self.count_hit(&e.plan));
-                }
-                Some(_) => {}
-                None => {
-                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
-        }
-        self.drop_stale(&key, |e| e.fingerprint == *fingerprint)
-            .map(|p| self.count_hit(&p))
-    }
-
-    /// The O(1) warm path: looks up `(shape, block)` validated against
-    /// the namenode's [design epoch](Namenode::design_epoch) instead of
-    /// a freshly computed fingerprint. An entry last validated against
-    /// this namenode at the current epoch hits with **zero**
-    /// fingerprint work — no per-replica metadata serialization at all.
-    /// If the epoch has moved (any upload, death, or abandonment
-    /// anywhere on the cluster) — or the entry was last validated
-    /// against a *different* namenode — the fingerprint is recomputed
-    /// once: a match refreshes the entry's watermark (hit), a mismatch
-    /// drops the stale entry (invalidation rule 2, miss).
-    pub fn lookup_validated(
-        &self,
-        shape: &FilterShape,
-        block: BlockId,
-        namenode: &Namenode,
-    ) -> Option<BlockPlan> {
-        match self.lookup_validated_full(shape, block, namenode) {
-            ValidatedLookup::Hit(plan) => Some(plan),
-            ValidatedLookup::Miss(_) => None,
-        }
-    }
-
-    /// [`PlanCache::lookup_validated`], additionally handing a miss any
-    /// fingerprint the revalidation pass already computed — so the
-    /// caller's subsequent [`PlanCache::insert_validated`] reuses it
-    /// instead of serializing every replica's metadata a second time.
-    pub fn lookup_validated_full(
+    /// Looks up the memoized plan for `(shape, block)`, validated
+    /// against the namenode's [design epoch](Namenode::design_epoch)
+    /// (invalidation rule 1). An entry last validated against this
+    /// namenode at the current epoch hits with **zero** fingerprint
+    /// work. Otherwise the fingerprint is recomputed once: a match
+    /// refreshes the entry's watermark (hit), a mismatch drops the stale
+    /// entry (miss). A miss hands back any fingerprint it computed, so
+    /// the caller's [`PlanCache::insert`] need not serialize every
+    /// replica's metadata a second time. Returned plans are marked
+    /// [`BlockPlan::cached`].
+    pub(crate) fn lookup(
         &self,
         shape: &FilterShape,
         block: BlockId,
@@ -451,7 +307,7 @@ impl PlanCache {
         }
         // Epoch moved (or different namenode) since this entry was
         // validated: pay the fingerprint once, then either refresh the
-        // watermark or evict.
+        // watermark or drop the entry.
         let fingerprint = BlockFingerprint::of(namenode, block);
         let mut inner = self.inner.write();
         match inner.entries.get_mut(&key) {
@@ -468,10 +324,10 @@ impl PlanCache {
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 ValidatedLookup::Miss(Some(fingerprint))
             }
-            // Evicted between the read and write sections (death sync or
-            // capacity pressure racing this lookup): a plain miss, and
-            // the fingerprint — just computed against current state —
-            // is still good for the caller's insert.
+            // Dropped between the read and write sections (a racing
+            // lookup or capacity pressure): a plain miss, and the
+            // fingerprint — just computed against current state — is
+            // still good for the caller's insert.
             None => {
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 ValidatedLookup::Miss(Some(fingerprint))
@@ -487,51 +343,10 @@ impl PlanCache {
         plan
     }
 
-    /// Removes `key` unless `keep` approves the entry present at write
-    /// time; returns the kept entry's plan (a concurrent writer may
-    /// have replaced the stale entry we saw under the read lock).
-    fn drop_stale(
-        &self,
-        key: &(FilterShape, BlockId),
-        keep: impl Fn(&CacheEntry) -> bool,
-    ) -> Option<BlockPlan> {
-        let mut inner = self.inner.write();
-        match inner.entries.get(key) {
-            Some(e) if keep(e) => Some(e.plan.clone()),
-            Some(_) => {
-                inner.entries.remove(key);
-                inner.order.retain(|k| k != key);
-                self.counters
-                    .fingerprint_invalidations
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Memoizes a freshly priced plan, evicting the oldest entry if the
-    /// cache is full. Entries inserted this way carry no epoch
-    /// watermark and revalidate by fingerprint on their next
-    /// epoch-based lookup; [`PlanCache::insert_validated`] stamps one.
-    pub fn insert(
-        &self,
-        shape: &FilterShape,
-        block: BlockId,
-        fingerprint: BlockFingerprint,
-        plan: BlockPlan,
-    ) {
-        self.insert_at(shape, block, fingerprint, EPOCH_UNVALIDATED, plan);
-    }
-
     /// Memoizes a freshly priced plan whose fingerprint was computed at
-    /// the namenode's current design epoch, enabling the O(1)
-    /// epoch-validated warm path of [`PlanCache::lookup_validated`].
-    pub fn insert_validated(
+    /// the namenode's current design epoch, evicting the oldest entry if
+    /// the cache is full.
+    pub(crate) fn insert(
         &self,
         shape: &FilterShape,
         block: BlockId,
@@ -539,37 +354,14 @@ impl PlanCache {
         namenode: &Namenode,
         plan: BlockPlan,
     ) {
-        self.insert_at(
-            shape,
-            block,
+        let entry = CacheEntry {
             fingerprint,
-            (namenode.instance_id(), namenode.design_epoch()),
             plan,
-        );
-    }
-
-    fn insert_at(
-        &self,
-        shape: &FilterShape,
-        block: BlockId,
-        fingerprint: BlockFingerprint,
-        validated_at: (u64, u64),
-        plan: BlockPlan,
-    ) {
+            validated_at: (namenode.instance_id(), namenode.design_epoch()),
+        };
         let mut inner = self.inner.write();
         let key = (shape.clone(), block);
-        if inner
-            .entries
-            .insert(
-                key.clone(),
-                CacheEntry {
-                    fingerprint,
-                    plan,
-                    validated_at,
-                },
-            )
-            .is_none()
-        {
+        if inner.entries.insert(key.clone(), entry).is_none() {
             inner.order.push_back(key);
         }
         while inner.entries.len() > self.capacity {
@@ -581,22 +373,15 @@ impl PlanCache {
         }
     }
 
-    /// Counter-free, validation-free peek at a memoized plan's
-    /// estimated cost — the assignment phase's pricing source
+    /// Counter-free, validation-free peek at the memoized plans'
+    /// estimated costs — the assignment phase's pricing source
     /// (`QueryPlanner::estimate_splits`). Deliberately bypasses hit/miss
     /// accounting and fingerprint revalidation: a scheduling estimate
     /// must not perturb cache effectiveness counters, and a mildly
     /// stale estimate is still a fine slot-occupancy price (the read
-    /// itself revalidates before executing anything).
-    pub fn peek_est_seconds(&self, shape: &FilterShape, block: BlockId) -> Option<f64> {
-        self.peek_est_seconds_many(shape, std::slice::from_ref(&block))[0]
-    }
-
-    /// Batch form of [`PlanCache::peek_est_seconds`]: one read-lock
-    /// acquisition and one shape clone for the whole block list, so
-    /// the assignment phase's per-split probe is O(blocks) map lookups
-    /// rather than O(blocks) lock round-trips and key allocations.
-    pub fn peek_est_seconds_many(
+    /// itself revalidates before executing anything). One read-lock
+    /// acquisition and one shape clone cover the whole block list.
+    pub(crate) fn peek_est_seconds_many(
         &self,
         shape: &FilterShape,
         blocks: &[BlockId],
@@ -615,7 +400,7 @@ impl PlanCache {
     /// Charges `n` cost-model candidate evaluations to this cache's
     /// accounting (the planner reports every pricing pass it runs on a
     /// miss, so tests can assert a warm cache prices nothing).
-    pub fn record_cost_evaluations(&self, n: u64) {
+    pub(crate) fn record_cost_evaluations(&self, n: u64) {
         self.counters
             .cost_evaluations
             .fetch_add(n, Ordering::Relaxed);
@@ -677,9 +462,17 @@ pub struct SelectivityChoice {
     pub source: SelectivitySource,
 }
 
+/// Per-observation decay of the feedback store: the effective
+/// observation window is `1 / (1 - FEEDBACK_DECAY)` = 20 blocks.
+const FEEDBACK_DECAY: f64 = 0.95;
+
+/// Weight of the static prior in the feedback blend, in units of
+/// observed blocks.
+const PRIOR_WEIGHT: f64 = 2.0;
+
 #[derive(Debug, Clone, Copy, Default)]
 struct ColumnFeedback {
-    /// Decayed observation weight, bounded by `1 / (1 - decay)`.
+    /// Decayed observation weight, bounded by `1 / (1 - FEEDBACK_DECAY)`.
     weight: f64,
     /// Decayed sum of observed selectivities.
     weighted_sum: f64,
@@ -710,36 +503,21 @@ struct ColumnFeedback {
 #[derive(Debug)]
 pub struct SelectivityFeedback {
     inner: OrderedRwLock<BTreeMap<(usize, bool), ColumnFeedback>>,
-    decay: f64,
-    prior_weight: f64,
 }
 
 impl Default for SelectivityFeedback {
-    /// Decay 0.95 (observation weight bounded at 20 blocks) and prior
-    /// weight 2 — roughly: the static prior counts as two observed
-    /// blocks.
     fn default() -> Self {
-        SelectivityFeedback::new(0.95, 2.0)
+        SelectivityFeedback {
+            inner: OrderedRwLock::new(LockRank::Feedback, "selectivity-feedback", BTreeMap::new()),
+        }
     }
 }
 
 impl SelectivityFeedback {
-    /// A store with an explicit decay factor (`0 ≤ decay < 1`; the
-    /// effective observation window is `1 / (1 - decay)` blocks) and
-    /// prior weight (in units of observed blocks).
-    pub fn new(decay: f64, prior_weight: f64) -> Self {
-        SelectivityFeedback {
-            inner: OrderedRwLock::new(LockRank::Feedback, "selectivity-feedback", BTreeMap::new()),
-            decay: decay.clamp(0.0, 0.999),
-            prior_weight: prior_weight.max(0.0),
-        }
-    }
-
     /// Folds one observation into a (column, class) cell. Callers hold
     /// the write lock — `absorb` folds a whole task's batch under one
     /// lock section.
     fn fold(
-        &self,
         inner: &mut BTreeMap<(usize, bool), ColumnFeedback>,
         column: usize,
         eq: bool,
@@ -751,8 +529,8 @@ impl SelectivityFeedback {
         }
         let obs = (matched as f64 / total as f64).clamp(0.0, 1.0);
         let f = inner.entry((column, eq)).or_default();
-        f.weight = f.weight * self.decay + 1.0;
-        f.weighted_sum = f.weighted_sum * self.decay + obs;
+        f.weight = f.weight * FEEDBACK_DECAY + 1.0;
+        f.weighted_sum = f.weighted_sum * FEEDBACK_DECAY + obs;
         f.observations += 1;
     }
 
@@ -760,7 +538,7 @@ impl SelectivityFeedback {
     /// predicate class (`eq` = equality, else range).
     pub fn observe(&self, column: usize, eq: bool, matched: u64, total: u64) {
         let mut inner = self.inner.write();
-        self.fold(&mut inner, column, eq, matched, total);
+        Self::fold(&mut inner, column, eq, matched, total);
     }
 
     /// Folds every observation a finished task recorded — the
@@ -774,7 +552,7 @@ impl SelectivityFeedback {
         }
         let mut inner = self.inner.write();
         for obs in &stats.selectivity {
-            self.fold(&mut inner, obs.column, obs.eq, obs.matched, obs.total);
+            Self::fold(&mut inner, obs.column, obs.eq, obs.matched, obs.total);
         }
     }
 
@@ -818,8 +596,7 @@ impl SelectivityFeedback {
         match inner.get(&(column, eq)).filter(|f| f.weight > 0.0) {
             None => (prior, SelectivitySource::Prior),
             Some(f) => {
-                let blended =
-                    (prior * self.prior_weight + f.weighted_sum) / (self.prior_weight + f.weight);
+                let blended = (prior * PRIOR_WEIGHT + f.weighted_sum) / (PRIOR_WEIGHT + f.weight);
                 (
                     blended.clamp(0.0, 1.0),
                     SelectivitySource::Observed { weight: f.weight },
@@ -868,44 +645,38 @@ mod tests {
         (nn, b)
     }
 
+    fn shape(q: &HailQuery, sel: f64) -> FilterShape {
+        FilterShape::of(DatasetFormat::HailPax, q, None, &[(0, sel)])
+    }
+
     #[test]
     fn filter_shape_abstracts_literals_not_structure() {
         let s = schema();
         let q1 = HailQuery::parse("@1 between(10, 20)", "{@2}", &s).unwrap();
         let q2 = HailQuery::parse("@1 between(500, 900)", "", &s).unwrap();
         let q3 = HailQuery::parse("@1 = 7", "", &s).unwrap();
-        let sels = [(0usize, 0.05)];
-        let f = DatasetFormat::HailPax;
         assert_eq!(
-            FilterShape::of(f, &q1, None, &sels, 7),
-            FilterShape::of(f, &q2, None, &sels, 7),
+            shape(&q1, 0.05),
+            shape(&q2, 0.05),
             "literals (and projection) are not part of the shape"
         );
         assert_ne!(
-            FilterShape::of(f, &q1, None, &sels, 7),
-            FilterShape::of(f, &q3, None, &sels, 7),
+            shape(&q1, 0.05),
+            shape(&q3, 0.05),
             "equality vs range is a different shape"
         );
         assert_ne!(
-            FilterShape::of(f, &q1, None, &sels, 7),
-            FilterShape::of(DatasetFormat::HadoopText, &q1, None, &sels, 7),
+            shape(&q1, 0.05),
+            FilterShape::of(DatasetFormat::HadoopText, &q1, None, &[(0, 0.05)]),
             "format is part of the shape"
         );
         assert_ne!(
-            FilterShape::of(f, &q1, None, &[(0, 0.05)], 7),
-            FilterShape::of(f, &q1, None, &[(0, 0.9)], 7),
+            shape(&q1, 0.05),
+            shape(&q1, 0.9),
             "estimate drift moves the key"
         );
-        assert_ne!(
-            FilterShape::of(f, &q1, None, &sels, 7),
-            FilterShape::of(f, &q1, None, &sels, 8),
-            "a different cost model is a different key"
-        );
         // Quantization: drift below 1/1000 does not move the key.
-        assert_eq!(
-            FilterShape::of(f, &q1, None, &[(0, 0.0501)], 7),
-            FilterShape::of(f, &q1, None, &[(0, 0.0503)], 7),
-        );
+        assert_eq!(shape(&q1, 0.0501), shape(&q1, 0.0503));
     }
 
     #[test]
@@ -926,8 +697,8 @@ mod tests {
             meta(IndexKind::None, None),
         ]);
         assert_ne!(
-            BlockFingerprint::of(&nn1, b1).digest,
-            BlockFingerprint::of(&nn3, b3).digest
+            BlockFingerprint::of(&nn1, b1),
+            BlockFingerprint::of(&nn3, b3)
         );
 
         // …and so does a sidecar directory difference alone.
@@ -939,20 +710,19 @@ mod tests {
         });
         let (nn4, b4) = namenode_with(&[with_sidecar, meta(IndexKind::None, None)]);
         assert_ne!(
-            BlockFingerprint::of(&nn1, b1).digest,
-            BlockFingerprint::of(&nn4, b4).digest
+            BlockFingerprint::of(&nn1, b1),
+            BlockFingerprint::of(&nn4, b4)
         );
 
-        // Replica death changes both the digest and the datanode set.
+        // Replica death changes it too: the dead replica leaves
+        // `live_replicas`.
         let (mut nn5, b5) = namenode_with(&[
             meta(IndexKind::Clustered, Some(0)),
             meta(IndexKind::None, None),
         ]);
         let before = BlockFingerprint::of(&nn5, b5);
         nn5.mark_dead(1);
-        let after = BlockFingerprint::of(&nn5, b5);
-        assert_ne!(before, after);
-        assert_eq!(after.datanodes, vec![0]);
+        assert_ne!(before, BlockFingerprint::of(&nn5, b5));
     }
 
     #[test]
@@ -963,41 +733,39 @@ mod tests {
         let q = HailQuery::parse("@1 = 1", "", &schema()).unwrap();
         let plan = crate::planner::QueryPlanner::test_block_plan(b);
         for i in 0..3u32 {
-            let shape = FilterShape::of(
-                DatasetFormat::HailPax,
-                &q,
-                None,
-                &[(0, f64::from(i) / 10.0)],
-                0,
-            );
-            cache.insert(&shape, b, fp.clone(), plan.clone());
+            cache.insert(&shape(&q, f64::from(i) / 10.0), b, fp, &nn, plan.clone());
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // The oldest shape (sel bucket 0.0) is gone.
-        let oldest = FilterShape::of(DatasetFormat::HailPax, &q, None, &[(0, 0.0)], 0);
-        assert!(cache.lookup(&oldest, b, &fp).is_none());
+        assert!(matches!(
+            cache.lookup(&shape(&q, 0.0), b, &nn),
+            ValidatedLookup::Miss(None)
+        ));
     }
 
     /// The O(1) warm path: a lookup at an unchanged design epoch never
     /// recomputes a fingerprint, a bumped epoch revalidates once and
     /// re-arms the fast path, and a genuine `Dir_rep` change still
-    /// invalidates (rule 2).
+    /// invalidates (rule 1).
     #[test]
     fn epoch_validated_lookup_skips_fingerprints_until_design_changes() {
         let cache = PlanCache::default();
         let (mut nn, b) = namenode_with(&[meta(IndexKind::Clustered, Some(0))]);
         let q = HailQuery::parse("@1 = 1", "", &schema()).unwrap();
-        let shape = FilterShape::of(DatasetFormat::HailPax, &q, None, &[(0, 0.05)], 0);
+        let shape = shape(&q, 0.05);
         let plan = crate::planner::QueryPlanner::test_block_plan(b);
+        let hit = |cache: &PlanCache, nn: &Namenode| match cache.lookup(&shape, b, nn) {
+            ValidatedLookup::Hit(plan) => Some(plan),
+            ValidatedLookup::Miss(_) => None,
+        };
 
-        assert!(cache.lookup_validated(&shape, b, &nn).is_none());
-        cache.insert_validated(&shape, b, BlockFingerprint::of(&nn, b), &nn, plan.clone());
+        assert!(hit(&cache, &nn).is_none());
+        cache.insert(&shape, b, BlockFingerprint::of(&nn, b), &nn, plan);
         // Unchanged epoch: hit (the fast path — nothing to observe here
         // beyond correctness; `hail-bench`'s `exec.plan_warm_us_per_block`
         // measures it).
-        let hit = cache.lookup_validated(&shape, b, &nn).unwrap();
-        assert!(hit.cached);
+        assert!(hit(&cache, &nn).unwrap().cached);
 
         // An unrelated upload bumps the epoch; the entry revalidates by
         // fingerprint (same Dir_rep for this block → still a hit) and
@@ -1010,14 +778,14 @@ mod tests {
             100,
         ))
         .unwrap();
-        assert!(cache.lookup_validated(&shape, b, &nn).is_some());
-        assert!(cache.lookup_validated(&shape, b, &nn).is_some());
+        assert!(hit(&cache, &nn).is_some());
+        assert!(hit(&cache, &nn).is_some());
         assert_eq!(cache.stats().fingerprint_invalidations, 0);
 
         // A real change to this block's Dir_rep (its replica holder
         // dies) must miss and drop the entry.
         nn.mark_dead(0);
-        assert!(cache.lookup_validated(&shape, b, &nn).is_none());
+        assert!(hit(&cache, &nn).is_none());
         assert_eq!(cache.stats().fingerprint_invalidations, 1);
         assert!(cache.is_empty());
     }
@@ -1036,37 +804,49 @@ mod tests {
         assert_ne!(nn1.instance_id(), nn2.instance_id());
 
         let q = HailQuery::parse("@1 = 1", "", &schema()).unwrap();
-        let shape = FilterShape::of(DatasetFormat::HailPax, &q, None, &[(0, 0.05)], 0);
+        let shape = shape(&q, 0.05);
         let plan = crate::planner::QueryPlanner::test_block_plan(b1);
-        cache.insert_validated(&shape, b1, BlockFingerprint::of(&nn1, b1), &nn1, plan);
+        cache.insert(&shape, b1, BlockFingerprint::of(&nn1, b1), &nn1, plan);
 
         // nn2's lookup must not be fooled by the equal epoch: the
-        // fingerprint differs, so the stale entry is dropped.
-        assert!(cache.lookup_validated(&shape, b2, &nn2).is_none());
+        // fingerprint differs, so the stale entry is dropped, and the
+        // miss hands back nn2's fingerprint for the re-insert.
+        match cache.lookup(&shape, b2, &nn2) {
+            ValidatedLookup::Miss(Some(fp)) => assert_eq!(fp, BlockFingerprint::of(&nn2, b2)),
+            other => panic!("expected a revalidated miss, got {other:?}"),
+        }
         assert_eq!(cache.stats().fingerprint_invalidations, 1);
     }
 
     /// Lookup counters are exact: every lookup is one hit or one miss,
-    /// under both the fingerprint and the epoch-validated APIs.
+    /// whether it is answered at the watermark, after revalidation, or
+    /// by dropping a stale entry.
     #[test]
     fn every_lookup_counts_once() {
         let cache = PlanCache::default();
-        let (nn, b) = namenode_with(&[meta(IndexKind::Clustered, Some(0))]);
+        let (mut nn, b) = namenode_with(&[
+            meta(IndexKind::Clustered, Some(0)),
+            meta(IndexKind::None, None),
+        ]);
         let q = HailQuery::parse("@1 = 1", "", &schema()).unwrap();
-        let shape = FilterShape::of(DatasetFormat::HailPax, &q, None, &[(0, 0.05)], 0);
-        let fp = BlockFingerprint::of(&nn, b);
+        let shape = shape(&q, 0.05);
         let plan = crate::planner::QueryPlanner::test_block_plan(b);
 
-        cache.lookup(&shape, b, &fp); // miss (absent)
-        cache.lookup_validated(&shape, b, &nn); // miss (absent)
-        cache.insert_validated(&shape, b, fp.clone(), &nn, plan);
-        cache.lookup(&shape, b, &fp); // hit
-        cache.lookup_validated(&shape, b, &nn); // hit
-        let stale = BlockFingerprint {
-            digest: fp.digest ^ 1,
-            datanodes: fp.datanodes.clone(),
-        };
-        cache.lookup(&shape, b, &stale); // miss (invalidates)
+        cache.lookup(&shape, b, &nn); // miss (absent)
+        cache.insert(&shape, b, BlockFingerprint::of(&nn, b), &nn, plan);
+        cache.lookup(&shape, b, &nn); // hit (watermark)
+        let other = nn.allocate_block(vec![0]).unwrap();
+        nn.register_replica(HailBlockReplicaInfo::new(
+            other,
+            0,
+            meta(IndexKind::None, None),
+            100,
+        ))
+        .unwrap();
+        cache.lookup(&shape, b, &nn); // hit (revalidated)
+        nn.mark_dead(1);
+        cache.lookup(&shape, b, &nn); // miss (invalidates)
+        cache.lookup(&shape, b, &nn); // miss (absent)
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 3));
         assert_eq!(s.hits + s.misses, 5, "each lookup counted exactly once");
@@ -1100,7 +880,7 @@ mod tests {
         // disappears and fresh contrary evidence can still move it back.
         let (_, weight) = fb.observed(0, false).unwrap();
         assert!(
-            weight <= 1.0 / (1.0 - 0.95) + 1e-9,
+            weight <= 1.0 / (1.0 - FEEDBACK_DECAY) + 1e-9,
             "weight bounded: {weight}"
         );
         for _ in 0..60 {

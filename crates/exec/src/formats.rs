@@ -42,8 +42,8 @@ pub struct PlannedInputFormat {
     pub splitting: bool,
     /// Map slots per TaskTracker, used by `HailSplitting`.
     pub map_slots: usize,
-    /// Planner knobs: cost model, selectivity estimates, plan cache and
-    /// feedback store.
+    /// Planner knobs: selectivity estimates, plan cache and feedback
+    /// store.
     pub planner: PlannerConfig,
     /// The cross-job scan-share registry, when this format serves a
     /// managed job whose block decodes may be shared with other

@@ -117,17 +117,14 @@ pub use adapt::{
     apply_reindex, plan_rewrites, ReindexAction, ReindexAdvisor, ReindexKind, ReindexOutcome,
     ReindexPolicy, ReplicaRewrite,
 };
-pub use cache::{
-    BlockFingerprint, CacheStats, FilterShape, PlanCache, SelectivityChoice, SelectivityFeedback,
-    SelectivitySource, ValidatedLookup,
-};
+pub use cache::{CacheStats, PlanCache, SelectivityChoice, SelectivityFeedback, SelectivitySource};
 pub use formats::PlannedInputFormat;
 pub use path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
     ScanLayout, TrojanIndexScan,
 };
 pub use planner::{
-    BlockPlan, Candidate, CostModel, PlannerConfig, QueryPlan, QueryPlanner, SelectivityEstimate,
+    BlockPlan, Candidate, PlannerConfig, QueryPlan, QueryPlanner, SelectivityEstimate,
 };
 pub use readers::{read_hadoop_text_block, read_hail_block, read_hpp_block};
 pub use sharing::{Acquired, DecodedBlock, ScanShareRegistry, ShareKey, ShareStats};

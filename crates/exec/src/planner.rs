@@ -66,7 +66,7 @@
 
 use crate::cache::{
     BlockFingerprint, FilterShape, PlanCache, SelectivityChoice, SelectivityFeedback,
-    SelectivitySource,
+    SelectivitySource, ValidatedLookup,
 };
 use crate::path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
@@ -83,87 +83,27 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// How candidate byte counts map onto paper-scale data.
-#[derive(Debug, Clone, Copy)]
-pub enum CostScale {
-    /// A fixed scale factor (e.g. the experiment testbed's).
-    Fixed(ScaleFactor),
-    /// Per-block automatic scaling: each materialized replica stands in
-    /// for one logical block of this many bytes, exactly as the
-    /// experiment harness scales its testbeds. This keeps planning
-    /// decisions faithful to paper-scale physics even when tests
-    /// materialize kilobyte-sized blocks (where seek time would
-    /// otherwise dominate everything).
-    PerBlock { logical_block: usize },
-}
+/// The logical block each materialized replica stands in for when the
+/// planner prices it: the paper's 64 MB block. Scaling every replica to
+/// this size, exactly as the experiment harness scales its testbeds,
+/// keeps planning decisions faithful to paper-scale physics even when
+/// tests materialize kilobyte-sized blocks (where seek time would
+/// otherwise dominate everything). Candidates are priced on
+/// [`HardwareProfile::physical`].
+const LOGICAL_BLOCK: usize = 64 * 1024 * 1024;
 
-/// The hardware and scale the planner prices candidates against.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    pub profile: HardwareProfile,
-    pub scale: CostScale,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            profile: HardwareProfile::physical(),
-            // The paper's 64 MB block.
-            scale: CostScale::PerBlock {
-                logical_block: 64 * 1024 * 1024,
-            },
-        }
-    }
-}
-
-impl CostModel {
-    /// The scale factor pricing one replica's candidates.
-    fn scale_for(&self, replica_bytes: usize) -> ScaleFactor {
-        match self.scale {
-            CostScale::Fixed(s) => s,
-            CostScale::PerBlock { logical_block } => {
-                ScaleFactor::from_block_sizes(replica_bytes.max(1), logical_block)
-            }
-        }
-    }
-
-    /// FNV-1a digest of every input the pricing functions read, so
-    /// plans priced under different hardware profiles or scale rules
-    /// never share a cache key (planners with different cost models may
-    /// share one [`PlanCache`]).
-    fn digest(&self) -> u64 {
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        let p = &self.profile;
-        for rate in [
-            p.disk_read_mb_s,
-            p.disk_write_mb_s,
-            p.seek_s,
-            p.net_mb_s,
-            p.parse_mb_s,
-            p.sort_mb_s,
-            p.scan_cpu_mb_s,
-        ] {
-            fold(&rate.to_bits().to_le_bytes());
-        }
-        fold(&(p.cores as u64).to_le_bytes());
-        match self.scale {
-            CostScale::Fixed(s) => {
-                fold(&[0]);
-                fold(&s.0.to_bits().to_le_bytes());
-            }
-            CostScale::PerBlock { logical_block } => {
-                fold(&[1]);
-                fold(&(logical_block as u64).to_le_bytes());
-            }
-        }
-        digest
-    }
+/// The estimate for one block with no memoized plan: a pipelined full
+/// scan of one logical block. Uniform across blocks, so relative
+/// slot-occupancy ordering — all the assignment phase consumes —
+/// matches uniform actual durations exactly.
+fn heuristic_block_seconds() -> f64 {
+    let ledger = CostLedger {
+        disk_read: LOGICAL_BLOCK as u64,
+        scan_cpu: LOGICAL_BLOCK as u64,
+        seeks: 1,
+        ..Default::default()
+    };
+    ledger.pipelined_seconds(&HardwareProfile::physical(), ScaleFactor::unit())
 }
 
 /// Per-column selectivity estimates feeding the cost model — the
@@ -214,14 +154,12 @@ impl SelectivityEstimate {
     }
 }
 
-/// Planner configuration: cost model, selectivity estimates, and the
-/// query-shape knobs. Which sidecar extension indexes exist is *not*
-/// configured here: the planner discovers them per replica from the
-/// namenode's `Dir_rep` directory, where the upload pipeline registered
-/// them.
+/// Planner configuration: selectivity estimates and the query-shape
+/// knobs. Which sidecar extension indexes exist is *not* configured
+/// here: the planner discovers them per replica from the namenode's
+/// `Dir_rep` directory, where the upload pipeline registered them.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    pub cost: CostModel,
     pub estimate: SelectivityEstimate,
     /// When non-empty, the query is a bad-record token search: every
     /// block is served by [`InvertedListScan`] over these tokens, on a
@@ -259,7 +197,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            cost: CostModel::default(),
             estimate: SelectivityEstimate::default(),
             bad_record_tokens: Vec::new(),
             text_delimiter: None,
@@ -498,7 +435,7 @@ struct PlanContext {
 }
 
 impl<'a> QueryPlanner<'a> {
-    /// A planner with the default cost model and estimates.
+    /// A planner with the default estimates.
     pub fn new(cluster: &'a DfsCluster) -> Self {
         QueryPlanner {
             cluster,
@@ -682,25 +619,19 @@ impl<'a> QueryPlanner<'a> {
             _ => None,
         };
         let sels: Vec<(usize, f64)> = selectivity.iter().map(|s| (s.column, s.value)).collect();
-        FilterShape::of(format, query, delimiter, &sels, self.config.cost.digest())
+        FilterShape::of(format, query, delimiter, &sels)
     }
 
     /// The block-invariant planning state, computed **once per plan**
     /// rather than per block: effective selectivities (one feedback
     /// lookup per filter column), and — when the cache participates —
-    /// the filter-shape key (cost-model digest included) with the cache
-    /// synced against the namenode's death log. Bad-record token
-    /// searches never get a shape: they bypass the cache, their
-    /// candidate enumeration being a single directory probe.
+    /// the filter-shape key. Bad-record token searches never get a
+    /// shape: they bypass the cache, their candidate enumeration being a
+    /// single directory probe.
     fn plan_context(&self, format: DatasetFormat, query: &HailQuery) -> PlanContext {
         let selectivity = self.effective_selectivities(query);
-        let shape = match &self.config.plan_cache {
-            Some(cache) if self.config.bad_record_tokens.is_empty() => {
-                cache.sync_deaths(self.cluster.namenode().death_log());
-                Some(self.filter_shape(format, query, &selectivity))
-            }
-            _ => None,
-        };
+        let shape = (self.config.plan_cache.is_some() && self.config.bad_record_tokens.is_empty())
+            .then(|| self.filter_shape(format, query, &selectivity));
         PlanContext { selectivity, shape }
     }
 
@@ -715,15 +646,15 @@ impl<'a> QueryPlanner<'a> {
     /// full-scan-of-one-logical-block heuristic per uncached block.
     /// Never prices candidates, never inserts, never blocks on more
     /// than the cache's read lock. The canonical filter shape
-    /// (feedback lookups, shape hashing, cost-model digest) is derived
-    /// **once** for the whole job, not once per split.
+    /// (feedback lookups, shape hashing) is derived **once** for the
+    /// whole job, not once per split.
     pub fn estimate_splits(
         &self,
         format: DatasetFormat,
         splits: &[hail_mr::InputSplit],
         query: &HailQuery,
     ) -> Vec<f64> {
-        let heuristic = self.heuristic_block_seconds();
+        let heuristic = heuristic_block_seconds();
         let shaped_cache = match &self.config.plan_cache {
             Some(cache) if self.config.bad_record_tokens.is_empty() => {
                 let selectivity = self.effective_selectivities(query);
@@ -742,27 +673,6 @@ impl<'a> QueryPlanner<'a> {
                 None => heuristic * split.blocks.len() as f64,
             })
             .collect()
-    }
-
-    /// The estimate for one block with no memoized plan: a pipelined
-    /// full scan of one logical block under this planner's cost model.
-    /// Uniform across blocks, so relative slot-occupancy ordering —
-    /// all the assignment phase consumes — matches uniform actual
-    /// durations exactly.
-    fn heuristic_block_seconds(&self) -> f64 {
-        let cost = &self.config.cost;
-        let (bytes, scale) = match cost.scale {
-            CostScale::PerBlock { logical_block } => (logical_block, ScaleFactor::unit()),
-            // The paper's 64 MB block at the fixed scale.
-            CostScale::Fixed(s) => (64 * 1024 * 1024, s),
-        };
-        let ledger = CostLedger {
-            disk_read: bytes as u64,
-            scan_cpu: bytes as u64,
-            seeks: 1,
-            ..Default::default()
-        };
-        ledger.pipelined_seconds(&cost.profile, scale)
     }
 
     /// Plans one block, through the [`PlanCache`] when one is
@@ -792,8 +702,8 @@ impl<'a> QueryPlanner<'a> {
             // Epoch-validated lookup: while the namenode's physical
             // design is unchanged, a warm hit is a map probe — no
             // per-replica fingerprint recomputation at all.
-            let miss_fingerprint = match cache.lookup_validated_full(shape, block, namenode) {
-                crate::cache::ValidatedLookup::Hit(mut plan) => {
+            let miss_fingerprint = match cache.lookup(shape, block, namenode) {
+                ValidatedLookup::Hit(mut plan) => {
                     // The hit proves the *quantized* estimates match,
                     // but the provenance may have moved (e.g. feedback
                     // arrived without leaving the bucket): report the
@@ -802,13 +712,13 @@ impl<'a> QueryPlanner<'a> {
                     plan.selectivity.clone_from(&ctx.selectivity);
                     return Ok(plan);
                 }
-                crate::cache::ValidatedLookup::Miss(fp) => fp,
+                ValidatedLookup::Miss(fp) => fp,
             };
             // Block skipping runs *before* candidate enumeration: a
             // synopsis proof yields a zero-cost plan with no pricing
             // pass at all (and no cost evaluations recorded), memoized
             // under the same fingerprint machinery as priced plans so
-            // design changes and replica deaths evict it normally.
+            // design changes and replica deaths invalidate it normally.
             let plan = match crate::synopsis::try_prune(
                 self.cluster,
                 &self.config,
@@ -828,7 +738,7 @@ impl<'a> QueryPlanner<'a> {
             // Dir_rep cannot have moved since (mutation needs &mut).
             let fingerprint =
                 miss_fingerprint.unwrap_or_else(|| BlockFingerprint::of(namenode, block));
-            cache.insert_validated(shape, block, fingerprint, namenode, plan.clone());
+            cache.insert(shape, block, fingerprint, namenode, plan.clone());
             Ok(plan)
         } else if let Some(info) =
             crate::synopsis::try_prune(self.cluster, &self.config, format, block, query)
@@ -908,18 +818,18 @@ impl<'a> QueryPlanner<'a> {
             path: Arc<dyn AccessPath + Send + Sync>,
         }
         let mut priced: Vec<Priced> = Vec::new();
+        let profile = HardwareProfile::physical();
         let mut push = |replica: DatanodeId,
                         path: Arc<dyn AccessPath + Send + Sync>,
                         ledger: CostLedger,
                         serial: bool,
                         replica_bytes: usize,
                         sidecar_bytes: Option<usize>| {
-            let cost = &self.config.cost;
-            let scale = cost.scale_for(replica_bytes);
+            let scale = ScaleFactor::from_block_sizes(replica_bytes.max(1), LOGICAL_BLOCK);
             let est_seconds = if serial {
-                ledger.serial_seconds(&cost.profile, scale)
+                ledger.serial_seconds(&profile, scale)
             } else {
-                ledger.pipelined_seconds(&cost.profile, scale)
+                ledger.pipelined_seconds(&profile, scale)
             };
             priced.push(Priced {
                 candidate: Candidate {

@@ -5,9 +5,10 @@
 //! split read under its split-time plan looks nothing up, and a repeated
 //! split read with an identical filter shape performs zero cost-model
 //! evaluations (asserted via the cache's counters);
-//! replica death evicts exactly the affected block entries and failover
-//! re-plans; a changed `ReplicaIndexConfig` fingerprint misses the
-//! cache; and observed selectivity feedback flips a plan the static
+//! replica death invalidates exactly the affected block entries and
+//! failover re-plans; cached plans equal fresh ones across deaths and
+//! replica rewrites; a changed `ReplicaIndexConfig` fingerprint misses
+//! the cache; and observed selectivity feedback flips a plan the static
 //! prior had mispriced.
 
 use hail::exec::{
@@ -133,38 +134,112 @@ fn repeated_read_split_prices_nothing() {
     );
 }
 
+/// Plans `query` through `cache` twice and checks both passes against a
+/// stateless planner on the same cluster: the first pass (whatever it
+/// revalidated, dropped or re-priced) and the warm second pass, served
+/// wholly from the cache, choose the same replica and access path at the
+/// same price. Returns the warm plan.
+fn assert_cached_plans_match_fresh(
+    cluster: &DfsCluster,
+    dataset: &Dataset,
+    query: &HailQuery,
+    cache: &Arc<PlanCache>,
+) -> QueryPlan {
+    let fresh = QueryPlanner::new(cluster)
+        .plan_dataset(dataset, query)
+        .unwrap();
+    let cached_planner = QueryPlanner::with_config(cluster, cached_config(cache));
+    let first = cached_planner.plan_dataset(dataset, query).unwrap();
+    let warm = cached_planner.plan_dataset(dataset, query).unwrap();
+    for plan in [&first, &warm] {
+        for (a, b) in fresh.blocks.iter().zip(&plan.blocks) {
+            assert_eq!(a.block, b.block);
+            assert_eq!(a.kind, b.kind, "block {}", a.block);
+            assert_eq!(a.replica, b.replica, "block {}", a.block);
+            assert_eq!(a.locations, b.locations, "block {}", a.block);
+            assert!((a.est_seconds - b.est_seconds).abs() < 1e-12);
+            assert!(!a.cached);
+        }
+    }
+    assert!(
+        warm.blocks.iter().all(|b| b.cached),
+        "second pass served from cache"
+    );
+    warm
+}
+
+/// The live holder of `block`'s replica clustered on @1, if any.
+fn indexed_holder(cluster: &DfsCluster, block: u64) -> Option<usize> {
+    cluster
+        .namenode()
+        .live_replicas(block)
+        .iter()
+        .find(|r| r.index.key_column == Some(0))
+        .map(|r| r.datanode)
+}
+
 /// The cache-aware planner and the stateless planner agree on every
-/// plan — memoization must never change a decision.
+/// plan — memoization must never change a decision, before and after
+/// the two `Dir_rep` mutations that can move a cached plan: a datanode
+/// death and an in-place replica rewrite, alone and together.
 #[test]
 fn cached_plans_match_fresh_plans() {
-    let (cluster, dataset) = setup(600);
-    let cache = Arc::new(PlanCache::default());
     let query = HailQuery::parse("@1 between(50, 90)", "", &schema()).unwrap();
-    let fresh = QueryPlanner::new(&cluster)
-        .plan_dataset(&dataset, &query)
-        .unwrap();
-    let cached_planner = QueryPlanner::with_config(&cluster, cached_config(&cache));
-    cached_planner.plan_dataset(&dataset, &query).unwrap(); // warm
-    let warm = cached_planner.plan_dataset(&dataset, &query).unwrap();
-    for (a, b) in fresh.blocks.iter().zip(&warm.blocks) {
-        assert_eq!(a.block, b.block);
-        assert_eq!(a.kind, b.kind);
-        assert_eq!(a.replica, b.replica);
-        assert_eq!(a.locations, b.locations);
-        assert!((a.est_seconds - b.est_seconds).abs() < 1e-12);
-        assert!(b.cached, "second pass served from cache");
-        assert!(!a.cached);
-    }
+    let cache = Arc::new(PlanCache::default());
+
+    let (mut cluster, dataset) = setup(600);
+    let warm = assert_cached_plans_match_fresh(&cluster, &dataset, &query, &cache);
     let text = warm.explain();
     assert!(
         text.contains("[cached]"),
         "explain annotates cache hits:\n{text}"
     );
-    assert!(fresh.explain().contains("[priced]"));
+    assert!(QueryPlanner::new(&cluster)
+        .plan_dataset(&dataset, &query)
+        .unwrap()
+        .explain()
+        .contains("[priced]"));
+    let block = dataset.blocks[0];
+
+    // After a death: the index holder of the first block is gone.
+    let victim = indexed_holder(&cluster, block).unwrap();
+    cluster.kill_node(victim).unwrap();
+    assert_cached_plans_match_fresh(&cluster, &dataset, &query, &cache);
+
+    // After both: a surviving replica of that block is rewritten in
+    // place to carry the clustered index the death took away.
+    let survivor = cluster.namenode().get_hosts(block).unwrap()[0];
+    rewrite_replica(
+        &mut cluster,
+        block,
+        survivor,
+        SortOrder::Clustered { column: 0 },
+        &SidecarSpec::default(),
+    )
+    .unwrap();
+    assert_eq!(indexed_holder(&cluster, block), Some(survivor));
+    assert_cached_plans_match_fresh(&cluster, &dataset, &query, &cache);
+
+    // After a rewrite alone, on a second cluster sharing the cache: the
+    // first block's index holder drops its index.
+    let (mut cluster, dataset) = setup(600);
+    assert_cached_plans_match_fresh(&cluster, &dataset, &query, &cache);
+    let holder = indexed_holder(&cluster, block).unwrap();
+    rewrite_replica(
+        &mut cluster,
+        block,
+        holder,
+        SortOrder::Unsorted,
+        &SidecarSpec::default(),
+    )
+    .unwrap();
+    assert_eq!(indexed_holder(&cluster, block), None);
+    assert_cached_plans_match_fresh(&cluster, &dataset, &query, &cache);
 }
 
-/// Acceptance: replica death evicts only the affected block entries —
-/// blocks with no replica on the dead node keep hitting the cache.
+/// Acceptance: replica death invalidates only the affected block
+/// entries — blocks with no replica on the dead node keep hitting the
+/// cache.
 #[test]
 fn replica_death_evicts_only_affected_blocks() {
     // Two writers far apart on a 6-node cluster with replication 2, so
@@ -210,7 +285,7 @@ fn replica_death_evicts_only_affected_blocks() {
         .unwrap();
     let after = cache.stats();
     assert_eq!(
-        after.evictions - warm.evictions,
+        after.fingerprint_invalidations - warm.fingerprint_invalidations,
         n_affected as u64,
         "exactly the entries whose fingerprint involved the dead node"
     );
@@ -270,7 +345,7 @@ fn failover_replans_and_degrades_to_scan() {
         "only the dead replica had an index: execution degrades to scan"
     );
     assert!(
-        cache.stats().evictions > 0,
+        cache.stats().fingerprint_invalidations > 0,
         "the death invalidated the memoized plans"
     );
     // The cache now holds (and serves) the degraded plan.
