@@ -11,8 +11,14 @@
 //!    [`retain_within`]); the next conjunct sees only the survivors, so a
 //!    row is decoded for conjunct *k* exactly when conjuncts *0..k*
 //!    matched — the rows a per-row short-circuit would have decoded.
+//!    On a replica sorted on the key column, the rows an index lookup
+//!    resolves to are searched instead ([`sorted_range`]): the rows within
+//!    the key bounds are one contiguous run, found with two binary
+//!    searches, and only the conjuncts those bounds do not imply are
+//!    retained afterwards.
 //! 2. [`materialize`] opens one cursor per projected column and walks the
-//!    surviving rows once, in row order.
+//!    surviving rows once, in row order, decoding them into one batch that
+//!    the returned rows share ([`Row::batch`]).
 //!
 //! Decode errors propagate from both steps: a corrupt value in a column
 //! the query touches fails the read rather than silently dropping rows
@@ -28,9 +34,11 @@
 
 use hail_core::{CmpOp, Predicate};
 use hail_index::KeyBounds;
+use hail_pax::ColumnCursor;
 use hail_pax::PaxBlock;
 use hail_types::{HailError, Result, Row, ValueRef};
 use std::cmp::Ordering;
+use std::ops::{Bound, Range};
 
 /// The selection vector over `rows`, which must ascend.
 pub(crate) fn candidates(rows: impl IntoIterator<Item = usize>) -> Result<Vec<u32>> {
@@ -42,14 +50,71 @@ pub(crate) fn candidates(rows: impl IntoIterator<Item = usize>) -> Result<Vec<u3
         .collect()
 }
 
-/// Keeps the rows of `selection` every predicate admits.
-pub(crate) fn retain_conjunction(
+/// The rows of `rows` whose `column` value lies within `bounds`, by two
+/// binary searches over the column. `rows` must ascend on `column` under
+/// [`ValueRef::total_cmp`], as the rows of a clustered index's partitions
+/// do: the upload sorts them with the comparison `total_cmp` applies to
+/// two values of the column's type. Compared with a literal of any type a
+/// sorted column stays ordered — `total_cmp` against it is monotone or
+/// constant — so the rows within the bounds are one contiguous run.
+pub(crate) fn sorted_range(
     pax: &PaxBlock,
-    predicates: &[Predicate],
+    column: usize,
+    bounds: &KeyBounds,
+    rows: Range<usize>,
+) -> Result<Range<usize>> {
+    if rows.is_empty() {
+        return Ok(rows);
+    }
+    let mut cursor = pax.cursor(column)?;
+    let start = match &bounds.lo {
+        Bound::Unbounded => rows.start,
+        Bound::Included(lo) => partition_point(&mut cursor, rows.clone(), |v| {
+            v.total_cmp(lo.as_ref()) == Ordering::Less
+        })?,
+        Bound::Excluded(lo) => partition_point(&mut cursor, rows.clone(), |v| {
+            v.total_cmp(lo.as_ref()) != Ordering::Greater
+        })?,
+    };
+    let end = match &bounds.hi {
+        Bound::Unbounded => rows.end,
+        Bound::Included(hi) => partition_point(&mut cursor, start..rows.end, |v| {
+            v.total_cmp(hi.as_ref()) != Ordering::Greater
+        })?,
+        Bound::Excluded(hi) => partition_point(&mut cursor, start..rows.end, |v| {
+            v.total_cmp(hi.as_ref()) == Ordering::Less
+        })?,
+    };
+    Ok(start..end)
+}
+
+/// The first row of `rows` whose value `before` rejects, where `before`
+/// holds for a prefix of `rows` and fails for the rest.
+fn partition_point(
+    cursor: &mut ColumnCursor<'_>,
+    rows: Range<usize>,
+    before: impl Fn(ValueRef<'_>) -> bool,
+) -> Result<usize> {
+    let (mut lo, mut hi) = (rows.start, rows.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(cursor.get(mid)?) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(lo)
+}
+
+/// Keeps the rows of `selection` every predicate admits.
+pub(crate) fn retain_conjunction<'p>(
+    pax: &PaxBlock,
+    predicates: impl IntoIterator<Item = &'p Predicate>,
     selection: &mut Vec<u32>,
 ) -> Result<()> {
     predicates
-        .iter()
+        .into_iter()
         .try_for_each(|p| retain_matching(pax, p, selection))
 }
 
@@ -74,7 +139,7 @@ fn retain_matching(pax: &PaxBlock, predicate: &Predicate, selection: &mut Vec<u3
 }
 
 /// Keeps the rows of `selection` whose `column` value lies within `bounds`.
-pub(crate) fn retain_within(
+fn retain_within(
     pax: &PaxBlock,
     column: usize,
     bounds: &KeyBounds,
@@ -109,12 +174,16 @@ fn retain(
 }
 
 /// Reconstructs the `projection` of every selected row, in selection
-/// order, with one forward cursor per projected column.
+/// order, with one forward cursor per projected column. The rows' values
+/// are decoded row by row into one batch, which every row shares; a
+/// decode error leaves `sink` uncalled. An empty `projection` yields one
+/// empty row per selected row. No access path asks for one: a query's
+/// empty projection means every column (`HailQuery::projected_columns`).
 pub(crate) fn materialize(
     pax: &PaxBlock,
     projection: &[usize],
     selection: &[u32],
-    mut sink: impl FnMut(Row),
+    sink: impl FnMut(Row),
 ) -> Result<()> {
     if selection.is_empty() {
         return Ok(());
@@ -123,13 +192,13 @@ pub(crate) fn materialize(
         .iter()
         .map(|&col| pax.cursor(col))
         .collect::<Result<Vec<_>>>()?;
-    let mut values = Vec::with_capacity(cursors.len());
+    let mut values = Vec::with_capacity(selection.len() * cursors.len());
     for &row in selection {
         for cursor in &mut cursors {
             values.push(cursor.get(row as usize)?.to_value());
         }
-        sink(values.drain(..).collect());
     }
+    Row::batch(values, selection.len()).for_each(sink);
     Ok(())
 }
 

@@ -556,3 +556,202 @@ fn corrupt_values_are_errors_wherever_they_were() {
     let q = parse("@1 = 9", "{@2}", &unterminated);
     assert!(kernel_rows(&unterminated, &q).is_err());
 }
+
+// ---- the sorted key range ----
+
+/// One value per `DataType` family, with duplicates, the float edge cases
+/// and the empty string: the pool a sorted test column draws from.
+fn key_pool(data_type: DataType) -> Vec<Value> {
+    match data_type {
+        DataType::Int => [i32::MIN, -3, -1, 0, 0, 2, 5, i32::MAX]
+            .map(Value::Int)
+            .to_vec(),
+        DataType::Long => [i64::MIN, -5_000_000_000, -1, 0, 7, 5_000_000_000, i64::MAX]
+            .map(Value::Long)
+            .to_vec(),
+        DataType::Float => [
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            -1.5,
+            -0.0,
+            0.0,
+            0.25,
+            f64::INFINITY,
+            f64::NAN,
+        ]
+        .map(Value::Float)
+        .to_vec(),
+        DataType::Date => [-1, 0, 10_950, 10_951, 10_955].map(Value::Date).to_vec(),
+        DataType::VarChar => ["", "", "a", "ab", "b", "żółw", "日本"]
+            .map(|s| Value::Str(s.to_string()))
+            .to_vec(),
+    }
+}
+
+/// Literals of other types than the column: `Int` and `Long` compare by
+/// number, every other pair by type tag, so each orders the column
+/// monotonically or not at all.
+fn cross_type_literals(data_type: DataType) -> Vec<Value> {
+    let mut out = vec![Value::Str(String::new()), Value::Float(0.0), Value::Date(0)];
+    out.extend(match data_type {
+        DataType::Int => vec![
+            Value::Long(-1),
+            Value::Long(2),
+            Value::Long(i64::MIN),
+            Value::Long(i64::from(i32::MAX) + 1),
+        ],
+        DataType::Long => vec![Value::Int(0), Value::Int(-1), Value::Int(i32::MAX)],
+        _ => vec![Value::Int(0), Value::Long(0)],
+    });
+    out.retain(|v| v.data_type() != data_type);
+    out
+}
+
+/// A block of one column, `rows` values drawn from the pool and sorted
+/// as the upload sorts them.
+fn sorted_block(
+    rng: &mut Rng,
+    data_type: DataType,
+    rows: usize,
+    partition_size: usize,
+) -> PaxBlock {
+    use hail_pax::ColumnData;
+    let pool = key_pool(data_type);
+    let mut keys: Vec<Value> = (0..rows)
+        .map(|_| pool[rng.below(pool.len())].clone())
+        .collect();
+    keys.sort_by(Value::total_cmp);
+    let mut column = ColumnData::new(data_type);
+    for key in &keys {
+        match (&mut column, key) {
+            (ColumnData::Int(c), Value::Int(v)) | (ColumnData::Date(c), Value::Date(v)) => {
+                c.push(*v)
+            }
+            (ColumnData::Long(c), Value::Long(v)) => c.push(*v),
+            (ColumnData::Float(c), Value::Float(v)) => c.push(*v),
+            (ColumnData::Str(c), Value::Str(v)) => c.push(v.clone()),
+            _ => unreachable!("the pool holds the column's type"),
+        }
+    }
+    let schema = Schema::new(vec![Field::new("k", data_type)]).unwrap();
+    let bytes = encode_block(&schema, &[column], &[], partition_size).unwrap();
+    PaxBlock::parse(bytes).unwrap()
+}
+
+/// Every bound shape over `lo` and `hi`: unbounded, included, excluded.
+fn bound_shapes(lo: &Value, hi: &Value) -> Vec<KeyBounds> {
+    let shapes = |v: &Value| {
+        [
+            Bound::Unbounded,
+            Bound::Included(v.clone()),
+            Bound::Excluded(v.clone()),
+        ]
+    };
+    let mut out = Vec::new();
+    for lo in shapes(lo) {
+        for hi in shapes(hi) {
+            out.push(KeyBounds { lo: lo.clone(), hi });
+        }
+    }
+    out
+}
+
+/// `sorted_range` over the partitions the clustered index looks up is
+/// exactly the rows `retain_within` keeps there — and over the whole
+/// block, exactly the rows it keeps anywhere — for every type, every
+/// bound shape, empty ranges, and literals of other types.
+#[test]
+fn sorted_range_equals_retain_within_over_the_looked_up_partitions() {
+    use hail_index::ClusteredIndex;
+    let mut rng = Rng(0x5EED_0036);
+    let (mut cases, mut nonempty, mut inverted) = (0, 0, 0);
+    for data_type in [
+        DataType::Int,
+        DataType::Long,
+        DataType::Float,
+        DataType::Date,
+        DataType::VarChar,
+    ] {
+        let mut literals = key_pool(data_type);
+        literals.extend(cross_type_literals(data_type));
+        for partition_size in [1, 3, 4, 16] {
+            for rows in [0, 1, 7, 40] {
+                let pax = sorted_block(&mut rng, data_type, rows, partition_size);
+                let index = ClusteredIndex::over_sorted(&pax, 0).unwrap();
+                for lo in &literals {
+                    for hi in &literals {
+                        for bounds in bound_shapes(lo, hi) {
+                            let what = format!(
+                                "{data_type:?}, {rows} rows in partitions of \
+                                 {partition_size}, {bounds:?}"
+                            );
+                            let within = |range: Range<usize>| {
+                                let mut selection = candidates(range).unwrap();
+                                retain_within(&pax, 0, &bounds, &mut selection).unwrap();
+                                selection
+                            };
+                            let searched = |range: Range<usize>| {
+                                let found = sorted_range(&pax, 0, &bounds, range).unwrap();
+                                candidates(found).unwrap()
+                            };
+                            let everywhere = within(0..pax.row_count());
+                            assert_eq!(searched(0..pax.row_count()), everywhere, "{what}");
+                            match index.lookup(&bounds) {
+                                Some((first, last)) => {
+                                    let rows = index.partition_rows(first, last);
+                                    assert_eq!(searched(rows.clone()), within(rows), "{what}");
+                                }
+                                None => assert!(everywhere.is_empty(), "{what}"),
+                            }
+                            cases += 1;
+                            nonempty += usize::from(!everywhere.is_empty());
+                            let lo_above_hi = matches!(
+                                (&bounds.lo, &bounds.hi),
+                                (Bound::Included(l), Bound::Included(h)) if l > h
+                            );
+                            inverted += usize::from(lo_above_hi);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 50_000 && nonempty > cases / 4 && inverted > 1_000);
+}
+
+// ---- the row batch ----
+
+/// The rows one `materialize` call returns share one allocation, laid
+/// out row after row; a zero-width projection yields one empty row per
+/// selected row; a decode error hands out no row at all.
+#[test]
+fn materialized_rows_share_one_batch() {
+    let pax = damaged_block(|_| {});
+    let mut rows = Vec::new();
+    materialize(&pax, &[1, 0], &[0, 2, 5, 9], |r| rows.push(r)).unwrap();
+    assert_eq!(rows.len(), 4);
+    assert_eq!(
+        rows[2],
+        Row::new(vec![Value::Str("v5".into()), Value::Int(5)])
+    );
+    let base = rows[0].values().as_ptr();
+    for (i, row) in rows.iter().enumerate() {
+        assert!(std::ptr::eq(
+            row.values().as_ptr(),
+            base.wrapping_add(2 * i)
+        ));
+    }
+
+    let mut empty = Vec::new();
+    materialize(&pax, &[], &[1, 3, 4], |r| empty.push(r)).unwrap();
+    assert_eq!(empty, vec![Row::new(Vec::new()); 3]);
+
+    let invalid = damaged_block(|values| values[5 * 3 + 1] = 0xFF);
+    let mut sunk = 0;
+    let read = materialize(&invalid, &[0, 1], &[0, 2, 5, 9], |_| sunk += 1);
+    assert!(matches!(read, Err(HailError::Corrupt(_))));
+    assert_eq!(
+        sunk, 0,
+        "rows decoded before the failure are not handed out"
+    );
+}

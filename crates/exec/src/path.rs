@@ -337,8 +337,9 @@ impl AccessPath for FullScan {
 
 /// HAIL's sparse clustered index scan (§4.3): read the few-KB index into
 /// memory, resolve the first and last qualifying partition in memory,
-/// read *only those partitions* of the needed columns, post-filter with
-/// the full conjunction, reconstruct PAX → rows.
+/// read *only those partitions* of the needed columns, binary-search them
+/// for the rows within the key bounds, post-filter those with the
+/// conjuncts the bounds do not imply, reconstruct PAX → rows.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusteredIndexScan {
     /// The 0-based column the chosen replica is clustered on.
@@ -413,14 +414,22 @@ impl AccessPath for ClusteredIndexScan {
             // Post-filtering + PAX→row reconstruction over what was read.
             stats.ledger.scan_cpu += scan_bytes as u64;
 
+            // The partitions are sorted on the key, so the rows within
+            // the bounds are one run, found by binary search.
+            let matched =
+                kernel::sorted_range(pax, self.column, &bounds, index.partition_rows(first, last))?;
+            bounds_matched = matched.len() as u64;
+            // The bounds intersect every index-friendly predicate on the
+            // key (`@4 >= 1 and @4 <= 10` is `[1, 10]`), so post-filtering
+            // runs only the rest: `!=` and the other columns' conjuncts.
+            let residual = a
+                .query
+                .predicates
+                .iter()
+                .filter(|p| p.column() != self.column || !p.index_friendly());
             let projection = a.query.projected_columns(a.schema);
-            let mut selection = kernel::candidates(index.partition_rows(first, last))?;
-            kernel::retain_within(pax, self.column, &bounds, &mut selection)?;
-            bounds_matched = selection.len() as u64;
-            // Post-filter with the *full* conjunction — other
-            // predicates may touch other columns or even the index
-            // column again (e.g. `@4 >= 1 and @4 <= 10`).
-            kernel::retain_conjunction(pax, &a.query.predicates, &mut selection)?;
+            let mut selection = kernel::candidates(matched)?;
+            kernel::retain_conjunction(pax, residual, &mut selection)?;
             kernel::materialize(pax, &projection, &selection, |row| {
                 emit(MapRecord::good(row));
                 stats.records += 1;

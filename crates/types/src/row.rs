@@ -15,44 +15,104 @@ use std::sync::Arc;
 ///
 /// A row is immutable and its values are shared: cloning one — as a map
 /// function emitting the records its reader hands it does — bumps a
-/// reference count instead of copying every value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// reference count instead of copying every value. A row is a view of
+/// `len` values from `start` of a shared batch, so the rows a block read
+/// returns can all live in one allocation ([`Row::batch`]). Equality,
+/// hashing and `Debug` see only the row's own values, never the batch.
+#[derive(Clone)]
 pub struct Row {
-    values: Arc<[Value]>,
+    batch: Arc<[Value]>,
+    start: u32,
+    len: u32,
 }
 
 /// Collects the values into one allocation when the iterator knows its
 /// length (e.g. a `Vec`'s drain).
 impl FromIterator<Value> for Row {
     fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
-        Row {
-            values: values.into_iter().collect(),
-        }
+        Row::whole(values.into_iter().collect())
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Row {}
+
+/// Hashes exactly as the value slice does.
+impl std::hash::Hash for Row {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Row")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
 impl Row {
     pub fn new(values: Vec<Value>) -> Self {
+        Row::whole(values.into())
+    }
+
+    /// A row over all of `batch`.
+    ///
+    /// # Panics
+    ///
+    /// If `batch` holds more than `u32::MAX` values.
+    fn whole(batch: Arc<[Value]>) -> Self {
+        let len = u32::try_from(batch.len()).expect("a row batch holds at most u32::MAX values");
         Row {
-            values: values.into(),
+            batch,
+            start: 0,
+            len,
         }
     }
 
+    /// Splits `values` — `rows` rows laid out one after another, each as
+    /// wide as the others — into `rows` rows that share one allocation.
+    /// A zero-width batch (no values) yields `rows` empty rows.
+    ///
+    /// # Panics
+    ///
+    /// If `values.len()` is not a multiple of `rows`, or exceeds
+    /// `u32::MAX`.
+    pub fn batch(values: Vec<Value>, rows: usize) -> impl ExactSizeIterator<Item = Row> {
+        let width = values.len().checked_div(rows).unwrap_or(0);
+        assert_eq!(width * rows, values.len(), "a batch of equally wide rows");
+        // Every start and width is at most the batch's length, which
+        // `whole` holds to `u32`.
+        let all = Row::whole(values.into());
+        (0..rows).map(move |i| Row {
+            batch: Arc::clone(&all.batch),
+            start: (i * width) as u32,
+            len: width as u32,
+        })
+    }
+
     pub fn values(&self) -> &[Value] {
-        &self.values
+        let start = self.start as usize;
+        &self.batch[start..start + self.len as usize]
     }
 
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// Value at 0-based column index.
     pub fn get(&self, idx: usize) -> Option<&Value> {
-        self.values.get(idx)
+        self.values().get(idx)
     }
 
     /// Value addressed by the paper's 1-based `@pos` convention.
@@ -60,32 +120,33 @@ impl Row {
         if pos == 0 {
             return Err(HailError::UnknownAttribute(0));
         }
-        self.values
+        self.values()
             .get(pos - 1)
             .ok_or(HailError::UnknownAttribute(pos))
     }
 
     /// Projects the row to the given 0-based column indexes.
     pub fn project(&self, indexes: &[usize]) -> Row {
-        indexes.iter().map(|&i| self.values[i].clone()).collect()
+        let values = self.values();
+        indexes.iter().map(|&i| values[i].clone()).collect()
     }
 
     /// Total binary encoding size of the row in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.values.iter().map(Value::encoded_len).sum()
+        self.values().iter().map(Value::encoded_len).sum()
     }
 
     /// Size of the row as a delimiter-separated text line including the
     /// trailing newline, as it would appear in the original upload.
     pub fn text_len(&self) -> usize {
-        let seps = self.values.len().saturating_sub(1);
-        self.values.iter().map(Value::text_len).sum::<usize>() + seps + 1
+        let seps = self.len().saturating_sub(1);
+        self.values().iter().map(Value::text_len).sum::<usize>() + seps + 1
     }
 
     /// Renders the row as a delimited text line (no trailing newline).
     pub fn to_line(&self, delimiter: char) -> String {
         let mut out = String::with_capacity(self.text_len());
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.values().iter().enumerate() {
             if i > 0 {
                 out.push(delimiter);
             }
@@ -248,6 +309,63 @@ mod tests {
         let collected: Row = row.values().iter().cloned().collect();
         assert_eq!(collected, row);
         assert_eq!(collected, Row::new(row.values().to_vec()));
+    }
+
+    fn hash_of(row: &Row) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        row.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// A row of a batch is its values: equal, hashed and printed as the
+    /// row `Row::new` builds over them, wherever in the batch it sits.
+    #[test]
+    fn batch_rows_equal_rows_built_alone() {
+        let lines = [
+            "a|1999-06-01|1.5|9",
+            "b|2000-01-31|-0.0|-3",
+            "|1970-01-01|1e300|0",
+        ];
+        let rows: Vec<Row> = lines
+            .iter()
+            .map(|l| parse_line_strict(l, &schema(), '|').unwrap())
+            .collect();
+        let values: Vec<Value> = rows.iter().flat_map(|r| r.values().to_vec()).collect();
+        let batch: Vec<Row> = Row::batch(values, rows.len()).collect();
+        assert_eq!(batch.len(), rows.len());
+        for (got, want) in batch.iter().zip(&rows) {
+            let alone = Row::new(want.values().to_vec());
+            assert_eq!(got, &alone);
+            assert_eq!(hash_of(got), hash_of(&alone));
+            assert_eq!(format!("{got:?}"), format!("{alone:?}"));
+            assert_eq!(got.to_line('|'), alone.to_line('|'));
+            assert_eq!(got.len(), 4);
+        }
+        assert_ne!(batch[0], batch[1]);
+        assert!(format!("{:?}", batch[1]).starts_with("Row { values: [Str(\"b\")"));
+        // One allocation: each row's values follow the previous row's.
+        let base = batch[0].values().as_ptr();
+        for (i, row) in batch.iter().enumerate() {
+            assert!(std::ptr::eq(
+                row.values().as_ptr(),
+                base.wrapping_add(4 * i)
+            ));
+        }
+    }
+
+    /// A zero-width batch is as many empty rows as asked for; a batch
+    /// whose rows would differ in width is refused.
+    #[test]
+    fn zero_width_and_ragged_batches() {
+        let empty: Vec<Row> = Row::batch(Vec::new(), 3).collect();
+        assert_eq!(empty.len(), 3);
+        assert!(empty
+            .iter()
+            .all(|r| r.is_empty() && *r == Row::new(Vec::new())));
+        assert_eq!(Row::batch(Vec::new(), 0).count(), 0);
+        let ragged = std::panic::catch_unwind(|| Row::batch(vec![Value::Int(1)], 2).count());
+        assert!(ragged.is_err());
     }
 
     #[test]

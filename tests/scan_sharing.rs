@@ -175,6 +175,11 @@ fn overlapping_jobs_match_solo_at_every_concurrency() {
 /// actually get shared: repeats of one query at concurrency 4 attach
 /// (same plan → same (block, replica, shape) keys), saving simulated
 /// disk bytes — while outputs still match the solo run.
+///
+/// The test holds its own interest in every block for the whole batch,
+/// so a retained decode stays attachable however fast the jobs run: a
+/// job that finishes before the next one starts would otherwise drain
+/// the blocks' interest and evict what the next job could attach to.
 #[test]
 fn identical_concurrent_jobs_share_decodes() {
     let (tb, setup) = uv_setup(400, 4);
@@ -183,15 +188,9 @@ fn identical_concurrent_jobs_share_decodes() {
     let expected = solo(&setup, &tb.spec, &query, true);
 
     let infra = infra(true);
-    let batch = run_queries_managed(
-        &setup,
-        &tb.spec,
-        &queries,
-        true,
-        &JobManager::new(4),
-        &infra,
-    )
-    .unwrap();
+    let manager = JobManager::new(4);
+    let interest = manager.in_flight_blocks().register(&setup.dataset.blocks);
+    let batch = run_queries_managed(&setup, &tb.spec, &queries, true, &manager, &infra).unwrap();
     for run in &batch.runs {
         assert_eq!(run.output, expected.output);
     }
@@ -204,6 +203,7 @@ fn identical_concurrent_jobs_share_decodes() {
         "attached reads save the producer's simulated disk bytes"
     );
     let registry = infra.scan_share.as_ref().expect("sharing on");
+    drop(interest);
     assert_eq!(
         registry.retained(),
         0,

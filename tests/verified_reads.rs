@@ -510,6 +510,89 @@ fn a_full_scan_and_a_clustered_scan_share_one_decode() {
     assert_eq!(registry.stats().produced, 1);
 }
 
+/// A read that fails after it has handed out rows keeps none of them. The
+/// first byte of the bad section is damaged on every replica: the queries
+/// read only the first two columns, so each PAX read fails only after its
+/// good rows — which one block's read builds as one batch — were emitted.
+/// There is no replica to fail over to, and the block read leaves the
+/// caller's records as it found them, with and without a scan-share
+/// registry.
+#[test]
+fn a_read_that_fails_halfway_keeps_no_records() {
+    let mut setup = setup();
+    let block = setup.dataset.blocks[0];
+    let hosts = setup.cluster.namenode().get_hosts(block).unwrap();
+    for &node in &hosts {
+        let bad = regions(&setup.cluster, block, node)
+            .into_iter()
+            .find(|(name, _)| name == "bad section")
+            .expect("block 0 has bad records")
+            .1;
+        let dn = setup.cluster.datanode_mut(node).unwrap();
+        dn.corrupt_replica(block, bad.start).unwrap();
+    }
+    let schema = schema();
+    let on_key = setup
+        .cluster
+        .namenode()
+        .get_hosts_with_index(block, 0)
+        .unwrap();
+    let clustered = hosts.iter().position(|h| on_key.contains(h)).unwrap();
+    let sentinel = MapRecord::bad("kept from before".into());
+    let reads: [(Box<dyn AccessPath>, HailQuery, usize); 3] = [
+        (
+            Box::new(FullScan::new(ScanLayout::HailPax)),
+            query("@1 <= 200", "{@1, @2}"),
+            0,
+        ),
+        (
+            Box::new(ClusteredIndexScan { column: 0 }),
+            query("@1 <= 200", "{@1, @2}"),
+            clustered,
+        ),
+        (
+            Box::new(BitmapScan { column: 3 }),
+            query("@4 = 'red'", "{@1, @2}"),
+            0,
+        ),
+    ];
+    for (path, q, pos) in &reads {
+        let what = path.describe();
+        let access = BlockAccess {
+            cluster: &setup.cluster,
+            block,
+            replica: hosts[*pos],
+            task_node: hosts[*pos],
+            schema: &schema,
+            query: q,
+        };
+        let mut emitted = 0;
+        assert!(path.execute(&access, &mut |_| emitted += 1).is_err());
+        assert!(emitted > 0, "{what}: the read failed after its rows");
+
+        let planner = QueryPlanner::new(&setup.cluster);
+        let plan = planner.plan(DatasetFormat::HailPax, &[block], q).unwrap();
+        for registry in [None, Some(ScanShareRegistry::new())] {
+            let mut records = vec![sentinel.clone()];
+            let read = planner.execute_block_shared(
+                &plan,
+                block,
+                hosts[*pos],
+                &schema,
+                q,
+                registry.as_ref(),
+                &mut records,
+            );
+            assert!(read.is_err(), "{what}: every replica is damaged");
+            assert_eq!(records, vec![sentinel.clone()], "{what}");
+        }
+        let mut kept = 0;
+        let read = planner.execute_block(&plan, block, hosts[*pos], &schema, q, &mut |_| kept += 1);
+        assert!(read.is_err());
+        assert_eq!(kept, 0, "{what}");
+    }
+}
+
 /// The Hadoop++ row layout: the trojan scan verifies its header, index
 /// and rows, the full scan the whole replica; both fail over.
 #[test]
