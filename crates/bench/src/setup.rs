@@ -15,7 +15,7 @@ use hail_core::{
 use hail_dfs::DfsCluster;
 use hail_exec::{
     apply_reindex, PlanCache, PlannedInputFormat, ReindexAdvisor, ReindexOutcome,
-    ScanShareRegistry, SelectivityFeedback,
+    SelectivityFeedback,
 };
 use hail_index::ReplicaIndexConfig;
 use hail_mr::{run_map_job, InputFormat, JobManager, JobRun, MapJob};
@@ -291,13 +291,12 @@ fn make_format(
 }
 
 /// The cross-job resources a multi-job deployment shares: one plan
-/// cache, optionally one cross-job scan-share registry, and optionally
-/// one selectivity feedback store.
+/// cache and optionally one selectivity feedback store. Jobs share
+/// planning state only; each reads its own blocks.
 ///
 /// Formats built from the same infra ([`make_shared_format`]) hit the
-/// same cache and attach to the same registry, so a query whose filter
-/// shape another job already planned reuses its block plans, and
-/// overlapping block decodes of concurrent jobs are produced once.
+/// same cache, so a query whose filter shape another job already
+/// planned reuses its block plans.
 ///
 /// `feedback` defaults to a fresh shared store. Sharing one
 /// [`SelectivityFeedback`] between *concurrently running* jobs is safe
@@ -315,14 +314,11 @@ fn make_format(
 pub struct SharedJobInfra {
     pub plan_cache: Arc<PlanCache>,
     pub feedback: Option<Arc<SelectivityFeedback>>,
-    /// Where concurrent jobs' overlapping block decodes are shared;
-    /// `None` makes every job read independently.
-    pub scan_share: Option<Arc<ScanShareRegistry>>,
 }
 
 impl SharedJobInfra {
-    /// Infrastructure for concurrent jobs, carrying a scan-share
-    /// registry unless `HAIL_DISABLE_SCAN_SHARING` turns sharing off.
+    /// Infrastructure for concurrent jobs: a fresh plan cache and a
+    /// fresh shared feedback store.
     ///
     /// The job count is frozen-suite residue: the benchmark suite
     /// calls this signature, but nothing here is sized by it any more.
@@ -330,8 +326,6 @@ impl SharedJobInfra {
         SharedJobInfra {
             plan_cache: Arc::new(PlanCache::default()),
             feedback: Some(Arc::new(SelectivityFeedback::default())),
-            scan_share: hail_core::knobs::scan_sharing_enabled()
-                .then(|| Arc::new(ScanShareRegistry::new())),
         }
     }
 
@@ -345,9 +339,8 @@ impl SharedJobInfra {
 
 /// [`make_shared_format`]'s solo-format counterpart is the private
 /// `make_format`; this builds the same input format wired to the
-/// shared multi-job infrastructure: every format built from one
-/// `infra` attaches to its scan-share registry if any, and HAIL formats
-/// also share its plan cache and its feedback store if any.
+/// shared multi-job infrastructure: HAIL formats built from one `infra`
+/// share its plan cache and its feedback store if any.
 pub fn make_shared_format(
     setup: &SystemSetup,
     spec: &ClusterSpec,
@@ -355,8 +348,7 @@ pub fn make_shared_format(
     hail_splitting: bool,
     infra: &SharedJobInfra,
 ) -> Box<dyn InputFormat> {
-    let mut format =
-        make_format(setup, spec, query, hail_splitting).with_scan_share(infra.scan_share.clone());
+    let mut format = make_format(setup, spec, query, hail_splitting);
     // The baselines keep planning statelessly. HAIL's `splits()` plans
     // every block — warming the cache — before the scheduler asks for
     // estimates; a baseline's per-block splits do not, so its estimates
@@ -378,24 +370,19 @@ pub fn make_shared_format(
 /// runs, so the suite and tests stop recomputing them by hand.
 ///
 /// The queue-wait median uses the nearest-rank method over every
-/// job's [`hail_mr::JobReport::queue_wait_seconds`]. The sharing
-/// counters aggregate the telemetry-only
-/// [`hail_mr::TaskStats::blocks_read_shared`] /
-/// [`hail_mr::TaskStats::shared_bytes_saved`] fields — which decode
-/// was shared depends on real thread timing, so these (and the wait
-/// median) are **outside** the determinism contract; everything else in
-/// the runs is bit-for-bit reproducible.
+/// job's [`hail_mr::JobReport::queue_wait_seconds`]; it is measured
+/// wall clock, so it is **outside** the determinism contract. Everything
+/// else in the runs is bit-for-bit reproducible.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchSummary {
     /// Jobs in the batch.
     pub jobs: usize,
     pub queue_wait_p50_seconds: f64,
-    /// Block reads served by attaching to another job's decode.
+    /// Always 0: jobs no longer share block reads. Kept as frozen-suite
+    /// residue: the benchmark suite reads it for its
+    /// `exec.scan_share_attach_share` probe.
     pub blocks_read_shared: u64,
-    /// Simulated disk bytes those attached reads did not re-read.
-    pub shared_bytes_saved: u64,
-    /// Logical block reads requested across all jobs (before pruning
-    /// or sharing).
+    /// Logical block reads requested across all jobs (before pruning).
     pub logical_blocks: u64,
 }
 
@@ -422,8 +409,7 @@ fn summarize_batch(runs: &[JobRun], logical_blocks: u64) -> BatchSummary {
     BatchSummary {
         jobs: runs.len(),
         queue_wait_p50_seconds: percentile(&mut waits, 50.0),
-        blocks_read_shared: runs.iter().map(|r| r.report.blocks_read_shared()).sum(),
-        shared_bytes_saved: runs.iter().map(|r| r.report.shared_bytes_saved()).sum(),
+        blocks_read_shared: 0,
         logical_blocks,
     }
 }
@@ -433,16 +419,11 @@ fn summarize_batch(runs: &[JobRun], logical_blocks: u64) -> BatchSummary {
 /// batch aggregates. Failing jobs fail the whole call (the suite and
 /// tests expect all-success).
 ///
-/// Two pieces of cross-job wiring happen here:
-///
-/// - the infra's scan-share registry (if any) subscribes to the
-///   manager's in-flight block interest, so retained decodes are
-///   evicted the moment no admitted job still wants their block;
-/// - when the infra carries a shared feedback store, every job's
-///   observations are absorbed **after** the batch, in submission
-///   order (the store was frozen during the batch via
-///   `PlannerConfig::defer_feedback`) — the [`SharedJobInfra`]
-///   determinism contract.
+/// When the infra carries a shared feedback store, every job's
+/// observations are absorbed **after** the batch, in submission order
+/// (the store was frozen during the batch via
+/// `PlannerConfig::defer_feedback`) — the [`SharedJobInfra`]
+/// determinism contract.
 pub fn run_queries_managed(
     setup: &SystemSetup,
     spec: &ClusterSpec,
@@ -467,9 +448,6 @@ pub fn run_queries_managed_at(
     infra: &SharedJobInfra,
     job_parallelism: Option<usize>,
 ) -> Result<ManagedBatch> {
-    if let Some(registry) = &infra.scan_share {
-        registry.attach_in_flight(manager.in_flight_blocks());
-    }
     let formats: Vec<Box<dyn InputFormat>> = queries
         .iter()
         .map(|q| make_shared_format(setup, spec, q, hail_splitting, infra))
@@ -581,12 +559,6 @@ pub fn run_adaptive_workload(
         runs.append(&mut batch.runs);
         for action in advisor.note_round(feedback, setup.cluster.namenode(), &blocks) {
             let outcome = apply_reindex(&mut setup.cluster, &blocks, &action)?;
-            // A rewrite changes what a block's replicas physically
-            // contain; any decode the scan-share registry retained for
-            // those blocks is stale now.
-            if let Some(registry) = &infra.scan_share {
-                registry.clear();
-            }
             events.push(ReindexEvent {
                 after_job: runs.len(),
                 outcome,

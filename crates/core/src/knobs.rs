@@ -10,8 +10,7 @@
 //!
 //! A knob only supplies a *default*: each one seeds a config field
 //! that callers can set explicitly (`MapJob::job_parallelism`,
-//! `PlannerConfig::synopsis_pruning`, `ReindexPolicy::enabled`, and
-//! whether `SharedJobInfra::for_jobs` carries a scan-share registry).
+//! `PlannerConfig::synopsis_pruning`, `ReindexPolicy::enabled`).
 //! The test suite sets those fields to sweep every setting in one
 //! process.
 //!
@@ -103,14 +102,6 @@ pub const JOB_PARALLELISM: Knob = Knob {
     doc: "Whole splits of one job read at once.",
 };
 
-/// Kill switch for cooperative scan sharing.
-pub const DISABLE_SCAN_SHARING: Knob = Knob {
-    name: "HAIL_DISABLE_SCAN_SHARING",
-    kind: KnobKind::DisableFlag,
-    default: "sharing on",
-    doc: "Set non-zero to make every job read independently (no shared decodes).",
-};
-
 /// Kill switch for zone-map/Bloom synopsis pruning.
 pub const DISABLE_SYNOPSES: Knob = Knob {
     name: "HAIL_DISABLE_SYNOPSES",
@@ -129,12 +120,7 @@ pub const DISABLE_REINDEX: Knob = Knob {
 
 /// Every registered knob, in documentation order.
 pub fn list() -> &'static [Knob] {
-    &[
-        JOB_PARALLELISM,
-        DISABLE_SCAN_SHARING,
-        DISABLE_SYNOPSES,
-        DISABLE_REINDEX,
-    ]
+    &[JOB_PARALLELISM, DISABLE_SYNOPSES, DISABLE_REINDEX]
 }
 
 /// Renders the registry as the markdown table embedded in
@@ -150,11 +136,6 @@ pub fn doc_table() -> String {
 /// Split overlap ([`JOB_PARALLELISM`]).
 pub fn job_parallelism() -> usize {
     JOB_PARALLELISM.count()
-}
-
-/// Whether cooperative scan sharing is enabled.
-pub fn scan_sharing_enabled() -> bool {
-    DISABLE_SCAN_SHARING.enabled()
 }
 
 /// Whether synopsis pruning is enabled.

@@ -95,9 +95,10 @@ impl Datanode {
     }
 
     /// Returns a replica's bytes *without* charging any cost or checking
-    /// any checksum. Kept for the `hail-bench` suite's probes, which time
-    /// parsing apart from verification; nothing in the engine reads
-    /// through it — readers go through [`Datanode::open_replica`].
+    /// any checksum. Kept as frozen-suite residue: the `hail-bench`
+    /// suite's probes time parsing apart from verification through it;
+    /// nothing in the engine reads through it — readers go through
+    /// [`Datanode::open_replica`].
     pub fn peek_replica(&self, block: BlockId) -> Result<Bytes> {
         Ok(self.replica(block)?.data.clone())
     }
@@ -203,12 +204,11 @@ impl Datanode {
     }
 
     /// Charges exactly what [`Datanode::read_replica`] would charge (one
-    /// seek + the whole data file) *without* touching the bytes. Scan
-    /// sharing uses this to synthesize a consumer's ledger when it
-    /// attaches to another job's read: the stored length is a property
-    /// of the replica, so the charge is bit-for-bit what a solo read
-    /// would have recorded. Fails like a real read if the node is dead
-    /// or the replica unknown.
+    /// seek + the whole data file) *without* touching the bytes. The PAX
+    /// full scan charges through this and verifies only the chunks its
+    /// cursors read: the stored length is a property of the replica, so
+    /// the charge is what a whole-replica read records. Fails like a
+    /// real read if the node is dead or the replica unknown.
     pub fn charge_replica_read(&self, block: BlockId, ledger: &mut CostLedger) -> Result<()> {
         let file = self.replica(block)?;
         ledger.seeks += 1;

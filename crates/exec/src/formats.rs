@@ -12,7 +12,6 @@
 //! [`QueryPlanner::execute_block`] → `AccessPath::execute`.
 
 use crate::planner::{PlannerConfig, QueryPlan, QueryPlanner, StampedPlan};
-use crate::sharing::ScanShareRegistry;
 use crate::splitting::{default_splits, plan_default_splits, plan_hail_splits};
 use hail_core::baselines::hadoop_plus_plus::trojan_header_bytes;
 use hail_core::{Dataset, DatasetFormat, HailQuery};
@@ -21,7 +20,6 @@ use hail_mr::{
     run_ordered, InputFormat, InputSplit, SplitPlan, SplitRead, SplitSource, SplitTask, TaskStats,
 };
 use hail_types::{BlockId, Result};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The planner-backed input format for all three systems.
@@ -45,11 +43,6 @@ pub struct PlannedInputFormat {
     /// Planner knobs: selectivity estimates, plan cache and feedback
     /// store.
     pub planner: PlannerConfig,
-    /// The cross-job scan-share registry, when this format serves a
-    /// managed job whose block decodes may be shared with other
-    /// in-flight jobs ([`crate::sharing`]). `None` — the solo default —
-    /// reads every block independently.
-    pub scan_share: Option<Arc<ScanShareRegistry>>,
 }
 
 impl PlannedInputFormat {
@@ -60,7 +53,6 @@ impl PlannedInputFormat {
             splitting: true,
             map_slots: 2,
             planner: PlannerConfig::default(),
-            scan_share: None,
         }
     }
 
@@ -73,14 +65,6 @@ impl PlannedInputFormat {
     /// Overrides the planner configuration.
     pub fn with_planner(mut self, config: PlannerConfig) -> Self {
         self.planner = config;
-        self
-    }
-
-    /// Builder-style scan-share registry: when set, this format's block
-    /// reads may attach to (or produce for) decodes shared with other
-    /// in-flight jobs.
-    pub fn with_scan_share(mut self, scan_share: Option<Arc<ScanShareRegistry>>) -> Self {
-        self.scan_share = scan_share;
         self
     }
 
@@ -174,13 +158,12 @@ impl PlannedInputFormat {
                 Some(stamped) => &stamped.plan,
                 None => &fresh,
             };
-            let block_stats = planner.execute_block_shared(
+            let block_stats = planner.execute_block_into(
                 plan,
                 block,
                 task_node,
                 &dataset.schema,
                 query,
-                self.scan_share.as_deref(),
                 &mut records,
             )?;
             stats.merge(&block_stats);

@@ -27,12 +27,10 @@
 //!   per-block selectivities back into the [`SelectivityEstimate`] prior;
 //!   both thread-safe behind `RwLock`s so concurrently read splits and
 //!   jobs share them
-//! - [`sharing`] — cooperative scan sharing: a [`ScanShareRegistry`]
-//!   under which a job whose plan touches a block another in-flight job
-//!   is already decoding *attaches* to that decode (producer reads
-//!   once, each consumer applies its own residual predicate/projection
-//!   with solo-identical accounting), keyed by (block, replica) and
-//!   disabled via `HAIL_DISABLE_SCAN_SHARING`
+//! - [`sharing`] — frozen-suite residue of the retired cooperative scan
+//!   sharing: an empty [`ScanShareRegistry`] the benchmark suite still
+//!   names. Every block read is one [`AccessPath::execute`], whatever
+//!   else is running
 //! - [`synopsis`] — block skipping: evaluate the query against the
 //!   persisted per-block zone-map/Bloom synopses *before* candidate
 //!   enumeration, so provably-empty blocks get zero-cost plans and are
@@ -120,13 +118,13 @@ pub use adapt::{
 pub use cache::{CacheStats, PlanCache, SelectivityChoice, SelectivityFeedback, SelectivitySource};
 pub use formats::PlannedInputFormat;
 pub use path::{
-    AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
-    ScanLayout, TrojanIndexScan,
+    AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, DecodedBlock, FullScan,
+    InvertedListScan, ScanLayout, TrojanIndexScan,
 };
 pub use planner::{
     BlockPlan, Candidate, PlannerConfig, QueryPlan, QueryPlanner, SelectivityEstimate,
 };
 pub use readers::{read_hadoop_text_block, read_hail_block, read_hpp_block};
-pub use sharing::{Acquired, DecodedBlock, ScanShareRegistry, ShareKey, ShareStats};
+pub use sharing::ScanShareRegistry;
 pub use splitting::{default_splits, hail_splits, plan_default_splits, plan_hail_splits};
 pub use synopsis::{PruneInfo, PruneReason};

@@ -27,11 +27,10 @@
 //! text and row-layout full scans read the whole replica and verify all
 //! of it. A chunk that fails is [`HailError::ChecksumMismatch`], which the
 //! planner answers by reading another replica
-//! ([`crate::QueryPlanner::execute_block_shared`]). Verification never
+//! ([`crate::QueryPlanner::execute_block_into`]). Verification never
 //! changes a ledger: what a path charges is what it would read from disk.
 
 use crate::kernel;
-use crate::sharing::DecodedBlock;
 use hail_core::{CmpOp, HailQuery, Predicate, RowBlock};
 use hail_dfs::DfsCluster;
 use hail_index::{IndexKind, IndexedBlock, UnclusteredIndex};
@@ -88,43 +87,32 @@ pub trait AccessPath: fmt::Debug {
         emit: &mut dyn FnMut(MapRecord),
     ) -> Result<TaskStats>;
 
-    /// Whether the read splits into "produce decoded block" + "apply
-    /// residual", so concurrent jobs can share one physical decode. Every
-    /// such decode is the same thing — the replica opened as an
-    /// [`IndexedBlock`], verified as it is read — so any two sharing
-    /// paths can share one. `false` (the default) means the path always
-    /// executes independently.
-    fn shares_decode(&self) -> bool {
-        false
-    }
-
-    /// [`AccessPath::shares_decode`] as an `Option`, the form the
-    /// `hail-bench` suite's replay asks for it in.
+    /// `Some(())` for the paths whose read is the two steps
+    /// [`AccessPath::produce_decoded`] then [`AccessPath::apply_residual`]
+    /// (the PAX full scan and the clustered index scan); `None` for every
+    /// other path, which reads in one step.
+    ///
+    /// Kept as frozen-suite residue: the `hail-bench` replay asks this to
+    /// decide which reads it times as two spans.
     fn share_shape(&self) -> Option<()> {
-        self.shares_decode().then_some(())
+        None
     }
 
-    /// Performs only the physical decode of this path's read — the part
-    /// one producer can do on behalf of every attached consumer: open the
-    /// replica and its container. Must behave exactly like the decode
-    /// inside [`AccessPath::execute`]; the I/O cost is *not* charged here
-    /// but replayed per consumer by [`AccessPath::apply_residual`], so
-    /// each job's ledger is bit-for-bit what a solo read records, and the
-    /// chunks are verified by whichever consumer reads them first. Only
-    /// meaningful when [`AccessPath::shares_decode`].
+    /// The first step of a two-step read: open the serving replica and
+    /// its container, charging nothing. [`AccessPath::apply_residual`]
+    /// charges the read and verifies each chunk it touches. Only
+    /// meaningful when [`AccessPath::share_shape`] is `Some`.
     fn produce_decoded(&self, _access: &BlockAccess<'_>) -> Result<DecodedBlock> {
         Err(HailError::Internal(
-            "access path does not support scan sharing".into(),
+            "access path does not read in two steps".into(),
         ))
     }
 
-    /// Applies this path's residual work — cost accounting, predicate
+    /// The second step of a two-step read: cost accounting, predicate
     /// evaluation, projection, record emission, and the verification of
-    /// every chunk that reads — against an already-decoded block.
-    /// `execute` == `produce_decoded` + `apply_residual` by
-    /// construction: shareable paths implement `execute` as exactly
-    /// that composition, so a shared read cannot diverge from a solo
-    /// one. Returns stats with [`TaskStats::paths`] recorded.
+    /// every chunk that reads, against an opened block. For the two-step
+    /// paths `execute` is exactly `produce_decoded` + `apply_residual`.
+    /// Returns stats with [`TaskStats::paths`] recorded.
     fn apply_residual(
         &self,
         _decoded: &DecodedBlock,
@@ -132,8 +120,26 @@ pub trait AccessPath: fmt::Debug {
         _emit: &mut dyn FnMut(MapRecord),
     ) -> Result<TaskStats> {
         Err(HailError::Internal(
-            "access path does not support scan sharing".into(),
+            "access path does not read in two steps".into(),
         ))
+    }
+}
+
+/// One opened block replica: the container a two-step read's
+/// [`AccessPath::produce_decoded`] returns and its
+/// [`AccessPath::apply_residual`] reads. The one thing a read writes
+/// into it is the replica's bitmap of verified chunks.
+///
+/// Kept as frozen-suite residue: the `hail-bench` probes call
+/// [`DecodedBlock::indexed`] on what `produce_decoded` returns, so the
+/// two steps cannot pass the [`IndexedBlock`] itself.
+pub struct DecodedBlock {
+    indexed: IndexedBlock,
+}
+
+impl DecodedBlock {
+    pub fn indexed(&self) -> &IndexedBlock {
+        &self.indexed
     }
 }
 
@@ -263,8 +269,6 @@ impl AccessPath for FullScan {
         let mut stats = match self.layout {
             ScanLayout::Text { delimiter } => self.scan_text(access, delimiter, emit)?,
             ScanLayout::HailPax => {
-                // The PAX scan is the produce + residual composition, so
-                // shared and solo reads cannot diverge.
                 let decoded = self.produce_decoded(access)?;
                 return self.apply_residual(&decoded, access, emit);
             }
@@ -274,14 +278,14 @@ impl AccessPath for FullScan {
         Ok(stats)
     }
 
-    fn shares_decode(&self) -> bool {
-        self.layout == ScanLayout::HailPax
+    fn share_shape(&self) -> Option<()> {
+        (self.layout == ScanLayout::HailPax).then_some(())
     }
 
     fn produce_decoded(&self, a: &BlockAccess<'_>) -> Result<DecodedBlock> {
         if self.layout != ScanLayout::HailPax {
             return Err(HailError::Internal(
-                "full scan shares only the PAX layout".into(),
+                "only the PAX full scan reads in two steps".into(),
             ));
         }
         open_pax(a)
@@ -295,7 +299,7 @@ impl AccessPath for FullScan {
     ) -> Result<TaskStats> {
         if self.layout != ScanLayout::HailPax {
             return Err(HailError::Internal(
-                "full scan shares only the PAX layout".into(),
+                "only the PAX full scan reads in two steps".into(),
             ));
         }
         let dn = a.cluster.datanode(a.replica)?;
@@ -356,13 +360,12 @@ impl AccessPath for ClusteredIndexScan {
     }
 
     fn execute(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
-        // Produce + residual composition — identical to a shared read.
         let decoded = self.produce_decoded(a)?;
         self.apply_residual(&decoded, a, emit)
     }
 
-    fn shares_decode(&self) -> bool {
-        true
+    fn share_shape(&self) -> Option<()> {
+        Some(())
     }
 
     fn produce_decoded(&self, a: &BlockAccess<'_>) -> Result<DecodedBlock> {
@@ -714,12 +717,12 @@ pub(crate) fn sole_filter_column(query: &HailQuery) -> Option<(usize, bool)> {
 }
 
 /// Opens the serving replica's HAIL container, verified as it is read:
-/// the decode every PAX path shares.
+/// the first step of both two-step reads.
 fn open_pax(a: &BlockAccess<'_>) -> Result<DecodedBlock> {
     let dn = a.cluster.datanode(a.replica)?;
-    Ok(DecodedBlock::new(IndexedBlock::open(
-        dn.open_replica(a.block)?,
-    )?))
+    Ok(DecodedBlock {
+        indexed: IndexedBlock::open(dn.open_replica(a.block)?)?,
+    })
 }
 
 fn emit_pax_bad_records(

@@ -72,7 +72,6 @@ use crate::path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
     ScanLayout, TrojanIndexScan,
 };
-use crate::sharing::{Acquired, ScanShareRegistry, ShareKey};
 use hail_core::{Dataset, DatasetFormat, HailQuery, Predicate};
 use hail_dfs::DfsCluster;
 use hail_index::IndexKind;
@@ -1061,28 +1060,13 @@ impl<'a> QueryPlanner<'a> {
         emit: &mut dyn FnMut(MapRecord),
     ) -> Result<TaskStats> {
         let mut records = Vec::new();
-        let stats =
-            self.execute_block_shared(plan, block, task_node, schema, query, None, &mut records)?;
+        let stats = self.execute_block_into(plan, block, task_node, schema, query, &mut records)?;
         records.into_iter().for_each(emit);
         Ok(stats)
     }
 
-    /// [`QueryPlanner::execute_block`] with cooperative scan sharing:
-    /// when a registry is passed and the planned path's decode is
-    /// shareable ([`AccessPath::shares_decode`]), the read goes through
-    /// [`ScanShareRegistry::acquire`] — one concurrent job decodes the
-    /// block, every other job attaches to that decode and applies only
-    /// its own residual predicate/projection. Attached reads synthesize
-    /// bit-for-bit the statistics a solo read records (the residual
-    /// replays the solo read's exact ledger charges), plus the
-    /// telemetry-only [`TaskStats::blocks_read_shared`] /
-    /// [`TaskStats::shared_bytes_saved`] counters. Any mismatch —
-    /// unshareable path, registry says fall back, residual fails
-    /// against a stale decode — degrades to an independent
-    /// [`AccessPath::execute`].
-    ///
-    /// The block's records are appended to `records`; a read that fails
-    /// leaves `records` as it found it.
+    /// [`QueryPlanner::execute_block`] appending the block's records to
+    /// `records`; a read that fails leaves `records` as it found it.
     ///
     /// **Read failover.** A read that finds the serving replica corrupt
     /// ([`HailError::ChecksumMismatch`] or [`HailError::Corrupt`]) keeps
@@ -1091,15 +1075,13 @@ impl<'a> QueryPlanner<'a> {
     /// succeeds — or every replica has failed, and the first error is
     /// returned. Which replica serves next depends only on which ones
     /// were found corrupt, never on timing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_block_shared(
+    pub fn execute_block_into(
         &self,
         plan: &QueryPlan,
         block: BlockId,
         task_node: DatanodeId,
         schema: &Schema,
         query: &HailQuery,
-        scan_share: Option<&ScanShareRegistry>,
         records: &mut Vec<MapRecord>,
     ) -> Result<TaskStats> {
         let bp_owned;
@@ -1148,6 +1130,7 @@ impl<'a> QueryPlanner<'a> {
 
         let mut corrupt: Vec<DatanodeId> = Vec::new();
         let mut first_error = None;
+        let mark = records.len();
         loop {
             // Locality: prefer the task's own node when it can serve the
             // same access path, so colocated reads stay local.
@@ -1160,7 +1143,11 @@ impl<'a> QueryPlanner<'a> {
                 schema,
                 query,
             };
-            match execute_access(&*bp.path, &access, scan_share, records) {
+            let result = bp.path.execute(&access, &mut |record| records.push(record));
+            if result.is_err() {
+                records.truncate(mark);
+            }
+            match result {
                 Ok(mut stats) => {
                     stats.fell_back_to_scan |=
                         bp.fallback || (originally_indexed && !bp.kind.is_index_scan());
@@ -1239,69 +1226,6 @@ impl QueryPlanner<'_> {
             cached: false,
             selectivity: Vec::new(),
             pruned: None,
-        }
-    }
-}
-
-/// Runs one resolved block access, appending its records to `records`
-/// and, when it fails, leaving `records` as it found it. The read goes
-/// through the scan-share registry when both sides can share (a registry
-/// is plugged in *and* the path's decode is shareable); anything else is
-/// a plain independent [`AccessPath::execute`]. A residual that fails
-/// against a shared decode drops the block's retained decodes, so no
-/// later job attaches to one that cannot be read.
-fn execute_access(
-    path: &dyn AccessPath,
-    access: &BlockAccess<'_>,
-    scan_share: Option<&ScanShareRegistry>,
-    records: &mut Vec<MapRecord>,
-) -> Result<TaskStats> {
-    let mark = records.len();
-    let result = match scan_share {
-        Some(registry) if path.shares_decode() => shared_access(path, access, registry, records),
-        _ => path.execute(access, &mut |record| records.push(record)),
-    };
-    if result.is_err() {
-        records.truncate(mark);
-    }
-    result
-}
-
-/// [`execute_access`] through the scan-share registry.
-fn shared_access(
-    path: &dyn AccessPath,
-    access: &BlockAccess<'_>,
-    registry: &ScanShareRegistry,
-    records: &mut Vec<MapRecord>,
-) -> Result<TaskStats> {
-    let key = ShareKey {
-        block: access.block,
-        replica: access.replica,
-    };
-    let (decoded, attached) = match registry.acquire(key, || path.produce_decoded(access))? {
-        Acquired::Produced(decoded) => (decoded, false),
-        Acquired::Attached(decoded) => (decoded, true),
-        Acquired::Fallback => return path.execute(access, &mut |record| records.push(record)),
-    };
-    let mark = records.len();
-    match path.apply_residual(&decoded, access, &mut |record| records.push(record)) {
-        Ok(mut stats) => {
-            if attached {
-                stats.blocks_read_shared = 1;
-                stats.shared_bytes_saved = stats.ledger.disk_read;
-            }
-            Ok(stats)
-        }
-        Err(e) => {
-            records.truncate(mark);
-            registry.evict_blocks(&[key.block]);
-            if !attached {
-                return Err(e);
-            }
-            // A retained decode that no longer applies (say the serving
-            // replica died between the producer's decode and this
-            // residual): read independently.
-            path.execute(access, &mut |record| records.push(record))
         }
     }
 }

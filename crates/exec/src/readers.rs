@@ -13,7 +13,8 @@ use hail_mr::{MapRecord, TaskStats};
 use hail_types::{BlockId, DatanodeId, Result, Schema};
 
 /// Reads one HAIL (PAX) block with the planner-chosen access path,
-/// emitting qualifying records.
+/// emitting qualifying records. Kept as frozen-suite residue: the
+/// `hail-bench` suite's `exec.read_hail_block_us` probe calls it.
 pub fn read_hail_block(
     cluster: &DfsCluster,
     block: BlockId,

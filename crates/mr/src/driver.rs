@@ -11,11 +11,10 @@
 //! [`crate::SplitSource`] of the plan its split came from through to the
 //! format unchanged.
 
-use crate::inflight::InterestGuard;
 use crate::input_format::{InputFormat, SplitRead, SplitTask};
 use crate::scheduler::MapJob;
 use hail_dfs::DfsCluster;
-use hail_types::{BlockId, Result};
+use hail_types::Result;
 
 /// How many splits the drive loop reads per
 /// [`InputFormat::read_split_batch`] call. Bounds peak memory: a
@@ -40,7 +39,6 @@ pub struct ChunkedDrive<'a> {
     cluster: &'a DfsCluster,
     format: &'a dyn InputFormat,
     job_parallelism: Option<usize>,
-    interest: Option<&'a InterestGuard>,
 }
 
 impl<'a> ChunkedDrive<'a> {
@@ -55,7 +53,6 @@ impl<'a> ChunkedDrive<'a> {
             cluster,
             format,
             job_parallelism,
-            interest: None,
         }
     }
 
@@ -63,15 +60,6 @@ impl<'a> ChunkedDrive<'a> {
     /// parallelism override.
     pub fn for_job(cluster: &'a DfsCluster, job: &MapJob<'a>) -> Self {
         ChunkedDrive::new(cluster, job.format, job.job_parallelism)
-    }
-
-    /// Attaches a manager-registered interest guard: each chunk's block
-    /// interest is released as soon as that chunk's reads are consumed,
-    /// so cross-job drain signals (scan-share eviction) track the drive
-    /// loop's actual progress instead of whole-job completion.
-    pub fn with_interest(mut self, interest: Option<&'a InterestGuard>) -> Self {
-        self.interest = interest;
-        self
     }
 
     /// Drives `batch` to completion, invoking `sink(index, read)` for
@@ -90,13 +78,6 @@ impl<'a> ChunkedDrive<'a> {
                 .read_split_batch(self.cluster, chunk, self.job_parallelism)?;
             for (offset, read) in reads.into_iter().enumerate() {
                 sink(chunk_start + offset, read);
-            }
-            if let Some(guard) = self.interest {
-                let blocks: Vec<BlockId> = chunk
-                    .iter()
-                    .flat_map(|t| t.split.blocks.iter().copied())
-                    .collect();
-                guard.release_blocks(&blocks);
             }
         }
         Ok(())

@@ -96,7 +96,7 @@ pub fn run_map_job_with_failure(
 
     // Pass 1: failure-free baseline (functional output + T_b), executed
     // on the snapshotted plan.
-    let baseline_run = run_map_job_with_plan(cluster, spec, job, &baseline_plan, None)?;
+    let baseline_run = run_map_job_with_plan(cluster, spec, job, &baseline_plan)?;
     let t_b = baseline_run.report.end_to_end_seconds;
     let failure_time = scenario.at_progress.clamp(0.0, 1.0) * t_b;
     let hw = &spec.profile;

@@ -151,21 +151,6 @@ pub struct TaskStats {
     /// [`TaskStats::sidecar_bytes_read`]: synopsis probes replace reads
     /// instead of serving them.
     pub synopsis_bytes_read: u64,
-    /// Blocks of this task served by *attaching* to another in-flight
-    /// job's decode instead of issuing a physical read (cooperative
-    /// scan sharing). The ledger still charges what a solo read would
-    /// have — sharing synthesizes identical accounting — so this
-    /// counter (and [`TaskStats::shared_bytes_saved`]) is the only
-    /// trace that the bytes never hit the simulated disk. Both sharing
-    /// counters are telemetry and **excluded from the determinism
-    /// contract**: which job of a concurrent batch produces vs.
-    /// attaches is a race, so per-job values vary run to run even
-    /// though every other stat stays bit-for-bit.
-    pub blocks_read_shared: u64,
-    /// Ledger `disk_read` bytes of this task's shared-attach blocks —
-    /// bytes charged to the ledger that were physically read only once,
-    /// by the producing job. See [`TaskStats::blocks_read_shared`].
-    pub shared_bytes_saved: u64,
 }
 
 impl TaskStats {
@@ -198,8 +183,6 @@ impl TaskStats {
         self.plan_cache_misses += other.plan_cache_misses;
         self.blocks_pruned += other.blocks_pruned;
         self.synopsis_bytes_read += other.synopsis_bytes_read;
-        self.blocks_read_shared += other.blocks_read_shared;
-        self.shared_bytes_saved += other.shared_bytes_saved;
     }
 }
 
@@ -347,20 +330,6 @@ impl JobReport {
     /// Bytes of persisted synopsis sidecars consulted across all tasks.
     pub fn synopsis_bytes_read(&self) -> u64 {
         self.tasks.iter().map(|t| t.stats.synopsis_bytes_read).sum()
-    }
-
-    /// Blocks served by attaching to another job's in-flight decode
-    /// across all tasks (cooperative scan sharing). Telemetry only —
-    /// see [`TaskStats::blocks_read_shared`] for why this is excluded
-    /// from the per-job determinism contract.
-    pub fn blocks_read_shared(&self) -> u64 {
-        self.tasks.iter().map(|t| t.stats.blocks_read_shared).sum()
-    }
-
-    /// Ledger bytes charged for shared-attach blocks that were
-    /// physically read only once, by the producing job.
-    pub fn shared_bytes_saved(&self) -> u64 {
-        self.tasks.iter().map(|t| t.stats.shared_bytes_saved).sum()
     }
 
     /// Aggregated access-path usage across all tasks — how the job's

@@ -14,10 +14,6 @@
 //!   `hail-sync` so the upload client below this crate shares it
 //! - [`manager`] — FIFO admission of concurrent jobs with a bounded
 //!   in-flight limit ([`JobManager::new`])
-//! - [`inflight`] — cross-job in-flight block interest
-//!   ([`InFlightBlocks`]): which blocks admitted jobs are still going
-//!   to read, with drain notifications the execution layer's
-//!   scan-share registry keys its decoded-block retention on
 //! - [`shuffle`] — grouped reduce with costed shuffle
 //! - [`failover`] — mid-job node death, task re-execution, slowdown
 //!
@@ -48,13 +44,13 @@
 //! of many jobs with at most [`JobManager::max_concurrent`] in flight.
 //! Each managed job's output and report stay bit-for-bit identical to
 //! a solo run at any interleaving — concurrency only changes measured
-//! wall clock and the [`JobReport::queue_wait_seconds`] telemetry.
+//! wall clock and the [`JobReport::queue_wait_seconds`] telemetry. Jobs
+//! share planning state (the plan cache, frozen feedback), never reads.
 
 #![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod failover;
-pub mod inflight;
 pub mod input_format;
 pub mod job;
 pub mod manager;
@@ -64,12 +60,11 @@ pub mod shuffle;
 pub use driver::{ChunkedDrive, SPLIT_BATCH_CHUNK};
 pub use failover::{run_map_job_with_failure, FailoverRun, FailureScenario};
 pub use hail_sync::run_ordered;
-pub use inflight::{InFlightBlocks, InterestGuard};
 pub use input_format::{
     read_one_split, read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead,
     SplitSource, SplitTask,
 };
 pub use job::{JobReport, MapRecord, PathCounts, SelectivityObservation, TaskReport, TaskStats};
 pub use manager::JobManager;
-pub use scheduler::{run_map_job, run_map_job_with_interest, JobRun, MapJob};
+pub use scheduler::{run_map_job, JobRun, MapJob};
 pub use shuffle::{run_map_reduce_job, MapReduceJob, MapReduceRun};

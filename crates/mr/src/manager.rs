@@ -38,28 +38,15 @@
 //! it, nothing writes it — so every job prices against identical
 //! state at any concurrency.
 //!
-//! # Scan sharing
-//!
-//! The manager also tracks which blocks its in-flight jobs are still
-//! going to read (an [`InFlightBlocks`] interest map, registered per
-//! job at dequeue and released chunk by chunk as the drive loop
-//! progresses). The execution layer's scan-share registry subscribes
-//! to its drain signal so decoded blocks are retained exactly while
-//! some admitted job still wants them — see `hail_exec::sharing`. The
-//! sharing counters (`TaskStats::blocks_read_shared` /
-//! `shared_bytes_saved`) are the one telemetry pair excluded from the
-//! per-job determinism contract: which of two overlapping jobs
-//! produces vs. attaches is a race, but every *other* stat is
-//! synthesized bit-for-bit either way.
+//! Jobs never share reads: each reads its own blocks through its own
+//! format, so no block read depends on what else is in flight.
 
-use crate::inflight::InFlightBlocks;
-use crate::scheduler::{run_map_job_with_interest, JobRun, MapJob};
+use crate::scheduler::{run_map_job, JobRun, MapJob};
 use hail_dfs::DfsCluster;
 use hail_sim::ClusterSpec;
 use hail_sync::run_ordered;
 use hail_types::Result;
 use std::convert::Infallible;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Admits and runs concurrent map jobs with FIFO dequeue order and a
@@ -68,14 +55,13 @@ use std::time::Instant;
 /// The manager owns no execution resources itself — worker threads are
 /// scoped to each [`JobManager::run_batch`] call ([`run_ordered`] over
 /// whole jobs), and the cross-job resources worth sharing (plan cache,
-/// selectivity feedback, scan-share registry) are shared by plumbing
+/// selectivity feedback) are shared by plumbing
 /// the same `Arc`s into each job's `InputFormat`, not by the manager
 /// reaching into the formats. The manager takes no lock of its own.
 /// Each job reads at most its own `job_parallelism` splits at once, so
 /// a batch uses at most `max_concurrent × job_parallelism` threads.
 pub struct JobManager {
     max_concurrent: usize,
-    in_flight: Arc<InFlightBlocks>,
 }
 
 impl JobManager {
@@ -84,22 +70,12 @@ impl JobManager {
     pub fn new(max_concurrent: usize) -> Self {
         JobManager {
             max_concurrent: max_concurrent.max(1),
-            in_flight: Arc::new(InFlightBlocks::new()),
         }
     }
 
     /// The in-flight-job bound.
     pub fn max_concurrent(&self) -> usize {
         self.max_concurrent
-    }
-
-    /// The manager's in-flight block interest map: every admitted
-    /// job's input blocks, registered at dequeue and released chunk by
-    /// chunk as its drive loop progresses. The scan-share registry
-    /// subscribes to its drain signal to bound decoded-block retention
-    /// to the admission window.
-    pub fn in_flight_blocks(&self) -> &Arc<InFlightBlocks> {
-        &self.in_flight
     }
 
     /// Runs `jobs` to completion, at most [`Self::max_concurrent`] at
@@ -123,12 +99,7 @@ impl JobManager {
         // failing job never stops the others from running.
         let Ok(runs) = run_ordered(jobs.len(), self.max_concurrent, |i| {
             let queue_wait_seconds = admitted.elapsed().as_secs_f64();
-            // Declare this job's blocks in flight for the whole read
-            // (released chunk by chunk by the drive loop, remainder on
-            // drop) so overlapping jobs can attach to each other's
-            // decodes.
-            let interest = self.in_flight.register(&jobs[i].input);
-            let result = run_map_job_with_interest(cluster, spec, &jobs[i], Some(&interest));
+            let result = run_map_job(cluster, spec, &jobs[i]);
             Ok::<_, Infallible>(result.map(|mut run| {
                 run.report.queue_wait_seconds = queue_wait_seconds;
                 run
@@ -149,7 +120,6 @@ mod tests {
         read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask,
     };
     use crate::job::{MapRecord, TaskStats};
-    use crate::scheduler::run_map_job;
     use hail_sim::HardwareProfile;
     use hail_types::{BlockId, Row, StorageConfig, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};

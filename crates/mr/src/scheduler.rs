@@ -10,7 +10,6 @@
 //! count.
 
 use crate::driver::ChunkedDrive;
-use crate::inflight::InterestGuard;
 use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitTask};
 use crate::job::{JobReport, MapRecord, TaskReport};
 use hail_dfs::DfsCluster;
@@ -343,22 +342,8 @@ pub(crate) fn account_split_read(
 /// bit-for-bit identical at every job parallelism; job parallelism 1
 /// reads the splits strictly sequentially on this thread.
 pub fn run_map_job(cluster: &DfsCluster, spec: &ClusterSpec, job: &MapJob<'_>) -> Result<JobRun> {
-    run_map_job_with_interest(cluster, spec, job, None)
-}
-
-/// [`run_map_job`] with a manager-registered in-flight interest guard:
-/// the drive loop releases each chunk's block interest as it completes,
-/// so the cross-job scan-share eviction tracks the job's progress. The
-/// run itself is unchanged — interest never touches output, reports, or
-/// adaptive state.
-pub fn run_map_job_with_interest(
-    cluster: &DfsCluster,
-    spec: &ClusterSpec,
-    job: &MapJob<'_>,
-    interest: Option<&InterestGuard>,
-) -> Result<JobRun> {
     let plan = job.format.splits(cluster, &job.input)?;
-    run_map_job_with_plan(cluster, spec, job, &plan, interest)
+    run_map_job_with_plan(cluster, spec, job, &plan)
 }
 
 /// [`run_map_job`] against an already-derived split plan — the seam the
@@ -371,7 +356,6 @@ pub(crate) fn run_map_job_with_plan(
     spec: &ClusterSpec,
     job: &MapJob<'_>,
     plan: &SplitPlan,
-    interest: Option<&InterestGuard>,
 ) -> Result<JobRun> {
     let hw = &spec.profile;
     if plan.splits.is_empty() && !job.input.is_empty() {
@@ -404,22 +388,20 @@ pub(crate) fn run_map_job_with_plan(
     let mut output = Vec::new();
     let mut tasks = Vec::with_capacity(plan.splits.len());
     let mut scratch = Vec::new();
-    ChunkedDrive::for_job(cluster, job)
-        .with_interest(interest)
-        .run(&batch, |i, read| {
-            tasks.push(account_split_read(
-                job,
-                spec,
-                &mut slots,
-                i,
-                nodes[i],
-                0.0,
-                false,
-                read,
-                &mut output,
-                &mut scratch,
-            ));
-        })?;
+    ChunkedDrive::for_job(cluster, job).run(&batch, |i, read| {
+        tasks.push(account_split_read(
+            job,
+            spec,
+            &mut slots,
+            i,
+            nodes[i],
+            0.0,
+            false,
+            read,
+            &mut output,
+            &mut scratch,
+        ));
+    })?;
 
     let makespan = slots.makespan();
     let report = JobReport {

@@ -23,9 +23,7 @@
 //! the engine leaves its structure consistent before any call that can
 //! panic (writes are complete assignments, not staged mutations), so a
 //! panicked worker must not cascade into wedging the shared
-//! `PlanCache` or a scan-share waiter.
-//! Code that needs "the producer died" signalling handles it
-//! explicitly (RAII cleanup guards), not via poisoning.
+//! `PlanCache`.
 //!
 //! This crate is the one place the raw `std::sync` locks may appear:
 //! the workspace `clippy.toml` disallows them everywhere else.
@@ -59,34 +57,27 @@ use std::sync::{
 pub enum LockRank {
     /// `ReindexAdvisor` trigger state — held across `SelectivityFeedback`
     /// reads (crates/exec/src/adapt.rs).
-    AdvisorState = 6,
+    AdvisorState = 4,
     /// `PlanCache` fingerprinted plan entries (crates/exec/src/cache.rs).
-    PlanCache = 5,
+    PlanCache = 3,
     /// `SelectivityFeedback` per-class observations (crates/exec/src/cache.rs).
-    Feedback = 4,
+    Feedback = 2,
     /// Per-job map-side scratch accumulators (crates/mr/src/shuffle.rs).
-    MapScratch = 3,
-    /// `InFlightBlocks` interest counts and `InterestGuard` remainders
-    /// (crates/mr/src/inflight.rs).
-    InterestCounts = 2,
-    /// `InFlightBlocks` drain-observer list — held while observers run,
-    /// which may acquire the share registry (crates/mr/src/inflight.rs).
-    ObserverList = 1,
-    /// `ScanShareRegistry` entry map and attached-tracker list — a leaf;
-    /// nothing may be acquired under it (crates/exec/src/sharing.rs).
+    MapScratch = 1,
+    /// The empty `ScanShareRegistry`'s lock, kept as frozen-suite
+    /// residue: a leaf nothing is acquired under
+    /// (crates/exec/src/sharing.rs).
     ShareRegistry = 0,
 }
 
 impl LockRank {
     /// All ranks, highest first — the same order as the declaration and
     /// the ARCHITECTURE.md table.
-    pub const ALL: [LockRank; 7] = [
+    pub const ALL: [LockRank; 5] = [
         LockRank::AdvisorState,
         LockRank::PlanCache,
         LockRank::Feedback,
         LockRank::MapScratch,
-        LockRank::InterestCounts,
-        LockRank::ObserverList,
         LockRank::ShareRegistry,
     ];
 }
@@ -416,9 +407,9 @@ mod tests {
                 pair[1]
             );
         }
-        assert_eq!(LockRank::ALL.len(), 7);
+        assert_eq!(LockRank::ALL.len(), 5);
         assert_eq!(LockRank::ShareRegistry as u8, 0);
-        assert_eq!(LockRank::AdvisorState as u8, 6);
+        assert_eq!(LockRank::AdvisorState as u8, 4);
     }
 
     #[test]
@@ -470,8 +461,8 @@ mod tests {
     fn condvar_wait_keeps_rank_and_recovers() {
         use std::sync::Arc;
         let state = Arc::new(OrderedMutex::new(
-            LockRank::InterestCounts,
-            "counts-state",
+            LockRank::MapScratch,
+            "scratch-state",
             false,
         ));
         let cv = Arc::new(OrderedCondvar::new());
@@ -481,7 +472,7 @@ mod tests {
             while !*g {
                 g = c2.wait(g);
             }
-            // Still holding InterestCounts after the wait: a lower-rank
+            // Still holding MapScratch after the wait: a lower-rank
             // acquisition must be legal, a higher-rank one would panic.
             let leaf = OrderedMutex::new(LockRank::ShareRegistry, "leaf", ());
             let _l = leaf.acquire();

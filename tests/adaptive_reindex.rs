@@ -13,6 +13,10 @@
 //! - the flip boundary, per-job outputs, and reports (modulo measured
 //!   wall clocks) are bit-for-bit identical at job concurrency 1/2/4 —
 //!   re-indexing does not perturb the multi-job determinism contract;
+//! - the feedback the advisor reads is every job's report absorbed
+//!   exactly once, in submission order, at every concurrency — whether
+//!   the advisor reads the batch's own shared store or a store of its
+//!   own;
 //! - killing the replica that holds a freshly built adaptive index
 //!   mid-workload loses no rows, and subsequent planning degrades
 //!   gracefully to the surviving replicas' paths;
@@ -25,8 +29,9 @@ use hail_bench::{
     run_adaptive_workload, run_query, run_query_with_failure, setup_hail, uv_testbed, AdaptiveRun,
     ExperimentScale, SharedJobInfra, SystemSetup, Testbed,
 };
-use hail_mr::JobReport;
+use hail_mr::{JobReport, JobRun};
 use hail_types::BlockId;
+use std::sync::Arc;
 
 /// duration (@9, 0-based column 8): uniform 1..10_000, so `@9 <= 500`
 /// is ~5% selective — well under the advisor's 0.15 ceiling.
@@ -95,18 +100,14 @@ fn drive(tb: &Testbed, conc: usize, rounds: usize) -> (SystemSetup, AdaptiveRun)
     (setup, run)
 }
 
-/// `JobReport` rendered with the measured-wall-clock fields and the
-/// scan-sharing telemetry (the only fields allowed to vary between
-/// runs — which reads attach to a concurrent decode depends on real
-/// thread timing) zeroed.
+/// `JobReport` rendered with the measured-wall-clock fields (the only
+/// fields allowed to vary between runs) zeroed.
 fn report_modulo_wall(report: &JobReport) -> String {
     let mut r = report.clone();
     r.job_name = String::new();
     r.queue_wait_seconds = 0.0;
     for t in &mut r.tasks {
         t.reader_wall_seconds = 0.0;
-        t.stats.blocks_read_shared = 0;
-        t.stats.shared_bytes_saved = 0;
     }
     format!("{r:?}")
 }
@@ -294,6 +295,95 @@ fn flip_boundary_and_reports_identical_at_every_concurrency() {
                 report_modulo_wall(&r.report),
                 report_modulo_wall(&b.report),
                 "concurrency {conc}, job {i}: report bit-for-bit modulo wall clock"
+            );
+        }
+    }
+}
+
+/// The feedback state a workload must leave behind: a fresh store that
+/// absorbed each job's report once, jobs in submission order and tasks
+/// in schedule order.
+fn absorbed_in_submission_order(runs: &[JobRun]) -> String {
+    let oracle = SelectivityFeedback::default();
+    for run in runs {
+        for task in &run.report.tasks {
+            oracle.absorb(&task.stats);
+        }
+    }
+    format!("{oracle:?}")
+}
+
+/// The adaptive loop with the advisor reading the infra's own shared
+/// store, and with the advisor reading a store of its own: at
+/// concurrency 1, 2 and 4 the FullScan→index flip lands at the same job
+/// boundary, every output and report matches concurrency 1, and the
+/// advisor's store holds every report absorbed exactly once, in
+/// submission order. Each round runs two range jobs on duration with
+/// different literals, so the decayed state depends on absorption
+/// order. With the shared store, `run_adaptive_workload` must not absorb
+/// what the batch already absorbed; with its own store, it must absorb
+/// in submission order.
+#[test]
+fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
+    let (tb, _) = adaptive_setup(400, 4);
+    let round = [
+        ("@9 <= 500", "{@1, @9}"),
+        ("@3 between(1999-01-01, 2000-01-01)", "{@1}"),
+        ("@9 <= 200", "{@1, @9}"),
+        ("@1 = '172.101.11.46'", "{@8, @9, @4}"),
+    ];
+    let queries: Vec<HailQuery> = (0..4)
+        .flat_map(|_| round.iter())
+        .map(|(f, p)| HailQuery::parse(f, p, &tb.schema).unwrap())
+        .collect();
+    let drive = |conc: usize, own_store: bool| {
+        let mut setup = setup_hail(&tb, &[2, 0]).unwrap();
+        let infra = SharedJobInfra::for_jobs(conc);
+        let feedback = if own_store {
+            Arc::new(SelectivityFeedback::default())
+        } else {
+            infra.feedback.clone().unwrap()
+        };
+        let run = run_adaptive_workload(
+            &mut setup,
+            &tb.spec,
+            &queries,
+            true,
+            &JobManager::new(conc),
+            &infra,
+            &advisor(true),
+            &feedback,
+            round.len(),
+        )
+        .unwrap();
+        let state = format!("{feedback:?}");
+        (run, state)
+    };
+
+    let (baseline, _) = drive(1, false);
+    assert_eq!(baseline.events.len(), 1, "solo run flips exactly once");
+    for own_store in [false, true] {
+        for conc in [1, 2, 4] {
+            let at = format!("concurrency {conc}, advisor's own store {own_store}");
+            let (run, state) = drive(conc, own_store);
+            assert_eq!(run.events.len(), 1, "{at}: one rebuild");
+            assert_eq!(
+                run.events[0].after_job, baseline.events[0].after_job,
+                "{at}: the flip boundary moved"
+            );
+            assert_eq!(run.events[0].outcome, baseline.events[0].outcome);
+            for (i, (r, b)) in run.runs.iter().zip(&baseline.runs).enumerate() {
+                assert_eq!(r.output, b.output, "{at}, job {i}: output");
+                assert_eq!(
+                    report_modulo_wall(&r.report),
+                    report_modulo_wall(&b.report),
+                    "{at}, job {i}: report"
+                );
+            }
+            assert_eq!(
+                state,
+                absorbed_in_submission_order(&run.runs),
+                "{at}: the advisor's feedback is not every report absorbed once, in order"
             );
         }
     }

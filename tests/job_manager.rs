@@ -6,7 +6,10 @@
 //! Covers the acceptance criteria of the multi-job change:
 //!
 //! - per-job **output** identical to a solo run at concurrency 1/2/4
-//!   (cross-job cache sharing may only change counters, never rows);
+//!   (cross-job cache sharing may only change counters, never rows),
+//!   and the post-batch shared feedback state identical at every
+//!   concurrency and equal to absorbing the solo reports in submission
+//!   order;
 //! - for jobs with pairwise-distinct filter shapes, the whole
 //!   **report** (modulo measured wall clock and queue wait) is
 //!   identical to a solo run;
@@ -19,12 +22,9 @@
 //!   concurrent jobs over the degraded cluster, still bit-for-bit
 //!   against solo runs on that cluster.
 //!
-//! The two solo-equivalence sweeps run with scan sharing on and off,
-//! and at concurrency 2 each job also reads two splits at once.
+//! At concurrency 2 in the two solo-equivalence sweeps each job also
+//! reads two splits at once.
 
-mod common;
-
-use common::{infra, settings};
 use hail::prelude::*;
 use hail_bench::{
     make_shared_format, run_queries_managed, run_queries_managed_at, setup_hail, uv_testbed,
@@ -32,6 +32,11 @@ use hail_bench::{
 };
 use hail_mr::{InputSplit, JobReport, JobRun, SplitPlan, SplitRead, SplitTask};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Every `(jobs in flight, job parallelism)` setting the managed sweeps
+/// run: concurrency 1, 2 and 4, where the two concurrent jobs at
+/// concurrency 2 also read two splits each at once.
+const SETTINGS: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 1)];
 
 fn uv_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testbed, SystemSetup) {
     let scale = ExperimentScale::query(4, rows_per_node)
@@ -51,8 +56,8 @@ fn syn_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testb
     (tb, setup)
 }
 
-/// A solo run with private infrastructure — its own cache and
-/// registry — the baseline every managed job must reproduce bit-for-bit.
+/// A solo run with private infrastructure — its own cache — the
+/// baseline every managed job must reproduce bit-for-bit.
 fn solo(setup: &SystemSetup, spec: &ClusterSpec, query: &HailQuery, splitting: bool) -> JobRun {
     let infra = SharedJobInfra::for_jobs(1);
     let format = make_shared_format(setup, spec, query, splitting, &infra);
@@ -108,10 +113,33 @@ fn syn_queries(n: usize, schema: &Schema) -> Vec<HailQuery> {
         .collect()
 }
 
+/// The deterministic part of a shared feedback store's state: every
+/// observed (column, equality) class with its blended estimate and
+/// observation weight, in `BTreeMap` order.
+fn feedback_state(feedback: &SelectivityFeedback) -> String {
+    format!("{feedback:?}")
+}
+
+/// The feedback state a batch must leave behind: a fresh store that
+/// absorbed each job's solo report once, jobs in submission order and
+/// tasks in schedule order. The decay makes the state order-sensitive,
+/// so this pins both the order and the count of absorptions.
+fn absorbed_in_submission_order<'a>(reports: impl IntoIterator<Item = &'a JobReport>) -> String {
+    let oracle = SelectivityFeedback::default();
+    for report in reports {
+        for task in &report.tasks {
+            oracle.absorb(&task.stats);
+        }
+    }
+    feedback_state(&oracle)
+}
+
 /// ~200 queued Bob/Synthetic queries through the manager at
-/// concurrency 1/2/4 (two splits per job at once at concurrency 2),
-/// with scan sharing on and off: every job's output is bit-for-bit its
-/// solo run's, and queue-wait telemetry surfaces for queued jobs.
+/// concurrency 1/2/4 (two splits per job at once at concurrency 2):
+/// every job's output is bit-for-bit its solo run's, queue-wait
+/// telemetry surfaces for queued jobs, and the post-batch shared
+/// feedback state is the solo reports absorbed in submission order at
+/// every concurrency.
 #[test]
 fn two_hundred_queries_match_solo_at_every_concurrency() {
     let (uv_tb, uv) = uv_setup(400, 4);
@@ -129,13 +157,20 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
         .map(|q| solo(&syn, &syn_tb.spec, q, true))
         .collect();
 
-    for (sharing, conc, j) in settings() {
+    // Each period of 25 holds five same-class queries with different
+    // literals, so the decayed state depends on absorption order.
+    let uv_feedback =
+        absorbed_in_submission_order((0..uv_qs.len()).map(|i| &uv_expected[i % 25].report));
+    let syn_feedback =
+        absorbed_in_submission_order((0..syn_qs.len()).map(|i| &syn_expected[i % 25].report));
+
+    for (conc, j) in SETTINGS {
         let manager = JobManager::new(conc);
-        for (setup, spec, queries, expected) in [
-            (&uv, &uv_tb.spec, &uv_qs, &uv_expected),
-            (&syn, &syn_tb.spec, &syn_qs, &syn_expected),
+        for (setup, spec, queries, expected, feedback) in [
+            (&uv, &uv_tb.spec, &uv_qs, &uv_expected, &uv_feedback),
+            (&syn, &syn_tb.spec, &syn_qs, &syn_expected, &syn_feedback),
         ] {
-            let infra = infra(sharing);
+            let infra = SharedJobInfra::for_jobs(conc);
             let batch =
                 run_queries_managed_at(setup, spec, queries, true, &manager, &infra, Some(j))
                     .unwrap();
@@ -146,11 +181,19 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
                 assert_eq!(
                     run.output,
                     expected[i % 25].output,
-                    "concurrency {conc}, job parallelism {j}, sharing {sharing}, job {i}: \
+                    "concurrency {conc}, job parallelism {j}, job {i}: \
                      managed output diverged from solo"
                 );
                 assert!(run.report.queue_wait_seconds >= 0.0);
             }
+            // Absorption runs in submission order after the batch, so
+            // the store's state is a function of the (solo-identical)
+            // reports alone.
+            assert_eq!(
+                &feedback_state(infra.feedback.as_ref().expect("shared feedback")),
+                feedback,
+                "concurrency {conc}, job parallelism {j}: post-batch shared feedback state"
+            );
             // With one in-flight slot and 100 queued jobs, the tail of
             // the queue measurably waited.
             if conc == 1 {
@@ -163,18 +206,14 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
     }
 }
 
-/// `JobReport` rendered with the measured-wall-clock fields and the
-/// scan-sharing telemetry (the only fields allowed to vary between a
-/// managed and a solo run — which reads attach to another job's decode
-/// depends on real thread timing) zeroed.
+/// `JobReport` rendered with the measured-wall-clock fields (the only
+/// fields allowed to vary between a managed and a solo run) zeroed.
 fn report_modulo_wall(report: &JobReport) -> String {
     let mut r = report.clone();
     r.job_name = String::new(); // submitter-chosen label, not engine state
     r.queue_wait_seconds = 0.0;
     for t in &mut r.tasks {
         t.reader_wall_seconds = 0.0;
-        t.stats.blocks_read_shared = 0;
-        t.stats.shared_bytes_saved = 0;
     }
     format!("{r:?}")
 }
@@ -202,7 +241,7 @@ fn distinct_shape_queries(schema: &Schema) -> Vec<HailQuery> {
 /// For distinct-shape jobs, managed runs reproduce the solo run's
 /// whole report — every simulated figure, schedule entry, and cache
 /// counter — not just the output, at every concurrency and job
-/// parallelism, with scan sharing on and off.
+/// parallelism.
 #[test]
 fn distinct_shapes_reproduce_full_reports() {
     let (tb, setup) = uv_setup(500, 4);
@@ -211,8 +250,8 @@ fn distinct_shapes_reproduce_full_reports() {
         .iter()
         .map(|q| solo(&setup, &tb.spec, q, true))
         .collect();
-    for (sharing, conc, j) in settings() {
-        let infra = infra(sharing);
+    for (conc, j) in SETTINGS {
+        let infra = SharedJobInfra::for_jobs(conc);
         let runs = run_queries_managed_at(
             &setup,
             &tb.spec,
@@ -225,7 +264,7 @@ fn distinct_shapes_reproduce_full_reports() {
         .unwrap()
         .runs;
         for (run, exp) in runs.iter().zip(&expected) {
-            let at = format!("concurrency {conc}, job parallelism {j}, sharing {sharing}");
+            let at = format!("concurrency {conc}, job parallelism {j}");
             assert_eq!(run.output, exp.output, "{at}: output");
             assert_eq!(
                 report_modulo_wall(&run.report),

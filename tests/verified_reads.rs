@@ -11,7 +11,7 @@
 //!   (never a panic, never fewer rows);
 //! - the planner's block read serving from that replica fails over and
 //!   returns exactly the rows of an undamaged read;
-//! - whole jobs — solo, and two at a time over one scan-share registry —
+//! - whole jobs — solo, and two at a time under one `JobManager` —
 //!   return the oracle's rows.
 //!
 //! A damaged zone map or Bloom filter must never prune a block that has
@@ -25,13 +25,12 @@ use hail::prelude::*;
 use hail_bench::{run_queries_managed, setup_hpp, SharedJobInfra, SystemSetup, Testbed};
 use hail_exec::{
     BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan, PruneReason,
-    ScanLayout, ScanShareRegistry, TrojanIndexScan,
+    ScanLayout, TrojanIndexScan,
 };
 use hail_index::{BloomSynopsis, ZoneMapSynopsis, TRAILER_LEN};
 use hail_types::config::CHUNK_SIZE;
 use hail_types::{BlockId, DatanodeId};
 use std::ops::Range;
-use std::sync::Arc;
 
 const NODES: usize = 4;
 const ROWS: usize = 480;
@@ -350,14 +349,9 @@ fn a_corrupt_region_fails_its_readers_and_fails_over() {
                     what(p)
                 );
             }
-            // Two jobs at a time over one registry: a full scan, a
-            // clustered scan and a bitmap scan, which the first two
-            // share decodes for.
-            let infra = SharedJobInfra {
-                plan_cache: Arc::new(PlanCache::default()),
-                feedback: Some(Arc::new(SelectivityFeedback::default())),
-                scan_share: Some(Arc::new(ScanShareRegistry::new())),
-            };
+            // Two jobs at a time: a full scan, a clustered scan and a
+            // bitmap scan.
+            let infra = SharedJobInfra::for_jobs(2);
             let batch =
                 run_queries_managed(&setup, &spec(), &managed, true, &JobManager::new(2), &infra)
                     .unwrap();
@@ -469,54 +463,12 @@ fn a_corrupt_synopsis_never_prunes_a_matching_block() {
     }
 }
 
-/// A full scan and a clustered-index scan of one replica share one
-/// decode, and each verifies only what it reads of it.
-#[test]
-fn a_full_scan_and_a_clustered_scan_share_one_decode() {
-    let setup = setup();
-    let block = setup.dataset.blocks[0];
-    let node = setup
-        .cluster
-        .namenode()
-        .get_hosts_with_index(block, 0)
-        .unwrap()[0];
-    let registry = ScanShareRegistry::new();
-    let schema = schema();
-    let mut stats = Vec::new();
-    for q in [query("@5 >= 90.0", "{@5}"), query("@1 <= 20", "{@1}")] {
-        let planner = QueryPlanner::new(&setup.cluster);
-        let plan = planner.plan_dataset(&setup.dataset, &q).unwrap();
-        let mut records = Vec::new();
-        stats.push(
-            planner
-                .execute_block_shared(
-                    &plan,
-                    block,
-                    node,
-                    &schema,
-                    &q,
-                    Some(&registry),
-                    &mut records,
-                )
-                .unwrap(),
-        );
-    }
-    assert_eq!(stats[0].paths.get(AccessPathKind::FullScan), 1);
-    assert_eq!(stats[1].paths.get(AccessPathKind::ClusteredIndexScan), 1);
-    assert_eq!(
-        (stats[0].blocks_read_shared, stats[1].blocks_read_shared),
-        (0, 1)
-    );
-    assert_eq!(registry.stats().produced, 1);
-}
-
 /// A read that fails after it has handed out rows keeps none of them. The
 /// first byte of the bad section is damaged on every replica: the queries
 /// read only the first two columns, so each PAX read fails only after its
 /// good rows — which one block's read builds as one batch — were emitted.
 /// There is no replica to fail over to, and the block read leaves the
-/// caller's records as it found them, with and without a scan-share
-/// registry.
+/// caller's records as it found them.
 #[test]
 fn a_read_that_fails_halfway_keeps_no_records() {
     let mut setup = setup();
@@ -572,20 +524,10 @@ fn a_read_that_fails_halfway_keeps_no_records() {
 
         let planner = QueryPlanner::new(&setup.cluster);
         let plan = planner.plan(DatasetFormat::HailPax, &[block], q).unwrap();
-        for registry in [None, Some(ScanShareRegistry::new())] {
-            let mut records = vec![sentinel.clone()];
-            let read = planner.execute_block_shared(
-                &plan,
-                block,
-                hosts[*pos],
-                &schema,
-                q,
-                registry.as_ref(),
-                &mut records,
-            );
-            assert!(read.is_err(), "{what}: every replica is damaged");
-            assert_eq!(records, vec![sentinel.clone()], "{what}");
-        }
+        let mut records = vec![sentinel.clone()];
+        let read = planner.execute_block_into(&plan, block, hosts[*pos], &schema, q, &mut records);
+        assert!(read.is_err(), "{what}: every replica is damaged");
+        assert_eq!(records, vec![sentinel.clone()], "{what}");
         let mut kept = 0;
         let read = planner.execute_block(&plan, block, hosts[*pos], &schema, q, &mut |_| kept += 1);
         assert!(read.is_err());
