@@ -290,13 +290,9 @@ fn make_format(
     format
 }
 
-/// The cross-job resources a multi-job deployment shares: one plan
-/// cache and optionally one selectivity feedback store. Jobs share
-/// planning state only; each reads its own blocks.
-///
-/// Formats built from the same infra ([`make_shared_format`]) hit the
-/// same cache, so a query whose filter shape another job already
-/// planned reuses its block plans.
+/// The cross-job resource a multi-job deployment shares: optionally one
+/// selectivity feedback store. Every job plans its own blocks cold and
+/// reads them itself.
 ///
 /// `feedback` defaults to a fresh shared store. Sharing one
 /// [`SelectivityFeedback`] between *concurrently running* jobs is safe
@@ -312,13 +308,15 @@ fn make_format(
 /// [`SharedJobInfra::without_shared_feedback`] to opt out and plan
 /// from the static prior alone.
 pub struct SharedJobInfra {
+    /// Kept as frozen-suite residue: the benchmark suite reads its
+    /// (always zero) counters. No format is handed it.
     pub plan_cache: Arc<PlanCache>,
     pub feedback: Option<Arc<SelectivityFeedback>>,
 }
 
 impl SharedJobInfra {
-    /// Infrastructure for concurrent jobs: a fresh plan cache and a
-    /// fresh shared feedback store.
+    /// Infrastructure for concurrent jobs: a fresh shared feedback
+    /// store.
     ///
     /// The job count is frozen-suite residue: the benchmark suite
     /// calls this signature, but nothing here is sized by it any more.
@@ -340,7 +338,7 @@ impl SharedJobInfra {
 /// [`make_shared_format`]'s solo-format counterpart is the private
 /// `make_format`; this builds the same input format wired to the
 /// shared multi-job infrastructure: HAIL formats built from one `infra`
-/// share its plan cache and its feedback store if any.
+/// share its feedback store if any.
 pub fn make_shared_format(
     setup: &SystemSetup,
     spec: &ClusterSpec,
@@ -349,14 +347,8 @@ pub fn make_shared_format(
     infra: &SharedJobInfra,
 ) -> Box<dyn InputFormat> {
     let mut format = make_format(setup, spec, query, hail_splitting);
-    // The baselines keep planning statelessly. HAIL's `splits()` plans
-    // every block — warming the cache — before the scheduler asks for
-    // estimates; a baseline's per-block splits do not, so its estimates
-    // (and with them node choice and simulated time) would depend on
-    // whether an earlier same-shaped job had warmed the shared cache: a
-    // race at concurrency above 1.
+    // The baselines plan from the static prior alone, as they do solo.
     if setup.dataset.format == DatasetFormat::HailPax {
-        format.planner.plan_cache = Some(infra.plan_cache.clone());
         format.planner.feedback = infra.feedback.clone();
         // Freeze the shared store during the job; the batch runner
         // absorbs observations afterwards in submission order (the

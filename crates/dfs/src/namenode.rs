@@ -5,19 +5,18 @@
 //! `Dir_rep: (blockID, datanode) → HailBlockReplicaInfo` so map tasks
 //! can be routed to the replica carrying a suitable clustered index —
 //! the per-replica metadata `hail-exec`'s `QueryPlanner` prices its
-//! `(replica, access path)` candidates from, and the material its plan
-//! cache fingerprints. Every mutation of `Dir_rep` — replica
-//! registration, datanode death, block abandonment — bumps the
-//! [`Namenode::design_epoch`], the one signal that plans derived from
-//! `Dir_rep` state must be revalidated.
+//! `(replica, access path)` candidates from. Every mutation of
+//! `Dir_rep` — replica registration, datanode death, block abandonment
+//! — bumps the [`Namenode::design_epoch`], the one signal that plans
+//! derived from `Dir_rep` state no longer hold.
 
 use hail_index::{HailBlockReplicaInfo, IndexMetadata};
 use hail_types::{BlockId, DatanodeId, HailError, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide namenode instance ids, so consumers caching
-/// epoch-validated state (the `hail-exec` plan cache) can tell two
+/// Process-wide namenode instance ids, so consumers keeping
+/// epoch-stamped state (`hail-exec`'s split-time plans) can tell two
 /// namenodes' design epochs apart. Starts at 1; 0 is reserved as the
 /// "no namenode" sentinel.
 static NAMENODE_IDS: AtomicU64 = AtomicU64::new(1);
@@ -38,13 +37,11 @@ pub struct Namenode {
     /// what `Dir_rep` reports for some block — replica registration
     /// (upload), datanode death (failover), block abandonment. An
     /// unchanged epoch therefore proves an unchanged `Dir_rep`, which
-    /// lets warm plan-cache lookups skip recomputing per-replica
-    /// fingerprints entirely.
+    /// lets a split read execute the plan its split was cut from.
     design_epoch: u64,
     /// Process-unique instance id (≥ 1), qualifying `design_epoch`:
     /// epochs are only comparable between calls against the **same**
-    /// namenode, and two in-process clusters can legitimately share a
-    /// plan cache.
+    /// namenode, and two in-process clusters can run the same format.
     instance_id: u64,
     next_block: BlockId,
 }
@@ -239,15 +236,14 @@ impl Namenode {
     /// The current physical-design epoch. Monotonically increasing;
     /// bumped by every replica registration, first-time datanode death,
     /// and block abandonment. Two equal epochs from the **same**
-    /// namenode guarantee identical `Dir_rep` state, so cached plan
-    /// validations can compare this one counter instead of
-    /// re-serializing every replica's index metadata per lookup.
+    /// namenode guarantee identical `Dir_rep` state, so a plan stamped
+    /// with the epoch can be checked by comparing this one counter.
     pub fn design_epoch(&self) -> u64 {
         self.design_epoch
     }
 
     /// This namenode's process-unique instance id (≥ 1). Consumers
-    /// keying cached state on [`Namenode::design_epoch`] must store the
+    /// stamping state with [`Namenode::design_epoch`] must store the
     /// pair `(instance_id, design_epoch)` — equal epochs from different
     /// namenodes prove nothing.
     pub fn instance_id(&self) -> u64 {

@@ -382,9 +382,8 @@ pub fn commit_hail_block(
 /// payload, re-sort/re-index in main memory, re-checksum, and flush.
 /// It then re-registers with the namenode, which overwrites this
 /// `(block, datanode)`'s `Dir_rep` entry *atomically under `&mut`* and
-/// bumps the design epoch — so every `PlanCache` entry whose
-/// fingerprint embedded the old metadata revalidates and re-plans,
-/// while entries for untouched blocks keep verifying.
+/// bumps the design epoch — so a plan priced against the old metadata
+/// no longer holds, and the next plan sees the new replica.
 ///
 /// Because the whole rewrite holds `&mut DfsCluster`, no query can be
 /// planning or reading while the design mutates: readers observe either

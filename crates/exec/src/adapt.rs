@@ -27,12 +27,11 @@
 //! every concurrency.
 //!
 //! Each rewritten replica re-registers through
-//! `Namenode::register_replica`, which bumps the design epoch; the
-//! epoch-validated [`PlanCache`](crate::PlanCache) then re-checks
-//! fingerprints, misses exactly on the blocks whose metadata changed,
-//! and re-plans them onto the candidates the planner now enumerates
-//! from the updated `Dir_rep` — untouched blocks keep their cached
-//! plans.
+//! `Namenode::register_replica`, which bumps the design epoch. The next
+//! job plans cold against the updated `Dir_rep`, so it prices the
+//! candidates the new design offers; a split plan cut before the
+//! rewrite is stamped with the old epoch, so its reads plan again
+//! instead of executing it.
 //!
 //! # Hysteresis
 //!
@@ -43,7 +42,7 @@
 //! before it recommends anything; a round without evidence resets the
 //! streak. Each `(column, class)` is rebuilt at most once.
 
-use crate::cache::SelectivityFeedback;
+use crate::feedback::SelectivityFeedback;
 use hail_dfs::{rewrite_replica, DfsCluster, Namenode};
 use hail_index::{IndexKind, IndexMetadata, SidecarSpec, SortOrder};
 use hail_sync::{LockRank, OrderedMutex};
@@ -131,7 +130,7 @@ struct TriggerState {
 /// evidence is sustained. Interior-mutable behind a mutex
 /// ([`LockRank::AdvisorState`] — held across `SelectivityFeedback`
 /// reads, hence ranked above [`LockRank::Feedback`]) so it can sit in
-/// shared infrastructure next to the plan cache.
+/// shared infrastructure next to the feedback store.
 #[derive(Debug)]
 pub struct ReindexAdvisor {
     policy: ReindexPolicy,
@@ -346,7 +345,7 @@ pub struct ReindexOutcome {
 /// through [`hail_dfs::rewrite_replica`]. Requires `&mut DfsCluster` —
 /// the structural guarantee that no query observes a half-registered
 /// design (see the module docs). Every rewrite bumps the design epoch,
-/// so warm `PlanCache` entries revalidate on the next lookup.
+/// so a split-time plan from before it no longer holds.
 pub fn apply_reindex(
     cluster: &mut DfsCluster,
     blocks: &[BlockId],

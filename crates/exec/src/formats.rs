@@ -16,9 +16,7 @@ use crate::splitting::{default_splits, plan_default_splits, plan_hail_splits};
 use hail_core::baselines::hadoop_plus_plus::trojan_header_bytes;
 use hail_core::{Dataset, DatasetFormat, HailQuery};
 use hail_dfs::DfsCluster;
-use hail_mr::{
-    run_ordered, InputFormat, InputSplit, SplitPlan, SplitRead, SplitSource, SplitTask, TaskStats,
-};
+use hail_mr::{run_ordered, InputFormat, SplitPlan, SplitRead, SplitSource, SplitTask, TaskStats};
 use hail_types::{BlockId, Result};
 use std::time::Instant;
 
@@ -28,9 +26,9 @@ use std::time::Instant;
 /// system (`dataset.format`): Hadoop cuts per-block splits; Hadoop++
 /// does too, but its JobClient first reads every block's trojan-index
 /// header (the cost HAIL avoids, §6.4.1); HAIL runs the planner-driven
-/// `HailSplitting`. Reading and estimating are the same code for all —
-/// the planner picks the scan layout and the candidate access paths
-/// from the dataset format.
+/// `HailSplitting`. Reading is the same code for all — the planner
+/// picks the scan layout and the candidate access paths from the
+/// dataset format.
 pub struct PlannedInputFormat {
     pub dataset: Dataset,
     pub query: HailQuery,
@@ -40,8 +38,7 @@ pub struct PlannedInputFormat {
     pub splitting: bool,
     /// Map slots per TaskTracker, used by `HailSplitting`.
     pub map_slots: usize,
-    /// Planner knobs: selectivity estimates, plan cache and feedback
-    /// store.
+    /// Planner knobs: selectivity estimates and feedback store.
     pub planner: PlannerConfig,
 }
 
@@ -110,11 +107,10 @@ impl PlannedInputFormat {
     /// the stamp records, so both give the plan that planning the split
     /// afresh would.
     ///
-    /// With a plan cache configured, the split's blocks are attributed to
-    /// this split's [`TaskStats`]: a reused plan counts as a hit (it does
-    /// no lookup at all), a block planned now by whether the cache served
-    /// it. The per-block selectivities the access paths observed are
-    /// *not* absorbed into the feedback store here:
+    /// The blocks planned now are counted in
+    /// [`TaskStats::blocks_replanned`]. The per-block selectivities the
+    /// access paths observed are *not* absorbed into the feedback store
+    /// here:
     /// [`InputFormat::read_split_batch`] absorbs every split's
     /// observations **in batch order after the barrier**, so the
     /// store's decayed state is identical at any job-level parallelism.
@@ -143,15 +139,10 @@ impl PlannedInputFormat {
         } else {
             planner.plan(dataset.format, &replan, query)?
         };
-        let mut stats = TaskStats::default();
-        // Attribute cache effectiveness from this split's own blocks (not
-        // a diff of the shared cache's global counters, which would
-        // misassign other tasks' lookups once splits execute concurrently).
-        if self.planner.plan_cache.is_some() {
-            let fresh_hits = fresh.blocks.iter().filter(|b| b.cached).count();
-            stats.plan_cache_hits = (split.blocks.len() - replan.len() + fresh_hits) as u64;
-            stats.plan_cache_misses = (fresh.blocks.len() - fresh_hits) as u64;
-        }
+        let mut stats = TaskStats {
+            blocks_replanned: replan.len() as u64,
+            ..TaskStats::default()
+        };
         let mut records = Vec::new();
         for &block in &split.blocks {
             let plan = match stamped.filter(|s| s.reusable(block)) {
@@ -206,9 +197,7 @@ impl InputFormat for PlannedInputFormat {
     /// lowest-indexed failing split wins; and selectivity feedback is
     /// absorbed in batch order *after* all reads complete (the barrier) —
     /// at job parallelism 1 and for a batch of one too, so the post-job
-    /// feedback state is bit-for-bit identical at any overlap. Splits
-    /// cover disjoint blocks, so concurrent plan-cache use stays
-    /// per-split deterministic as well.
+    /// feedback state is bit-for-bit identical at any overlap.
     fn read_split_batch(
         &self,
         cluster: &DfsCluster,
@@ -231,13 +220,6 @@ impl InputFormat for PlannedInputFormat {
             }
         }
         Ok(reads)
-    }
-
-    fn estimate_splits(&self, cluster: &DfsCluster, splits: &[InputSplit]) -> Option<Vec<f64>> {
-        Some(
-            self.query_planner(cluster)
-                .estimate_splits(self.dataset.format, splits, &self.query),
-        )
     }
 
     fn name(&self) -> &str {

@@ -280,7 +280,7 @@ fn reference_clustered(
     }
     stats.selectivity.push(SelectivityObservation {
         column,
-        eq: crate::cache::has_eq_on(a.query, column),
+        eq: crate::feedback::has_eq_on(a.query, column),
         matched: bounds_matched,
         total: pax.row_count() as u64,
     });

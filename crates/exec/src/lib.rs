@@ -21,12 +21,12 @@
 //!   the namenode's per-replica index metadata (`Dir_rep`), price each
 //!   `(replica, access path)` candidate with the `hail-sim` cost model,
 //!   and emit an explainable [`QueryPlan`]
-//! - [`cache`] — the adaptive layer: a fingerprinted [`PlanCache`] that
-//!   memoizes per-block plans across queries with the same filter
-//!   shape, and a [`SelectivityFeedback`] store that blends observed
-//!   per-block selectivities back into the [`SelectivityEstimate`] prior;
-//!   both thread-safe behind `RwLock`s so concurrently read splits and
-//!   jobs share them
+//! - [`feedback`] — the adaptive layer: a [`SelectivityFeedback`] store
+//!   that blends observed per-block selectivities back into the
+//!   [`SelectivityEstimate`] prior, thread-safe behind an `RwLock` so
+//!   concurrently read splits and jobs share it. Plans themselves are
+//!   never kept across jobs: every job plans cold (see ARCHITECTURE.md,
+//!   "Plan cache, measured and removed")
 //! - [`sharing`] — frozen-suite residue of the retired cooperative scan
 //!   sharing: an empty [`ScanShareRegistry`] the benchmark suite still
 //!   names. Every block read is one [`AccessPath::execute`], whatever
@@ -50,20 +50,20 @@
 //! - [`readers`] — single-block reader entry points (planner-backed)
 //!
 //! New access paths or index types plug into the planner's candidate
-//! enumeration — nothing else needs to change; cross-query planning
-//! state (memoized plans, selectivity feedback) lives in [`cache`] and
-//! is shared by plugging `Arc`s into the [`PlannerConfig`].
+//! enumeration — nothing else needs to change; the one cross-query
+//! planning state, selectivity feedback, lives in [`feedback`] and is
+//! shared by plugging an `Arc` into the [`PlannerConfig`].
 //!
 //! # Adaptive planning in five lines
 //!
-//! The plan cache and feedback store are opt-in knobs on the planner
-//! configuration, and `explain()` shows them working:
+//! The feedback store is an opt-in knob on the planner configuration,
+//! and `explain()` shows it working:
 //!
 //! ```
 //! use std::sync::Arc;
 //! use hail_core::{upload_hail, HailQuery};
 //! use hail_dfs::DfsCluster;
-//! use hail_exec::{PlanCache, PlannerConfig, QueryPlanner, SelectivityFeedback};
+//! use hail_exec::{PlannerConfig, QueryPlanner, SelectivityFeedback};
 //! use hail_index::ReplicaIndexConfig;
 //! use hail_types::{DataType, Field, Schema, StorageConfig};
 //!
@@ -78,30 +78,34 @@
 //! let dataset = upload_hail(&mut cluster, &schema, "t", &[(0, text)],
 //!     &ReplicaIndexConfig::first_indexed(3, &[0])).unwrap();
 //!
+//! let feedback = Arc::new(SelectivityFeedback::default());
 //! let planner_config = PlannerConfig {
-//!     plan_cache: Some(Arc::new(PlanCache::default())),
-//!     feedback: Some(Arc::new(SelectivityFeedback::default())),
+//!     feedback: Some(Arc::clone(&feedback)),
 //!     ..Default::default()
 //! };
 //! let planner = QueryPlanner::with_config(&cluster, planner_config);
 //! let query = HailQuery::parse("@1 between(10, 20)", "{@2}", &schema).unwrap();
 //!
-//! // Cold cache: every block is freshly priced from the static prior.
-//! let cold = planner.plan_dataset(&dataset, &query).unwrap();
-//! assert!(cold.explain().contains("[priced]"));
-//! assert!(cold.explain().contains("sel @1=0.050(prior)"));
+//! // No evidence yet: every block is priced from the static prior.
+//! let first = planner.plan_dataset(&dataset, &query).unwrap();
+//! assert!(first.explain().contains("sel @1=0.050(prior)"));
 //!
-//! // Same filter shape again: served from the cache, nothing priced.
-//! let warm = planner.plan_dataset(&dataset, &query).unwrap();
-//! assert!(warm.explain().contains("[cached]"));
-//! let stats = planner.config().plan_cache.as_ref().unwrap().stats();
-//! assert_eq!(stats.hits, warm.blocks.len() as u64);
+//! // A block read records the selectivity it observed; absorbed, it
+//! // moves the next plan's estimate. That plan is priced cold again.
+//! let block = dataset.blocks[0];
+//! let stats = planner
+//!     .execute_block(&first, block, 0, &schema, &query, &mut |_| {})
+//!     .unwrap();
+//! feedback.absorb(&stats);
+//! let second = planner.plan_dataset(&dataset, &query).unwrap();
+//! assert!(second.explain().contains("(observed)"));
+//! assert!(second.explain().contains("[priced]"));
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod adapt;
-pub mod cache;
+pub mod feedback;
 pub mod formats;
 mod kernel;
 pub mod path;
@@ -115,14 +119,15 @@ pub use adapt::{
     apply_reindex, plan_rewrites, ReindexAction, ReindexAdvisor, ReindexKind, ReindexOutcome,
     ReindexPolicy, ReplicaRewrite,
 };
-pub use cache::{CacheStats, PlanCache, SelectivityChoice, SelectivityFeedback, SelectivitySource};
+pub use feedback::{SelectivityChoice, SelectivityFeedback, SelectivitySource};
 pub use formats::PlannedInputFormat;
 pub use path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, DecodedBlock, FullScan,
     InvertedListScan, ScanLayout, TrojanIndexScan,
 };
 pub use planner::{
-    BlockPlan, Candidate, PlannerConfig, QueryPlan, QueryPlanner, SelectivityEstimate,
+    BlockPlan, CacheStats, Candidate, PlanCache, PlannerConfig, QueryPlan, QueryPlanner,
+    SelectivityEstimate,
 };
 pub use readers::{read_hadoop_text_block, read_hail_block, read_hpp_block};
 pub use sharing::ScanShareRegistry;

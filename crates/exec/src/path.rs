@@ -18,7 +18,7 @@
 //! bytes, real filtering, and cost accounting into a [`TaskStats`] —
 //! including, where the read can attribute its row counts to a single
 //! filter column, a [`SelectivityObservation`] that feeds the planner's
-//! [`crate::cache::SelectivityFeedback`] store.
+//! [`crate::feedback::SelectivityFeedback`] store.
 //!
 //! Every path reads only bytes it verified against the replica's chunk
 //! checksums, and verifies only what it reads. The PAX paths and the
@@ -440,7 +440,7 @@ impl AccessPath for ClusteredIndexScan {
         }
         stats.selectivity.push(SelectivityObservation {
             column: self.column,
-            eq: crate::cache::has_eq_on(a.query, self.column),
+            eq: crate::feedback::has_eq_on(a.query, self.column),
             matched: bounds_matched,
             total: pax.row_count() as u64,
         });
@@ -519,7 +519,7 @@ impl AccessPath for TrojanIndexScan {
         }
         stats.selectivity.push(SelectivityObservation {
             column: self.column,
-            eq: crate::cache::has_eq_on(a.query, self.column),
+            eq: crate::feedback::has_eq_on(a.query, self.column),
             matched: bounds_matched,
             total: row_block.row_count() as u64,
         });
@@ -713,7 +713,7 @@ pub(crate) fn sole_filter_column(query: &HailQuery) -> Option<(usize, bool)> {
         .predicates
         .iter()
         .all(|p| p.column() == column && p.index_friendly())
-        .then(|| (column, crate::cache::has_eq_on(query, column)))
+        .then(|| (column, crate::feedback::has_eq_on(query, column)))
 }
 
 /// Opens the serving replica's HAIL container, verified as it is read:

@@ -16,15 +16,13 @@
 //! neither the scheduler nor the record readers re-derive replica or
 //! index choices anywhere else.
 //!
-//! Planning is adaptive when the two [`crate::cache`] stores are plugged
-//! into the [`PlannerConfig`]: a [`crate::cache::PlanCache`] memoizes
-//! per-block plans keyed on (canonical filter shape, replica-index
-//! fingerprint) so a repeated job with an identical filter shape prices
-//! nothing, and a [`crate::cache::SelectivityFeedback`]
-//! store blends observed per-block selectivities into the static
-//! [`SelectivityEstimate`] prior. `explain()` annotates both: every
-//! block line says whether its plan was `[cached]` or `[priced]`, and
-//! each filter column's selectivity is tagged `(prior)` or `(observed)`.
+//! Planning is stateless and cold: every job prices every block it
+//! does not prune, against the current `Dir_rep`. It adapts when a
+//! [`crate::feedback::SelectivityFeedback`] store is plugged into the
+//! [`PlannerConfig`], which blends observed per-block selectivities
+//! into the static [`SelectivityEstimate`] prior; `explain()` tags each
+//! filter column's selectivity `(prior)` or `(observed)`, and every
+//! block line says whether its plan was `[priced]` or `[pruned: …]`.
 //!
 //! # Worked example
 //!
@@ -64,10 +62,7 @@
 //! }
 //! ```
 
-use crate::cache::{
-    BlockFingerprint, FilterShape, PlanCache, SelectivityChoice, SelectivityFeedback,
-    SelectivitySource, ValidatedLookup,
-};
+use crate::feedback::{SelectivityChoice, SelectivityFeedback, SelectivitySource};
 use crate::path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
     ScanLayout, TrojanIndexScan,
@@ -91,20 +86,6 @@ use std::sync::Arc;
 /// [`HardwareProfile::physical`].
 const LOGICAL_BLOCK: usize = 64 * 1024 * 1024;
 
-/// The estimate for one block with no memoized plan: a pipelined full
-/// scan of one logical block. Uniform across blocks, so relative
-/// slot-occupancy ordering — all the assignment phase consumes —
-/// matches uniform actual durations exactly.
-fn heuristic_block_seconds() -> f64 {
-    let ledger = CostLedger {
-        disk_read: LOGICAL_BLOCK as u64,
-        scan_cpu: LOGICAL_BLOCK as u64,
-        seeks: 1,
-        ..Default::default()
-    };
-    ledger.pipelined_seconds(&HardwareProfile::physical(), ScaleFactor::unit())
-}
-
 /// Per-column selectivity estimates feeding the cost model — the
 /// *static prior*.
 ///
@@ -112,7 +93,7 @@ fn heuristic_block_seconds() -> f64 {
 /// benchmark harness knows each query's paper selectivity) can override
 /// the default, and tests use the override to walk a query across the
 /// index-vs-scan break-even point. When a
-/// [`crate::cache::SelectivityFeedback`] store is configured, observed
+/// [`crate::feedback::SelectivityFeedback`] store is configured, observed
 /// per-block selectivities are blended into this prior for subsequent
 /// plans; `explain()` reports which source each number came from.
 #[derive(Debug, Clone)]
@@ -167,9 +148,8 @@ pub struct PlannerConfig {
     /// Field delimiter for text (Hadoop) blocks; `None` uses the
     /// cluster's [`hail_types::StorageConfig::delimiter`].
     pub text_delimiter: Option<char>,
-    /// Memoized per-block plans keyed on (filter shape, replica-index
-    /// fingerprint); `None` (the default) prices every plan freshly.
-    /// Share one instance across planners via `Arc`.
+    /// Ignored: every plan is priced cold. Kept as frozen-suite residue,
+    /// because the `hail-bench` suite still sets it.
     pub plan_cache: Option<Arc<PlanCache>>,
     /// Observed-selectivity feedback blended into
     /// [`PlannerConfig::estimate`]; `None` (the default) plans from the
@@ -207,6 +187,32 @@ impl Default for PlannerConfig {
     }
 }
 
+/// Kept as frozen-suite residue: the `hail-bench` suite still builds
+/// one and reads its [`PlanCache::stats`]. It memoizes nothing, and
+/// nothing in the engine reads [`PlannerConfig::plan_cache`]; see
+/// ARCHITECTURE.md, "Plan cache, measured and removed".
+///
+/// Fieldless, but not a unit struct: the suite builds it with
+/// `PlanCache::default()`, which clippy rejects for a unit struct.
+#[derive(Debug, Default)]
+pub struct PlanCache {}
+
+impl PlanCache {
+    /// Always zeros.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+}
+
+/// Kept as frozen-suite residue: the counters the `hail-bench` suite
+/// reads off a [`PlanCache`], always zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
+    pub cost_evaluations: u64,
+}
+
 /// One priced `(replica, access path)` alternative.
 #[derive(Debug, Clone)]
 pub struct Candidate {
@@ -240,9 +246,6 @@ pub struct BlockPlan {
     /// Stored sidecar size behind the chosen path, when it is a sidecar
     /// path.
     pub sidecar_bytes: Option<usize>,
-    /// True if this plan came out of the [`PlanCache`] (no candidate was
-    /// priced); false if it was freshly priced.
-    pub cached: bool,
     /// The per-column selectivities this plan was priced with, each
     /// tagged with its source (static prior vs observed feedback).
     pub selectivity: Vec<SelectivityChoice>,
@@ -347,8 +350,6 @@ impl QueryPlan {
                     // A pruned plan was never priced; "[priced]" would
                     // misreport the zero evaluations it cost.
                     ""
-                } else if bp.cached {
-                    "  [cached]"
                 } else {
                     "  [priced]"
                 },
@@ -404,10 +405,10 @@ impl StampedPlan {
 
 /// The cost-based planner over one cluster's namenode state.
 ///
-/// The handle is `Send + Sync`, and all cross-query state it touches
-/// ([`PlanCache`], [`SelectivityFeedback`]) is internally locked, so the
+/// The handle is `Send + Sync`, and the one cross-query store it
+/// touches ([`SelectivityFeedback`]) is internally locked, so the
 /// threads reading splits in parallel can plan against the same shared
-/// stores.
+/// store.
 pub struct QueryPlanner<'a> {
     cluster: &'a DfsCluster,
     config: PlannerConfig,
@@ -421,17 +422,8 @@ const _PLANNER_IS_SEND_SYNC: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryPlanner<'static>>();
     assert_send_sync::<QueryPlan>();
-    assert_send_sync::<PlanCache>();
     assert_send_sync::<SelectivityFeedback>();
 };
-
-/// Block-invariant state shared by every `plan_block` of one plan:
-/// effective selectivities and, when the cache participates, the
-/// filter-shape key. See [`QueryPlanner::plan_context`].
-struct PlanContext {
-    selectivity: Vec<SelectivityChoice>,
-    shape: Option<FilterShape>,
-}
 
 impl<'a> QueryPlanner<'a> {
     /// A planner with the default estimates.
@@ -464,12 +456,12 @@ impl<'a> QueryPlanner<'a> {
         blocks: &[BlockId],
         query: &HailQuery,
     ) -> Result<QueryPlan> {
-        let ctx = self.plan_context(format, query);
+        let selectivity = self.effective_selectivities(query);
         let mut plans = Vec::with_capacity(blocks.len());
         let mut by_block = BTreeMap::new();
         for &b in blocks {
             by_block.insert(b, plans.len());
-            plans.push(self.plan_block_in(&ctx, format, b, query)?);
+            plans.push(self.plan_block_with(&selectivity, format, b, query)?);
         }
         Ok(QueryPlan {
             format,
@@ -506,13 +498,13 @@ impl<'a> QueryPlanner<'a> {
         blocks: &[BlockId],
         query: &HailQuery,
     ) -> Result<StampedPlan> {
-        let ctx = self.plan_context(format, query);
+        let selectivity = self.effective_selectivities(query);
         let mut plans = Vec::with_capacity(blocks.len());
         let mut by_block = BTreeMap::new();
         let mut degraded = Vec::with_capacity(blocks.len());
         for &b in blocks {
             by_block.insert(b, plans.len());
-            let planned = self.plan_block_in(&ctx, format, b, query);
+            let planned = self.plan_block_with(&selectivity, format, b, query);
             degraded.push(planned.is_err());
             match planned {
                 Ok(bp) => plans.push(bp),
@@ -538,7 +530,6 @@ impl<'a> QueryPlanner<'a> {
                         fallback: format != DatasetFormat::HadoopText
                             && !query.filter_columns().is_empty(),
                         sidecar_bytes: None,
-                        cached: false,
                         selectivity: Vec::new(),
                         pruned: None,
                     });
@@ -555,7 +546,7 @@ impl<'a> QueryPlanner<'a> {
                 by_block,
             },
             design: (namenode.instance_id(), namenode.design_epoch()),
-            selectivity: ctx.selectivity,
+            selectivity,
             degraded,
         })
     }
@@ -587,7 +578,7 @@ impl<'a> QueryPlanner<'a> {
                 let prior = self.config.estimate.for_column(column);
                 // Feedback is class-keyed: a column filtered by equality
                 // reads the eq-class estimate, ranges the range-class.
-                let eq = crate::cache::has_eq_on(query, column);
+                let eq = crate::feedback::has_eq_on(query, column);
                 let (value, source) = match &self.config.feedback {
                     Some(fb) => fb.adjusted(column, eq, prior),
                     None => (prior, SelectivitySource::Prior),
@@ -601,159 +592,41 @@ impl<'a> QueryPlanner<'a> {
             .collect()
     }
 
-    /// The canonical cache shape of a query over `format`, under the
-    /// effective selectivities.
-    fn filter_shape(
-        &self,
-        format: DatasetFormat,
-        query: &HailQuery,
-        selectivity: &[SelectivityChoice],
-    ) -> FilterShape {
-        let delimiter = match format {
-            DatasetFormat::HadoopText => Some(
-                self.config
-                    .text_delimiter
-                    .unwrap_or(self.cluster.config().delimiter),
-            ),
-            _ => None,
-        };
-        let sels: Vec<(usize, f64)> = selectivity.iter().map(|s| (s.column, s.value)).collect();
-        FilterShape::of(format, query, delimiter, &sels)
-    }
-
-    /// The block-invariant planning state, computed **once per plan**
-    /// rather than per block: effective selectivities (one feedback
-    /// lookup per filter column), and — when the cache participates —
-    /// the filter-shape key. Bad-record token searches never get a
-    /// shape: they bypass the cache, their candidate enumeration being a
-    /// single directory probe.
-    fn plan_context(&self, format: DatasetFormat, query: &HailQuery) -> PlanContext {
-        let selectivity = self.effective_selectivities(query);
-        let shape = (self.config.plan_cache.is_some() && self.config.bad_record_tokens.is_empty())
-            .then(|| self.filter_shape(format, query, &selectivity));
-        PlanContext { selectivity, shape }
-    }
-
-    /// Estimated record-reader seconds for each of a job's `splits`
-    /// under `query`, positionally aligned — the scheduler's
-    /// assignment-phase seam.
-    ///
-    /// Priced from memoized [`BlockPlan`]s where the [`PlanCache`]
-    /// holds one for the query's filter shape (a counter-free,
-    /// validation-free peek: estimation must not perturb cache
-    /// effectiveness accounting), falling back to a uniform
-    /// full-scan-of-one-logical-block heuristic per uncached block.
-    /// Never prices candidates, never inserts, never blocks on more
-    /// than the cache's read lock. The canonical filter shape
-    /// (feedback lookups, shape hashing) is derived **once** for the
-    /// whole job, not once per split.
-    pub fn estimate_splits(
-        &self,
-        format: DatasetFormat,
-        splits: &[hail_mr::InputSplit],
-        query: &HailQuery,
-    ) -> Vec<f64> {
-        let heuristic = heuristic_block_seconds();
-        let shaped_cache = match &self.config.plan_cache {
-            Some(cache) if self.config.bad_record_tokens.is_empty() => {
-                let selectivity = self.effective_selectivities(query);
-                Some((self.filter_shape(format, query, &selectivity), cache))
-            }
-            _ => None,
-        };
-        splits
-            .iter()
-            .map(|split| match &shaped_cache {
-                Some((shape, cache)) => cache
-                    .peek_est_seconds_many(shape, &split.blocks)
-                    .into_iter()
-                    .map(|est| est.unwrap_or(heuristic))
-                    .sum(),
-                None => heuristic * split.blocks.len() as f64,
-            })
-            .collect()
-    }
-
-    /// Plans one block, through the [`PlanCache`] when one is
-    /// configured: a hit returns the memoized plan with **zero**
-    /// cost-model evaluations; a miss runs the full pricing pass and
-    /// memoizes the result.
+    /// Plans one block against the current `Dir_rep`: a zero-cost
+    /// placeholder when a persisted synopsis proves it matches no row,
+    /// else a full pricing pass over its live replicas' candidates.
     pub fn plan_block(
         &self,
         format: DatasetFormat,
         block: BlockId,
         query: &HailQuery,
     ) -> Result<BlockPlan> {
-        self.plan_block_in(&self.plan_context(format, query), format, block, query)
+        self.plan_block_with(&self.effective_selectivities(query), format, block, query)
     }
 
-    /// [`QueryPlanner::plan_block`] under an already-computed
-    /// [`PlanContext`] — the per-block step of `plan`/`plan_lenient`.
-    fn plan_block_in(
+    /// [`QueryPlanner::plan_block`] under the query's already-computed
+    /// effective selectivities — the per-block step of
+    /// `plan`/`plan_lenient`, which look the feedback up once per plan
+    /// rather than once per block. Block skipping runs *before*
+    /// candidate enumeration: a synopsis proof prices nothing.
+    fn plan_block_with(
         &self,
-        ctx: &PlanContext,
+        selectivity: &[SelectivityChoice],
         format: DatasetFormat,
         block: BlockId,
         query: &HailQuery,
     ) -> Result<BlockPlan> {
-        if let (Some(shape), Some(cache)) = (&ctx.shape, &self.config.plan_cache) {
-            let namenode = self.cluster.namenode();
-            // Epoch-validated lookup: while the namenode's physical
-            // design is unchanged, a warm hit is a map probe — no
-            // per-replica fingerprint recomputation at all.
-            let miss_fingerprint = match cache.lookup(shape, block, namenode) {
-                ValidatedLookup::Hit(mut plan) => {
-                    // The hit proves the *quantized* estimates match,
-                    // but the provenance may have moved (e.g. feedback
-                    // arrived without leaving the bucket): report the
-                    // current selectivity sources, not the insert-time
-                    // snapshot.
-                    plan.selectivity.clone_from(&ctx.selectivity);
-                    return Ok(plan);
-                }
-                ValidatedLookup::Miss(fp) => fp,
-            };
-            // Block skipping runs *before* candidate enumeration: a
-            // synopsis proof yields a zero-cost plan with no pricing
-            // pass at all (and no cost evaluations recorded), memoized
-            // under the same fingerprint machinery as priced plans so
-            // design changes and replica deaths invalidate it normally.
-            let plan = match crate::synopsis::try_prune(
-                self.cluster,
-                &self.config,
-                format,
-                block,
-                query,
-            ) {
-                Some(info) => self.pruned_block_plan(format, block, info, ctx.selectivity.clone()),
-                None => {
-                    let plan =
-                        self.price_block(format, block, query, ctx.selectivity.clone(), &[])?;
-                    cache.record_cost_evaluations(plan.candidates.len() as u64);
-                    plan
-                }
-            };
-            // Reuse the fingerprint the failed revalidation computed;
-            // Dir_rep cannot have moved since (mutation needs &mut).
-            let fingerprint =
-                miss_fingerprint.unwrap_or_else(|| BlockFingerprint::of(namenode, block));
-            cache.insert(shape, block, fingerprint, namenode, plan.clone());
-            Ok(plan)
-        } else if let Some(info) =
-            crate::synopsis::try_prune(self.cluster, &self.config, format, block, query)
-        {
-            Ok(self.pruned_block_plan(format, block, info, ctx.selectivity.clone()))
-        } else {
-            self.price_block(format, block, query, ctx.selectivity.clone(), &[])
+        match crate::synopsis::try_prune(self.cluster, &self.config, format, block, query) {
+            Some(info) => Ok(self.pruned_block_plan(format, block, info, selectivity.to_vec())),
+            None => self.price_block(format, block, query, selectivity.to_vec(), &[]),
         }
     }
 
     /// The zero-cost placeholder plan for a synopsis-pruned block: no
-    /// candidates were priced, execution will skip the read, and the
-    /// scheduler sees it as free (`est_seconds` 0, so
-    /// [`QueryPlanner::estimate_splits`] naturally prices it at zero
-    /// once memoized). Locations still list the live holders so split
-    /// construction and locality grouping treat the block normally.
+    /// candidates were priced, execution will skip the read, and its
+    /// `est_seconds` is 0. Locations still list the live holders so
+    /// split construction and locality grouping treat the block
+    /// normally.
     fn pruned_block_plan(
         &self,
         format: DatasetFormat,
@@ -778,7 +651,6 @@ impl<'a> QueryPlanner<'a> {
             candidates: Vec::new(),
             fallback: false,
             sidecar_bytes: None,
-            cached: false,
             selectivity,
             pruned: Some(info),
         }
@@ -958,7 +830,7 @@ impl<'a> QueryPlanner<'a> {
                     let IndexKind::Bitmap { column } = sidecar.kind else {
                         continue;
                     };
-                    if !crate::cache::has_eq_on(query, column) {
+                    if !crate::feedback::has_eq_on(query, column) {
                         continue;
                     }
                     let sel = sel_for(column);
@@ -1037,7 +909,6 @@ impl<'a> QueryPlanner<'a> {
                 && !had_index_candidate
                 && chosen_kind == AccessPathKind::FullScan,
             sidecar_bytes,
-            cached: false,
             selectivity,
             pruned: None,
         })
@@ -1071,7 +942,7 @@ impl<'a> QueryPlanner<'a> {
     /// **Read failover.** A read that finds the serving replica corrupt
     /// ([`HailError::ChecksumMismatch`] or [`HailError::Corrupt`]) keeps
     /// none of its records: the block is re-priced on its other live
-    /// replicas, bypassing the plan cache, and read again, until one read
+    /// replicas and read again, until one read
     /// succeeds — or every replica has failed, and the first error is
     /// returned. Which replica serves next depends only on which ones
     /// were found corrupt, never on timing.
@@ -1205,27 +1076,6 @@ impl<'a> QueryPlanner<'a> {
                     bp.replica
                 }
             }
-        }
-    }
-}
-
-#[cfg(test)]
-impl QueryPlanner<'_> {
-    /// A minimal, clusterless [`BlockPlan`] for cache unit tests.
-    pub(crate) fn test_block_plan(block: BlockId) -> BlockPlan {
-        BlockPlan {
-            block,
-            replica: 0,
-            path: Arc::new(FullScan::new(ScanLayout::HailPax)),
-            kind: AccessPathKind::FullScan,
-            est_seconds: 0.0,
-            locations: vec![0],
-            candidates: Vec::new(),
-            fallback: false,
-            sidecar_bytes: None,
-            cached: false,
-            selectivity: Vec::new(),
-            pruned: None,
         }
     }
 }

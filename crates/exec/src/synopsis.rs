@@ -105,7 +105,7 @@ pub(crate) fn try_prune(
     let mut holders = Holders::new(cluster, block);
     let mut synopsis_bytes: u64 = 0;
     for column in columns {
-        let eq = crate::cache::has_eq_on(query, column);
+        let eq = crate::feedback::has_eq_on(query, column);
 
         // Zone map first: it serves every predicate shape the bounds
         // capture (ranges and points alike).

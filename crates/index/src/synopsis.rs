@@ -226,8 +226,7 @@ impl ZoneMapSynopsis {
     }
 }
 
-/// FNV-1a over `bytes` — the same deterministic, dependency-free hash
-/// the plan cache uses for fingerprints.
+/// FNV-1a over `bytes` — a deterministic, dependency-free hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -248,7 +248,7 @@ pub fn run_map_job_with_failure(
         .collect::<Result<_>>()?;
     let mut planning = slots.clone();
     let mut rerun_nodes = Vec::with_capacity(lost_splits.len());
-    let ests = crate::scheduler::estimate_or_fallback(cluster, hw, job.format, &lost_splits);
+    let ests = crate::scheduler::split_estimates(&lost_splits);
     for (split, est) in lost_splits.iter().zip(ests) {
         let node = planning
             .choose_node(&split.locations)

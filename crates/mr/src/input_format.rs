@@ -4,7 +4,7 @@
 //! Hadoop's `InputFormat`/`RecordReader` UDFs are the paper's integration
 //! point: HAIL ships its own input format + record reader and changes
 //! nothing else in the engine (§4.3). The engine in this crate likewise
-//! only sees this four-method trait; the Hadoop, Hadoop++ and HAIL
+//! only sees this three-method trait; the Hadoop, Hadoop++ and HAIL
 //! behaviours live in `hail-exec`'s one `PlannedInputFormat`, routed
 //! through its cost-based `QueryPlanner` and `AccessPath`
 //! implementations.
@@ -116,8 +116,8 @@ pub struct SplitRead {
 /// Formats must be `Send + Sync`: a [`crate::manager::JobManager`]
 /// runs concurrent jobs on worker threads, each holding a shared
 /// reference to its job's format. All implementors are immutable
-/// configuration over thread-safe infrastructure (the planner state
-/// they touch is behind `RwLock`s), so the bounds cost nothing.
+/// configuration over thread-safe infrastructure (the feedback store
+/// they touch is behind an `RwLock`), so the bounds cost nothing.
 pub trait InputFormat: Send + Sync {
     /// Computes input splits for the given input blocks.
     fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan>;
@@ -136,8 +136,8 @@ pub trait InputFormat: Send + Sync {
     /// any overlap implement this with [`read_splits_sequentially`].
     ///
     /// Contract: on a **successful** batch, records, their order, every
-    /// statistic, and any cross-query state the reads mutate (plan
-    /// caches, selectivity feedback) must be bit-for-bit identical at
+    /// statistic, and any cross-query state the reads mutate
+    /// (selectivity feedback) must be bit-for-bit identical at
     /// every `job_parallelism` — overlap may only change the measured
     /// `reader_wall_seconds`.
     /// In particular, state folded per split (selectivity feedback)
@@ -145,28 +145,14 @@ pub trait InputFormat: Send + Sync {
     /// never in completion order. On a failing batch only the returned
     /// error — the lowest-indexed failing task's — is guaranteed
     /// parallelism-independent: overlapped workers may have raced ahead
-    /// of the failure and planned (and cached plans for) splits a
-    /// sequential run would never have reached.
+    /// of the failure and read splits a sequential run would never have
+    /// reached.
     fn read_split_batch(
         &self,
         cluster: &DfsCluster,
         batch: &[SplitTask<'_>],
         job_parallelism: Option<usize>,
     ) -> Result<Vec<SplitRead>>;
-
-    /// Estimated record-reader seconds for each of a job's splits,
-    /// positionally aligned with `splits` — the scheduler's assignment
-    /// phase prices slot occupancy with this *before* any read happens,
-    /// so node choices decouple from read results. One call covers the
-    /// whole job so a format can derive query-level state (the
-    /// canonical filter shape, feedback lookups) **once**. `None` (the
-    /// default) or a result of the wrong length makes the scheduler
-    /// fall back to a uniform block-count heuristic; the planner-backed
-    /// format answers from memoized `BlockPlan`s. Must be cheap and
-    /// must not perturb any cross-query state or counters.
-    fn estimate_splits(&self, _cluster: &DfsCluster, _splits: &[InputSplit]) -> Option<Vec<f64>> {
-        None
-    }
 
     /// A short name for reports ("Hadoop", "Hadoop++", "HAIL").
     fn name(&self) -> &str;

@@ -133,15 +133,13 @@ pub struct TaskStats {
     /// Per-block, per-column observed selectivities, for the planner's
     /// feedback store.
     pub selectivity: Vec<SelectivityObservation>,
-    /// Block plans this task obtained from the memoized plan cache
-    /// (zero cost-model evaluations each). Only counted when a cache is
-    /// configured; with no cache both counters stay zero even though
-    /// every block is freshly priced.
-    pub plan_cache_hits: u64,
-    /// Block plans this task had to price freshly because the cache was
-    /// cold or invalidated. Zero (not "all blocks") when no cache is
-    /// configured — see [`TaskStats::plan_cache_hits`].
-    pub plan_cache_misses: u64,
+    /// Blocks this task's read planned again instead of executing the
+    /// plan its split was cut from: every block when there is no such
+    /// plan (the baselines' per-block splits, pure scans, a single split
+    /// read without one), else the blocks whose split-time plan no
+    /// longer holds (a design change, a death, moved feedback) or was
+    /// degraded.
+    pub blocks_replanned: u64,
     /// Blocks of this task's split skipped entirely (no candidate
     /// enumeration, no read) because a persisted zone-map or Bloom
     /// synopsis proved they contain no matching row.
@@ -179,8 +177,7 @@ impl TaskStats {
         self.paths.merge(&other.paths);
         self.sidecar_bytes_read += other.sidecar_bytes_read;
         self.selectivity.extend_from_slice(&other.selectivity);
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
+        self.blocks_replanned += other.blocks_replanned;
         self.blocks_pruned += other.blocks_pruned;
         self.synopsis_bytes_read += other.synopsis_bytes_read;
     }
@@ -310,15 +307,10 @@ impl JobReport {
             .count()
     }
 
-    /// Block plans served from the planner's memoized cache across all
-    /// tasks (each hit skipped a full candidate-pricing pass).
-    pub fn plan_cache_hits(&self) -> u64 {
-        self.tasks.iter().map(|t| t.stats.plan_cache_hits).sum()
-    }
-
-    /// Block plans priced freshly across all tasks.
-    pub fn plan_cache_misses(&self) -> u64 {
-        self.tasks.iter().map(|t| t.stats.plan_cache_misses).sum()
+    /// Blocks planned again at read time across all tasks (see
+    /// [`TaskStats::blocks_replanned`]).
+    pub fn blocks_replanned(&self) -> u64 {
+        self.tasks.iter().map(|t| t.stats.blocks_replanned).sum()
     }
 
     /// Blocks skipped by synopsis pruning across all tasks (no
@@ -420,15 +412,14 @@ mod tests {
     fn stats_merge() {
         let mut a = TaskStats {
             records: 3,
-            plan_cache_hits: 1,
+            blocks_replanned: 1,
             ..Default::default()
         };
         let b = TaskStats {
             records: 4,
             serial_pricing: true,
             fell_back_to_scan: true,
-            plan_cache_hits: 2,
-            plan_cache_misses: 5,
+            blocks_replanned: 5,
             blocks_pruned: 2,
             synopsis_bytes_read: 64,
             selectivity: vec![SelectivityObservation {
@@ -443,8 +434,7 @@ mod tests {
         assert_eq!(a.records, 7);
         assert!(a.serial_pricing);
         assert!(a.fell_back_to_scan);
-        assert_eq!(a.plan_cache_hits, 3);
-        assert_eq!(a.plan_cache_misses, 5);
+        assert_eq!(a.blocks_replanned, 6);
         assert_eq!(a.blocks_pruned, 2);
         assert_eq!(a.synopsis_bytes_read, 64);
         assert_eq!(a.selectivity, b.selectivity);

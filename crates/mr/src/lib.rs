@@ -2,8 +2,8 @@
 //!
 //! A deterministic Hadoop-MapReduce-like execution engine:
 //!
-//! - [`input_format`] — the four-method `InputFormat` UDF surface
-//!   (`splits`, `read_split_batch`, `estimate_splits`, `name`)
+//! - [`input_format`] — the three-method `InputFormat` UDF surface
+//!   (`splits`, `read_split_batch`, `name`)
 //! - [`job`] — records, task statistics, job reports (T_ideal, overhead)
 //! - [`scheduler`] — locality-aware wave scheduling with Hadoop's
 //!   per-task overhead model
@@ -19,13 +19,13 @@
 //!
 //! [`TaskStats`] is also the adaptive planner's sensor: each task
 //! carries per-block [`SelectivityObservation`]s (fed back into the
-//! execution layer's selectivity estimates after each split) and
-//! plan-cache hit/miss counters, which [`JobReport::plan_cache_hits`]
-//! and [`JobReport::plan_cache_misses`] aggregate per job.
+//! execution layer's selectivity estimates after each split) and the
+//! count of blocks its read planned again instead of reusing the
+//! split-time plan, which [`JobReport::blocks_replanned`] sums per job.
 //!
 //! [`run_map_job`] is two-phase: an *assignment* phase chooses nodes
-//! for every split up front from planner estimates
-//! ([`InputFormat::estimate_splits`]), and an *execution* phase drives
+//! for every split up front from one uniform per-block estimate (a
+//! split's block count, whatever the format), and an *execution* phase drives
 //! the whole batch through the shared [`ChunkedDrive`] loop — fixed
 //! [`SPLIT_BATCH_CHUNK`]-sized calls to [`InputFormat::read_split_batch`],
 //! each [`SplitTask`] naming the node its map task runs on and carrying
@@ -45,7 +45,7 @@
 //! Each managed job's output and report stay bit-for-bit identical to
 //! a solo run at any interleaving — concurrency only changes measured
 //! wall clock and the [`JobReport::queue_wait_seconds`] telemetry. Jobs
-//! share planning state (the plan cache, frozen feedback), never reads.
+//! may share a frozen feedback store, never reads.
 
 #![forbid(unsafe_code)]
 

@@ -17,26 +17,17 @@
 //! queue-wait telemetry
 //! ([`crate::job::JobReport::queue_wait_seconds`], which the manager
 //! fills in with the measured wall-clock delay between admission and
-//! dequeue; solo runs report zero). That holds because everything a
-//! job shares with its neighbours is either immutable for the job's
-//! duration (the cluster, the formats) or key-pure and absorbed
-//! deterministically (the execution layer's plan cache and
-//! selectivity feedback — see `read_split_batch`'s contract in
-//! [`crate::input_format::InputFormat`]).
-//!
-//! Jobs that share mutable planner state (one `Arc`'d plan cache or
-//! feedback table plumbed into several jobs' formats) still produce
-//! bit-for-bit identical *output*, because cached plans are keyed so
-//! that a hit returns exactly what a fresh pricing would have built —
-//! but their hit/miss *counters* naturally depend on which job warmed
-//! the cache first. Callers comparing managed reports against solo
-//! baselines with shared caches should compare aggregate counts, not
-//! per-job ones. A shared *feedback* store is safe under the same
-//! contract when its absorption is deferred to a submission-order
-//! barrier after the batch (the bench layer's `run_queries_managed`
-//! does this): during the batch the store is frozen — planners read
-//! it, nothing writes it — so every job prices against identical
-//! state at any concurrency.
+//! dequeue; solo runs report zero). There is no exception: jobs that
+//! share a filter shape, or the whole query, still report exactly what
+//! they report alone. That holds because everything a job shares with
+//! its neighbours is immutable for the job's duration: the cluster, the
+//! formats, and any shared selectivity-feedback store, whose absorption
+//! is deferred to a submission-order barrier after the batch (the bench
+//! layer's `run_queries_managed` does this; see `read_split_batch`'s
+//! contract in [`crate::input_format::InputFormat`]). During the batch
+//! planners read the store and nothing writes it, so every job prices
+//! against identical state at any concurrency, and each job plans its
+//! own blocks from it.
 //!
 //! Jobs never share reads: each reads its own blocks through its own
 //! format, so no block read depends on what else is in flight.
@@ -54,9 +45,9 @@ use std::time::Instant;
 ///
 /// The manager owns no execution resources itself — worker threads are
 /// scoped to each [`JobManager::run_batch`] call ([`run_ordered`] over
-/// whole jobs), and the cross-job resources worth sharing (plan cache,
-/// selectivity feedback) are shared by plumbing
-/// the same `Arc`s into each job's `InputFormat`, not by the manager
+/// whole jobs), and the one cross-job resource worth sharing (the
+/// selectivity-feedback store) is shared by plumbing
+/// the same `Arc` into each job's `InputFormat`, not by the manager
 /// reaching into the formats. The manager takes no lock of its own.
 /// Each job reads at most its own `job_parallelism` splits at once, so
 /// a batch uses at most `max_concurrent × job_parallelism` threads.

@@ -13,7 +13,7 @@ use crate::driver::ChunkedDrive;
 use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitTask};
 use crate::job::{JobReport, MapRecord, TaskReport};
 use hail_dfs::DfsCluster;
-use hail_sim::{ClusterSpec, HardwareProfile, SlotPool};
+use hail_sim::{ClusterSpec, CostLedger, HardwareProfile, ScaleFactor, SlotPool};
 use hail_types::{BlockId, DatanodeId, HailError, Result, Row};
 
 /// A map-only job: the input format yields records; `map` turns each
@@ -209,42 +209,27 @@ impl NodeSlots {
     }
 }
 
-/// The logical block the assignment phase's fallback heuristic prices:
+/// The logical block the assignment phase prices each split block as:
 /// the paper's 64 MB HDFS block.
-const FALLBACK_LOGICAL_BLOCK_BYTES: f64 = 64.0 * 1024.0 * 1024.0;
+const LOGICAL_BLOCK: u64 = 64 * 1024 * 1024;
 
-/// The assignment phase's duration estimate for one split when the
-/// format offers none ([`InputFormat::estimate_splits`] returned
-/// `None`): a sequential scan of one logical 64 MB block per split
-/// block. Uniform per block, so relative slot-occupancy ordering — the
-/// only thing node choice consumes — matches any uniform actual
-/// durations exactly.
-fn fallback_split_estimate(hw: &HardwareProfile, split: &InputSplit) -> f64 {
-    split.blocks.len().max(1) as f64 * (FALLBACK_LOGICAL_BLOCK_BYTES / (hw.disk_read_mb_s * 1e6))
-}
-
-/// Estimated reader seconds for `splits`, one per split: the format's
-/// one batch answer ([`InputFormat::estimate_splits`] — the
-/// planner-backed format derives the query's filter shape once there),
-/// or [`fallback_split_estimate`] for every split when the format has
-/// none. A wrong-length answer is treated as no answer.
-pub(crate) fn estimate_or_fallback(
-    cluster: &DfsCluster,
-    hw: &HardwareProfile,
-    format: &dyn InputFormat,
-    splits: &[InputSplit],
-) -> Vec<f64> {
-    format
-        .estimate_splits(cluster, splits)
-        .filter(|ests| ests.len() == splits.len())
-        .unwrap_or_else(|| {
-            splits
-                .iter()
-                .map(|split| fallback_split_estimate(hw, split))
-                .collect()
-        })
-        .into_iter()
-        .map(|est| est.max(0.0))
+/// Estimated reader seconds for `splits`, one per split: a pipelined
+/// full scan of one logical block per split block on
+/// [`HardwareProfile::physical`], whatever the format or query. Uniform
+/// per block, so relative slot-occupancy ordering — the only thing node
+/// choice consumes — matches any uniform actual durations exactly, and
+/// node choice depends on no planner state.
+pub(crate) fn split_estimates(splits: &[InputSplit]) -> Vec<f64> {
+    let ledger = CostLedger {
+        disk_read: LOGICAL_BLOCK,
+        scan_cpu: LOGICAL_BLOCK,
+        seeks: 1,
+        ..Default::default()
+    };
+    let block_seconds = ledger.pipelined_seconds(&HardwareProfile::physical(), ScaleFactor::unit());
+    splits
+        .iter()
+        .map(|split| block_seconds * split.blocks.len() as f64)
         .collect()
 }
 
@@ -253,8 +238,8 @@ pub(crate) fn estimate_or_fallback(
 /// whole splits freely.
 ///
 /// Runs the exact delay-scheduling [`NodeSlots`] logic the engine has
-/// always used, but prices slot occupancy with *planner estimates*
-/// ([`estimate_or_fallback`]) instead of actual read results — the
+/// always used, but prices slot occupancy with *estimates*
+/// ([`split_estimates`]) instead of actual read results — the
 /// decoupling that makes split-level overlap possible. The planning
 /// pools here are throwaway: the final simulated schedule is replayed
 /// in phase 3 from actual per-split durations on these pre-chosen
@@ -263,13 +248,12 @@ pub(crate) fn estimate_or_fallback(
 pub(crate) fn assign_split_nodes(
     cluster: &DfsCluster,
     spec: &ClusterSpec,
-    format: &dyn InputFormat,
     splits: &[InputSplit],
 ) -> Result<Vec<DatanodeId>> {
     let hw = &spec.profile;
     let mut planning = NodeSlots::new(cluster, hw.map_slots);
     let mut nodes = Vec::with_capacity(splits.len());
-    let ests = estimate_or_fallback(cluster, hw, format, splits);
+    let ests = split_estimates(splits);
     for (split, est) in splits.iter().zip(ests) {
         let node = planning
             .choose_node_delayed(&split.locations, spec.locality_delay_s)
@@ -328,7 +312,7 @@ pub(crate) fn account_split_read(
 /// overlap change this happens in three phases:
 ///
 /// 1. **Assignment** (`assign_split_nodes`): nodes are chosen for all
-///    splits up front from planner *estimates*, decoupling scheduling
+///    splits up front from block-count *estimates*, decoupling scheduling
 ///    from reading.
 /// 2. **Execution** ([`InputFormat::read_split_batch`]): up to
 ///    [`MapJob::job_parallelism`] / `HAIL_JOB_PARALLELISM` whole splits
@@ -364,7 +348,7 @@ pub(crate) fn run_map_job_with_plan(
     let split_phase_seconds = plan.client_cost.serial_seconds(hw, spec.scale);
 
     // Phase 1: assignment.
-    let nodes = assign_split_nodes(cluster, spec, job.format, &plan.splits)?;
+    let nodes = assign_split_nodes(cluster, spec, &plan.splits)?;
 
     // Phases 2+3 run through the shared chunked drive loop
     // ([`ChunkedDrive`]): execution (the format may overlap each

@@ -23,7 +23,7 @@
 //! the engine leaves its structure consistent before any call that can
 //! panic (writes are complete assignments, not staged mutations), so a
 //! panicked worker must not cascade into wedging the shared
-//! `PlanCache`.
+//! `SelectivityFeedback` store.
 //!
 //! This crate is the one place the raw `std::sync` locks may appear:
 //! the workspace `clippy.toml` disallows them everywhere else.
@@ -42,9 +42,7 @@ pub mod executor;
 pub use executor::run_ordered;
 
 use std::fmt;
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The global lock hierarchy, highest rank first. A thread holding a
 /// lock may only acquire locks of *strictly lower* rank.
@@ -57,10 +55,8 @@ use std::sync::{
 pub enum LockRank {
     /// `ReindexAdvisor` trigger state — held across `SelectivityFeedback`
     /// reads (crates/exec/src/adapt.rs).
-    AdvisorState = 4,
-    /// `PlanCache` fingerprinted plan entries (crates/exec/src/cache.rs).
-    PlanCache = 3,
-    /// `SelectivityFeedback` per-class observations (crates/exec/src/cache.rs).
+    AdvisorState = 3,
+    /// `SelectivityFeedback` per-class observations (crates/exec/src/feedback.rs).
     Feedback = 2,
     /// Per-job map-side scratch accumulators (crates/mr/src/shuffle.rs).
     MapScratch = 1,
@@ -73,9 +69,8 @@ pub enum LockRank {
 impl LockRank {
     /// All ranks, highest first — the same order as the declaration and
     /// the ARCHITECTURE.md table.
-    pub const ALL: [LockRank; 5] = [
+    pub const ALL: [LockRank; 4] = [
         LockRank::AdvisorState,
-        LockRank::PlanCache,
         LockRank::Feedback,
         LockRank::MapScratch,
         LockRank::ShareRegistry,
@@ -149,8 +144,7 @@ fn on_release(rank: LockRank) {
 #[inline(always)]
 fn on_release(_rank: LockRank) {}
 
-/// Pops the rank entry when a guard drops (or is consumed by a condvar
-/// wait, which immediately re-arms a new one).
+/// Pops the rank entry when a guard drops.
 struct Release(LockRank);
 impl Drop for Release {
     fn drop(&mut self) {
@@ -195,7 +189,7 @@ impl<T: ?Sized> OrderedMutex<T> {
         let release = Release(self.rank);
         let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         OrderedMutexGuard {
-            guard: Some(guard),
+            guard,
             _release: release,
         }
     }
@@ -217,80 +211,22 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
     }
 }
 
-/// Guard for an [`OrderedMutex`]. The inner guard lives in an `Option`
-/// only so [`OrderedCondvar::wait`] can hand it to the OS condvar
-/// and re-wrap it; it is `Some` at every other moment.
+/// Guard for an [`OrderedMutex`].
 pub struct OrderedMutexGuard<'a, T: ?Sized> {
-    guard: Option<MutexGuard<'a, T>>,
+    guard: MutexGuard<'a, T>,
     _release: Release,
 }
 
 impl<T: ?Sized> std::ops::Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard
-            .as_ref()
-            .expect("guard present outside condvar wait")
+        &self.guard
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard
-            .as_mut()
-            .expect("guard present outside condvar wait")
-    }
-}
-
-/// A condvar paired with [`OrderedMutex`]-guarded state. While a
-/// thread waits, its rank entry stays on the held stack: a blocked
-/// waiter still logically holds its place in the hierarchy, and the
-/// re-acquisition on wakeup happens at the same stack position.
-pub struct OrderedCondvar {
-    inner: Condvar,
-}
-
-impl OrderedCondvar {
-    pub const fn new() -> Self {
-        Self {
-            inner: Condvar::new(),
-        }
-    }
-
-    /// Atomically releases the guard and waits for a notification,
-    /// recovering from poisoning on wakeup. The rank bookkeeping is
-    /// untouched — the same `Release` is carried across the wait.
-    pub fn wait<'a, T>(&self, mut guard: OrderedMutexGuard<'a, T>) -> OrderedMutexGuard<'a, T> {
-        let inner = guard
-            .guard
-            .take()
-            .expect("guard present outside condvar wait");
-        let inner = self
-            .inner
-            .wait(inner)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.guard = Some(inner);
-        guard
-    }
-
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-}
-
-impl Default for OrderedCondvar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for OrderedCondvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrderedCondvar").finish_non_exhaustive()
+        &mut self.guard
     }
 }
 
@@ -407,9 +343,9 @@ mod tests {
                 pair[1]
             );
         }
-        assert_eq!(LockRank::ALL.len(), 5);
+        assert_eq!(LockRank::ALL.len(), 4);
         assert_eq!(LockRank::ShareRegistry as u8, 0);
-        assert_eq!(LockRank::AdvisorState as u8, 4);
+        assert_eq!(LockRank::AdvisorState as u8, 3);
     }
 
     #[test]
@@ -428,20 +364,20 @@ mod tests {
 
     #[test]
     fn release_order_need_not_mirror_acquisition() {
-        let cache = OrderedRwLock::new(LockRank::PlanCache, "plan-cache", ());
+        let advisor = OrderedRwLock::new(LockRank::AdvisorState, "advisor", ());
         let feedback = OrderedRwLock::new(LockRank::Feedback, "feedback", ());
-        let a = cache.read();
+        let a = advisor.read();
         let b = feedback.read();
         drop(a); // release the *higher* rank first
         drop(b);
-        let _w = cache.write();
+        let _w = advisor.write();
     }
 
     #[test]
     fn poisoned_lock_is_recovered_not_propagated() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::Arc;
-        let m = Arc::new(OrderedMutex::new(LockRank::PlanCache, "poisoned", 7u32));
+        let m = Arc::new(OrderedMutex::new(LockRank::Feedback, "poisoned", 7u32));
         let m2 = Arc::clone(&m);
         let _ = std::thread::spawn(move || {
             let _ = catch_unwind(AssertUnwindSafe(|| {
@@ -457,35 +393,6 @@ mod tests {
         assert_eq!(owned.into_inner(), 7);
     }
 
-    #[test]
-    fn condvar_wait_keeps_rank_and_recovers() {
-        use std::sync::Arc;
-        let state = Arc::new(OrderedMutex::new(
-            LockRank::MapScratch,
-            "scratch-state",
-            false,
-        ));
-        let cv = Arc::new(OrderedCondvar::new());
-        let (s2, c2) = (Arc::clone(&state), Arc::clone(&cv));
-        let waiter = std::thread::spawn(move || {
-            let mut g = s2.acquire();
-            while !*g {
-                g = c2.wait(g);
-            }
-            // Still holding MapScratch after the wait: a lower-rank
-            // acquisition must be legal, a higher-rank one would panic.
-            let leaf = OrderedMutex::new(LockRank::ShareRegistry, "leaf", ());
-            let _l = leaf.acquire();
-            *g
-        });
-        {
-            let mut g = state.acquire();
-            *g = true;
-        }
-        cv.notify_all();
-        assert!(waiter.join().unwrap());
-    }
-
     // The inversion-injection test: checking only exists in debug
     // builds, so it runs in a fresh thread (thread-local stack) and
     // only there.
@@ -493,10 +400,10 @@ mod tests {
     #[test]
     fn inversion_panics_naming_both_locks() {
         let err = std::thread::spawn(|| {
-            let cache = OrderedRwLock::new(LockRank::PlanCache, "plan-cache", ());
+            let feedback = OrderedRwLock::new(LockRank::Feedback, "feedback", ());
             let advisor = OrderedMutex::new(LockRank::AdvisorState, "advisor-state", ());
-            let _held = cache.read();
-            let _bad = advisor.acquire(); // AdvisorState after PlanCache: inverted
+            let _held = feedback.read();
+            let _bad = advisor.acquire(); // AdvisorState after Feedback: inverted
         })
         .join()
         .expect_err("inverted acquisition must panic");
@@ -510,7 +417,7 @@ mod tests {
             "panic must name the acquired lock: {msg}"
         );
         assert!(
-            msg.contains("plan-cache"),
+            msg.contains("feedback"),
             "panic must name the held lock: {msg}"
         );
         assert!(
@@ -545,10 +452,10 @@ mod tests {
     #[test]
     fn panic_unwinding_releases_held_ranks() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let cache = OrderedRwLock::new(LockRank::PlanCache, "plan-cache", ());
+        let feedback = OrderedRwLock::new(LockRank::Feedback, "feedback", ());
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _g = cache.write();
-            panic!("die holding plan-cache");
+            let _g = feedback.write();
+            panic!("die holding feedback");
         }));
         // The unwound guard must have popped its rank: acquiring a
         // higher rank on this thread is legal again.

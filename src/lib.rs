@@ -12,11 +12,10 @@
 //! `QueryPlanner`: per block, it consults the namenode's per-replica
 //! index metadata, prices each `(replica, access path)` candidate with
 //! the `hail-sim` cost model, and emits an explainable `QueryPlan` that
-//! the scheduler and the record readers both consume. Planning is
-//! adaptive: a fingerprinted `PlanCache` memoizes per-block plans
-//! across queries with the same filter shape (invalidated on replica
-//! death and any `Dir_rep` change), and a `SelectivityFeedback` store
-//! blends observed per-block selectivities back into the estimates.
+//! the scheduler and the record readers both consume. Every job plans
+//! cold; planning is adaptive through a `SelectivityFeedback` store
+//! that blends observed per-block selectivities back into the
+//! estimates.
 //! See `ARCHITECTURE.md` for the full plan lifecycle.
 //!
 //! This crate is a facade re-exporting the workspace's layers:
@@ -29,7 +28,7 @@
 //! | [`sim`] | `hail-sim` | hardware profiles and the cost model |
 //! | [`sync`] | `hail-sync` | ranked lock wrappers (`LockRank`, debug hierarchy checking) |
 //! | [`dfs`] | `hail-dfs` | namenode (`Dir_rep`), datanodes, upload pipelines |
-//! | [`mr`] | `hail-mr` | MapReduce engine, four-method `InputFormat` trait, scheduler, failover |
+//! | [`mr`] | `hail-mr` | MapReduce engine, three-method `InputFormat` trait, scheduler, failover |
 //! | [`core`] | `hail-core` | upload clients, `@HailQuery`, Hadoop++ storage |
 //! | [`exec`] | `hail-exec` | `AccessPath` trait, cost-based `QueryPlanner`, the one `PlannedInputFormat` |
 //! | [`workloads`] | `hail-workloads` | UserVisits/Synthetic generators, Bob/Syn queries |
@@ -96,10 +95,9 @@ pub mod prelude {
         verify_replica_equivalence, DfsCluster, FaultPlan,
     };
     pub use hail_exec::{
-        apply_reindex, default_splits, hail_splits, read_hail_block, AccessPath, CacheStats,
-        PlanCache, PlannedInputFormat, PlannerConfig, QueryPlan, QueryPlanner, ReindexAction,
-        ReindexAdvisor, ReindexKind, ReindexOutcome, ReindexPolicy, SelectivityEstimate,
-        SelectivityFeedback,
+        apply_reindex, default_splits, hail_splits, read_hail_block, AccessPath,
+        PlannedInputFormat, PlannerConfig, QueryPlan, QueryPlanner, ReindexAction, ReindexAdvisor,
+        ReindexKind, ReindexOutcome, ReindexPolicy, SelectivityEstimate, SelectivityFeedback,
     };
     pub use hail_index::{
         ClusteredIndex, IndexKind, IndexedBlock, KeyBounds, ReplicaIndexConfig, SidecarMetadata,

@@ -22,7 +22,9 @@
 //!   gracefully to the surviving replicas' paths;
 //! - the default policy re-indexes, and a disabled one (what
 //!   `HAIL_DISABLE_REINDEX=1` selects) lets evidence accumulate but
-//!   never moves the design.
+//!   never moves the design;
+//! - before any rewrite, the feedback alone flips a plan the static
+//!   prior had mispriced.
 
 use hail::prelude::*;
 use hail_bench::{
@@ -60,8 +62,7 @@ fn advisor(enabled: bool) -> ReindexAdvisor {
     })
 }
 
-/// One round of pairwise-distinct filter shapes (no intra-round cache
-/// racing, so the full report-determinism contract applies). The first
+/// One round of pairwise-distinct filter shapes. The first
 /// query is the evidence driver: a ~5% range predicate on the
 /// unindexed duration column.
 fn round_queries(schema: &Schema) -> Vec<HailQuery> {
@@ -534,4 +535,104 @@ fn default_policy_honours_disable_env() {
             }
         }
     }
+}
+
+/// Acceptance: observed selectivity feedback flips a plan the static
+/// prior had mispriced. The prior claims the filter is highly selective
+/// (index territory); the data disagrees (nearly every row matches);
+/// sustained execution feedback pushes the effective estimate across
+/// the cost model's break-even and the planner switches to the scan —
+/// with `explain()` reporting the estimate's provenance throughout.
+#[test]
+fn feedback_flips_mispriced_plan() {
+    let mut storage = StorageConfig::test_scale(4 * 1024);
+    storage.index_partition_size = 16;
+    let mut cluster = DfsCluster::new(4, storage);
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::VarChar),
+    ])
+    .unwrap();
+    // Every key lies in [0, 9]: the query below matches ~100% of rows.
+    let text: String = (0..700).map(|i| format!("{}|w{i}\n", i % 10)).collect();
+    let dataset = upload_hail(
+        &mut cluster,
+        &schema,
+        "t",
+        &[(0, text)],
+        &ReplicaIndexConfig::first_indexed(3, &[0]),
+    )
+    .unwrap();
+    let query = HailQuery::parse("@1 between(0, 50)", "{@2}", &schema).unwrap();
+
+    let feedback = Arc::new(SelectivityFeedback::default());
+    let config = PlannerConfig {
+        estimate: SelectivityEstimate::uniform(0.01), // confidently wrong
+        feedback: Some(Arc::clone(&feedback)),
+        ..Default::default()
+    };
+    let planner = QueryPlanner::with_config(&cluster, config.clone());
+
+    // The static prior misprices the query: 1% selectivity makes the
+    // clustered index look far cheaper than the scan.
+    let mispriced = planner.plan_dataset(&dataset, &query).unwrap();
+    for bp in &mispriced.blocks {
+        assert_eq!(bp.kind, AccessPathKind::ClusteredIndexScan);
+    }
+    assert!(
+        mispriced.explain().contains("(prior)"),
+        "{}",
+        mispriced.explain()
+    );
+
+    // Execute the mispriced plan repeatedly; every block read records
+    // its observed key-column selectivity, and the format-level
+    // plumbing feeds it into the store split by split.
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(config);
+    let splits = format.splits(&cluster, &dataset.blocks).unwrap();
+    for _ in 0..12 {
+        for split in &splits.splits {
+            hail::mr::read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {})
+                .unwrap();
+        }
+    }
+    let (observed_mean, weight) = feedback.observed(0, false).expect("observations recorded");
+    assert!(
+        observed_mean > 0.95,
+        "observed ≈ everything matches: {observed_mean}"
+    );
+    assert!(weight > 10.0, "sustained evidence accumulated: {weight}");
+
+    // Same query, same static prior — but the blended estimate now sits
+    // past the break-even and the planner corrects itself.
+    let corrected = planner.plan_dataset(&dataset, &query).unwrap();
+    for bp in &corrected.blocks {
+        assert_eq!(
+            bp.kind,
+            AccessPathKind::FullScan,
+            "feedback flips the mispriced index plan to a scan"
+        );
+        assert!(bp.est_seconds > mispriced.blocks[0].est_seconds);
+    }
+    assert!(
+        corrected.explain().contains("(observed)"),
+        "{}",
+        corrected.explain()
+    );
+
+    // A planner without the store still trusts the wrong prior — the
+    // flip is the feedback's doing, not drift elsewhere.
+    let static_plan = QueryPlanner::with_config(
+        &cluster,
+        PlannerConfig {
+            estimate: SelectivityEstimate::uniform(0.01),
+            ..Default::default()
+        },
+    )
+    .plan_dataset(&dataset, &query)
+    .unwrap();
+    assert_eq!(
+        static_plan.blocks[0].kind,
+        AccessPathKind::ClusteredIndexScan
+    );
 }

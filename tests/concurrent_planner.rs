@@ -1,23 +1,25 @@
 //! Concurrency stress tests for the cross-query planner state: many
-//! threads hammer `plan_block` (and full split reads) through one
-//! shared `PlanCache` + `SelectivityFeedback` while fingerprint drops,
-//! re-inserts and feedback absorption run against them.
+//! threads plan blocks (and read whole splits) against one shared
+//! `SelectivityFeedback` store while feedback absorption runs against
+//! them.
 //!
 //! The properties under test:
 //!
-//! - **Counter consistency.** Each cache lookup counts as exactly one
-//!   hit or one miss, so `hits + misses` equals the number of lookups
-//!   issued across all threads — also when lookups against two clusters
-//!   with the same block ids drop and re-insert each other's entries.
-//! - **Atomic absorption.** Feedback batches land whole; the final
-//!   observation count equals exactly what was fed in.
-//! - **Correctness under contention.** Plans served during the storm
-//!   equal what a stateless planner computes.
+//! - **Atomic absorption.** A concurrent `plan_block` prices against
+//!   none or all of an absorbed batch, never a torn prefix, and the
+//!   final observation count equals exactly what was fed in.
+//! - **Stateless plans under contention.** Every plan served during
+//!   the storm equals what a planner without the store prices at the
+//!   same selectivity.
+//! - **Racing reads.** Split reads racing on threads return the serial
+//!   run's records and, absorbed in split order, leave its feedback
+//!   state.
 
-use hail::exec::PlannerConfig;
+use hail::exec::{PlannerConfig, SelectivitySource};
 use hail::mr::{read_one_split, SplitSource, SplitTask, TaskStats};
 use hail::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -43,172 +45,146 @@ fn setup_with(rows: usize, design: &ReplicaIndexConfig) -> (DfsCluster, Dataset)
     (cluster, dataset)
 }
 
-/// The stress test: planner threads hammer `plan_block` against two
-/// clusters that hold the same block ids under different physical
-/// designs, so every switch of cluster drops the other design's entries
-/// and re-inserts its own while warm hits race them, and a feedback
-/// thread absorbs observation batches — all against one shared
-/// cache/store.
+/// What one plan priced against and chose, as bit patterns: the
+/// selectivity, its feedback weight (0 for the prior), the access path,
+/// the replica and the price.
+type PlanBits = (u64, u64, AccessPathKind, usize, u64);
+
+/// The stress test: planner threads plan one block over and over while
+/// a feedback thread absorbs batches of observations into the store they
+/// price with. Every plan must have seen a whole number of batches, and
+/// must equal a stateless pricing at the selectivity it reports.
 #[test]
-fn plan_block_vs_fingerprint_drops_and_feedback_absorption() {
-    let indexed = setup(2000);
-    let unindexed = setup_with(2000, &ReplicaIndexConfig::unindexed(3));
-    assert_eq!(indexed.1.blocks, unindexed.1.blocks, "same block ids");
-    let cache = Arc::new(PlanCache::default());
+fn plan_block_vs_feedback_absorption() {
+    let (cluster, dataset) = setup(2000);
+    let block = dataset.blocks[0];
     let feedback = Arc::new(SelectivityFeedback::default());
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
 
-    const PLANNERS: usize = 4;
-    const ROUNDS: usize = 30;
-    const FEEDBACK_BATCHES: u64 = 50;
+    const PLANNERS: usize = 3;
+    const FEEDBACK_BATCHES: u64 = 1000;
     const OBS_PER_BATCH: u64 = 4;
-    let lookups_issued = AtomicU64::new(0);
+    let batch = TaskStats {
+        selectivity: (0..OBS_PER_BATCH)
+            .map(|i| SelectivityObservation {
+                column: 0,
+                eq: false,
+                matched: 100 + 50 * i,
+                total: 1000,
+            })
+            .collect(),
+        ..Default::default()
+    };
+    let plans = AtomicU64::new(0);
+    let absorbed = AtomicBool::new(false);
 
-    std::thread::scope(|scope| {
-        // Planner threads: repeated full-dataset planning through the
-        // shared cache (one lookup per block per plan), half of them
-        // against each cluster.
-        for t in 0..PLANNERS {
-            let (cluster, dataset) = if t % 2 == 0 { &indexed } else { &unindexed };
-            let (cache, feedback, query) = (&cache, &feedback, &query);
-            let lookups_issued = &lookups_issued;
-            scope.spawn(move || {
-                let config = PlannerConfig {
-                    plan_cache: Some(Arc::clone(cache)),
-                    feedback: Some(Arc::clone(feedback)),
-                    ..Default::default()
-                };
-                let planner = QueryPlanner::with_config(cluster, config);
-                for _ in 0..ROUNDS {
-                    let plan = planner.plan_dataset(dataset, query).unwrap();
-                    assert_eq!(plan.blocks.len(), dataset.blocks.len());
-                    lookups_issued.fetch_add(plan.blocks.len() as u64, Ordering::Relaxed);
-                }
-            });
-        }
-        // Feedback absorption in batches.
-        scope.spawn(|| {
-            for _ in 0..FEEDBACK_BATCHES {
-                let stats = TaskStats {
-                    selectivity: (0..OBS_PER_BATCH)
-                        .map(|_| SelectivityObservation {
-                            column: 0,
-                            eq: false,
-                            matched: 100,
-                            total: 1000,
-                        })
-                        .collect(),
-                    ..Default::default()
-                };
-                feedback.absorb(&stats);
+    let seen: Vec<BTreeSet<PlanBits>> = std::thread::scope(|scope| {
+        let planners: Vec<_> = (0..PLANNERS)
+            .map(|_| {
+                let (cluster, feedback, query) = (&cluster, &feedback, &query);
+                let (plans, absorbed) = (&plans, &absorbed);
+                scope.spawn(move || {
+                    let config = PlannerConfig {
+                        feedback: Some(Arc::clone(feedback)),
+                        ..Default::default()
+                    };
+                    let planner = QueryPlanner::with_config(cluster, config);
+                    let mut seen = BTreeSet::new();
+                    while !absorbed.load(Ordering::Acquire) {
+                        let bp = planner
+                            .plan_block(DatasetFormat::HailPax, block, query)
+                            .unwrap();
+                        let choice = bp.selectivity[0];
+                        let weight = match choice.source {
+                            SelectivitySource::Prior => 0.0,
+                            SelectivitySource::Observed { weight } => weight,
+                        };
+                        seen.insert((
+                            choice.value.to_bits(),
+                            weight.to_bits(),
+                            bp.kind,
+                            bp.replica,
+                            bp.est_seconds.to_bits(),
+                        ));
+                        plans.fetch_add(1, Ordering::Release);
+                    }
+                    seen
+                })
+            })
+            .collect();
+        // Absorb batch after batch, each once some plan ran since the
+        // last one, so the planners see many states.
+        for _ in 0..FEEDBACK_BATCHES {
+            let before = plans.load(Ordering::Acquire);
+            while plans.load(Ordering::Acquire) == before {
                 std::thread::yield_now();
             }
-        });
+            feedback.absorb(&batch);
+        }
+        absorbed.store(true, Ordering::Release);
+        planners.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Counter consistency: planner lookups all counted exactly once,
-    // whether they hit at the watermark, revalidated, or dropped the
-    // other cluster's entry.
-    let stats = cache.stats();
-    assert_eq!(
-        stats.hits + stats.misses,
-        lookups_issued.load(Ordering::Relaxed),
-        "every lookup is exactly one hit or one miss"
-    );
-    assert!(stats.hits > 0, "warm rounds must hit");
-    assert_eq!(stats.evictions, 0, "no capacity pressure");
-
-    // Atomic absorption: exactly the fed batches landed.
+    // Atomic absorption: exactly the fed batches landed…
     assert_eq!(
         feedback.observation_count(0, false),
         FEEDBACK_BATCHES * OBS_PER_BATCH
     );
-
-    // Correctness under contention: on either cluster, what the cache
-    // now serves equals a stateless pricing pass under the same
-    // (post-feedback) estimates — never the other design's plan.
-    for (cluster, dataset) in [&indexed, &unindexed] {
-        let adapted = PlannerConfig {
-            plan_cache: Some(Arc::clone(&cache)),
-            feedback: Some(Arc::clone(&feedback)),
-            ..Default::default()
+    // …and every plan priced against a whole number of them: the
+    // (estimate, weight) a serial store reports after each batch.
+    let serial = SelectivityFeedback::default();
+    let prior = PlannerConfig::default().estimate.for_column(0);
+    let mut boundaries = BTreeSet::from([(prior.to_bits(), 0f64.to_bits())]);
+    for _ in 0..FEEDBACK_BATCHES {
+        serial.absorb(&batch);
+        let (value, source) = serial.adjusted(0, false, prior);
+        let SelectivitySource::Observed { weight } = source else {
+            panic!("observed after a batch");
         };
-        let cached_plan = QueryPlanner::with_config(cluster, adapted)
-            .plan_dataset(dataset, &query)
-            .unwrap();
-        let stateless = PlannerConfig {
-            feedback: Some(Arc::clone(&feedback)),
-            ..Default::default()
-        };
-        let fresh_plan = QueryPlanner::with_config(cluster, stateless)
-            .plan_dataset(dataset, &query)
-            .unwrap();
-        // A planner thread that raced the absorber may have priced a
-        // block at an intermediate selectivity that rounds to the same
-        // 1/1000 bucket as the final estimate. Serving that plan is
-        // correct under `cache.rs` invalidation rule 2 (only
-        // plan-relevant drift re-prices), but its price need not be
-        // bit-equal to a fresh one: it is bounded by what one quantum
-        // either side moves the price (the cheapest candidate's price is
-        // monotone in selectivity).
-        const QUANTUM: f64 = 1e-3;
-        let selectivity = fresh_plan.blocks[0].selectivity[0].value;
-        let priced_at = |s: f64| {
-            let config = PlannerConfig {
-                estimate: SelectivityEstimate::uniform(s),
-                ..Default::default()
-            };
-            QueryPlanner::with_config(cluster, config)
-                .plan_dataset(dataset, &query)
-                .unwrap()
-        };
-        let (low, high) = (
-            priced_at(selectivity - QUANTUM),
-            priced_at(selectivity + QUANTUM),
+        boundaries.insert((value.to_bits(), weight.to_bits()));
+    }
+    let states: BTreeSet<_> = seen.iter().flatten().collect();
+    for &&(value, weight, ..) in &states {
+        assert!(
+            boundaries.contains(&(value, weight)),
+            "a plan priced against a torn batch: selectivity {} at weight {}",
+            f64::from_bits(value),
+            f64::from_bits(weight)
         );
-        for (i, (a, b)) in cached_plan
-            .blocks
-            .iter()
-            .zip(&fresh_plan.blocks)
-            .enumerate()
-        {
-            assert_eq!(a.block, b.block);
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.replica, b.replica);
-            assert_eq!(a.locations, b.locations);
-            let slack = (high.blocks[i].est_seconds - b.est_seconds)
-                .abs()
-                .max((b.est_seconds - low.blocks[i].est_seconds).abs());
-            assert!(
-                (a.est_seconds - b.est_seconds).abs() <= slack,
-                "block {}: cached {} vs fresh {} exceeds one selectivity quantum ({slack})",
-                a.block,
-                a.est_seconds,
-                b.est_seconds
-            );
-        }
+    }
+    let distinct: BTreeSet<_> = states.iter().map(|s| (s.0, s.1)).collect();
+    assert!(distinct.len() > 1, "the planners saw the store move");
+
+    // Stateless plans: each equals a store-less pricing at the
+    // selectivity it reports.
+    for &&(value, _, kind, replica, price) in &states {
+        let config = PlannerConfig {
+            estimate: SelectivityEstimate::uniform(f64::from_bits(value)),
+            ..Default::default()
+        };
+        let fresh = QueryPlanner::with_config(&cluster, config)
+            .plan_block(DatasetFormat::HailPax, block, &query)
+            .unwrap();
+        assert_eq!((fresh.kind, fresh.replica), (kind, replica));
+        assert_eq!(fresh.est_seconds.to_bits(), price);
     }
 }
 
-/// Whole split reads racing through one shared adaptive state. Without
-/// the split-time plan each read plans its blocks through the shared
-/// cache: the per-split attribution covers every block exactly once,
-/// whichever thread's read warmed the cache for another. Under the
-/// split-time plan the reads look nothing up and price nothing, and every
-/// block is attributed as a hit. Both rounds return the serial records,
-/// and, absorbed in split order, leave the serial feedback state.
+/// Whole split reads racing through one shared feedback store, with and
+/// without the split-time plan. Under it the reads plan nothing again;
+/// without it each read plans all its blocks. Both rounds return the
+/// serial records, and, absorbed in split order, leave the serial
+/// feedback state.
 #[test]
 fn concurrent_read_splits_share_adaptive_state() {
     let (cluster, dataset) = setup(4000);
     let blocks = dataset.blocks.len() as u64;
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-    let cache = Arc::new(PlanCache::default());
     let feedback = Arc::new(SelectivityFeedback::default());
     // Deferred, as in a managed batch: the store is read-only while the
     // splits race, and absorbed afterwards in split order.
     let format =
         PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
-            plan_cache: Some(Arc::clone(&cache)),
             feedback: Some(Arc::clone(&feedback)),
             defer_feedback: true,
             ..Default::default()
@@ -256,24 +232,14 @@ fn concurrent_read_splits_share_adaptive_state() {
         })
     };
     for source in [None, plan.source.as_ref()] {
-        cache.clear();
         feedback.clear();
-        // `clear` keeps the effectiveness counters: measure each round as
-        // a delta.
-        let before = cache.stats();
         let totals = race(source);
         let records: u64 = totals.iter().map(|t| t.records).sum();
         assert_eq!(records, serial_records);
-        let hits: u64 = totals.iter().map(|t| t.plan_cache_hits).sum();
-        let misses: u64 = totals.iter().map(|t| t.plan_cache_misses).sum();
-        assert_eq!(hits + misses, blocks);
-        let after = cache.stats();
-        let lookups = (after.hits + after.misses) - (before.hits + before.misses);
-        if source.is_some() {
-            assert_eq!((hits, lookups), (blocks, 0), "the split-time plan serves");
-            assert_eq!(after.cost_evaluations, before.cost_evaluations);
-        } else {
-            assert_eq!(lookups, blocks, "one lookup per block");
+        let replanned: u64 = totals.iter().map(|t| t.blocks_replanned).sum();
+        match source {
+            Some(_) => assert_eq!(replanned, 0, "the split-time plan serves"),
+            None => assert_eq!(replanned, blocks, "each read plans its blocks"),
         }
         assert_eq!(absorb(&totals), serial_feedback);
     }

@@ -136,3 +136,69 @@ fn higher_replication_survives_more_failures() {
         recover_logical_rows(&cluster, b).unwrap();
     }
 }
+
+/// A planned read whose index replica died since planning plans the
+/// block again on the degraded cluster: it degrades to a full scan on a
+/// surviving replica, and the same rows come back.
+#[test]
+fn failover_replans_and_degrades_to_scan() {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::VarChar),
+    ])
+    .unwrap();
+    let mut storage = StorageConfig::test_scale(4 * 1024);
+    storage.index_partition_size = 16;
+    let mut cluster = DfsCluster::new(4, storage);
+    let text: String = (0..500)
+        .map(|i| format!("{}|w{i}\n", (i * 7) % 500))
+        .collect();
+    let dataset = upload_hail(
+        &mut cluster,
+        &schema,
+        "t",
+        &[(0, text)],
+        &ReplicaIndexConfig::first_indexed(3, &[0]),
+    )
+    .unwrap();
+    let query = HailQuery::parse("@1 between(30, 60)", "", &schema).unwrap();
+
+    let plan = QueryPlanner::new(&cluster)
+        .plan_dataset(&dataset, &query)
+        .unwrap();
+    let block = dataset.blocks[0];
+    let bp = plan.block_plan(block).unwrap();
+    assert_eq!(bp.kind, AccessPathKind::ClusteredIndexScan);
+    let indexed_replica = bp.replica;
+
+    let count = |cluster: &DfsCluster| {
+        let mut rows = 0u64;
+        let stats = QueryPlanner::new(cluster)
+            .execute_block(&plan, block, 0, &schema, &query, &mut |r| {
+                if !r.bad {
+                    rows += 1;
+                }
+            })
+            .unwrap();
+        (rows, stats)
+    };
+    let (expected, before) = count(&cluster);
+    assert!(!before.fell_back_to_scan);
+
+    cluster.kill_node(indexed_replica).unwrap();
+    let (got, stats) = count(&cluster);
+    assert_eq!(got, expected, "failover must not lose or invent rows");
+    assert!(
+        stats.fell_back_to_scan,
+        "only the dead replica had an index: execution degrades to scan"
+    );
+    assert_eq!(stats.paths.get(AccessPathKind::FullScan), 1);
+    // Planning afresh on the degraded cluster gives the same scan.
+    let replan = QueryPlanner::new(&cluster)
+        .plan_dataset(&dataset, &query)
+        .unwrap();
+    let degraded = replan.block_plan(block).unwrap();
+    assert_eq!(degraded.kind, AccessPathKind::FullScan);
+    assert_ne!(degraded.replica, indexed_replica);
+    assert!(degraded.fallback);
+}

@@ -1,23 +1,20 @@
 //! Multi-job serving end to end: the `JobManager` admitting ~200
 //! queued Bob/Synthetic queries at concurrency 1/2/4 over one shared
-//! `PlanCache`, with per-job results bit-for-bit identical to solo runs
-//! at every interleaving.
+//! feedback store, with per-job results bit-for-bit identical to solo
+//! runs at every interleaving.
 //!
 //! Covers the acceptance criteria of the multi-job change:
 //!
-//! - per-job **output** identical to a solo run at concurrency 1/2/4
-//!   (cross-job cache sharing may only change counters, never rows),
+//! - per-job **output** and whole **report** (modulo measured wall
+//!   clock and queue wait) identical to a solo run at concurrency
+//!   1/2/4, jobs that share a filter shape or repeat a query included,
 //!   and the post-batch shared feedback state identical at every
 //!   concurrency and equal to absorbing the solo reports in submission
 //!   order;
-//! - for jobs with pairwise-distinct filter shapes, the whole
-//!   **report** (modulo measured wall clock and queue wait) is
-//!   identical to a solo run;
+//! - the same for conjunctive queries over two filter columns;
 //! - peak memory stays O(chunk) per in-flight job: no
 //!   `read_split_batch` call ever exceeds `SPLIT_BATCH_CHUNK` splits,
 //!   managed or not;
-//! - one shared plan cache serves strictly more hits than per-job
-//!   private caches;
 //! - failover under concurrency: a mid-job node death, then ≥4
 //!   concurrent jobs over the degraded cluster, still bit-for-bit
 //!   against solo runs on that cluster.
@@ -30,7 +27,7 @@ use hail_bench::{
     make_shared_format, run_queries_managed, run_queries_managed_at, setup_hail, uv_testbed,
     ExperimentScale, SharedJobInfra, SystemSetup,
 };
-use hail_mr::{InputSplit, JobReport, JobRun, SplitPlan, SplitRead, SplitTask};
+use hail_mr::{JobReport, JobRun, SplitPlan, SplitRead, SplitTask};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Every `(jobs in flight, job parallelism)` setting the managed sweeps
@@ -56,8 +53,8 @@ fn syn_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testb
     (tb, setup)
 }
 
-/// A solo run with private infrastructure — its own cache — the
-/// baseline every managed job must reproduce bit-for-bit.
+/// A solo run with private infrastructure — its own feedback store —
+/// the baseline every managed job must reproduce bit-for-bit.
 fn solo(setup: &SystemSetup, spec: &ClusterSpec, query: &HailQuery, splitting: bool) -> JobRun {
     let infra = SharedJobInfra::for_jobs(1);
     let format = make_shared_format(setup, spec, query, splitting, &infra);
@@ -136,10 +133,13 @@ fn absorbed_in_submission_order<'a>(reports: impl IntoIterator<Item = &'a JobRep
 
 /// ~200 queued Bob/Synthetic queries through the manager at
 /// concurrency 1/2/4 (two splits per job at once at concurrency 2):
-/// every job's output is bit-for-bit its solo run's, queue-wait
-/// telemetry surfaces for queued jobs, and the post-batch shared
-/// feedback state is the solo reports absorbed in submission order at
-/// every concurrency.
+/// every job's output and whole report (wall clocks zeroed) are
+/// bit-for-bit its solo run's — each query is queued four times and
+/// each filter shape five times, so jobs share shapes and whole
+/// queries with jobs in flight beside them — queue-wait telemetry
+/// surfaces for queued jobs, and the post-batch shared feedback state
+/// is the solo reports absorbed in submission order at every
+/// concurrency.
 #[test]
 fn two_hundred_queries_match_solo_at_every_concurrency() {
     let (uv_tb, uv) = uv_setup(400, 4);
@@ -178,11 +178,16 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
             let runs = batch.runs;
             assert_eq!(runs.len(), queries.len());
             for (i, run) in runs.iter().enumerate() {
+                let at = format!("concurrency {conc}, job parallelism {j}, job {i}");
                 assert_eq!(
                     run.output,
                     expected[i % 25].output,
-                    "concurrency {conc}, job parallelism {j}, job {i}: \
-                     managed output diverged from solo"
+                    "{at}: managed output diverged from solo"
+                );
+                assert_eq!(
+                    report_modulo_wall(&run.report),
+                    report_modulo_wall(&expected[i % 25].report),
+                    "{at}: report must be bit-for-bit modulo wall clock"
                 );
                 assert!(run.report.queue_wait_seconds >= 0.0);
             }
@@ -219,9 +224,8 @@ fn report_modulo_wall(report: &JobReport) -> String {
 }
 
 /// Queries whose filter shapes are pairwise distinct (different column
-/// sets or predicate classes), so no cross-job cache entry is ever
-/// shared and the full determinism contract applies: output AND report
-/// identical to solo, at any interleaving.
+/// sets or predicate classes), three of them conjunctions over two
+/// filter columns.
 fn distinct_shape_queries(schema: &Schema) -> Vec<HailQuery> {
     [
         ("@3 between(1999-01-01, 2000-01-01)", "{@1}"),
@@ -238,9 +242,9 @@ fn distinct_shape_queries(schema: &Schema) -> Vec<HailQuery> {
     .collect()
 }
 
-/// For distinct-shape jobs, managed runs reproduce the solo run's
-/// whole report — every simulated figure, schedule entry, and cache
-/// counter — not just the output, at every concurrency and job
+/// Conjunctive and single-column jobs alike: managed runs reproduce the
+/// solo run's whole report — every simulated figure, schedule entry,
+/// and counter — not just the output, at every concurrency and job
 /// parallelism.
 #[test]
 fn distinct_shapes_reproduce_full_reports() {
@@ -273,68 +277,6 @@ fn distinct_shapes_reproduce_full_reports() {
             );
         }
     }
-}
-
-/// One shared plan cache across the batch serves strictly more hits
-/// than the same jobs each warming a private cache: later same-shape
-/// jobs reuse plans the first job priced.
-#[test]
-fn shared_cache_beats_private_caches() {
-    let (tb, setup) = uv_setup(400, 4);
-    let query =
-        HailQuery::parse("@3 between(1999-01-01, 2000-01-01)", "{@1}", &bob_schema()).unwrap();
-    let queries: Vec<HailQuery> = (0..40).map(|_| query.clone()).collect();
-
-    // Baseline: each job with its own private cache.
-    let mut private_hits = 0u64;
-    let mut solo_output = None;
-    for q in &queries {
-        let infra = SharedJobInfra::for_jobs(1);
-        let format = make_shared_format(&setup, &tb.spec, q, true, &infra);
-        let job = MapJob::collecting("solo", setup.dataset.blocks.clone(), format.as_ref());
-        let run = run_map_job(&setup.cluster, &tb.spec, &job).unwrap();
-        private_hits += infra.plan_cache.stats().hits;
-        solo_output.get_or_insert(run.output);
-    }
-
-    // Shared: one cache across all 40 jobs, four in flight. The first
-    // job runs alone to warm the cache — on a cold cache, concurrent
-    // identical jobs race to price the same shape before any insert
-    // lands (a counter-only stampede; plans and outputs never differ),
-    // which would make the evaluation count below timing-dependent.
-    // No shared feedback either: absorbing the warm batch's evidence
-    // would legitimately re-price every block once more, and this test
-    // is pinning cache behavior, not feedback-driven re-pricing.
-    let infra = SharedJobInfra::for_jobs(4).without_shared_feedback();
-    let manager = JobManager::new(4);
-    let mut runs = run_queries_managed(&setup, &tb.spec, &queries[..1], true, &manager, &infra)
-        .unwrap()
-        .runs;
-    runs.extend(
-        run_queries_managed(&setup, &tb.spec, &queries[1..], true, &manager, &infra)
-            .unwrap()
-            .runs,
-    );
-    let shared_hits = infra.plan_cache.stats().hits;
-    assert!(
-        shared_hits > private_hits,
-        "shared cache must serve strictly more hits: shared {shared_hits} vs private {private_hits}"
-    );
-    // Sharing may only change counters — never rows.
-    let solo_output = solo_output.unwrap();
-    for run in &runs {
-        assert_eq!(run.output, solo_output);
-    }
-    // And the repeat jobs priced nothing: total evaluations match what
-    // one warm-up pass costs.
-    let first_private = {
-        let infra = SharedJobInfra::for_jobs(1);
-        let format = make_shared_format(&setup, &tb.spec, &query, true, &infra);
-        let job = MapJob::collecting("warm", setup.dataset.blocks.clone(), format.as_ref());
-        run_map_job(&setup.cluster, &tb.spec, &job).unwrap();
-        infra.plan_cache.stats().cost_evaluations
-    };
-    assert_eq!(infra.plan_cache.stats().cost_evaluations, first_private);
 }
 
 /// Failover under concurrency: a job survives a mid-run node death
@@ -462,10 +404,6 @@ impl InputFormat for BatchRecordingFormat {
         self.max_batch.fetch_max(batch.len(), Ordering::SeqCst);
         self.calls.fetch_add(1, Ordering::SeqCst);
         self.inner.read_split_batch(cluster, batch, job_parallelism)
-    }
-
-    fn estimate_splits(&self, cluster: &DfsCluster, splits: &[InputSplit]) -> Option<Vec<f64>> {
-        self.inner.estimate_splits(cluster, splits)
     }
 
     fn name(&self) -> &str {

@@ -2,12 +2,13 @@
 //! synopses: pruning never changes query results (the property), the
 //! namenode's `Dir_rep` mirrors the stored synopses, corrupt synopsis
 //! tags fail the replica parse, losing the only synopsis-holding
-//! replica degrades to unpruned planning, and cached zero-cost plans
-//! are evicted by physical-design changes like any priced plan.
+//! replica degrades to unpruned planning, and a split-time plan of
+//! pruned blocks is planned again after a physical-design change like
+//! any priced plan.
 
-use hail::exec::{PlanCache, PlannerConfig, QueryPlanner};
+use hail::exec::{PlannerConfig, QueryPlanner};
+use hail::mr::{SplitPlan, SplitTask};
 use hail::prelude::*;
-use std::sync::Arc;
 
 fn storage() -> StorageConfig {
     let mut s = StorageConfig::test_scale(4 * 1024);
@@ -280,52 +281,57 @@ fn death_of_synopsis_replica_degrades_to_unpruned_planning() {
     assert!(stats.ledger.disk_read > 0, "the blocks really were read");
 }
 
-/// Zero-cost pruned plans live under the same fingerprint/epoch
-/// machinery as priced plans: cached on first plan, served as hits
-/// while the design holds, and evicted when a death bumps the design
-/// epoch — after which re-planning re-proves the prune from the
-/// survivors.
+/// A death bumps the design epoch: a split plan of zero-cost pruned
+/// blocks cut before it no longer holds, so the split reads plan every
+/// block again — re-proving each prune from the surviving replicas'
+/// synopses, pricing nothing, and placing no block on the dead node.
 #[test]
-fn design_epoch_bump_evicts_cached_zero_cost_plans() {
+fn design_epoch_bump_replans_pruned_blocks() {
     let (mut cluster, dataset, schema, _) = synopsis_cluster(400);
-    let cache = Arc::new(PlanCache::default());
     let config = PlannerConfig {
-        plan_cache: Some(Arc::clone(&cache)),
         synopsis_pruning: true,
         ..Default::default()
     };
     let query = HailQuery::parse("@1 = '999.999.999.999'", "{@1}", &schema).unwrap();
     let n = dataset.blocks.len() as u64;
+    let format =
+        PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(config.clone());
+    let split_plan = format.splits(&cluster, &dataset.blocks).unwrap();
+    let read = |cluster: &DfsCluster, split_plan: &SplitPlan| {
+        let tasks: Vec<SplitTask<'_>> = split_plan
+            .splits
+            .iter()
+            .map(|split| SplitTask {
+                split,
+                task_node: split.locations[0],
+                source: split_plan.source.as_ref(),
+            })
+            .collect();
+        let mut stats = TaskStats::default();
+        for read in format.read_split_batch(cluster, &tasks, Some(1)).unwrap() {
+            stats.merge(&read.stats);
+        }
+        stats
+    };
 
-    let planner = QueryPlanner::with_config(&cluster, config.clone());
-    let cold = planner.plan_dataset(&dataset, &query).unwrap();
-    assert!(cold.blocks.iter().all(|bp| bp.pruned.is_some()));
-    let s = cache.stats();
-    assert_eq!((s.hits, s.misses), (0, n));
-    assert_eq!(s.cost_evaluations, 0, "pruned plans price nothing");
+    let before = read(&cluster, &split_plan);
+    assert_eq!(before.blocks_pruned, n);
+    assert_eq!(before.blocks_replanned, 0, "the split-time plan holds");
 
-    // Warm: every pruned plan is a cache hit, still carrying the proof.
-    let warm = planner.plan_dataset(&dataset, &query).unwrap();
-    assert!(warm.blocks.iter().all(|bp| bp.pruned.is_some()));
-    assert_eq!(cache.stats().hits, n);
-
-    // A death bumps the design epoch and changes every fingerprint the
-    // dead node participated in: the zero-cost entries are invalidated
-    // exactly like priced ones, and re-planning re-prunes from the
-    // remaining replicas' synopses.
-    let victim = *warm.blocks[0].locations.first().unwrap();
+    let victim = split_plan.splits[0].locations[0];
     cluster.kill_node(victim).unwrap();
-    let planner = QueryPlanner::with_config(&cluster, config);
-    let after = planner.plan_dataset(&dataset, &query).unwrap();
-    assert!(after.blocks.iter().all(|bp| bp.pruned.is_some()));
-    assert!(after
-        .blocks
-        .iter()
-        .all(|bp| !bp.locations.contains(&victim)));
-    let s = cache.stats();
-    assert_eq!(s.hits, n, "no stale hit after the epoch bump");
-    assert_eq!(s.misses, 2 * n, "every block re-planned");
-    assert_eq!(s.cost_evaluations, 0, "re-pruned, still never priced");
+    let after = read(&cluster, &split_plan);
+    assert_eq!(after.blocks_replanned, n, "every block re-planned");
+    assert_eq!(after.blocks_pruned, n, "re-pruned from the survivors");
+    assert_eq!(after.records, 0);
+    let replanned = QueryPlanner::with_config(&cluster, config)
+        .plan_dataset(&dataset, &query)
+        .unwrap();
+    for bp in &replanned.blocks {
+        assert!(bp.pruned.is_some());
+        assert!(bp.candidates.is_empty(), "pruned plans price nothing");
+        assert!(!bp.locations.contains(&victim));
+    }
 }
 
 /// The whole job pipeline reports pruning: a needle job over
