@@ -391,7 +391,7 @@ fn percentile(samples: &mut [f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * samples.len() as f64).ceil().max(1.0) as usize;
     samples[rank.min(samples.len()) - 1]
 }
@@ -578,6 +578,16 @@ pub fn run_query_with_failure(
 mod tests {
     use super::*;
     use hail_workloads::{bob_queries, canonical, oracle_eval};
+
+    /// Nearest rank over the samples in `total_cmp` order: a NaN sample
+    /// sorts last instead of panicking the summary.
+    #[test]
+    fn percentile_orders_every_sample() {
+        let mut samples = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(percentile(&mut samples, 50.0), 2.0);
+        assert!(percentile(&mut samples, 100.0).is_nan());
+        assert_eq!(percentile(&mut [], 50.0), 0.0);
+    }
 
     #[test]
     fn three_systems_agree_on_bob_q1() {

@@ -179,18 +179,20 @@ impl Datanode {
         ledger: &mut CostLedger,
     ) -> Result<Bytes> {
         let file = self.replica(block)?;
-        if offset + len > file.data.len() {
-            return Err(HailError::Corrupt(format!(
-                "range read [{offset}, {}) beyond replica of {} bytes",
-                offset + len,
-                file.data.len()
-            )));
-        }
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= file.data.len())
+            .ok_or_else(|| {
+                HailError::Corrupt(format!(
+                    "range read of {len} bytes at {offset} beyond replica of {} bytes",
+                    file.data.len()
+                ))
+            })?;
         ledger.seeks += 1;
         ledger.disk_read += len as u64;
         let replica = ReplicaBytes::new(file.data.clone(), Arc::clone(&file.checksums))?;
-        replica.verify(offset..offset + len)?;
-        Ok(file.data.slice(offset..offset + len))
+        replica.verify(offset..end)?;
+        Ok(file.data.slice(offset..end))
     }
 
     /// Charges a range read *without* materializing bytes — used when the
@@ -289,6 +291,23 @@ mod tests {
         assert_eq!(&r[..], &data[100..150]);
         assert_eq!(ledger.disk_read, 50);
         assert!(dn.read_range(3, 990, 20, &mut ledger).is_err());
+    }
+
+    /// A range whose end overflows `usize` is refused as corruption, never
+    /// a panic, and charges nothing.
+    #[test]
+    fn range_read_past_usize_is_corrupt() {
+        let mut dn = Datanode::new(0);
+        let (data, sums) = replica_bytes(1000);
+        dn.write_replica(3, data, sums).unwrap();
+        let mut ledger = CostLedger::new();
+        for (offset, len) in [(usize::MAX, 1), (1, usize::MAX), (usize::MAX, usize::MAX)] {
+            assert!(matches!(
+                dn.read_range(3, offset, len, &mut ledger),
+                Err(HailError::Corrupt(_))
+            ));
+        }
+        assert_eq!((ledger.seeks, ledger.disk_read), (0, 0));
     }
 
     #[test]

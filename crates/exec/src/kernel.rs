@@ -16,9 +16,9 @@
 //!    the key bounds are one contiguous run, found with two binary
 //!    searches, and only the conjuncts those bounds do not imply are
 //!    retained afterwards.
-//! 2. [`materialize`] opens one cursor per projected column and walks the
-//!    surviving rows once, in row order, decoding them into one batch that
-//!    the returned rows share ([`Row::batch`]).
+//! 2. [`materialize`] decodes each projected column of the surviving rows
+//!    with one cursor call, then interleaves the columns into one batch
+//!    that the returned rows share ([`Row::batch_from_columns`]).
 //!
 //! Decode errors propagate from both steps: a corrupt value in a column
 //! the query touches fails the read rather than silently dropping rows
@@ -174,11 +174,13 @@ fn retain(
 }
 
 /// Reconstructs the `projection` of every selected row, in selection
-/// order, with one forward cursor per projected column. The rows' values
-/// are decoded row by row into one batch, which every row shares; a
-/// decode error leaves `sink` uncalled. An empty `projection` yields one
-/// empty row per selected row. No access path asks for one: a query's
-/// empty projection means every column (`HailQuery::projected_columns`).
+/// order, a column at a time: each projected column's values of the
+/// whole selection are decoded with one cursor call
+/// ([`ColumnCursor::decode_into`]), then interleaved into one batch that
+/// every row shares ([`Row::batch_from_columns`]). A decode error leaves
+/// `sink` uncalled. An empty `projection` yields one empty row per
+/// selected row. No access path asks for one: a query's empty projection
+/// means every column (`HailQuery::projected_columns`).
 pub(crate) fn materialize(
     pax: &PaxBlock,
     projection: &[usize],
@@ -188,17 +190,15 @@ pub(crate) fn materialize(
     if selection.is_empty() {
         return Ok(());
     }
-    let mut cursors = projection
+    let columns = projection
         .iter()
-        .map(|&col| pax.cursor(col))
+        .map(|&col| {
+            let mut values = Vec::with_capacity(selection.len());
+            pax.cursor(col)?.decode_into(selection, &mut values)?;
+            Ok(values)
+        })
         .collect::<Result<Vec<_>>>()?;
-    let mut values = Vec::with_capacity(selection.len() * cursors.len());
-    for &row in selection {
-        for cursor in &mut cursors {
-            values.push(cursor.get(row as usize)?.to_value());
-        }
-    }
-    Row::batch(values, selection.len()).for_each(sink);
+    Row::batch_from_columns(columns, selection.len()).for_each(sink);
     Ok(())
 }
 

@@ -267,7 +267,6 @@ pub fn run_map_job_with_failure(
         .collect();
     let mut output_extra: Vec<Row> = Vec::new();
     let mut rerun_count = 0;
-    let mut scratch = Vec::new();
     // Driven through the shared chunked loop, like the re-evaluation
     // pass: each chunk's records are mapped and dropped before the next
     // chunk reads.
@@ -282,7 +281,6 @@ pub fn run_map_job_with_failure(
             true,
             read,
             &mut output_extra,
-            &mut scratch,
         ));
         rerun_count += 1;
     })?;

@@ -180,7 +180,7 @@ mod tests {
             input: blocks.collect(),
             format,
             job_parallelism: None,
-            map: Box::new(|rec, out| out.push(rec.row.clone())),
+            map: Box::new(|rec, out| out.push(rec.row)),
         }
     }
 
@@ -210,7 +210,7 @@ mod tests {
                     if rec.row.get(0) == Some(&Value::Long(0)) {
                         order_ref.lock().unwrap().push(j);
                     }
-                    out.push(rec.row.clone());
+                    out.push(rec.row);
                 }),
             })
             .collect();

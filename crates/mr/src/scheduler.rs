@@ -38,14 +38,21 @@ pub struct MapJob<'a> {
     /// forces strictly sequential split reads on the caller's thread.
     /// Never changes results or simulated times, only real wall clock.
     pub job_parallelism: Option<usize>,
+    /// The map function. It is handed each record by value, in split
+    /// order, and appends the rows it emits to the job's output — so a
+    /// map that emits the record's own row moves it there instead of
+    /// cloning it. The vector holds the output of every earlier record:
+    /// a map appends to it and touches nothing else.
     #[allow(clippy::type_complexity)]
-    pub map: Box<dyn Fn(&MapRecord, &mut Vec<Row>) + Send + Sync + 'a>,
+    pub map: Box<dyn Fn(MapRecord, &mut Vec<Row>) + Send + Sync + 'a>,
 }
 
 impl<'a> MapJob<'a> {
     /// A job whose map function simply emits every (good) record the
     /// reader produces — the common case once HAIL has filtered and
-    /// projected inside the record reader.
+    /// projected inside the record reader. Each good row is moved into
+    /// the output, still a view of the batch its block read built; bad
+    /// records are dropped.
     pub fn collecting(
         name: impl Into<String>,
         input: Vec<BlockId>,
@@ -58,7 +65,7 @@ impl<'a> MapJob<'a> {
             job_parallelism: None,
             map: Box::new(|rec, out| {
                 if !rec.bad {
-                    out.push(rec.row.clone());
+                    out.push(rec.row);
                 }
             }),
         }
@@ -264,12 +271,13 @@ pub(crate) fn assign_split_nodes(
     Ok(nodes)
 }
 
-/// The shared accounting step for one completed split read: apply the
-/// job's map function to the buffered records (appending to `output`),
-/// price the task from its **actual** statistics, occupy a simulated
-/// slot on the pre-chosen node, and build the [`TaskReport`]. Used by
-/// the normal execution phase and the failover rerun replay, so the
-/// two cannot silently diverge.
+/// The shared accounting step for one completed split read: hand the
+/// split's records, by value and in order, to the job's map function,
+/// which appends what it emits to `output` (reserved for one row per
+/// record); then price the task from its **actual** statistics, occupy a
+/// simulated slot on the pre-chosen node, and build the [`TaskReport`].
+/// Used by the normal execution phase and the failover rerun replay, so
+/// the two cannot silently diverge.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn account_split_read(
     job: &MapJob<'_>,
@@ -281,13 +289,11 @@ pub(crate) fn account_split_read(
     rerun: bool,
     read: crate::input_format::SplitRead,
     output: &mut Vec<Row>,
-    scratch: &mut Vec<Row>,
 ) -> TaskReport {
     let hw = &spec.profile;
-    for rec in &read.records {
-        scratch.clear();
-        (job.map)(rec, scratch);
-        output.append(scratch);
+    output.reserve(read.records.len());
+    for rec in read.records {
+        (job.map)(rec, output);
     }
     let reader_seconds = read.stats.reader_seconds(hw, spec.scale);
     let duration = hw.task_overhead_s + reader_seconds;
@@ -371,7 +377,6 @@ pub(crate) fn run_map_job_with_plan(
     let mut slots = NodeSlots::new(cluster, hw.map_slots);
     let mut output = Vec::new();
     let mut tasks = Vec::with_capacity(plan.splits.len());
-    let mut scratch = Vec::new();
     ChunkedDrive::for_job(cluster, job).run(&batch, |i, read| {
         tasks.push(account_split_read(
             job,
@@ -383,7 +388,6 @@ pub(crate) fn run_map_job_with_plan(
             false,
             read,
             &mut output,
-            &mut scratch,
         ));
     })?;
 
@@ -609,6 +613,219 @@ mod tests {
         assert_eq!(run.report.task_count(), 0);
     }
 
+    /// Zero to three records per block, `[block, k]`, every third of
+    /// them bad; blocks live on `block % nodes` with every other live
+    /// node as a fallback. At job parallelism 2 the batch is read on two
+    /// threads, each taking every other split.
+    struct RecordsFormat;
+
+    impl RecordsFormat {
+        fn records(block: BlockId) -> Vec<MapRecord> {
+            (0..block % 4)
+                .map(|k| {
+                    if (block + k).is_multiple_of(3) {
+                        MapRecord::bad(format!("{block}:{k}"))
+                    } else {
+                        MapRecord::good(Row::new(vec![
+                            Value::Long(block as i64),
+                            Value::Long(k as i64),
+                        ]))
+                    }
+                })
+                .collect()
+        }
+
+        fn read(
+            cluster: &DfsCluster,
+            batch: &[SplitTask<'_>],
+        ) -> Result<Vec<crate::input_format::SplitRead>> {
+            read_splits_sequentially(batch, |task, emit| {
+                let split = task.split;
+                if split
+                    .locations
+                    .iter()
+                    .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
+                {
+                    return Err(HailError::DeadDatanode(split.locations[0]));
+                }
+                let records = Self::records(split.blocks[0]);
+                let mut stats = TaskStats {
+                    records: records.len() as u64,
+                    ..Default::default()
+                };
+                stats.ledger.disk_read = 95_000_000;
+                records.into_iter().for_each(emit);
+                Ok(stats)
+            })
+        }
+    }
+
+    impl InputFormat for RecordsFormat {
+        fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
+            let live = cluster.live_nodes();
+            Ok(SplitPlan {
+                splits: input
+                    .iter()
+                    .map(|&b| {
+                        let preferred = live[b as usize % live.len()];
+                        let mut locations = vec![preferred];
+                        locations.extend(live.iter().copied().filter(|&n| n != preferred));
+                        InputSplit::for_block(b, locations)
+                    })
+                    .collect(),
+                ..Default::default()
+            })
+        }
+
+        fn read_split_batch(
+            &self,
+            cluster: &DfsCluster,
+            batch: &[SplitTask<'_>],
+            job_parallelism: Option<usize>,
+        ) -> Result<Vec<crate::input_format::SplitRead>> {
+            if job_parallelism != Some(2) {
+                return Self::read(cluster, batch);
+            }
+            let half = |parity: usize| -> Vec<SplitTask<'_>> {
+                batch.iter().skip(parity).step_by(2).cloned().collect()
+            };
+            let (even, odd) = (half(0), half(1));
+            let (even, odd) = std::thread::scope(|scope| {
+                let odd = scope.spawn(|| Self::read(cluster, &odd));
+                let even = Self::read(cluster, &even);
+                (even, odd.join().expect("a reader thread"))
+            });
+            let (mut even, mut odd) = (even?.into_iter(), odd?.into_iter());
+            Ok((0..batch.len())
+                .map(|i| if i % 2 == 0 { even.next() } else { odd.next() })
+                .map(|read| read.expect("one read per split"))
+                .collect())
+        }
+
+        fn name(&self) -> &str {
+            "records"
+        }
+    }
+
+    /// What a map does with each record it is handed.
+    #[derive(Clone, Copy, Debug)]
+    enum Emit {
+        Nothing,
+        Once,
+        Twice,
+        CountBad,
+    }
+
+    /// A job whose map logs every record it is handed, then emits by
+    /// `emit`.
+    fn logging_job<'a>(
+        emit: Emit,
+        parallelism: usize,
+        log: &'a hail_sync::OrderedMutex<Vec<MapRecord>>,
+        bad: &'a std::sync::atomic::AtomicUsize,
+    ) -> MapJob<'a> {
+        MapJob {
+            name: format!("{emit:?}"),
+            input: (0..40).collect(),
+            format: &RecordsFormat,
+            job_parallelism: Some(parallelism),
+            map: Box::new(move |rec, out| {
+                log.acquire().push(MapRecord {
+                    row: rec.row.clone(),
+                    bad: rec.bad,
+                });
+                match emit {
+                    Emit::Nothing => {}
+                    Emit::Once => out.push(rec.row),
+                    Emit::Twice => {
+                        out.push(rec.row.clone());
+                        out.push(rec.row);
+                    }
+                    Emit::CountBad => {
+                        if rec.bad {
+                            bad.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                    }
+                }
+            }),
+        }
+    }
+
+    fn logged(records: &[MapRecord]) -> Vec<(bool, Row)> {
+        records.iter().map(|r| (r.bad, r.row.clone())).collect()
+    }
+
+    /// A by-value map sees every record exactly once, in split order,
+    /// whatever it emits and at job parallelism 1 and 2; what it emits is
+    /// the job's output, in that order. The failover path hands the map
+    /// the baseline pass's records, then exactly the lost splits'
+    /// records again, in rerun order.
+    #[test]
+    fn by_value_map_sees_every_record_once_in_split_order() {
+        use crate::failover::{run_map_job_with_failure, FailureScenario};
+        use hail_sync::{LockRank, OrderedMutex};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let records: Vec<MapRecord> = (0..40).flat_map(RecordsFormat::records).collect();
+        let in_order = logged(&records);
+        let bad_records = records.iter().filter(|r| r.bad).count();
+        assert!(bad_records > 0 && bad_records < records.len());
+        for emit in [Emit::Nothing, Emit::Once, Emit::Twice, Emit::CountBad] {
+            let want: Vec<Row> = match emit {
+                Emit::Nothing | Emit::CountBad => vec![],
+                Emit::Once => records.iter().map(|r| r.row.clone()).collect(),
+                Emit::Twice => records
+                    .iter()
+                    .flat_map(|r| [r.row.clone(), r.row.clone()])
+                    .collect(),
+            };
+            for parallelism in [1, 2] {
+                let at = format!("{emit:?} at job parallelism {parallelism}");
+                let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
+                let bad = AtomicUsize::new(0);
+                let job = logging_job(emit, parallelism, &log, &bad);
+                let cluster = DfsCluster::new(4, StorageConfig::default());
+                let run = run_map_job(&cluster, &spec(4), &job).unwrap();
+                assert_eq!(logged(&log.acquire()), in_order, "{at}");
+                assert_eq!(run.output, want, "{at}");
+                let counted = if matches!(emit, Emit::CountBad) {
+                    bad_records
+                } else {
+                    0
+                };
+                assert_eq!(bad.load(Ordering::Relaxed), counted, "{at}");
+
+                let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
+                let bad = AtomicUsize::new(0);
+                let job = logging_job(emit, parallelism, &log, &bad);
+                let mut cluster = DfsCluster::new(4, StorageConfig::default());
+                let failed = run_map_job_with_failure(
+                    &mut cluster,
+                    &spec(4),
+                    &job,
+                    FailureScenario::at_half(1),
+                )
+                .unwrap();
+                let rerun: Vec<MapRecord> = failed
+                    .with_failure
+                    .tasks
+                    .iter()
+                    .filter(|t| t.rerun)
+                    .flat_map(|t| RecordsFormat::records(t.split as BlockId))
+                    .collect();
+                assert!(failed.rerun_count > 0 && !rerun.is_empty(), "{at}");
+                let mut seen = logged(&log.acquire());
+                assert_eq!(
+                    seen.split_off(in_order.len()),
+                    logged(&rerun),
+                    "{at}: rerun"
+                );
+                assert_eq!(seen, in_order, "{at}: baseline pass");
+                assert_eq!(failed.output, want, "{at}: failover output");
+            }
+        }
+    }
+
     #[test]
     fn map_function_filters() {
         let cluster = DfsCluster::new(2, StorageConfig::default());
@@ -621,7 +838,7 @@ mod tests {
             map: Box::new(|rec, out| {
                 if let Some(Value::Long(v)) = rec.row.get(0) {
                     if v % 2 == 0 {
-                        out.push(rec.row.clone());
+                        out.push(rec.row);
                     }
                 }
             }),

@@ -71,7 +71,7 @@ pub fn run_map_reduce_job(
             job_parallelism: job.job_parallelism.max(job.parallelism),
             map: Box::new(|rec, _out| {
                 let mut emitted = Vec::new();
-                (job.map)(rec, &mut emitted);
+                (job.map)(&rec, &mut emitted);
                 pairs_cell.acquire().append(&mut emitted);
             }),
         };

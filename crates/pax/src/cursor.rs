@@ -25,10 +25,12 @@
 use crate::block::{partition_values, PaxBlock};
 use crate::checksum::ReplicaBytes;
 use hail_types::config::CHUNK_SIZE;
-use hail_types::{DataType, HailError, Result, ValueRef};
+use hail_types::{DataType, HailError, Result, Value, ValueRef};
 
-/// Reads one column of a [`PaxBlock`] row by row. Rows may be asked for in
-/// any order; ascending order is the cheap one.
+/// Reads one column of a [`PaxBlock`], a row at a time
+/// ([`ColumnCursor::get`]) or a selection of rows at a time
+/// ([`ColumnCursor::decode_into`]). Rows may be asked for in any order;
+/// ascending order is the cheap one.
 #[derive(Debug, Clone)]
 pub struct ColumnCursor<'a> {
     dtype: DataType,
@@ -85,9 +87,7 @@ impl<'a> ColumnCursor<'a> {
     /// The value of `row`, borrowed from the block.
     #[inline]
     pub fn get(&mut self, row: usize) -> Result<ValueRef<'a>> {
-        if row >= self.row_count {
-            return Err(HailError::Corrupt(format!("row {row} out of range")));
-        }
+        self.check_row(row)?;
         Ok(match self.dtype {
             DataType::Int => ValueRef::Int(i32::from_le_bytes(self.fixed(row)?)),
             DataType::Date => ValueRef::Date(i32::from_le_bytes(self.fixed(row)?)),
@@ -97,6 +97,60 @@ impl<'a> ColumnCursor<'a> {
             }
             DataType::VarChar => ValueRef::Str(self.varchar(row)?),
         })
+    }
+
+    /// Appends the owned values of `rows`, in the order given, to `out`:
+    /// the column-at-a-time decode of tuple reconstruction. The column's
+    /// type is matched once per call, not once per value, and every row
+    /// is read exactly as [`ColumnCursor::get`] reads it — a fixed-width
+    /// value through the verified chunk window, a varchar value by
+    /// entering its partition through the sparse offset, verifying the
+    /// partition's value range, walking forward and checking the value's
+    /// UTF-8. The first row that `get` would fail on — past the end,
+    /// unterminated, invalid UTF-8, in a chunk that fails its checksum —
+    /// fails the call with `get`'s error, leaving the values decoded
+    /// before it in `out`.
+    pub fn decode_into(&mut self, rows: &[u32], out: &mut Vec<Value>) -> Result<()> {
+        out.reserve(rows.len());
+        match self.dtype {
+            DataType::Int => self.decode_fixed(rows, out, |b| Value::Int(i32::from_le_bytes(b))),
+            DataType::Date => self.decode_fixed(rows, out, |b| Value::Date(i32::from_le_bytes(b))),
+            DataType::Long => self.decode_fixed(rows, out, |b| Value::Long(i64::from_le_bytes(b))),
+            DataType::Float => self.decode_fixed(rows, out, |b| {
+                Value::Float(f64::from_bits(u64::from_le_bytes(b)))
+            }),
+            DataType::VarChar => rows.iter().try_for_each(|&row| {
+                let row = row as usize;
+                self.check_row(row)?;
+                out.push(Value::Str(self.varchar(row)?.to_owned()));
+                Ok(())
+            }),
+        }
+    }
+
+    /// [`ColumnCursor::decode_into`] for a `W`-byte type.
+    #[inline]
+    fn decode_fixed<const W: usize>(
+        &mut self,
+        rows: &[u32],
+        out: &mut Vec<Value>,
+        value: impl Fn([u8; W]) -> Value,
+    ) -> Result<()> {
+        rows.iter().try_for_each(|&row| {
+            let row = row as usize;
+            self.check_row(row)?;
+            out.push(value(self.fixed(row)?));
+            Ok(())
+        })
+    }
+
+    /// A row past the end of the block is corruption, not a panic.
+    #[inline]
+    fn check_row(&self, row: usize) -> Result<()> {
+        if row >= self.row_count {
+            return Err(HailError::Corrupt(format!("row {row} out of range")));
+        }
+        Ok(())
     }
 
     /// The `row`-th `W`-byte value of a dense fixed-width region, whose
@@ -390,6 +444,200 @@ mod tests {
         let (_, varchar_len) = b.region(4).unwrap();
         assert!(replica.verified_chunks() - before < varchar_len / CHUNK_SIZE / 4);
         assert!(replica.verified_chunks() < bytes.len().div_ceil(CHUNK_SIZE));
+    }
+
+    /// What a per-row `get` loop over `rows` yields: the values up to
+    /// the first failing row, and that row's error.
+    fn per_row(cursor: &mut ColumnCursor<'_>, rows: &[u32]) -> (Vec<Value>, Option<String>) {
+        let mut values = Vec::new();
+        for &row in rows {
+            match cursor.get(row as usize) {
+                Ok(v) => values.push(v.to_value()),
+                Err(e) => return (values, Some(e.to_string())),
+            }
+        }
+        (values, None)
+    }
+
+    /// The same through one `decode_into` call.
+    fn bulk(cursor: &mut ColumnCursor<'_>, rows: &[u32]) -> (Vec<Value>, Option<String>) {
+        let mut values = Vec::new();
+        let err = cursor.decode_into(rows, &mut values).err();
+        (values, err.map(|e| e.to_string()))
+    }
+
+    /// A seeded ascending selection of about one row in `step`.
+    fn sparse(rows: usize, step: u64, seed: u64) -> Vec<u32> {
+        let mut state = seed;
+        (0..rows as u32)
+            .filter(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33).is_multiple_of(step)
+            })
+            .collect()
+    }
+
+    /// The selections the differential tests decode, each named.
+    fn selections(n: usize, partition_size: usize, seed: u64) -> Vec<(&'static str, Vec<u32>)> {
+        let n32 = n as u32;
+        let edge = (2 * partition_size).min(n);
+        vec![
+            ("empty", vec![]),
+            ("all", (0..n32).collect()),
+            (
+                "run across partition edges",
+                (edge.saturating_sub(3)..(edge + partition_size + 3).min(n))
+                    .map(|r| r as u32)
+                    .collect(),
+            ),
+            ("sparse", sparse(n, 7, seed)),
+            ("last row", vec![n32 - 1]),
+            ("past the end", vec![n32]),
+            ("rows, then past the end", vec![0, n32 / 2, n32 - 1, n32, 0]),
+        ]
+    }
+
+    /// One bulk decode answers what a `get` per row answers — the same
+    /// values, or the same error after the same prefix — for every
+    /// column type, partition size and selection shape.
+    #[test]
+    fn decode_into_agrees_with_get() {
+        for (seed, partition_size) in [(11, 1), (12, 4), (13, 64)] {
+            let b = block(151, partition_size);
+            for col in 0..b.schema().len() {
+                for (name, rows) in selections(b.row_count(), partition_size, seed) {
+                    let want = per_row(&mut b.cursor(col).unwrap(), &rows);
+                    let got = bulk(&mut b.cursor(col).unwrap(), &rows);
+                    assert_eq!(
+                        got, want,
+                        "partition size {partition_size}, column {col}, {name}"
+                    );
+                    assert_eq!(
+                        want.1.is_some(),
+                        name.contains("past the end"),
+                        "{name} fails exactly when it runs past the end"
+                    );
+                }
+                // A cursor that has already decoded decodes again.
+                let mut cursor = b.cursor(col).unwrap();
+                let all: Vec<u32> = (0..b.row_count() as u32).collect();
+                let first = bulk(&mut cursor, &all);
+                assert_eq!(bulk(&mut cursor, &all), first);
+                assert_eq!(
+                    bulk(&mut cursor, &[3, 1]),
+                    per_row(&mut b.cursor(col).unwrap(), &[3, 1])
+                );
+            }
+        }
+    }
+
+    /// With one damaged chunk in every column, a decode fails exactly
+    /// when one of its rows is read from that chunk — a fixed-width row
+    /// whose bytes lie in it, a varchar row whose partition's value range
+    /// does — and the error names that chunk.
+    #[test]
+    fn decode_into_fails_exactly_on_the_damaged_chunk() {
+        use crate::block::partition_values;
+        use crate::checksum::{chunk_checksums, ReplicaBytes};
+        use std::sync::Arc;
+
+        let good = block(2_000, 64);
+        let bytes = good.bytes().to_vec();
+        let mut raw = bytes.clone();
+        let columns = good.schema().len();
+        let damaged: Vec<usize> = (0..columns)
+            .map(|col| {
+                let (off, len) = good.region(col).unwrap();
+                let at = off + len * 3 / 4;
+                raw[at] ^= 0x10;
+                at / CHUNK_SIZE
+            })
+            .collect();
+        let replica = Arc::new(
+            ReplicaBytes::new(bytes::Bytes::from(raw), chunk_checksums(&bytes).into()).unwrap(),
+        );
+        let b = PaxBlock::open(replica, bytes.len()).unwrap();
+        let n = b.row_count();
+        for (col, &chunk) in damaged.iter().enumerate() {
+            let touches = |row: u32| -> bool {
+                let row = row as usize;
+                let bytes = match good.schema().field(col).unwrap().data_type.fixed_width() {
+                    Some(w) => {
+                        let (off, _) = good.region(col).unwrap();
+                        off + row * w..off + (row + 1) * w
+                    }
+                    None => {
+                        let (offsets, (base, len)) = good.varchar_offsets(col).unwrap();
+                        let values = partition_values(offsets, row / 64, len).unwrap();
+                        base + values.start..base + values.end
+                    }
+                };
+                bytes.start / CHUNK_SIZE <= chunk && chunk < bytes.end.div_ceil(CHUNK_SIZE)
+            };
+            let mut cases = selections(n, 64, 40 + col as u64);
+            cases.retain(|(name, _)| !name.contains("past the end"));
+            let hit = (0..n as u32).find(|&r| touches(r)).unwrap();
+            cases.push(("the damaged chunk's first row", vec![hit]));
+            cases.push((
+                "every row but the damaged ones",
+                (0..n as u32).filter(|&r| !touches(r)).collect(),
+            ));
+            for (name, rows) in cases {
+                let mut values = Vec::new();
+                let got = b.cursor(col).unwrap().decode_into(&rows, &mut values);
+                let expect_fail = rows.iter().any(|&r| touches(r));
+                match got {
+                    Ok(()) => {
+                        assert!(
+                            !expect_fail,
+                            "column {col}, {name}: decoded the damaged chunk"
+                        );
+                        let want: Vec<Value> = rows
+                            .iter()
+                            .map(|&r| good.value(col, r as usize).unwrap())
+                            .collect();
+                        assert_eq!(values, want, "column {col}, {name}");
+                    }
+                    Err(e) => {
+                        assert!(expect_fail, "column {col}, {name}: {e}");
+                        assert!(
+                            matches!(e, HailError::ChecksumMismatch { chunk_index, .. } if chunk_index == chunk),
+                            "column {col}, {name}: {e}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    bulk(&mut b.cursor(col).unwrap(), &rows),
+                    per_row(&mut b.cursor(col).unwrap(), &rows),
+                    "column {col}, {name}"
+                );
+            }
+        }
+    }
+
+    /// Where a moved sparse offset leaves a row no room, a bulk decode
+    /// fails that row and no other, exactly as `get` does.
+    #[test]
+    fn decode_into_fails_the_row_a_moved_offset_breaks() {
+        let good = block(12, 4);
+        let mut raw = good.bytes().to_vec();
+        let region = raw.len() - good.column_byte_len(4).unwrap();
+        let second = u32::from_le_bytes(raw[region + 4..region + 8].try_into().unwrap());
+        let row4_len = good.value(4, 4).unwrap().encoded_len() as u32;
+        raw[region + 4..region + 8].copy_from_slice(&(second + row4_len).to_le_bytes());
+        let b = PaxBlock::parse(bytes::Bytes::from(raw)).unwrap();
+        for row in 0..12u32 {
+            let got = bulk(&mut b.cursor(4).unwrap(), &[row]);
+            assert_eq!(got, per_row(&mut b.cursor(4).unwrap(), &[row]), "row {row}");
+            assert_eq!(got.1.is_some(), row == 7, "row {row}");
+        }
+        let all: Vec<u32> = (0..12).collect();
+        let (values, err) = bulk(&mut b.cursor(4).unwrap(), &all);
+        assert!(err.is_some());
+        assert_eq!(values.len(), 7);
+        assert_eq!((values, err), per_row(&mut b.cursor(4).unwrap(), &all));
     }
 
     #[test]

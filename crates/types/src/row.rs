@@ -13,11 +13,10 @@ use std::sync::Arc;
 
 /// A parsed row: one [`Value`] per schema attribute.
 ///
-/// A row is immutable and its values are shared: cloning one — as a map
-/// function emitting the records its reader hands it does — bumps a
+/// A row is immutable and its values are shared: cloning one bumps a
 /// reference count instead of copying every value. A row is a view of
 /// `len` values from `start` of a shared batch, so the rows a block read
-/// returns can all live in one allocation ([`Row::batch`]). Equality,
+/// returns can all live in one allocation ([`Row::batch_from_columns`]). Equality,
 /// hashing and `Debug` see only the row's own values, never the batch.
 #[derive(Clone)]
 pub struct Row {
@@ -76,20 +75,40 @@ impl Row {
         }
     }
 
-    /// Splits `values` — `rows` rows laid out one after another, each as
-    /// wide as the others — into `rows` rows that share one allocation.
-    /// A zero-width batch (no values) yields `rows` empty rows.
+    /// Interleaves `columns` — each one value per row, `rows` long — into
+    /// `rows` rows that share one allocation: row `i` holds the `i`-th
+    /// value of every column, in column order. The values move straight
+    /// from the columns into the batch, which is allocated once at its
+    /// final size. No columns yields `rows` empty rows.
     ///
     /// # Panics
     ///
-    /// If `values.len()` is not a multiple of `rows`, or exceeds
-    /// `u32::MAX`.
-    pub fn batch(values: Vec<Value>, rows: usize) -> impl ExactSizeIterator<Item = Row> {
-        let width = values.len().checked_div(rows).unwrap_or(0);
-        assert_eq!(width * rows, values.len(), "a batch of equally wide rows");
+    /// If a column is not `rows` long, or the batch would hold more than
+    /// `u32::MAX` values.
+    pub fn batch_from_columns(
+        columns: Vec<Vec<Value>>,
+        rows: usize,
+    ) -> impl ExactSizeIterator<Item = Row> {
+        assert!(
+            columns.iter().all(|c| c.len() == rows),
+            "a batch of equally long columns"
+        );
+        let width = columns.len();
+        let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+        let mut column = 0;
+        // A mapped range knows its exact length, so `collect` writes the
+        // values into one allocation of the batch's size.
+        let all = Row::whole(
+            (0..rows * width)
+                .map(|_| {
+                    let value = columns[column].next().expect("every column is `rows` long");
+                    column = if column + 1 == width { 0 } else { column + 1 };
+                    value
+                })
+                .collect(),
+        );
         // Every start and width is at most the batch's length, which
         // `whole` holds to `u32`.
-        let all = Row::whole(values.into());
         (0..rows).map(move |i| Row {
             batch: Arc::clone(&all.batch),
             start: (i * width) as u32,
@@ -331,8 +350,10 @@ mod tests {
             .iter()
             .map(|l| parse_line_strict(l, &schema(), '|').unwrap())
             .collect();
-        let values: Vec<Value> = rows.iter().flat_map(|r| r.values().to_vec()).collect();
-        let batch: Vec<Row> = Row::batch(values, rows.len()).collect();
+        let columns: Vec<Vec<Value>> = (0..4)
+            .map(|c| rows.iter().map(|r| r.values()[c].clone()).collect())
+            .collect();
+        let batch: Vec<Row> = Row::batch_from_columns(columns, rows.len()).collect();
         assert_eq!(batch.len(), rows.len());
         for (got, want) in batch.iter().zip(&rows) {
             let alone = Row::new(want.values().to_vec());
@@ -355,17 +376,23 @@ mod tests {
     }
 
     /// A zero-width batch is as many empty rows as asked for; a batch
-    /// whose rows would differ in width is refused.
+    /// whose columns differ in length is refused.
     #[test]
     fn zero_width_and_ragged_batches() {
-        let empty: Vec<Row> = Row::batch(Vec::new(), 3).collect();
+        let empty: Vec<Row> = Row::batch_from_columns(Vec::new(), 3).collect();
         assert_eq!(empty.len(), 3);
         assert!(empty
             .iter()
             .all(|r| r.is_empty() && *r == Row::new(Vec::new())));
-        assert_eq!(Row::batch(Vec::new(), 0).count(), 0);
-        let ragged = std::panic::catch_unwind(|| Row::batch(vec![Value::Int(1)], 2).count());
-        assert!(ragged.is_err());
+        assert_eq!(Row::batch_from_columns(Vec::new(), 0).count(), 0);
+        assert_eq!(Row::batch_from_columns(vec![Vec::new()], 0).count(), 0);
+        for ragged in [
+            vec![vec![Value::Int(1)]],
+            vec![vec![Value::Int(1), Value::Int(2)], vec![Value::Int(3)]],
+        ] {
+            let refused = std::panic::catch_unwind(|| Row::batch_from_columns(ragged, 2).count());
+            assert!(refused.is_err());
+        }
     }
 
     #[test]

@@ -203,7 +203,7 @@ fn bad_records_survive_upload_and_reach_the_map_function() {
             if rec.bad {
                 bad_seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             } else {
-                out.push(rec.row.clone());
+                out.push(rec.row);
             }
         }),
     };
