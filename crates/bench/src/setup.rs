@@ -9,8 +9,8 @@
 //! quantities are scaled.
 
 use hail_core::{
-    upload_hadoop, upload_hadoop_plus_plus, upload_hail, upload_seconds, Dataset, DatasetFormat,
-    HailQuery, HppUploadReport,
+    upload_hadoop, upload_hadoop_plus_plus, upload_hail, upload_seconds, Dataset, HailQuery,
+    HppUploadReport,
 };
 use hail_dfs::DfsCluster;
 use hail_exec::{
@@ -290,72 +290,40 @@ fn make_format(
     format
 }
 
-/// The cross-job resource a multi-job deployment shares: optionally one
-/// selectivity feedback store. Every job plans its own blocks cold and
-/// reads them itself.
-///
-/// `feedback` defaults to a fresh shared store. Sharing one
-/// [`SelectivityFeedback`] between *concurrently running* jobs is safe
-/// because formats built by [`make_shared_format`] freeze the store for
-/// the duration of each job (`PlannerConfig::defer_feedback`):
-/// observations are collected into per-task statistics but absorbed
-/// only afterwards, by [`run_queries_managed`], in **job-submission
-/// order** (tasks in schedule order within each job). During a batch
-/// every job plans against the same read-only snapshot, and the write
-/// order is fixed by submission rather than by completion races — so
-/// outputs, reports, and the post-batch feedback state are bit-for-bit
-/// identical at every `JobManager` concurrency. Use
-/// [`SharedJobInfra::without_shared_feedback`] to opt out and plan
-/// from the static prior alone.
+/// Kept as frozen-suite residue: the benchmark suite builds one per
+/// multi-job deployment and hands it to the managed runners. Jobs share
+/// nothing through it: every job plans its own blocks cold, from the
+/// static selectivity prior, and reads them itself, so a managed job's
+/// output and report equal its solo run's by construction.
 pub struct SharedJobInfra {
     /// Kept as frozen-suite residue: the benchmark suite reads its
     /// (always zero) counters. No format is handed it.
     pub plan_cache: Arc<PlanCache>,
-    pub feedback: Option<Arc<SelectivityFeedback>>,
 }
 
 impl SharedJobInfra {
-    /// Infrastructure for concurrent jobs: a fresh shared feedback
-    /// store.
+    /// The (empty) infrastructure for concurrent jobs.
     ///
     /// The job count is frozen-suite residue: the benchmark suite
     /// calls this signature, but nothing here is sized by it any more.
     pub fn for_jobs(_max_jobs: usize) -> Self {
         SharedJobInfra {
             plan_cache: Arc::new(PlanCache::default()),
-            feedback: Some(Arc::new(SelectivityFeedback::default())),
         }
-    }
-
-    /// Drops the shared feedback store: jobs plan from the static
-    /// selectivity prior alone, and nothing is absorbed after batches.
-    pub fn without_shared_feedback(mut self) -> Self {
-        self.feedback = None;
-        self
     }
 }
 
-/// [`make_shared_format`]'s solo-format counterpart is the private
-/// `make_format`; this builds the same input format wired to the
-/// shared multi-job infrastructure: HAIL formats built from one `infra`
-/// share its feedback store if any.
+/// The input format a managed job reads through: the same format a solo
+/// run builds. `infra` is frozen-suite residue: the benchmark suite
+/// passes one, and nothing in it reaches the format.
 pub fn make_shared_format(
     setup: &SystemSetup,
     spec: &ClusterSpec,
     query: &HailQuery,
     hail_splitting: bool,
-    infra: &SharedJobInfra,
+    _infra: &SharedJobInfra,
 ) -> Box<dyn InputFormat> {
-    let mut format = make_format(setup, spec, query, hail_splitting);
-    // The baselines plan from the static prior alone, as they do solo.
-    if setup.dataset.format == DatasetFormat::HailPax {
-        format.planner.feedback = infra.feedback.clone();
-        // Freeze the shared store during the job; the batch runner
-        // absorbs observations afterwards in submission order (the
-        // determinism contract on [`SharedJobInfra`]).
-        format.planner.defer_feedback = true;
-    }
-    Box::new(format)
+    Box::new(make_format(setup, spec, query, hail_splitting))
 }
 
 /// Batch-level aggregates [`run_queries_managed`] computes over its
@@ -406,16 +374,9 @@ fn summarize_batch(runs: &[JobRun], logical_blocks: u64) -> BatchSummary {
     }
 }
 
-/// Runs many queries as one [`JobManager`] batch over shared multi-job
-/// infrastructure, returning per-query runs in submission order plus
-/// batch aggregates. Failing jobs fail the whole call (the suite and
-/// tests expect all-success).
-///
-/// When the infra carries a shared feedback store, every job's
-/// observations are absorbed **after** the batch, in submission order
-/// (the store was frozen during the batch via
-/// `PlannerConfig::defer_feedback`) — the [`SharedJobInfra`]
-/// determinism contract.
+/// Runs many queries as one [`JobManager`] batch, returning per-query
+/// runs in submission order plus batch aggregates. Failing jobs fail the
+/// whole call (the suite and tests expect all-success).
 pub fn run_queries_managed(
     setup: &SystemSetup,
     spec: &ClusterSpec,
@@ -460,15 +421,6 @@ pub fn run_queries_managed_at(
         .run_batch(&setup.cluster, spec, &jobs)
         .into_iter()
         .collect::<Result<_>>()?;
-    if let Some(feedback) = &infra.feedback {
-        // The submission-order barrier: jobs in submission order,
-        // tasks in each report's schedule order.
-        for run in &runs {
-            for task in &run.report.tasks {
-                feedback.absorb(&task.stats);
-            }
-        }
-    }
     let logical = (queries.len() * setup.dataset.blocks.len()) as u64;
     let summary = summarize_batch(&runs, logical);
     Ok(ManagedBatch { runs, summary })
@@ -498,7 +450,8 @@ pub struct AdaptiveRun {
 /// *between* rounds the harness absorbs every finished job's
 /// selectivity observations into `feedback` (in job-submission order),
 /// asks the advisor for rebuild recommendations, and applies them to
-/// the cluster.
+/// the cluster. This round boundary is the one place the advisor's
+/// evidence store is fed; no job's plan reads it.
 ///
 /// The between-rounds placement is the correctness mechanism, not a
 /// simplification: `JobManager::run_batch` borrows the cluster shared
@@ -507,7 +460,7 @@ pub struct AdaptiveRun {
 /// queries see the old design or the new one, never a half-registered
 /// hybrid, and no admitted job ever blocks mid-split on background
 /// maintenance. Because rounds are cut by job count (not by
-/// concurrency) and feedback is absorbed in submission order, the
+/// concurrency) and evidence is absorbed in submission order, the
 /// FullScan→index flip lands at the same job boundary whatever the
 /// manager's concurrency is.
 ///
@@ -533,19 +486,10 @@ pub fn run_adaptive_workload(
     for chunk in queries.chunks(round) {
         let mut batch = run_queries_managed(setup, spec, chunk, hail_splitting, manager, infra)?;
         // Absorb evidence deterministically: jobs in submission order,
-        // tasks in each report's schedule order. When the advisor's
-        // store *is* the infra's shared store, `run_queries_managed`
-        // already absorbed this round — absorbing again would double
-        // every observation.
-        let absorbed_by_batch = infra
-            .feedback
-            .as_ref()
-            .is_some_and(|f| std::ptr::eq(Arc::as_ptr(f), feedback));
-        if !absorbed_by_batch {
-            for run in &batch.runs {
-                for task in &run.report.tasks {
-                    feedback.absorb(&task.stats);
-                }
+        // tasks in each report's schedule order.
+        for run in &batch.runs {
+            for task in &run.report.tasks {
+                feedback.absorb(&task.stats);
             }
         }
         runs.append(&mut batch.runs);

@@ -130,7 +130,7 @@ struct TriggerState {
 /// evidence is sustained. Interior-mutable behind a mutex
 /// ([`LockRank::AdvisorState`] — held across `SelectivityFeedback`
 /// reads, hence ranked above [`LockRank::Feedback`]) so it can sit in
-/// shared infrastructure next to the feedback store.
+/// shared infrastructure next to the evidence store.
 #[derive(Debug)]
 pub struct ReindexAdvisor {
     policy: ReindexPolicy,

@@ -38,7 +38,7 @@ pub struct PlannedInputFormat {
     pub splitting: bool,
     /// Map slots per TaskTracker, used by `HailSplitting`.
     pub map_slots: usize,
-    /// Planner knobs: selectivity estimates and feedback store.
+    /// Planner knobs: selectivity estimates and the query shape.
     pub planner: PlannerConfig,
 }
 
@@ -98,27 +98,15 @@ impl PlannedInputFormat {
     /// read.
     ///
     /// A block's plan is the one its splits were cut from (the task's
-    /// [`StampedPlan`] source) while that plan's stamp holds; otherwise
-    /// the block is planned now, against the *current* cluster state —
-    /// after a mid-job death (HAIL's failover story: it re-plans around
-    /// dead replicas), after feedback absorbed between chunks moved a
-    /// selectivity, for a block the split-time pass degraded, and for a
-    /// split read without a source. Planning is deterministic in what
-    /// the stamp records, so both give the plan that planning the split
-    /// afresh would.
-    ///
-    /// The blocks planned now are counted in
-    /// [`TaskStats::blocks_replanned`]. The per-block selectivities the
-    /// access paths observed are *not* absorbed into the feedback store
-    /// here:
-    /// [`InputFormat::read_split_batch`] absorbs every split's
-    /// observations **in batch order after the barrier**, so the
-    /// store's decayed state is identical at any job-level parallelism.
-    fn read_split_unabsorbed(
-        &self,
-        cluster: &DfsCluster,
-        task: &SplitTask<'_>,
-    ) -> Result<SplitRead> {
+    /// [`StampedPlan`] source) while that plan's design epoch holds;
+    /// otherwise the block is planned now, against the *current* cluster
+    /// state — after a mid-job death or a design change (HAIL's failover
+    /// story: it re-plans around dead replicas), for a block the
+    /// split-time pass degraded, and for a split read without a source.
+    /// Planning is deterministic in what the stamp records, so both give
+    /// the plan that planning the split afresh would. The blocks planned
+    /// now are counted in [`TaskStats::blocks_replanned`].
+    fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
         let wall = Instant::now();
         let (split, task_node) = (task.split, task.task_node);
         let (dataset, query) = (&self.dataset, &self.query);
@@ -126,7 +114,7 @@ impl PlannedInputFormat {
         let stamped = task
             .source
             .and_then(SplitSource::downcast_ref::<StampedPlan>)
-            .filter(|stamped| stamped.holds(&planner, query));
+            .filter(|stamped| stamped.holds(cluster));
         let reused = |block| stamped.is_some_and(|s| s.reusable(block));
         let replan: Vec<BlockId> = split
             .blocks
@@ -193,11 +181,9 @@ impl InputFormat for PlannedInputFormat {
     /// [`hail_mr::run_ordered`], each on one thread; at 1 they are read
     /// in order on the caller's thread.
     ///
-    /// Determinism: results return in batch order; the error of the
-    /// lowest-indexed failing split wins; and selectivity feedback is
-    /// absorbed in batch order *after* all reads complete (the barrier) —
-    /// at job parallelism 1 and for a batch of one too, so the post-job
-    /// feedback state is bit-for-bit identical at any overlap.
+    /// Determinism: results return in batch order, and the error of the
+    /// lowest-indexed failing split wins. A split read writes no shared
+    /// state, so nothing else depends on the overlap.
     fn read_split_batch(
         &self,
         cluster: &DfsCluster,
@@ -205,21 +191,7 @@ impl InputFormat for PlannedInputFormat {
         job_parallelism: Option<usize>,
     ) -> Result<Vec<SplitRead>> {
         let width = job_parallelism.unwrap_or_else(hail_core::knobs::job_parallelism);
-        let reads = run_ordered(batch.len(), width, |i| {
-            self.read_split_unabsorbed(cluster, &batch[i])
-        })?;
-        // The barrier: fold every split's observations into the feedback
-        // store in batch (split) order — never completion order. Under
-        // `defer_feedback` the store stays frozen through the whole job;
-        // the managed-batch runner absorbs in job-submission order instead.
-        if let Some(feedback) = &self.planner.feedback {
-            if !self.planner.defer_feedback {
-                for read in &reads {
-                    feedback.absorb(&read.stats);
-                }
-            }
-        }
-        Ok(reads)
+        run_ordered(batch.len(), width, |i| self.read_split(cluster, &batch[i]))
     }
 
     fn name(&self) -> &str {

@@ -21,12 +21,13 @@
 //!   the namenode's per-replica index metadata (`Dir_rep`), price each
 //!   `(replica, access path)` candidate with the `hail-sim` cost model,
 //!   and emit an explainable [`QueryPlan`]
-//! - [`feedback`] — the adaptive layer: a [`SelectivityFeedback`] store
-//!   that blends observed per-block selectivities back into the
-//!   [`SelectivityEstimate`] prior, thread-safe behind an `RwLock` so
-//!   concurrently read splits and jobs share it. Plans themselves are
-//!   never kept across jobs: every job plans cold (see ARCHITECTURE.md,
-//!   "Plan cache, measured and removed")
+//! - [`feedback`] — the re-indexing advisor's evidence: a
+//!   [`SelectivityFeedback`] store of observed per-block selectivities,
+//!   fed from finished jobs' reports between the adaptive loop's
+//!   rounds. No plan reads it: every job plans cold from the static
+//!   [`SelectivityEstimate`] prior (see ARCHITECTURE.md, "Plan cache,
+//!   measured and removed" and "Selectivity feedback, measured and
+//!   removed from planning")
 //! - [`sharing`] — frozen-suite residue of the retired cooperative scan
 //!   sharing: an empty [`ScanShareRegistry`] the benchmark suite still
 //!   names. Every block read is one [`AccessPath::execute`], whatever
@@ -50,20 +51,20 @@
 //! - [`readers`] — single-block reader entry points (planner-backed)
 //!
 //! New access paths or index types plug into the planner's candidate
-//! enumeration — nothing else needs to change; the one cross-query
-//! planning state, selectivity feedback, lives in [`feedback`] and is
-//! shared by plugging an `Arc` into the [`PlannerConfig`].
+//! enumeration — nothing else needs to change. Planning keeps no state
+//! across queries: a plan depends on the namenode's `Dir_rep`, the
+//! query and the [`PlannerConfig`] alone.
 //!
-//! # Adaptive planning in five lines
+//! # Evidence for the advisor, plans unchanged
 //!
-//! The feedback store is an opt-in knob on the planner configuration,
-//! and `explain()` shows it working:
+//! A block read records the selectivity it observed; absorbed into a
+//! [`SelectivityFeedback`] store, it is what the [`ReindexAdvisor`]
+//! decides from. The next plan is priced as the first was:
 //!
 //! ```
-//! use std::sync::Arc;
 //! use hail_core::{upload_hail, HailQuery};
 //! use hail_dfs::DfsCluster;
-//! use hail_exec::{PlannerConfig, QueryPlanner, SelectivityFeedback};
+//! use hail_exec::{QueryPlanner, SelectivityFeedback};
 //! use hail_index::ReplicaIndexConfig;
 //! use hail_types::{DataType, Field, Schema, StorageConfig};
 //!
@@ -78,28 +79,26 @@
 //! let dataset = upload_hail(&mut cluster, &schema, "t", &[(0, text)],
 //!     &ReplicaIndexConfig::first_indexed(3, &[0])).unwrap();
 //!
-//! let feedback = Arc::new(SelectivityFeedback::default());
-//! let planner_config = PlannerConfig {
-//!     feedback: Some(Arc::clone(&feedback)),
-//!     ..Default::default()
-//! };
-//! let planner = QueryPlanner::with_config(&cluster, planner_config);
+//! let planner = QueryPlanner::new(&cluster);
 //! let query = HailQuery::parse("@1 between(10, 20)", "{@2}", &schema).unwrap();
-//!
-//! // No evidence yet: every block is priced from the static prior.
 //! let first = planner.plan_dataset(&dataset, &query).unwrap();
 //! assert!(first.explain().contains("sel @1=0.050(prior)"));
 //!
-//! // A block read records the selectivity it observed; absorbed, it
-//! // moves the next plan's estimate. That plan is priced cold again.
-//! let block = dataset.blocks[0];
-//! let stats = planner
-//!     .execute_block(&first, block, 0, &schema, &query, &mut |_| {})
-//!     .unwrap();
-//! feedback.absorb(&stats);
+//! // Every read of a range on @1 observes its block's selectivity.
+//! let evidence = SelectivityFeedback::default();
+//! for &block in &dataset.blocks {
+//!     let stats = planner
+//!         .execute_block(&first, block, 0, &schema, &query, &mut |_| {})
+//!         .unwrap();
+//!     evidence.absorb(&stats);
+//! }
+//! assert_eq!(evidence.observation_count(0, false), dataset.blocks.len() as u64);
+//! let (mean, _weight) = evidence.observed(0, false).unwrap();
+//! assert!(mean > 0.0 && mean < 0.2, "about 11 of 89 keys: {mean}");
+//!
+//! // The plan is priced cold again, from the same prior.
 //! let second = planner.plan_dataset(&dataset, &query).unwrap();
-//! assert!(second.explain().contains("(observed)"));
-//! assert!(second.explain().contains("[priced]"));
+//! assert_eq!(second.explain(), first.explain());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -119,7 +118,7 @@ pub use adapt::{
     apply_reindex, plan_rewrites, ReindexAction, ReindexAdvisor, ReindexKind, ReindexOutcome,
     ReindexPolicy, ReplicaRewrite,
 };
-pub use feedback::{SelectivityChoice, SelectivityFeedback, SelectivitySource};
+pub use feedback::{SelectivityChoice, SelectivityFeedback};
 pub use formats::PlannedInputFormat;
 pub use path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, DecodedBlock, FullScan,

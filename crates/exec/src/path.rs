@@ -17,8 +17,8 @@
 //! the serving replica, the task's node) and performs the read: real
 //! bytes, real filtering, and cost accounting into a [`TaskStats`] —
 //! including, where the read can attribute its row counts to a single
-//! filter column, a [`SelectivityObservation`] that feeds the planner's
-//! [`crate::feedback::SelectivityFeedback`] store.
+//! filter column, a [`SelectivityObservation`] for the re-indexing
+//! advisor's [`crate::feedback::SelectivityFeedback`] store.
 //!
 //! Every path reads only bytes it verified against the replica's chunk
 //! checksums, and verifies only what it reads. The PAX paths and the
@@ -402,7 +402,7 @@ impl AccessPath for ClusteredIndexScan {
         // The index is clustered and sound: every row satisfying the
         // bounds lies inside the qualifying partitions, so counting
         // bound matches there observes the key column's true per-block
-        // selectivity — the feedback the planner's estimates learn from.
+        // selectivity — the evidence the re-indexing advisor reads.
         let mut bounds_matched = 0u64;
         if let Some((first, last)) = index.lookup(&bounds) {
             let needed = a.query.needed_columns(a.schema);
@@ -706,7 +706,7 @@ impl AccessPath for InvertedListScan {
 /// match count *is* the column's bound-match count and no extra
 /// per-row decode is needed. Conjunctions over several columns (or with
 /// an unattributable `!=`) yield `None` — attributing the combined
-/// selectivity to one column would poison the per-column feedback.
+/// selectivity to one column would poison the per-column evidence.
 pub(crate) fn sole_filter_column(query: &HailQuery) -> Option<(usize, bool)> {
     let column = query.predicates.first()?.column();
     query

@@ -17,12 +17,11 @@
 //! index choices anywhere else.
 //!
 //! Planning is stateless and cold: every job prices every block it
-//! does not prune, against the current `Dir_rep`. It adapts when a
-//! [`crate::feedback::SelectivityFeedback`] store is plugged into the
-//! [`PlannerConfig`], which blends observed per-block selectivities
-//! into the static [`SelectivityEstimate`] prior; `explain()` tags each
-//! filter column's selectivity `(prior)` or `(observed)`, and every
-//! block line says whether its plan was `[priced]` or `[pruned: …]`.
+//! does not prune, against the current `Dir_rep`, the query and the
+//! static [`SelectivityEstimate`] prior — nothing another job left
+//! behind. `explain()` prints each filter column's selectivity with its
+//! `(prior)` tag, and every block line says whether its plan was
+//! `[priced]` or `[pruned: …]`.
 //!
 //! # Worked example
 //!
@@ -62,7 +61,7 @@
 //! }
 //! ```
 
-use crate::feedback::{SelectivityChoice, SelectivityFeedback, SelectivitySource};
+use crate::feedback::{SelectivityChoice, SelectivityFeedback};
 use crate::path::{
     AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
     ScanLayout, TrojanIndexScan,
@@ -92,10 +91,9 @@ const LOGICAL_BLOCK: usize = 64 * 1024 * 1024;
 /// The planner has no histograms; callers that know their workload (the
 /// benchmark harness knows each query's paper selectivity) can override
 /// the default, and tests use the override to walk a query across the
-/// index-vs-scan break-even point. When a
-/// [`crate::feedback::SelectivityFeedback`] store is configured, observed
-/// per-block selectivities are blended into this prior for subsequent
-/// plans; `explain()` reports which source each number came from.
+/// index-vs-scan break-even point. It is the only selectivity a plan is
+/// priced with: observed selectivities are the re-indexing advisor's
+/// evidence ([`crate::feedback`]), never a planner input.
 #[derive(Debug, Clone)]
 pub struct SelectivityEstimate {
     default: f64,
@@ -151,9 +149,9 @@ pub struct PlannerConfig {
     /// Ignored: every plan is priced cold. Kept as frozen-suite residue,
     /// because the `hail-bench` suite still sets it.
     pub plan_cache: Option<Arc<PlanCache>>,
-    /// Observed-selectivity feedback blended into
-    /// [`PlannerConfig::estimate`]; `None` (the default) plans from the
-    /// static prior alone.
+    /// Ignored: plans are priced from [`PlannerConfig::estimate`]
+    /// alone. Kept as frozen-suite residue, because the `hail-bench`
+    /// suite still sets it.
     pub feedback: Option<Arc<SelectivityFeedback>>,
     /// Consult persisted zone-map/Bloom synopses before candidate
     /// enumeration, skipping blocks they prove empty
@@ -161,15 +159,9 @@ pub struct PlannerConfig {
     /// knob ([`hail_core::knobs::synopsis_pruning_enabled`]) flips the
     /// default off for a whole process.
     pub synopsis_pruning: bool,
-    /// Freeze [`PlannerConfig::feedback`] for the duration of a job:
-    /// observations are still *collected* into each task's
-    /// `TaskStats::selectivity`, but the execution layer does not
-    /// absorb them into the shared store mid-job. The batch runner
-    /// absorbs every job's observations afterwards in submission
-    /// order, which is what makes a shared feedback store
-    /// deterministic under concurrency: during the batch the store is
-    /// read-only, and the write order is fixed by submission, not by
-    /// completion races.
+    /// Ignored: nothing in the engine absorbs observations into a
+    /// store. Kept as frozen-suite residue, because the `hail-bench`
+    /// suite still sets it.
     pub defer_feedback: bool,
 }
 
@@ -246,8 +238,8 @@ pub struct BlockPlan {
     /// Stored sidecar size behind the chosen path, when it is a sidecar
     /// path.
     pub sidecar_bytes: Option<usize>,
-    /// The per-column selectivities this plan was priced with, each
-    /// tagged with its source (static prior vs observed feedback).
+    /// The per-column selectivities this plan was priced with: the
+    /// static prior's, for each filter column.
     pub selectivity: Vec<SelectivityChoice>,
     /// `Some` when a persisted synopsis proved this block matches no
     /// row: the plan is a zero-cost placeholder, no candidate was ever
@@ -320,16 +312,11 @@ impl QueryPlan {
                 Some(n) => format!("  [sidecar {n} B]"),
                 None => String::new(),
             };
-            // Selectivity provenance: which estimate priced this plan
-            // and whether it was the static prior or observed feedback.
+            // The estimate that priced this plan; always the prior.
             let mut sel = String::new();
             for sc in &bp.selectivity {
-                let src = match sc.source {
-                    SelectivitySource::Prior => "prior",
-                    SelectivitySource::Observed { .. } => "observed",
-                };
                 let sep = if sel.is_empty() { "  sel " } else { ", " };
-                let _ = write!(sel, "{sep}@{}={:.3}({src})", sc.column + 1, sc.value);
+                let _ = write!(sel, "{sep}@{}={:.3}(prior)", sc.column + 1, sc.value);
             }
             let pruned = match &bp.pruned {
                 Some(info) => format!("  [pruned: {}]", info.reason),
@@ -368,30 +355,27 @@ impl QueryPlan {
 }
 
 /// A [`QueryPlan`] from [`QueryPlanner::plan_lenient`], stamped with what
-/// it was priced against: the namenode's `(instance id, design epoch)`
-/// and the exact effective selectivities. Planning is deterministic in
-/// these (the query and the planner configuration being fixed), so while
-/// both still hold, planning a block again gives the plan already here —
-/// which is why a split read may execute this one instead. A block the
-/// lenient pass degraded (no live replica) is never handed out: its read
-/// plans it again and fails as it always did.
+/// it was priced against: the namenode's `(instance id, design epoch)`.
+/// Planning is deterministic in it (the query and the planner
+/// configuration being fixed), so while it still holds, planning a block
+/// again gives the plan already here — which is why a split read may
+/// execute this one instead. A block the lenient pass degraded (no live
+/// replica) is never handed out: its read plans it again and fails as it
+/// always did.
 #[derive(Debug)]
 pub(crate) struct StampedPlan {
     pub(crate) plan: QueryPlan,
     design: (u64, u64),
-    selectivity: Vec<SelectivityChoice>,
     /// Per entry of `plan.blocks`: whether the lenient pass degraded it.
     degraded: Vec<bool>,
 }
 
 impl StampedPlan {
-    /// True while `planner` would price `query` against what this plan
-    /// was priced against: no design change or death since (either moves
-    /// the design epoch), and no feedback that moved a selectivity.
-    pub(crate) fn holds(&self, planner: &QueryPlanner<'_>, query: &HailQuery) -> bool {
-        let namenode = planner.cluster.namenode();
+    /// True while `cluster` is what this plan was priced against: no
+    /// design change or death since (either moves the design epoch).
+    pub(crate) fn holds(&self, cluster: &DfsCluster) -> bool {
+        let namenode = cluster.namenode();
         self.design == (namenode.instance_id(), namenode.design_epoch())
-            && planner.effective_selectivities(query) == self.selectivity
     }
 
     /// Whether this plan has `block`, not degraded.
@@ -405,10 +389,8 @@ impl StampedPlan {
 
 /// The cost-based planner over one cluster's namenode state.
 ///
-/// The handle is `Send + Sync`, and the one cross-query store it
-/// touches ([`SelectivityFeedback`]) is internally locked, so the
-/// threads reading splits in parallel can plan against the same shared
-/// store.
+/// The handle is `Send + Sync` and reads no state another job writes,
+/// so the threads reading splits in parallel plan independently.
 pub struct QueryPlanner<'a> {
     cluster: &'a DfsCluster,
     config: PlannerConfig,
@@ -422,7 +404,6 @@ const _PLANNER_IS_SEND_SYNC: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryPlanner<'static>>();
     assert_send_sync::<QueryPlan>();
-    assert_send_sync::<SelectivityFeedback>();
 };
 
 impl<'a> QueryPlanner<'a> {
@@ -456,7 +437,7 @@ impl<'a> QueryPlanner<'a> {
         blocks: &[BlockId],
         query: &HailQuery,
     ) -> Result<QueryPlan> {
-        let selectivity = self.effective_selectivities(query);
+        let selectivity = self.selectivities(query);
         let mut plans = Vec::with_capacity(blocks.len());
         let mut by_block = BTreeMap::new();
         for &b in blocks {
@@ -498,7 +479,7 @@ impl<'a> QueryPlanner<'a> {
         blocks: &[BlockId],
         query: &HailQuery,
     ) -> Result<StampedPlan> {
-        let selectivity = self.effective_selectivities(query);
+        let selectivity = self.selectivities(query);
         let mut plans = Vec::with_capacity(blocks.len());
         let mut by_block = BTreeMap::new();
         let mut degraded = Vec::with_capacity(blocks.len());
@@ -546,7 +527,6 @@ impl<'a> QueryPlanner<'a> {
                 by_block,
             },
             design: (namenode.instance_id(), namenode.design_epoch()),
-            selectivity,
             degraded,
         })
     }
@@ -565,29 +545,17 @@ impl<'a> QueryPlanner<'a> {
         }
     }
 
-    /// The effective per-column selectivities for a query's filter
-    /// columns: the static prior, blended with observed feedback when a
-    /// [`SelectivityFeedback`] store is configured.
-    fn effective_selectivities(&self, query: &HailQuery) -> Vec<SelectivityChoice> {
+    /// The static prior's selectivity for each of a query's filter
+    /// columns, in column order.
+    fn selectivities(&self, query: &HailQuery) -> Vec<SelectivityChoice> {
         let mut columns = query.filter_columns();
         columns.sort_unstable();
         columns.dedup();
         columns
             .into_iter()
-            .map(|column| {
-                let prior = self.config.estimate.for_column(column);
-                // Feedback is class-keyed: a column filtered by equality
-                // reads the eq-class estimate, ranges the range-class.
-                let eq = crate::feedback::has_eq_on(query, column);
-                let (value, source) = match &self.config.feedback {
-                    Some(fb) => fb.adjusted(column, eq, prior),
-                    None => (prior, SelectivitySource::Prior),
-                };
-                SelectivityChoice {
-                    column,
-                    value,
-                    source,
-                }
+            .map(|column| SelectivityChoice {
+                column,
+                value: self.config.estimate.for_column(column),
             })
             .collect()
     }
@@ -601,14 +569,14 @@ impl<'a> QueryPlanner<'a> {
         block: BlockId,
         query: &HailQuery,
     ) -> Result<BlockPlan> {
-        self.plan_block_with(&self.effective_selectivities(query), format, block, query)
+        self.plan_block_with(&self.selectivities(query), format, block, query)
     }
 
     /// [`QueryPlanner::plan_block`] under the query's already-computed
-    /// effective selectivities — the per-block step of
-    /// `plan`/`plan_lenient`, which look the feedback up once per plan
-    /// rather than once per block. Block skipping runs *before*
-    /// candidate enumeration: a synopsis proof prices nothing.
+    /// selectivities — the per-block step of `plan`/`plan_lenient`,
+    /// which compute them once per plan rather than once per block.
+    /// Block skipping runs *before* candidate enumeration: a synopsis
+    /// proof prices nothing.
     fn plan_block_with(
         &self,
         selectivity: &[SelectivityChoice],
@@ -668,13 +636,6 @@ impl<'a> QueryPlanner<'a> {
         selectivity: Vec<SelectivityChoice>,
         excluded: &[DatanodeId],
     ) -> Result<BlockPlan> {
-        let sel_for = |column: usize| {
-            selectivity
-                .iter()
-                .find(|s| s.column == column)
-                .map(|s| s.value)
-                .unwrap_or_else(|| self.config.estimate.for_column(column))
-        };
         let mut replicas = self.cluster.namenode().live_replicas(block);
         replicas.retain(|info| !excluded.contains(&info.datanode));
         if replicas.is_empty() {
@@ -795,7 +756,7 @@ impl<'a> QueryPlanner<'a> {
                     };
                     if let Some((path, seeks)) = index_path {
                         if query.bounds_on(column).is_some() {
-                            let sel = sel_for(column);
+                            let sel = self.config.estimate.for_column(column);
                             let touched = (sel * data_bytes as f64) as u64;
                             push(
                                 info.datanode,
@@ -833,7 +794,7 @@ impl<'a> QueryPlanner<'a> {
                     if !crate::feedback::has_eq_on(query, column) {
                         continue;
                     }
-                    let sel = sel_for(column);
+                    let sel = self.config.estimate.for_column(column);
                     let touched = (sel * data_bytes as f64) as u64;
                     push(
                         info.datanode,
@@ -970,7 +931,7 @@ impl<'a> QueryPlanner<'a> {
         // records, zero bad records (blocks with bad records are never
         // pruned), and — when the query's filter shape admits a
         // selectivity observation — a zero-match observation so the
-        // feedback store learns from skipped blocks too.
+        // advisor's evidence counts skipped blocks too.
         if let Some(info) = &bp.pruned {
             let mut stats = TaskStats {
                 blocks_pruned: 1,
@@ -1027,7 +988,7 @@ impl<'a> QueryPlanner<'a> {
                 Err(e @ (HailError::ChecksumMismatch { .. } | HailError::Corrupt(_))) => {
                     let first = first_error.get_or_insert(e);
                     corrupt.push(host);
-                    let selectivity = self.effective_selectivities(query);
+                    let selectivity = self.selectivities(query);
                     match self.price_block(plan.format, block, query, selectivity, &corrupt) {
                         Ok(next) => {
                             replanned = next;

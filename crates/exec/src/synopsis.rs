@@ -70,7 +70,7 @@ pub struct PruneInfo {
     pub column: usize,
     /// Predicate class of the query on that column (equality vs range)
     /// — must match what an executed path would have observed, so the
-    /// synthesized selectivity observation lands in the same feedback
+    /// synthesized selectivity observation lands in the same evidence
     /// class.
     pub eq: bool,
     /// Rows in the skipped block, per its synopsis.

@@ -23,7 +23,6 @@ use hail_types::Result;
 /// chunk's raw records — not the whole job's — while still giving the
 /// format plenty of splits to overlap. The boundary is a fixed
 /// constant, independent of any parallelism knob, so chunk barriers
-/// (including the per-chunk feedback absorption inside the batch read)
 /// fall identically at every setting.
 pub const SPLIT_BATCH_CHUNK: usize = 64;
 

@@ -13,9 +13,9 @@
 //! still gets an index scan — exactly the Fig. 8 comparison.
 
 use crate::driver::ChunkedDrive;
-use crate::input_format::{InputSplit, SplitTask};
+use crate::input_format::{InputSplit, SplitRead, SplitTask};
 use crate::job::{JobReport, TaskReport};
-use crate::scheduler::{run_map_job_with_plan, MapJob, NodeSlots};
+use crate::scheduler::{account_task, run_map_job_with_plan, MapJob, NodeSlots};
 use hail_dfs::DfsCluster;
 use hail_sim::ClusterSpec;
 use hail_types::{BlockId, DatanodeId, HailError, Result, Row};
@@ -86,12 +86,10 @@ pub fn run_map_job_with_failure(
     job: &MapJob<'_>,
     scenario: FailureScenario,
 ) -> Result<FailoverRun> {
-    // Snapshot the split plan *before* the baseline run: pass 1's reads
-    // mutate any configured adaptive state (selectivity feedback), so a
-    // plan derived afterwards could cluster blocks differently than the
-    // plan the baseline actually executed — and the replay below must
-    // index exactly that plan. The snapshot is threaded straight into
-    // the baseline run, so `splits()` is derived exactly once for both.
+    // Derive the split plan once, before the baseline run, and thread it
+    // straight into that run: the replay below indexes baseline tasks by
+    // split number, so it must read exactly the plan the baseline
+    // executed, never a second `splits()` derivation.
     let baseline_plan = job.format.splits(cluster, &job.input)?;
 
     // Pass 1: failure-free baseline (functional output + T_b), executed
@@ -155,7 +153,7 @@ pub fn run_map_job_with_failure(
     // `run_map_job` uses. Their nodes are already fixed (the
     // baseline assignment), so no assignment phase is needed here.
     // (Output was already collected functionally in pass 1; records
-    // are discarded.)
+    // are dropped unmapped.)
     let reeval_batch: Vec<SplitTask<'_>> = baseline_run
         .report
         .tasks
@@ -174,10 +172,12 @@ pub fn run_map_job_with_failure(
     // each chunk's buffered records are dropped as soon as it
     // completes, so a large replay never holds more than one chunk's
     // raw records.
-    let mut reeval_results: Vec<(crate::job::TaskStats, f64)> =
-        Vec::with_capacity(reeval_batch.len());
+    let mut reeval_results = Vec::with_capacity(reeval_batch.len());
     ChunkedDrive::for_job(cluster, job).run(&reeval_batch, |_, read| {
-        reeval_results.push((read.stats, read.reader_wall_seconds));
+        reeval_results.push(SplitRead {
+            records: Vec::new(),
+            ..read
+        });
     })?;
     let mut reeval_results = reeval_results.into_iter();
 
@@ -189,27 +189,23 @@ pub fn run_map_job_with_failure(
             continue;
         }
         if is_reevaluated(task) {
-            let (stats, reader_wall_seconds) = reeval_results
+            let read = reeval_results
                 .next()
                 .expect("one batched read per re-evaluated task");
-            let reader_seconds = stats.reader_seconds(hw, spec.scale);
-            let duration = hw.task_overhead_s + reader_seconds;
             // Causality clamp: this task had not started when the node
             // died, so its replay must not start before the failure
             // instant — even if a cheaper degraded read (e.g. a remote
             // read turned local) frees its slot earlier than the
             // baseline did.
-            let (start, end) = slots.assign(task.node, duration, failure_makespan_t);
-            final_tasks.push(TaskReport {
-                split: task.split,
-                node: task.node,
-                start,
-                end,
-                reader_seconds,
-                reader_wall_seconds,
-                rerun: false,
-                stats,
-            });
+            final_tasks.push(account_task(
+                spec,
+                &mut slots,
+                task.split,
+                task.node,
+                failure_makespan_t,
+                false,
+                read,
+            ));
             continue;
         }
         // Replay unchanged (read happened before the failure), pinned
@@ -265,14 +261,12 @@ pub fn run_map_job_with_failure(
             source: degraded_plan.source.as_ref(),
         })
         .collect();
-    let mut output_extra: Vec<Row> = Vec::new();
     let mut rerun_count = 0;
     // Driven through the shared chunked loop, like the re-evaluation
-    // pass: each chunk's records are mapped and dropped before the next
-    // chunk reads.
+    // pass: the reruns are priced from their own reads, and each chunk's
+    // records are dropped unmapped before the next chunk reads.
     ChunkedDrive::for_job(cluster, job).run(&rerun_batch, |i, read| {
-        final_tasks.push(crate::scheduler::account_split_read(
-            job,
+        final_tasks.push(account_task(
             spec,
             &mut slots,
             lost[i],
@@ -280,14 +274,15 @@ pub fn run_map_job_with_failure(
             resume_at,
             true,
             read,
-            &mut output_extra,
         ));
         rerun_count += 1;
     })?;
 
-    // Output correctness: surviving tasks' output was already collected
-    // in pass 1; the functional result equals the baseline output set.
-    // (Re-reads above validated that lost splits remain readable.)
+    // Output correctness: every split's output was already collected in
+    // pass 1; the functional result equals the baseline output set. The
+    // map function runs once per baseline record and never on a rerun:
+    // the re-reads above only validate that lost splits remain readable
+    // and price the replay.
     let with_failure = JobReport {
         job_name: job.name.clone(),
         startup_seconds: hw.job_startup_s,
@@ -396,6 +391,57 @@ mod tests {
             assert!(t.node != 1);
             assert!(t.start >= run.failure_time - spec.profile.job_startup_s);
         }
+    }
+
+    /// A failover run calls the map once per baseline record and never
+    /// on a rerun: lost splits are re-read and priced, not mapped again.
+    /// The with-failure report is the collecting job's, whatever the map
+    /// does.
+    #[test]
+    fn failover_maps_each_baseline_record_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let fmt = SpreadFormat {
+            read_seconds_bytes: 95_000_000,
+        };
+        let spec = ClusterSpec::new(4, HardwareProfile::physical());
+        let calls = AtomicUsize::new(0);
+        let counting = MapJob {
+            name: "fo".into(),
+            input: (0..64).collect(),
+            format: &fmt,
+            job_parallelism: None,
+            map: Box::new(|rec, out| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                out.push(rec.row);
+            }),
+        };
+        let run = |job: &MapJob<'_>| {
+            let mut cluster = DfsCluster::new(4, StorageConfig::default());
+            run_map_job_with_failure(&mut cluster, &spec, job, FailureScenario::at_half(1)).unwrap()
+        };
+        let counted = run(&counting);
+        assert!(counted.rerun_count > 0, "some tasks must be lost");
+        let baseline_records: u64 = counted.baseline.tasks.iter().map(|t| t.stats.records).sum();
+        assert_eq!(calls.load(Ordering::Relaxed) as u64, baseline_records);
+        assert_eq!(counted.output.len() as u64, baseline_records);
+        // Every rerun still read its split: its statistics are the read's.
+        for task in counted.with_failure.tasks.iter().filter(|t| t.rerun) {
+            assert_eq!(task.stats.records, 1);
+        }
+
+        let collected = run(&MapJob::collecting("fo", (0..64).collect(), &fmt));
+        let simulated = |report: &JobReport| {
+            let mut report = report.clone();
+            for task in &mut report.tasks {
+                task.reader_wall_seconds = 0.0;
+            }
+            format!("{report:?}")
+        };
+        assert_eq!(
+            simulated(&counted.with_failure),
+            simulated(&collected.with_failure)
+        );
     }
 
     #[test]

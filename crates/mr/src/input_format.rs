@@ -116,8 +116,7 @@ pub struct SplitRead {
 /// Formats must be `Send + Sync`: a [`crate::manager::JobManager`]
 /// runs concurrent jobs on worker threads, each holding a shared
 /// reference to its job's format. All implementors are immutable
-/// configuration over thread-safe infrastructure (the feedback store
-/// they touch is behind an `RwLock`), so the bounds cost nothing.
+/// configuration, so the bounds cost nothing.
 pub trait InputFormat: Send + Sync {
     /// Computes input splits for the given input blocks.
     fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan>;
@@ -135,14 +134,11 @@ pub trait InputFormat: Send + Sync {
     /// `HAIL_JOB_PARALLELISM` environment override). Formats without
     /// any overlap implement this with [`read_splits_sequentially`].
     ///
-    /// Contract: on a **successful** batch, records, their order, every
-    /// statistic, and any cross-query state the reads mutate
-    /// (selectivity feedback) must be bit-for-bit identical at
-    /// every `job_parallelism` — overlap may only change the measured
-    /// `reader_wall_seconds`.
-    /// In particular, state folded per split (selectivity feedback)
-    /// must be absorbed **in batch order after all reads complete**,
-    /// never in completion order. On a failing batch only the returned
+    /// Contract: on a **successful** batch, records, their order and
+    /// every statistic must be bit-for-bit identical at every
+    /// `job_parallelism` — overlap may only change the measured
+    /// `reader_wall_seconds`. A read writes no state another read or
+    /// job sees. On a failing batch only the returned
     /// error — the lowest-indexed failing task's — is guaranteed
     /// parallelism-independent: overlapped workers may have raced ahead
     /// of the failure and read splits a sequential run would never have

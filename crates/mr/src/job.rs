@@ -92,17 +92,17 @@ impl fmt::Display for PathCounts {
 ///
 /// Recorded by the access paths that can attribute their row counts to
 /// one column (index scans always can; a full scan only when the query
-/// filters a single column), and aggregated into the execution layer's
-/// selectivity-feedback store after each split — the adaptive loop that
-/// corrects mispriced static priors.
+/// filters a single column). The adaptive loop aggregates them into
+/// the re-indexing advisor's evidence store between rounds; no plan
+/// reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectivityObservation {
     /// 0-based filter column the observation is about.
     pub column: usize,
     /// Predicate class: true when the query filtered this column with an
-    /// equality predicate, false for range bounds. Feedback is
-    /// aggregated per (column, class) so broad range scans don't poison
-    /// the estimates needle lookups are priced with.
+    /// equality predicate, false for range bounds. Evidence is
+    /// aggregated per (column, class) so broad range scans don't mask
+    /// the evidence of needle lookups.
     pub eq: bool,
     /// Rows of the block satisfying the query's bounds on `column`.
     pub matched: u64,
@@ -130,15 +130,15 @@ pub struct TaskStats {
     /// Bytes of persisted sidecar extension indexes (bitmaps, inverted
     /// lists) read from replicas to serve this task.
     pub sidecar_bytes_read: u64,
-    /// Per-block, per-column observed selectivities, for the planner's
-    /// feedback store.
+    /// Per-block, per-column observed selectivities, for the re-indexing
+    /// advisor's evidence store.
     pub selectivity: Vec<SelectivityObservation>,
     /// Blocks this task's read planned again instead of executing the
     /// plan its split was cut from: every block when there is no such
     /// plan (the baselines' per-block splits, pure scans, a single split
     /// read without one), else the blocks whose split-time plan no
-    /// longer holds (a design change, a death, moved feedback) or was
-    /// degraded.
+    /// longer holds (a design change or a death moved the design epoch)
+    /// or was degraded.
     pub blocks_replanned: u64,
     /// Blocks of this task's split skipped entirely (no candidate
     /// enumeration, no read) because a persisted zone-map or Bloom
@@ -167,7 +167,7 @@ impl TaskStats {
     /// blocks are read on one thread, and splits merge in split order,
     /// never completion order), so even the one order-sensitive field
     /// (the `selectivity` observation sequence, whose order matters to
-    /// the feedback store's decay) is bit-for-bit identical at any
+    /// the evidence store's decay) is bit-for-bit identical at any
     /// parallelism.
     pub fn merge(&mut self, other: &TaskStats) {
         self.ledger.add(&other.ledger);

@@ -45,7 +45,7 @@
 //! Each managed job's output and report stay bit-for-bit identical to
 //! a solo run at any interleaving — concurrency only changes measured
 //! wall clock and the [`JobReport::queue_wait_seconds`] telemetry. Jobs
-//! may share a frozen feedback store, never reads.
+//! share the cluster, never reads or planning state.
 
 #![forbid(unsafe_code)]
 

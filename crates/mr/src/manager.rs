@@ -10,8 +10,8 @@
 //!
 //! # Determinism contract
 //!
-//! A managed job's output, its report fields, and its own feedback
-//! deltas are bit-for-bit identical to a solo [`crate::scheduler::run_map_job`] run at
+//! A managed job's output and its report fields are bit-for-bit
+//! identical to a solo [`crate::scheduler::run_map_job`] run at
 //! any interleaving — concurrency may only change measured wall clock
 //! ([`crate::job::TaskReport::reader_wall_seconds`]) and the
 //! queue-wait telemetry
@@ -19,15 +19,10 @@
 //! fills in with the measured wall-clock delay between admission and
 //! dequeue; solo runs report zero). There is no exception: jobs that
 //! share a filter shape, or the whole query, still report exactly what
-//! they report alone. That holds because everything a job shares with
-//! its neighbours is immutable for the job's duration: the cluster, the
-//! formats, and any shared selectivity-feedback store, whose absorption
-//! is deferred to a submission-order barrier after the batch (the bench
-//! layer's `run_queries_managed` does this; see `read_split_batch`'s
-//! contract in [`crate::input_format::InputFormat`]). During the batch
-//! planners read the store and nothing writes it, so every job prices
-//! against identical state at any concurrency, and each job plans its
-//! own blocks from it.
+//! they report alone. That holds by construction: everything a job
+//! shares with its neighbours — the cluster and the formats — is
+//! immutable for the job's duration, and no job's planning reads state
+//! another job writes. Each job plans its own blocks cold.
 //!
 //! Jobs never share reads: each reads its own blocks through its own
 //! format, so no block read depends on what else is in flight.
@@ -45,10 +40,8 @@ use std::time::Instant;
 ///
 /// The manager owns no execution resources itself — worker threads are
 /// scoped to each [`JobManager::run_batch`] call ([`run_ordered`] over
-/// whole jobs), and the one cross-job resource worth sharing (the
-/// selectivity-feedback store) is shared by plumbing
-/// the same `Arc` into each job's `InputFormat`, not by the manager
-/// reaching into the formats. The manager takes no lock of its own.
+/// whole jobs), and jobs share nothing but the cluster they read. The
+/// manager takes no lock of its own.
 /// Each job reads at most its own `job_parallelism` splits at once, so
 /// a batch uses at most `max_concurrent × job_parallelism` threads.
 pub struct JobManager {

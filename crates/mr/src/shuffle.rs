@@ -52,12 +52,14 @@ pub fn run_map_reduce_job(
     spec: &ClusterSpec,
     job: &MapReduceJob<'_>,
 ) -> Result<MapReduceRun> {
-    // Map phase: collect (key, row) pairs from the user's map function.
-    // The capture is a mutex (not a RefCell) purely to satisfy MapJob's
-    // Send + Sync map bound; the scheduler still invokes the map
-    // function from one thread in split order, so there is never
-    // contention. Rank MapScratch: acquired with no engine lock held
-    // (the drive loop runs map functions outside every lock).
+    // Map phase: the user's map function appends its (key, row) pairs
+    // straight to the locked vector. The capture is a mutex (not a
+    // RefCell) purely to satisfy MapJob's Send + Sync map bound; the
+    // scheduler still invokes the map function from one thread in split
+    // order, so there is never contention. Rank MapScratch: acquired
+    // with no engine lock held (the drive loop runs map functions
+    // outside every lock), so the user map runs under it and may take
+    // only a lock ranked below it.
     let pairs_cell = hail_sync::OrderedMutex::new(
         hail_sync::LockRank::MapScratch,
         "map-reduce-scratch",
@@ -69,11 +71,7 @@ pub fn run_map_reduce_job(
             input: job.input.clone(),
             format: job.format,
             job_parallelism: job.job_parallelism.max(job.parallelism),
-            map: Box::new(|rec, _out| {
-                let mut emitted = Vec::new();
-                (job.map)(&rec, &mut emitted);
-                pairs_cell.acquire().append(&mut emitted);
-            }),
+            map: Box::new(|rec, _out| (job.map)(&rec, &mut pairs_cell.acquire())),
         };
         run_map_job(cluster, spec, &map_job)?
     };

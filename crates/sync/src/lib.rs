@@ -22,8 +22,8 @@
 //! `unwrap_or_else(PoisonError::into_inner)`. Every guarded region in
 //! the engine leaves its structure consistent before any call that can
 //! panic (writes are complete assignments, not staged mutations), so a
-//! panicked worker must not cascade into wedging the shared
-//! `SelectivityFeedback` store.
+//! panicked worker must not cascade into wedging a shared structure
+//! such as the advisor's `SelectivityFeedback` store.
 //!
 //! This crate is the one place the raw `std::sync` locks may appear:
 //! the workspace `clippy.toml` disallows them everywhere else.
@@ -56,7 +56,13 @@ pub enum LockRank {
     /// `ReindexAdvisor` trigger state — held across `SelectivityFeedback`
     /// reads (crates/exec/src/adapt.rs).
     AdvisorState = 3,
-    /// `SelectivityFeedback` per-class observations (crates/exec/src/feedback.rs).
+    /// `SelectivityFeedback` per-class observations, the re-indexing
+    /// advisor's evidence (crates/exec/src/feedback.rs). The engine feeds
+    /// the store from one thread, between adaptive rounds, and no plan
+    /// reads it; the lock and this rank stay as frozen-suite residue,
+    /// because the `hail-bench` suite absorbs through a shared `Arc`
+    /// (`absorb(&self)`) and the residue `PlannerConfig::feedback` field
+    /// needs the store to stay `Sync`. They go with the suite's residue.
     Feedback = 2,
     /// Per-job map-side scratch accumulators (crates/mr/src/shuffle.rs).
     MapScratch = 1,

@@ -13,9 +13,9 @@
 //! index metadata, prices each `(replica, access path)` candidate with
 //! the `hail-sim` cost model, and emits an explainable `QueryPlan` that
 //! the scheduler and the record readers both consume. Every job plans
-//! cold; planning is adaptive through a `SelectivityFeedback` store
-//! that blends observed per-block selectivities back into the
-//! estimates.
+//! cold from the static selectivity estimates; the observed per-block
+//! selectivities go into a `SelectivityFeedback` store that only the
+//! re-indexing advisor reads.
 //! See `ARCHITECTURE.md` for the full plan lifecycle.
 //!
 //! This crate is a facade re-exporting the workspace's layers:

@@ -13,18 +13,15 @@
 //! - the flip boundary, per-job outputs, and reports (modulo measured
 //!   wall clocks) are bit-for-bit identical at job concurrency 1/2/4 —
 //!   re-indexing does not perturb the multi-job determinism contract;
-//! - the feedback the advisor reads is every job's report absorbed
-//!   exactly once, in submission order, at every concurrency — whether
-//!   the advisor reads the batch's own shared store or a store of its
-//!   own;
+//! - the evidence the advisor reads is every job's report absorbed
+//!   exactly once, in submission order, at every concurrency — fed at
+//!   the round boundary, the one place the store is fed;
 //! - killing the replica that holds a freshly built adaptive index
 //!   mid-workload loses no rows, and subsequent planning degrades
 //!   gracefully to the surviving replicas' paths;
 //! - the default policy re-indexes, and a disabled one (what
 //!   `HAIL_DISABLE_REINDEX=1` selects) lets evidence accumulate but
-//!   never moves the design;
-//! - before any rewrite, the feedback alone flips a plan the static
-//!   prior had mispriced.
+//!   never moves the design.
 
 use hail::prelude::*;
 use hail_bench::{
@@ -33,7 +30,6 @@ use hail_bench::{
 };
 use hail_mr::{JobReport, JobRun};
 use hail_types::BlockId;
-use std::sync::Arc;
 
 /// duration (@9, 0-based column 8): uniform 1..10_000, so `@9 <= 500`
 /// is ~5% selective — well under the advisor's 0.15 ceiling.
@@ -301,7 +297,7 @@ fn flip_boundary_and_reports_identical_at_every_concurrency() {
     }
 }
 
-/// The feedback state a workload must leave behind: a fresh store that
+/// The evidence a workload must leave behind: a fresh store that
 /// absorbed each job's report once, jobs in submission order and tasks
 /// in schedule order.
 fn absorbed_in_submission_order(runs: &[JobRun]) -> String {
@@ -314,16 +310,12 @@ fn absorbed_in_submission_order(runs: &[JobRun]) -> String {
     format!("{oracle:?}")
 }
 
-/// The adaptive loop with the advisor reading the infra's own shared
-/// store, and with the advisor reading a store of its own: at
-/// concurrency 1, 2 and 4 the FullScan→index flip lands at the same job
-/// boundary, every output and report matches concurrency 1, and the
-/// advisor's store holds every report absorbed exactly once, in
-/// submission order. Each round runs two range jobs on duration with
-/// different literals, so the decayed state depends on absorption
-/// order. With the shared store, `run_adaptive_workload` must not absorb
-/// what the batch already absorbed; with its own store, it must absorb
-/// in submission order.
+/// The adaptive loop at concurrency 1, 2 and 4: the FullScan→index flip
+/// lands at the same job boundary, every output and report matches
+/// concurrency 1, and the advisor's store holds every report absorbed
+/// exactly once, in submission order. Each round runs two range jobs on
+/// duration with different literals, so the decayed state depends on
+/// absorption order.
 #[test]
 fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
     let (tb, _) = adaptive_setup(400, 4);
@@ -337,21 +329,16 @@ fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
         .flat_map(|_| round.iter())
         .map(|(f, p)| HailQuery::parse(f, p, &tb.schema).unwrap())
         .collect();
-    let drive = |conc: usize, own_store: bool| {
+    let drive = |conc: usize| {
         let mut setup = setup_hail(&tb, &[2, 0]).unwrap();
-        let infra = SharedJobInfra::for_jobs(conc);
-        let feedback = if own_store {
-            Arc::new(SelectivityFeedback::default())
-        } else {
-            infra.feedback.clone().unwrap()
-        };
+        let feedback = SelectivityFeedback::default();
         let run = run_adaptive_workload(
             &mut setup,
             &tb.spec,
             &queries,
             true,
             &JobManager::new(conc),
-            &infra,
+            &SharedJobInfra::for_jobs(conc),
             &advisor(true),
             &feedback,
             round.len(),
@@ -361,32 +348,30 @@ fn reindex_flip_boundary_and_feedback_state_hold_at_every_concurrency() {
         (run, state)
     };
 
-    let (baseline, _) = drive(1, false);
+    let (baseline, _) = drive(1);
     assert_eq!(baseline.events.len(), 1, "solo run flips exactly once");
-    for own_store in [false, true] {
-        for conc in [1, 2, 4] {
-            let at = format!("concurrency {conc}, advisor's own store {own_store}");
-            let (run, state) = drive(conc, own_store);
-            assert_eq!(run.events.len(), 1, "{at}: one rebuild");
+    for conc in [1, 2, 4] {
+        let at = format!("concurrency {conc}");
+        let (run, state) = drive(conc);
+        assert_eq!(run.events.len(), 1, "{at}: one rebuild");
+        assert_eq!(
+            run.events[0].after_job, baseline.events[0].after_job,
+            "{at}: the flip boundary moved"
+        );
+        assert_eq!(run.events[0].outcome, baseline.events[0].outcome);
+        for (i, (r, b)) in run.runs.iter().zip(&baseline.runs).enumerate() {
+            assert_eq!(r.output, b.output, "{at}, job {i}: output");
             assert_eq!(
-                run.events[0].after_job, baseline.events[0].after_job,
-                "{at}: the flip boundary moved"
-            );
-            assert_eq!(run.events[0].outcome, baseline.events[0].outcome);
-            for (i, (r, b)) in run.runs.iter().zip(&baseline.runs).enumerate() {
-                assert_eq!(r.output, b.output, "{at}, job {i}: output");
-                assert_eq!(
-                    report_modulo_wall(&r.report),
-                    report_modulo_wall(&b.report),
-                    "{at}, job {i}: report"
-                );
-            }
-            assert_eq!(
-                state,
-                absorbed_in_submission_order(&run.runs),
-                "{at}: the advisor's feedback is not every report absorbed once, in order"
+                report_modulo_wall(&r.report),
+                report_modulo_wall(&b.report),
+                "{at}, job {i}: report"
             );
         }
+        assert_eq!(
+            state,
+            absorbed_in_submission_order(&run.runs),
+            "{at}: the advisor's evidence is not every report absorbed once, in order"
+        );
     }
 }
 
@@ -535,104 +520,4 @@ fn default_policy_honours_disable_env() {
             }
         }
     }
-}
-
-/// Acceptance: observed selectivity feedback flips a plan the static
-/// prior had mispriced. The prior claims the filter is highly selective
-/// (index territory); the data disagrees (nearly every row matches);
-/// sustained execution feedback pushes the effective estimate across
-/// the cost model's break-even and the planner switches to the scan —
-/// with `explain()` reporting the estimate's provenance throughout.
-#[test]
-fn feedback_flips_mispriced_plan() {
-    let mut storage = StorageConfig::test_scale(4 * 1024);
-    storage.index_partition_size = 16;
-    let mut cluster = DfsCluster::new(4, storage);
-    let schema = Schema::new(vec![
-        Field::new("k", DataType::Int),
-        Field::new("v", DataType::VarChar),
-    ])
-    .unwrap();
-    // Every key lies in [0, 9]: the query below matches ~100% of rows.
-    let text: String = (0..700).map(|i| format!("{}|w{i}\n", i % 10)).collect();
-    let dataset = upload_hail(
-        &mut cluster,
-        &schema,
-        "t",
-        &[(0, text)],
-        &ReplicaIndexConfig::first_indexed(3, &[0]),
-    )
-    .unwrap();
-    let query = HailQuery::parse("@1 between(0, 50)", "{@2}", &schema).unwrap();
-
-    let feedback = Arc::new(SelectivityFeedback::default());
-    let config = PlannerConfig {
-        estimate: SelectivityEstimate::uniform(0.01), // confidently wrong
-        feedback: Some(Arc::clone(&feedback)),
-        ..Default::default()
-    };
-    let planner = QueryPlanner::with_config(&cluster, config.clone());
-
-    // The static prior misprices the query: 1% selectivity makes the
-    // clustered index look far cheaper than the scan.
-    let mispriced = planner.plan_dataset(&dataset, &query).unwrap();
-    for bp in &mispriced.blocks {
-        assert_eq!(bp.kind, AccessPathKind::ClusteredIndexScan);
-    }
-    assert!(
-        mispriced.explain().contains("(prior)"),
-        "{}",
-        mispriced.explain()
-    );
-
-    // Execute the mispriced plan repeatedly; every block read records
-    // its observed key-column selectivity, and the format-level
-    // plumbing feeds it into the store split by split.
-    let format = PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(config);
-    let splits = format.splits(&cluster, &dataset.blocks).unwrap();
-    for _ in 0..12 {
-        for split in &splits.splits {
-            hail::mr::read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {})
-                .unwrap();
-        }
-    }
-    let (observed_mean, weight) = feedback.observed(0, false).expect("observations recorded");
-    assert!(
-        observed_mean > 0.95,
-        "observed ≈ everything matches: {observed_mean}"
-    );
-    assert!(weight > 10.0, "sustained evidence accumulated: {weight}");
-
-    // Same query, same static prior — but the blended estimate now sits
-    // past the break-even and the planner corrects itself.
-    let corrected = planner.plan_dataset(&dataset, &query).unwrap();
-    for bp in &corrected.blocks {
-        assert_eq!(
-            bp.kind,
-            AccessPathKind::FullScan,
-            "feedback flips the mispriced index plan to a scan"
-        );
-        assert!(bp.est_seconds > mispriced.blocks[0].est_seconds);
-    }
-    assert!(
-        corrected.explain().contains("(observed)"),
-        "{}",
-        corrected.explain()
-    );
-
-    // A planner without the store still trusts the wrong prior — the
-    // flip is the feedback's doing, not drift elsewhere.
-    let static_plan = QueryPlanner::with_config(
-        &cluster,
-        PlannerConfig {
-            estimate: SelectivityEstimate::uniform(0.01),
-            ..Default::default()
-        },
-    )
-    .plan_dataset(&dataset, &query)
-    .unwrap();
-    assert_eq!(
-        static_plan.blocks[0].kind,
-        AccessPathKind::ClusteredIndexScan
-    );
 }

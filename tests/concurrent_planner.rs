@@ -1,21 +1,21 @@
-//! Concurrency stress tests for the cross-query planner state: many
-//! threads plan blocks (and read whole splits) against one shared
-//! `SelectivityFeedback` store while feedback absorption runs against
-//! them.
+//! Concurrency stress tests for planning beside the advisor's evidence
+//! store: many threads plan blocks (and read whole splits) with a
+//! `SelectivityFeedback` store plugged into their planner configuration
+//! while absorption runs against it.
 //!
 //! The properties under test:
 //!
-//! - **Atomic absorption.** A concurrent `plan_block` prices against
-//!   none or all of an absorbed batch, never a torn prefix, and the
-//!   final observation count equals exactly what was fed in.
+//! - **Atomic absorption.** A concurrent reader of the store sees none
+//!   or all of an absorbed batch, never a torn prefix, and the final
+//!   observation count equals exactly what was fed in.
 //! - **Stateless plans under contention.** Every plan served during
-//!   the storm equals what a planner without the store prices at the
-//!   same selectivity.
+//!   the storm equals the default configuration's plan: planning reads
+//!   nothing from the store.
 //! - **Racing reads.** Split reads racing on threads return the serial
-//!   run's records and, absorbed in split order, leave its feedback
-//!   state.
+//!   run's records, write nothing into the store, and their statistics,
+//!   absorbed in split order, leave the serial run's evidence.
 
-use hail::exec::{PlannerConfig, SelectivitySource};
+use hail::exec::{BlockPlan, PlannerConfig};
 use hail::mr::{read_one_split, SplitSource, SplitTask, TaskStats};
 use hail::prelude::*;
 use std::collections::BTreeSet;
@@ -45,21 +45,41 @@ fn setup_with(rows: usize, design: &ReplicaIndexConfig) -> (DfsCluster, Dataset)
     (cluster, dataset)
 }
 
-/// What one plan priced against and chose, as bit patterns: the
-/// selectivity, its feedback weight (0 for the prior), the access path,
-/// the replica and the price.
-type PlanBits = (u64, u64, AccessPathKind, usize, u64);
+/// What one plan priced with and chose, as bit patterns: the
+/// selectivity, the access path, the replica and the price.
+type PlanBits = (u64, AccessPathKind, usize, u64);
 
-/// The stress test: planner threads plan one block over and over while
-/// a feedback thread absorbs batches of observations into the store they
-/// price with. Every plan must have seen a whole number of batches, and
-/// must equal a stateless pricing at the selectivity it reports.
+fn plan_bits(bp: &BlockPlan) -> PlanBits {
+    (
+        bp.selectivity[0].value.to_bits(),
+        bp.kind,
+        bp.replica,
+        bp.est_seconds.to_bits(),
+    )
+}
+
+/// The store's state for column 0's range class, as bit patterns: the
+/// decayed mean and its weight, `None` before any observation.
+fn evidence_bits(feedback: &SelectivityFeedback) -> Option<(u64, u64)> {
+    feedback
+        .observed(0, false)
+        .map(|(mean, weight)| (mean.to_bits(), weight.to_bits()))
+}
+
+/// The stress test: planner threads plan one block over and over, with
+/// the store plugged into their configuration, while a feedback thread
+/// absorbs batches of observations into it. Every plan must equal the
+/// default configuration's, and every state the planner threads read
+/// off the store must hold a whole number of batches.
 #[test]
 fn plan_block_vs_feedback_absorption() {
     let (cluster, dataset) = setup(2000);
     let block = dataset.blocks[0];
     let feedback = Arc::new(SelectivityFeedback::default());
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
+    let default_plan = QueryPlanner::new(&cluster)
+        .plan_block(DatasetFormat::HailPax, block, &query)
+        .unwrap();
 
     const PLANNERS: usize = 3;
     const FEEDBACK_BATCHES: u64 = 1000;
@@ -78,7 +98,8 @@ fn plan_block_vs_feedback_absorption() {
     let plans = AtomicU64::new(0);
     let absorbed = AtomicBool::new(false);
 
-    let seen: Vec<BTreeSet<PlanBits>> = std::thread::scope(|scope| {
+    type Seen = (BTreeSet<PlanBits>, BTreeSet<Option<(u64, u64)>>);
+    let seen: Vec<Seen> = std::thread::scope(|scope| {
         let planners: Vec<_> = (0..PLANNERS)
             .map(|_| {
                 let (cluster, feedback, query) = (&cluster, &feedback, &query);
@@ -89,31 +110,21 @@ fn plan_block_vs_feedback_absorption() {
                         ..Default::default()
                     };
                     let planner = QueryPlanner::with_config(cluster, config);
-                    let mut seen = BTreeSet::new();
+                    let (mut seen_plans, mut seen_evidence) = (BTreeSet::new(), BTreeSet::new());
                     while !absorbed.load(Ordering::Acquire) {
                         let bp = planner
                             .plan_block(DatasetFormat::HailPax, block, query)
                             .unwrap();
-                        let choice = bp.selectivity[0];
-                        let weight = match choice.source {
-                            SelectivitySource::Prior => 0.0,
-                            SelectivitySource::Observed { weight } => weight,
-                        };
-                        seen.insert((
-                            choice.value.to_bits(),
-                            weight.to_bits(),
-                            bp.kind,
-                            bp.replica,
-                            bp.est_seconds.to_bits(),
-                        ));
+                        seen_plans.insert(plan_bits(&bp));
+                        seen_evidence.insert(evidence_bits(feedback));
                         plans.fetch_add(1, Ordering::Release);
                     }
-                    seen
+                    (seen_plans, seen_evidence)
                 })
             })
             .collect();
         // Absorb batch after batch, each once some plan ran since the
-        // last one, so the planners see many states.
+        // last one, so the planners run beside many states.
         for _ in 0..FEEDBACK_BATCHES {
             let before = plans.load(Ordering::Acquire);
             while plans.load(Ordering::Acquire) == before {
@@ -125,76 +136,65 @@ fn plan_block_vs_feedback_absorption() {
         planners.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
+    // Stateless plans: whatever the store held, every plan is the
+    // default configuration's.
+    let served: BTreeSet<_> = seen.iter().flat_map(|(plans, _)| plans).collect();
+    assert_eq!(
+        served,
+        BTreeSet::from([&plan_bits(&default_plan)]),
+        "a plan read the store"
+    );
+
     // Atomic absorption: exactly the fed batches landed…
     assert_eq!(
         feedback.observation_count(0, false),
         FEEDBACK_BATCHES * OBS_PER_BATCH
     );
-    // …and every plan priced against a whole number of them: the
-    // (estimate, weight) a serial store reports after each batch.
+    // …and every state a planner thread read held a whole number of
+    // them: the (mean, weight) a serial store reports after each batch.
     let serial = SelectivityFeedback::default();
-    let prior = PlannerConfig::default().estimate.for_column(0);
-    let mut boundaries = BTreeSet::from([(prior.to_bits(), 0f64.to_bits())]);
+    let mut boundaries = BTreeSet::from([None]);
     for _ in 0..FEEDBACK_BATCHES {
         serial.absorb(&batch);
-        let (value, source) = serial.adjusted(0, false, prior);
-        let SelectivitySource::Observed { weight } = source else {
-            panic!("observed after a batch");
-        };
-        boundaries.insert((value.to_bits(), weight.to_bits()));
+        boundaries.insert(evidence_bits(&serial));
     }
-    let states: BTreeSet<_> = seen.iter().flatten().collect();
-    for &&(value, weight, ..) in &states {
+    let states: BTreeSet<_> = seen.iter().flat_map(|(_, evidence)| evidence).collect();
+    for &&state in &states {
         assert!(
-            boundaries.contains(&(value, weight)),
-            "a plan priced against a torn batch: selectivity {} at weight {}",
-            f64::from_bits(value),
-            f64::from_bits(weight)
+            boundaries.contains(&state),
+            "a reader saw a torn batch: {:?}",
+            state.map(|(m, w)| (f64::from_bits(m), f64::from_bits(w)))
         );
     }
-    let distinct: BTreeSet<_> = states.iter().map(|s| (s.0, s.1)).collect();
-    assert!(distinct.len() > 1, "the planners saw the store move");
-
-    // Stateless plans: each equals a store-less pricing at the
-    // selectivity it reports.
-    for &&(value, _, kind, replica, price) in &states {
-        let config = PlannerConfig {
-            estimate: SelectivityEstimate::uniform(f64::from_bits(value)),
-            ..Default::default()
-        };
-        let fresh = QueryPlanner::with_config(&cluster, config)
-            .plan_block(DatasetFormat::HailPax, block, &query)
-            .unwrap();
-        assert_eq!((fresh.kind, fresh.replica), (kind, replica));
-        assert_eq!(fresh.est_seconds.to_bits(), price);
-    }
+    assert!(states.len() > 1, "the planners ran beside a moving store");
 }
 
-/// Whole split reads racing through one shared feedback store, with and
-/// without the split-time plan. Under it the reads plan nothing again;
-/// without it each read plans all its blocks. Both rounds return the
-/// serial records, and, absorbed in split order, leave the serial
-/// feedback state.
+/// The evidence a run's statistics leave, absorbed in split order into
+/// a fresh store.
+fn absorbed(reads: &[TaskStats]) -> String {
+    let store = SelectivityFeedback::default();
+    reads.iter().for_each(|stats| store.absorb(stats));
+    format!("{store:?}")
+}
+
+/// Whole split reads racing with a shared store plugged into their
+/// format, with and without the split-time plan. Under it the reads
+/// plan nothing again; without it each read plans all its blocks. Both
+/// rounds return the serial records, write nothing into the store, and,
+/// absorbed in split order, leave the serial evidence.
 #[test]
 fn concurrent_read_splits_share_adaptive_state() {
     let (cluster, dataset) = setup(4000);
     let blocks = dataset.blocks.len() as u64;
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
     let feedback = Arc::new(SelectivityFeedback::default());
-    // Deferred, as in a managed batch: the store is read-only while the
-    // splits race, and absorbed afterwards in split order.
     let format =
         PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
             feedback: Some(Arc::clone(&feedback)),
-            defer_feedback: true,
             ..Default::default()
         });
     let plan = format.splits(&cluster, &dataset.blocks).unwrap();
     assert!(plan.splits.len() >= 2);
-    let absorb = |reads: &[TaskStats]| {
-        reads.iter().for_each(|stats| feedback.absorb(stats));
-        feedback.observed(0, false)
-    };
 
     // Serial oracle.
     let serial: Vec<TaskStats> = plan
@@ -205,7 +205,11 @@ fn concurrent_read_splits_share_adaptive_state() {
         })
         .collect();
     let serial_records: u64 = serial.iter().map(|t| t.records).sum();
-    let serial_feedback = absorb(&serial);
+    let serial_evidence = absorbed(&serial);
+    assert!(
+        serial.iter().any(|t| !t.selectivity.is_empty()),
+        "the reads observed selectivities"
+    );
 
     // All splits at once, each read on its own thread, with or without
     // the split-time plan.
@@ -232,7 +236,6 @@ fn concurrent_read_splits_share_adaptive_state() {
         })
     };
     for source in [None, plan.source.as_ref()] {
-        feedback.clear();
         let totals = race(source);
         let records: u64 = totals.iter().map(|t| t.records).sum();
         assert_eq!(records, serial_records);
@@ -241,6 +244,10 @@ fn concurrent_read_splits_share_adaptive_state() {
             Some(_) => assert_eq!(replanned, 0, "the split-time plan serves"),
             None => assert_eq!(replanned, blocks, "each read plans its blocks"),
         }
-        assert_eq!(absorb(&totals), serial_feedback);
+        assert_eq!(absorbed(&totals), serial_evidence);
     }
+    assert!(
+        feedback.observed_classes().is_empty(),
+        "a split read wrote into the store"
+    );
 }

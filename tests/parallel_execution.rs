@@ -8,10 +8,8 @@
 //! non-negative framework overhead (wall clock is reported separately
 //! and never leaks into the simulated accounting).
 
-use hail::exec::PlannerConfig;
 use hail::mr::{FailoverRun, JobReport};
 use hail::prelude::*;
-use std::sync::Arc;
 
 fn storage() -> StorageConfig {
     let mut s = StorageConfig::test_scale(4 * 1024);
@@ -56,10 +54,9 @@ fn run_at(
     cluster: &DfsCluster,
     dataset: &Dataset,
     job_parallelism: usize,
-    planner: PlannerConfig,
 ) -> (Vec<Row>, JobReport) {
     let query = HailQuery::parse("@1 between(40, 90)", "{@2}", &schema()).unwrap();
-    let format = PlannedInputFormat::new(dataset.clone(), query).with_planner(planner);
+    let format = PlannedInputFormat::new(dataset.clone(), query);
     let job = MapJob::collecting("par", dataset.blocks.clone(), &format)
         .with_job_parallelism(job_parallelism);
     let spec = ClusterSpec::new(4, HardwareProfile::physical());
@@ -100,9 +97,20 @@ fn assert_reports_identical(serial: &JobReport, parallel: &JobReport) {
         assert_eq!(a.stats.serial_pricing, b.stats.serial_pricing);
         assert_eq!(a.stats.sidecar_bytes_read, b.stats.sidecar_bytes_read);
         // Selectivity observations in the same (split) order — the
-        // order the feedback store's decay depends on.
+        // order the advisor's evidence store's decay depends on.
         assert_eq!(a.stats.selectivity, b.stats.selectivity);
     }
+}
+
+/// The advisor's evidence a job leaves: its tasks' observations
+/// absorbed in schedule order into a fresh store, as the adaptive
+/// loop feeds it.
+fn evidence(report: &JobReport) -> String {
+    let store = SelectivityFeedback::default();
+    for task in &report.tasks {
+        store.absorb(&task.stats);
+    }
+    format!("{store:?}")
 }
 
 /// Acceptance: job parallelism 1 is the sequential run, and 2/4/8
@@ -125,34 +133,23 @@ fn any_parallelism_reproduces_the_serial_run() {
         "setup must give widths above 1 splits to overlap, got {splits}"
     );
 
-    let (serial_out, serial_report) = run_at(&cluster, &dataset, 1, PlannerConfig::default());
+    let (serial_out, serial_report) = run_at(&cluster, &dataset, 1);
     assert!(!serial_out.is_empty());
     for parallelism in [2, 4, 8] {
-        let (out, report) = run_at(&cluster, &dataset, parallelism, PlannerConfig::default());
+        let (out, report) = run_at(&cluster, &dataset, parallelism);
         assert_eq!(serial_out, out, "parallelism {parallelism} changed rows");
         assert_reports_identical(&serial_report, &report);
     }
 }
 
-/// Acceptance: the adaptive state (selectivity feedback) converges to
-/// the same values under parallel execution — absorption order is
-/// split order, not completion order.
+/// Acceptance: the adaptive state (the advisor's evidence, fed from the
+/// reports) converges to the same values under parallel execution —
+/// observations come back in split order, not completion order.
 #[test]
 fn adaptive_state_is_parallelism_invariant() {
     let (cluster, dataset) = setup();
-    let run_with_state = |parallelism: usize| {
-        let feedback = Arc::new(SelectivityFeedback::default());
-        let planner = PlannerConfig {
-            feedback: Some(Arc::clone(&feedback)),
-            ..Default::default()
-        };
-        // Two passes: the second plans from absorbed feedback.
-        run_at(&cluster, &dataset, parallelism, planner.clone());
-        let (out, report) = run_at(&cluster, &dataset, parallelism, planner);
-        (out, report, feedback)
-    };
-    let (serial_out, serial_report, serial_fb) = run_with_state(1);
-    let (par_out, par_report, par_fb) = run_with_state(4);
+    let (serial_out, serial_report) = run_at(&cluster, &dataset, 1);
+    let (par_out, par_report) = run_at(&cluster, &dataset, 4);
 
     assert_eq!(serial_out, par_out);
     assert_reports_identical(&serial_report, &par_report);
@@ -161,15 +158,9 @@ fn adaptive_state_is_parallelism_invariant() {
             .tasks
             .iter()
             .any(|t| !t.stats.selectivity.is_empty()),
-        "the second pass observed selectivities"
+        "the job observed selectivities"
     );
-    // The feedback store's decayed estimate is bit-identical: the
-    // barrier absorbed observations in split order both times.
-    assert_eq!(serial_fb.observed(0, false), par_fb.observed(0, false));
-    assert_eq!(
-        serial_fb.observation_count(0, false),
-        par_fb.observation_count(0, false)
-    );
+    assert_eq!(evidence(&serial_report), evidence(&par_report));
 }
 
 /// Acceptance (satellite): wall clock and simulated reader work are
@@ -178,7 +169,7 @@ fn adaptive_state_is_parallelism_invariant() {
 #[test]
 fn overhead_accounting_survives_parallel_readers() {
     let (cluster, dataset) = setup();
-    let (_, report) = run_at(&cluster, &dataset, 4, PlannerConfig::default());
+    let (_, report) = run_at(&cluster, &dataset, 4);
     assert!(report.overhead_seconds() >= 0.0);
     assert!(report.ideal_seconds() > 0.0);
     // Wall clock is recorded per task and summed, and is a real
@@ -186,7 +177,7 @@ fn overhead_accounting_survives_parallel_readers() {
     let wall = report.reader_wall_seconds();
     assert!(wall.is_finite() && wall >= 0.0);
     // The simulated reader *work* is unaffected by the overlap.
-    let (_, serial_report) = run_at(&cluster, &dataset, 1, PlannerConfig::default());
+    let (_, serial_report) = run_at(&cluster, &dataset, 1);
     assert_eq!(
         report.total_reader_seconds(),
         serial_report.total_reader_seconds()
@@ -214,38 +205,21 @@ fn failover_is_parallelism_invariant() {
 
 /// Acceptance (job overlap): job parallelism 2/4/8 reproduces the
 /// strictly sequential run bit for bit — output rows in order, every
-/// simulated report figure, and the post-job feedback state.
+/// simulated report figure, and the evidence the reports feed the
+/// advisor.
 #[test]
 fn job_level_overlap_is_bit_for_bit_invariant() {
     let (cluster, dataset) = setup();
-    let run_with_state = |job_p: usize| {
-        let feedback = Arc::new(SelectivityFeedback::default());
-        let planner = PlannerConfig {
-            feedback: Some(Arc::clone(&feedback)),
-            ..Default::default()
-        };
-        // Two passes: the second plans from absorbed feedback, so any
-        // overlap-order leak into the adaptive state would surface as
-        // diverging plans or counters.
-        run_at(&cluster, &dataset, job_p, planner.clone());
-        let (out, report) = run_at(&cluster, &dataset, job_p, planner);
-        (out, report, feedback)
-    };
-
-    let (base_out, base_report, base_fb) = run_with_state(1);
+    let (base_out, base_report) = run_at(&cluster, &dataset, 1);
     assert!(!base_out.is_empty());
     for job_p in [2, 4, 8] {
-        let (out, report, fb) = run_with_state(job_p);
+        let (out, report) = run_at(&cluster, &dataset, job_p);
         assert_eq!(base_out, out, "job={job_p} changed rows");
         assert_reports_identical(&base_report, &report);
         assert_eq!(
-            base_fb.observed(0, false),
-            fb.observed(0, false),
-            "job={job_p} feedback state"
-        );
-        assert_eq!(
-            base_fb.observation_count(0, false),
-            fb.observation_count(0, false)
+            evidence(&base_report),
+            evidence(&report),
+            "job={job_p} evidence"
         );
     }
 }

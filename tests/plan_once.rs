@@ -7,11 +7,11 @@
 //! against the current cluster state. The two must agree on every output
 //! row, in order, and on every figure of every job report except the
 //! measured wall clock and the count of blocks planned at read time —
-//! for Bob-Q1..Q5 and Syn-Q1a..Q2c, with feedback off, on and deferred,
-//! at job parallelism 1 and 4, with `HailSplitting` on and off; under a node
-//! death mid-job; and on a job of more than one chunk of splits, where
-//! the feedback absorbed after the first chunk outdates the split-time
-//! plan.
+//! for Bob-Q1..Q5 and Syn-Q1a..Q2c, at job parallelism 1 and 4, with
+//! `HailSplitting` on and off; under a node death mid-job; and on a job
+//! of more than one chunk of splits. Planning reads no cross-job state:
+//! a store of contrary evidence plugged into the planner configuration
+//! moves no plan and outdates no split-time plan.
 
 use hail::mr::{SplitPlan, SplitRead, SplitSource, SplitTask};
 use hail::prelude::*;
@@ -109,44 +109,21 @@ fn spec() -> ClusterSpec {
     ClusterSpec::new(NODES, HardwareProfile::physical())
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Feedback {
-    Off,
-    On,
-    Deferred,
-}
-
 /// One engine setting of the sweep.
 #[derive(Debug, Clone, Copy)]
 struct Setting {
-    feedback: Feedback,
     job_parallelism: usize,
     splitting: bool,
 }
 
 impl Setting {
     fn all() -> impl Iterator<Item = Setting> {
-        [Feedback::Off, Feedback::On, Feedback::Deferred]
+        [(1, true), (4, true), (1, false), (4, false)]
             .into_iter()
-            .flat_map(|feedback| {
-                [(1, true), (4, true), (1, false), (4, false)].map(
-                    |(job_parallelism, splitting)| Setting {
-                        feedback,
-                        job_parallelism,
-                        splitting,
-                    },
-                )
+            .map(|(job_parallelism, splitting)| Setting {
+                job_parallelism,
+                splitting,
             })
-    }
-
-    /// A planner configuration with a feedback store of its own.
-    fn planner(&self) -> PlannerConfig {
-        PlannerConfig {
-            feedback: (self.feedback != Feedback::Off)
-                .then(|| Arc::new(SelectivityFeedback::default())),
-            defer_feedback: self.feedback == Feedback::Deferred,
-            ..Default::default()
-        }
     }
 
     fn format(
@@ -175,25 +152,19 @@ fn simulated(report: &JobReport) -> String {
     format!("{report:?}")
 }
 
-/// What a session leaves in its planner's feedback store.
-fn stores(planner: &PlannerConfig, columns: usize) -> String {
-    let feedback = planner.feedback.as_ref().map(|fb| {
-        (0..columns)
-            .flat_map(|c| [false, true].map(|eq| (fb.observed(c, eq), fb.observation_count(c, eq))))
-            .collect::<Vec<_>>()
-    });
-    format!("feedback {feedback:?}")
-}
-
 /// The bed's queries run in order as solo jobs over one planner
-/// configuration, each job's output and report, then the store; and
-/// the blocks the session's split reads planned again.
-fn session(bed: &Bed, setting: Setting, per_split: bool) -> (Vec<String>, u64) {
-    let planner = setting.planner();
+/// configuration, each job's output and report; and the blocks the
+/// session's split reads planned again.
+fn session(
+    bed: &Bed,
+    setting: Setting,
+    planner: &PlannerConfig,
+    per_split: bool,
+) -> (Vec<String>, u64) {
     let mut out = Vec::new();
     let mut replanned = 0;
     for (id, query) in &bed.queries {
-        let format = setting.format(&bed.dataset, query, &planner);
+        let format = setting.format(&bed.dataset, query, planner);
         let per_split_format = PerSplitPlanning(&format);
         let input: &dyn InputFormat = match per_split {
             true => &per_split_format,
@@ -209,7 +180,6 @@ fn session(bed: &Bed, setting: Setting, per_split: bool) -> (Vec<String>, u64) {
             simulated(&run.report)
         ));
     }
-    out.push(stores(&planner, bed.dataset.schema.len()));
     (out, replanned)
 }
 
@@ -225,8 +195,9 @@ fn assert_same(planned_once: &[String], per_split: &[String], what: &str) {
 fn planning_once_reproduces_per_split_planning() {
     for bed in [bob_bed(600), syn_bed()] {
         for setting in Setting::all() {
-            let (once, once_replanned) = session(&bed, setting, false);
-            let (per_split, per_split_replanned) = session(&bed, setting, true);
+            let planner = PlannerConfig::default();
+            let (once, once_replanned) = session(&bed, setting, &planner, false);
+            let (per_split, per_split_replanned) = session(&bed, setting, &planner, true);
             assert_same(&once, &per_split, &format!("{setting:?}"));
             // Not vacuous: the split reads did use the split-time plan.
             assert!(
@@ -240,7 +211,7 @@ fn planning_once_reproduces_per_split_planning() {
 /// One query under a node death halfway through the job, on a fresh bed.
 fn failover(bed: fn() -> Bed, query: usize, setting: Setting, per_split: bool) -> String {
     let mut bed = bed();
-    let planner = setting.planner();
+    let planner = PlannerConfig::default();
     let (id, query) = &bed.queries[query];
     let format = setting.format(&bed.dataset, query, &planner);
     let per_split_format = PerSplitPlanning(&format);
@@ -254,13 +225,12 @@ fn failover(bed: fn() -> Bed, query: usize, setting: Setting, per_split: bool) -
         run_map_job_with_failure(&mut bed.cluster, &spec(), &job, FailureScenario::at_half(1))
             .unwrap();
     format!(
-        "{id}: {:?}\nbaseline {}\nwith failure {}\nat {} after {} reruns\n{}",
+        "{id}: {:?}\nbaseline {}\nwith failure {}\nat {} after {} reruns",
         run.output,
         simulated(&run.baseline),
         simulated(&run.with_failure),
         run.failure_time,
         run.rerun_count,
-        stores(&planner, bed.dataset.schema.len())
     )
 }
 
@@ -270,19 +240,8 @@ fn failover(bed: fn() -> Bed, query: usize, setting: Setting, per_split: bool) -
 #[test]
 fn planning_once_reproduces_per_split_planning_across_a_death() {
     let beds: [(fn() -> Bed, usize); 2] = [(|| bob_bed(300), 5), (syn_bed, 6)];
-    let settings = [
-        (Feedback::Off, 1, true),
-        (Feedback::Deferred, 1, false),
-        (Feedback::On, 4, true),
-        (Feedback::On, 1, false),
-    ];
     for (bed, queries) in beds {
-        for (feedback, job_parallelism, splitting) in settings {
-            let setting = Setting {
-                feedback,
-                job_parallelism,
-                splitting,
-            };
+        for setting in Setting::all() {
             for query in 0..queries {
                 assert_same(
                     &[failover(bed, query, setting, false)],
@@ -294,33 +253,62 @@ fn planning_once_reproduces_per_split_planning_across_a_death() {
     }
 }
 
-/// On a job of more than one chunk of splits, the feedback absorbed
-/// after the first chunk moves the selectivities, so the later chunks
-/// plan again — and the job is still the per-split one.
+/// Planning reads no cross-job state. A store whose evidence says every
+/// filter matches every row — contrary to the selective prior — plugged
+/// into the planner configuration changes nothing: each Bob query's
+/// `explain()` is the default configuration's, and on a job of more
+/// than one chunk of splits the reads execute the split-time plan,
+/// planning no block again, with the default configuration's output
+/// and report. Over two chunks the job is still the per-split one.
 #[test]
-fn feedback_between_chunks_outdates_the_split_time_plan() {
+fn planning_reads_no_cross_job_state() {
     let bed = bob_bed(1500);
+    let blocks = bed.dataset.blocks.len();
+    assert!(blocks > SPLIT_BATCH_CHUNK, "{blocks} blocks");
+    let contrary = Arc::new(SelectivityFeedback::default());
+    for column in 0..bed.dataset.schema.len() {
+        for eq in [false, true] {
+            for _ in 0..100 {
+                contrary.observe(column, eq, 100, 100);
+            }
+        }
+    }
+    let plugged = PlannerConfig {
+        feedback: Some(Arc::clone(&contrary)),
+        ..Default::default()
+    };
+    // Per-block splits, so the job runs more than one chunk of them.
     let setting = Setting {
-        feedback: Feedback::On,
         job_parallelism: 1,
         splitting: false,
     };
-    let blocks = bed.dataset.blocks.len() as u64;
-    assert!(blocks > SPLIT_BATCH_CHUNK as u64, "{blocks} blocks");
-    let (once, _) = session(&bed, setting, false);
-    let (per_split, _) = session(&bed, setting, true);
-    assert_same(&once, &per_split, "two chunks");
+    for (id, query) in &bed.queries {
+        let plan = |config: &PlannerConfig| {
+            QueryPlanner::with_config(&bed.cluster, config.clone())
+                .plan_dataset(&bed.dataset, query)
+                .unwrap()
+                .explain()
+        };
+        assert_eq!(plan(&plugged), plan(&PlannerConfig::default()), "{id}");
 
-    // Bob-Q1 alone on a fresh store: the first chunk's reads execute the
-    // split-time plan, the later chunks' reads plan every block again.
-    let planner = setting.planner();
-    let format = setting.format(&bed.dataset, &bed.queries[0].1, &planner);
-    let job = MapJob::collecting("Bob-Q1", bed.dataset.blocks.clone(), &format);
-    let run = run_map_job(&bed.cluster, &spec(), &job).unwrap();
-    assert_eq!(
-        run.report.blocks_replanned(),
-        blocks - SPLIT_BATCH_CHUNK as u64
-    );
+        let run = |config: &PlannerConfig| {
+            let format = setting.format(&bed.dataset, query, config);
+            let job = MapJob::collecting(*id, bed.dataset.blocks.clone(), &format);
+            run_map_job(&bed.cluster, &spec(), &job).unwrap()
+        };
+        let (with_store, default) = (run(&plugged), run(&PlannerConfig::default()));
+        assert!(with_store.report.tasks.len() > SPLIT_BATCH_CHUNK, "{id}");
+        assert_eq!(with_store.report.blocks_replanned(), 0, "{id}");
+        assert_eq!(with_store.output, default.output, "{id}");
+        assert_eq!(
+            simulated(&with_store.report),
+            simulated(&default.report),
+            "{id}"
+        );
+    }
+    let (once, _) = session(&bed, setting, &plugged, false);
+    let (per_split, _) = session(&bed, setting, &plugged, true);
+    assert_same(&once, &per_split, "two chunks");
 }
 
 /// A solo job plans each block once, when its splits are cut: its reads
