@@ -7,7 +7,8 @@
 //!
 //! 1. The candidates are an ascending `u32` **selection vector**
 //!    ([`candidates`]). Each conjunct opens one cursor on its column and
-//!    keeps the rows whose value it admits ([`retain_matching`],
+//!    keeps the rows whose value it admits with one batch call
+//!    ([`ColumnCursor::retain`], behind [`retain_matching`] and
 //!    [`retain_within`]); the next conjunct sees only the survivors, so a
 //!    row is decoded for conjunct *k* exactly when conjuncts *0..k*
 //!    matched — the rows a per-row short-circuit would have decoded.
@@ -20,9 +21,14 @@
 //!    with one cursor call, then interleaves the columns into one batch
 //!    that the returned rows share ([`Row::batch_from_columns`]).
 //!
-//! Decode errors propagate from both steps: a corrupt value in a column
-//! the query touches fails the read rather than silently dropping rows
-//! that no longer decode.
+//! A batch call matches on the column's type once and, on a varchar
+//! column, reads a partition at a time: one terminator pass up to the
+//! last selected row of the partition and one UTF-8 check over what it
+//! located. Decode errors propagate from both steps: a corrupt value the
+//! query reads fails the read rather than silently dropping rows that no
+//! longer decode. Only the values asked for can fail — invalid UTF-8 or
+//! a missing terminator in a row no conjunct or projection reaches
+//! fails nothing, as in a per-row read.
 //!
 //! A conjunct's literals are unpacked once per block — into the
 //! [`KeyBounds`] it induces, or the one value a `!=` excludes — and each
@@ -148,9 +154,9 @@ fn retain_within(
     retain(pax, column, selection, |v| bounds.contains_ref(v))
 }
 
-/// One pass of one cursor over the selection, compacting it in place. An
-/// empty selection opens no cursor: a block no row of which reached this
-/// conjunct is not decoded for it.
+/// One batch call of one cursor over the selection
+/// ([`ColumnCursor::retain`]). An empty selection opens no cursor: a
+/// block no row of which reached this conjunct is not decoded for it.
 fn retain(
     pax: &PaxBlock,
     column: usize,
@@ -160,17 +166,7 @@ fn retain(
     if selection.is_empty() {
         return Ok(());
     }
-    let mut cursor = pax.cursor(column)?;
-    let mut kept = 0;
-    for i in 0..selection.len() {
-        let row = selection[i];
-        if admits(cursor.get(row as usize)?) {
-            selection[kept] = row;
-            kept += 1;
-        }
-    }
-    selection.truncate(kept);
-    Ok(())
+    pax.cursor(column)?.retain(selection, admits)
 }
 
 /// Reconstructs the `projection` of every selected row, in selection

@@ -239,8 +239,9 @@ pub struct BlockPlan {
     /// path.
     pub sidecar_bytes: Option<usize>,
     /// The per-column selectivities this plan was priced with: the
-    /// static prior's, for each filter column.
-    pub selectivity: Vec<SelectivityChoice>,
+    /// static prior's, for each filter column — one list per plan, which
+    /// its block plans share.
+    pub selectivity: Arc<[SelectivityChoice]>,
     /// `Some` when a persisted synopsis proved this block matches no
     /// row: the plan is a zero-cost placeholder, no candidate was ever
     /// priced, and execution skips the read entirely, synthesizing the
@@ -314,7 +315,7 @@ impl QueryPlan {
             };
             // The estimate that priced this plan; always the prior.
             let mut sel = String::new();
-            for sc in &bp.selectivity {
+            for sc in bp.selectivity.iter() {
                 let sep = if sel.is_empty() { "  sel " } else { ", " };
                 let _ = write!(sel, "{sep}@{}={:.3}(prior)", sc.column + 1, sc.value);
             }
@@ -511,7 +512,7 @@ impl<'a> QueryPlanner<'a> {
                         fallback: format != DatasetFormat::HadoopText
                             && !query.filter_columns().is_empty(),
                         sidecar_bytes: None,
-                        selectivity: Vec::new(),
+                        selectivity: Arc::from([]),
                         pruned: None,
                     });
                 }
@@ -547,7 +548,7 @@ impl<'a> QueryPlanner<'a> {
 
     /// The static prior's selectivity for each of a query's filter
     /// columns, in column order.
-    fn selectivities(&self, query: &HailQuery) -> Vec<SelectivityChoice> {
+    fn selectivities(&self, query: &HailQuery) -> Arc<[SelectivityChoice]> {
         let mut columns = query.filter_columns();
         columns.sort_unstable();
         columns.dedup();
@@ -579,14 +580,15 @@ impl<'a> QueryPlanner<'a> {
     /// proof prices nothing.
     fn plan_block_with(
         &self,
-        selectivity: &[SelectivityChoice],
+        selectivity: &Arc<[SelectivityChoice]>,
         format: DatasetFormat,
         block: BlockId,
         query: &HailQuery,
     ) -> Result<BlockPlan> {
+        let selectivity = Arc::clone(selectivity);
         match crate::synopsis::try_prune(self.cluster, &self.config, format, block, query) {
-            Some(info) => Ok(self.pruned_block_plan(format, block, info, selectivity.to_vec())),
-            None => self.price_block(format, block, query, selectivity.to_vec(), &[]),
+            Some(info) => Ok(self.pruned_block_plan(format, block, info, selectivity)),
+            None => self.price_block(format, block, query, selectivity, &[]),
         }
     }
 
@@ -600,7 +602,7 @@ impl<'a> QueryPlanner<'a> {
         format: DatasetFormat,
         block: BlockId,
         info: crate::synopsis::PruneInfo,
-        selectivity: Vec<SelectivityChoice>,
+        selectivity: Arc<[SelectivityChoice]>,
     ) -> BlockPlan {
         let locations: Vec<DatanodeId> = self
             .cluster
@@ -633,7 +635,7 @@ impl<'a> QueryPlanner<'a> {
         format: DatasetFormat,
         block: BlockId,
         query: &HailQuery,
-        selectivity: Vec<SelectivityChoice>,
+        selectivity: Arc<[SelectivityChoice]>,
         excluded: &[DatanodeId],
     ) -> Result<BlockPlan> {
         let mut replicas = self.cluster.namenode().live_replicas(block);

@@ -352,6 +352,38 @@ mod tests {
         assert!(builder.is_empty());
     }
 
+    /// A date field with a sign is a bad record here exactly as it is in
+    /// `hail_types::parse_line`, the oracle every format is checked
+    /// against: it would load, but not print back as its text.
+    #[test]
+    fn signed_date_fields_are_bad_records_as_in_parse_line() {
+        let schema = Schema::new(vec![
+            Field::new("word", DataType::VarChar),
+            Field::new("day", DataType::Date),
+        ])
+        .unwrap();
+        let lines = [
+            "a|+999-01-01",
+            "b|2000-+1-01",
+            "c|2000-01-+1",
+            "d|2000-01-01",
+        ];
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let cfg = StorageConfig::test_scale(1 << 20);
+        let blocks = blocks_from_text(&text, &schema, &cfg).unwrap();
+        assert_eq!(blocks.len(), 1);
+        assert_eq!(blocks[0].bad_records().unwrap(), &lines[..3]);
+        assert_eq!(blocks[0].row_count(), 1);
+        for line in lines {
+            let parsed = hail_types::parse_line(line, &schema, cfg.delimiter);
+            assert_eq!(
+                matches!(parsed, hail_types::ParsedRecord::Good(_)),
+                line == "d|2000-01-01",
+                "{line}"
+            );
+        }
+    }
+
     #[test]
     fn push_row_direct() {
         let cfg = StorageConfig::test_scale(1 << 20);

@@ -3,11 +3,17 @@
 //! [`PaxBlock::value`] answers "column `c` of row `r`" from scratch every
 //! time, which for a variable-size attribute means seeking the row's
 //! partition and walking up to `partition_size - 1` zero-terminated
-//! values (§3.5) — per predicate, per projected column, per row. A scan
-//! asks for rows in ascending order, so a [`ColumnCursor`] remembers where
-//! the last answer ended: it jumps to a partition's sparse offset once and
-//! from then on only walks forward, and it hands out a borrowed
-//! [`ValueRef`] instead of allocating a `String` per varchar value.
+//! values (§3.5) — per predicate, per projected column, per row. A
+//! [`ColumnCursor`] reads a varchar column a partition at a time instead:
+//! it enters a partition through its sparse offset and locates where its
+//! values start with one terminator pass, eight bytes per step, into a
+//! buffer it reuses for the next partition (`find_terminators`, the
+//! finder [`crate::BlockRows::locate`] uses too). The pass is lazy — it
+//! extends only as far as the rows asked for — and any row of the
+//! partition it has located, an earlier one too, is answered from the
+//! buffer. UTF-8 is checked once over a stretch of located values, not
+//! once per value, and values are handed out as borrowed [`ValueRef`]s
+//! instead of a `String` each.
 //!
 //! A cursor reads only bytes it has verified against the replica's chunk
 //! checksums, and verifies only what it reads: a varchar cursor verifies
@@ -19,8 +25,14 @@
 //! The cursor trusts the region lengths [`PaxBlock::open`] validated — a
 //! fixed-width region is exactly `row_count × width` bytes, a varchar
 //! region holds its whole sparse offset list — so the only per-row
-//! failures left are the ones only a walk can find: a row past the end, an
-//! unterminated value, invalid UTF-8, a chunk that fails its checksum.
+//! failures left are a row past the end, a chunk that fails its
+//! checksum, and the ones only locating can find: a value the partition
+//! holds no terminator for, and invalid UTF-8. Those two fail exactly
+//! the reads of the values they damage. A missing terminator leaves the
+//! partition one value short, so the rows before it read as before and a
+//! row the pass finds no terminator for fails; a stretch that is not
+//! valid UTF-8 makes the cursor check each of its values on its own,
+//! so a value nobody asks for fails nothing.
 
 use crate::block::{partition_values, PaxBlock};
 use crate::checksum::ReplicaBytes;
@@ -29,8 +41,8 @@ use hail_types::{DataType, HailError, Result, Value, ValueRef};
 
 /// Reads one column of a [`PaxBlock`], a row at a time
 /// ([`ColumnCursor::get`]) or a selection of rows at a time
-/// ([`ColumnCursor::decode_into`]). Rows may be asked for in any order;
-/// ascending order is the cheap one.
+/// ([`ColumnCursor::decode_into`], [`ColumnCursor::retain`]). Rows may be
+/// asked for in any order; ascending order is the cheap one.
 #[derive(Debug, Clone)]
 pub struct ColumnCursor<'a> {
     dtype: DataType,
@@ -50,12 +62,25 @@ pub struct ColumnCursor<'a> {
     /// partition the cursor stands in.
     checked_start: usize,
     checked_end: usize,
-    /// Varchar only: the value of row `next_row` starts at byte `pos` of
-    /// `data`, inside the partition that ends before row `partition_end`
-    /// — before row 0 until the first `get` seeks.
-    next_row: usize,
+    /// Varchar only: the cursor stands in the partition of rows
+    /// `first_row..partition_end` — in none until the first read enters
+    /// one.
+    first_row: usize,
     partition_end: usize,
-    pos: usize,
+    /// Varchar only: where the partition's values located so far start,
+    /// as offsets into `data` — value `k` of the partition is
+    /// `data[starts[k]..starts[k + 1] - 1]` — and where the terminator
+    /// pass that found them stopped.
+    starts: Vec<u32>,
+    scanned: usize,
+    /// Varchar only: a stretch of located values checked as valid UTF-8
+    /// at once, which starts at `data[text_start]`. A value inside it is
+    /// sliced out of it; any other value is checked when it is asked for.
+    text: &'a str,
+    text_start: usize,
+    /// Varchar only: a located stretch of the partition failed the
+    /// check, so its values are checked one at a time from here on.
+    text_failed: bool,
 }
 
 impl PaxBlock {
@@ -76,9 +101,13 @@ impl PaxBlock {
             partition_size: self.partition_size(),
             checked_start: 0,
             checked_end: 0,
-            next_row: 0,
+            first_row: 0,
             partition_end: 0,
-            pos: 0,
+            starts: Vec::new(),
+            scanned: 0,
+            text: "",
+            text_start: 0,
+            text_failed: false,
         })
     }
 }
@@ -100,48 +129,108 @@ impl<'a> ColumnCursor<'a> {
     }
 
     /// Appends the owned values of `rows`, in the order given, to `out`:
-    /// the column-at-a-time decode of tuple reconstruction. The column's
-    /// type is matched once per call, not once per value, and every row
-    /// is read exactly as [`ColumnCursor::get`] reads it — a fixed-width
-    /// value through the verified chunk window, a varchar value by
-    /// entering its partition through the sparse offset, verifying the
-    /// partition's value range, walking forward and checking the value's
-    /// UTF-8. The first row that `get` would fail on — past the end,
-    /// unterminated, invalid UTF-8, in a chunk that fails its checksum —
-    /// fails the call with `get`'s error, leaving the values decoded
-    /// before it in `out`.
+    /// the column-at-a-time decode of tuple reconstruction. The type is
+    /// matched and the rows are checked against the row count once per
+    /// call, and a varchar column is read a partition at a time — see
+    /// the module docs — but every value is the one
+    /// [`ColumnCursor::get`] returns. The first row that `get` would fail
+    /// on — past the end, unterminated, invalid UTF-8, in a chunk that
+    /// fails its checksum — fails the call with `get`'s error, leaving the
+    /// values decoded before it in `out`.
     pub fn decode_into(&mut self, rows: &[u32], out: &mut Vec<Value>) -> Result<()> {
         out.reserve(rows.len());
-        match self.dtype {
-            DataType::Int => self.decode_fixed(rows, out, |b| Value::Int(i32::from_le_bytes(b))),
-            DataType::Date => self.decode_fixed(rows, out, |b| Value::Date(i32::from_le_bytes(b))),
-            DataType::Long => self.decode_fixed(rows, out, |b| Value::Long(i64::from_le_bytes(b))),
-            DataType::Float => self.decode_fixed(rows, out, |b| {
-                Value::Float(f64::from_bits(u64::from_le_bytes(b)))
-            }),
-            DataType::VarChar => rows.iter().try_for_each(|&row| {
-                let row = row as usize;
-                self.check_row(row)?;
-                out.push(Value::Str(self.varchar(row)?.to_owned()));
-                Ok(())
-            }),
-        }
+        self.visit(rows, |_, value| out.push(value.to_value()))
     }
 
-    /// [`ColumnCursor::decode_into`] for a `W`-byte type.
+    /// Keeps the rows of `selection` whose value `admits`, in order: a
+    /// selection-vector filter, read as [`ColumnCursor::decode_into`]
+    /// reads. The first row that [`ColumnCursor::get`] would fail on
+    /// fails the call with `get`'s error and leaves `selection` as it
+    /// was.
+    pub fn retain(
+        &mut self,
+        selection: &mut Vec<u32>,
+        mut admits: impl FnMut(ValueRef<'a>) -> bool,
+    ) -> Result<()> {
+        let mut kept = Vec::with_capacity(selection.len());
+        self.visit(selection, |row, value| {
+            if admits(value) {
+                kept.push(row);
+            }
+        })?;
+        *selection = kept;
+        Ok(())
+    }
+
+    /// Calls `f` with each of `rows` and its value, in the order given,
+    /// reading every value exactly as [`ColumnCursor::get`] reads it and
+    /// failing on the first row `get` would fail on, with `get`'s error.
+    /// The type is matched and the rows are checked against the row
+    /// count once per call. A varchar column is read a run of rows at a
+    /// time: the rows that ascend within one partition are located with
+    /// one terminator pass, up to the last of them, and their UTF-8 is
+    /// checked as one stretch.
+    fn visit(&mut self, rows: &[u32], mut f: impl FnMut(u32, ValueRef<'a>)) -> Result<()> {
+        let in_range = rows
+            .iter()
+            .position(|&row| row as usize >= self.row_count)
+            .unwrap_or(rows.len());
+        let (rows, past_end) = rows.split_at(in_range);
+        match self.dtype {
+            DataType::Int => {
+                self.visit_fixed(rows, |row, b| f(row, ValueRef::Int(i32::from_le_bytes(b))))
+            }
+            DataType::Date => {
+                self.visit_fixed(rows, |row, b| f(row, ValueRef::Date(i32::from_le_bytes(b))))
+            }
+            DataType::Long => {
+                self.visit_fixed(rows, |row, b| f(row, ValueRef::Long(i64::from_le_bytes(b))))
+            }
+            DataType::Float => self.visit_fixed(rows, |row, b| {
+                f(row, ValueRef::Float(f64::from_bits(u64::from_le_bytes(b))))
+            }),
+            DataType::VarChar => self.visit_varchar(rows, |row, s| f(row, ValueRef::Str(s))),
+        }?;
+        past_end
+            .first()
+            .map_or(Ok(()), |&row| self.check_row(row as usize))
+    }
+
+    /// [`ColumnCursor::visit`] for a `W`-byte type.
     #[inline]
-    fn decode_fixed<const W: usize>(
+    fn visit_fixed<const W: usize>(
         &mut self,
         rows: &[u32],
-        out: &mut Vec<Value>,
-        value: impl Fn([u8; W]) -> Value,
+        mut f: impl FnMut(u32, [u8; W]),
     ) -> Result<()> {
         rows.iter().try_for_each(|&row| {
-            let row = row as usize;
-            self.check_row(row)?;
-            out.push(value(self.fixed(row)?));
+            f(row, self.fixed(row as usize)?);
             Ok(())
         })
+    }
+
+    /// [`ColumnCursor::visit`] for a varchar column.
+    #[inline]
+    fn visit_varchar(&mut self, rows: &[u32], mut f: impl FnMut(u32, &'a str)) -> Result<()> {
+        let mut run = 0;
+        while let Some(&first) = rows.get(run) {
+            if !(self.first_row..self.partition_end).contains(&(first as usize)) {
+                self.enter(first as usize)?;
+            }
+            let mut end = run + 1;
+            while rows
+                .get(end)
+                .is_some_and(|&row| row >= rows[end - 1] && (row as usize) < self.partition_end)
+            {
+                end += 1;
+            }
+            self.locate(rows[end - 1] as usize - self.first_row);
+            for &row in &rows[run..end] {
+                f(row, self.located(row as usize - self.first_row)?);
+            }
+            run = end;
+        }
+        Ok(())
     }
 
     /// A row past the end of the block is corruption, not a panic.
@@ -179,109 +268,158 @@ impl<'a> ColumnCursor<'a> {
         Ok(())
     }
 
-    /// Enters `row`'s partition through its sparse offset — unless the
-    /// cursor already stands inside it, at or before `row` — walks forward
-    /// to `row`, and validates only the value asked for: exactly the bytes
-    /// [`PaxBlock::value`] would return, found without starting over.
+    /// The value of `row`: exactly the bytes [`PaxBlock::value`] would
+    /// return, found without starting over.
     fn varchar(&mut self, row: usize) -> Result<&'a str> {
-        if row < self.next_row || row >= self.partition_end {
-            let partition = row / self.partition_size;
-            let values = partition_values(self.offsets, partition, self.data.len())?;
-            self.replica
-                .verify(self.base + values.start..self.base + values.end)?;
-            (self.checked_start, self.checked_end) = (values.start, values.end);
-            self.pos = values.start;
-            self.next_row = partition * self.partition_size;
-            self.partition_end = self.next_row + self.partition_size;
+        if !(self.first_row..self.partition_end).contains(&row) {
+            self.enter(row)?;
         }
-        self.skip_terminators(row - self.next_row)?;
-        self.next_row = row;
-        let start = self.pos;
-        self.skip_terminators(1)?;
-        self.next_row = row + 1;
-        std::str::from_utf8(&self.data[start..self.pos - 1])
-            .map_err(|_| HailError::Corrupt("invalid UTF-8 in varchar value".into()))
+        let k = row - self.first_row;
+        self.locate(k);
+        self.located(k)
     }
 
-    /// Moves `pos` just past the `n`-th zero byte at or after it, within
-    /// the partition, eight bytes per step: the walk over values nobody
-    /// asked for is the bulk of a selective scan's work on a varchar
-    /// column.
-    fn skip_terminators(&mut self, mut n: usize) -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        let rest = &self.data[self.pos..self.checked_end];
-        let mut words = rest.chunks_exact(8);
-        let mut skipped = 0;
-        for word in &mut words {
-            let word = u64::from_le_bytes(
-                word.try_into()
-                    .expect("chunks_exact(8) yields 8-byte chunks"),
-            );
-            let mut zeros = zero_bytes(word);
-            let count = zeros.count_ones() as usize;
-            if count >= n {
-                for _ in 1..n {
-                    zeros &= zeros - 1;
-                }
-                self.pos += skipped + zeros.trailing_zeros() as usize / 8 + 1;
-                return Ok(());
-            }
-            n -= count;
-            skipped += 8;
-        }
-        for (i, &b) in words.remainder().iter().enumerate() {
-            if b == 0 {
-                n -= 1;
-                if n == 0 {
-                    self.pos += skipped + i + 1;
-                    return Ok(());
-                }
-            }
-        }
-        Err(HailError::Corrupt(
-            "unterminated zero-terminated value".into(),
-        ))
+    /// Enters `row`'s partition through its sparse offset — also when the
+    /// cursor stood in the partition before it — and verifies the
+    /// partition's value range. Nothing is located yet.
+    fn enter(&mut self, row: usize) -> Result<()> {
+        let partition = row / self.partition_size;
+        let values = partition_values(self.offsets, partition, self.data.len())?;
+        self.replica
+            .verify(self.base + values.start..self.base + values.end)?;
+        (self.checked_start, self.checked_end) = (values.start, values.end);
+        self.first_row = partition * self.partition_size;
+        self.partition_end = self.first_row + self.partition_size;
+        self.starts.clear();
+        self.starts.push(values.start as u32);
+        self.scanned = values.start;
+        self.text = "";
+        self.text_start = values.start;
+        self.text_failed = false;
+        Ok(())
     }
+
+    /// Extends the terminator pass over the partition's value range until
+    /// value `k` of the partition is located, or the range ends.
+    #[inline]
+    fn locate(&mut self, k: usize) {
+        if self.starts.len() <= k + 1 {
+            self.scanned = find_terminators(
+                &self.data[..self.checked_end],
+                self.scanned,
+                &mut self.starts,
+                k + 2,
+            );
+        }
+    }
+
+    /// Value `k` of the partition, as far as [`ColumnCursor::locate`]
+    /// got: a value it found no terminator for is corruption, and so is
+    /// a value that is not valid UTF-8. A value past the checked stretch
+    /// starts a new one, from the value to the last terminator located;
+    /// zero bytes are character boundaries, so every value inside a
+    /// valid stretch is valid. Where the stretch is not valid, each value
+    /// is checked on its own — a value nobody asks for fails nothing.
+    #[inline]
+    fn located(&mut self, k: usize) -> Result<&'a str> {
+        let (Some(&start), Some(&next)) = (self.starts.get(k), self.starts.get(k + 1)) else {
+            return Err(HailError::Corrupt(
+                "unterminated zero-terminated value".into(),
+            ));
+        };
+        let (start, end) = (start as usize, next as usize - 1);
+        if end >= self.text_start + self.text.len() && !self.text_failed {
+            let last = *self
+                .starts
+                .last()
+                .expect("entering locates the first start") as usize;
+            match std::str::from_utf8(&self.data[start..last]) {
+                Ok(text) => (self.text, self.text_start) = (text, start),
+                Err(_) => self.text_failed = true,
+            }
+        }
+        if self.text_start <= start && end < self.text_start + self.text.len() {
+            return Ok(&self.text[start - self.text_start..end - self.text_start]);
+        }
+        std::str::from_utf8(&self.data[start..end])
+            .map_err(|_| HailError::Corrupt("invalid UTF-8 in varchar value".into()))
+    }
+}
+
+/// The terminator finder every varchar read shares: appends to `starts`
+/// where the value after each zero byte of `bytes[from..]` starts, in
+/// order, until `starts` holds `want` entries or the bytes end, and
+/// returns where the pass stopped, so that a later call can go on from
+/// there. It reads eight bytes per step and finishes the step it is in,
+/// so it may append up to seven entries more than `want`. A step writes
+/// its first terminator whether it holds one or not and counts how many
+/// it holds; only a step with two or more loops over them.
+pub(crate) fn find_terminators(
+    bytes: &[u8],
+    from: usize,
+    starts: &mut Vec<u32>,
+    want: usize,
+) -> usize {
+    let mut found = starts.len();
+    if found >= want {
+        return from;
+    }
+    // Room for a whole step past `want` — or past one value per byte
+    // left, where `want` is a count read from disk.
+    let most = want.min(found + bytes.len() - from);
+    starts.resize(most + 8, 0);
+    let (words, tail) = bytes[from..].as_chunks::<8>();
+    // A value starts one byte past its predecessor's terminator.
+    let mut next = from + 1;
+    for word in words {
+        if found >= want {
+            break;
+        }
+        let zeros = zero_bytes(u64::from_le_bytes(*word));
+        // With no zero byte, the top bit stands in: the write is not
+        // counted.
+        starts[found] = (next + (zeros | 1 << 63).trailing_zeros() as usize / 8) as u32;
+        // Bit 7 of each zero byte, moved to bit 0 and summed into the top
+        // byte: a count without a population-count instruction.
+        let count = ((zeros >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize;
+        if count > 1 {
+            let mut rest = zeros & (zeros - 1);
+            for slot in &mut starts[found + 1..found + count] {
+                *slot = (next + rest.trailing_zeros() as usize / 8) as u32;
+                rest &= rest - 1;
+            }
+        }
+        found += count;
+        next += 8;
+    }
+    starts.truncate(found);
+    let mut pos = next - 1;
+    if found < want {
+        for (i, &b) in tail.iter().enumerate() {
+            if b == 0 {
+                starts.push((pos + i + 1) as u32);
+            }
+        }
+        pos = bytes.len();
+    }
+    pos
 }
 
 /// Where each of the first `rows` zero-terminated values of `values`
 /// starts, and where the last of them ends: `rows + 1` offsets, one pass
-/// over the bytes, eight per step. Fewer terminators than rows is
-/// corruption.
+/// of [`find_terminators`]. Fewer terminators than rows is corruption.
 pub(crate) fn row_starts(values: &[u8], rows: usize) -> Result<Vec<u32>> {
     // A count read from disk: no more values than bytes to hold them.
-    let mut starts = Vec::with_capacity(rows.min(values.len()) + 1);
+    let mut starts = Vec::with_capacity(rows.min(values.len()) + 9);
     starts.push(0u32);
-    let mut words = values.chunks_exact(8);
-    let mut base = 0;
-    for word in &mut words {
-        if starts.len() > rows {
-            return Ok(starts);
-        }
-        let word = u64::from_le_bytes(
-            word.try_into()
-                .expect("chunks_exact(8) yields 8-byte chunks"),
-        );
-        let mut zeros = zero_bytes(word);
-        while zeros != 0 && starts.len() <= rows {
-            starts.push((base + zeros.trailing_zeros() as usize / 8 + 1) as u32);
-            zeros &= zeros - 1;
-        }
-        base += 8;
-    }
-    for (i, &b) in words.remainder().iter().enumerate() {
-        if b == 0 && starts.len() <= rows {
-            starts.push((base + i + 1) as u32);
-        }
-    }
+    find_terminators(values, 0, &mut starts, rows + 1);
     if starts.len() <= rows {
         return Err(HailError::Corrupt(format!(
             "{} zero-terminated values where {rows} are expected",
             starts.len() - 1
         )));
     }
+    starts.truncate(rows + 1);
     Ok(starts)
 }
 
@@ -638,6 +776,362 @@ mod tests {
         assert!(err.is_some());
         assert_eq!(values.len(), 7);
         assert_eq!((values, err), per_row(&mut b.cursor(4).unwrap(), &all));
+    }
+
+    /// A block like [`block`]'s whose varchar values are seeded: empty
+    /// ones, runs of empty ones (a whole step of terminators), one- to
+    /// four-byte characters, and values from one byte to past a step.
+    fn seeded_block(rows: usize, partition_size: usize, seed: u64) -> PaxBlock {
+        const CHARS: [&str; 8] = ["a", "Z", "7", "-", "é", "ж", "日", "🐘"];
+        let mut state = seed;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut empty_run = 0;
+        let strings: Vec<String> = (0..rows)
+            .map(|_| {
+                if empty_run > 0 {
+                    empty_run -= 1;
+                    return String::new();
+                }
+                match next(10) {
+                    0 => String::new(),
+                    1 => {
+                        empty_run = next(12) as usize;
+                        String::new()
+                    }
+                    _ => {
+                        let len = next(20) as usize + 1;
+                        (0..len).map(|_| CHARS[next(8) as usize]).collect()
+                    }
+                }
+            })
+            .collect();
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("l", DataType::Long),
+            Field::new("f", DataType::Float),
+            Field::new("d", DataType::Date),
+            Field::new("s", DataType::VarChar),
+        ])
+        .unwrap();
+        let columns = [
+            ColumnData::Int((0..rows as i32).map(|i| i * 7 - 50).collect()),
+            ColumnData::Long((0..rows as i64).map(|i| i << 33).collect()),
+            ColumnData::Float((0..rows).map(|i| i as f64 / 4.0).collect()),
+            ColumnData::Date((0..rows as i32).map(|i| 10_000 - i).collect()),
+            ColumnData::Str(strings),
+        ];
+        let bytes = encode_block(&schema, &columns, &[], partition_size).unwrap();
+        PaxBlock::parse(bytes).unwrap()
+    }
+
+    /// A seeded predicate on a value, for `retain`.
+    fn keeps(value: &Value, seed: u64) -> bool {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (value.to_string(), seed).hash(&mut h);
+        !h.finish().is_multiple_of(3)
+    }
+
+    /// Seeded: every way a cursor reads a column — `get` a row at a time,
+    /// `decode_into` and `retain` a selection at a time — answers what
+    /// `PaxBlock::value` answers, for every column type; at partition
+    /// sizes 1, 4 and 64, each with a short last partition; over empty,
+    /// multibyte and step-long values; for dense, sparse, run-across-edge
+    /// and descending selections, on a fresh cursor and on one cursor
+    /// that has read every selection before.
+    #[test]
+    fn every_read_agrees_with_value() {
+        for (seed, partition_size) in [(21, 1), (22, 4), (23, 64)] {
+            let b = seeded_block(151, partition_size, seed);
+            let n = b.row_count();
+            let mut shapes = selections(n, partition_size, seed);
+            shapes.retain(|(name, _)| !name.contains("past the end"));
+            shapes.push(("descending", (0..n as u32).rev().collect()));
+            shapes.push((
+                "sparse, descending",
+                sparse(n, 5, seed).into_iter().rev().collect(),
+            ));
+            shapes.push((
+                "every partition's last row, then its first",
+                (0..n)
+                    .step_by(partition_size)
+                    .flat_map(|p| [(p + partition_size).min(n) - 1, p])
+                    .map(|r| r as u32)
+                    .collect(),
+            ));
+            for col in 0..b.schema().len() {
+                let value = |r: &u32| b.value(col, *r as usize).unwrap();
+                let mut shared = b.cursor(col).unwrap();
+                for (name, rows) in &shapes {
+                    let at = format!("partition size {partition_size}, column {col}, {name}");
+                    let want: Vec<Value> = rows.iter().map(value).collect();
+                    let kept: Vec<u32> = rows
+                        .iter()
+                        .copied()
+                        .filter(|r| keeps(&value(r), seed))
+                        .collect();
+                    for cursor in [&mut b.cursor(col).unwrap(), &mut shared] {
+                        let got: Vec<Value> = rows
+                            .iter()
+                            .map(|&r| cursor.get(r as usize).unwrap().to_value())
+                            .collect();
+                        assert_eq!(got, want, "get, {at}");
+                        let mut out = Vec::new();
+                        cursor.decode_into(rows, &mut out).unwrap();
+                        assert_eq!(out, want, "decode_into, {at}");
+                        let mut selection = rows.clone();
+                        cursor
+                            .retain(&mut selection, |v| keeps(&v.to_value(), seed))
+                            .unwrap();
+                        assert_eq!(selection, kept, "retain, {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where varchar value `row` of column `col` lies in the block's
+    /// bytes, without its terminator.
+    fn value_range(b: &PaxBlock, col: usize, row: usize) -> std::ops::Range<usize> {
+        let (offsets, (base, len)) = b.varchar_offsets(col).unwrap();
+        let first = row / b.partition_size() * b.partition_size();
+        let start = base
+            + partition_values(offsets, row / b.partition_size(), len)
+                .unwrap()
+                .start
+            + (first..row)
+                .map(|r| b.value(col, r).unwrap().encoded_len())
+                .sum::<usize>();
+        start..start + b.value(col, row).unwrap().encoded_len() - 1
+    }
+
+    /// Each row read alone on a fresh cursor, each on one cursor that
+    /// reads them in order, and what `PaxBlock::value` says: the three
+    /// must agree, value or error.
+    fn read_alone_and_in_order(
+        b: &PaxBlock,
+        col: usize,
+    ) -> Vec<std::result::Result<Value, String>> {
+        let mut in_order = b.cursor(col).unwrap();
+        (0..b.row_count())
+            .map(|row| {
+                let want = b.value(col, row).map_err(|e| e.to_string());
+                let alone = b.cursor(col).unwrap().get(row).map(ValueRef::to_value);
+                assert_eq!(alone.map_err(|e| e.to_string()), want, "row {row} alone");
+                let ordered = in_order.get(row).map(ValueRef::to_value);
+                assert_eq!(
+                    ordered.map_err(|e| e.to_string()),
+                    want,
+                    "row {row} in order"
+                );
+                want
+            })
+            .collect()
+    }
+
+    /// A partition's value range is checked as UTF-8 at once, but an
+    /// invalid value fails exactly the reads that ask for it: its
+    /// neighbours in the same partition still read — alone, in order,
+    /// in a batch that skips it, and after it failed.
+    #[test]
+    fn invalid_utf8_fails_only_the_reads_of_its_value() {
+        let good = block(300, 64);
+        let damaged = 100; // inside partition 1, with neighbours on both sides
+        let mut raw = good.bytes().to_vec();
+        raw[value_range(&good, 4, damaged).start] = 0xFF;
+        let b = PaxBlock::parse(bytes::Bytes::from(raw)).unwrap();
+        for (row, read) in read_alone_and_in_order(&b, 4).into_iter().enumerate() {
+            match read {
+                Ok(v) => {
+                    assert_ne!(row, damaged);
+                    assert_eq!(v, good.value(4, row).unwrap(), "row {row}");
+                }
+                Err(e) => {
+                    assert_eq!(row, damaged);
+                    assert!(e.contains("invalid UTF-8"), "{e}");
+                }
+            }
+        }
+        let n = b.row_count() as u32;
+        let all: Vec<u32> = (0..n).collect();
+        let but_damaged: Vec<u32> = (0..n).filter(|&r| r != damaged as u32).collect();
+        let want: Vec<Value> = but_damaged
+            .iter()
+            .map(|&r| good.value(4, r as usize).unwrap())
+            .collect();
+        // A batch that asks for it fails on it, after the rows before it.
+        let (values, err) = bulk(&mut b.cursor(4).unwrap(), &all);
+        assert!(err.unwrap().contains("invalid UTF-8"));
+        assert_eq!(values[..], want[..damaged]);
+        let mut selection = all.clone();
+        assert!(b
+            .cursor(4)
+            .unwrap()
+            .retain(&mut selection, |_| true)
+            .is_err());
+        assert_eq!(selection, all, "a failed retain leaves the selection");
+        // One that does not ask for it reads everything else, also on a
+        // cursor whose read of it just failed.
+        let mut cursor = b.cursor(4).unwrap();
+        assert!(cursor.get(damaged).is_err());
+        assert_eq!(bulk(&mut cursor, &but_damaged), (want.clone(), None));
+        assert_eq!(
+            bulk(&mut cursor, &[damaged as u32 + 1, damaged as u32 - 1]),
+            (
+                vec![
+                    good.value(4, damaged + 1).unwrap(),
+                    good.value(4, damaged - 1).unwrap()
+                ],
+                None
+            )
+        );
+        let mut selection = but_damaged.clone();
+        cursor.retain(&mut selection, |_| true).unwrap();
+        assert_eq!(selection, but_damaged);
+    }
+
+    /// A terminator turned into another byte joins two values, so the
+    /// partition holds one value fewer than it has rows: the rows before
+    /// it read as before, the others read as `PaxBlock::value` reads
+    /// them, and the partition's last row fails. No other partition is
+    /// touched — also when the lost terminator is the block's last.
+    #[test]
+    fn missing_terminator_fails_only_rows_at_or_after_it() {
+        let good = block(300, 64);
+        let n = good.row_count();
+        for lost in [100, 127, 64, n - 1] {
+            let mut raw = good.bytes().to_vec();
+            raw[value_range(&good, 4, lost).end] = b'x';
+            let b = PaxBlock::parse(bytes::Bytes::from(raw)).unwrap();
+            let partition = lost / 64 * 64..(lost / 64 * 64 + 64).min(n);
+            for (row, read) in read_alone_and_in_order(&b, 4).into_iter().enumerate() {
+                if row < lost || !partition.contains(&row) {
+                    assert_eq!(
+                        read,
+                        Ok(good.value(4, row).unwrap()),
+                        "lost {lost}, row {row}"
+                    );
+                } else if row == partition.end - 1 {
+                    let e = read.unwrap_err();
+                    assert!(e.contains("unterminated"), "lost {lost}: {e}");
+                } else {
+                    assert!(read.is_ok(), "lost {lost}, row {row}");
+                }
+            }
+            let all: Vec<u32> = (0..n as u32).collect();
+            let (values, err) = bulk(&mut b.cursor(4).unwrap(), &all);
+            assert_eq!(values.len(), partition.end - 1, "lost {lost}");
+            assert!(err.unwrap().contains("unterminated"));
+            let before: Vec<u32> = (0..lost as u32).collect();
+            let mut selection = before.clone();
+            b.cursor(4)
+                .unwrap()
+                .retain(&mut selection, |_| true)
+                .unwrap();
+            assert_eq!(selection, before);
+        }
+    }
+
+    /// A batch `retain` that lands in a chunk failing its checksum fails
+    /// with the error `get` fails with, naming the same chunk; one that
+    /// does not keeps exactly the rows `value` would.
+    #[test]
+    fn retain_fails_on_the_damaged_chunk_as_get_does() {
+        use crate::checksum::{chunk_checksums, ReplicaBytes};
+        use std::sync::Arc;
+
+        let good = block(2_000, 64);
+        let bytes = good.bytes().to_vec();
+        let mut raw = bytes.clone();
+        let columns = good.schema().len();
+        for col in 0..columns {
+            let (off, len) = good.region(col).unwrap();
+            raw[off + len / 3] ^= 0x10;
+        }
+        let replica = Arc::new(
+            ReplicaBytes::new(bytes::Bytes::from(raw), chunk_checksums(&bytes).into()).unwrap(),
+        );
+        let b = PaxBlock::open(replica, bytes.len()).unwrap();
+        let n = b.row_count() as u32;
+        for col in 0..columns {
+            for rows in [
+                (0..n).collect::<Vec<u32>>(),
+                sparse(n as usize, 9, col as u64),
+            ] {
+                let (_, want) = per_row(&mut b.cursor(col).unwrap(), &rows);
+                let mut selection = rows.clone();
+                let got = b
+                    .cursor(col)
+                    .unwrap()
+                    .retain(&mut selection, |v| keeps(&v.to_value(), 5));
+                match (got, want) {
+                    (Err(e), Some(want)) => {
+                        assert!(matches!(e, HailError::ChecksumMismatch { .. }), "{e}");
+                        assert_eq!(e.to_string(), want, "column {col}");
+                        assert_eq!(selection, rows);
+                    }
+                    (Ok(()), None) => {
+                        let kept: Vec<u32> = rows
+                            .iter()
+                            .copied()
+                            .filter(|&r| keeps(&good.value(col, r as usize).unwrap(), 5))
+                            .collect();
+                        assert_eq!(selection, kept, "column {col}");
+                    }
+                    (got, want) => panic!("column {col}: retain {got:?}, get {want:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finder_appends_every_terminator_once_however_it_is_resumed() {
+        let mut state = 99u64;
+        for len in 0..80 {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    // Zeros about one byte in three, in runs too.
+                    if (state >> 33).is_multiple_of(3) {
+                        0
+                    } else {
+                        b'a'
+                    }
+                })
+                .collect();
+            let all: Vec<u32> = std::iter::once(0)
+                .chain((0..len).filter(|&i| bytes[i] == 0).map(|i| i as u32 + 1))
+                .collect();
+            for want in 1..all.len() + 3 {
+                for step in 1..4 {
+                    // Resumed `step` entries at a time until `want`.
+                    let mut starts = vec![0u32];
+                    let mut pos = 0;
+                    let mut asked = 1;
+                    while asked < want {
+                        asked = (asked + step).min(want);
+                        pos = find_terminators(&bytes, pos, &mut starts, asked);
+                    }
+                    assert!(
+                        starts.len() >= want.min(all.len()),
+                        "len {len}, want {want}"
+                    );
+                    assert_eq!(starts[..], all[..starts.len()], "len {len}, want {want}");
+                    assert!(starts.len() < want + 8);
+                    assert!(pos <= bytes.len());
+                    if starts.len() < want {
+                        assert_eq!(pos, bytes.len());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -167,6 +167,7 @@ impl ValueRef<'_> {
     }
 
     /// The owned form (copies a string payload).
+    #[inline]
     pub fn to_value(self) -> Value {
         match self {
             ValueRef::Int(v) => Value::Int(v),
@@ -267,7 +268,9 @@ impl fmt::Display for ValueRef<'_> {
     }
 }
 
-/// Parses `YYYY-MM-DD` into days since the Unix epoch.
+/// Parses `YYYY-MM-DD` into days since the Unix epoch: exactly four,
+/// two and two ASCII digits, so every date it accepts prints back as the
+/// text it was parsed from (no sign, no space).
 ///
 /// Implemented from first principles (proleptic Gregorian) to avoid a
 /// date-library dependency; validated against round-trip property tests.
@@ -276,10 +279,15 @@ pub fn parse_date(s: &str) -> Option<i32> {
     if bytes.len() != 10 || bytes[4] != b'-' || bytes[7] != b'-' {
         return None;
     }
-    let year: i32 = s[0..4].parse().ok()?;
-    let month: u32 = s[5..7].parse().ok()?;
-    let day: u32 = s[8..10].parse().ok()?;
-    days_from_ymd(year, month, day)
+    let digits = |field: &[u8]| {
+        field.iter().try_fold(0u32, |n, &b| {
+            b.is_ascii_digit().then(|| n * 10 + u32::from(b - b'0'))
+        })
+    };
+    let year = digits(&bytes[0..4])?;
+    let month = digits(&bytes[5..7])?;
+    let day = digits(&bytes[8..10])?;
+    days_from_ymd(year as i32, month, day)
 }
 
 /// True for Gregorian leap years.
@@ -387,6 +395,27 @@ mod tests {
         assert_eq!(parse_date("1999-00-10"), None);
         assert_eq!(parse_date("1999-01-32"), None);
         assert_eq!(parse_date("1999/01/01"), None);
+    }
+
+    /// Only digits make a date: a sign would parse as a number but could
+    /// not print back as the text it came from.
+    #[test]
+    fn date_fields_are_digits_only() {
+        for s in [
+            "+999-01-01",
+            "-999-01-01",
+            "2000-+1-01",
+            "2000-01-+1",
+            "2000- 1-01",
+            "200a-01-01",
+            "2000-01-0\u{661}",
+        ] {
+            assert_eq!(parse_date(s), None, "{s}");
+        }
+        assert_eq!(
+            parse_date("0999-01-01").map(|d| Value::Date(d).to_string()),
+            Some("0999-01-01".into())
+        );
     }
 
     #[test]
