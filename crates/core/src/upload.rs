@@ -17,7 +17,7 @@ use hail_dfs::{
     FaultPlan, PreparedBlock,
 };
 use hail_index::ReplicaIndexConfig;
-use hail_pax::{PaxBlock, PaxBlockBuilder};
+use hail_pax::{block_spans, PaxBlock, PaxBlockBuilder};
 use hail_sim::ClusterSpec;
 use hail_sync::run_ordered;
 use hail_types::{BlockId, DatanodeId, HailError, Result, Schema, StorageConfig};
@@ -241,30 +241,6 @@ fn charge_clients(cluster: &mut DfsCluster, node_texts: &[(DatanodeId, String)])
         ledger.seeks += 1;
         ledger.parse_cpu += text.len() as u64;
     }
-}
-
-/// Cuts `text` where a [`PaxBlockBuilder`] fed its lines in order fills
-/// up: after the first line that brings a block's text bytes (each line
-/// plus one for its terminator) to `block_size`, and at the end. Each
-/// block comes back as the slice of `text` holding its lines, so its
-/// `lines()` are the lines the builder would have taken.
-fn block_spans(text: &str, block_size: usize) -> Vec<&str> {
-    let mut spans = Vec::new();
-    let (mut start, mut end, mut filled) = (0, 0, 0);
-    // `split_inclusive` yields each line with its terminator, in step
-    // with `lines()`.
-    for (piece, line) in text.split_inclusive('\n').zip(text.lines()) {
-        end += piece.len();
-        filled += line.len() + 1;
-        if filled >= block_size {
-            spans.push(&text[start..end]);
-            (start, filled) = (end, 0);
-        }
-    }
-    if start < end {
-        spans.push(&text[start..end]);
-    }
-    spans
 }
 
 /// Parses one block's lines to binary PAX through `builder`, which must

@@ -9,18 +9,39 @@
 //! progress").
 
 use crate::cluster::DfsCluster;
+use bytes::Bytes;
 use hail_index::IndexedBlock;
 use hail_sim::CostLedger;
-use hail_types::{BlockId, DatanodeId, HailError, Result};
+use hail_types::{BlockId, DatanodeId, HailError, Result, Row};
 use std::collections::BTreeSet;
 
 /// The paper's expiry interval: how long until a dead TaskTracker /
 /// datanode is noticed (§6.4.3 sets it to 30 s).
 pub const EXPIRY_INTERVAL_S: f64 = 30.0;
 
+/// The logical content of one replica, in a canonical order: each good
+/// row as its text line, each bad record prefixed `<bad>`, sorted — so
+/// replicas with different physical sort orders compare equal. The rows
+/// are put together from the block read one column at a time.
+fn logical_rows(bytes: Bytes) -> Result<Vec<String>> {
+    let indexed = IndexedBlock::parse(bytes)?;
+    let pax = indexed.pax();
+    let columns = pax.decode_all_columns()?;
+    let mut rows = Vec::with_capacity(pax.row_count() + pax.bad_count());
+    for r in 0..pax.row_count() {
+        rows.push(Row::new(columns.iter().map(|c| c.value(r)).collect()).to_string());
+    }
+    for bad in pax.bad_records()? {
+        rows.push(format!("<bad>{bad}"));
+    }
+    rows.sort();
+    Ok(rows)
+}
+
 /// Recovers the logical rows of a block from any live replica,
 /// returning them in a canonical (sorted-by-string) order so replicas
-/// with different physical sort orders compare equal.
+/// with different physical sort orders compare equal; bad records come
+/// back prefixed `<bad>`.
 pub fn recover_logical_rows(cluster: &DfsCluster, block: BlockId) -> Result<Vec<String>> {
     let hosts = cluster.namenode().get_hosts(block)?;
     let mut ledger = CostLedger::new();
@@ -28,37 +49,20 @@ pub fn recover_logical_rows(cluster: &DfsCluster, block: BlockId) -> Result<Vec<
         let Ok(bytes) = cluster.datanode(dn)?.read_replica(block, &mut ledger) else {
             continue;
         };
-        let indexed = IndexedBlock::parse(bytes)?;
-        let pax = indexed.pax();
-        let mut rows = Vec::with_capacity(pax.row_count() + pax.bad_count());
-        for r in 0..pax.row_count() {
-            rows.push(pax.reconstruct_full(r)?.to_string());
-        }
-        for bad in pax.bad_records()? {
-            rows.push(format!("<bad>{bad}"));
-        }
-        rows.sort();
-        return Ok(rows);
+        return logical_rows(bytes);
     }
     Err(HailError::UnknownBlock(block))
 }
 
 /// Verifies that every live replica of every block recovers identical
-/// logical content — the failover invariant.
+/// logical content, bad records included — the failover invariant.
 pub fn verify_replica_equivalence(cluster: &DfsCluster) -> Result<()> {
     let mut ledger = CostLedger::new();
     for block in cluster.namenode().blocks() {
         let hosts = cluster.namenode().get_hosts(block)?;
         let mut canonical: Option<Vec<String>> = None;
         for dn in hosts {
-            let bytes = cluster.datanode(dn)?.read_replica(block, &mut ledger)?;
-            let indexed = IndexedBlock::parse(bytes)?;
-            let pax = indexed.pax();
-            let mut rows = Vec::with_capacity(pax.row_count());
-            for r in 0..pax.row_count() {
-                rows.push(pax.reconstruct_full(r)?.to_string());
-            }
-            rows.sort();
+            let rows = logical_rows(cluster.datanode(dn)?.read_replica(block, &mut ledger)?)?;
             match &canonical {
                 None => canonical = Some(rows),
                 Some(c) => {
@@ -120,6 +124,50 @@ mod tests {
     fn replicas_are_logically_equivalent() {
         let (cluster, _) = uploaded_cluster();
         verify_replica_equivalence(&cluster).unwrap();
+    }
+
+    /// A replica that holds the same good rows but other bad records is
+    /// a divergent replica, to the check and to recovery alike.
+    #[test]
+    fn replicas_differing_only_in_bad_records_diverge() {
+        use hail_index::SortOrder;
+        use hail_pax::chunk_checksums;
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::VarChar),
+        ])
+        .unwrap();
+        let storage = StorageConfig::test_scale(1 << 20);
+        let block = |text: &str| blocks_from_text(text, &schema, &storage).unwrap().remove(0);
+        let mut cluster = DfsCluster::new(4, storage.clone());
+        let stored = block("2|b\nnot a row\n1|a\n");
+        let orders = ReplicaIndexConfig::unindexed(3);
+        let id = hail_upload_block(&mut cluster, 0, &stored, &orders, &FaultPlan::none()).unwrap();
+        verify_replica_equivalence(&cluster).unwrap();
+        let want = recover_logical_rows(&cluster, id).unwrap();
+        assert_eq!(want, ["1|a", "2|b", "<bad>not a row"]);
+
+        // The last replica of the chain now has another bad record.
+        let hosts = cluster.namenode().get_hosts(id).unwrap();
+        let twin = block("2|b\nnot a row either\n1|a\n");
+        let replica = IndexedBlock::build(&twin, SortOrder::Unsorted).unwrap();
+        let checksums = chunk_checksums(replica.bytes());
+        let last = *hosts.last().unwrap();
+        let node = cluster.datanode_mut(last).unwrap();
+        node.write_replica(id, replica.bytes().clone(), checksums)
+            .unwrap();
+        assert!(matches!(
+            verify_replica_equivalence(&cluster),
+            Err(HailError::Internal(_))
+        ));
+        // Recovered from the last replica alone, the content differs.
+        for &dn in &hosts[..hosts.len() - 1] {
+            cluster.kill_node(dn).unwrap();
+        }
+        assert_eq!(
+            recover_logical_rows(&cluster, id).unwrap(),
+            ["1|a", "2|b", "<bad>not a row either"]
+        );
     }
 
     #[test]

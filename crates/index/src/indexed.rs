@@ -38,15 +38,20 @@
 //! of a block differ only in row order, so what does not depend on row
 //! order is computed once per block and borrowed by every replica's
 //! build — the located varchar rows the sort gathers from
-//! ([`hail_pax::BlockRows`]), the decoded bad records, each zone map and
-//! each Bloom filter: that is [`BlockPrep`]. Per replica there remain the
-//! sort itself, the clustered index over the sorted keys, the bitmaps
-//! (their bits are rowids of the *stored* order) and the assembly. Every
-//! structure is built from values borrowed from the block through
-//! cursors; nothing is decoded into a `Vec<Value>`.
+//! ([`hail_pax::BlockRows`]), each zone map and each Bloom filter, and
+//! the decoded bad records if an inverted list wants them: that is
+//! [`BlockPrep`]. Per replica there remain the sort itself, the
+//! clustered index over the sorted keys, the bitmaps (their bits are
+//! rowids of the *stored* order) and the assembly. Every structure is
+//! built from values borrowed from the block; nothing is decoded into a
+//! `Vec<Value>`. Zone maps and Bloom filters read their values off the
+//! rows already located for the sort ([`BlockRows::values`]), the
+//! bitmaps through a cursor over the stored block, and the synopses
+//! need only the bad-record count, not the records.
 
 use crate::bitmap::{BitmapIndex, DEFAULT_CARDINALITY_LIMIT};
 use crate::clustered::ClusteredIndex;
+use crate::infallible;
 use crate::inverted::InvertedList;
 use crate::metadata::{IndexKind, IndexMetadata, SidecarMetadata};
 use crate::sort::{SidecarSpec, SortOrder};
@@ -113,6 +118,17 @@ pub struct BlockPrep<'a> {
     blooms: Vec<BloomSynopsis>,
 }
 
+/// `rows`, located on first use.
+fn located<'r, 'a>(
+    rows: &'r mut Option<BlockRows<'a>>,
+    block: &'a PaxBlock,
+) -> Result<&'r BlockRows<'a>> {
+    Ok(match rows {
+        Some(rows) => rows,
+        empty => empty.insert(BlockRows::locate(block)?),
+    })
+}
+
 impl<'a> BlockPrep<'a> {
     /// Prepares `block`, the *unsorted* PAX block as uploaded.
     pub fn new(block: &'a PaxBlock) -> BlockPrep<'a> {
@@ -137,11 +153,7 @@ impl<'a> BlockPrep<'a> {
             SortOrder::Unsorted => (block.clone(), None),
             SortOrder::Clustered { column } => {
                 block.schema().field(column)?;
-                let rows = match &mut self.rows {
-                    Some(rows) => rows,
-                    empty => empty.insert(BlockRows::locate(block)?),
-                };
-                let (sorted, _perm) = rows.sorted_on(column)?;
+                let (sorted, _perm) = located(&mut self.rows, block)?.sorted_on(column)?;
                 let index = ClusteredIndex::over_sorted(&sorted, column)?;
                 (sorted, Some(index))
             }
@@ -161,30 +173,29 @@ impl<'a> BlockPrep<'a> {
             )?);
         }
         // Zone maps and Bloom filters summarize the same rows in every
-        // replica; both persist the bad-record count so the prune pass
-        // can back off on any block that would still emit bad records.
-        let bad_records = match &mut self.bad_records {
-            Some(bad) => bad,
-            empty => empty.insert(block.bad_records()?),
-        };
+        // replica, read off the located block; both persist the
+        // bad-record count so the prune pass can back off on any block
+        // that would still emit bad records.
+        let bad_count = block.bad_count();
         for &column in &spec.zone_map_columns {
             if !self.zone_maps.iter().any(|z| z.column() == column) {
-                let values = column_refs(block, column)?;
-                self.zone_maps.push(ZoneMapSynopsis::from_refs(
-                    column,
-                    values,
-                    bad_records.len(),
-                )?);
+                let values = located(&mut self.rows, block)?.values(column)?;
+                let zone_map = ZoneMapSynopsis::from_refs(column, values.map(Ok), bad_count);
+                self.zone_maps.push(infallible(zone_map));
             }
         }
         for &column in &spec.bloom_columns {
             if !self.blooms.iter().any(|b| b.column() == column) {
-                let values = column_refs(block, column)?;
-                self.blooms
-                    .push(BloomSynopsis::from_refs(column, values, bad_records.len())?);
+                let values = located(&mut self.rows, block)?.values(column)?;
+                let bloom = BloomSynopsis::from_refs(column, values.map(Ok), bad_count);
+                self.blooms.push(infallible(bloom));
             }
         }
-        let inverted = spec.inverted_list.then(|| InvertedList::build(bad_records));
+        let inverted = match (spec.inverted_list, &mut self.bad_records) {
+            (false, _) => None,
+            (true, Some(bad)) => Some(InvertedList::build(bad)),
+            (true, empty) => Some(InvertedList::build(empty.insert(block.bad_records()?))),
+        };
         IndexedBlock::assemble_with(
             pax,
             index,

@@ -43,12 +43,11 @@ pub use unclustered::UnclusteredIndex;
 /// value is formatted into `scratch`, which callers reuse from value to
 /// value.
 fn display_str<'s>(v: hail_types::ValueRef<'s>, scratch: &'s mut String) -> &'s str {
-    use std::fmt::Write;
     match v {
         hail_types::ValueRef::Str(s) => s,
         other => {
             scratch.clear();
-            write!(scratch, "{other}").expect("formatting into a String cannot fail");
+            other.push_text(scratch);
             scratch
         }
     }

@@ -287,14 +287,33 @@ impl BloomSynopsis {
         Ok(filter)
     }
 
-    /// The bit positions of a value whose display string hashes to `h1`.
+    /// The bit positions of a value whose display string hashes to `h1`:
+    /// `(h1 + i·h2) mod 2^64 mod m` for `i` in `0..BLOOM_HASHES`, with `m`
+    /// the filter's bit count.
     fn probes(&self, h1: u64) -> impl Iterator<Item = usize> {
         // A second independent base hash: re-fold the first through
         // FNV-1a and force it odd so every probe stride visits all
         // word offsets.
         let h2 = fnv1a(&h1.to_le_bytes()) | 1;
         let m = (self.bits.len() * 64) as u64;
-        (0..BLOOM_HASHES as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
+        // Each probe from the one before, without a division: add `h2`
+        // mod `m`, and where `h1 + i·h2` wraps past 2^64, take 2^64 mod
+        // `m` away again.
+        let (step, wrap) = (h2 % m, (u64::MAX % m + 1) % m);
+        let (mut x, mut r) = (h1, h1 % m);
+        (0..BLOOM_HASHES).map(move |_| {
+            let probe = r as usize;
+            let carry;
+            (x, carry) = x.overflowing_add(h2);
+            r += step;
+            if r >= m {
+                r -= m;
+            }
+            if carry {
+                r = if r >= wrap { r - wrap } else { r + m - wrap };
+            }
+            probe
+        })
     }
 
     /// The summarized 0-based column.
@@ -369,6 +388,37 @@ impl BloomSynopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Stepping from probe to probe lands where the product form does,
+    /// for filter sizes that do and do not divide 2^64 and hashes whose
+    /// probes wrap past it.
+    #[test]
+    fn probes_are_the_product_form() {
+        let mut h = 0x5EED_B100_0F17_7E55u64;
+        for words in [1, 2, 3, 5, 7, 63, 100, 1 << 10, 12_345, 1 << 20] {
+            let filter = BloomSynopsis {
+                column: 0,
+                bits: vec![0; words],
+                row_count: 1,
+                bad_records: 0,
+            };
+            let m = words as u64 * 64;
+            for k in 0..2_000u64 {
+                h = fnv1a(&h.to_le_bytes()).rotate_left(k as u32 % 64);
+                for h1 in [h, u64::MAX - k, k, h | 1 << 63] {
+                    let h2 = fnv1a(&h1.to_le_bytes()) | 1;
+                    let want: Vec<usize> = (0..BLOOM_HASHES as u64)
+                        .map(|i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
+                        .collect();
+                    assert_eq!(
+                        filter.probes(h1).collect::<Vec<_>>(),
+                        want,
+                        "{h1:#x} mod {m}"
+                    );
+                }
+            }
+        }
+    }
 
     fn ints(xs: &[i32]) -> Vec<Value> {
         xs.iter().map(|&x| Value::Int(x)).collect()

@@ -7,16 +7,23 @@
 //! user schema; rows that fail to parse become bad records inside the same
 //! block.
 //!
-//! The builder keeps no row and no string: a line's fields are split and
-//! validated once, each appended in its binary form to one byte buffer
-//! per column as it is validated (a line that turns out bad is cut off
-//! the buffers again), and [`PaxBlockBuilder::finish`] stitches the
-//! buffers into the block. The route over owned values —
-//! [`hail_types::parse_line`] → [`ColumnData`](crate::ColumnData) →
-//! [`encode_block`](crate::encode_block) — is what it is tested against:
-//! same good/bad split, same bytes.
+//! The builder keeps no row and no string. A line is read once, eight
+//! bytes at a time, for where its fields end and for a NUL; a line with
+//! the wrong number of fields is a bad record before any field is
+//! parsed. Each field is then validated by [`Value::parse`], the one
+//! definition of a field, and appended in its binary form to one byte
+//! buffer per column (a line that turns out bad is cut off the buffers
+//! again); [`PaxBlockBuilder::finish`] stitches the buffers into the
+//! block. The route over owned values — [`hail_types::parse_line`] →
+//! [`ColumnData`](crate::ColumnData) → [`encode_block`](crate::encode_block)
+//! — is what it is tested against: same good/bad split, same bytes.
+//!
+//! [`block_spans`] finds, without parsing, where a builder fed a text's
+//! lines fills up: the upload cuts its blocks there before any of them
+//! is built.
 
 use crate::block::{BlockWriter, PaxBlock};
+use crate::cursor::zero_bytes;
 use hail_types::{DataType, HailError, Result, Row, Schema, StorageConfig, Value};
 
 /// One column of the block under construction, already in its on-disk
@@ -88,6 +95,9 @@ pub struct PaxBlockBuilder {
     /// so HAIL's logical blocks cover the same data range as HDFS blocks
     /// would.
     text_bytes: usize,
+    /// Where each field of the line being pushed ends; reused from line
+    /// to line.
+    field_ends: Vec<usize>,
 }
 
 impl PaxBlockBuilder {
@@ -105,6 +115,7 @@ impl PaxBlockBuilder {
             bad_count: 0,
             row_count: 0,
             text_bytes: 0,
+            field_ends: Vec::new(),
         }
     }
 
@@ -118,8 +129,9 @@ impl PaxBlockBuilder {
         self.bad_count
     }
 
-    /// True once the accumulated original-text volume reaches the
-    /// configured block size.
+    /// True once the accumulated original-text volume — each line plus
+    /// one for its terminator — reaches the configured block size.
+    /// [`block_spans`] applies the same rule to a whole text.
     pub fn is_full(&self) -> bool {
         self.text_bytes >= self.config.block_size
     }
@@ -136,7 +148,9 @@ impl PaxBlockBuilder {
     /// bad records are stored zero-terminated, so the block could not
     /// give the line back.
     pub fn push_line(&mut self, line: &str) -> Result<()> {
-        if line.as_bytes().contains(&0) {
+        let mut delimiter = [0; 4];
+        let delimiter = self.config.delimiter.encode_utf8(&mut delimiter).as_bytes();
+        if !field_ends(line.as_bytes(), delimiter, &mut self.field_ends) {
             return Err(HailError::BadRecord {
                 line: line.to_string(),
                 reason: "line contains NUL, which a zero-terminated PAX block cannot store".into(),
@@ -145,12 +159,15 @@ impl PaxBlockBuilder {
         self.text_bytes += line.len() + 1;
         // Field-count mismatches and per-field parse failures both make
         // the line a bad record, as in `hail_types::parse_line`.
-        let mut tokens = line.split(self.config.delimiter);
-        let good = (self.columns.iter_mut().zip(self.schema.fields())).all(|(column, field)| {
-            tokens
-                .next()
-                .is_some_and(|token| column.push_token(token, field.data_type))
-        }) && tokens.next().is_none();
+        let good = self.field_ends.len() == self.columns.len() && {
+            let mut start = 0;
+            let fields = self.columns.iter_mut().zip(self.schema.fields());
+            fields.zip(&self.field_ends).all(|((column, field), &end)| {
+                let token = &line[start..end];
+                start = end + delimiter.len();
+                column.push_token(token, field.data_type)
+            })
+        };
         if good {
             self.commit_row();
         } else {
@@ -235,6 +252,88 @@ impl PaxBlockBuilder {
         self.text_bytes = 0;
         w.into_block(self.schema.clone())
     }
+}
+
+/// Finds the fields of one line in one pass: sets `ends` to where each
+/// field ends — at every occurrence of `delimiter`, and at the end of the
+/// line — or returns false if the line holds a NUL. Eight bytes at a
+/// time, the pass looks for NUL and for the delimiter's first byte; the
+/// delimiter's other bytes, if any, are confirmed at each hit. UTF-8
+/// never starts one character inside another, so every confirmed hit is
+/// a delimiter `str::split` would find.
+fn field_ends(line: &[u8], delimiter: &[u8], ends: &mut Vec<usize>) -> bool {
+    ends.clear();
+    let first = u64::from_ne_bytes([delimiter[0]; 8]);
+    let (words, tail) = line.as_chunks::<8>();
+    let mut last = [0; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    // Each step's position, its eight bytes, and which of them are the
+    // line's: all of a whole word's, the tail's own of the padded tail.
+    let steps = (words.iter().enumerate()).map(|(i, word)| (i * 8, u64::from_le_bytes(*word), !0));
+    let tail = (
+        words.len() * 8,
+        u64::from_le_bytes(last),
+        !(!0 << (tail.len() * 8)),
+    );
+    for (at, word, own) in steps.chain([tail]) {
+        if zero_bytes(word) & own != 0 {
+            return false;
+        }
+        let mut marks = zero_bytes(word ^ first) & own;
+        while marks != 0 {
+            let pos = at + marks.trailing_zeros() as usize / 8;
+            // The first byte matched; the rest, if any, must follow.
+            let mut rest = delimiter[1..].iter().enumerate();
+            if rest.all(|(k, &b)| line.get(pos + 1 + k) == Some(&b)) {
+                ends.push(pos);
+            }
+            marks &= marks - 1;
+        }
+    }
+    ends.push(line.len());
+    true
+}
+
+/// Cuts `text` where a [`PaxBlockBuilder`] fed its lines in order fills
+/// up ([`PaxBlockBuilder::is_full`]): after the first line that brings a
+/// block's text bytes (each line plus one for its terminator) to
+/// `block_size`, and at the end. Each block comes back as the slice of
+/// `text` holding its lines, so its `lines()` are the lines the builder
+/// would have taken. One pass over `text`, eight bytes at a time.
+pub fn block_spans(text: &str, block_size: usize) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let mut spans = Vec::new();
+    let (mut start, mut line_start, mut filled) = (0, 0, 0);
+    // The line ending in the newline at `at`, as `lines()` gives it:
+    // without its `\n` or `\r\n`.
+    let mut line_ends = |at: usize| {
+        let cr = at > line_start && bytes[at - 1] == b'\r';
+        filled += at - line_start - usize::from(cr) + 1;
+        line_start = at + 1;
+        if filled >= block_size {
+            spans.push(&text[start..line_start]);
+            (start, filled) = (line_start, 0);
+        }
+    };
+    let newlines = u64::from_ne_bytes([b'\n'; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let mut marks = zero_bytes(u64::from_le_bytes(*word) ^ newlines);
+        while marks != 0 {
+            line_ends(i * 8 + marks.trailing_zeros() as usize / 8);
+            marks &= marks - 1;
+        }
+    }
+    for (i, &b) in tail.iter().enumerate() {
+        if b == b'\n' {
+            line_ends(words.len() * 8 + i);
+        }
+    }
+    // A last line without a newline ends the last block, full or not.
+    if start < bytes.len() {
+        spans.push(&text[start..]);
+    }
+    spans
 }
 
 /// Splits a text corpus into content-aware PAX blocks.
@@ -381,6 +480,50 @@ mod tests {
                 line == "d|2000-01-01",
                 "{line}"
             );
+        }
+    }
+
+    /// The one-pass field finder ends fields where `str::split` does, for
+    /// delimiters of one to four UTF-8 bytes next to characters that share
+    /// their first byte, and finds a NUL at any position in or after the
+    /// eight-byte steps.
+    #[test]
+    fn field_ends_agree_with_split() {
+        let pieces = [
+            "", "a", "¦", "|", "©", "日", "本", "😀", "😃", " ", "12345678", "é",
+        ];
+        let mut x = 0x0F1E_1D5Eu64;
+        let mut ends = Vec::new();
+        for _ in 0..20_000 {
+            let mut line = String::new();
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let mut bits = x;
+            for _ in 0..(x >> 60) {
+                line.push_str(pieces[(bits % pieces.len() as u64) as usize]);
+                bits /= pieces.len() as u64;
+            }
+            for delimiter in ['|', '¦', '日', '😀'] {
+                let mut d = [0; 4];
+                let d = delimiter.encode_utf8(&mut d).as_bytes();
+                assert!(field_ends(line.as_bytes(), d, &mut ends), "{line:?}");
+                let mut want = Vec::new();
+                let mut at = 0;
+                for field in line.split(delimiter) {
+                    at += field.len();
+                    want.push(at);
+                    at += d.len();
+                }
+                assert_eq!(ends, want, "{line:?} split on {delimiter:?}");
+            }
+        }
+        for len in 1..20 {
+            for at in 0..len {
+                let mut line = vec![b'|'; len];
+                line[at] = 0;
+                assert!(!field_ends(&line, b"|", &mut ends), "NUL at {at} of {len}");
+            }
         }
     }
 

@@ -425,7 +425,7 @@ pub(crate) fn row_starts(values: &[u8], rows: usize) -> Result<Vec<u32>> {
 
 /// Bit 7 of every byte of `word` that is zero, and no other bit.
 #[inline]
-fn zero_bytes(word: u64) -> u64 {
+pub(crate) fn zero_bytes(word: u64) -> u64 {
     const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
     // Per byte: adding 0x7F to the low seven bits carries into bit 7
     // unless they are all zero, and never into the next byte.

@@ -23,7 +23,7 @@ pub mod cursor;
 pub mod reorg;
 
 pub use block::{encode_block, PaxBlock, PAX_MAGIC, PAX_VERSION};
-pub use builder::{blocks_from_text, PaxBlockBuilder};
+pub use builder::{block_spans, blocks_from_text, PaxBlockBuilder};
 pub use checksum::{
     checksums_from_bytes, checksums_to_bytes, chunk_checksums, crc32, packetize, reassemble,
     verify_chunks, Packet, ReplicaBytes, CHUNKS_PER_PACKET,

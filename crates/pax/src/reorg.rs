@@ -26,7 +26,7 @@
 use crate::block::{BlockWriter, PaxBlock};
 use crate::column::ColumnData;
 use crate::cursor::row_starts;
-use hail_types::{DataType, HailError, Result};
+use hail_types::{DataType, HailError, Result, ValueRef};
 
 /// Computes the permutation that stably sorts the given column ascending.
 ///
@@ -160,6 +160,25 @@ impl<'a> BlockRows<'a> {
                 )
             }
         })
+    }
+
+    /// Column `column` in row order, each value borrowed from the block:
+    /// a fixed-width value read off its region, a varchar one off its
+    /// located row. Nothing is verified, walked or copied again.
+    pub fn values(
+        &self,
+        column: usize,
+    ) -> Result<impl ExactSizeIterator<Item = ValueRef<'a>> + '_> {
+        let data_type = self.block.schema().field(column)?.data_type;
+        let region = self.block.column_slice(column)?;
+        let (fours, eights) = (region.as_chunks::<4>().0, region.as_chunks::<8>().0);
+        Ok((0..self.block.row_count()).map(move |row| match data_type {
+            DataType::Int => ValueRef::Int(i32::from_le_bytes(fours[row])),
+            DataType::Date => ValueRef::Date(i32::from_le_bytes(fours[row])),
+            DataType::Long => ValueRef::Long(i64::from_le_bytes(eights[row])),
+            DataType::Float => ValueRef::Float(f64::from_bits(u64::from_le_bytes(eights[row]))),
+            DataType::VarChar => ValueRef::Str(self.varchar_rows(column).value(row)),
+        }))
     }
 
     fn varchar_rows(&self, column: usize) -> &VarcharRows<'a> {

@@ -5,6 +5,77 @@ use crate::schema::DataType;
 use std::cmp::Ordering;
 use std::fmt;
 
+/// `10^0 ..= 10^22`: every power of ten an `f64` holds exactly.
+const EXACT_POWERS_OF_TEN: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Splits off a leading `+` or `-`: whether the number is negative, and
+/// what follows the sign.
+fn sign(token: &[u8]) -> (bool, &[u8]) {
+    match token {
+        [b'-', rest @ ..] => (true, rest),
+        [b'+', rest @ ..] => (false, rest),
+        _ => (false, token),
+    }
+}
+
+/// `[+-]digits` with one to `max_digits` (at most 18) ASCII digits, which
+/// cannot overflow an `i64`: the value `str::parse` gives it. `None` for
+/// any other token, well-formed or not.
+fn plain_int(token: &[u8], max_digits: usize) -> Option<i64> {
+    let (negative, digits) = sign(token);
+    if digits.is_empty() || digits.len() > max_digits {
+        return None;
+    }
+    let mut v = 0i64;
+    for &b in digits {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        v = v * 10 + i64::from(digit);
+    }
+    Some(if negative { -v } else { v })
+}
+
+/// `[+-]digits[.digits]` with at most 15 significant digits and at most
+/// 22 after the point: the value `str::parse` gives it. The digits make
+/// an integer below 2^53 and the point a power of ten of at most 10^22,
+/// both exact in an `f64`, so one correctly rounded division is the
+/// correctly rounded decimal (Clinger's fast path). `None` for any other
+/// token: padding, exponents, a bare point, longer mantissas, `inf`.
+fn plain_float(token: &[u8]) -> Option<f64> {
+    let (negative, rest) = sign(token);
+    let (whole, fraction) = match rest.iter().position(|&b| b == b'.') {
+        Some(point) => (&rest[..point], &rest[point + 1..]),
+        None => (rest, &[][..]),
+    };
+    if whole.is_empty() || fraction.len() >= EXACT_POWERS_OF_TEN.len() {
+        return None;
+    }
+    if fraction.is_empty() && whole.len() < rest.len() {
+        return None;
+    }
+    let (mut mantissa, mut significant) = (0u64, 0);
+    for &b in whole.iter().chain(fraction) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        if mantissa != 0 || digit != 0 {
+            significant += 1;
+            if significant > 15 {
+                return None;
+            }
+        }
+        mantissa = mantissa * 10 + u64::from(digit);
+    }
+    let v = mantissa as f64 / EXACT_POWERS_OF_TEN[fraction.len()];
+    Some(if negative { -v } else { v })
+}
+
 /// Days between 1970-01-01 and year 1 (proleptic Gregorian), used by the
 /// date codec below.
 const DAYS_FROM_CE_TO_EPOCH: i64 = 719_162;
@@ -35,29 +106,43 @@ impl Value {
     /// This is the parser the HAIL client runs while converting uploaded
     /// text to binary PAX; a failure here makes the whole row a *bad
     /// record*.
+    ///
+    /// A number is the trimmed token through `str::parse`. The plain
+    /// forms — `[+-]digits` too short to overflow, and `[+-]digits.digits`
+    /// with at most 15 significant digits — take a fast path that gives
+    /// the same value without trimming or the general parser.
     pub fn parse(token: &str, data_type: DataType) -> Result<Value> {
         let bad = |reason: &str| HailError::BadRecord {
             line: token.to_string(),
             reason: reason.to_string(),
         };
         match data_type {
-            DataType::Int => token
-                .trim()
-                .parse::<i32>()
-                .map(Value::Int)
-                .map_err(|_| bad("not an INT")),
-            DataType::Long => token
-                .trim()
-                .parse::<i64>()
-                .map(Value::Long)
-                .map_err(|_| bad("not a LONG")),
-            DataType::Float => token
-                .trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|f| f.is_finite())
-                .map(Value::Float)
-                .ok_or_else(|| bad("not a finite FLOAT")),
+            DataType::Int => match plain_int(token.as_bytes(), 9) {
+                Some(v) => Ok(Value::Int(v as i32)),
+                None => token
+                    .trim()
+                    .parse::<i32>()
+                    .map(Value::Int)
+                    .map_err(|_| bad("not an INT")),
+            },
+            DataType::Long => match plain_int(token.as_bytes(), 18) {
+                Some(v) => Ok(Value::Long(v)),
+                None => token
+                    .trim()
+                    .parse::<i64>()
+                    .map(Value::Long)
+                    .map_err(|_| bad("not a LONG")),
+            },
+            DataType::Float => match plain_float(token.as_bytes()) {
+                Some(v) => Ok(Value::Float(v)),
+                None => token
+                    .trim()
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|f| f.is_finite())
+                    .map(Value::Float)
+                    .ok_or_else(|| bad("not a finite FLOAT")),
+            },
             DataType::Date => parse_date(token.trim())
                 .map(Value::Date)
                 .ok_or_else(|| bad("not a DATE (expected YYYY-MM-DD)")),
@@ -241,31 +326,53 @@ impl fmt::Display for ValueRef<'_> {
             ValueRef::Int(v) => write!(f, "{v}"),
             ValueRef::Long(v) => write!(f, "{v}"),
             ValueRef::Float(v) => write!(f, "{v}"),
-            ValueRef::Date(v) => {
-                let (y, m, d) = date_from_days(v);
-                match u32::try_from(y) {
-                    Ok(y @ 0..=9999) => {
-                        let digit = |n: u32| b'0' + (n % 10) as u8;
-                        let text = [
-                            digit(y / 1000),
-                            digit(y / 100),
-                            digit(y / 10),
-                            digit(y),
-                            b'-',
-                            digit(m / 10),
-                            digit(m),
-                            b'-',
-                            digit(d / 10),
-                            digit(d),
-                        ];
-                        f.write_str(std::str::from_utf8(&text).expect("ASCII digits and dashes"))
-                    }
-                    _ => write!(f, "{y:04}-{m:02}-{d:02}"),
+            ValueRef::Date(v) => match date_text(v) {
+                Some(text) => {
+                    f.write_str(std::str::from_utf8(&text).expect("ASCII digits and dashes"))
                 }
-            }
+                None => {
+                    let (y, m, d) = date_from_days(v);
+                    write!(f, "{y:04}-{m:02}-{d:02}")
+                }
+            },
             ValueRef::Str(s) => f.write_str(s),
         }
     }
+}
+
+impl ValueRef<'_> {
+    /// Appends the text form — what `Display` writes — to `out`; a date
+    /// without going through the formatter.
+    pub fn push_text(self, out: &mut String) {
+        use fmt::Write;
+        match self {
+            ValueRef::Date(v) if let Some(text) = date_text(v) => {
+                out.push_str(std::str::from_utf8(&text).expect("ASCII digits and dashes"))
+            }
+            ValueRef::Str(s) => out.push_str(s),
+            other => write!(out, "{other}").expect("formatting into a String cannot fail"),
+        }
+    }
+}
+
+/// `YYYY-MM-DD` for a date whose year has four digits, `None` for one
+/// outside years 0..=9999.
+fn date_text(days: i32) -> Option<[u8; 10]> {
+    let (y, m, d) = date_from_days(days);
+    let y = u32::try_from(y).ok().filter(|y| *y <= 9999)?;
+    let digit = |n: u32| b'0' + (n % 10) as u8;
+    Some([
+        digit(y / 1000),
+        digit(y / 100),
+        digit(y / 10),
+        digit(y),
+        b'-',
+        digit(m / 10),
+        digit(m),
+        b'-',
+        digit(d / 10),
+        digit(d),
+    ])
 }
 
 /// Parses `YYYY-MM-DD` into days since the Unix epoch: exactly four,
@@ -297,6 +404,9 @@ fn is_leap(year: i32) -> bool {
 
 const DAYS_IN_MONTH: [u32; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
 
+/// Days of a common year before the first of each month.
+const DAYS_BEFORE_MONTH: [u32; 12] = [0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334];
+
 fn days_in_month(year: i32, month: u32) -> u32 {
     if month == 2 && is_leap(year) {
         29
@@ -316,8 +426,9 @@ pub fn days_from_ymd(year: i32, month: u32, day: u32) -> Option<i32> {
     // Days from 0001-01-01 (day 0) to the first of the given year.
     let y = (year - 1) as i64;
     let mut days = y * 365 + y / 4 - y / 100 + y / 400;
-    for m in 1..month {
-        days += days_in_month(year, m) as i64;
+    days += i64::from(DAYS_BEFORE_MONTH[month as usize - 1]);
+    if month > 2 && is_leap(year) {
+        days += 1;
     }
     days += (day - 1) as i64;
     Some((days - DAYS_FROM_CE_TO_EPOCH) as i32)
@@ -356,6 +467,196 @@ mod tests {
         );
         assert!(Value::parse("4.2", DataType::Int).is_err());
         assert!(Value::parse("", DataType::Int).is_err());
+    }
+
+    /// The number parser before its fast paths: the trimmed token
+    /// through `str::parse`.
+    fn parse_by_std(token: &str, data_type: DataType) -> Option<Value> {
+        let token = token.trim();
+        match data_type {
+            DataType::Int => token.parse().ok().map(Value::Int),
+            DataType::Long => token.parse().ok().map(Value::Long),
+            DataType::Float => token
+                .parse::<f64>()
+                .ok()
+                .filter(|f| f.is_finite())
+                .map(Value::Float),
+            _ => unreachable!("numbers only"),
+        }
+    }
+
+    /// Tokens at the edges of the fast paths, and seeded random ones
+    /// built from signs, padding, leading zeros, up to 24 digits either
+    /// side of a point and exponents: every one parses to what
+    /// `str::parse` gives it, bit for bit, or fails as it does.
+    #[test]
+    fn number_fast_paths_agree_with_str_parse() {
+        let mut tokens: Vec<String> = [
+            "0",
+            "-0",
+            "+0",
+            "00",
+            "-00",
+            "0.0",
+            "-0.0",
+            "+0.000",
+            "007",
+            "-007",
+            "0.5",
+            ".5",
+            "5.",
+            "-.5",
+            "+5.",
+            ".",
+            "+",
+            "-",
+            "",
+            "+-1",
+            "--1",
+            "1e5",
+            "1E5",
+            "1e-5",
+            "-1e5",
+            "1_0",
+            "0x10",
+            "0b1",
+            "1,5",
+            "1.5.2",
+            "12a",
+            "a12",
+            "inf",
+            "-inf",
+            "infinity",
+            "NaN",
+            "nan",
+            "1e309",
+            "-1e309",
+            "1e-400",
+            "9007199254740992",
+            "9007199254740993",
+            "9007199254740994",
+            "9007199254740993.0",
+            "900719925474099.3",
+            "0.1",
+            "0.2",
+            "0.30000000000000004",
+            "123456789012345",
+            "1234567890123456",
+            "12345678901234567",
+            "99999999999999.9",
+            "999999999999999.9",
+            "0.000000000000000000001",
+            "0.0000000000000000000001",
+            "1.0000000000000000000000",
+            "4.35",
+            "1.005",
+            "2.675",
+            "1.7976931348623157e308",
+            "2.2250738585072014e-308",
+            "5e-324",
+            "\u{661}",
+        ]
+        .iter()
+        .map(|t| t.to_string())
+        .collect();
+        for bound in [
+            i64::from(i32::MIN),
+            i64::from(i32::MAX),
+            i64::MIN,
+            i64::MAX,
+            999_999_999,
+            -999_999_999,
+            999_999_999_999_999_999,
+            -999_999_999_999_999_999,
+        ] {
+            for delta in [-1i128, 0, 1] {
+                let v = i128::from(bound) + delta;
+                tokens.push(v.to_string());
+                tokens.push(format!("+{v}"));
+                tokens.push(format!("0{v}").replace("0-", "-0"));
+            }
+        }
+        let pads = ["", " ", "\t", "  ", "\u{a0}", "\u{3000}", "\n"];
+        let mut x = 0x5EED_F1A7u64;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((x >> 33) % n) as usize
+        };
+        let digits = |next: &mut dyn FnMut(u64) -> usize, max: u64| -> String {
+            let zeros = if next(4) == 0 { next(4) } else { 0 };
+            let mut out = "0".repeat(zeros);
+            for _ in 0..next(max + 1) {
+                // Runs of nines and zeros reach the limits and the
+                // rounding edges.
+                let d = match next(6) {
+                    0 => 9,
+                    1 => 0,
+                    _ => next(10),
+                };
+                out.push(char::from(b'0' + d as u8));
+            }
+            out
+        };
+        for _ in 0..60_000 {
+            let mut t = String::new();
+            t.push_str(pads[next(16).min(pads.len() - 1)]);
+            t.push_str(["", "", "", "-", "+"][next(5)]);
+            t.push_str(&digits(&mut next, 20));
+            if next(3) > 0 {
+                t.push('.');
+                t.push_str(&digits(&mut next, 24));
+            }
+            if next(10) == 0 {
+                t.push_str(["e5", "e-3", "E+2", "e"][next(4)]);
+            }
+            t.push_str(pads[next(16).min(pads.len() - 1)]);
+            tokens.push(t);
+        }
+        for token in &tokens {
+            for data_type in [DataType::Int, DataType::Long, DataType::Float] {
+                let fast = Value::parse(token, data_type).ok();
+                let want = parse_by_std(token, data_type);
+                let bits = |v: &Option<Value>| v.as_ref().map(|v| (v.data_type(), v.as_i64()));
+                assert_eq!(bits(&fast), bits(&want), "{token:?} as {data_type}");
+            }
+        }
+    }
+
+    /// The plain forms take the fast paths; everything else is left to
+    /// `str::parse`.
+    #[test]
+    fn fast_paths_take_exactly_the_plain_forms() {
+        assert_eq!(plain_int(b"-123456789", 9), Some(-123_456_789));
+        assert_eq!(plain_int(b"+000000042", 9), Some(42));
+        assert_eq!(plain_int(b"1234567890", 9), None);
+        assert_eq!(
+            plain_int(b"-999999999999999999", 18),
+            Some(-(10i64.pow(18) - 1))
+        );
+        for token in ["", "+", " 1", "1 ", "1.0", "0x1", "1_0"] {
+            assert_eq!(plain_int(token.as_bytes(), 18), None, "{token:?}");
+        }
+        assert_eq!(plain_float(b"123.45"), Some(123.45));
+        assert_eq!(
+            plain_float(b"-0").map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(plain_float(b"999999999999999"), Some(999_999_999_999_999.0));
+        assert_eq!(plain_float(b"0.0000000000000000000001"), Some(1e-22));
+        assert_eq!(plain_float(b"000000000000000000001.5"), Some(1.5));
+        for token in [
+            "1234567890123456",
+            "0.00000000000000000000001",
+            ".5",
+            "5.",
+            "1e5",
+            " 1",
+            "inf",
+        ] {
+            assert_eq!(plain_float(token.as_bytes()), None, "{token:?}");
+        }
     }
 
     #[test]
@@ -524,6 +825,29 @@ mod tests {
         assert_eq!(Value::Float(1.0).encoded_len(), 8);
         assert_eq!(Value::Date(1).encoded_len(), 4);
         assert_eq!(Value::Str("abc".into()).encoded_len(), 4);
+    }
+
+    #[test]
+    fn push_text_is_display() {
+        let mut out = String::from("kept ");
+        let values = [
+            Value::Date(-719_163),
+            Value::Date(-719_162),
+            Value::Date(0),
+            Value::Date(2_932_896),
+            Value::Date(2_932_897),
+            Value::Date(i32::MIN),
+            Value::Int(-42),
+            Value::Long(i64::MIN),
+            Value::Float(-0.0),
+            Value::Float(0.1),
+            Value::Str("żółw".into()),
+        ];
+        for value in values {
+            out.truncate(5);
+            value.as_ref().push_text(&mut out);
+            assert_eq!(out, format!("kept {value}"));
+        }
     }
 
     #[test]
