@@ -511,7 +511,7 @@ mod tests {
     }
 
     /// Four nodes' portions of several blocks each, with one bad record
-    /// apiece for the inverted list.
+    /// apiece.
     fn portions() -> Vec<(DatanodeId, String)> {
         portions_of(120)
     }
@@ -670,10 +670,8 @@ mod tests {
             ReplicaIndexConfig::unindexed(3),
             ReplicaIndexConfig::first_indexed(3, &[0, 1, 2]),
             ReplicaIndexConfig::first_indexed(3, &[0])
-                .with_bitmap(2)
                 .with_zone_map(0)
-                .with_bloom(1)
-                .with_inverted_list(),
+                .with_bloom(1),
         ]
     }
 
@@ -694,7 +692,7 @@ mod tests {
         }
         // The last config really built every sidecar kind.
         let (_, stored) = serial_oracle(&texts, &configs()[2]);
-        assert!(stored.dir_rep.iter().all(|r| r.index.sidecars.len() == 4));
+        assert!(stored.dir_rep.iter().all(|r| r.index.sidecars.len() == 2));
     }
 
     /// The cuts found from line lengths alone are the builder's: each

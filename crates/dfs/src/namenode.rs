@@ -147,21 +147,6 @@ impl Namenode {
             .collect())
     }
 
-    /// Live datanodes whose replica of the block stores a sidecar bitmap
-    /// over the given 0-based column (§3.5 extension, mirrored into
-    /// `Dir_rep` at upload time).
-    pub fn get_hosts_with_bitmap(&self, block: BlockId, column: usize) -> Result<Vec<DatanodeId>> {
-        let hosts = self.get_hosts(block)?;
-        Ok(hosts
-            .into_iter()
-            .filter(|&d| {
-                self.dir_rep
-                    .get(&(block, d))
-                    .is_some_and(|info| info.index.bitmap_on(column).is_some())
-            })
-            .collect())
-    }
-
     /// Live datanodes whose replica of the block stores a sidecar
     /// zone-map synopsis over the given 0-based column.
     pub fn get_hosts_with_zone_map(
@@ -190,20 +175,6 @@ impl Namenode {
                 self.dir_rep
                     .get(&(block, d))
                     .is_some_and(|info| info.index.bloom_on(column).is_some())
-            })
-            .collect())
-    }
-
-    /// Live datanodes whose replica of the block stores a sidecar
-    /// inverted list over its bad-record section.
-    pub fn get_hosts_with_inverted_list(&self, block: BlockId) -> Result<Vec<DatanodeId>> {
-        let hosts = self.get_hosts(block)?;
-        Ok(hosts
-            .into_iter()
-            .filter(|&d| {
-                self.dir_rep
-                    .get(&(block, d))
-                    .is_some_and(|info| info.index.inverted_list().is_some())
             })
             .collect())
     }
@@ -330,26 +301,26 @@ mod tests {
         use hail_index::SidecarMetadata;
         let mut nn = Namenode::new();
         let b = nn.allocate_block(vec![0, 1, 2]).unwrap();
-        // DN0: bitmap on column 5 + inverted list; DN1: bitmap only;
-        // DN2: no sidecars.
+        // DN0: zone map on column 5 + Bloom filter on column 2; DN1:
+        // zone map only; DN2: no sidecars.
         let with_both = IndexMetadata {
             sidecars: vec![
                 SidecarMetadata {
-                    kind: IndexKind::Bitmap { column: 5 },
+                    kind: IndexKind::ZoneMap { column: 5 },
                     sidecar_bytes: 100,
                     sidecar_offset: 0,
                 },
                 SidecarMetadata {
-                    kind: IndexKind::InvertedList,
+                    kind: IndexKind::Bloom { column: 2 },
                     sidecar_bytes: 50,
                     sidecar_offset: 100,
                 },
             ],
             ..IndexMetadata::none()
         };
-        let with_bitmap = IndexMetadata {
+        let with_zone_map = IndexMetadata {
             sidecars: vec![SidecarMetadata {
-                kind: IndexKind::Bitmap { column: 5 },
+                kind: IndexKind::ZoneMap { column: 5 },
                 sidecar_bytes: 90,
                 sidecar_offset: 0,
             }],
@@ -357,17 +328,21 @@ mod tests {
         };
         nn.register_replica(HailBlockReplicaInfo::new(b, 0, with_both, 1000))
             .unwrap();
-        nn.register_replica(HailBlockReplicaInfo::new(b, 1, with_bitmap, 1000))
+        nn.register_replica(HailBlockReplicaInfo::new(b, 1, with_zone_map, 1000))
             .unwrap();
         nn.register_replica(HailBlockReplicaInfo::new(b, 2, IndexMetadata::none(), 1000))
             .unwrap();
-        assert_eq!(nn.get_hosts_with_bitmap(b, 5).unwrap(), vec![0, 1]);
-        assert_eq!(nn.get_hosts_with_bitmap(b, 4).unwrap(), Vec::<usize>::new());
-        assert_eq!(nn.get_hosts_with_inverted_list(b).unwrap(), vec![0]);
+        assert_eq!(nn.get_hosts_with_zone_map(b, 5).unwrap(), vec![0, 1]);
+        assert_eq!(
+            nn.get_hosts_with_zone_map(b, 4).unwrap(),
+            Vec::<usize>::new()
+        );
+        assert_eq!(nn.get_hosts_with_bloom(b, 2).unwrap(), vec![0]);
+        assert!(nn.get_hosts_with_bloom(b, 5).unwrap().is_empty());
         // Dead nodes drop out of sidecar lookups too.
         nn.mark_dead(0);
-        assert_eq!(nn.get_hosts_with_bitmap(b, 5).unwrap(), vec![1]);
-        assert!(nn.get_hosts_with_inverted_list(b).unwrap().is_empty());
+        assert_eq!(nn.get_hosts_with_zone_map(b, 5).unwrap(), vec![1]);
+        assert!(nn.get_hosts_with_bloom(b, 2).unwrap().is_empty());
     }
 
     #[test]

@@ -215,7 +215,7 @@ pub fn hdfs_upload_block(
 
 /// Uploads one block the HAIL way (Fig. 1): the client ships the binary
 /// PAX block; each datanode buffers, sorts in its own order, indexes,
-/// builds the configured §3.5 sidecar extension indexes, re-checksums,
+/// builds the configured sidecar synopses, re-checksums,
 /// flushes, and registers its replica — sidecar directory included —
 /// with the namenode.
 ///
@@ -346,8 +346,8 @@ pub fn commit_hail_block(
         if replica.sort_cpu > 0 {
             cluster.datanode_mut(dn)?.add_sort_cpu(replica.sort_cpu);
         }
-        // Building sidecars streams once over the indexed columns / bad
-        // records; charge their serialized size as CPU.
+        // Building sidecars streams once over their columns; charge
+        // their serialized size as CPU.
         let sidecar_total = replica.meta.sidecar_bytes_total();
         if sidecar_total > 0 {
             cluster.datanode_mut(dn)?.add_sort_cpu(sidecar_total as u64);

@@ -6,12 +6,12 @@
 //! unindexed column pays full scans forever. This module reacts: when
 //! the [`SelectivityFeedback`] store shows *sustained* evidence of a
 //! selective predicate on a column no replica can serve, a
-//! [`ReindexAdvisor`] recommends building the missing clustered index
-//! (range predicates) or bitmap sidecar (equality predicates) on one
-//! replica per block, and [`apply_reindex`] performs the in-place
-//! rewrite through `hail_dfs::rewrite_replica` — the same step-7
-//! sort/index/register machinery the upload pipeline runs, minus the
-//! network hop.
+//! [`ReindexAdvisor`] recommends building the missing clustered index on
+//! one replica per block — for range and equality predicates alike, as
+//! HAIL's one-index-per-replica design would — and [`apply_reindex`]
+//! performs the in-place rewrite through `hail_dfs::rewrite_replica` —
+//! the same step-7 sort/index/register machinery the upload pipeline
+//! runs, minus the network hop.
 //!
 //! # The correctness contract
 //!
@@ -40,7 +40,9 @@
 //! selectivity at or below `max_selectivity`, *and* the evidence to
 //! persist across `hysteresis_rounds` consecutive advisory rounds
 //! before it recommends anything; a round without evidence resets the
-//! streak. Each `(column, class)` is rebuilt at most once.
+//! streak. Each `(column, class)` fires at most once, and a block is
+//! rewritten at most once per column: a second action on a column finds
+//! the blocks the first one rewrote already served.
 
 use crate::feedback::SelectivityFeedback;
 use hail_dfs::{rewrite_replica, DfsCluster, Namenode};
@@ -48,37 +50,15 @@ use hail_index::{IndexKind, IndexMetadata, SidecarSpec, SortOrder};
 use hail_sync::{LockRank, OrderedMutex};
 use hail_types::{BlockId, DatanodeId, Result};
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// What kind of index a recommendation builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReindexKind {
-    /// A clustered index: re-sort one unsorted replica per block on the
-    /// target column (serves range and point predicates).
-    Clustered,
-    /// A bitmap sidecar over the target column on one replica per block
-    /// (serves equality predicates; sort-order independent).
-    BitmapSidecar,
-}
-
-impl fmt::Display for ReindexKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReindexKind::Clustered => f.write_str("clustered"),
-            ReindexKind::BitmapSidecar => f.write_str("bitmap-sidecar"),
-        }
-    }
-}
-
-/// One advisory recommendation: build `kind` over `column`.
+/// One advisory recommendation: a clustered index over `column`, built
+/// by re-sorting one unsorted replica per block on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReindexAction {
     /// 0-based target column.
     pub column: usize,
-    /// Predicate class the evidence came from (`true` = equality).
+    /// Predicate class whose evidence fired (`true` = equality).
     pub eq: bool,
-    /// What to build.
-    pub kind: ReindexKind,
 }
 
 /// Evidence thresholds and hysteresis for the advisor.
@@ -177,9 +157,7 @@ impl ReindexAdvisor {
     /// Evidence for a `(column, class)` qualifies when:
     /// - at least `min_observations` block observations were absorbed,
     /// - the observed mean selectivity is ≤ `max_selectivity`, and
-    /// - some live block lacks any replica able to serve the predicate
-    ///   (no clustered index on the column; for equality, no bitmap
-    ///   sidecar either).
+    /// - some live block lacks a replica clustered on the column.
     pub fn note_round(
         &self,
         feedback: &SelectivityFeedback,
@@ -197,7 +175,7 @@ impl ReindexAdvisor {
                 && feedback
                     .observed(column, eq)
                     .is_some_and(|(mean, _)| mean <= self.policy.max_selectivity)
-                && design_gap(namenode, blocks, column, eq);
+                && design_gap(namenode, blocks, column);
             if !qualified {
                 entry.streak = 0;
                 continue;
@@ -208,43 +186,31 @@ impl ReindexAdvisor {
                 && actions.len() < self.policy.max_builds_per_round
             {
                 entry.fired = true;
-                actions.push(ReindexAction {
-                    column,
-                    eq,
-                    kind: if eq {
-                        ReindexKind::BitmapSidecar
-                    } else {
-                        ReindexKind::Clustered
-                    },
-                });
+                actions.push(ReindexAction { column, eq });
             }
         }
         actions
     }
 }
 
-/// True when some live block has no replica able to serve the predicate
-/// class on `column` — the "full scans keep paying" condition.
-fn design_gap(namenode: &Namenode, blocks: &[BlockId], column: usize, eq: bool) -> bool {
+/// True when some live block has no replica able to serve a predicate
+/// on `column` — the "full scans keep paying" condition.
+fn design_gap(namenode: &Namenode, blocks: &[BlockId], column: usize) -> bool {
     blocks.iter().any(|&b| {
         let replicas = namenode.live_replicas(b);
         if replicas.is_empty() {
             return false; // unreadable block: nothing to fix here
         }
-        !replicas
-            .iter()
-            .any(|r| r.index.serves_column(column) || (eq && r.index.bitmap_on(column).is_some()))
+        !replicas.iter().any(|r| r.index.serves_column(column))
     })
 }
 
 /// Reconstructs the [`SidecarSpec`] a replica's stored sidecars imply,
-/// so a rewrite preserves every existing extension index.
+/// so a rewrite preserves every existing synopsis.
 fn spec_of(meta: &IndexMetadata) -> SidecarSpec {
     let mut spec = SidecarSpec::default();
     for s in &meta.sidecars {
         match s.kind {
-            IndexKind::Bitmap { column } => spec.bitmap_columns.push(column),
-            IndexKind::InvertedList => spec.inverted_list = true,
             IndexKind::ZoneMap { column } => spec.zone_map_columns.push(column),
             IndexKind::Bloom { column } => spec.bloom_columns.push(column),
             _ => {}
@@ -266,14 +232,11 @@ pub struct ReplicaRewrite {
 /// blocks in the given order, replicas in datanode order.
 ///
 /// Conservative target choice — a rewrite must never destroy design
-/// diversity the upload paid for:
-/// - `Clustered` targets the first live *unsorted* replica of each
-///   block still lacking the index; blocks whose replicas are all
-///   sorted (on other columns) are skipped rather than re-sorted.
-/// - `BitmapSidecar` targets the first live replica without the bitmap,
-///   preferring unsorted replicas, and keeps its sort order.
-///
-/// Blocks already able to serve the predicate plan no rewrite.
+/// diversity the upload paid for: the target is the first live
+/// *unsorted* replica of each block still lacking the index; blocks
+/// whose replicas are all sorted (on other columns) are skipped rather
+/// than re-sorted. Blocks already able to serve the predicate plan no
+/// rewrite.
 pub fn plan_rewrites(
     namenode: &Namenode,
     blocks: &[BlockId],
@@ -283,50 +246,21 @@ pub fn plan_rewrites(
     let mut out = Vec::new();
     for &block in blocks {
         let replicas = namenode.live_replicas(block);
-        let served = replicas.iter().any(|r| {
-            r.index.serves_column(column)
-                || (action.eq
-                    && action.kind == ReindexKind::BitmapSidecar
-                    && r.index.bitmap_on(column).is_some())
-        });
-        if served {
+        if replicas.iter().any(|r| r.index.serves_column(column)) {
             continue;
         }
-        match action.kind {
-            ReindexKind::Clustered => {
-                let Some(target) = replicas
-                    .iter()
-                    .find(|r| r.index.sort_order() == SortOrder::Unsorted)
-                else {
-                    continue; // never overwrite an existing clustered index
-                };
-                out.push(ReplicaRewrite {
-                    block,
-                    datanode: target.datanode,
-                    order: SortOrder::Clustered { column },
-                    spec: spec_of(&target.index),
-                });
-            }
-            ReindexKind::BitmapSidecar => {
-                let Some(target) = replicas
-                    .iter()
-                    .find(|r| r.index.sort_order() == SortOrder::Unsorted)
-                    .or_else(|| replicas.first())
-                else {
-                    continue;
-                };
-                let mut spec = spec_of(&target.index);
-                if !spec.bitmap_columns.contains(&column) {
-                    spec.bitmap_columns.push(column);
-                }
-                out.push(ReplicaRewrite {
-                    block,
-                    datanode: target.datanode,
-                    order: target.index.sort_order(),
-                    spec,
-                });
-            }
-        }
+        let Some(target) = replicas
+            .iter()
+            .find(|r| r.index.sort_order() == SortOrder::Unsorted)
+        else {
+            continue; // never overwrite an existing clustered index
+        };
+        out.push(ReplicaRewrite {
+            block,
+            datanode: target.datanode,
+            order: SortOrder::Clustered { column },
+            spec: spec_of(&target.index),
+        });
     }
     out
 }
@@ -426,8 +360,7 @@ mod tests {
             actions,
             vec![ReindexAction {
                 column: 1,
-                eq: false,
-                kind: ReindexKind::Clustered
+                eq: false
             }]
         );
         // Never twice.
@@ -502,7 +435,6 @@ mod tests {
         let action = ReindexAction {
             column: 1,
             eq: false,
-            kind: ReindexKind::Clustered,
         };
         let epoch = cluster.namenode().design_epoch();
         let outcome = apply_reindex(&mut cluster, &blocks, &action).unwrap();
@@ -531,33 +463,27 @@ mod tests {
     }
 
     #[test]
-    fn apply_builds_a_bitmap_sidecar_for_equality_evidence() {
+    fn apply_builds_a_clustered_index_for_equality_evidence() {
         let (mut cluster, blocks) = uploaded();
+        // Column 0 is clustered on replica 0, which serves equality too:
+        // plan_rewrites treats served blocks as done.
         let action = ReindexAction {
             column: 0,
             eq: true,
-            kind: ReindexKind::BitmapSidecar,
         };
-        // Column 0 is clustered on replica 0, so the design gap for a
-        // *bitmap* doesn't exist — plan_rewrites treats served blocks
-        // as done (a clustered index already serves equality).
         assert!(plan_rewrites(cluster.namenode(), &blocks, &action).is_empty());
 
-        // Column 1 has no serving structure: a bitmap lands.
+        // Column 1 has no serving structure: an unsorted replica per
+        // block is re-sorted on it.
         let action = ReindexAction {
             column: 1,
             eq: true,
-            kind: ReindexKind::BitmapSidecar,
         };
         let outcome = apply_reindex(&mut cluster, &blocks, &action).unwrap();
         assert_eq!(outcome.replicas_rewritten, blocks.len());
         for &b in &blocks {
             assert_eq!(
-                cluster
-                    .namenode()
-                    .get_hosts_with_bitmap(b, 1)
-                    .unwrap()
-                    .len(),
+                cluster.namenode().get_hosts_with_index(b, 1).unwrap().len(),
                 1
             );
         }
@@ -579,7 +505,6 @@ mod tests {
         let action = ReindexAction {
             column: 1,
             eq: false,
-            kind: ReindexKind::Clustered,
         };
         let outcome = apply_reindex(&mut cluster, &ids, &action).unwrap();
         assert_eq!(outcome.replicas_rewritten, 0);

@@ -30,8 +30,7 @@ use hail_sync::{LockRank, OrderedRwLock};
 use std::collections::BTreeMap;
 
 /// True if the query has an equality predicate on `column` — the
-/// predicate *class* under which observations are keyed, and the same
-/// bit that drives bitmap-path candidacy in the planner.
+/// predicate *class* under which observations are keyed.
 pub fn has_eq_on(query: &HailQuery, column: usize) -> bool {
     query
         .predicates

@@ -75,7 +75,7 @@ impl PlannedInputFormat {
     /// [`SplitPlan::source`], for the split reads to execute.
     fn planned_splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
         let filtered = !self.query.filter_columns().is_empty();
-        if !filtered && self.planner.bad_record_tokens.is_empty() {
+        if !filtered {
             // Pure scan queries keep Hadoop's splitting and failover
             // granularity.
             return default_splits(cluster, input);

@@ -1,17 +1,16 @@
 //! The kernel held to the naive per-row reference it replaced:
 //! `PaxBlock::value` + `Predicate::matches_value` + `PaxBlock::reconstruct`,
-//! row at a time, with the accounting the three PAX access paths did
+//! row at a time, with the accounting the two PAX access paths did
 //! around it. Rows, their order and the whole `TaskStats` must be equal.
 
 use super::*;
 use crate::path::{
-    sole_filter_column, AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan,
-    ScanLayout,
+    sole_filter_column, AccessPath, BlockAccess, ClusteredIndexScan, FullScan, ScanLayout,
 };
 use bytes::Bytes;
 use hail_core::{upload_hail, HailQuery};
 use hail_dfs::DfsCluster;
-use hail_index::{IndexedBlock, ReplicaIndexConfig, UnclusteredIndex};
+use hail_index::{IndexedBlock, ReplicaIndexConfig};
 use hail_mr::{MapRecord, SelectivityObservation, TaskStats};
 use hail_pax::encode_block;
 use hail_types::{AccessPathKind, DataType, Field, Schema, StorageConfig, Value};
@@ -21,7 +20,7 @@ const LONG: usize = 1;
 const FLOAT: usize = 2;
 const DATE: usize = 3;
 const STR: usize = 4;
-/// Low-cardinality varchar: the bitmap column.
+/// Low-cardinality varchar.
 const TAG: usize = 5;
 
 fn schema() -> Schema {
@@ -290,49 +289,6 @@ fn reference_clustered(
     Ok(stats)
 }
 
-fn reference_bitmap(
-    probe: &Value,
-    a: &BlockAccess<'_>,
-    emit: &mut dyn FnMut(MapRecord),
-) -> Result<TaskStats> {
-    let dn = a.cluster.datanode(a.replica)?;
-    let indexed = IndexedBlock::open(dn.open_replica(a.block)?)?;
-    let pax = indexed.pax();
-    let (sidecar, bitmap) = indexed.bitmap_sidecar(TAG)?.expect("replica stores it");
-    let mut stats = TaskStats {
-        serial_pricing: true,
-        ..Default::default()
-    };
-    dn.charge_range_read(sidecar.sidecar_bytes, &mut stats.ledger)?;
-    stats.sidecar_bytes_read += sidecar.sidecar_bytes as u64;
-    let mut remote_bytes = sidecar.sidecar_bytes as u64;
-    let rows = bitmap.rows_equal(probe);
-    stats.selectivity.push(SelectivityObservation {
-        column: TAG,
-        eq: true,
-        matched: rows.len() as u64,
-        total: pax.row_count() as u64,
-    });
-    stats.ledger.seeks += UnclusteredIndex::seek_count(&rows) as u64;
-    let projection = a.query.projected_columns(a.schema);
-    for row in rows {
-        if !reference_match(a.query, pax, row)? {
-            continue;
-        }
-        let out = pax.reconstruct(row, &projection)?;
-        let row_bytes = out.encoded_len() as u64;
-        stats.ledger.disk_read += row_bytes;
-        stats.ledger.scan_cpu += row_bytes;
-        remote_bytes += row_bytes;
-        emit(MapRecord::good(out));
-        stats.records += 1;
-    }
-    reference_bad_records(pax, &mut stats, emit)?;
-    charge_remote(a, &mut stats, remote_bytes);
-    stats.paths.record(AccessPathKind::BitmapScan);
-    Ok(stats)
-}
-
 // ---- the comparison ----
 
 type Read<'a> = &'a dyn Fn(&mut dyn FnMut(MapRecord)) -> Result<TaskStats>;
@@ -357,8 +313,8 @@ fn assert_same(what: &str, engine: Read<'_>, reference: Read<'_>) -> u64 {
 }
 
 /// One upload of `text` with the given clustered columns (one replica
-/// each) and the bitmap on `TAG`, compared block by block, replica by
-/// replica, locally and remotely, for every query.
+/// each), compared block by block, replica by replica, locally and
+/// remotely, for every query.
 fn compare_upload(
     partition_size: usize,
     text: &str,
@@ -373,7 +329,7 @@ fn compare_upload(
         index_partition_size: partition_size,
     };
     let mut cluster = DfsCluster::new(4, config);
-    let design = ReplicaIndexConfig::first_indexed(3, &clustered).with_bitmap(TAG);
+    let design = ReplicaIndexConfig::first_indexed(3, &clustered);
     let dataset = upload_hail(
         &mut cluster,
         &schema,
@@ -421,21 +377,6 @@ fn compare_upload(
                         &format!("clustered @{}, {what}", column + 1),
                         &|emit| ClusteredIndexScan { column }.execute(&a, emit),
                         &|emit| reference_clustered(column, &a, emit),
-                    );
-                }
-                let probe = query.predicates.iter().find_map(|p| match p {
-                    Predicate::Cmp {
-                        column: TAG,
-                        op: CmpOp::Eq,
-                        value,
-                    } => Some(value),
-                    _ => None,
-                });
-                if let Some(probe) = probe {
-                    emitted += assert_same(
-                        &format!("bitmap, {what}"),
-                        &|emit| BitmapScan { column: TAG }.execute(&a, emit),
-                        &|emit| reference_bitmap(probe, &a, emit),
                     );
                 }
             }
@@ -664,7 +605,7 @@ fn bound_shapes(lo: &Value, hi: &Value) -> Vec<KeyBounds> {
 fn sorted_range_equals_retain_within_over_the_looked_up_partitions() {
     use hail_index::ClusteredIndex;
     let mut rng = Rng(0x5EED_0036);
-    let (mut cases, mut nonempty, mut inverted) = (0, 0, 0);
+    let (mut cases, mut nonempty, mut lo_above_hi_cases) = (0, 0, 0);
     for data_type in [
         DataType::Int,
         DataType::Long,
@@ -709,14 +650,14 @@ fn sorted_range_equals_retain_within_over_the_looked_up_partitions() {
                                 (&bounds.lo, &bounds.hi),
                                 (Bound::Included(l), Bound::Included(h)) if l > h
                             );
-                            inverted += usize::from(lo_above_hi);
+                            lo_above_hi_cases += usize::from(lo_above_hi);
                         }
                     }
                 }
             }
         }
     }
-    assert!(cases > 50_000 && nonempty > cases / 4 && inverted > 1_000);
+    assert!(cases > 50_000 && nonempty > cases / 4 && lo_above_hi_cases > 1_000);
 }
 
 // ---- the row batch ----

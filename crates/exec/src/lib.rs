@@ -10,10 +10,9 @@
 //! baselines' hard-wired read paths; this crate consolidates all of it:
 //!
 //! - [`path`] — the [`AccessPath`] trait and its implementations:
-//!   [`FullScan`], [`ClusteredIndexScan`], [`TrojanIndexScan`],
-//!   [`BitmapScan`], [`InvertedListScan`]
-//! - `kernel` (private) — the one PAX scan kernel under [`FullScan`],
-//!   [`ClusteredIndexScan`] and [`BitmapScan`]: evaluate the conjunction
+//!   [`FullScan`], [`ClusteredIndexScan`], [`TrojanIndexScan`]
+//! - `kernel` (private) — the one PAX scan kernel under [`FullScan`] and
+//!   [`ClusteredIndexScan`]: evaluate the conjunction
 //!   conjunct by conjunct into an ascending selection vector over
 //!   `hail_pax::ColumnCursor`s, then materialise only the projected
 //!   columns of only the selected rows
@@ -38,9 +37,9 @@
 //!   never priced or read (conservative: any doubt means no prune)
 //! - [`adapt`] — adaptive re-indexing: a [`ReindexAdvisor`] that turns
 //!   sustained [`SelectivityFeedback`] evidence into in-place replica
-//!   rewrites building the missing clustered index or bitmap sidecar,
-//!   applied under `&mut DfsCluster` so concurrent queries see either
-//!   the old design or the new one — never a half-registered hybrid
+//!   rewrites building the missing clustered index, applied under
+//!   `&mut DfsCluster` so concurrent queries see either the old design
+//!   or the new one — never a half-registered hybrid
 //! - [`splitting`] — default Hadoop splitting and `HailSplitting`
 //!   (§4.3), consuming plans instead of re-deriving replica choices
 //! - [`formats`] — the one [`PlannedInputFormat`] serving all three
@@ -115,14 +114,14 @@ pub mod splitting;
 pub mod synopsis;
 
 pub use adapt::{
-    apply_reindex, plan_rewrites, ReindexAction, ReindexAdvisor, ReindexKind, ReindexOutcome,
-    ReindexPolicy, ReplicaRewrite,
+    apply_reindex, plan_rewrites, ReindexAction, ReindexAdvisor, ReindexOutcome, ReindexPolicy,
+    ReplicaRewrite,
 };
 pub use feedback::{SelectivityChoice, SelectivityFeedback};
 pub use formats::PlannedInputFormat;
 pub use path::{
-    AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, DecodedBlock, FullScan,
-    InvertedListScan, ScanLayout, TrojanIndexScan,
+    AccessPath, BlockAccess, ClusteredIndexScan, DecodedBlock, FullScan, ScanLayout,
+    TrojanIndexScan,
 };
 pub use planner::{
     BlockPlan, CacheStats, Candidate, PlanCache, PlannerConfig, QueryPlan, QueryPlanner,

@@ -3,15 +3,13 @@
 //!
 //! These implementations are the former `hail-core` record readers
 //! (`HailRecordReader`, the Hadoop text reader, the Hadoop++ trojan
-//! reader) plus the §3.5 extension indexes, refactored to a common
-//! shape so the [`crate::planner::QueryPlanner`] can choose between
-//! them per block and per replica:
+//! reader), refactored to a common shape so the
+//! [`crate::planner::QueryPlanner`] can choose between them per block
+//! and per replica:
 //!
 //! - [`FullScan`] — stream the whole replica (text, PAX, or row layout)
 //! - [`ClusteredIndexScan`] — HAIL's sparse clustered index (§4.3)
 //! - [`TrojanIndexScan`] — Hadoop++'s dense in-header index (§5)
-//! - [`BitmapScan`] — sidecar bitmap over a low-cardinality column
-//! - [`InvertedListScan`] — sidecar inverted list over bad records
 //!
 //! An access path receives a fully resolved [`BlockAccess`] (the block,
 //! the serving replica, the task's node) and performs the read: real
@@ -23,7 +21,7 @@
 //! Every path reads only bytes it verified against the replica's chunk
 //! checksums, and verifies only what it reads. The PAX paths and the
 //! trojan scan open the replica ([`hail_dfs::Datanode::open_replica`]) and
-//! verify each region, partition or sidecar when they first touch it; the
+//! verify each region or partition when they first touch it; the
 //! text and row-layout full scans read the whole replica and verify all
 //! of it. A chunk that fails is [`HailError::ChecksumMismatch`], which the
 //! planner answers by reading another replica
@@ -31,11 +29,11 @@
 //! changes a ledger: what a path charges is what it would read from disk.
 
 use crate::kernel;
-use hail_core::{CmpOp, HailQuery, Predicate, RowBlock};
+use hail_core::{HailQuery, RowBlock};
 use hail_dfs::DfsCluster;
-use hail_index::{IndexKind, IndexedBlock, UnclusteredIndex};
+use hail_index::IndexedBlock;
 use hail_mr::{MapRecord, SelectivityObservation, TaskStats};
-use hail_types::{AccessPathKind, BlockId, DatanodeId, HailError, Result, Schema, Value};
+use hail_types::{AccessPathKind, BlockId, DatanodeId, HailError, Result, Schema};
 use std::fmt;
 
 /// Everything an access path needs to read one block.
@@ -68,14 +66,6 @@ pub trait AccessPath: fmt::Debug {
     /// `clustered-index-scan(@3)`.
     fn describe(&self) -> String {
         self.kind().to_string()
-    }
-
-    /// The sidecar extension index this path reads from the serving
-    /// replica, if any. The planner's locality resolution only reroutes
-    /// a sidecar path to a node whose own replica stores this sidecar
-    /// (per the namenode's `Dir_rep`).
-    fn required_sidecar(&self) -> Option<IndexKind> {
-        None
     }
 
     /// Reads the block via this path, emitting qualifying records and
@@ -527,172 +517,6 @@ impl AccessPath for TrojanIndexScan {
         for bad in row_block.bad_records(a.schema)? {
             emit(MapRecord::bad(bad));
             stats.records += 1;
-        }
-        a.charge_remote(&mut stats, remote_bytes);
-        stats.paths.record(self.kind());
-        Ok(stats)
-    }
-}
-
-/// Sidecar bitmap scan over a low-cardinality column (§3.5): read the
-/// *persisted* bitmap sidecar stored with the replica, probe it in
-/// memory, then fetch only the matching rows. Sort-order independent,
-/// so it can serve any replica whose `Dir_rep` entry carries the
-/// sidecar; the planner never routes it elsewhere.
-#[derive(Debug, Clone, Copy)]
-pub struct BitmapScan {
-    /// The bitmap-indexed 0-based column.
-    pub column: usize,
-}
-
-impl BitmapScan {
-    /// The equality value this scan probes, from the query's first `=`
-    /// predicate on the bitmap column.
-    fn probe_value(&self, query: &HailQuery) -> Option<Value> {
-        query.predicates.iter().find_map(|p| match p {
-            Predicate::Cmp {
-                column,
-                op: CmpOp::Eq,
-                value,
-            } if *column == self.column => Some(value.clone()),
-            _ => None,
-        })
-    }
-}
-
-impl AccessPath for BitmapScan {
-    fn kind(&self) -> AccessPathKind {
-        AccessPathKind::BitmapScan
-    }
-
-    fn describe(&self) -> String {
-        format!("bitmap-scan(@{})", self.column + 1)
-    }
-
-    fn required_sidecar(&self) -> Option<IndexKind> {
-        Some(IndexKind::Bitmap {
-            column: self.column,
-        })
-    }
-
-    fn execute(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
-        let probe = self
-            .probe_value(a.query)
-            .ok_or_else(|| HailError::Internal("bitmap scan without equality predicate".into()))?;
-        let dn = a.cluster.datanode(a.replica)?;
-        let indexed = IndexedBlock::open(dn.open_replica(a.block)?)?;
-        let pax = indexed.pax();
-
-        // The sidecar was built at upload time and stored with the
-        // replica; a replica routed here without one is a planner or
-        // directory bug, not something to paper over by rebuilding.
-        let (sidecar, bitmap) = indexed.bitmap_sidecar(self.column)?.ok_or_else(|| {
-            HailError::Internal("replica advertised a bitmap sidecar it lacks".into())
-        })?;
-        let sidecar_bytes = sidecar.sidecar_bytes;
-
-        let mut stats = TaskStats {
-            serial_pricing: true,
-            ..Default::default()
-        };
-        dn.charge_range_read(sidecar_bytes, &mut stats.ledger)?;
-        stats.sidecar_bytes_read += sidecar_bytes as u64;
-        let mut remote_bytes = sidecar_bytes as u64;
-
-        let rows = bitmap.rows_equal(&probe);
-        // The bitmap gives the equality predicate's exact match count —
-        // the observed selectivity of the probe on this column.
-        stats.selectivity.push(SelectivityObservation {
-            column: self.column,
-            eq: true,
-            matched: rows.len() as u64,
-            total: pax.row_count() as u64,
-        });
-        // Matching rows cluster into runs; each run costs one seek, and
-        // the fetched bytes are charged per reconstructed row.
-        stats.ledger.seeks += UnclusteredIndex::seek_count(&rows) as u64;
-
-        let projection = a.query.projected_columns(a.schema);
-        let mut selection = kernel::candidates(rows)?;
-        kernel::retain_conjunction(pax, &a.query.predicates, &mut selection)?;
-        kernel::materialize(pax, &projection, &selection, |out| {
-            let row_bytes = out.encoded_len() as u64;
-            stats.ledger.disk_read += row_bytes;
-            stats.ledger.scan_cpu += row_bytes;
-            remote_bytes += row_bytes;
-            emit(MapRecord::good(out));
-            stats.records += 1;
-        })?;
-
-        emit_pax_bad_records(&indexed, &mut stats, emit)?;
-        a.charge_remote(&mut stats, remote_bytes);
-        stats.paths.record(self.kind());
-        Ok(stats)
-    }
-}
-
-/// Sidecar inverted-list scan over the block's bad-record section
-/// (§3.5): serve token searches over schema-less records from the
-/// *persisted* inverted-list sidecar, without scanning them. Emits
-/// *only* matching bad records. An empty token list is the empty
-/// conjunction and matches every bad record (see
-/// [`hail_index::InvertedList::search_all`]).
-#[derive(Debug, Clone)]
-pub struct InvertedListScan {
-    /// Tokens every returned bad record must contain (conjunctive).
-    pub tokens: Vec<String>,
-}
-
-impl AccessPath for InvertedListScan {
-    fn kind(&self) -> AccessPathKind {
-        AccessPathKind::InvertedListScan
-    }
-
-    fn describe(&self) -> String {
-        format!("inverted-list-scan({})", self.tokens.join(" & "))
-    }
-
-    fn required_sidecar(&self) -> Option<IndexKind> {
-        Some(IndexKind::InvertedList)
-    }
-
-    fn execute(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
-        let dn = a.cluster.datanode(a.replica)?;
-        let indexed = IndexedBlock::open(dn.open_replica(a.block)?)?;
-
-        // Read the persisted sidecar; the replica must carry it or the
-        // planner mis-routed the read.
-        let (sidecar, list) = indexed.inverted_list_sidecar()?.ok_or_else(|| {
-            HailError::Internal("replica advertised an inverted-list sidecar it lacks".into())
-        })?;
-        let sidecar_bytes = sidecar.sidecar_bytes;
-
-        let mut stats = TaskStats {
-            serial_pricing: true,
-            ..Default::default()
-        };
-        dn.charge_range_read(sidecar_bytes, &mut stats.ledger)?;
-        stats.sidecar_bytes_read += sidecar_bytes as u64;
-        let mut remote_bytes = sidecar_bytes as u64;
-
-        let token_refs: Vec<&str> = self.tokens.iter().map(String::as_str).collect();
-        let hits = list.search_all(&token_refs);
-        // Only the matching bad records are fetched from the block.
-        if !hits.is_empty() {
-            let bad = indexed.pax().bad_records()?;
-            for id in hits {
-                let line = bad.get(id as usize).ok_or_else(|| {
-                    HailError::Corrupt(format!(
-                        "inverted list names bad record {id} of {}",
-                        bad.len()
-                    ))
-                })?;
-                let line_bytes = line.len() as u64;
-                stats.ledger.disk_read += line_bytes;
-                remote_bytes += line_bytes;
-                emit(MapRecord::bad(line.clone()));
-                stats.records += 1;
-            }
         }
         a.charge_remote(&mut stats, remote_bytes);
         stats.paths.record(self.kind());

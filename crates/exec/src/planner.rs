@@ -4,17 +4,12 @@
 //! For each block of a dataset the planner consults the namenode's
 //! per-replica directory (`Dir_rep`, §3.3) for what each replica
 //! physically offers — clustered index and key column, trojan header,
-//! replica size, and the §3.5 sidecar extension indexes (bitmaps over
-//! low-cardinality columns, the inverted list over bad records) with
-//! their stored sizes — enumerates the candidate `(replica, access
-//! path)` pairs, prices each with the `hail-sim` cost model, and picks
-//! the cheapest. Sidecar paths are offered *only* for replicas whose
-//! `Dir_rep` entry records the sidecar, priced from its stored byte
-//! size, and annotated in `explain()` output as `[sidecar N B]`. The
-//! result is an explainable [`QueryPlan`] that the input formats turn
-//! into input splits (scheduling) and per-block reads (execution), so
-//! neither the scheduler nor the record readers re-derive replica or
-//! index choices anywhere else.
+//! replica size — enumerates the candidate `(replica, access path)`
+//! pairs, prices each with the `hail-sim` cost model, and picks the
+//! cheapest. The result is an explainable [`QueryPlan`] that the input
+//! formats turn into input splits (scheduling) and per-block reads
+//! (execution), so neither the scheduler nor the record readers
+//! re-derive replica or index choices anywhere else.
 //!
 //! Planning is stateless and cold: every job prices every block it
 //! does not prune, against the current `Dir_rep`, the query and the
@@ -63,8 +58,7 @@
 
 use crate::feedback::{SelectivityChoice, SelectivityFeedback};
 use crate::path::{
-    AccessPath, BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan,
-    ScanLayout, TrojanIndexScan,
+    AccessPath, BlockAccess, ClusteredIndexScan, FullScan, ScanLayout, TrojanIndexScan,
 };
 use hail_core::{Dataset, DatasetFormat, HailQuery, Predicate};
 use hail_dfs::DfsCluster;
@@ -133,16 +127,12 @@ impl SelectivityEstimate {
 }
 
 /// Planner configuration: selectivity estimates and the query-shape
-/// knobs. Which sidecar extension indexes exist is *not* configured
-/// here: the planner discovers them per replica from the namenode's
-/// `Dir_rep` directory, where the upload pipeline registered them.
+/// knobs. Which indexes and synopses exist is *not* configured here:
+/// the planner discovers them per replica from the namenode's `Dir_rep`
+/// directory, where the upload pipeline registered them.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     pub estimate: SelectivityEstimate,
-    /// When non-empty, the query is a bad-record token search: every
-    /// block is served by [`InvertedListScan`] over these tokens, on a
-    /// replica whose `Dir_rep` entry records an inverted-list sidecar.
-    pub bad_record_tokens: Vec<String>,
     /// Field delimiter for text (Hadoop) blocks; `None` uses the
     /// cluster's [`hail_types::StorageConfig::delimiter`].
     pub text_delimiter: Option<char>,
@@ -169,7 +159,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             estimate: SelectivityEstimate::default(),
-            bad_record_tokens: Vec::new(),
             text_delimiter: None,
             plan_cache: None,
             feedback: None,
@@ -212,9 +201,6 @@ pub struct Candidate {
     pub kind: AccessPathKind,
     pub detail: String,
     pub est_seconds: f64,
-    /// Stored size of the sidecar this candidate reads, for the sidecar
-    /// paths (from `Dir_rep`, not a guess).
-    pub sidecar_bytes: Option<usize>,
 }
 
 /// The planner's decision for one block.
@@ -235,9 +221,6 @@ pub struct BlockPlan {
     /// True if the query wanted an index but no live replica offers one
     /// — HAIL's failover story, surfaced as `fell_back_to_scan`.
     pub fallback: bool,
-    /// Stored sidecar size behind the chosen path, when it is a sidecar
-    /// path.
-    pub sidecar_bytes: Option<usize>,
     /// The per-column selectivities this plan was priced with: the
     /// static prior's, for each filter column — one list per plan, which
     /// its block plans share.
@@ -309,10 +292,6 @@ impl QueryPlan {
             },
         );
         for bp in &self.blocks {
-            let sidecar = match bp.sidecar_bytes {
-                Some(n) => format!("  [sidecar {n} B]"),
-                None => String::new(),
-            };
             // The estimate that priced this plan; always the prior.
             let mut sel = String::new();
             for sc in bp.selectivity.iter() {
@@ -325,7 +304,7 @@ impl QueryPlan {
             };
             let _ = writeln!(
                 out,
-                "  block {}: DN{} {}  est {:.3}s  ({} candidate{}){}{}{}{}{}",
+                "  block {}: DN{} {}  est {:.3}s  ({} candidate{}){}{}{}{}",
                 bp.block,
                 bp.replica + 1,
                 bp.path.describe(),
@@ -333,7 +312,6 @@ impl QueryPlan {
                 bp.candidates.len(),
                 if bp.candidates.len() == 1 { "" } else { "s" },
                 sel,
-                sidecar,
                 if bp.pruned.is_some() {
                     // A pruned plan was never priced; "[priced]" would
                     // misreport the zero evaluations it cost.
@@ -458,10 +436,7 @@ impl<'a> QueryPlanner<'a> {
     /// all dead degrades to a full-scan plan over the namenode's
     /// (possibly empty) location list instead of erroring — as in HDFS,
     /// split computation succeeds and the failure surfaces at read
-    /// time. Unknown blocks still error, and so do bad-record token
-    /// searches that cannot be served (no live replica stores the
-    /// inverted-list sidecar): a full scan is not a substitute for a
-    /// token search, so there is nothing to degrade to.
+    /// time. Unknown blocks still error.
     pub fn plan_lenient(
         &self,
         format: DatasetFormat,
@@ -490,13 +465,7 @@ impl<'a> QueryPlanner<'a> {
             degraded.push(planned.is_err());
             match planned {
                 Ok(bp) => plans.push(bp),
-                Err(e) => {
-                    // A token search cannot degrade to a full scan — the
-                    // scan would emit good records the search never
-                    // asked for. Surface the missing sidecar instead.
-                    if !self.config.bad_record_tokens.is_empty() {
-                        return Err(e);
-                    }
+                Err(_) => {
                     // Distinguish "unknown block" (propagate) from "no
                     // live replica" (degrade).
                     let hosts = self.cluster.namenode().get_hosts(b)?;
@@ -511,7 +480,6 @@ impl<'a> QueryPlanner<'a> {
                         candidates: Vec::new(),
                         fallback: format != DatasetFormat::HadoopText
                             && !query.filter_columns().is_empty(),
-                        sidecar_bytes: None,
                         selectivity: Arc::from([]),
                         pruned: None,
                     });
@@ -620,7 +588,6 @@ impl<'a> QueryPlanner<'a> {
             locations,
             candidates: Vec::new(),
             fallback: false,
-            sidecar_bytes: None,
             selectivity,
             pruned: Some(info),
         }
@@ -657,8 +624,7 @@ impl<'a> QueryPlanner<'a> {
                         path: Arc<dyn AccessPath + Send + Sync>,
                         ledger: CostLedger,
                         serial: bool,
-                        replica_bytes: usize,
-                        sidecar_bytes: Option<usize>| {
+                        replica_bytes: usize| {
             let scale = ScaleFactor::from_block_sizes(replica_bytes.max(1), LOGICAL_BLOCK);
             let est_seconds = if serial {
                 ledger.serial_seconds(&profile, scale)
@@ -671,150 +637,63 @@ impl<'a> QueryPlanner<'a> {
                     kind: path.kind(),
                     detail: path.describe(),
                     est_seconds,
-                    sidecar_bytes,
                 },
                 path,
             });
         };
 
-        // A bad-record token search short-circuits every other path.
-        if !self.config.bad_record_tokens.is_empty() {
-            // Only HAIL PAX blocks carry a queryable bad-record section;
-            // reject other formats up front instead of failing at read
-            // time.
-            if format != DatasetFormat::HailPax {
-                return Err(HailError::Job(format!(
-                    "bad-record token search requires a HAIL PAX dataset, got {format:?}"
-                )));
-            }
-            // Only replicas whose Dir_rep entry records an inverted-list
-            // sidecar can serve the search; the read never rebuilds one.
-            for info in &replicas {
-                let Some(sidecar) = info.index.inverted_list() else {
-                    continue;
-                };
-                let ledger = CostLedger {
-                    // The persisted list's stored size, not a guess.
-                    disk_read: sidecar.sidecar_bytes as u64,
+        for info in &replicas {
+            let data_bytes = info
+                .replica_bytes
+                .saturating_sub(info.index.index_bytes + info.index.sidecar_bytes_total())
+                as u64;
+
+            // Full scan: always possible, streams everything.
+            let scan_layout = self.scan_layout(format);
+            push(
+                info.datanode,
+                Arc::new(FullScan::new(scan_layout)),
+                CostLedger {
+                    disk_read: info.replica_bytes as u64,
+                    scan_cpu: data_bytes,
                     seeks: 1,
                     ..Default::default()
-                };
-                push(
-                    info.datanode,
-                    Arc::new(InvertedListScan {
-                        tokens: self.config.bad_record_tokens.clone(),
-                    }),
-                    ledger,
-                    true,
-                    info.replica_bytes,
-                    Some(sidecar.sidecar_bytes),
-                );
-            }
-            if priced.is_empty() {
-                return Err(HailError::Job(format!(
-                    "bad-record token search on block {block}: no live replica stores an \
-                     inverted-list sidecar (upload with \
-                     `ReplicaIndexConfig::with_inverted_list`)"
-                )));
-            }
-        } else {
-            for info in &replicas {
-                let data_bytes = info
-                    .replica_bytes
-                    .saturating_sub(info.index.index_bytes + info.index.sidecar_bytes_total())
-                    as u64;
+                },
+                false,
+                info.replica_bytes,
+            );
 
-                // Full scan: always possible, streams everything.
-                let scan_layout = self.scan_layout(format);
-                push(
-                    info.datanode,
-                    Arc::new(FullScan::new(scan_layout)),
-                    CostLedger {
-                        disk_read: info.replica_bytes as u64,
-                        scan_cpu: data_bytes,
-                        seeks: 1,
-                        ..Default::default()
-                    },
-                    false,
-                    info.replica_bytes,
-                    None,
-                );
-
-                // Index scan on this replica's own index (clustered on a
-                // HAIL replica, trojan on a Hadoop++ block), when the
-                // query ranges over its key column. Both share the same
-                // cost shape: read the index, then the qualifying
-                // fraction; they differ in the path object and the seek
-                // count (the clustered scan seeks per column region,
-                // approximated as one extra).
-                if let Some(column) = info.index.key_column {
-                    let index_path: Option<(Arc<dyn AccessPath + Send + Sync>, u64)> = match info
-                        .index
-                        .kind
-                    {
+            // Index scan on this replica's own index (clustered on a
+            // HAIL replica, trojan on a Hadoop++ block), when the
+            // query ranges over its key column. Both share the same
+            // cost shape: read the index, then the qualifying
+            // fraction; they differ in the path object and the seek
+            // count (the clustered scan seeks per column region,
+            // approximated as one extra).
+            if let Some(column) = info.index.key_column {
+                let index_path: Option<(Arc<dyn AccessPath + Send + Sync>, u64)> =
+                    match info.index.kind {
                         IndexKind::Clustered => Some((Arc::new(ClusteredIndexScan { column }), 3)),
                         IndexKind::Trojan => Some((Arc::new(TrojanIndexScan { column }), 2)),
                         _ => None,
                     };
-                    if let Some((path, seeks)) = index_path {
-                        if query.bounds_on(column).is_some() {
-                            let sel = self.config.estimate.for_column(column);
-                            let touched = (sel * data_bytes as f64) as u64;
-                            push(
-                                info.datanode,
-                                path,
-                                CostLedger {
-                                    disk_read: info.index.index_bytes as u64 + touched,
-                                    scan_cpu: touched,
-                                    seeks,
-                                    ..Default::default()
-                                },
-                                true,
-                                info.replica_bytes,
-                                None,
-                            );
-                        }
+                if let Some((path, seeks)) = index_path {
+                    if query.bounds_on(column).is_some() {
+                        let sel = self.config.estimate.for_column(column);
+                        let touched = (sel * data_bytes as f64) as u64;
+                        push(
+                            info.datanode,
+                            path,
+                            CostLedger {
+                                disk_read: info.index.index_bytes as u64 + touched,
+                                scan_cpu: touched,
+                                seeks,
+                                ..Default::default()
+                            },
+                            true,
+                            info.replica_bytes,
+                        );
                     }
-                }
-
-                // Sidecar bitmap scan for equality on a column whose
-                // bitmap this replica physically stores (per Dir_rep).
-                // Replicas without the sidecar never produce a bitmap
-                // candidate — there is nothing to read there. Only HAIL
-                // PAX containers carry a sidecar region, so other
-                // formats are excluded at plan time even if a crafted
-                // Dir_rep entry claims one.
-                let sidecars = if format == DatasetFormat::HailPax {
-                    info.index.sidecars.as_slice()
-                } else {
-                    &[]
-                };
-                for sidecar in sidecars {
-                    let IndexKind::Bitmap { column } = sidecar.kind else {
-                        continue;
-                    };
-                    if !crate::feedback::has_eq_on(query, column) {
-                        continue;
-                    }
-                    let sel = self.config.estimate.for_column(column);
-                    let touched = (sel * data_bytes as f64) as u64;
-                    push(
-                        info.datanode,
-                        Arc::new(BitmapScan { column }),
-                        CostLedger {
-                            // The persisted sidecar's stored size plus
-                            // the qualifying fraction of the data.
-                            disk_read: sidecar.sidecar_bytes as u64 + touched,
-                            scan_cpu: touched,
-                            // Matching rows scatter: estimate a seek per
-                            // 16 touched KB.
-                            seeks: 2 + touched / (16 * 1024),
-                            ..Default::default()
-                        },
-                        true,
-                        info.replica_bytes,
-                        Some(sidecar.sidecar_bytes),
-                    );
                 }
             }
         }
@@ -840,24 +719,13 @@ impl<'a> QueryPlanner<'a> {
         let chosen_kind = best.candidate.kind;
         let path = Arc::clone(&best.path);
         let est_seconds = best.candidate.est_seconds;
-        let sidecar_bytes = best.candidate.sidecar_bytes;
 
         // Locations: chosen replica first, then remaining live holders.
-        // A sidecar path can only run where the sidecar is stored, so
-        // the scheduler must not treat sidecar-less holders as local
-        // placements for it.
-        let required_sidecar = path.required_sidecar();
         let mut locations = vec![chosen_replica];
         for info in &replicas {
-            if locations.contains(&info.datanode) {
-                continue;
+            if !locations.contains(&info.datanode) {
+                locations.push(info.datanode);
             }
-            if let Some(kind) = required_sidecar {
-                if !info.index.sidecars.iter().any(|s| s.kind == kind) {
-                    continue;
-                }
-            }
-            locations.push(info.datanode);
         }
 
         Ok(BlockPlan {
@@ -871,7 +739,6 @@ impl<'a> QueryPlanner<'a> {
             fallback: wanted_index
                 && !had_index_candidate
                 && chosen_kind == AccessPathKind::FullScan,
-            sidecar_bytes,
             selectivity,
             pruned: None,
         })
@@ -1014,12 +881,6 @@ impl<'a> QueryPlanner<'a> {
         match bp.kind {
             // A full scan can read any replica.
             AccessPathKind::FullScan => task_node,
-            // Bitmap/inverted sidecars are sort-order independent, and
-            // `plan_block` already restricted `locations` to replicas
-            // whose Dir_rep entry stores the required sidecar — any
-            // task node that passed the membership guard above can
-            // serve the read.
-            AccessPathKind::BitmapScan | AccessPathKind::InvertedListScan => task_node,
             // Trojan indexes are identical on every replica (§5).
             AccessPathKind::TrojanIndexScan => task_node,
             // A clustered index exists only on replicas sorted on the
@@ -1265,159 +1126,6 @@ mod tests {
                 assert!(advised.contains(&col), "{}: column {col}", q.id);
             }
         }
-    }
-
-    /// Equality on a column with a persisted bitmap sidecar routes
-    /// through the bitmap path and still matches a scan's results.
-    #[test]
-    fn bitmap_scan_chosen_and_correct() {
-        let mut storage = StorageConfig::test_scale(1 << 20);
-        storage.index_partition_size = 32;
-        let mut c = DfsCluster::new(3, storage);
-        let schema = Schema::new(vec![
-            Field::new("country", DataType::VarChar),
-            Field::new("v", DataType::Int),
-        ])
-        .unwrap();
-        const COUNTRIES: [&str; 4] = ["USA", "DEU", "FRA", "BRA"];
-        let text: String = (0..800)
-            .map(|i| format!("{}|{}\n", COUNTRIES[i % 4], i))
-            .collect();
-        let ds = upload_hail(
-            &mut c,
-            &schema,
-            "t",
-            &[(0, text)],
-            &ReplicaIndexConfig::first_indexed(3, &[1]).with_bitmap(0),
-        )
-        .unwrap();
-
-        let q = HailQuery::parse("@1 = 'DEU'", "{@2}", &schema).unwrap();
-        let planner = QueryPlanner::new(&c);
-        let plan = planner.plan_dataset(&ds, &q).unwrap();
-        assert_eq!(plan.blocks[0].kind, AccessPathKind::BitmapScan);
-        // The plan carries the stored sidecar size and explains it.
-        let stored = c
-            .namenode()
-            .replica_index(ds.blocks[0], plan.blocks[0].replica)
-            .unwrap()
-            .bitmap_on(0)
-            .unwrap()
-            .sidecar_bytes;
-        assert_eq!(plan.blocks[0].sidecar_bytes, Some(stored));
-        assert!(plan.explain().contains(&format!("[sidecar {stored} B]")));
-
-        let mut via_bitmap = Vec::new();
-        let stats = planner
-            .execute_block(&plan, ds.blocks[0], 0, &schema, &q, &mut |r| {
-                via_bitmap.push(r)
-            })
-            .unwrap();
-        assert!(stats.paths.get(AccessPathKind::BitmapScan) == 1);
-        assert_eq!(stats.sidecar_bytes_read, stored as u64);
-
-        // Oracle: full scan with the default planner.
-        let scan_planner = QueryPlanner::new(&c);
-        let scan_plan = scan_planner
-            .plan(DatasetFormat::HailPax, &ds.blocks, &HailQuery::full_scan())
-            .unwrap();
-        let mut via_scan = Vec::new();
-        scan_planner
-            .execute_block(
-                &scan_plan,
-                ds.blocks[0],
-                0,
-                &schema,
-                &HailQuery::full_scan(),
-                &mut |r| {
-                    if !r.bad && r.row.get(0).unwrap().as_str() == Some("DEU") {
-                        via_scan.push(r.row.project(&[1]));
-                    }
-                },
-            )
-            .unwrap();
-        let mut got: Vec<String> = via_bitmap
-            .iter()
-            .filter(|r| !r.bad)
-            .map(|r| r.row.to_string())
-            .collect();
-        let mut expected: Vec<String> = via_scan.iter().map(|r| r.to_string()).collect();
-        got.sort();
-        expected.sort();
-        assert_eq!(got, expected);
-        assert!(!got.is_empty());
-    }
-
-    /// Bad-record token searches route through the inverted list and
-    /// return only matching bad records.
-    #[test]
-    fn inverted_list_scan_serves_bad_record_search() {
-        let mut storage = StorageConfig::test_scale(1 << 20);
-        storage.index_partition_size = 32;
-        let mut c = DfsCluster::new(3, storage);
-        let schema = schema();
-        let text = "1|one\nERROR timeout at DN3\n2|two\ngarbage ###GARBAGE### line\n3|three\n";
-        let ds = upload_hail(
-            &mut c,
-            &schema,
-            "t",
-            &[(0, text.into())],
-            &ReplicaIndexConfig::first_indexed(3, &[0]).with_inverted_list(),
-        )
-        .unwrap();
-
-        let config = PlannerConfig {
-            bad_record_tokens: vec!["error".into(), "timeout".into()],
-            ..Default::default()
-        };
-        let planner = QueryPlanner::with_config(&c, config);
-        let q = HailQuery::full_scan();
-        let plan = planner.plan_dataset(&ds, &q).unwrap();
-        assert_eq!(plan.blocks[0].kind, AccessPathKind::InvertedListScan);
-        assert!(plan
-            .explain()
-            .contains("inverted-list-scan(error & timeout)"));
-
-        let mut records = Vec::new();
-        planner
-            .execute_block(&plan, ds.blocks[0], 0, &schema, &q, &mut |r| {
-                records.push(r)
-            })
-            .unwrap();
-        assert_eq!(records.len(), 1);
-        assert!(records[0].bad);
-        assert_eq!(
-            records[0].row.get(0).unwrap().as_str(),
-            Some("ERROR timeout at DN3")
-        );
-    }
-
-    /// Bad-record searches are rejected up front on formats whose
-    /// blocks carry no queryable bad-record section, and on PAX
-    /// datasets uploaded without the inverted-list sidecar.
-    #[test]
-    fn bad_record_search_rejected_without_sidecar() {
-        let (c, ds) = setup(100); // uploaded without sidecars
-        let config = PlannerConfig {
-            bad_record_tokens: vec!["error".into()],
-            ..Default::default()
-        };
-        let planner = QueryPlanner::with_config(&c, config);
-        let q = HailQuery::full_scan();
-        for format in [DatasetFormat::HadoopText, DatasetFormat::HadoopPlusPlus] {
-            let err = planner.plan(format, &ds.blocks, &q).unwrap_err();
-            assert!(err.to_string().contains("HAIL PAX"), "{format:?}: {err}");
-        }
-        // PAX, but no replica persisted an inverted list: the search
-        // cannot run (and must not silently degrade to a full scan).
-        let err = planner
-            .plan(DatasetFormat::HailPax, &ds.blocks, &q)
-            .unwrap_err();
-        assert!(err.to_string().contains("inverted-list sidecar"), "{err}");
-        let err = planner
-            .plan_lenient(DatasetFormat::HailPax, &ds.blocks, &q)
-            .unwrap_err();
-        assert!(err.to_string().contains("inverted-list sidecar"), "{err}");
     }
 
     /// Planner estimates scale with the logical block: a candidate's

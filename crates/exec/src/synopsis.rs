@@ -18,7 +18,7 @@
 //! - the block has *any* bad records ⇒ no prune, because every access
 //!   path emits bad records unconditionally and skipping the block
 //!   would drop them;
-//! - bad-record token searches and non-PAX formats are never pruned.
+//! - non-PAX formats are never pruned.
 //!
 //! Each holder is opened at most once per decision, however many
 //! synopses are probed on it (`Holders`), and only as far as its tail
@@ -89,10 +89,7 @@ pub(crate) fn try_prune(
     block: BlockId,
     query: &HailQuery,
 ) -> Option<PruneInfo> {
-    if !config.synopsis_pruning
-        || format != DatasetFormat::HailPax
-        || !config.bad_record_tokens.is_empty()
-    {
+    if !config.synopsis_pruning || format != DatasetFormat::HailPax {
         return None;
     }
     let mut columns = query.filter_columns();

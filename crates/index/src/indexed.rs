@@ -2,10 +2,10 @@
 //!
 //! This is the physical file each datanode flushes for one replica
 //! (Fig. 1's *HAIL Block*): the (sorted) PAX block, followed by the
-//! serialized clustered index, followed by the §3.5 sidecar extension
-//! indexes (bitmaps over low-cardinality columns, an inverted list over
-//! the bad-record section), followed by a trailer holding the index
-//! metadata — sidecar directory included — and layout offsets.
+//! serialized clustered index, followed by the sidecar synopses (zone
+//! maps and Bloom filters for block skipping), followed by a trailer
+//! holding the index metadata — sidecar directory included — and layout
+//! offsets.
 //!
 //! ```text
 //! ┌──────────────────────────────┐
@@ -14,8 +14,7 @@
 //! │ index bytes (may be empty)   │
 //! ├──────────────────────────────┤
 //! │ sidecar region (may be empty)│
-//! │   bitmap(s) · zone map(s)    │
-//! │   bloom(s) · inverted list   │
+//! │   zone map(s) · bloom(s)     │
 //! ├──────────────────────────────┤
 //! │ IndexMetadata (variable:     │
 //! │   primary + sidecar dir)     │
@@ -38,27 +37,23 @@
 //! of a block differ only in row order, so what does not depend on row
 //! order is computed once per block and borrowed by every replica's
 //! build — the located varchar rows the sort gathers from
-//! ([`hail_pax::BlockRows`]), each zone map and each Bloom filter, and
-//! the decoded bad records if an inverted list wants them: that is
-//! [`BlockPrep`]. Per replica there remain the sort itself, the
-//! clustered index over the sorted keys, the bitmaps (their bits are
-//! rowids of the *stored* order) and the assembly. Every structure is
-//! built from values borrowed from the block; nothing is decoded into a
-//! `Vec<Value>`. Zone maps and Bloom filters read their values off the
-//! rows already located for the sort ([`BlockRows::values`]), the
-//! bitmaps through a cursor over the stored block, and the synopses
-//! need only the bad-record count, not the records.
+//! ([`hail_pax::BlockRows`]), each zone map and each Bloom filter: that
+//! is [`BlockPrep`]. Per replica there remain the sort itself, the
+//! clustered index over the sorted keys and the assembly. Every
+//! structure is built from values borrowed from the block; nothing is
+//! decoded into a `Vec<Value>`. Zone maps and Bloom filters read their
+//! values off the rows already located for the sort
+//! ([`BlockRows::values`]), and need only the bad-record count, not the
+//! records.
 
-use crate::bitmap::{BitmapIndex, DEFAULT_CARDINALITY_LIMIT};
 use crate::clustered::ClusteredIndex;
 use crate::infallible;
-use crate::inverted::InvertedList;
 use crate::metadata::{IndexKind, IndexMetadata, SidecarMetadata};
 use crate::sort::{SidecarSpec, SortOrder};
 use crate::synopsis::{BloomSynopsis, ZoneMapSynopsis};
 use bytes::Bytes;
 use hail_pax::{BlockRows, PaxBlock, ReplicaBytes};
-use hail_types::{HailError, Result, ValueRef};
+use hail_types::{HailError, Result};
 use std::sync::Arc;
 
 /// Trailer magic ("LIAH").
@@ -67,9 +62,9 @@ pub const TRAILER_MAGIC: u32 = 0x4841_494C;
 pub const TRAILER_LEN: usize = 5 * 4;
 
 /// A replica's physical content, parsed: the PAX data plus its optional
-/// clustered index. Sidecar extension indexes stay serialized in the
-/// replica and decode lazily via [`IndexedBlock::bitmap`] /
-/// [`IndexedBlock::inverted_list`].
+/// clustered index. Sidecar synopses stay serialized in the replica and
+/// decode lazily via [`IndexedBlock::zone_map`] /
+/// [`IndexedBlock::bloom`].
 #[derive(Debug, Clone)]
 pub struct IndexedBlock {
     pax: PaxBlock,
@@ -91,16 +86,6 @@ pub struct ReplicaTail {
     index_len: usize,
 }
 
-/// Column `column` of `pax` in rowid order, each value borrowed from the
-/// block.
-fn column_refs(
-    pax: &PaxBlock,
-    column: usize,
-) -> Result<impl ExactSizeIterator<Item = Result<ValueRef<'_>>>> {
-    let mut cursor = pax.cursor(column)?;
-    Ok((0..pax.row_count()).map(move |row| cursor.get(row)))
-}
-
 /// One uploaded block, prepared for building its replicas: everything a
 /// replica's build needs that does not depend on the replica's row
 /// order, each computed at most once — on the first
@@ -113,7 +98,6 @@ fn column_refs(
 pub struct BlockPrep<'a> {
     block: &'a PaxBlock,
     rows: Option<BlockRows<'a>>,
-    bad_records: Option<Vec<String>>,
     zone_maps: Vec<ZoneMapSynopsis>,
     blooms: Vec<BloomSynopsis>,
 }
@@ -135,18 +119,14 @@ impl<'a> BlockPrep<'a> {
         BlockPrep {
             block,
             rows: None,
-            bad_records: None,
             zone_maps: Vec::new(),
             blooms: Vec::new(),
         }
     }
 
     /// Builds one replica's content: sorts (if requested), builds the
-    /// clustered index over the sorted key column and the §3.5 sidecar
-    /// extension indexes the spec asks for, and serializes the
-    /// container. Bitmap columns whose cardinality exceeds
-    /// [`DEFAULT_CARDINALITY_LIMIT`] are skipped (the replica simply
-    /// stores no bitmap for them) rather than failing the upload.
+    /// clustered index over the sorted key column and the sidecar
+    /// synopses the spec asks for, and serializes the container.
     pub fn build(&mut self, order: SortOrder, spec: &SidecarSpec) -> Result<IndexedBlock> {
         let block = self.block;
         let (pax, index) = match order {
@@ -158,20 +138,6 @@ impl<'a> BlockPrep<'a> {
                 (sorted, Some(index))
             }
         };
-        // Bitmaps index rowids of the *stored* (possibly sorted) block.
-        let mut bitmaps: Vec<BitmapIndex> = Vec::new();
-        for &column in &spec.bitmap_columns {
-            // A hand-built spec may repeat a column; one sidecar is
-            // enough.
-            if bitmaps.iter().any(|b| b.column() == column) {
-                continue;
-            }
-            bitmaps.extend(BitmapIndex::from_refs(
-                column,
-                column_refs(&pax, column)?,
-                DEFAULT_CARDINALITY_LIMIT,
-            )?);
-        }
         // Zone maps and Bloom filters summarize the same rows in every
         // replica, read off the located block; both persist the
         // bad-record count so the prune pass can back off on any block
@@ -191,22 +157,15 @@ impl<'a> BlockPrep<'a> {
                 self.blooms.push(infallible(bloom));
             }
         }
-        let inverted = match (spec.inverted_list, &mut self.bad_records) {
-            (false, _) => None,
-            (true, Some(bad)) => Some(InvertedList::build(bad)),
-            (true, empty) => Some(InvertedList::build(empty.insert(block.bad_records()?))),
-        };
         IndexedBlock::assemble_with(
             pax,
             index,
-            &bitmaps,
             &wanted(
                 &self.zone_maps,
                 &spec.zone_map_columns,
                 ZoneMapSynopsis::column,
             ),
             &wanted(&self.blooms, &spec.bloom_columns, BloomSynopsis::column),
-            inverted.as_ref(),
         )
     }
 }
@@ -232,8 +191,8 @@ impl IndexedBlock {
         Self::build_with(block, order, &SidecarSpec::default())
     }
 
-    /// Like [`IndexedBlock::build`], but additionally builds the §3.5
-    /// sidecar extension indexes the spec asks for: [`BlockPrep::build`]
+    /// Like [`IndexedBlock::build`], but additionally builds the sidecar
+    /// synopses the spec asks for: [`BlockPrep::build`]
     /// for a block of which only this one replica is built.
     pub fn build_with(
         block: &PaxBlock,
@@ -245,34 +204,28 @@ impl IndexedBlock {
 
     /// Serializes a (pax, index) pair into the container format.
     pub fn assemble(pax: PaxBlock, index: Option<ClusteredIndex>) -> Result<IndexedBlock> {
-        Self::assemble_with(pax, index, &[], &[], &[], None)
+        Self::assemble_with(pax, index, &[], &[])
     }
 
     /// Serializes PAX data, an optional clustered index, and the built
-    /// sidecar extension indexes into the container format.
+    /// sidecar synopses into the container format.
     pub fn assemble_with(
         pax: PaxBlock,
         index: Option<ClusteredIndex>,
-        bitmaps: &[BitmapIndex],
         zone_maps: &[&ZoneMapSynopsis],
         blooms: &[&BloomSynopsis],
-        inverted: Option<&InvertedList>,
     ) -> Result<IndexedBlock> {
         let index_bytes = index
             .as_ref()
             .map(ClusteredIndex::to_bytes)
             .unwrap_or_default();
 
-        // Sidecar region: bitmaps in configuration order, then the
-        // synopses, then the inverted list; offsets are absolute within
-        // the replica file.
+        // Sidecar region: the zone maps, then the Bloom filters, each in
+        // configuration order; offsets are absolute within the replica
+        // file.
         let sidecar_base = pax.byte_len() + index_bytes.len();
         let mut sidecar_region = Vec::new();
         let mut sidecars = Vec::new();
-        let bitmaps = bitmaps.iter().map(|b| {
-            let kind = IndexKind::Bitmap { column: b.column() };
-            (kind, b.to_bytes())
-        });
         let zone_maps = zone_maps.iter().map(|z| {
             let kind = IndexKind::ZoneMap { column: z.column() };
             (kind, z.to_bytes())
@@ -281,8 +234,7 @@ impl IndexedBlock {
             let kind = IndexKind::Bloom { column: b.column() };
             (kind, b.to_bytes())
         });
-        let inverted = inverted.map(|list| (IndexKind::InvertedList, list.to_bytes()));
-        for (kind, encoded) in bitmaps.chain(zone_maps).chain(blooms).chain(inverted) {
+        for (kind, encoded) in zone_maps.chain(blooms) {
             sidecars.push(SidecarMetadata {
                 kind,
                 sidecar_bytes: encoded.len(),
@@ -368,29 +320,6 @@ impl IndexedBlock {
     /// The clustered index, if the replica has one.
     pub fn index(&self) -> Option<&ClusteredIndex> {
         self.index.as_ref()
-    }
-
-    /// The sidecar bitmap over `column` with its directory entry
-    /// ([`ReplicaTail::bitmap_sidecar`]).
-    pub fn bitmap_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BitmapIndex)>> {
-        self.tail.bitmap_sidecar(column)
-    }
-
-    /// Decodes the sidecar bitmap over `column`, if this replica stores
-    /// one (see [`ReplicaTail::bitmap_sidecar`]).
-    pub fn bitmap(&self, column: usize) -> Result<Option<BitmapIndex>> {
-        Ok(self.bitmap_sidecar(column)?.map(|(_, b)| b))
-    }
-
-    /// The sidecar inverted list with its directory entry
-    /// ([`ReplicaTail::inverted_list_sidecar`]).
-    pub fn inverted_list_sidecar(&self) -> Result<Option<(SidecarMetadata, InvertedList)>> {
-        self.tail.inverted_list_sidecar()
-    }
-
-    /// Decodes the sidecar inverted list over bad records, if stored.
-    pub fn inverted_list(&self) -> Result<Option<InvertedList>> {
-        Ok(self.inverted_list_sidecar()?.map(|(_, l)| l))
     }
 
     /// The sidecar zone map over `column` with its directory entry
@@ -521,20 +450,8 @@ impl ReplicaTail {
             .transpose()
     }
 
-    /// The sidecar bitmap over `column` together with its directory
-    /// entry (stored size and offset), if this replica stores one.
-    pub fn bitmap_sidecar(&self, column: usize) -> Result<Option<(SidecarMetadata, BitmapIndex)>> {
-        self.decode(self.meta.bitmap_on(column), BitmapIndex::from_bytes)
-    }
-
-    /// The sidecar inverted list over bad records together with its
-    /// directory entry, if stored.
-    pub fn inverted_list_sidecar(&self) -> Result<Option<(SidecarMetadata, InvertedList)>> {
-        self.decode(self.meta.inverted_list(), InvertedList::from_bytes)
-    }
-
     /// The sidecar zone map over `column` together with its directory
-    /// entry, if stored.
+    /// entry (stored size and offset), if this replica stores one.
     pub fn zone_map_sidecar(
         &self,
         column: usize,
@@ -604,9 +521,8 @@ mod tests {
     #[test]
     fn sidecars_round_trip_with_clustered_index() {
         let spec = SidecarSpec {
-            bitmap_columns: vec![0],
-            inverted_list: true,
-            ..SidecarSpec::default()
+            zone_map_columns: vec![1],
+            bloom_columns: vec![0],
         };
         let b = IndexedBlock::build_with(&pax_block(), SortOrder::Clustered { column: 0 }, &spec)
             .unwrap();
@@ -614,64 +530,36 @@ mod tests {
             b.index().is_some(),
             "sidecars coexist with the primary index"
         );
-        let bm = b.bitmap(0).unwrap().expect("bitmap sidecar");
-        assert_eq!(bm.row_count(), 5);
-        assert!(b.inverted_list().unwrap().is_some());
         assert_eq!(b.metadata().sidecars.len(), 2);
-        assert!(b.metadata().bitmap_on(0).is_some());
-        assert!(b.metadata().inverted_list().is_some());
+        assert!(b.metadata().zone_map_on(1).is_some());
+        assert!(b.metadata().bloom_on(0).is_some());
 
         let parsed = IndexedBlock::parse(b.bytes().clone()).unwrap();
-        assert_eq!(parsed.bitmap(0).unwrap().unwrap(), bm);
-        assert_eq!(parsed.inverted_list().unwrap(), b.inverted_list().unwrap());
+        assert_eq!(parsed.index().unwrap(), b.index().unwrap());
+        assert_eq!(parsed.zone_map(1).unwrap(), b.zone_map(1).unwrap());
+        assert_eq!(parsed.bloom(0).unwrap(), b.bloom(0).unwrap());
         assert_eq!(parsed.metadata(), b.metadata());
-        // The sidecar lookup answers the same rows as a scan of the
-        // sorted column.
-        assert_eq!(
-            parsed
-                .bitmap(0)
-                .unwrap()
-                .unwrap()
-                .rows_equal(&Value::Int(7)),
-            [3]
-        );
+        // The varchar zone map sees every name, whatever the row order.
+        let zm = parsed.zone_map(1).unwrap().unwrap();
+        let (lo, hi) = (Value::Str("five".into()), Value::Str("three".into()));
+        assert_eq!(zm.bounds(), Some((&lo, &hi)));
+        assert!(parsed
+            .bloom(0)
+            .unwrap()
+            .unwrap()
+            .might_contain(&Value::Int(7)));
     }
 
     #[test]
-    fn duplicate_bitmap_columns_store_one_sidecar() {
+    fn duplicate_synopsis_columns_store_one_sidecar() {
         let spec = SidecarSpec {
-            bitmap_columns: vec![0, 0, 0],
-            ..SidecarSpec::default()
+            zone_map_columns: vec![0, 0, 0],
+            bloom_columns: vec![1, 1],
         };
         let b = IndexedBlock::build_with(&pax_block(), SortOrder::Unsorted, &spec).unwrap();
-        assert_eq!(b.metadata().sidecars.len(), 1);
-        assert!(b.bitmap(0).unwrap().is_some());
-    }
-
-    #[test]
-    fn high_cardinality_bitmap_column_is_skipped() {
-        // Column 1 (varchar names) is unique per row; with a limit of 64
-        // and only 5 rows it fits, so craft a wide block instead.
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("v", DataType::VarChar),
-        ])
-        .unwrap();
-        let text: String = (0..200).map(|i| format!("{i}|name{i}\n")).collect();
-        let block = blocks_from_text(&text, &schema, &StorageConfig::test_scale(1 << 20))
-            .unwrap()
-            .pop()
-            .unwrap();
-        let spec = SidecarSpec {
-            bitmap_columns: vec![0, 1],
-            ..SidecarSpec::default()
-        };
-        // Both columns exceed the limit: the build succeeds with no
-        // bitmaps instead of erroring the upload.
-        let b = IndexedBlock::build_with(&block, SortOrder::Unsorted, &spec).unwrap();
-        assert!(b.bitmap(0).unwrap().is_none());
-        assert!(b.bitmap(1).unwrap().is_none());
-        assert!(b.metadata().sidecars.is_empty());
+        assert_eq!(b.metadata().sidecars.len(), 2);
+        assert!(b.zone_map(0).unwrap().is_some());
+        assert!(b.bloom(1).unwrap().is_some());
     }
 
     #[test]
@@ -680,7 +568,6 @@ mod tests {
         let spec = SidecarSpec {
             zone_map_columns: vec![0],
             bloom_columns: vec![0, 1],
-            ..SidecarSpec::default()
         };
         let b = IndexedBlock::build_with(&pax_block(), SortOrder::Clustered { column: 0 }, &spec)
             .unwrap();
@@ -848,7 +735,7 @@ mod tests {
     #[test]
     fn parse_rejects_corrupt_sidecar_directory() {
         let spec = SidecarSpec {
-            bitmap_columns: vec![0],
+            zone_map_columns: vec![0],
             ..SidecarSpec::default()
         };
         let b = IndexedBlock::build_with(&pax_block(), SortOrder::Unsorted, &spec).unwrap();
@@ -871,15 +758,6 @@ mod tests {
         let huge = u32::MAX;
         // column, rows, bad records, words
         assert!(BloomSynopsis::from_bytes(&words(&[0, 9, 0, huge, 1])).is_err());
-        // column, rows, one bitmap keyed "", its words
-        let mut bitmap = words(&[0, huge, 1]);
-        bitmap.extend_from_slice(&[0, 0, 1, 2, 3]);
-        assert!(BitmapIndex::from_bytes(&bitmap).is_err());
-        // records, one token "", its ids
-        let mut list = words(&[1, 1]);
-        list.extend_from_slice(&[0, 0]);
-        list.extend(words(&[huge, 7]));
-        assert!(InvertedList::from_bytes(&list).is_err());
         // key type, key column, partition size (granularity), rows, keys
         for index in [
             ClusteredIndex::from_bytes(&[&[0][..], &words(&[0, 1, huge, huge, 5])].concat())

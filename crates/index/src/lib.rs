@@ -9,15 +9,13 @@
 //! - [`trojan`] — the Hadoop++ trojan-index baseline
 //! - [`unclustered`] — dense unclustered index (ablation only)
 //! - [`selection`] — which attribute to index on which replica (§3.4)
-//! - [`bitmap`], [`inverted`] — the paper's §3.5 extension indexes:
-//!   bitmaps for low-cardinality domains, inverted lists for bad records
+//! - [`synopsis`] — per-block zone maps and Bloom filters for block
+//!   skipping, stored as sidecars next to the primary index
 
 #![forbid(unsafe_code)]
 
-pub mod bitmap;
 pub mod clustered;
 pub mod indexed;
-pub mod inverted;
 pub mod metadata;
 pub mod selection;
 pub mod sort;
@@ -25,10 +23,8 @@ pub mod synopsis;
 pub mod trojan;
 pub mod unclustered;
 
-pub use bitmap::{BitmapIndex, DEFAULT_CARDINALITY_LIMIT};
 pub use clustered::{ClusteredIndex, KeyBounds};
 pub use indexed::{BlockPrep, IndexedBlock, ReplicaTail, TRAILER_LEN, TRAILER_MAGIC};
-pub use inverted::{tokenize, InvertedList};
 pub use metadata::{
     HailBlockReplicaInfo, IndexKind, IndexMetadata, SidecarMetadata, SIDECAR_META_LEN,
 };
@@ -38,10 +34,9 @@ pub use synopsis::{BloomSynopsis, ZoneMapSynopsis};
 pub use trojan::{TrojanIndex, TROJAN_GRANULARITY};
 pub use unclustered::UnclusteredIndex;
 
-/// A value's display string — what the Bloom filter hashes and the bitmap
-/// index keys on. A string is lent as it lies in its block; any other
-/// value is formatted into `scratch`, which callers reuse from value to
-/// value.
+/// A value's display string — what the Bloom filter hashes. A string is
+/// lent as it lies in its block; any other value is formatted into
+/// `scratch`, which callers reuse from value to value.
 fn display_str<'s>(v: hail_types::ValueRef<'s>, scratch: &'s mut String) -> &'s str {
     match v {
         hail_types::ValueRef::Str(s) => s,

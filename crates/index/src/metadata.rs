@@ -17,10 +17,6 @@ pub enum IndexKind {
     Trojan,
     /// Unclustered rowid index (ablation only).
     Unclustered,
-    /// Sidecar bitmap index over a low-cardinality column (§3.5).
-    Bitmap { column: usize },
-    /// Sidecar inverted list over the block's bad-record section (§3.5).
-    InvertedList,
     /// Sidecar zone-map synopsis (min/max) over a column, for block
     /// skipping.
     ZoneMap { column: usize },
@@ -30,46 +26,38 @@ pub enum IndexKind {
 }
 
 impl IndexKind {
+    /// The kind's stored tag. Tags 4 and 5 are retired: they named
+    /// sidecar kinds this format no longer has, and decode as corrupt.
     fn tag(self) -> u8 {
         match self {
             IndexKind::None => 0,
             IndexKind::Clustered => 1,
             IndexKind::Trojan => 2,
             IndexKind::Unclustered => 3,
-            IndexKind::Bitmap { .. } => 4,
-            IndexKind::InvertedList => 5,
             IndexKind::ZoneMap { .. } => 6,
             IndexKind::Bloom { .. } => 7,
         }
     }
 
     /// Reconstructs a kind from its tag; `column` feeds the kinds that
-    /// carry one ([`IndexKind::Bitmap`], [`IndexKind::ZoneMap`],
-    /// [`IndexKind::Bloom`]).
+    /// carry one ([`IndexKind::ZoneMap`], [`IndexKind::Bloom`]). Unknown
+    /// and retired tags are [`HailError::Corrupt`].
     fn from_tag(t: u8, column: usize) -> Result<Self> {
         Ok(match t {
             0 => IndexKind::None,
             1 => IndexKind::Clustered,
             2 => IndexKind::Trojan,
             3 => IndexKind::Unclustered,
-            4 => IndexKind::Bitmap { column },
-            5 => IndexKind::InvertedList,
             6 => IndexKind::ZoneMap { column },
             7 => IndexKind::Bloom { column },
             other => return Err(HailError::Corrupt(format!("unknown index kind {other}"))),
         })
     }
 
-    /// True for the sidecar extension kinds that ride along with a
-    /// replica's primary (clustered/trojan) index.
+    /// True for the sidecar kinds that ride along with a replica's
+    /// primary (clustered/trojan) index.
     pub fn is_sidecar(self) -> bool {
-        matches!(
-            self,
-            IndexKind::Bitmap { .. }
-                | IndexKind::InvertedList
-                | IndexKind::ZoneMap { .. }
-                | IndexKind::Bloom { .. }
-        )
+        matches!(self, IndexKind::ZoneMap { .. } | IndexKind::Bloom { .. })
     }
 }
 
@@ -80,22 +68,20 @@ impl fmt::Display for IndexKind {
             IndexKind::Clustered => f.write_str("clustered"),
             IndexKind::Trojan => f.write_str("trojan"),
             IndexKind::Unclustered => f.write_str("unclustered"),
-            IndexKind::Bitmap { column } => write!(f, "bitmap(@{})", column + 1),
-            IndexKind::InvertedList => f.write_str("inverted-list"),
             IndexKind::ZoneMap { column } => write!(f, "zone-map(@{})", column + 1),
             IndexKind::Bloom { column } => write!(f, "bloom(@{})", column + 1),
         }
     }
 }
 
-/// One sidecar extension index stored with a replica, next to the PAX
-/// data and the primary index: what it is, where it starts in the
-/// replica's file, and how many bytes it occupies. Mirrored into the
-/// namenode's `Dir_rep` so the planner can price a sidecar read without
+/// One sidecar synopsis stored with a replica, next to the PAX data and
+/// the primary index: what it is, where it starts in the replica's file,
+/// and how many bytes it occupies. Mirrored into the namenode's `Dir_rep`
+/// so the planner finds a replica's synopses, and their sizes, without
 /// touching the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SidecarMetadata {
-    /// [`IndexKind::Bitmap`] or [`IndexKind::InvertedList`].
+    /// [`IndexKind::ZoneMap`] or [`IndexKind::Bloom`].
     pub kind: IndexKind,
     /// Serialized sidecar size in bytes.
     pub sidecar_bytes: usize,
@@ -113,9 +99,7 @@ impl SidecarMetadata {
         buf.push(self.kind.tag());
         buf.extend_from_slice(&[0u8; 3]); // padding
         let column = match self.kind {
-            IndexKind::Bitmap { column }
-            | IndexKind::ZoneMap { column }
-            | IndexKind::Bloom { column } => column,
+            IndexKind::ZoneMap { column } | IndexKind::Bloom { column } => column,
             _ => 0,
         };
         put_u32(&mut buf, column as u32);
@@ -136,7 +120,7 @@ impl SidecarMetadata {
         let kind = IndexKind::from_tag(tag, column)?;
         if !kind.is_sidecar() {
             return Err(HailError::Corrupt(format!(
-                "index kind `{kind}` is not a sidecar extension index"
+                "index kind `{kind}` is not a sidecar"
             )));
         }
         let sidecar_bytes = r.u32()? as usize;
@@ -161,8 +145,8 @@ pub struct IndexMetadata {
     pub index_bytes: usize,
     /// Byte offset of the index region within the replica's file.
     pub index_offset: usize,
-    /// Sidecar extension indexes (bitmaps, inverted list) stored with
-    /// this replica, in file order.
+    /// Sidecar synopses (zone maps, Bloom filters) stored with this
+    /// replica, in file order.
     pub sidecars: Vec<SidecarMetadata>,
 }
 
@@ -176,20 +160,6 @@ impl IndexMetadata {
             index_offset: 0,
             sidecars: Vec::new(),
         }
-    }
-
-    /// The sidecar bitmap over `column`, if this replica stores one.
-    pub fn bitmap_on(&self, column: usize) -> Option<&SidecarMetadata> {
-        self.sidecars
-            .iter()
-            .find(|s| s.kind == IndexKind::Bitmap { column })
-    }
-
-    /// The sidecar inverted list over bad records, if stored.
-    pub fn inverted_list(&self) -> Option<&SidecarMetadata> {
-        self.sidecars
-            .iter()
-            .find(|s| s.kind == IndexKind::InvertedList)
     }
 
     /// The sidecar zone map over `column`, if this replica stores one.
@@ -207,7 +177,7 @@ impl IndexMetadata {
             .find(|s| s.kind == IndexKind::Bloom { column })
     }
 
-    /// Total bytes of all sidecar extension indexes on this replica.
+    /// Total bytes of all sidecars on this replica.
     pub fn sidecar_bytes_total(&self) -> usize {
         self.sidecars.iter().map(|s| s.sidecar_bytes).sum()
     }
@@ -334,12 +304,12 @@ mod tests {
             index_offset: 9000,
             sidecars: vec![
                 SidecarMetadata {
-                    kind: IndexKind::Bitmap { column: 5 },
+                    kind: IndexKind::ZoneMap { column: 5 },
                     sidecar_bytes: 321,
                     sidecar_offset: 9512,
                 },
                 SidecarMetadata {
-                    kind: IndexKind::InvertedList,
+                    kind: IndexKind::Bloom { column: 0 },
                     sidecar_bytes: 77,
                     sidecar_offset: 9833,
                 },
@@ -349,16 +319,17 @@ mod tests {
         assert_eq!(bytes.len(), 20 + 2 * SIDECAR_META_LEN);
         let back = IndexMetadata::from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.bitmap_on(5).unwrap().sidecar_bytes, 321);
-        assert!(back.bitmap_on(4).is_none());
-        assert_eq!(back.inverted_list().unwrap().sidecar_offset, 9833);
+        assert_eq!(back.zone_map_on(5).unwrap().sidecar_bytes, 321);
+        assert!(back.zone_map_on(0).is_none());
+        assert_eq!(back.bloom_on(0).unwrap().sidecar_offset, 9833);
+        assert!(back.bloom_on(5).is_none());
         assert_eq!(back.sidecar_bytes_total(), 321 + 77);
     }
 
     #[test]
     fn corrupt_sidecar_tag_rejected() {
         let good = SidecarMetadata {
-            kind: IndexKind::Bitmap { column: 2 },
+            kind: IndexKind::ZoneMap { column: 2 },
             sidecar_bytes: 10,
             sidecar_offset: 100,
         };
@@ -384,16 +355,46 @@ mod tests {
 
     #[test]
     fn sidecar_kinds_display_and_classify() {
-        assert_eq!(IndexKind::Bitmap { column: 0 }.to_string(), "bitmap(@1)");
-        assert_eq!(IndexKind::InvertedList.to_string(), "inverted-list");
         assert_eq!(IndexKind::ZoneMap { column: 1 }.to_string(), "zone-map(@2)");
         assert_eq!(IndexKind::Bloom { column: 2 }.to_string(), "bloom(@3)");
-        assert!(IndexKind::Bitmap { column: 3 }.is_sidecar());
-        assert!(IndexKind::InvertedList.is_sidecar());
         assert!(IndexKind::ZoneMap { column: 0 }.is_sidecar());
         assert!(IndexKind::Bloom { column: 0 }.is_sidecar());
         assert!(!IndexKind::Clustered.is_sidecar());
         assert!(!IndexKind::None.is_sidecar());
+    }
+
+    /// Tags 4 and 5 named the retired bitmap and inverted-list sidecars.
+    /// A replica still carrying one is corrupt, in the sidecar directory
+    /// and in the primary header alike; the synopsis tags 6 and 7 keep
+    /// decoding.
+    #[test]
+    fn retired_sidecar_tags_are_corrupt() {
+        let zone = SidecarMetadata {
+            kind: IndexKind::ZoneMap { column: 3 },
+            sidecar_bytes: 10,
+            sidecar_offset: 100,
+        };
+        for tag in [4u8, 5] {
+            let mut bytes = zone.to_bytes();
+            bytes[0] = tag;
+            let err = SidecarMetadata::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, HailError::Corrupt(_)), "tag {tag}: {err}");
+            assert!(err.to_string().contains("unknown index kind"), "{err}");
+
+            let mut bytes = IndexMetadata::none().to_bytes();
+            bytes[0] = tag;
+            let err = IndexMetadata::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, HailError::Corrupt(_)), "tag {tag}: {err}");
+        }
+        for (tag, kind) in [
+            (6u8, IndexKind::ZoneMap { column: 3 }),
+            (7, IndexKind::Bloom { column: 3 }),
+        ] {
+            let mut bytes = zone.to_bytes();
+            bytes[0] = tag;
+            let back = SidecarMetadata::from_bytes(&bytes).unwrap();
+            assert_eq!(back, SidecarMetadata { kind, ..zone });
+        }
     }
 
     #[test]
@@ -458,7 +459,7 @@ mod tests {
     fn sidecar_tag_in_primary_header_rejected() {
         // A flipped primary kind tag naming a sidecar kind is corruption,
         // exactly as an unknown tag is.
-        for tag in [4u8, 5, 6, 7] {
+        for tag in [6u8, 7] {
             let mut bytes = IndexMetadata::none().to_bytes();
             bytes[0] = tag;
             let err = IndexMetadata::from_bytes(&bytes).unwrap_err();

@@ -40,16 +40,10 @@ impl fmt::Display for SortOrder {
     }
 }
 
-/// Which sidecar extension indexes (§3.5) one replica stores next to its
-/// PAX data and primary index.
+/// Which sidecar synopses one replica stores next to its PAX data and
+/// primary index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SidecarSpec {
-    /// 0-based columns to build a bitmap sidecar over. Columns whose
-    /// cardinality exceeds the limit at build time are silently skipped
-    /// (the upload must not fail on a mis-guessed domain).
-    pub bitmap_columns: Vec<usize>,
-    /// Build an inverted list over the block's bad-record section.
-    pub inverted_list: bool,
     /// 0-based columns to build a zone-map (min/max) synopsis over, for
     /// block skipping.
     pub zone_map_columns: Vec<usize>,
@@ -61,16 +55,13 @@ pub struct SidecarSpec {
 impl SidecarSpec {
     /// True when no sidecar is requested.
     pub fn is_empty(&self) -> bool {
-        self.bitmap_columns.is_empty()
-            && !self.inverted_list
-            && self.zone_map_columns.is_empty()
-            && self.bloom_columns.is_empty()
+        self.zone_map_columns.is_empty() && self.bloom_columns.is_empty()
     }
 }
 
 /// The per-replica index configuration for an upload: `orders[i]` is the
-/// sort order of replica `i`, and `sidecars[i]` the sidecar extension
-/// indexes replica `i` stores. Its length must equal the replication
+/// sort order of replica `i`, and `sidecars[i]` the sidecar synopses
+/// replica `i` stores. Its length must equal the replication
 /// factor.
 ///
 /// This is the paper's "configuration file" through which Bob (or a
@@ -117,7 +108,7 @@ impl ReplicaIndexConfig {
     /// The sidecar spec at one chain position, with the single bounds
     /// check every `_on` builder routes through — a silently dropped
     /// sidecar would only surface much later as a mysteriously
-    /// never-chosen access path.
+    /// never-pruned block.
     fn spec_mut(&mut self, replica: usize) -> &mut SidecarSpec {
         assert!(
             replica < self.sidecars.len(),
@@ -127,32 +118,8 @@ impl ReplicaIndexConfig {
         &mut self.sidecars[replica]
     }
 
-    /// Stores a bitmap sidecar over `column` on *every* replica (bitmaps
-    /// are sort-order independent, so any replica can serve them).
-    pub fn with_bitmap(mut self, column: usize) -> Self {
-        for spec in &mut self.sidecars {
-            if !spec.bitmap_columns.contains(&column) {
-                spec.bitmap_columns.push(column);
-            }
-        }
-        self
-    }
-
-    /// Stores a bitmap sidecar over `column` on one replica chain
-    /// position only.
-    ///
-    /// # Panics
-    /// If `replica` is not a valid chain position.
-    pub fn with_bitmap_on(mut self, replica: usize, column: usize) -> Self {
-        let spec = self.spec_mut(replica);
-        if !spec.bitmap_columns.contains(&column) {
-            spec.bitmap_columns.push(column);
-        }
-        self
-    }
-
-    /// Stores a zone-map synopsis over `column` on *every* replica (like
-    /// bitmaps, synopses are sort-order independent).
+    /// Stores a zone-map synopsis over `column` on *every* replica
+    /// (synopses are sort-order independent).
     pub fn with_zone_map(mut self, column: usize) -> Self {
         for spec in &mut self.sidecars {
             if !spec.zone_map_columns.contains(&column) {
@@ -204,23 +171,6 @@ impl ReplicaIndexConfig {
         self.with_zone_map(column).with_bloom(column)
     }
 
-    /// Stores an inverted-list sidecar over bad records on every replica.
-    pub fn with_inverted_list(mut self) -> Self {
-        for spec in &mut self.sidecars {
-            spec.inverted_list = true;
-        }
-        self
-    }
-
-    /// Stores an inverted-list sidecar on one replica chain position.
-    ///
-    /// # Panics
-    /// If `replica` is not a valid chain position.
-    pub fn with_inverted_list_on(mut self, replica: usize) -> Self {
-        self.spec_mut(replica).inverted_list = true;
-        self
-    }
-
     pub fn orders(&self) -> &[SortOrder] {
         &self.orders
     }
@@ -255,12 +205,7 @@ impl ReplicaIndexConfig {
             o.validate(schema)?;
         }
         for spec in &self.sidecars {
-            for &c in spec
-                .bitmap_columns
-                .iter()
-                .chain(&spec.zone_map_columns)
-                .chain(&spec.bloom_columns)
-            {
+            for &c in spec.zone_map_columns.iter().chain(&spec.bloom_columns) {
                 schema.field(c)?;
             }
         }
@@ -321,37 +266,32 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_knobs() {
-        let c = ReplicaIndexConfig::first_indexed(3, &[0])
-            .with_bitmap(1)
-            .with_inverted_list();
-        assert!(c.sidecars().iter().all(|s| s.bitmap_columns == [1]));
-        assert!(c.sidecars().iter().all(|s| s.inverted_list));
-        assert!(c.validate(&schema()).is_ok());
-
-        let c = ReplicaIndexConfig::unindexed(3)
-            .with_bitmap_on(0, 1)
-            .with_inverted_list_on(2);
-        assert_eq!(c.sidecar(0).bitmap_columns, [1]);
-        assert!(c.sidecar(1).is_empty());
-        assert!(c.sidecar(2).inverted_list);
-        assert!(c.sidecar(2).bitmap_columns.is_empty());
-
-        // Duplicate with_bitmap calls don't duplicate the column.
-        let c = ReplicaIndexConfig::unindexed(2)
-            .with_bitmap(0)
-            .with_bitmap(0);
-        assert_eq!(c.sidecar(0).bitmap_columns, [0]);
-    }
-
-    #[test]
     fn sidecar_validate_rejects_bad_column() {
-        let c = ReplicaIndexConfig::unindexed(3).with_bitmap(9);
-        assert!(c.validate(&schema()).is_err());
         let c = ReplicaIndexConfig::unindexed(3).with_zone_map(9);
         assert!(c.validate(&schema()).is_err());
         let c = ReplicaIndexConfig::unindexed(3).with_bloom(9);
         assert!(c.validate(&schema()).is_err());
+    }
+
+    /// The all-replica and one-position builders compose: a position's
+    /// spec gathers both, each column once, in call order.
+    #[test]
+    fn sidecar_knobs() {
+        let c = ReplicaIndexConfig::first_indexed(3, &[0])
+            .with_synopses(1)
+            .with_zone_map_on(2, 0)
+            .with_bloom_on(0, 1);
+        assert_eq!(c.sidecar(0).zone_map_columns, [1]);
+        assert_eq!(c.sidecar(0).bloom_columns, [1]);
+        assert_eq!(c.sidecar(1), c.sidecar(0));
+        assert_eq!(c.sidecar(2).zone_map_columns, [1, 0]);
+        assert_eq!(c.sidecar(2).bloom_columns, [1]);
+        assert_eq!(c.sidecars().len(), c.replication());
+        assert!(c.validate(&schema()).is_ok());
+        assert!(ReplicaIndexConfig::first_indexed(3, &[0])
+            .sidecars()
+            .iter()
+            .all(SidecarSpec::is_empty));
     }
 
     #[test]
@@ -387,14 +327,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn with_bitmap_on_rejects_bad_position() {
-        let _ = ReplicaIndexConfig::unindexed(3).with_bitmap_on(3, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn with_inverted_list_on_rejects_bad_position() {
-        let _ = ReplicaIndexConfig::unindexed(3).with_inverted_list_on(5);
+    fn with_bloom_on_rejects_bad_position() {
+        let _ = ReplicaIndexConfig::unindexed(3).with_bloom_on(3, 0);
     }
 
     #[test]

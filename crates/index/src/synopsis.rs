@@ -1,8 +1,8 @@
 //! Per-block, per-column synopses for block skipping: **zone maps**
 //! (min/max) and **Bloom filters**.
 //!
-//! These are the third persisted sidecar kind (after bitmaps and
-//! inverted lists): tiny summaries built once at upload and consulted
+//! They are the persisted sidecar kinds: tiny summaries built once at
+//! upload, stored next to a replica's primary index, and consulted
 //! by the execution layer *before* candidate enumeration, so a block
 //! that provably contains no match is never priced and never read —
 //! the "decouple the skip decision from the read path" idea from
@@ -237,8 +237,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A Bloom filter over one column of one block, for equality and token
-/// predicates. Values are hashed by their display string (the same
-/// string-keyed determinism the bitmap index relies on), with double
+/// predicates. Values are hashed by their display string, with double
 /// hashing `g_i = h1 + i·h2` deriving `BLOOM_HASHES` probes from two
 /// base hashes.
 #[derive(Debug, Clone, PartialEq)]

@@ -84,7 +84,7 @@ impl UnclusteredIndex {
 
     /// Number of distinct disk "seeks" a retrieval of the given rowids
     /// costs, merging adjacent rowids into one sequential run. Already
-    /// sorted input (the common case: bitmap results are ascending) is
+    /// sorted input (the common case: rowids found by a scan are ascending) is
     /// counted in place without copying.
     pub fn seek_count(rowids: &[usize]) -> usize {
         if rowids.is_empty() {

@@ -61,7 +61,6 @@ fn located_synopses_equal_value_built_ones() {
     let spec = SidecarSpec {
         zone_map_columns: all.clone(),
         bloom_columns: all.clone(),
-        ..SidecarSpec::default()
     };
     for (rows, bad, partition_size) in [
         (0, 0, 1),

@@ -127,9 +127,6 @@ pub struct TaskStats {
     pub fell_back_to_scan: bool,
     /// Which access path served each block of this task's split.
     pub paths: PathCounts,
-    /// Bytes of persisted sidecar extension indexes (bitmaps, inverted
-    /// lists) read from replicas to serve this task.
-    pub sidecar_bytes_read: u64,
     /// Per-block, per-column observed selectivities, for the re-indexing
     /// advisor's evidence store.
     pub selectivity: Vec<SelectivityObservation>,
@@ -145,9 +142,8 @@ pub struct TaskStats {
     /// synopsis proved they contain no matching row.
     pub blocks_pruned: u64,
     /// Bytes of persisted synopsis sidecars consulted to prune this
-    /// task's blocks. Kept separate from
-    /// [`TaskStats::sidecar_bytes_read`]: synopsis probes replace reads
-    /// instead of serving them.
+    /// task's blocks: synopsis probes replace reads instead of serving
+    /// them, so these bytes are not in the ledger's reads.
     pub synopsis_bytes_read: u64,
 }
 
@@ -175,7 +171,6 @@ impl TaskStats {
         self.records += other.records;
         self.fell_back_to_scan |= other.fell_back_to_scan;
         self.paths.merge(&other.paths);
-        self.sidecar_bytes_read += other.sidecar_bytes_read;
         self.selectivity.extend_from_slice(&other.selectivity);
         self.blocks_replanned += other.blocks_replanned;
         self.blocks_pruned += other.blocks_pruned;

@@ -409,10 +409,10 @@ mod tests {
             let feedback = OrderedRwLock::new(LockRank::Feedback, "feedback", ());
             let advisor = OrderedMutex::new(LockRank::AdvisorState, "advisor-state", ());
             let _held = feedback.read();
-            let _bad = advisor.acquire(); // AdvisorState after Feedback: inverted
+            let _bad = advisor.acquire(); // AdvisorState after Feedback: out of order
         })
         .join()
-        .expect_err("inverted acquisition must panic");
+        .expect_err("out-of-order acquisition must panic");
         let msg = err
             .downcast_ref::<String>()
             .cloned()

@@ -18,20 +18,14 @@ pub enum AccessPathKind {
     ClusteredIndexScan,
     /// Hadoop++'s dense trojan index over the block header (§5).
     TrojanIndexScan,
-    /// Sidecar bitmap index over a low-cardinality column (§3.5).
-    BitmapScan,
-    /// Sidecar inverted list over the block's bad-record section (§3.5).
-    InvertedListScan,
 }
 
 impl AccessPathKind {
     /// All kinds, in display order.
-    pub const ALL: [AccessPathKind; 5] = [
+    pub const ALL: [AccessPathKind; 3] = [
         AccessPathKind::FullScan,
         AccessPathKind::ClusteredIndexScan,
         AccessPathKind::TrojanIndexScan,
-        AccessPathKind::BitmapScan,
-        AccessPathKind::InvertedListScan,
     ];
 
     /// True for paths that avoid streaming the whole replica.
@@ -46,8 +40,6 @@ impl fmt::Display for AccessPathKind {
             AccessPathKind::FullScan => "full-scan",
             AccessPathKind::ClusteredIndexScan => "clustered-index-scan",
             AccessPathKind::TrojanIndexScan => "trojan-index-scan",
-            AccessPathKind::BitmapScan => "bitmap-scan",
-            AccessPathKind::InvertedListScan => "inverted-list-scan",
         };
         f.write_str(s)
     }

@@ -319,7 +319,7 @@ impl fmt::Display for Value {
 }
 
 /// The text form of a value — what it looked like in the uploaded line,
-/// and the string the Bloom filter and the bitmap index key on.
+/// and the string the Bloom filter hashes.
 impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -435,8 +435,8 @@ pub fn days_from_ymd(year: i32, month: u32, day: u32) -> Option<i32> {
 }
 
 /// Inverse of [`days_from_ymd`]: converts days-since-epoch back to
-/// `(year, month, day)`, in constant time — every Bloom insert and bitmap
-/// key of a date column formats one.
+/// `(year, month, day)`, in constant time — every Bloom insert of a date
+/// column formats one.
 pub fn date_from_days(days: i32) -> (i32, u32, u32) {
     // Count from 0000-03-01, so that the leap day is the last day of a
     // year and of every 4-, 100- and 400-year cycle.

@@ -24,7 +24,7 @@
 //! |---|---|---|
 //! | [`types`] | `hail-types` | schemas, values, rows, errors, access-path kinds |
 //! | [`pax`] | `hail-pax` | PAX block layout, packets, checksums |
-//! | [`index`] | `hail-index` | clustered/trojan/bitmap/inverted indexes |
+//! | [`index`] | `hail-index` | clustered/trojan/unclustered indexes, zone-map/Bloom synopses |
 //! | [`sim`] | `hail-sim` | hardware profiles and the cost model |
 //! | [`sync`] | `hail-sync` | ranked lock wrappers (`LockRank`, debug hierarchy checking) |
 //! | [`dfs`] | `hail-dfs` | namenode (`Dir_rep`), datanodes, upload pipelines |
@@ -97,7 +97,7 @@ pub mod prelude {
     pub use hail_exec::{
         apply_reindex, default_splits, hail_splits, read_hail_block, AccessPath,
         PlannedInputFormat, PlannerConfig, QueryPlan, QueryPlanner, ReindexAction, ReindexAdvisor,
-        ReindexKind, ReindexOutcome, ReindexPolicy, SelectivityEstimate, SelectivityFeedback,
+        ReindexOutcome, ReindexPolicy, SelectivityEstimate, SelectivityFeedback,
     };
     pub use hail_index::{
         ClusteredIndex, IndexKind, IndexedBlock, KeyBounds, ReplicaIndexConfig, SidecarMetadata,

@@ -8,8 +8,9 @@
 //!
 //! - a repeated selective workload flips from FullScan to
 //!   ClusteredIndexScan at a deterministic job boundary;
-//! - equality evidence on a low-cardinality column builds a bitmap
-//!   sidecar instead, and the planner picks BitmapScan;
+//! - equality evidence builds the same clustered index, and the planner
+//!   picks ClusteredIndexScan; equality and range evidence on one column
+//!   rewrite each block once;
 //! - the flip boundary, per-job outputs, and reports (modulo measured
 //!   wall clocks) are bit-for-bit identical at job concurrency 1/2/4 —
 //!   re-indexing does not perturb the multi-job determinism contract;
@@ -34,7 +35,7 @@ use hail_types::BlockId;
 /// duration (@9, 0-based column 8): uniform 1..10_000, so `@9 <= 500`
 /// is ~5% selective — well under the advisor's 0.15 ceiling.
 const DURATION_COL: usize = 8;
-/// searchWord (@8, 0-based column 7): 12 distinct values, bitmap-able.
+/// searchWord (@8, 0-based column 7): 12 distinct values.
 const SEARCHWORD_COL: usize = 7;
 
 /// A testbed whose replicas serve visitDate (@3) and sourceIP (@1)
@@ -124,7 +125,7 @@ fn repeated_selective_workload_flips_fullscan_to_index() {
     assert_eq!(run.events.len(), 1, "exactly one adaptive rebuild fires");
     let event = &run.events[0];
     assert_eq!(event.outcome.action.column, DURATION_COL);
-    assert_eq!(event.outcome.action.kind, ReindexKind::Clustered);
+    assert!(!event.outcome.action.eq, "range evidence fired");
     assert_eq!(event.after_job, 2 * round_size, "flip lands after round 2");
     assert_eq!(
         event.outcome.replicas_rewritten,
@@ -197,19 +198,34 @@ fn repeated_selective_workload_flips_fullscan_to_index() {
     }
 }
 
-/// Equality evidence on a low-cardinality column builds a bitmap
-/// sidecar (not a clustered index), and the planner flips the query
-/// onto BitmapScan.
+/// Equality evidence builds a clustered index, as range evidence does:
+/// the unsorted replica of every block is re-sorted on the column, the
+/// upload's two clustered replicas survive, and the planner flips the
+/// query onto ClusteredIndexScan.
 #[test]
-fn equality_evidence_builds_a_bitmap_sidecar() {
+fn equality_evidence_builds_a_clustered_index() {
     let scale = ExperimentScale::query(4, 400)
         .with_blocks_per_node(4)
         .with_partition_size(64);
     let tb = uv_testbed(scale, HardwareProfile::physical());
     let mut setup = setup_hail(&tb, &[2, 0]).unwrap();
+    let unsorted: Vec<_> = setup
+        .dataset
+        .blocks
+        .iter()
+        .map(|&block| {
+            let nn = setup.cluster.namenode();
+            let replicas = nn.live_replicas(block);
+            let r = replicas
+                .iter()
+                .find(|r| r.index.sort_order() == SortOrder::Unsorted)
+                .expect("one unsorted replica per block");
+            r.datanode
+        })
+        .collect();
 
     // searchWord equality: 12 distinct values → ~8% selective, under
-    // both the advisor ceiling and the bitmap cardinality limit.
+    // the advisor ceiling.
     let query = HailQuery::parse("@8 = 'searchword3'", "{@1, @8}", &tb.schema).unwrap();
     let queries: Vec<HailQuery> = (0..6).map(|_| query.clone()).collect();
 
@@ -225,16 +241,25 @@ fn equality_evidence_builds_a_bitmap_sidecar() {
     assert_eq!(run.events.len(), 1);
     let event = &run.events[0];
     assert_eq!(event.outcome.action.column, SEARCHWORD_COL);
-    assert_eq!(event.outcome.action.kind, ReindexKind::BitmapSidecar);
-    assert!(event.outcome.replicas_rewritten > 0);
+    assert!(event.outcome.action.eq, "equality evidence fired");
+    assert_eq!(
+        event.outcome.replicas_rewritten,
+        setup.dataset.blocks.len(),
+        "one replica rewritten per block"
+    );
 
-    for &block in &setup.dataset.blocks {
-        let hosts = setup
-            .cluster
-            .namenode()
-            .get_hosts_with_bitmap(block, SEARCHWORD_COL)
-            .unwrap();
-        assert_eq!(hosts.len(), 1, "block {block}: one bitmap-bearing replica");
+    let nn = setup.cluster.namenode();
+    for (&block, &was_unsorted) in setup.dataset.blocks.iter().zip(&unsorted) {
+        let hosts = nn.get_hosts_with_index(block, SEARCHWORD_COL).unwrap();
+        assert_eq!(
+            hosts,
+            vec![was_unsorted],
+            "block {block}: the unsorted replica"
+        );
+        for column in [2, 0] {
+            let kept = nn.get_hosts_with_index(block, column).unwrap();
+            assert_eq!(kept.len(), 1, "block {block}: index on @{}", column + 1);
+        }
     }
 
     let expected = canonical(&oracle_eval(&tb.texts, &tb.schema, &query));
@@ -243,13 +268,89 @@ fn equality_evidence_builds_a_bitmap_sidecar() {
         let counts = job.report.path_counts();
         if i >= event.after_job {
             assert!(
-                counts.get(AccessPathKind::BitmapScan) > 0,
-                "job {i}: post-flip jobs use the bitmap sidecar"
+                counts.get(AccessPathKind::ClusteredIndexScan) > 0,
+                "job {i}: post-flip jobs use the new clustered index"
             );
             assert_eq!(counts.get(AccessPathKind::FullScan), 0, "job {i}");
         } else {
-            assert_eq!(counts.get(AccessPathKind::BitmapScan), 0, "job {i}");
+            assert_eq!(counts.get(AccessPathKind::ClusteredIndexScan), 0, "job {i}");
         }
+    }
+}
+
+/// Equality and range evidence on one column qualify in the same round,
+/// and with room for two builds both fire — but each block is rewritten
+/// once: the second action finds every block already served by the
+/// first one's index. Two replicas of each block are unsorted, so it is
+/// that check, not a lack of targets, that spares the second one.
+#[test]
+fn equality_and_range_evidence_on_one_column_rewrite_each_block_once() {
+    let (tb, _) = adaptive_setup(400, 4);
+    let mut setup = setup_hail(&tb, &[2]).unwrap();
+    let round = [("@9 <= 500", "{@1, @9}"), ("@9 = 4242", "{@1, @9}")];
+    let queries: Vec<HailQuery> = (0..3)
+        .flat_map(|_| round.iter())
+        .map(|(f, p)| HailQuery::parse(f, p, &tb.schema).unwrap())
+        .collect();
+    let advisor = ReindexAdvisor::new(ReindexPolicy {
+        enabled: true,
+        max_builds_per_round: 2,
+        ..ReindexPolicy::default()
+    });
+    let feedback = SelectivityFeedback::default();
+    let run = run_adaptive_workload(
+        &mut setup,
+        &tb.spec,
+        &queries,
+        true,
+        &JobManager::new(1),
+        &SharedJobInfra::for_jobs(1),
+        &advisor,
+        &feedback,
+        round.len(),
+    )
+    .unwrap();
+
+    let fired: Vec<_> = run
+        .events
+        .iter()
+        .map(|e| (e.after_job, e.outcome.action))
+        .collect();
+    assert_eq!(
+        fired,
+        [
+            (
+                4,
+                ReindexAction {
+                    column: DURATION_COL,
+                    eq: false
+                }
+            ),
+            (
+                4,
+                ReindexAction {
+                    column: DURATION_COL,
+                    eq: true
+                }
+            ),
+        ],
+        "both classes fire in round 2, range first"
+    );
+    let blocks = setup.dataset.blocks.len();
+    assert_eq!(run.events[0].outcome.replicas_rewritten, blocks);
+    assert_eq!(run.events[1].outcome.replicas_rewritten, 0);
+    assert_eq!(run.events[1].outcome.blocks_skipped, blocks);
+    for &block in &setup.dataset.blocks {
+        let hosts = setup
+            .cluster
+            .namenode()
+            .get_hosts_with_index(block, DURATION_COL)
+            .unwrap();
+        assert_eq!(hosts.len(), 1, "block {block}: one duration index");
+    }
+    for (i, (job, query)) in run.runs.iter().zip(&queries).enumerate() {
+        let expected = canonical(&oracle_eval(&tb.texts, &tb.schema, query));
+        assert_eq!(canonical(&job.output), expected, "job {i}: output");
     }
 }
 

@@ -95,7 +95,7 @@ fn assert_reports_identical(serial: &JobReport, parallel: &JobReport) {
         assert_eq!(a.stats.records, b.stats.records);
         assert_eq!(a.stats.paths, b.stats.paths);
         assert_eq!(a.stats.serial_pricing, b.stats.serial_pricing);
-        assert_eq!(a.stats.sidecar_bytes_read, b.stats.sidecar_bytes_read);
+        assert_eq!(a.stats.synopsis_bytes_read, b.stats.synopsis_bytes_read);
         // Selectivity observations in the same (split) order — the
         // order the advisor's evidence store's decay depends on.
         assert_eq!(a.stats.selectivity, b.stats.selectivity);

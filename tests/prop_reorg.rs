@@ -33,8 +33,7 @@ fn schema() -> Schema {
 }
 
 /// Random (key, tag, weight) rows; keys drawn from a small domain so
-/// duplicates (sort ties) are common, tags from a tiny alphabet so
-/// bitmap sidecars stay under the cardinality limit.
+/// duplicates (sort ties) are common, tags from a tiny alphabet.
 fn random_rows(rng: &mut StdRng) -> Vec<(i32, String, f64)> {
     let n = rng.random_range(2..160usize);
     (0..n)
@@ -184,13 +183,6 @@ fn indexed_block_round_trip_lossless() {
             },
         };
         let spec = SidecarSpec {
-            // tag has ≤9 distinct values — always bitmap-able.
-            bitmap_columns: if rng.random_range(0..2u8) == 0 {
-                vec![1]
-            } else {
-                vec![]
-            },
-            inverted_list: rng.random_range(0..2u8) == 0,
             zone_map_columns: if rng.random_range(0..2u8) == 0 {
                 vec![0]
             } else {
@@ -228,12 +220,21 @@ fn indexed_block_round_trip_lossless() {
         output.sort();
         assert_eq!(input, output, "case {case}: payload multiset");
 
-        // Requested bitmap materialized (tag is under the cardinality
-        // limit, so it is never silently skipped).
+        // Requested synopses materialized, and only those.
         assert_eq!(
-            parsed.metadata().bitmap_on(1).is_some(),
-            !spec.bitmap_columns.is_empty(),
-            "case {case}: bitmap sidecar presence"
+            parsed.metadata().zone_map_on(0).is_some(),
+            !spec.zone_map_columns.is_empty(),
+            "case {case}: zone-map sidecar presence"
+        );
+        assert_eq!(
+            parsed.metadata().bloom_on(1).is_some(),
+            !spec.bloom_columns.is_empty(),
+            "case {case}: Bloom sidecar presence"
+        );
+        assert_eq!(
+            parsed.metadata().sidecars.len(),
+            spec.zone_map_columns.len() + spec.bloom_columns.len(),
+            "case {case}: sidecar count"
         );
     }
 }

@@ -1,32 +1,44 @@
-//! End-to-end tests for persisted §3.5 sidecar extension indexes:
-//! build → upload → `Dir_rep` registration → parse → sidecar-served
-//! scans that match a full-scan oracle, plus the failure modes — a
-//! corrupt sidecar directory, a failover onto a sidecar-less replica,
-//! and planning against a dataset that never stored sidecars.
+//! Sidecars persist with their replica and mirror into `Dir_rep`, and a
+//! replica's sidecar directory fails closed: a descriptor whose kind
+//! tag is unknown, or one of the retired tags 4 and 5 (the bitmap and
+//! inverted-list sidecars this format no longer has), makes the replica
+//! unreadable as `Corrupt` — never a panic, never a half-readable block
+//! — and a read that meets such a replica fails over to another.
+//!
+//! The damaged replicas get freshly computed chunk checksums, so it is
+//! the parser that rejects them, not the checksum check.
 
-use hail::index::DEFAULT_CARDINALITY_LIMIT;
+use hail::index::ReplicaTail;
+use hail::pax::{chunk_checksums, ReplicaBytes};
 use hail::prelude::*;
+use hail::types::{BlockId, DatanodeId, HailError};
 use hail::workloads::badness::inject_bad_records;
 
-fn weblog_cluster(
-    bad_fraction: f64,
-    index_config: &ReplicaIndexConfig,
-) -> (DfsCluster, Dataset, Schema, usize) {
+fn weblog_cluster(index_config: &ReplicaIndexConfig) -> (DfsCluster, Dataset, Schema, String) {
     let schema = bob_schema();
-    let clean = UserVisitsGenerator::default().node_text(0, 900);
-    let (text, n_bad) = inject_bad_records(&clean, &schema, bad_fraction, 5);
+    let text = UserVisitsGenerator::default().node_text(0, 900);
     let mut storage = StorageConfig::test_scale(1 << 20); // one big block
     storage.index_partition_size = 32;
     let mut cluster = DfsCluster::new(3, storage);
-    let dataset = upload_hail(&mut cluster, &schema, "uv", &[(0, text)], index_config).unwrap();
-    (cluster, dataset, schema, n_bad)
+    let dataset = upload_hail(
+        &mut cluster,
+        &schema,
+        "uv",
+        &[(0, text.clone())],
+        index_config,
+    )
+    .unwrap();
+    (cluster, dataset, schema, text)
 }
 
-fn replica_bytes(
-    cluster: &DfsCluster,
-    block: hail::types::BlockId,
-    dn: hail::types::DatanodeId,
-) -> bytes::Bytes {
+/// One sidecar per replica — a zone map on `countryCode` — so its
+/// descriptor is the metadata record's first sidecar entry.
+fn one_sidecar() -> ReplicaIndexConfig {
+    let country = bob_schema().index_of("countryCode").unwrap();
+    ReplicaIndexConfig::first_indexed(3, &[2]).with_zone_map(country)
+}
+
+fn replica_bytes(cluster: &DfsCluster, block: BlockId, dn: DatanodeId) -> bytes::Bytes {
     let mut ledger = CostLedger::new();
     cluster
         .datanode(dn)
@@ -35,332 +47,153 @@ fn replica_bytes(
         .unwrap()
 }
 
-/// Upload with sidecars on every replica: each stored replica parses
-/// back with the sidecars present, and the namenode's `Dir_rep` entry
-/// mirrors exactly what the replica physically stores.
+/// `raw` with its first sidecar descriptor's kind tag set to `tag`. The
+/// tag sits 20 bytes into the metadata record, which sits right before
+/// the fixed 20-byte footer.
+fn with_sidecar_tag(raw: &[u8], tag: u8) -> Vec<u8> {
+    let meta_len = IndexedBlock::parse(bytes::Bytes::copy_from_slice(raw))
+        .unwrap()
+        .metadata()
+        .to_bytes()
+        .len();
+    let mut out = raw.to_vec();
+    let tag_pos = out.len() - 20 - meta_len + 20;
+    out[tag_pos] = tag;
+    out
+}
+
+/// A stored replica whose checksums vouch for every byte of `raw`.
+fn checksummed(raw: &[u8]) -> ReplicaBytes {
+    let raw = bytes::Bytes::copy_from_slice(raw);
+    let sums = chunk_checksums(&raw);
+    ReplicaBytes::new(raw, sums.into()).unwrap()
+}
+
+/// Upload with synopses over a block with bad records: every stored
+/// replica parses back with them, each records the block's bad-record
+/// count (which keeps the block from ever being pruned), and the
+/// namenode's `Dir_rep` entry mirrors exactly what the replica stores.
 #[test]
 fn uploaded_sidecars_round_trip_and_mirror_dir_rep() {
     let schema = bob_schema();
     let country = schema.index_of("countryCode").unwrap();
-    let config = ReplicaIndexConfig::first_indexed(3, &[2])
-        .with_bitmap(country)
-        .with_inverted_list();
-    let (cluster, dataset, _, n_bad) = weblog_cluster(0.05, &config);
+    let clean = UserVisitsGenerator::default().node_text(0, 900);
+    let (text, n_bad) = inject_bad_records(&clean, &schema, 0.05, 5);
     assert!(n_bad > 10);
+    let mut storage = StorageConfig::test_scale(1 << 20); // one big block
+    storage.index_partition_size = 32;
+    let mut cluster = DfsCluster::new(3, storage);
+    let config = ReplicaIndexConfig::first_indexed(3, &[2]).with_synopses(country);
+    let dataset = upload_hail(&mut cluster, &schema, "uv", &[(0, text)], &config).unwrap();
 
     for &block in &dataset.blocks {
         for dn in cluster.namenode().get_hosts(block).unwrap() {
             let parsed = IndexedBlock::parse(replica_bytes(&cluster, block, dn)).unwrap();
-            // The sidecars were persisted with the replica...
-            let bitmap = parsed
-                .bitmap(country)
-                .unwrap()
-                .expect("bitmap sidecar stored");
-            assert!(bitmap.cardinality() <= DEFAULT_CARDINALITY_LIMIT);
-            let inverted = parsed
-                .inverted_list()
-                .unwrap()
-                .expect("inverted list stored");
-            assert_eq!(inverted.record_count(), n_bad);
-            // ...and Dir_rep mirrors the replica's trailer exactly.
+            let (zone_meta, zone) = parsed.zone_map_sidecar(country).unwrap().unwrap();
+            let (bloom_meta, bloom) = parsed.bloom_sidecar(country).unwrap().unwrap();
+            assert_eq!(zone.bad_records(), n_bad);
+            assert_eq!(bloom.bad_records(), n_bad);
+            assert_eq!(zone_meta.sidecar_bytes, zone.to_bytes().len());
+            assert_eq!(bloom_meta.sidecar_bytes, bloom.to_bytes().len());
             let info = cluster.namenode().replica_info(block, dn).unwrap();
             assert_eq!(&info.index, parsed.metadata());
             assert_eq!(info.replica_bytes, parsed.byte_len());
-            let side = info.index.bitmap_on(country).unwrap();
-            assert_eq!(side.sidecar_bytes, bitmap.byte_len());
-            assert!(info.index.inverted_list().is_some());
         }
-        assert_eq!(
-            cluster
-                .namenode()
-                .get_hosts_with_bitmap(block, country)
-                .unwrap()
-                .len(),
-            3
-        );
-        assert_eq!(
-            cluster
-                .namenode()
-                .get_hosts_with_inverted_list(block)
-                .unwrap()
-                .len(),
-            3
-        );
+        let nn = cluster.namenode();
+        assert_eq!(nn.get_hosts_with_zone_map(block, country).unwrap().len(), 3);
+        assert_eq!(nn.get_hosts_with_bloom(block, country).unwrap().len(), 3);
     }
 }
 
-/// The planner routes equality on the bitmapped column through the
-/// persisted sidecar, and the results equal a full-scan oracle.
-#[test]
-fn bitmap_scan_over_persisted_sidecar_matches_oracle() {
-    let schema = bob_schema();
-    let country = schema.index_of("countryCode").unwrap();
-    let config = ReplicaIndexConfig::first_indexed(3, &[2]).with_bitmap(country);
-    let (cluster, dataset, schema, _) = weblog_cluster(0.0, &config);
-
-    let filter = format!("@{} = 'USA'", country + 1);
-    let query = HailQuery::parse(&filter, "{@1}", &schema).unwrap();
-    let planner = QueryPlanner::new(&cluster);
-    let plan = planner.plan_dataset(&dataset, &query).unwrap();
-
-    let mut via_bitmap: Vec<String> = Vec::new();
-    for bp in &plan.blocks {
-        assert_eq!(bp.kind, AccessPathKind::BitmapScan);
-        assert!(bp.sidecar_bytes.is_some(), "priced from the stored size");
-        let mut stats_records = Vec::new();
-        let stats = planner
-            .execute_block(&plan, bp.block, bp.replica, &schema, &query, &mut |r| {
-                stats_records.push(r)
-            })
-            .unwrap();
-        assert!(stats.sidecar_bytes_read > 0, "the sidecar was read");
-        via_bitmap.extend(
-            stats_records
-                .iter()
-                .filter(|r| !r.bad)
-                .map(|r| r.row.to_string()),
-        );
-    }
-
-    // Oracle: full scan of every block, filtered by hand.
-    let scan_query = HailQuery::full_scan();
-    let scan_plan = planner.plan_dataset(&dataset, &scan_query).unwrap();
-    let mut via_scan: Vec<String> = Vec::new();
-    for bp in &scan_plan.blocks {
-        planner
-            .execute_block(
-                &scan_plan,
-                bp.block,
-                bp.replica,
-                &schema,
-                &scan_query,
-                &mut |r| {
-                    if !r.bad && r.row.get(country).unwrap().as_str() == Some("USA") {
-                        via_scan.push(r.row.project(&[0]).to_string());
-                    }
-                },
-            )
-            .unwrap();
-    }
-    via_bitmap.sort();
-    via_scan.sort();
-    assert_eq!(via_bitmap, via_scan);
-    assert!(!via_bitmap.is_empty());
-}
-
-/// Token searches run off the persisted inverted list and return
-/// exactly the bad records a manual scan of the bad-record section
-/// finds.
-#[test]
-fn inverted_list_scan_over_persisted_sidecar_matches_oracle() {
-    let config = ReplicaIndexConfig::first_indexed(3, &[2]).with_inverted_list();
-    let (cluster, dataset, schema, n_bad) = weblog_cluster(0.08, &config);
-    assert!(n_bad > 20);
-
-    // The ExtraFields mangle appends `|unexpected|trailing` to a row;
-    // "trailing" is a token only bad records contain.
-    let planner_config = PlannerConfig {
-        bad_record_tokens: vec!["trailing".into()],
-        ..Default::default()
-    };
-    let planner = QueryPlanner::with_config(&cluster, planner_config);
-    let query = HailQuery::full_scan();
-    let plan = planner.plan_dataset(&dataset, &query).unwrap();
-
-    let mut found: Vec<String> = Vec::new();
-    for bp in &plan.blocks {
-        assert_eq!(bp.kind, AccessPathKind::InvertedListScan);
-        let stats = planner
-            .execute_block(&plan, bp.block, bp.replica, &schema, &query, &mut |r| {
-                assert!(r.bad);
-                found.push(r.row.get(0).unwrap().as_str().unwrap().to_string());
-            })
-            .unwrap();
-        assert!(stats.sidecar_bytes_read > 0);
-    }
-
-    // Oracle: every stored bad record containing the token, by hand.
-    let mut expected: Vec<String> = Vec::new();
-    for &block in &dataset.blocks {
-        let dn = cluster.namenode().get_hosts(block).unwrap()[0];
-        let parsed = IndexedBlock::parse(replica_bytes(&cluster, block, dn)).unwrap();
-        expected.extend(
-            parsed
-                .pax()
-                .bad_records()
-                .unwrap()
-                .into_iter()
-                .filter(|l| l.to_lowercase().contains("trailing")),
-        );
-    }
-    found.sort();
-    expected.sort();
-    assert_eq!(found, expected);
-    assert!(!found.is_empty());
-}
-
-/// Acceptance: on a dataset whose replicas never stored sidecars, the
-/// planner does not merely avoid *choosing* the sidecar paths — it
-/// never even enumerates them as candidates.
-#[test]
-fn sidecar_less_replicas_never_offer_sidecar_paths() {
-    let schema = bob_schema();
-    let country = schema.index_of("countryCode").unwrap();
-    let config = ReplicaIndexConfig::first_indexed(3, &[2]); // no sidecars
-    let (cluster, dataset, schema, _) = weblog_cluster(0.05, &config);
-
-    let filter = format!("@{} = 'USA'", country + 1);
-    let query = HailQuery::parse(&filter, "", &schema).unwrap();
-    let plan = QueryPlanner::new(&cluster)
-        .plan_dataset(&dataset, &query)
-        .unwrap();
-    for bp in &plan.blocks {
-        assert_ne!(bp.kind, AccessPathKind::BitmapScan);
-        assert!(
-            bp.candidates
-                .iter()
-                .all(|c| c.kind != AccessPathKind::BitmapScan),
-            "no bitmap candidate may exist without a stored sidecar"
-        );
-    }
-
-    // A token search has no fallback path at all: it errors loudly.
-    let planner_config = PlannerConfig {
-        bad_record_tokens: vec!["garbage".into()],
-        ..Default::default()
-    };
-    let err = QueryPlanner::with_config(&cluster, planner_config)
-        .plan_dataset(&dataset, &HailQuery::full_scan())
-        .unwrap_err();
-    assert!(err.to_string().contains("inverted-list sidecar"), "{err}");
-}
-
-/// Failover: when the only replica storing the bitmap sidecar dies, the
-/// planner falls back to a full scan — and flags it — instead of
-/// routing a bitmap scan to a replica that cannot serve it.
-#[test]
-fn failover_to_full_scan_when_sidecar_replica_dies() {
-    let schema = bob_schema();
-    let country = schema.index_of("countryCode").unwrap();
-    // Only chain position 0 stores the bitmap; no clustered indexes, so
-    // losing the sidecar leaves nothing but scanning.
-    let config = ReplicaIndexConfig::unindexed(3).with_bitmap_on(0, country);
-    let (mut cluster, dataset, schema, _) = weblog_cluster(0.0, &config);
-
-    let filter = format!("@{} = 'USA'", country + 1);
-    let query = HailQuery::parse(&filter, "", &schema).unwrap();
-    let block = dataset.blocks[0];
-
-    let holders = cluster
-        .namenode()
-        .get_hosts_with_bitmap(block, country)
-        .unwrap();
-    assert_eq!(holders.len(), 1, "sidecar on one chain position only");
-    let planner = QueryPlanner::new(&cluster);
-    let before = planner.plan_dataset(&dataset, &query).unwrap();
-    let bp = before.block_plan(block).unwrap();
-    assert_eq!(bp.kind, AccessPathKind::BitmapScan);
-    assert_eq!(bp.replica, holders[0], "only the holder can serve it");
-    assert_eq!(
-        bp.locations,
-        vec![holders[0]],
-        "scheduling locations exclude sidecar-less replicas for a sidecar path"
-    );
-
-    cluster.kill_node(holders[0]).unwrap();
-    let planner = QueryPlanner::new(&cluster);
-    let after = planner.plan_dataset(&dataset, &query).unwrap();
-    let bp = after.block_plan(block).unwrap();
-    assert_eq!(bp.kind, AccessPathKind::FullScan);
-    assert!(bp.fallback, "index wanted, sidecar lost → fallback");
-    assert!(
-        bp.candidates
-            .iter()
-            .all(|c| c.kind != AccessPathKind::BitmapScan),
-        "survivors carry no bitmap, so no bitmap candidate"
-    );
-
-    // The surviving replicas still answer the query correctly.
-    let mut rows = Vec::new();
-    planner
-        .execute_block(&after, block, bp.replica, &schema, &query, &mut |r| {
-            if !r.bad {
-                rows.push(r.row.clone());
-            }
-        })
-        .unwrap();
-    assert!(!rows.is_empty());
-    assert!(rows
-        .iter()
-        .all(|r| r.get(country).unwrap().as_str() == Some("USA")));
-}
-
-/// A configured bitmap column that turns out to be high-cardinality is
-/// skipped at build time: the upload succeeds, `Dir_rep` records no
-/// sidecar, and the planner never offers the path.
-#[test]
-fn high_cardinality_bitmap_falls_back_to_no_sidecar() {
-    let schema = bob_schema();
-    let ip = schema.index_of("sourceIP").unwrap(); // ~unique per row
-    let country = schema.index_of("countryCode").unwrap();
-    let config = ReplicaIndexConfig::unindexed(3)
-        .with_bitmap(ip)
-        .with_bitmap(country);
-    let (cluster, dataset, schema, _) = weblog_cluster(0.0, &config);
-
-    let block = dataset.blocks[0];
-    assert!(
-        cluster
-            .namenode()
-            .get_hosts_with_bitmap(block, ip)
-            .unwrap()
-            .is_empty(),
-        "high-cardinality column stores no bitmap"
-    );
-    assert_eq!(
-        cluster
-            .namenode()
-            .get_hosts_with_bitmap(block, country)
-            .unwrap()
-            .len(),
-        3,
-        "the low-cardinality column still does"
-    );
-
-    let filter = format!("@{} = '158.112.27.3'", ip + 1);
-    let query = HailQuery::parse(&filter, "", &schema).unwrap();
-    let plan = QueryPlanner::new(&cluster)
-        .plan_dataset(&dataset, &query)
-        .unwrap();
-    for bp in &plan.blocks {
-        assert!(bp
-            .candidates
-            .iter()
-            .all(|c| c.kind != AccessPathKind::BitmapScan));
-    }
-}
-
-/// A corrupt sidecar directory entry (bad kind tag) fails the replica
-/// parse instead of yielding a half-readable block.
+/// A corrupt sidecar directory entry — an unknown kind tag, or a
+/// retired one — fails the replica parse, the full open and the tail
+/// open alike, as `Corrupt`.
 #[test]
 fn corrupt_sidecar_tag_fails_replica_parse() {
-    let schema = bob_schema();
-    let country = schema.index_of("countryCode").unwrap();
-    let config = ReplicaIndexConfig::unindexed(3).with_bitmap(country);
-    let (cluster, dataset, _, _) = weblog_cluster(0.0, &config);
-
+    let (cluster, dataset, _, _) = weblog_cluster(&one_sidecar());
     let block = dataset.blocks[0];
     let dn = cluster.namenode().get_hosts(block).unwrap()[0];
     let raw = replica_bytes(&cluster, block, dn);
-    let good = IndexedBlock::parse(raw.clone()).unwrap();
-    assert!(good.bitmap(country).unwrap().is_some());
+    assert!(ReplicaTail::open(checksummed(&raw)).is_ok());
+    assert_eq!(
+        IndexedBlock::parse(raw.clone())
+            .unwrap()
+            .metadata()
+            .sidecars[0]
+            .kind,
+        IndexKind::ZoneMap {
+            column: bob_schema().index_of("countryCode").unwrap()
+        }
+    );
 
-    // The sidecar descriptor's kind tag sits 20 bytes into the metadata
-    // record, which sits right before the fixed 20-byte footer.
-    let meta_len = good.metadata().to_bytes().len();
-    let mut corrupt = raw.to_vec();
-    let tag_pos = corrupt.len() - 20 - meta_len + 20;
-    corrupt[tag_pos] = 250;
-    let err = IndexedBlock::parse(bytes::Bytes::from(corrupt)).unwrap_err();
-    assert!(err.to_string().contains("unknown index kind"), "{err}");
+    for tag in [4u8, 5, 250] {
+        let damaged = with_sidecar_tag(&raw, tag);
+        let corrupt = |what: &str, result: hail::types::Result<()>| match result {
+            Err(HailError::Corrupt(msg)) => {
+                assert!(
+                    msg.contains("unknown index kind"),
+                    "tag {tag}, {what}: {msg}"
+                )
+            }
+            other => panic!("tag {tag}, {what}: {other:?}"),
+        };
+        corrupt(
+            "parse",
+            IndexedBlock::parse(bytes::Bytes::from(damaged.clone())).map(drop),
+        );
+        corrupt("open", IndexedBlock::open(checksummed(&damaged)).map(drop));
+        corrupt("tail", ReplicaTail::open(checksummed(&damaged)).map(drop));
+    }
+}
+
+/// A full-scan job over a cluster where one replica's sidecar directory
+/// carries a retired tag returns the oracle's rows: the block read that
+/// meets the damaged replica finds it corrupt and reads another.
+#[test]
+fn a_retired_sidecar_tag_fails_over_to_another_replica() {
+    let (mut cluster, dataset, schema, text) = weblog_cluster(&one_sidecar());
+    let block = dataset.blocks[0];
+    let query = HailQuery::full_scan();
+    let oracle = canonical(&oracle_eval(&[(0, text)], &schema, &query));
+    let spec = ClusterSpec::new(3, HardwareProfile::physical());
+
+    for tag in [4u8, 5] {
+        for dn in cluster.namenode().get_hosts(block).unwrap() {
+            let what = format!("tag {tag} on DN{dn}");
+            let good = replica_bytes(&cluster, block, dn);
+            let damaged = with_sidecar_tag(&good, tag);
+            let sums = chunk_checksums(&damaged);
+            cluster
+                .datanode_mut(dn)
+                .unwrap()
+                .write_replica(block, bytes::Bytes::from(damaged), sums)
+                .unwrap();
+
+            // The block read runs on the damaged node, which a full scan
+            // reads first, and fails over.
+            let planner = QueryPlanner::new(&cluster);
+            let plan = planner.plan_dataset(&dataset, &query).unwrap();
+            let mut rows = Vec::new();
+            planner
+                .execute_block(&plan, block, dn, &schema, &query, &mut |r| {
+                    if !r.bad {
+                        rows.push(r.row);
+                    }
+                })
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(canonical(&rows), oracle, "{what}: block read");
+
+            let format = PlannedInputFormat::new(dataset.clone(), query.clone());
+            let job = MapJob::collecting("scan", dataset.blocks.clone(), &format);
+            let run = run_map_job(&cluster, &spec, &job).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(canonical(&run.output), oracle, "{what}: job");
+
+            let sums = chunk_checksums(&good);
+            cluster
+                .datanode_mut(dn)
+                .unwrap()
+                .write_replica(block, good, sums)
+                .unwrap();
+        }
+    }
 }

@@ -3,8 +3,8 @@
 //!
 //! The matrix flips one byte in one region of one stored replica at a
 //! time — PAX header, directory, each column, the bad section, the
-//! clustered index, each sidecar (bitmap, inverted list, zone map,
-//! Bloom), the index metadata, the trailer — and holds every access path
+//! clustered index, each sidecar (zone map, Bloom), the index metadata,
+//! the trailer — and holds every access path
 //! that reads that region to three things:
 //!
 //! - the path itself, run against the damaged replica, returns `Err`
@@ -24,8 +24,7 @@
 use hail::prelude::*;
 use hail_bench::{run_queries_managed, setup_hpp, SharedJobInfra, SystemSetup, Testbed};
 use hail_exec::{
-    BitmapScan, BlockAccess, ClusteredIndexScan, FullScan, InvertedListScan, PruneReason,
-    ScanLayout, TrojanIndexScan,
+    BlockAccess, ClusteredIndexScan, FullScan, PruneReason, ScanLayout, TrojanIndexScan,
 };
 use hail_index::{BloomSynopsis, ZoneMapSynopsis, TRAILER_LEN};
 use hail_types::config::CHUNK_SIZE;
@@ -69,20 +68,16 @@ fn text(node: usize, bad: bool) -> String {
     out
 }
 
-/// Node 0's block carries bad records (so a bad section and an inverted
-/// list with entries); node 1's has none (so its synopses can prune).
+/// Node 0's block carries bad records (so a non-empty bad section);
+/// node 1's has none (so its synopses can prune).
 fn texts() -> Vec<(usize, String)> {
     vec![(0, text(0, true)), (1, text(1, false))]
 }
 
 /// Replica 0 clustered on `k`, replica 1 on `name`, replica 2 unsorted;
-/// every replica with a bitmap on `tag`, an inverted list, and a zone
-/// map + Bloom filter on `k`.
+/// every replica with a zone map + Bloom filter on `k`.
 fn design() -> ReplicaIndexConfig {
-    ReplicaIndexConfig::first_indexed(3, &[0, 2])
-        .with_bitmap(3)
-        .with_inverted_list()
-        .with_synopses(0)
+    ReplicaIndexConfig::first_indexed(3, &[0, 2]).with_synopses(0)
 }
 
 fn setup() -> SystemSetup {
@@ -106,17 +101,13 @@ fn query(filter: &str, projection: &str) -> HailQuery {
     HailQuery::parse(filter, projection, &schema()).unwrap()
 }
 
-/// The path-level probes: which path, the query it serves, and the
-/// planner's bad-record tokens for the inverted-list scan.
+/// The path-level probes: which path and the query it serves.
 struct Probe {
     name: &'static str,
     path: Box<dyn AccessPath + Send + Sync>,
     query: HailQuery,
-    tokens: Vec<String>,
     /// Only the replica clustered on the key can serve it.
     clustered_only: bool,
-    /// Reads every column region whole.
-    reads_columns: bool,
 }
 
 fn probes() -> Vec<Probe> {
@@ -125,9 +116,7 @@ fn probes() -> Vec<Probe> {
         name,
         path,
         query,
-        tokens: Vec::new(),
         clustered_only,
-        reads_columns: true,
     };
     vec![
         // No replica serves @5: every block streams.
@@ -144,37 +133,18 @@ fn probes() -> Vec<Probe> {
             query("@1 >= -1", all),
             true,
         ),
-        // A quarter of the rows, spread over every chunk of every column.
-        pax(
-            "bitmap-scan",
-            Box::new(BitmapScan { column: 3 }),
-            query("@4 = 'red'", all),
-            false,
-        ),
-        Probe {
-            name: "inverted-list-scan",
-            path: Box::new(InvertedListScan {
-                tokens: vec!["error".into()],
-            }),
-            query: HailQuery::full_scan(),
-            tokens: vec!["error".into()],
-            clustered_only: false,
-            reads_columns: false,
-        },
     ]
 }
 
-/// Whether `probe` reads region `region` of a replica. Every path opens
+/// Whether a probe reads region `region` of a replica. Every path opens
 /// the container — header, directory, metadata, trailer, and the
-/// clustered index where there is one — and emits the bad records.
-fn reads(probe: &Probe, region: &str) -> bool {
+/// clustered index where there is one — reads every column whole and
+/// emits the bad records. No path reads a synopsis.
+fn reads(region: &str) -> bool {
     match region {
         "pax header" | "directory" | "index metadata" | "trailer" | "clustered index"
         | "bad section" => true,
-        "bitmap(@4)" => probe.name == "bitmap-scan",
-        "inverted-list" => probe.name == "inverted-list-scan",
-        column if column.starts_with("column") => probe.reads_columns,
-        _ => false,
+        column => column.starts_with("column"),
     }
 }
 
@@ -223,16 +193,6 @@ fn regions(cluster: &DfsCluster, block: BlockId, node: DatanodeId) -> Vec<(Strin
     out
 }
 
-fn planner_for<'a>(cluster: &'a DfsCluster, probe: &Probe) -> QueryPlanner<'a> {
-    QueryPlanner::with_config(
-        cluster,
-        PlannerConfig {
-            bad_record_tokens: probe.tokens.clone(),
-            ..Default::default()
-        },
-    )
-}
-
 /// One block read through the planner with the task on `node` — which
 /// every probe's path serves from `node` when it can — as canonical
 /// records, bad ones marked.
@@ -242,7 +202,7 @@ fn block_read(
     block: BlockId,
     node: DatanodeId,
 ) -> hail_types::Result<Vec<String>> {
-    let planner = planner_for(cluster, probe);
+    let planner = QueryPlanner::new(cluster);
     let plan = planner.plan(DatasetFormat::HailPax, &[block], &probe.query)?;
     let mut records = Vec::new();
     planner.execute_block(&plan, block, node, &schema(), &probe.query, &mut |r| {
@@ -259,8 +219,7 @@ fn record_string(r: &MapRecord) -> String {
 /// A whole solo job for `probe`, every record it reads — bad ones
 /// included — kept.
 fn job(setup: &SystemSetup, probe: &Probe) -> JobRun {
-    let mut format = PlannedInputFormat::new(setup.dataset.clone(), probe.query.clone());
-    format.planner.bad_record_tokens = probe.tokens.clone();
+    let format = PlannedInputFormat::new(setup.dataset.clone(), probe.query.clone());
     let job = MapJob {
         name: probe.name.into(),
         input: setup.dataset.blocks.clone(),
@@ -303,11 +262,11 @@ fn a_corrupt_region_fails_its_readers_and_fails_over() {
         .iter()
         .map(|p| format!("{:?}", canonical(&job(&setup, p).output)))
         .collect();
-    for p in &probes[..3] {
+    for p in &probes {
         let oracle = canonical(&oracle_eval(&texts(), &schema(), &p.query));
         assert_eq!(good_rows(&setup, p), oracle, "{}", p.name);
     }
-    let managed: Vec<HailQuery> = probes[..3].iter().map(|p| p.query.clone()).collect();
+    let managed: Vec<HailQuery> = probes.iter().map(|p| p.query.clone()).collect();
 
     let mut cases = 0;
     for (pos, &node) in hosts.iter().enumerate() {
@@ -321,7 +280,7 @@ fn a_corrupt_region_fails_its_readers_and_fails_over() {
             let what = |p: &Probe| format!("{} on replica {pos}, {region} byte {byte}", p.name);
             let cluster = &setup.cluster;
             for (i, p) in probes.iter().enumerate() {
-                if !reads(p, &region) || (p.clustered_only && pos != 0) {
+                if !reads(&region) || (p.clustered_only && pos != 0) {
                     continue;
                 }
                 cases += 1;
@@ -349,8 +308,7 @@ fn a_corrupt_region_fails_its_readers_and_fails_over() {
                     what(p)
                 );
             }
-            // Two jobs at a time: a full scan, a clustered scan and a
-            // bitmap scan.
+            // Two jobs at a time: a full scan and a clustered scan.
             let infra = SharedJobInfra::for_jobs(2);
             let batch =
                 run_queries_managed(&setup, &spec(), &managed, true, &JobManager::new(2), &infra)
@@ -366,7 +324,7 @@ fn a_corrupt_region_fails_its_readers_and_fails_over() {
             dn.corrupt_replica(block, byte).unwrap(); // flip it back
         }
     }
-    assert!(cases >= 60, "{cases} cases");
+    assert_eq!(cases, 43, "{cases} cases");
 }
 
 /// A byte of a stored synopsis whose flip an unverified reader would
@@ -491,7 +449,7 @@ fn a_read_that_fails_halfway_keeps_no_records() {
         .unwrap();
     let clustered = hosts.iter().position(|h| on_key.contains(h)).unwrap();
     let sentinel = MapRecord::bad("kept from before".into());
-    let reads: [(Box<dyn AccessPath>, HailQuery, usize); 3] = [
+    let reads: [(Box<dyn AccessPath>, HailQuery, usize); 2] = [
         (
             Box::new(FullScan::new(ScanLayout::HailPax)),
             query("@1 <= 200", "{@1, @2}"),
@@ -501,11 +459,6 @@ fn a_read_that_fails_halfway_keeps_no_records() {
             Box::new(ClusteredIndexScan { column: 0 }),
             query("@1 <= 200", "{@1, @2}"),
             clustered,
-        ),
-        (
-            Box::new(BitmapScan { column: 3 }),
-            query("@4 = 'red'", "{@1, @2}"),
-            0,
         ),
     ];
     for (path, q, pos) in &reads {
