@@ -19,7 +19,7 @@ use hail_dfs::{
 use hail_index::ReplicaIndexConfig;
 use hail_pax::{block_spans, PaxBlock, PaxBlockBuilder};
 use hail_sim::ClusterSpec;
-use hail_sync::run_ordered;
+use hail_sync::{machine_width, run_ordered};
 use hail_types::{BlockId, DatanodeId, HailError, Result, Schema, StorageConfig};
 use std::convert::Infallible;
 
@@ -108,14 +108,13 @@ pub fn upload_hail(
     node_texts: &[(DatanodeId, String)],
     index_config: &ReplicaIndexConfig,
 ) -> Result<Dataset> {
-    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
     upload_hail_at(
         cluster,
         schema,
         name,
         node_texts,
         index_config,
-        width,
+        machine_width(),
         prepare_hail_block,
     )
 }

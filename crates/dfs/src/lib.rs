@@ -8,7 +8,8 @@
 //! - [`placement`] — writer-local, round-robin replica placement
 //! - [`pipeline`] — the HDFS and HAIL upload pipelines (Fig. 1); HAIL's
 //!   runs in two phases, a pure per-block prepare (packetize, sort,
-//!   index, checksum every position) and a commit through the chain
+//!   index, checksum every position) and a commit through the chain;
+//!   the adaptive replica rewrite is split the same way
 //! - [`cluster`] — the assembled DFS with per-node cost ledgers
 //! - [`failure`] — node death, recovery, and replica-equivalence checks
 
@@ -28,7 +29,8 @@ pub use failure::{
 };
 pub use namenode::Namenode;
 pub use pipeline::{
-    commit_hail_block, hail_upload_block, hdfs_upload_block, prepare_hail_block, rewrite_replica,
-    store_transformed_block, FaultPlan, PreparedBlock,
+    commit_hail_block, commit_rewrite, hail_upload_block, hdfs_upload_block, prepare_hail_block,
+    prepare_rewrite, rewrite_replica, store_transformed_block, FaultPlan, PreparedBlock,
+    PreparedRewrite,
 };
 pub use placement::PlacementPolicy;

@@ -149,6 +149,10 @@ impl Namenode {
 
     /// Live datanodes whose replica of the block stores a sidecar
     /// zone-map synopsis over the given 0-based column.
+    ///
+    /// Kept as frozen-suite residue: the `hail-bench` probe
+    /// `dfs.dir_rep_lookup_ns` times it; the engine's prune pass finds
+    /// synopsis holders through [`Namenode::live_replicas`] instead.
     pub fn get_hosts_with_zone_map(
         &self,
         block: BlockId,
@@ -167,6 +171,10 @@ impl Namenode {
 
     /// Live datanodes whose replica of the block stores a sidecar
     /// Bloom-filter synopsis over the given 0-based column.
+    ///
+    /// Kept as frozen-suite residue: the `hail-bench` probe
+    /// `dfs.dir_rep_lookup_ns` times it; the engine's prune pass finds
+    /// synopsis holders through [`Namenode::live_replicas`] instead.
     pub fn get_hosts_with_bloom(&self, block: BlockId, column: usize) -> Result<Vec<DatanodeId>> {
         let hosts = self.get_hosts(block)?;
         Ok(hosts

@@ -26,6 +26,11 @@
 //! succeeds delivered exactly the client's bytes, and the chain checks
 //! that once more before the commit flushes.
 //!
+//! The adaptive rewrite of a stored replica is split the same way:
+//! [`prepare_rewrite`] reads, verifies and rebuilds under `&DfsCluster`,
+//! and [`commit_rewrite`] charges, flushes and registers under `&mut`.
+//! Both commits flush a replica through one helper.
+//!
 //! Every position of a chain that succeeds received exactly the client's
 //! packets, so the chain copies a packet only when a fault damages it on
 //! the wire; identical (HDFS and transformed) replicas share one buffer
@@ -263,6 +268,52 @@ struct PreparedReplica {
     sort_cpu: u64,
 }
 
+impl PreparedReplica {
+    /// The files of `indexed`, built from `pax` in `order`: its bytes,
+    /// their chunk checksums, its metadata, and the sort CPU of the
+    /// build — sort, permute and index build all stream over the binary
+    /// block, so a sorted order charges its size.
+    fn new(indexed: &IndexedBlock, pax: &PaxBlock, order: SortOrder) -> Self {
+        PreparedReplica {
+            bytes: indexed.bytes().clone(),
+            checksums: chunk_checksums(indexed.bytes()),
+            meta: indexed.metadata().clone(),
+            sort_cpu: if order.column().is_some() {
+                pax.byte_len() as u64
+            } else {
+                0
+            },
+        }
+    }
+
+    /// Flushes this replica on `datanode` and registers it: the build's
+    /// CPU — the sort, and the sidecars, charged at their serialized
+    /// size — lands on the datanode's upload ledger, the data and
+    /// checksum files are written, and the datanode informs the namenode
+    /// (steps 11/14), which overwrites the `(block, datanode)` entry of
+    /// `Dir_rep` and bumps the design epoch.
+    fn flush(self, cluster: &mut DfsCluster, block: BlockId, datanode: DatanodeId) -> Result<()> {
+        let node = cluster.datanode_mut(datanode)?;
+        if self.sort_cpu > 0 {
+            node.add_sort_cpu(self.sort_cpu);
+        }
+        let sidecar_total = self.meta.sidecar_bytes_total();
+        if sidecar_total > 0 {
+            node.add_sort_cpu(sidecar_total as u64);
+        }
+        let replica_bytes = self.bytes.len();
+        node.write_replica(block, self.bytes, self.checksums)?;
+        cluster
+            .namenode_mut()
+            .register_replica(HailBlockReplicaInfo::new(
+                block,
+                datanode,
+                self.meta,
+                replica_bytes,
+            ))
+    }
+}
+
 /// A HAIL block ready for [`commit_hail_block`]: the client's packets
 /// and, per chain position, the replica that position will flush — or
 /// the lowest position's build error, which the commit reports only if
@@ -293,18 +344,7 @@ pub fn prepare_hail_block(pax: &PaxBlock, config: &ReplicaIndexConfig) -> Result
         .map(|pos| {
             let order = config.orders()[pos];
             let indexed = prep.build(order, config.sidecar(pos))?;
-            Ok(PreparedReplica {
-                bytes: indexed.bytes().clone(),
-                checksums: chunk_checksums(indexed.bytes()),
-                meta: indexed.metadata().clone(),
-                // Sort + permute + index build all stream over the
-                // binary block.
-                sort_cpu: if order.column().is_some() {
-                    pax.byte_len() as u64
-                } else {
-                    0
-                },
-            })
+            Ok(PreparedReplica::new(&indexed, pax, order))
         })
         .collect();
     Ok(PreparedBlock { packets, replicas })
@@ -341,34 +381,7 @@ pub fn commit_hail_block(
     };
 
     for (dn, replica) in chain.into_iter().zip(replicas) {
-        // Step 7 was pure CPU on this datanode; charge the binary block
-        // size for a sorted position.
-        if replica.sort_cpu > 0 {
-            cluster.datanode_mut(dn)?.add_sort_cpu(replica.sort_cpu);
-        }
-        // Building sidecars streams once over their columns; charge
-        // their serialized size as CPU.
-        let sidecar_total = replica.meta.sidecar_bytes_total();
-        if sidecar_total > 0 {
-            cluster.datanode_mut(dn)?.add_sort_cpu(sidecar_total as u64);
-        }
-
-        // Flush data + checksum files.
-        let replica_bytes = replica.bytes.len();
-        cluster
-            .datanode_mut(dn)?
-            .write_replica(block, replica.bytes, replica.checksums)?;
-
-        // Steps 11/14: each datanode informs the namenode about its new
-        // replica — size, index, sort order.
-        cluster
-            .namenode_mut()
-            .register_replica(HailBlockReplicaInfo::new(
-                block,
-                dn,
-                replica.meta,
-                replica_bytes,
-            ))?;
+        replica.flush(cluster, block, dn)?;
     }
     Ok(block)
 }
@@ -393,6 +406,9 @@ pub fn commit_hail_block(
 /// Costs are charged like the upload's: the re-read, sort/index CPU and
 /// flush all land on the datanode's upload ledger (it is background
 /// maintenance work, not part of any query's read path).
+///
+/// This is [`prepare_rewrite`] followed by [`commit_rewrite`]; a failed
+/// prepare charges, writes and registers nothing.
 pub fn rewrite_replica(
     cluster: &mut DfsCluster,
     block: BlockId,
@@ -400,42 +416,58 @@ pub fn rewrite_replica(
     order: SortOrder,
     spec: &SidecarSpec,
 ) -> Result<()> {
-    // Read the stored replica back (background I/O: charged to the
-    // node's own upload ledger, with checksum verification like any
-    // full-replica read).
-    let mut ledger = CostLedger::new();
-    let bytes = cluster
-        .datanode(datanode)?
-        .read_replica(block, &mut ledger)?;
+    let prepared = prepare_rewrite(cluster, block, datanode, order, spec)?;
+    commit_rewrite(cluster, prepared)
+}
+
+/// A replica rewrite ready for [`commit_rewrite`]: the rebuilt replica
+/// and the cost of reading the old one, not yet charged.
+#[derive(Debug)]
+pub struct PreparedRewrite {
+    block: BlockId,
+    datanode: DatanodeId,
+    read: CostLedger,
+    replica: PreparedReplica,
+}
+
+/// Phase one of [`rewrite_replica`], pure CPU on one replica under
+/// `&DfsCluster`, so a rebuild can prepare many replicas at once: reads
+/// the stored replica back with checksum verification like any
+/// full-replica read, parses it, sorts, indexes and builds the sidecars
+/// over its logical rows (step 7, locally), and checksums the result.
+/// The read's cost is kept for the commit; nothing is charged here.
+pub fn prepare_rewrite(
+    cluster: &DfsCluster,
+    block: BlockId,
+    datanode: DatanodeId,
+    order: SortOrder,
+    spec: &SidecarSpec,
+) -> Result<PreparedRewrite> {
+    let mut read = CostLedger::new();
+    let bytes = cluster.datanode(datanode)?.read_replica(block, &mut read)?;
     let old = IndexedBlock::parse(bytes)?;
-
-    // Step 7, locally: sort + index + sidecars over the logical rows.
     let rebuilt = IndexedBlock::build_with(old.pax(), order, spec)?;
-    let node = cluster.datanode_mut(datanode)?;
-    node.add_extra(&ledger);
-    if order.column().is_some() {
-        node.add_sort_cpu(old.pax().byte_len() as u64);
-    }
-    let sidecar_total = rebuilt.metadata().sidecar_bytes_total();
-    if sidecar_total > 0 {
-        node.add_sort_cpu(sidecar_total as u64);
-    }
+    Ok(PreparedRewrite {
+        block,
+        datanode,
+        read,
+        replica: PreparedReplica::new(&rebuilt, old.pax(), order),
+    })
+}
 
-    // Flush the replacement files, then re-register: `Dir_rep` flips to
-    // the new metadata and the design epoch bumps in the same exclusive
-    // section.
-    let checksums = chunk_checksums(rebuilt.bytes());
-    let meta = rebuilt.metadata().clone();
-    let replica_bytes = rebuilt.byte_len();
-    node.write_replica(block, rebuilt.bytes().clone(), checksums)?;
-    cluster
-        .namenode_mut()
-        .register_replica(HailBlockReplicaInfo::new(
-            block,
-            datanode,
-            meta,
-            replica_bytes,
-        ))
+/// Phase two of [`rewrite_replica`]: charges the re-read (background
+/// I/O, to the datanode's own upload ledger) and the build's CPU, then
+/// flushes the replacement files and re-registers the replica — the
+/// `Dir_rep` flip and the epoch bump in the same exclusive section.
+pub fn commit_rewrite(cluster: &mut DfsCluster, prepared: PreparedRewrite) -> Result<()> {
+    let PreparedRewrite {
+        block,
+        datanode,
+        read,
+        replica,
+    } = prepared;
+    cluster.datanode_mut(datanode)?.add_extra(&read);
+    replica.flush(cluster, block, datanode)
 }
 
 /// Stores a block whose per-replica payloads were produced elsewhere
@@ -611,6 +643,64 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, HailError::DeadDatanode(_)));
+    }
+
+    /// The prepare charges, writes and registers nothing; the commit
+    /// charges the re-read, the sort and the sidecar build, and the
+    /// flush, as the upload charges them, and bumps the epoch once.
+    #[test]
+    fn rewrite_charges_at_commit_what_it_read_built_and_wrote() {
+        let mut c = cluster();
+        let pax = pax_block();
+        let config = ReplicaIndexConfig::first_indexed(3, &[0]).with_zone_map(1);
+        let block = hail_upload_block(&mut c, 0, &pax, &config, &FaultPlan::none()).unwrap();
+        let target = c.namenode().get_hosts(block).unwrap()[2];
+        let old = c.datanode(target).unwrap().peek_replica(block).unwrap();
+        let old_pax_len = IndexedBlock::parse(old.clone()).unwrap().pax().byte_len();
+        let before = *c.datanode(target).unwrap().upload_ledger();
+        let epoch = c.namenode().design_epoch();
+        let order = SortOrder::Clustered { column: 1 };
+        let spec = SidecarSpec {
+            zone_map_columns: vec![1],
+            ..SidecarSpec::default()
+        };
+
+        let prepared = prepare_rewrite(&c, block, target, order, &spec).unwrap();
+        let node = c.datanode(target).unwrap();
+        assert_eq!(*node.upload_ledger(), before);
+        assert_eq!(node.peek_replica(block).unwrap(), old);
+        assert_eq!(c.namenode().design_epoch(), epoch);
+
+        commit_rewrite(&mut c, prepared).unwrap();
+        let node = c.datanode(target).unwrap();
+        let rebuilt = IndexedBlock::parse(node.peek_replica(block).unwrap()).unwrap();
+        assert_eq!(rebuilt.sort_order(), order);
+        let sidecars = rebuilt.metadata().sidecar_bytes_total();
+        assert!(sidecars > 0);
+        let mut expected = before;
+        expected.disk_read += old.len() as u64;
+        expected.sort_cpu += (old_pax_len + sidecars) as u64;
+        expected.disk_write +=
+            (rebuilt.byte_len() + 4 * chunk_checksums(rebuilt.bytes()).len()) as u64;
+        expected.seeks += 3; // one read, a data file and a checksum file
+        assert_eq!(*node.upload_ledger(), expected);
+        assert_eq!(c.namenode().design_epoch(), epoch + 1);
+        assert_eq!(
+            c.namenode().replica_index(block, target),
+            Some(rebuilt.metadata())
+        );
+
+        // A damaged replica fails the prepare's verified read, and the
+        // failed rewrite charges nothing.
+        let before = *c.datanode(target).unwrap().upload_ledger();
+        c.datanode_mut(target)
+            .unwrap()
+            .corrupt_replica(block, 0)
+            .unwrap();
+        let err = rewrite_replica(&mut c, block, target, order, &spec).unwrap_err();
+        assert!(matches!(err, HailError::ChecksumMismatch { .. }), "{err}");
+        assert_eq!(*c.datanode(target).unwrap().upload_ledger(), before);
+        assert_eq!(c.namenode().design_epoch(), epoch + 1);
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! [`ReindexAdvisor`] recommends building the missing clustered index on
 //! one replica per block — for range and equality predicates alike, as
 //! HAIL's one-index-per-replica design would — and [`apply_reindex`]
-//! performs the in-place rewrite through `hail_dfs::rewrite_replica` —
-//! the same step-7 sort/index/register machinery the upload pipeline
-//! runs, minus the network hop.
+//! performs the in-place rewrites — the same step-7 sort/index/register
+//! machinery the upload pipeline runs, minus the network hop. Like the
+//! upload, the rebuild runs in two phases: `hail_dfs::prepare_rewrite`
+//! reads, verifies and rebuilds a window of replicas at the machine's
+//! parallelism, as every datanode would sort its own replica at once,
+//! and `hail_dfs::commit_rewrite` charges, flushes and registers them
+//! on the caller's thread in plan order, so the result is a serial
+//! loop's.
 //!
 //! # The correctness contract
 //!
@@ -40,16 +45,21 @@
 //! selectivity at or below `max_selectivity`, *and* the evidence to
 //! persist across `hysteresis_rounds` consecutive advisory rounds
 //! before it recommends anything; a round without evidence resets the
-//! streak. Each `(column, class)` fires at most once, and a block is
-//! rewritten at most once per column: a second action on a column finds
-//! the blocks the first one rewrote already served.
+//! streak. Each `(column, class)` fires at most once, and a column gets
+//! at most one action per round: when both its equality and its range
+//! class qualify, the first fires and the second neither takes a slot
+//! of `max_builds_per_round` nor is marked fired — the rewrite closes
+//! the column's design gap, so its streak resets. A block is rewritten
+//! at most once per column: a later action on a column finds the blocks
+//! the first one rewrote already served.
 
 use crate::feedback::SelectivityFeedback;
-use hail_dfs::{rewrite_replica, DfsCluster, Namenode};
+use hail_dfs::{commit_rewrite, prepare_rewrite, DfsCluster, Namenode};
 use hail_index::{IndexKind, IndexMetadata, SidecarSpec, SortOrder};
-use hail_sync::{LockRank, OrderedMutex};
+use hail_sync::{machine_width, run_ordered, LockRank, OrderedMutex};
 use hail_types::{BlockId, DatanodeId, Result};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// One advisory recommendation: a clustered index over `column`, built
 /// by re-sorting one unsorted replica per block on it.
@@ -158,6 +168,11 @@ impl ReindexAdvisor {
     /// - at least `min_observations` block observations were absorbed,
     /// - the observed mean selectivity is ≤ `max_selectivity`, and
     /// - some live block lacks a replica clustered on the column.
+    ///
+    /// A column gets at most one action per round, its first qualifying
+    /// class in that order; a class skipped for it is not marked fired,
+    /// and the next round finds no design gap on the column and resets
+    /// its streak.
     pub fn note_round(
         &self,
         feedback: &SelectivityFeedback,
@@ -168,7 +183,7 @@ impl ReindexAdvisor {
             return Vec::new();
         }
         let mut state = self.state.acquire();
-        let mut actions = Vec::new();
+        let mut actions: Vec<ReindexAction> = Vec::new();
         for (column, eq) in feedback.observed_classes() {
             let entry = state.entry((column, eq)).or_default();
             let qualified = feedback.observation_count(column, eq) >= self.policy.min_observations
@@ -181,9 +196,12 @@ impl ReindexAdvisor {
                 continue;
             }
             entry.streak += 1;
+            // One action per column per round: a column's second class
+            // would find every block the first one rewrites served.
             if entry.streak >= self.policy.hysteresis_rounds
                 && !entry.fired
                 && actions.len() < self.policy.max_builds_per_round
+                && !actions.iter().any(|a| a.column == column)
             {
                 entry.fired = true;
                 actions.push(ReindexAction { column, eq });
@@ -276,36 +294,82 @@ pub struct ReindexOutcome {
 }
 
 /// Applies one action: plans the per-block rewrites and performs each
-/// through [`hail_dfs::rewrite_replica`]. Requires `&mut DfsCluster` —
+/// as [`hail_dfs::rewrite_replica`] would. Requires `&mut DfsCluster` —
 /// the structural guarantee that no query observes a half-registered
 /// design (see the module docs). Every rewrite bumps the design epoch,
 /// so a split-time plan from before it no longer holds.
+///
+/// The rewrites are prepared at the machine's parallelism and committed
+/// on this thread in plan order; bytes, ledgers, `Dir_rep`, the epoch
+/// and the outcome are those of a rewrite-after-rewrite loop, and so is
+/// the error: the rewrites before the first failing one are committed,
+/// that one and every later one are not.
 pub fn apply_reindex(
     cluster: &mut DfsCluster,
     blocks: &[BlockId],
     action: &ReindexAction,
 ) -> Result<ReindexOutcome> {
+    apply_reindex_at(cluster, blocks, action, machine_width())
+}
+
+/// Blocks one window prepares replicas for per thread, at most: the
+/// upload's `BLOCKS_PER_TASK`. A rewrite prepares one replica and an
+/// uploaded block `replication` of them, so a rebuild at width `w` holds
+/// at most `w × 4 × replication` prepared replicas that are not yet
+/// committed — what an upload window holds. Every window pays a thread
+/// start and a join, so fewer, larger windows keep more of the fan-out's
+/// gain: at replication 3 and width 2 a window takes 24 rewrites.
+const BLOCKS_PER_THREAD: usize = 4;
+
+/// [`apply_reindex`] on up to `width` threads. Window by window — up to
+/// `width` × [`BLOCKS_PER_THREAD`] × replication planned rewrites —
+/// [`run_ordered`] prepares each rewrite of the window (read, verify,
+/// rebuild, checksum) under `&DfsCluster`; then, in plan order, each is
+/// committed, or its error returned — where a serial loop stops. A
+/// prepare reads only its own block's replica, which no earlier commit
+/// of the window touches (`blocks` lists each block once, as a dataset
+/// does, so the plan does too), and has no effect of its own, so
+/// preparing ahead changes nothing.
+fn apply_reindex_at(
+    cluster: &mut DfsCluster,
+    blocks: &[BlockId],
+    action: &ReindexAction,
+    width: usize,
+) -> Result<ReindexOutcome> {
     let rewrites = plan_rewrites(cluster.namenode(), blocks, action);
-    let blocks_skipped = blocks.len() - rewrites.len();
-    let mut replicas_rewritten = 0;
-    for rw in &rewrites {
-        rewrite_replica(cluster, rw.block, rw.datanode, rw.order, &rw.spec)?;
-        replicas_rewritten += 1;
+    let width = width.max(1);
+    let window = width * BLOCKS_PER_THREAD * cluster.config().replication.max(1);
+    for window in rewrites.chunks(window) {
+        let shared: &DfsCluster = cluster;
+        let Ok(prepared) = run_ordered(window.len(), width, |i| {
+            let rw = &window[i];
+            Ok::<_, Infallible>(prepare_rewrite(
+                shared,
+                rw.block,
+                rw.datanode,
+                rw.order,
+                &rw.spec,
+            ))
+        });
+        for rewrite in prepared {
+            commit_rewrite(cluster, rewrite?)?;
+        }
     }
     Ok(ReindexOutcome {
         action: *action,
-        replicas_rewritten,
-        blocks_skipped,
+        replicas_rewritten: rewrites.len(),
+        blocks_skipped: blocks.len() - rewrites.len(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hail_dfs::{hail_upload_block, verify_replica_equivalence, FaultPlan};
-    use hail_index::ReplicaIndexConfig;
+    use hail_dfs::{hail_upload_block, rewrite_replica, verify_replica_equivalence, FaultPlan};
+    use hail_index::{HailBlockReplicaInfo, ReplicaIndexConfig};
     use hail_pax::blocks_from_text;
-    use hail_types::{DataType, Field, Schema, StorageConfig};
+    use hail_sim::CostLedger;
+    use hail_types::{DataType, Field, HailError, Schema, StorageConfig};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -318,20 +382,161 @@ mod tests {
     /// 4-node cluster, replicas clustered on column 0 / unsorted /
     /// unsorted — column 1 is served by nothing.
     fn uploaded() -> (DfsCluster, Vec<BlockId>) {
+        upload(60, &ReplicaIndexConfig::first_indexed(3, &[0]))
+    }
+
+    /// [`uploaded`]'s design over `rows` rows, every replica carrying
+    /// the config's synopses.
+    fn upload(rows: usize, config: &ReplicaIndexConfig) -> (DfsCluster, Vec<BlockId>) {
         let mut cluster = DfsCluster::new(4, StorageConfig::test_scale(512));
-        let text: String = (0..60)
+        let text: String = (0..rows)
             .map(|i| format!("{}|w{}\n", (i * 7) % 60, i))
             .collect();
         let blocks = blocks_from_text(&text, &schema(), &StorageConfig::test_scale(512)).unwrap();
-        let config = ReplicaIndexConfig::first_indexed(3, &[0]);
         let ids: Vec<BlockId> = blocks
             .iter()
             .enumerate()
             .map(|(i, b)| {
-                hail_upload_block(&mut cluster, i % 4, b, &config, &FaultPlan::none()).unwrap()
+                hail_upload_block(&mut cluster, i % 4, b, config, &FaultPlan::none()).unwrap()
             })
             .collect();
         (cluster, ids)
+    }
+
+    /// More than 24 blocks — two or more windows of 12 and 24 rewrites
+    /// at widths 1 and 2, one of 48 at width 4 — whose rewrites keep a
+    /// zone map and a Bloom filter.
+    fn many_blocks() -> (DfsCluster, Vec<BlockId>) {
+        let (cluster, blocks) = upload(
+            2000,
+            &ReplicaIndexConfig::first_indexed(3, &[0]).with_synopses(1),
+        );
+        assert!((25..48).contains(&blocks.len()), "{} blocks", blocks.len());
+        (cluster, blocks)
+    }
+
+    /// The rewrite-after-rewrite loop [`apply_reindex`] must reproduce.
+    fn serial_reindex(
+        cluster: &mut DfsCluster,
+        blocks: &[BlockId],
+        action: &ReindexAction,
+    ) -> Result<ReindexOutcome> {
+        let rewrites = plan_rewrites(cluster.namenode(), blocks, action);
+        for rw in &rewrites {
+            rewrite_replica(cluster, rw.block, rw.datanode, rw.order, &rw.spec)?;
+        }
+        Ok(ReindexOutcome {
+            action: *action,
+            replicas_rewritten: rewrites.len(),
+            blocks_skipped: blocks.len() - rewrites.len(),
+        })
+    }
+
+    /// What a rebuild leaves behind, block by block: every replica's
+    /// data and checksum file (an opened replica's `Debug` shows both)
+    /// and `Dir_rep` entry; and the design epoch and every datanode's
+    /// upload ledger.
+    #[derive(Debug, PartialEq)]
+    struct Stored {
+        replicas: Vec<(BlockId, String, HailBlockReplicaInfo)>,
+        epoch: u64,
+        ledgers: Vec<CostLedger>,
+    }
+
+    impl Stored {
+        fn of(cluster: &DfsCluster) -> Stored {
+            let nn = cluster.namenode();
+            let mut replicas = Vec::new();
+            for block in nn.blocks() {
+                for dn in nn.get_hosts(block).unwrap() {
+                    let file = cluster.datanode(dn).unwrap().open_replica(block).unwrap();
+                    let entry = nn.replica_info(block, dn).unwrap().clone();
+                    replicas.push((block, format!("{file:?}"), entry));
+                }
+            }
+            Stored {
+                replicas,
+                epoch: nn.design_epoch(),
+                ledgers: cluster.upload_ledgers(),
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_is_identical_at_every_width() {
+        let action = ReindexAction {
+            column: 1,
+            eq: false,
+        };
+        let (mut serial, blocks) = many_blocks();
+        let outcome = serial_reindex(&mut serial, &blocks, &action);
+        assert_eq!(outcome.as_ref().unwrap().replicas_rewritten, blocks.len());
+        let expected = (outcome, Stored::of(&serial));
+        for width in [1, 2, 4] {
+            let (mut cluster, ids) = many_blocks();
+            assert_eq!(ids, blocks);
+            let outcome = apply_reindex_at(&mut cluster, &blocks, &action, width);
+            assert_eq!((outcome, Stored::of(&cluster)), expected, "width {width}");
+        }
+        // The rewrites kept every synopsis.
+        verify_replica_equivalence(&serial).unwrap();
+        for &b in &blocks {
+            let nn = serial.namenode();
+            assert_eq!(nn.get_hosts_with_index(b, 1).unwrap().len(), 1);
+            assert_eq!(nn.get_hosts_with_zone_map(b, 1).unwrap().len(), 3);
+            assert_eq!(nn.get_hosts_with_bloom(b, 1).unwrap().len(), 3);
+        }
+    }
+
+    #[test]
+    fn rebuild_stops_at_the_first_damaged_replica_at_every_width() {
+        // Block 5 is inside the first window at every width, with
+        // undamaged blocks on both sides of it in that window and later
+        // windows after it at widths 1 and 2.
+        const K: usize = 5;
+        let action = ReindexAction {
+            column: 1,
+            eq: false,
+        };
+        let damaged = || {
+            let (mut cluster, blocks) = many_blocks();
+            let rewrites = plan_rewrites(cluster.namenode(), &blocks, &action);
+            assert_eq!(rewrites.len(), blocks.len());
+            let ReplicaRewrite {
+                block, datanode, ..
+            } = rewrites[K];
+            let node = cluster.datanode_mut(datanode).unwrap();
+            let len = node.replica_len(block).unwrap();
+            node.corrupt_replica(block, len / 2).unwrap();
+            (cluster, blocks)
+        };
+
+        let (mut serial, blocks) = damaged();
+        let before = Stored::of(&serial);
+        let err = serial_reindex(&mut serial, &blocks, &action).unwrap_err();
+        assert!(matches!(err, HailError::ChecksumMismatch { .. }), "{err}");
+        let after = Stored::of(&serial);
+        assert_eq!(after.epoch, before.epoch + K as u64);
+        for (i, &b) in blocks.iter().enumerate() {
+            let served = serial.namenode().get_hosts_with_index(b, 1).unwrap();
+            assert_eq!(served.len(), usize::from(i < K), "block {i}");
+        }
+        let from_k = |stored: &Stored| {
+            stored
+                .replicas
+                .iter()
+                .filter(|(b, ..)| *b >= blocks[K])
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(from_k(&after), from_k(&before), "block K on are untouched");
+
+        for width in [1, 2, 4] {
+            let (mut cluster, _) = damaged();
+            let outcome = apply_reindex_at(&mut cluster, &blocks, &action, width);
+            assert_eq!(outcome, Err(err.clone()), "width {width}");
+            assert_eq!(Stored::of(&cluster), after, "width {width}");
+        }
     }
 
     fn feed(feedback: &SelectivityFeedback, column: usize, eq: bool, n: usize) {

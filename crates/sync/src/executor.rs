@@ -2,12 +2,14 @@
 //! indexed tasks on up to `width` threads — the caller and scoped
 //! helpers — and returns their results in index order.
 //!
-//! It has three callers, each with its own kind of task: the
+//! It has four callers, each with its own kind of task: the
 //! planner-backed input format reads whole splits of one job at the
 //! job's parallelism, the job manager runs whole jobs at its
-//! `max_concurrent`, and the HAIL upload client cuts and prepares runs
-//! of consecutive blocks, one window at a time, at the machine's
-//! parallelism. A split's blocks
+//! `max_concurrent`, the HAIL upload client cuts and prepares runs of
+//! consecutive blocks, and the adaptive rebuild prepares one replica
+//! rewrite per task; the last two go one window at a time, at the
+//! machine's parallelism ([`machine_width`]), and commit on the caller's
+//! thread. A split's blocks
 //! are read on the thread that reads the split, so the map task (the
 //! paper's unit of parallel work) is the unit here too.
 //!
@@ -20,6 +22,12 @@
 //! counter, which balances load without per-worker queues.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The machine's available parallelism, or 1 when it cannot be read:
+/// the width the upload client and the adaptive rebuild prepare at.
+pub fn machine_width() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// Runs tasks `0..n` on at most `width` threads and returns their
 /// results **in index order**.

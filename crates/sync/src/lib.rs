@@ -30,7 +30,8 @@
 //!
 //! It also holds the engine's one ordered fan-out, [`run_ordered`]
 //! (module [`executor`]): a leaf crate, so the split pool and job
-//! manager in `hail-mr` and the upload client in `hail-core` share it.
+//! manager in `hail-mr`, the upload client in `hail-core` and the
+//! adaptive rebuild in `hail-exec` share it.
 
 #![allow(
     clippy::disallowed_types,
@@ -39,7 +40,7 @@
 
 pub mod executor;
 
-pub use executor::run_ordered;
+pub use executor::{machine_width, run_ordered};
 
 use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -10,7 +10,8 @@
 //!   ClusteredIndexScan at a deterministic job boundary;
 //! - equality evidence builds the same clustered index, and the planner
 //!   picks ClusteredIndexScan; equality and range evidence on one column
-//!   rewrite each block once;
+//!   rewrite each block once, as one action that leaves the round's
+//!   other slot to another column;
 //! - the flip boundary, per-job outputs, and reports (modulo measured
 //!   wall clocks) are bit-for-bit identical at job concurrency 1/2/4 —
 //!   re-indexing does not perturb the multi-job determinism contract;
@@ -37,6 +38,8 @@ use hail_types::BlockId;
 const DURATION_COL: usize = 8;
 /// searchWord (@8, 0-based column 7): 12 distinct values.
 const SEARCHWORD_COL: usize = 7;
+/// adRevenue (@4, 0-based column 3): uniform over [0, 485.3).
+const AD_REVENUE_COL: usize = 3;
 
 /// A testbed whose replicas serve visitDate (@3) and sourceIP (@1)
 /// only — duration and searchWord are unindexed everywhere, and
@@ -279,10 +282,11 @@ fn equality_evidence_builds_a_clustered_index() {
 }
 
 /// Equality and range evidence on one column qualify in the same round,
-/// and with room for two builds both fire — but each block is rewritten
-/// once: the second action finds every block already served by the
-/// first one's index. Two replicas of each block are unsorted, so it is
-/// that check, not a lack of targets, that spares the second one.
+/// and there is room for two builds, but the column gets one action:
+/// the range class fires and rewrites every block, and the equality
+/// class neither fires with it nor later — the rewrite closed the
+/// column's design gap. Two replicas of each block are unsorted, so it
+/// is the advisor, not a lack of targets, that spares a second rewrite.
 #[test]
 fn equality_and_range_evidence_on_one_column_rewrite_each_block_once() {
     let (tb, _) = adaptive_setup(400, 4);
@@ -318,28 +322,19 @@ fn equality_and_range_evidence_on_one_column_rewrite_each_block_once() {
         .collect();
     assert_eq!(
         fired,
-        [
-            (
-                4,
-                ReindexAction {
-                    column: DURATION_COL,
-                    eq: false
-                }
-            ),
-            (
-                4,
-                ReindexAction {
-                    column: DURATION_COL,
-                    eq: true
-                }
-            ),
-        ],
-        "both classes fire in round 2, range first"
+        [(
+            4,
+            ReindexAction {
+                column: DURATION_COL,
+                eq: false
+            }
+        )],
+        "one action for the column, in round 2: the range class"
     );
+    assert!(!advisor.has_fired(DURATION_COL, true));
     let blocks = setup.dataset.blocks.len();
     assert_eq!(run.events[0].outcome.replicas_rewritten, blocks);
-    assert_eq!(run.events[1].outcome.replicas_rewritten, 0);
-    assert_eq!(run.events[1].outcome.blocks_skipped, blocks);
+    assert_eq!(run.events[0].outcome.blocks_skipped, 0);
     for &block in &setup.dataset.blocks {
         let hosts = setup
             .cluster
@@ -347,6 +342,92 @@ fn equality_and_range_evidence_on_one_column_rewrite_each_block_once() {
             .get_hosts_with_index(block, DURATION_COL)
             .unwrap();
         assert_eq!(hosts.len(), 1, "block {block}: one duration index");
+    }
+    for (i, (job, query)) in run.runs.iter().zip(&queries).enumerate() {
+        let expected = canonical(&oracle_eval(&tb.texts, &tb.schema, query));
+        assert_eq!(canonical(&job.output), expected, "job {i}: output");
+    }
+}
+
+/// Two columns qualify in one round with room for two builds, and the
+/// first of them on both classes: the column with both classes takes
+/// one slot, so the other column takes the second and both are indexed
+/// in that round.
+#[test]
+fn two_columns_fire_in_one_round_when_one_has_both_classes() {
+    let (tb, _) = adaptive_setup(400, 4);
+    let mut setup = setup_hail(&tb, &[2]).unwrap();
+    // adRevenue (@4, column 3): a ~2% range and an equality that matches
+    // nothing; duration (@9, column 8): a ~5% range.
+    let round = [
+        ("@4 <= 10", "{@1, @4}"),
+        ("@4 = 42.5", "{@1, @4}"),
+        ("@9 <= 500", "{@1, @9}"),
+    ];
+    let queries: Vec<HailQuery> = (0..3)
+        .flat_map(|_| round.iter())
+        .map(|(f, p)| HailQuery::parse(f, p, &tb.schema).unwrap())
+        .collect();
+    let advisor = ReindexAdvisor::new(ReindexPolicy {
+        enabled: true,
+        max_builds_per_round: 2,
+        ..ReindexPolicy::default()
+    });
+    let feedback = SelectivityFeedback::default();
+    let run = run_adaptive_workload(
+        &mut setup,
+        &tb.spec,
+        &queries,
+        true,
+        &JobManager::new(1),
+        &SharedJobInfra::for_jobs(1),
+        &advisor,
+        &feedback,
+        round.len(),
+    )
+    .unwrap();
+
+    assert!(
+        feedback.observation_count(AD_REVENUE_COL, true) > 0,
+        "the equality class has evidence"
+    );
+    let fired: Vec<_> = run
+        .events
+        .iter()
+        .map(|e| (e.after_job, e.outcome.action))
+        .collect();
+    let after_round_2 = 2 * round.len();
+    assert_eq!(
+        fired,
+        [
+            (
+                after_round_2,
+                ReindexAction {
+                    column: AD_REVENUE_COL,
+                    eq: false
+                }
+            ),
+            (
+                after_round_2,
+                ReindexAction {
+                    column: DURATION_COL,
+                    eq: false
+                }
+            ),
+        ],
+        "both columns fire in round 2"
+    );
+    assert!(!advisor.has_fired(AD_REVENUE_COL, true));
+    let blocks = setup.dataset.blocks.len();
+    for event in &run.events {
+        assert_eq!(event.outcome.replicas_rewritten, blocks);
+    }
+    let nn = setup.cluster.namenode();
+    for &block in &setup.dataset.blocks {
+        for column in [AD_REVENUE_COL, DURATION_COL] {
+            let hosts = nn.get_hosts_with_index(block, column).unwrap();
+            assert_eq!(hosts.len(), 1, "block {block}: index on @{}", column + 1);
+        }
     }
     for (i, (job, query)) in run.runs.iter().zip(&queries).enumerate() {
         let expected = canonical(&oracle_eval(&tb.texts, &tb.schema, query));
