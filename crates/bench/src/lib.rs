@@ -15,8 +15,8 @@ pub mod paper;
 pub mod setup;
 
 pub use setup::{
-    make_shared_format, run_adaptive_workload, run_queries_managed, run_queries_managed_at,
-    run_query, run_query_overlapped, run_query_with_failure, setup_hadoop, setup_hail,
-    setup_hail_with_config, setup_hpp, syn_testbed, uv_testbed, AdaptiveRun, ExperimentScale,
-    SharedJobInfra, SystemSetup, Testbed, LOGICAL_BLOCK,
+    make_shared_format, run_adaptive_workload, run_queries_managed, run_query,
+    run_query_overlapped, run_query_with_failure, setup_hadoop, setup_hail, setup_hail_with_config,
+    setup_hpp, syn_testbed, uv_testbed, AdaptiveRun, ExperimentScale, SharedJobInfra, SystemSetup,
+    Testbed, LOGICAL_BLOCK,
 };

@@ -254,25 +254,19 @@ pub fn run_query(
     run_map_job(&setup.cluster, spec, &job)
 }
 
-/// [`run_query`] reading up to `job_parallelism` whole splits at once.
-/// Results and simulated times are identical at any setting; only the
-/// measured wall clock changes.
+/// [`run_query`] under the signature the benchmark suite calls.
 ///
-/// `split_parallelism` is frozen-suite residue: the benchmark suite
-/// calls this signature. It no longer names a separate setting; the
-/// job runs at the larger of the two.
+/// The two widths are frozen-suite residue: both are ignored, since a
+/// job reads its splits in order on its own thread.
 pub fn run_query_overlapped(
     setup: &SystemSetup,
     spec: &ClusterSpec,
     query: &HailQuery,
     hail_splitting: bool,
-    split_parallelism: usize,
-    job_parallelism: usize,
+    _split_parallelism: usize,
+    _job_parallelism: usize,
 ) -> Result<JobRun> {
-    let format = make_format(setup, spec, query, hail_splitting);
-    let job = MapJob::collecting("query", setup.dataset.blocks.clone(), &format)
-        .with_job_parallelism(split_parallelism.max(job_parallelism));
-    run_map_job(&setup.cluster, spec, &job)
+    run_query(setup, spec, query, hail_splitting)
 }
 
 /// Builds the input format for a dataset (shared by every runner).
@@ -385,22 +379,6 @@ pub fn run_queries_managed(
     manager: &JobManager,
     infra: &SharedJobInfra,
 ) -> Result<ManagedBatch> {
-    run_queries_managed_at(setup, spec, queries, hail_splitting, manager, infra, None)
-}
-
-/// [`run_queries_managed`] with every job reading up to
-/// `job_parallelism` splits at once (`None`: the
-/// `HAIL_JOB_PARALLELISM` default), so a batch runs on up to
-/// `max_concurrent × job_parallelism` threads.
-pub fn run_queries_managed_at(
-    setup: &SystemSetup,
-    spec: &ClusterSpec,
-    queries: &[HailQuery],
-    hail_splitting: bool,
-    manager: &JobManager,
-    infra: &SharedJobInfra,
-    job_parallelism: Option<usize>,
-) -> Result<ManagedBatch> {
     let formats: Vec<Box<dyn InputFormat>> = queries
         .iter()
         .map(|q| make_shared_format(setup, spec, q, hail_splitting, infra))
@@ -408,9 +386,8 @@ pub fn run_queries_managed_at(
     let jobs: Vec<MapJob<'_>> = formats
         .iter()
         .enumerate()
-        .map(|(i, f)| MapJob {
-            job_parallelism,
-            ..MapJob::collecting(
+        .map(|(i, f)| {
+            MapJob::collecting(
                 format!("query-{i}"),
                 setup.dataset.blocks.clone(),
                 f.as_ref(),

@@ -9,8 +9,8 @@
 //! variable differently.
 //!
 //! A knob only supplies a *default*: each one seeds a config field
-//! that callers can set explicitly (`MapJob::job_parallelism`,
-//! `PlannerConfig::synopsis_pruning`, `ReindexPolicy::enabled`).
+//! that callers can set explicitly (`PlannerConfig::synopsis_pruning`,
+//! `ReindexPolicy::enabled`).
 //! The test suite sets those fields to sweep every setting in one
 //! process.
 //!
@@ -21,8 +21,6 @@
 //! One private `parse` function holds the parse rules, one per
 //! [`KnobKind`], preserved bit-for-bit from the pre-registry call sites:
 //!
-//! - [`KnobKind::Count`]: unset, unparsable, or `0` mean 1 — "absent
-//!   means no concurrency".
 //! - [`KnobKind::DisableFlag`]: the feature is ON unless the variable
 //!   is set to a non-empty value other than `0` (after trimming).
 //! - [`KnobKind::DisableFlagExact`]: the feature is ON unless the
@@ -32,8 +30,6 @@
 /// How a knob's raw string value is interpreted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KnobKind {
-    /// A positive count; unset/unparsable/`0` → 1.
-    Count,
     /// Feature on unless set non-empty and not `0` (trimmed).
     DisableFlag,
     /// Feature on unless the value is exactly `1`.
@@ -41,18 +37,11 @@ pub enum KnobKind {
 }
 
 /// What `raw` (the variable's value, `None` when unset) means for a
-/// knob of `kind`: a count parses to itself (at least 1), a flag to 1
-/// when the feature it guards is on and to 0 when it is off.
-fn parse(kind: KnobKind, raw: Option<&str>) -> usize {
+/// knob of `kind`: whether the feature it guards is on.
+fn parse(kind: KnobKind, raw: Option<&str>) -> bool {
     match kind {
-        KnobKind::Count => raw
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        KnobKind::DisableFlag => {
-            usize::from(!raw.is_some_and(|v| !v.trim().is_empty() && v.trim() != "0"))
-        }
-        KnobKind::DisableFlagExact => usize::from(raw != Some("1")),
+        KnobKind::DisableFlag => !raw.is_some_and(|v| !v.trim().is_empty() && v.trim() != "0"),
+        KnobKind::DisableFlagExact => raw != Some("1"),
     }
 }
 
@@ -80,27 +69,11 @@ impl Knob {
         std::env::var(self.name).ok()
     }
 
-    /// Parses this knob as a [`KnobKind::Count`].
-    pub fn count(&self) -> usize {
-        debug_assert_eq!(self.kind, KnobKind::Count);
-        parse(self.kind, self.read_raw().as_deref())
-    }
-
     /// Whether the feature this flag guards is enabled.
     pub fn enabled(&self) -> bool {
-        debug_assert_ne!(self.kind, KnobKind::Count);
-        parse(self.kind, self.read_raw().as_deref()) != 0
+        parse(self.kind, self.read_raw().as_deref())
     }
 }
-
-/// Split overlap: how many whole splits of one job may be read at
-/// once.
-pub const JOB_PARALLELISM: Knob = Knob {
-    name: "HAIL_JOB_PARALLELISM",
-    kind: KnobKind::Count,
-    default: "1 (sequential splits)",
-    doc: "Whole splits of one job read at once.",
-};
 
 /// Kill switch for zone-map/Bloom synopsis pruning.
 pub const DISABLE_SYNOPSES: Knob = Knob {
@@ -120,7 +93,7 @@ pub const DISABLE_REINDEX: Knob = Knob {
 
 /// Every registered knob, in documentation order.
 pub fn list() -> &'static [Knob] {
-    &[JOB_PARALLELISM, DISABLE_SYNOPSES, DISABLE_REINDEX]
+    &[DISABLE_SYNOPSES, DISABLE_REINDEX]
 }
 
 /// Renders the registry as the markdown table embedded in
@@ -131,11 +104,6 @@ pub fn doc_table() -> String {
         out.push_str(&format!("| `{}` | {} | {} |\n", k.name, k.default, k.doc));
     }
     out
-}
-
-/// Split overlap ([`JOB_PARALLELISM`]).
-pub fn job_parallelism() -> usize {
-    JOB_PARALLELISM.count()
 }
 
 /// Whether synopsis pruning is enabled.
@@ -165,24 +133,13 @@ mod tests {
     }
 
     #[test]
-    fn counts_clamp_to_one_and_flags_default_on() {
-        for raw in [None, Some(""), Some("0"), Some("two"), Some("-3")] {
-            assert_eq!(parse(KnobKind::Count, raw), 1, "{raw:?}");
-        }
-        assert_eq!(parse(KnobKind::Count, Some(" 4 ")), 4);
-        assert_eq!(parse(KnobKind::DisableFlag, None), 1);
-        assert_eq!(parse(KnobKind::DisableFlagExact, None), 1);
-    }
-
-    #[test]
     fn parse_rules_match_historical_call_sites() {
-        let on = |kind, raw| parse(kind, raw) == 1;
         // DisableFlag: non-empty, non-zero disables (trimmed).
-        let f = |raw| on(KnobKind::DisableFlag, raw);
+        let f = |raw| parse(KnobKind::DisableFlag, raw);
         assert!(f(None) && f(Some("")) && f(Some("0")) && f(Some(" 0 ")));
         assert!(!f(Some("1")) && !f(Some("yes")));
         // DisableFlagExact: only the exact string "1" disables.
-        let g = |raw| on(KnobKind::DisableFlagExact, raw);
+        let g = |raw| parse(KnobKind::DisableFlagExact, raw);
         assert!(g(None) && g(Some("true")) && g(Some(" 1")));
         assert!(!g(Some("1")));
     }

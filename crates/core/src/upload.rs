@@ -44,6 +44,9 @@ pub fn upload_hadoop(
     name: &str,
     node_texts: &[(DatanodeId, String)],
 ) -> Result<Dataset> {
+    for (node, _) in node_texts {
+        cluster.check_writer(*node)?;
+    }
     let block_size = cluster.config().block_size;
     let mut blocks: Vec<BlockId> = Vec::new();
     for (node, text) in node_texts {
@@ -157,6 +160,11 @@ fn upload_hail_at(
             index_config.replication(),
             cluster.config().replication
         )));
+    }
+    // Client ledgers are charged before the first commit, so every
+    // writer is checked before any block is cut.
+    for (node, _) in node_texts {
+        cluster.check_writer(*node)?;
     }
     // One client per node, as in the paper.
     let width = width.clamp(1, node_texts.len().max(1));
@@ -491,6 +499,31 @@ mod tests {
             reassembled.extend_from_slice(&data);
         }
         assert_eq!(reassembled, text.as_bytes());
+    }
+
+    /// An upload with a writer outside the cluster fails before it
+    /// allocates a block id or charges a client ledger, whichever node
+    /// the writer's text follows.
+    #[test]
+    fn a_writer_outside_the_cluster_is_refused() {
+        let cfg = ReplicaIndexConfig::first_indexed(3, &[0, 1]);
+        let mut node_texts = texts(2, 100);
+        node_texts.push((99, node_texts[1].1.clone()));
+        let idle = CostLedger::new();
+        for hail in [false, true] {
+            let mut c = DfsCluster::new(4, StorageConfig::test_scale(512));
+            let upload = if hail {
+                upload_hail(&mut c, &schema(), "t", &node_texts, &cfg)
+            } else {
+                upload_hadoop(&mut c, &schema(), "t", &node_texts)
+            };
+            assert!(upload.is_err(), "hail: {hail}");
+            assert_eq!(c.namenode().block_count(), 0, "hail: {hail}");
+            assert!(
+                c.upload_ledgers().iter().all(|l| *l == idle),
+                "hail: {hail}"
+            );
+        }
     }
 
     #[test]

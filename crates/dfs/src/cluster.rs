@@ -68,6 +68,20 @@ impl DfsCluster {
             .ok_or(HailError::DeadDatanode(id))
     }
 
+    /// `Ok` when `writer` is one of this cluster's datanodes, alive or
+    /// dead: every upload checks its writers before it allocates a block
+    /// id or charges a client ledger.
+    pub fn check_writer(&self, writer: DatanodeId) -> Result<()> {
+        if writer < self.datanodes.len() {
+            Ok(())
+        } else {
+            Err(HailError::Pipeline(format!(
+                "writer DN{writer} is not one of the cluster's {} datanodes",
+                self.datanodes.len()
+            )))
+        }
+    }
+
     /// The client-side ledger of a node.
     pub fn client_ledger(&self, node: DatanodeId) -> &CostLedger {
         &self.client_ledgers[node]
@@ -80,12 +94,14 @@ impl DfsCluster {
     }
 
     /// Allocates a block: placement + namenode registration. Returns the
-    /// block id and its replica chain (first entry = writer if alive).
+    /// block id and its replica chain (first entry = writer if alive). A
+    /// writer outside the cluster is refused before any id is allocated.
     pub(crate) fn allocate(
         &mut self,
         writer: DatanodeId,
         replication: usize,
     ) -> Result<(BlockId, Vec<DatanodeId>)> {
+        self.check_writer(writer)?;
         let datanodes = {
             let alive: Vec<bool> = self.datanodes.iter().map(Datanode::is_alive).collect();
             self.placement.place(writer, replication, |d| {
@@ -174,6 +190,18 @@ mod tests {
         let (id, chain) = c.allocate(2, 3).unwrap();
         assert_eq!(chain[0], 2);
         assert_eq!(c.namenode().get_hosts(id).unwrap(), chain);
+    }
+
+    /// A writer outside the cluster is refused before a block id is
+    /// allocated: the next allocation gets a fresh cluster's first id.
+    #[test]
+    fn allocate_refuses_a_writer_outside_the_cluster() {
+        let mut c = DfsCluster::new(4, StorageConfig::default());
+        assert!(c.allocate(99, 3).is_err());
+        assert_eq!(c.namenode().block_count(), 0);
+        let (id, _) = c.allocate(2, 3).unwrap();
+        let mut fresh = DfsCluster::new(4, StorageConfig::default());
+        assert_eq!(id, fresh.allocate(2, 3).unwrap().0);
     }
 
     #[test]

@@ -541,6 +541,22 @@ mod tests {
         assert_eq!(c.client_ledger(0).disk_read, raw.len() as u64);
     }
 
+    /// Every per-block upload refuses a writer outside the cluster with
+    /// an error, allocating no block id and charging no ledger.
+    #[test]
+    fn a_writer_outside_the_cluster_is_refused() {
+        let mut c = cluster();
+        let raw = Bytes::from_static(b"1|a\n2|b\n");
+        let config = ReplicaIndexConfig::first_indexed(3, &[0, 1]);
+        let none = FaultPlan::none();
+        assert!(hdfs_upload_block(&mut c, 99, raw.clone(), &none).is_err());
+        assert!(hail_upload_block(&mut c, 99, &pax_block(), &config, &none).is_err());
+        assert!(store_transformed_block(&mut c, 99, raw, IndexMetadata::none()).is_err());
+        assert_eq!(c.namenode().block_count(), 0);
+        let idle = hail_sim::CostLedger::new();
+        assert!(c.upload_ledgers().iter().all(|l| *l == idle));
+    }
+
     #[test]
     fn hail_upload_creates_divergent_sorted_replicas() {
         let mut c = cluster();

@@ -16,9 +16,8 @@ use crate::splitting::{default_splits, plan_default_splits, plan_hail_splits};
 use hail_core::baselines::hadoop_plus_plus::trojan_header_bytes;
 use hail_core::{Dataset, DatasetFormat, HailQuery};
 use hail_dfs::DfsCluster;
-use hail_mr::{run_ordered, InputFormat, SplitPlan, SplitRead, SplitSource, SplitTask, TaskStats};
+use hail_mr::{InputFormat, SplitPlan, SplitRead, SplitSource, SplitTask, TaskStats};
 use hail_types::{BlockId, Result};
-use std::time::Instant;
 
 /// The planner-backed input format for all three systems.
 ///
@@ -92,13 +91,32 @@ impl PlannedInputFormat {
         splits.source = Some(SplitSource::new(stamped));
         Ok(splits)
     }
+}
+
+impl InputFormat for PlannedInputFormat {
+    fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
+        match self.dataset.format {
+            DatasetFormat::HadoopText => default_splits(cluster, input),
+            DatasetFormat::HadoopPlusPlus => {
+                let mut plan = default_splits(cluster, input)?;
+                // The JobClient fetches each block's header (trojan index
+                // directory) before it can build splits.
+                for &b in input {
+                    let header = trojan_header_bytes(cluster, b)?;
+                    plan.client_cost.seeks += 1;
+                    plan.client_cost.disk_read += header as u64;
+                }
+                Ok(plan)
+            }
+            DatasetFormat::HailPax => self.planned_splits(cluster, input),
+        }
+    }
 
     /// Reads one split: executes each block's chosen access path in block
-    /// order on this thread, buffering the records and timing the whole
-    /// read.
+    /// order on this thread, buffering the records.
     ///
     /// A block's plan is the one its splits were cut from (the task's
-    /// [`StampedPlan`] source) while that plan's design epoch holds;
+    /// `StampedPlan` source) while that plan's design epoch holds;
     /// otherwise the block is planned now, against the *current* cluster
     /// state — after a mid-job death or a design change (HAIL's failover
     /// story: it re-plans around dead replicas), for a block the
@@ -107,7 +125,6 @@ impl PlannedInputFormat {
     /// the plan that planning the split afresh would. The blocks planned
     /// now are counted in [`TaskStats::blocks_replanned`].
     fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
-        let wall = Instant::now();
         let (split, task_node) = (task.split, task.task_node);
         let (dataset, query) = (&self.dataset, &self.query);
         let planner = self.query_planner(cluster);
@@ -147,51 +164,7 @@ impl PlannedInputFormat {
             )?;
             stats.merge(&block_stats);
         }
-        Ok(SplitRead {
-            records,
-            stats,
-            reader_wall_seconds: wall.elapsed().as_secs_f64(),
-        })
-    }
-}
-
-impl InputFormat for PlannedInputFormat {
-    fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
-        match self.dataset.format {
-            DatasetFormat::HadoopText => default_splits(cluster, input),
-            DatasetFormat::HadoopPlusPlus => {
-                let mut plan = default_splits(cluster, input)?;
-                // The JobClient fetches each block's header (trojan index
-                // directory) before it can build splits.
-                for &b in input {
-                    let header = trojan_header_bytes(cluster, b)?;
-                    plan.client_cost.seeks += 1;
-                    plan.client_cost.disk_read += header as u64;
-                }
-                Ok(plan)
-            }
-            DatasetFormat::HailPax => self.planned_splits(cluster, input),
-        }
-    }
-
-    /// The execution phase of [`hail_mr::run_map_job`].
-    ///
-    /// Up to `job_parallelism` (default: the `HAIL_JOB_PARALLELISM`
-    /// knob) whole splits are read at once through
-    /// [`hail_mr::run_ordered`], each on one thread; at 1 they are read
-    /// in order on the caller's thread.
-    ///
-    /// Determinism: results return in batch order, and the error of the
-    /// lowest-indexed failing split wins. A split read writes no shared
-    /// state, so nothing else depends on the overlap.
-    fn read_split_batch(
-        &self,
-        cluster: &DfsCluster,
-        batch: &[SplitTask<'_>],
-        job_parallelism: Option<usize>,
-    ) -> Result<Vec<SplitRead>> {
-        let width = job_parallelism.unwrap_or_else(hail_core::knobs::job_parallelism);
-        run_ordered(batch.len(), width, |i| self.read_split(cluster, &batch[i]))
+        Ok(SplitRead { records, stats })
     }
 
     fn name(&self) -> &str {

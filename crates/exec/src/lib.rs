@@ -45,8 +45,8 @@
 //! - [`formats`] — the one [`PlannedInputFormat`] serving all three
 //!   systems (Hadoop, Hadoop++, HAIL — told apart by the dataset's
 //!   format), routed through `QueryPlanner::plan` →
-//!   `AccessPath::execute`, reading up to `job_parallelism` whole
-//!   splits at once through `hail_mr::run_ordered`
+//!   `AccessPath::execute`; it reads one split per call, its blocks in
+//!   order on the calling thread
 //! - [`readers`] — single-block reader entry points (planner-backed)
 //!
 //! New access paths or index types plug into the planner's candidate

@@ -369,7 +369,8 @@ impl StampedPlan {
 /// The cost-based planner over one cluster's namenode state.
 ///
 /// The handle is `Send + Sync` and reads no state another job writes,
-/// so the threads reading splits in parallel plan independently.
+/// so jobs running at once on the job manager's threads plan
+/// independently.
 pub struct QueryPlanner<'a> {
     cluster: &'a DfsCluster,
     config: PlannerConfig,
@@ -377,8 +378,8 @@ pub struct QueryPlanner<'a> {
 
 /// Compile-time proof that a planner handle can be shared across
 /// threads. If any field ever loses `Sync` (say, an `Rc` or `RefCell`
-/// sneaks into the config or cluster), this stops building instead of a
-/// parallel read failing at a distance.
+/// sneaks into the config or cluster), this stops building instead of
+/// concurrent jobs failing at a distance.
 const _PLANNER_IS_SEND_SYNC: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryPlanner<'static>>();

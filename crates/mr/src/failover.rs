@@ -12,10 +12,9 @@
 //! (HAIL); with the same index on all replicas (HAIL-1Idx) the re-run
 //! still gets an index scan — exactly the Fig. 8 comparison.
 
-use crate::driver::ChunkedDrive;
-use crate::input_format::{InputSplit, SplitRead, SplitTask};
+use crate::input_format::{InputSplit, SplitTask};
 use crate::job::{JobReport, TaskReport};
-use crate::scheduler::{account_task, run_map_job_with_plan, MapJob, NodeSlots};
+use crate::scheduler::{account_task, read_timed, run_map_job_with_plan, MapJob, NodeSlots};
 use hail_dfs::DfsCluster;
 use hail_sim::ClusterSpec;
 use hail_types::{BlockId, DatanodeId, HailError, Result, Row};
@@ -148,39 +147,9 @@ pub fn run_map_job_with_failure(
     let is_lost = |t: &TaskReport| t.node == scenario.node && t.end > failure_makespan_t;
     let is_reevaluated = |t: &TaskReport| t.node != scenario.node && t.start >= failure_makespan_t;
 
-    // Re-evaluate every not-yet-started live-node task against the
-    // degraded cluster, reading through the same drive loop
-    // `run_map_job` uses. Their nodes are already fixed (the
-    // baseline assignment), so no assignment phase is needed here.
-    // (Output was already collected functionally in pass 1; records
-    // are dropped unmapped.)
-    let reeval_batch: Vec<SplitTask<'_>> = baseline_run
-        .report
-        .tasks
-        .iter()
-        .filter(|t| is_reevaluated(t))
-        .map(|t| {
-            Ok(SplitTask {
-                split: baseline_split(t.split)?,
-                task_node: t.node,
-                source: degraded_plan.source.as_ref(),
-            })
-        })
-        .collect::<Result<_>>()?;
-    // Driven through the same shared chunked loop as `run_map_job`'s
-    // execution phase, and only the (small) statistics are retained —
-    // each chunk's buffered records are dropped as soon as it
-    // completes, so a large replay never holds more than one chunk's
-    // raw records.
-    let mut reeval_results = Vec::with_capacity(reeval_batch.len());
-    ChunkedDrive::for_job(cluster, job).run(&reeval_batch, |_, read| {
-        reeval_results.push(SplitRead {
-            records: Vec::new(),
-            ..read
-        });
-    })?;
-    let mut reeval_results = reeval_results.into_iter();
-
+    // Replay the baseline schedule in task order. Output was already
+    // collected functionally in pass 1, so every read below is priced
+    // and its records are dropped unmapped.
     let mut lost: Vec<usize> = Vec::new();
     for task in &baseline_run.report.tasks {
         if is_lost(task) {
@@ -189,9 +158,14 @@ pub fn run_map_job_with_failure(
             continue;
         }
         if is_reevaluated(task) {
-            let read = reeval_results
-                .next()
-                .expect("one batched read per re-evaluated task");
+            // Not yet started at the failure: read again, on the node
+            // the baseline assigned, against the degraded cluster.
+            let reeval = SplitTask {
+                split: baseline_split(task.split)?,
+                task_node: task.node,
+                source: degraded_plan.source.as_ref(),
+            };
+            let (read, wall) = read_timed(cluster, job.format, &reeval)?;
             // Causality clamp: this task had not started when the node
             // died, so its replay must not start before the failure
             // instant — even if a cheaper degraded read (e.g. a remote
@@ -203,8 +177,8 @@ pub fn run_map_job_with_failure(
                 task.split,
                 task.node,
                 failure_makespan_t,
-                false,
-                read,
+                read.stats,
+                wall,
             ));
             continue;
         }
@@ -226,9 +200,8 @@ pub fn run_map_job_with_failure(
     // Lost tasks replay through the same two-phase schedule/execute
     // shape as `run_map_job`: choose every rerun's node up front from
     // the post-replay slot state (estimated durations on a throwaway
-    // copy), read them through the shared drive loop, then price
-    // the real schedule from the actual statistics — in order, never
-    // before `resume_at`.
+    // copy), then read each in order and price the real schedule from
+    // its actual statistics, never before `resume_at`.
     let lost_splits: Vec<InputSplit> = lost
         .iter()
         .map(|&idx| {
@@ -252,31 +225,20 @@ pub fn run_map_job_with_failure(
         planning.assign(node, hw.task_overhead_s + est, resume_at);
         rerun_nodes.push(node);
     }
-    let rerun_batch: Vec<SplitTask<'_>> = lost_splits
-        .iter()
-        .zip(&rerun_nodes)
-        .map(|(split, &task_node)| SplitTask {
+    for ((split, &task_node), &idx) in lost_splits.iter().zip(&rerun_nodes).zip(&lost) {
+        let rerun = SplitTask {
             split,
             task_node,
             source: degraded_plan.source.as_ref(),
-        })
-        .collect();
-    let mut rerun_count = 0;
-    // Driven through the shared chunked loop, like the re-evaluation
-    // pass: the reruns are priced from their own reads, and each chunk's
-    // records are dropped unmapped before the next chunk reads.
-    ChunkedDrive::for_job(cluster, job).run(&rerun_batch, |i, read| {
-        final_tasks.push(account_task(
-            spec,
-            &mut slots,
-            lost[i],
-            rerun_nodes[i],
-            resume_at,
-            true,
-            read,
-        ));
-        rerun_count += 1;
-    })?;
+        };
+        let (read, wall) = read_timed(cluster, job.format, &rerun)?;
+        final_tasks.push(TaskReport {
+            rerun: true,
+            ..account_task(
+                spec, &mut slots, idx, task_node, resume_at, read.stats, wall,
+            )
+        });
+    }
 
     // Output correctness: every split's output was already collected in
     // pass 1; the functional result equals the baseline output set. The
@@ -299,16 +261,14 @@ pub fn run_map_job_with_failure(
         baseline: baseline_run.report,
         with_failure,
         failure_time,
-        rerun_count,
+        rerun_count: lost.len(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{
-        read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead,
-    };
+    use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitRead};
     use crate::job::{MapRecord, TaskStats};
     use crate::scheduler::run_map_job;
     use hail_sim::HardwareProfile;
@@ -338,31 +298,26 @@ mod tests {
             })
         }
 
-        fn read_split_batch(
-            &self,
-            cluster: &DfsCluster,
-            batch: &[SplitTask<'_>],
-            _job_parallelism: Option<usize>,
-        ) -> Result<Vec<SplitRead>> {
-            read_splits_sequentially(batch, |task, emit| {
-                let split = task.split;
-                // Fail if every location is dead (data genuinely lost).
-                if split
-                    .locations
-                    .iter()
-                    .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
-                {
-                    return Err(HailError::DeadDatanode(split.locations[0]));
-                }
-                emit(MapRecord::good(Row::new(vec![Value::Long(
+        fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+            let split = task.split;
+            // Fail if every location is dead (data genuinely lost).
+            if split
+                .locations
+                .iter()
+                .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
+            {
+                return Err(HailError::DeadDatanode(split.locations[0]));
+            }
+            let mut stats = TaskStats {
+                records: 1,
+                ..Default::default()
+            };
+            stats.ledger.disk_read = self.read_seconds_bytes;
+            Ok(SplitRead {
+                records: vec![MapRecord::good(Row::new(vec![Value::Long(
                     split.blocks[0] as i64,
-                )])));
-                let mut stats = TaskStats {
-                    records: 1,
-                    ..Default::default()
-                };
-                stats.ledger.disk_read = self.read_seconds_bytes;
-                Ok(stats)
+                )]))],
+                stats,
             })
         }
 
@@ -410,7 +365,6 @@ mod tests {
             name: "fo".into(),
             input: (0..64).collect(),
             format: &fmt,
-            job_parallelism: None,
             map: Box::new(|rec, out| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 out.push(rec.row);
@@ -510,31 +464,26 @@ mod tests {
             })
         }
 
-        fn read_split_batch(
-            &self,
-            cluster: &DfsCluster,
-            batch: &[SplitTask<'_>],
-            _job_parallelism: Option<usize>,
-        ) -> Result<Vec<SplitRead>> {
-            read_splits_sequentially(batch, |task, emit| {
-                let split = task.split;
-                if split
-                    .locations
-                    .iter()
-                    .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
-                {
-                    return Err(HailError::DeadDatanode(split.locations[0]));
-                }
-                for &b in &split.blocks {
-                    emit(MapRecord::good(Row::new(vec![Value::Long(b as i64)])));
-                }
-                let mut stats = TaskStats {
-                    records: split.blocks.len() as u64,
-                    ..Default::default()
-                };
-                stats.ledger.disk_read = 95_000_000 * split.blocks.len() as u64;
-                Ok(stats)
-            })
+        fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+            let split = task.split;
+            if split
+                .locations
+                .iter()
+                .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
+            {
+                return Err(HailError::DeadDatanode(split.locations[0]));
+            }
+            let records = split
+                .blocks
+                .iter()
+                .map(|&b| MapRecord::good(Row::new(vec![Value::Long(b as i64)])))
+                .collect();
+            let mut stats = TaskStats {
+                records: split.blocks.len() as u64,
+                ..Default::default()
+            };
+            stats.ledger.disk_read = 95_000_000 * split.blocks.len() as u64;
+            Ok(SplitRead { records, stats })
         }
 
         fn name(&self) -> &str {
@@ -609,25 +558,20 @@ mod tests {
                     ..Default::default()
                 })
             }
-            fn read_split_batch(
-                &self,
-                _c: &DfsCluster,
-                batch: &[SplitTask<'_>],
-                _job_parallelism: Option<usize>,
-            ) -> Result<Vec<SplitRead>> {
-                read_splits_sequentially(batch, |task, emit| {
-                    let block = task.split.blocks[0];
-                    emit(MapRecord::good(Row::new(vec![Value::Long(block as i64)])));
-                    let mut stats = TaskStats {
-                        records: 1,
-                        ..Default::default()
-                    };
-                    stats.ledger.disk_read = if block == 0 {
-                        95_000_000 * 20 // 20 s
-                    } else {
-                        95_000_000 // 1 s
-                    };
-                    Ok(stats)
+            fn read_split(&self, _c: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+                let block = task.split.blocks[0];
+                let mut stats = TaskStats {
+                    records: 1,
+                    ..Default::default()
+                };
+                stats.ledger.disk_read = if block == 0 {
+                    95_000_000 * 20 // 20 s
+                } else {
+                    95_000_000 // 1 s
+                };
+                Ok(SplitRead {
+                    records: vec![MapRecord::good(Row::new(vec![Value::Long(block as i64)]))],
+                    stats,
                 })
             }
             fn name(&self) -> &str {
@@ -709,13 +653,8 @@ mod tests {
                 self.derivations.fetch_add(1, Ordering::Relaxed);
                 self.inner.splits(cluster, input)
             }
-            fn read_split_batch(
-                &self,
-                cluster: &DfsCluster,
-                batch: &[SplitTask<'_>],
-                job_parallelism: Option<usize>,
-            ) -> Result<Vec<SplitRead>> {
-                self.inner.read_split_batch(cluster, batch, job_parallelism)
+            fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+                self.inner.read_split(cluster, task)
             }
             fn name(&self) -> &str {
                 "counting"

@@ -1,5 +1,5 @@
 //! The `InputFormat` abstraction: how a job's input is cut into splits
-//! and how batches of splits are read on workers.
+//! and how one split is read.
 //!
 //! Hadoop's `InputFormat`/`RecordReader` UDFs are the paper's integration
 //! point: HAIL ships its own input format + record reader and changes
@@ -12,7 +12,7 @@
 use crate::job::{MapRecord, TaskStats};
 use hail_dfs::DfsCluster;
 use hail_sim::CostLedger;
-use hail_types::{BlockId, DatanodeId, HailError, Result};
+use hail_types::{BlockId, DatanodeId, Result};
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
@@ -62,7 +62,7 @@ pub struct SplitPlan {
 
 /// An opaque, shareable record an input format attaches to its
 /// [`SplitPlan`]. The engine only carries it from [`InputFormat::splits`]
-/// to [`InputFormat::read_split_batch`]; only the format that made it
+/// to [`InputFormat::read_split`]; only the format that made it
 /// knows its type.
 #[derive(Clone)]
 pub struct SplitSource(Arc<dyn Any + Send + Sync>);
@@ -84,8 +84,8 @@ impl fmt::Debug for SplitSource {
     }
 }
 
-/// One entry of a job-level batch read: an input split plus the node
-/// the scheduler's assignment phase runs its map task on.
+/// One split read: an input split plus the node the scheduler's
+/// assignment phase runs its map task on.
 #[derive(Debug, Clone)]
 pub struct SplitTask<'a> {
     pub split: &'a InputSplit,
@@ -99,14 +99,12 @@ pub struct SplitTask<'a> {
 }
 
 /// A fully buffered split read, as produced by
-/// [`InputFormat::read_split_batch`]: the emitted records in emission
-/// order, the task statistics, and the measured wall clock the read
-/// took (telemetry only — never fed into simulated accounting).
+/// [`InputFormat::read_split`]: the emitted records in emission order
+/// and the task statistics.
 #[derive(Debug)]
 pub struct SplitRead {
     pub records: Vec<MapRecord>,
     pub stats: TaskStats,
-    pub reader_wall_seconds: f64,
 }
 
 /// How a job's input is split and read. Implemented by the one
@@ -121,83 +119,19 @@ pub trait InputFormat: Send + Sync {
     /// Computes input splits for the given input blocks.
     fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan>;
 
-    /// Reads a whole batch of splits — the scheduler's execution phase,
-    /// and the only read entry point.
+    /// Reads one split — Hadoop's record reader over one map task's
+    /// input, and the only read entry point.
     ///
-    /// Each task carries the [`SplitPlan::source`] of the plan its split
-    /// came from, when the engine has it. Returns one [`SplitRead`] per
-    /// task **in batch order**: the records the map task on `task_node`
-    /// sees, in emission order, plus the task's physical statistics.
-    /// `job_parallelism` is how
-    /// many whole splits may be read at once (`None` defers to the
-    /// format's own policy, which for the planner-backed format is the
-    /// `HAIL_JOB_PARALLELISM` environment override). Formats without
-    /// any overlap implement this with [`read_splits_sequentially`].
-    ///
-    /// Contract: on a **successful** batch, records, their order and
-    /// every statistic must be bit-for-bit identical at every
-    /// `job_parallelism` — overlap may only change the measured
-    /// `reader_wall_seconds`. A read writes no state another read or
-    /// job sees. On a failing batch only the returned
-    /// error — the lowest-indexed failing task's — is guaranteed
-    /// parallelism-independent: overlapped workers may have raced ahead
-    /// of the failure and read splits a sequential run would never have
-    /// reached.
-    fn read_split_batch(
-        &self,
-        cluster: &DfsCluster,
-        batch: &[SplitTask<'_>],
-        job_parallelism: Option<usize>,
-    ) -> Result<Vec<SplitRead>>;
+    /// The task carries the [`SplitPlan::source`] of the plan its split
+    /// came from, when the engine has it. Returns the records the map
+    /// task on `task_node` sees, in emission order, plus the task's
+    /// physical statistics. The engine calls it on the job's thread,
+    /// one split at a time in split order, and times each call itself.
+    /// A read writes no state another read or job sees.
+    fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead>;
 
     /// A short name for reports ("Hadoop", "Hadoop++", "HAIL").
     fn name(&self) -> &str;
-}
-
-/// [`InputFormat::read_split_batch`] for formats without job-level
-/// overlap: runs `read_one` on each task in batch order, buffering what
-/// it emits and timing it.
-pub fn read_splits_sequentially(
-    batch: &[SplitTask<'_>],
-    mut read_one: impl FnMut(&SplitTask<'_>, &mut dyn FnMut(MapRecord)) -> Result<TaskStats>,
-) -> Result<Vec<SplitRead>> {
-    batch
-        .iter()
-        .map(|task| {
-            let mut records = Vec::new();
-            let wall = std::time::Instant::now();
-            let stats = read_one(task, &mut |rec| records.push(rec))?;
-            Ok(SplitRead {
-                records,
-                stats,
-                reader_wall_seconds: wall.elapsed().as_secs_f64(),
-            })
-        })
-        .collect()
-}
-
-/// Reads one split as a batch of one and replays its records to `emit`
-/// — for callers outside the scheduler that want a single split's
-/// records and statistics. The read carries no [`SplitSource`], so the
-/// format derives whatever it needs from the split alone.
-pub fn read_one_split(
-    format: &dyn InputFormat,
-    cluster: &DfsCluster,
-    split: &InputSplit,
-    task_node: DatanodeId,
-    emit: &mut dyn FnMut(MapRecord),
-) -> Result<TaskStats> {
-    let task = SplitTask {
-        split,
-        task_node,
-        source: None,
-    };
-    let read = format
-        .read_split_batch(cluster, &[task], None)?
-        .pop()
-        .ok_or_else(|| HailError::Job("batch read of one split returned no read".into()))?;
-    read.records.into_iter().for_each(emit);
-    Ok(read.stats)
 }
 
 #[cfg(test)]

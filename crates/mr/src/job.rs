@@ -251,8 +251,7 @@ impl JobReport {
     }
 
     /// Measured wall-clock seconds this process spent inside record
-    /// readers, summed across all tasks (overlapping split reads each
-    /// count in full). It is deliberately separate from
+    /// readers, summed across all tasks. It is deliberately separate from
     /// [`JobReport::total_reader_seconds`] so the paper-scale
     /// accounting below never mixes domains.
     pub fn reader_wall_seconds(&self) -> f64 {
@@ -349,7 +348,7 @@ mod tests {
                     start: 0.0,
                     end: rr,
                     reader_seconds: rr,
-                    reader_wall_seconds: rr / 4.0, // e.g. a 4-worker read
+                    reader_wall_seconds: rr / 4.0, // a quarter of the work
                     rerun: false,
                     stats: TaskStats::default(),
                 })
@@ -369,15 +368,15 @@ mod tests {
         assert!((r.overhead_seconds() - 97.0).abs() < 1e-12);
     }
 
-    /// The two clock domains stay separate: a parallel reader's shorter
-    /// wall clock is reported, but the simulated ideal/overhead numbers
-    /// are computed from summed reader work and cannot go negative
-    /// because readers overlapped in real time.
+    /// The two clock domains stay separate: a wall clock far shorter
+    /// than the simulated reader work is reported, but the simulated
+    /// ideal/overhead numbers are computed from summed reader work and
+    /// cannot go negative because of it.
     #[test]
     fn wall_clock_never_leaks_into_simulated_overhead() {
         let r = report_with(&[2.0, 4.0], 2);
         assert!((r.total_reader_seconds() - 6.0).abs() < 1e-12);
-        // The helper models a 4-worker executor: wall = work / 4.
+        // The helper's wall clock is a quarter of the work.
         assert!((r.reader_wall_seconds() - 1.5).abs() < 1e-12);
         // ideal_seconds is unchanged by the wall-clock speedup…
         assert!((r.ideal_seconds() - 3.0).abs() < 1e-12);

@@ -5,8 +5,8 @@
 //! real: callers queue a batch of jobs, the manager dequeues them in
 //! strict FIFO order, and at most [`JobManager::max_concurrent`] jobs
 //! are in flight at any moment. Each in-flight job runs the ordinary
-//! [`crate::scheduler::run_map_job`] drive loop, so every job keeps the solo O(chunk)
-//! peak-memory bound (bounded in-flight jobs × bounded chunk each).
+//! [`crate::scheduler::run_map_job`] loop on its own thread, so every
+//! job keeps the solo bound of one split's records held at a time.
 //!
 //! # Determinism contract
 //!
@@ -41,9 +41,8 @@ use std::time::Instant;
 /// The manager owns no execution resources itself — worker threads are
 /// scoped to each [`JobManager::run_batch`] call ([`run_ordered`] over
 /// whole jobs), and jobs share nothing but the cluster they read. The
-/// manager takes no lock of its own.
-/// Each job reads at most its own `job_parallelism` splits at once, so
-/// a batch uses at most `max_concurrent × job_parallelism` threads.
+/// manager takes no lock of its own. Each job runs on one thread, so a
+/// batch uses at most `max_concurrent` threads.
 pub struct JobManager {
     max_concurrent: usize,
 }
@@ -100,16 +99,14 @@ impl JobManager {
 )]
 mod tests {
     use super::*;
-    use crate::input_format::{
-        read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask,
-    };
+    use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask};
     use crate::job::{MapRecord, TaskStats};
     use hail_sim::HardwareProfile;
     use hail_types::{BlockId, Row, StorageConfig, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// Emits one row per block and tracks how many batch reads are in
+    /// Emits one row per block and tracks how many split reads are in
     /// flight at once (the manager-level concurrency gauge).
     struct GaugeFormat {
         in_flight: AtomicUsize,
@@ -137,25 +134,20 @@ mod tests {
             })
         }
 
-        fn read_split_batch(
-            &self,
-            _cluster: &DfsCluster,
-            batch: &[SplitTask<'_>],
-            _job_parallelism: Option<usize>,
-        ) -> Result<Vec<SplitRead>> {
+        fn read_split(&self, _cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
             let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             self.high_water.fetch_max(now, Ordering::SeqCst);
-            let reads = read_splits_sequentially(batch, |task, emit| {
-                emit(MapRecord::good(Row::new(vec![Value::Long(
+            let read = SplitRead {
+                records: vec![MapRecord::good(Row::new(vec![Value::Long(
                     task.split.blocks[0] as i64,
-                )])));
-                Ok(TaskStats {
+                )]))],
+                stats: TaskStats {
                     records: 1,
                     ..Default::default()
-                })
-            });
+                },
+            };
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            reads
+            Ok(read)
         }
 
         fn name(&self) -> &str {
@@ -172,7 +164,6 @@ mod tests {
             name: name.into(),
             input: blocks.collect(),
             format,
-            job_parallelism: None,
             map: Box::new(|rec, out| out.push(rec.row)),
         }
     }
@@ -198,7 +189,6 @@ mod tests {
                 name: format!("job-{j}"),
                 input: (0..4).collect(),
                 format: &fmt,
-                job_parallelism: None,
                 map: Box::new(move |rec, out| {
                     if rec.row.get(0) == Some(&Value::Long(0)) {
                         order_ref.lock().unwrap().push(j);
@@ -222,7 +212,7 @@ mod tests {
     }
 
     /// The in-flight bound holds: with `max_concurrent = 2`, no more
-    /// than two jobs' batch reads ever overlap, and every job's output
+    /// than two jobs' split reads ever overlap, and every job's output
     /// is bit-for-bit what a solo run produces.
     #[test]
     fn bounded_in_flight_and_solo_equivalence() {

@@ -9,12 +9,12 @@
 //! `HailSplitting` attacks exactly this term by collapsing the task
 //! count.
 
-use crate::driver::ChunkedDrive;
-use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitTask};
-use crate::job::{JobReport, MapRecord, TaskReport};
+use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask};
+use crate::job::{JobReport, MapRecord, TaskReport, TaskStats};
 use hail_dfs::DfsCluster;
 use hail_sim::{ClusterSpec, CostLedger, HardwareProfile, ScaleFactor, SlotPool};
 use hail_types::{BlockId, DatanodeId, HailError, Result, Row};
+use std::time::Instant;
 
 /// A map-only job: the input format yields records; `map` turns each
 /// record into zero or more output rows (the paper's annotated map
@@ -23,21 +23,13 @@ use hail_types::{BlockId, DatanodeId, HailError, Result, Row};
 /// Jobs are `Send + Sync` ([`InputFormat`] is a `Send + Sync` trait and
 /// the map function carries the same bounds), so the
 /// [`crate::manager::JobManager`] can run several of them concurrently
-/// on scoped threads. The map function is still invoked from exactly
-/// one thread at a time — the accounting phase runs strictly in split
-/// order — so the bounds buy shareability, not reentrancy.
+/// on scoped threads. A job runs on one thread — it reads, maps and
+/// prices its splits one at a time in split order — so the bounds buy
+/// shareability, not reentrancy.
 pub struct MapJob<'a> {
     pub name: String,
     pub input: Vec<BlockId>,
     pub format: &'a dyn InputFormat,
-    /// How many whole splits the execution phase may read concurrently
-    /// through [`InputFormat::read_split_batch`] — the job's one
-    /// parallelism setting. `None` — the default — lets the format's
-    /// own policy decide (which for the planner-backed format honors
-    /// the `HAIL_JOB_PARALLELISM` environment override); `Some(1)`
-    /// forces strictly sequential split reads on the caller's thread.
-    /// Never changes results or simulated times, only real wall clock.
-    pub job_parallelism: Option<usize>,
     /// The map function. It is handed each record by value, in split
     /// order, and appends the rows it emits to the job's output — so a
     /// map that emits the record's own row moves it there instead of
@@ -62,19 +54,12 @@ impl<'a> MapJob<'a> {
             name: name.into(),
             input,
             format,
-            job_parallelism: None,
             map: Box::new(|rec, out| {
                 if !rec.bad {
                     out.push(rec.row);
                 }
             }),
         }
-    }
-
-    /// Builder-style split-overlap parallelism override.
-    pub fn with_job_parallelism(mut self, parallelism: usize) -> Self {
-        self.job_parallelism = Some(parallelism.max(1));
-        self
     }
 }
 
@@ -241,17 +226,15 @@ pub(crate) fn split_estimates(splits: &[InputSplit]) -> Vec<f64> {
 }
 
 /// Phase 1 of [`run_map_job`]: choose a node for **every** split up
-/// front, before any read happens, so the execution phase can overlap
-/// whole splits freely.
+/// front, before any read happens.
 ///
 /// Runs the exact delay-scheduling [`NodeSlots`] logic the engine has
 /// always used, but prices slot occupancy with *estimates*
-/// ([`split_estimates`]) instead of actual read results — the
-/// decoupling that makes split-level overlap possible. The planning
-/// pools here are throwaway: the final simulated schedule is replayed
-/// in phase 3 from actual per-split durations on these pre-chosen
-/// nodes, so simulated time never observes either the estimates or any
-/// real execution parallelism.
+/// ([`split_estimates`]) instead of actual read results, so node choice
+/// never waits on a read. The planning pools here are throwaway: the
+/// final simulated schedule is built in phase 2 from actual per-split
+/// durations on these pre-chosen nodes, so simulated time never observes
+/// the estimates.
 pub(crate) fn assign_split_nodes(
     cluster: &DfsCluster,
     spec: &ClusterSpec,
@@ -271,23 +254,36 @@ pub(crate) fn assign_split_nodes(
     Ok(nodes)
 }
 
+/// Reads one split through `format` on this thread and measures the
+/// call: the wall clock a [`TaskReport`] carries is the engine's, never
+/// the format's. Every read of [`run_map_job`] and of both failover
+/// passes goes through it.
+pub(crate) fn read_timed(
+    cluster: &DfsCluster,
+    format: &dyn InputFormat,
+    task: &SplitTask<'_>,
+) -> Result<(SplitRead, f64)> {
+    let wall = Instant::now();
+    let read = format.read_split(cluster, task)?;
+    Ok((read, wall.elapsed().as_secs_f64()))
+}
+
 /// The shared accounting step for one completed split read: price the
 /// task from its **actual** statistics, occupy a simulated slot on the
 /// pre-chosen node, no earlier than `not_before`, and build the
-/// [`TaskReport`]. The read's records are not looked at: the execution
-/// phase maps them first, and the failover replays drop them. Used by
-/// all three, so their pricing cannot silently diverge.
+/// [`TaskReport`] (not a rerun). Used by [`run_map_job`] and both
+/// failover passes, so their pricing cannot silently diverge.
 pub(crate) fn account_task(
     spec: &ClusterSpec,
     slots: &mut NodeSlots,
     split: usize,
     node: DatanodeId,
     not_before: f64,
-    rerun: bool,
-    read: crate::input_format::SplitRead,
+    stats: TaskStats,
+    reader_wall_seconds: f64,
 ) -> TaskReport {
     let hw = &spec.profile;
-    let reader_seconds = read.stats.reader_seconds(hw, spec.scale);
+    let reader_seconds = stats.reader_seconds(hw, spec.scale);
     let duration = hw.task_overhead_s + reader_seconds;
     let (start, end) = slots.assign(node, duration, not_before);
     TaskReport {
@@ -296,9 +292,9 @@ pub(crate) fn account_task(
         start,
         end,
         reader_seconds,
-        reader_wall_seconds: read.reader_wall_seconds,
-        rerun,
-        stats: read.stats,
+        reader_wall_seconds,
+        rerun: false,
+        stats,
     }
 }
 
@@ -306,23 +302,21 @@ pub(crate) fn account_task(
 ///
 /// Functional semantics and simulated time come from the same run: every
 /// split is actually read (real bytes, real filtering) while the slot
-/// pools account for waves and scheduling overhead. Since the job-level
-/// overlap change this happens in three phases:
+/// pools account for waves and scheduling overhead. It runs in two
+/// phases:
 ///
 /// 1. **Assignment** (`assign_split_nodes`): nodes are chosen for all
 ///    splits up front from block-count *estimates*, decoupling scheduling
 ///    from reading.
-/// 2. **Execution** ([`InputFormat::read_split_batch`]): up to
-///    [`MapJob::job_parallelism`] / `HAIL_JOB_PARALLELISM` whole splits
-///    are read at once, each on one thread.
-/// 3. **Accounting**: strictly in split order on this thread — map
-///    application, `TaskReport`s, and the simulated `NodeSlots`
-///    schedule priced from the *actual* read statistics.
+/// 2. **Execution**: on this thread, strictly in split order, each split
+///    is read ([`InputFormat::read_split`]), its records are mapped, and
+///    its task is priced from the *actual* read statistics into the
+///    simulated `NodeSlots` schedule — all before the next split is read,
+///    so the job holds at most one split's records.
 ///
-/// Every output row and every `TaskReport`/`JobReport` field (except
-/// the measured `reader_wall_seconds`) is bit-for-bit identical at every
-/// job parallelism; job parallelism 1 reads the splits strictly
-/// sequentially on this thread.
+/// A failing read ends the job with its error; no later split is read.
+/// Every output row and every `TaskReport`/`JobReport` field except the
+/// measured `reader_wall_seconds` is deterministic.
 pub fn run_map_job(cluster: &DfsCluster, spec: &ClusterSpec, job: &MapJob<'_>) -> Result<JobRun> {
     let plan = job.format.splits(cluster, &job.input)?;
     run_map_job_with_plan(cluster, spec, job, &plan)
@@ -348,39 +342,27 @@ pub(crate) fn run_map_job_with_plan(
     // Phase 1: assignment.
     let nodes = assign_split_nodes(cluster, spec, &plan.splits)?;
 
-    // Phases 2+3 run through the shared chunked drive loop
-    // ([`ChunkedDrive`]): execution (the format may overlap each
-    // chunk's split reads), then the deterministic merge +
-    // simulated accounting in split order. Chunking bounds peak memory
-    // — a chunk's buffered records are mapped into `output` and dropped
-    // before the next chunk reads — without touching determinism: the
-    // boundaries are parallelism-independent, and within a chunk
-    // results arrive in split order.
-    let batch: Vec<SplitTask<'_>> = plan
-        .splits
-        .iter()
-        .zip(&nodes)
-        .map(|(split, &task_node)| SplitTask {
-            split,
-            task_node,
-            source: plan.source.as_ref(),
-        })
-        .collect();
+    // Phase 2: execution, one split at a time.
     let mut slots = NodeSlots::new(cluster, hw.map_slots);
     let mut output = Vec::new();
     let mut tasks = Vec::with_capacity(plan.splits.len());
-    ChunkedDrive::for_job(cluster, job).run(&batch, |i, mut read| {
+    for (i, (split, &task_node)) in plan.splits.iter().zip(&nodes).enumerate() {
+        let task = SplitTask {
+            split,
+            task_node,
+            source: plan.source.as_ref(),
+        };
+        let (read, wall) = read_timed(cluster, job.format, &task)?;
         // The split's records go to the map function by value and in
         // order; it appends what it emits to the job output.
-        let records = std::mem::take(&mut read.records);
-        output.reserve(records.len());
-        for rec in records {
+        output.reserve(read.records.len());
+        for rec in read.records {
             (job.map)(rec, &mut output);
         }
         tasks.push(account_task(
-            spec, &mut slots, i, nodes[i], 0.0, false, read,
+            spec, &mut slots, i, task_node, 0.0, read.stats, wall,
         ));
-    })?;
+    }
 
     let makespan = slots.makespan();
     let report = JobReport {
@@ -399,8 +381,7 @@ pub(crate) fn run_map_job_with_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{read_splits_sequentially, InputSplit, SplitPlan, SplitRead};
-    use crate::job::TaskStats;
+    use crate::input_format::{InputSplit, SplitPlan, SplitRead};
     use hail_sim::HardwareProfile;
     use hail_types::{StorageConfig, Value};
 
@@ -422,22 +403,17 @@ mod tests {
             })
         }
 
-        fn read_split_batch(
-            &self,
-            _cluster: &DfsCluster,
-            batch: &[SplitTask<'_>],
-            _job_parallelism: Option<usize>,
-        ) -> Result<Vec<SplitRead>> {
-            read_splits_sequentially(batch, |task, emit| {
-                emit(MapRecord::good(Row::new(vec![Value::Long(
+        fn read_split(&self, _cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+            let mut stats = TaskStats {
+                records: 1,
+                ..Default::default()
+            };
+            stats.ledger.disk_read = self.bytes_per_block;
+            Ok(SplitRead {
+                records: vec![MapRecord::good(Row::new(vec![Value::Long(
                     task.split.blocks[0] as i64,
-                )])));
-                let mut stats = TaskStats {
-                    records: 1,
-                    ..Default::default()
-                };
-                stats.ledger.disk_read = self.bytes_per_block;
-                Ok(stats)
+                )]))],
+                stats,
             })
         }
 
@@ -513,22 +489,17 @@ mod tests {
                     ..Default::default()
                 })
             }
-            fn read_split_batch(
-                &self,
-                _c: &DfsCluster,
-                batch: &[SplitTask<'_>],
-                _job_parallelism: Option<usize>,
-            ) -> Result<Vec<SplitRead>> {
-                read_splits_sequentially(batch, |task, emit| {
-                    emit(MapRecord::good(Row::new(vec![Value::Long(
+            fn read_split(&self, _c: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+                let mut stats = TaskStats {
+                    records: 1,
+                    ..Default::default()
+                };
+                stats.ledger.disk_read = 95_000_000; // 1 s
+                Ok(SplitRead {
+                    records: vec![MapRecord::good(Row::new(vec![Value::Long(
                         task.split.blocks[0] as i64,
-                    )])));
-                    let mut stats = TaskStats {
-                        records: 1,
-                        ..Default::default()
-                    };
-                    stats.ledger.disk_read = 95_000_000; // 1 s
-                    Ok(stats)
+                    )]))],
+                    stats,
                 })
             }
             fn name(&self) -> &str {
@@ -606,8 +577,7 @@ mod tests {
 
     /// Zero to three records per block, `[block, k]`, every third of
     /// them bad; blocks live on `block % nodes` with every other live
-    /// node as a fallback. At job parallelism 2 the batch is read on two
-    /// threads, each taking every other split.
+    /// node as a fallback.
     struct RecordsFormat;
 
     impl RecordsFormat {
@@ -624,30 +594,6 @@ mod tests {
                     }
                 })
                 .collect()
-        }
-
-        fn read(
-            cluster: &DfsCluster,
-            batch: &[SplitTask<'_>],
-        ) -> Result<Vec<crate::input_format::SplitRead>> {
-            read_splits_sequentially(batch, |task, emit| {
-                let split = task.split;
-                if split
-                    .locations
-                    .iter()
-                    .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
-                {
-                    return Err(HailError::DeadDatanode(split.locations[0]));
-                }
-                let records = Self::records(split.blocks[0]);
-                let mut stats = TaskStats {
-                    records: records.len() as u64,
-                    ..Default::default()
-                };
-                stats.ledger.disk_read = 95_000_000;
-                records.into_iter().for_each(emit);
-                Ok(stats)
-            })
         }
     }
 
@@ -668,29 +614,22 @@ mod tests {
             })
         }
 
-        fn read_split_batch(
-            &self,
-            cluster: &DfsCluster,
-            batch: &[SplitTask<'_>],
-            job_parallelism: Option<usize>,
-        ) -> Result<Vec<crate::input_format::SplitRead>> {
-            if job_parallelism != Some(2) {
-                return Self::read(cluster, batch);
+        fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+            let split = task.split;
+            if split
+                .locations
+                .iter()
+                .all(|&n| !cluster.datanode(n).map(|d| d.is_alive()).unwrap_or(false))
+            {
+                return Err(HailError::DeadDatanode(split.locations[0]));
             }
-            let half = |parity: usize| -> Vec<SplitTask<'_>> {
-                batch.iter().skip(parity).step_by(2).cloned().collect()
+            let records = Self::records(split.blocks[0]);
+            let mut stats = TaskStats {
+                records: records.len() as u64,
+                ..Default::default()
             };
-            let (even, odd) = (half(0), half(1));
-            let (even, odd) = std::thread::scope(|scope| {
-                let odd = scope.spawn(|| Self::read(cluster, &odd));
-                let even = Self::read(cluster, &even);
-                (even, odd.join().expect("a reader thread"))
-            });
-            let (mut even, mut odd) = (even?.into_iter(), odd?.into_iter());
-            Ok((0..batch.len())
-                .map(|i| if i % 2 == 0 { even.next() } else { odd.next() })
-                .map(|read| read.expect("one read per split"))
-                .collect())
+            stats.ledger.disk_read = 95_000_000;
+            Ok(SplitRead { records, stats })
         }
 
         fn name(&self) -> &str {
@@ -711,7 +650,6 @@ mod tests {
     /// `emit`.
     fn logging_job<'a>(
         emit: Emit,
-        parallelism: usize,
         log: &'a hail_sync::OrderedMutex<Vec<MapRecord>>,
         bad: &'a std::sync::atomic::AtomicUsize,
     ) -> MapJob<'a> {
@@ -719,7 +657,6 @@ mod tests {
             name: format!("{emit:?}"),
             input: (0..40).collect(),
             format: &RecordsFormat,
-            job_parallelism: Some(parallelism),
             map: Box::new(move |rec, out| {
                 log.acquire().push(MapRecord {
                     row: rec.row.clone(),
@@ -747,8 +684,8 @@ mod tests {
     }
 
     /// A by-value map sees every record exactly once, in split order,
-    /// whatever it emits and at job parallelism 1 and 2; what it emits is
-    /// the job's output, in that order. The failover path hands the map
+    /// whatever it emits; what it emits is the job's output, in that
+    /// order. The failover path hands the map
     /// the baseline pass's records only: lost splits are re-read and
     /// priced, never mapped again.
     #[test]
@@ -770,44 +707,38 @@ mod tests {
                     .flat_map(|r| [r.row.clone(), r.row.clone()])
                     .collect(),
             };
-            for parallelism in [1, 2] {
-                let at = format!("{emit:?} at job parallelism {parallelism}");
-                let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
-                let bad = AtomicUsize::new(0);
-                let job = logging_job(emit, parallelism, &log, &bad);
-                let cluster = DfsCluster::new(4, StorageConfig::default());
-                let run = run_map_job(&cluster, &spec(4), &job).unwrap();
-                assert_eq!(logged(&log.acquire()), in_order, "{at}");
-                assert_eq!(run.output, want, "{at}");
-                let counted = if matches!(emit, Emit::CountBad) {
-                    bad_records
-                } else {
-                    0
-                };
-                assert_eq!(bad.load(Ordering::Relaxed), counted, "{at}");
+            let at = format!("{emit:?}");
+            let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
+            let bad = AtomicUsize::new(0);
+            let job = logging_job(emit, &log, &bad);
+            let cluster = DfsCluster::new(4, StorageConfig::default());
+            let run = run_map_job(&cluster, &spec(4), &job).unwrap();
+            assert_eq!(logged(&log.acquire()), in_order, "{at}");
+            assert_eq!(run.output, want, "{at}");
+            let counted = if matches!(emit, Emit::CountBad) {
+                bad_records
+            } else {
+                0
+            };
+            assert_eq!(bad.load(Ordering::Relaxed), counted, "{at}");
 
-                let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
-                let bad = AtomicUsize::new(0);
-                let job = logging_job(emit, parallelism, &log, &bad);
-                let mut cluster = DfsCluster::new(4, StorageConfig::default());
-                let failed = run_map_job_with_failure(
-                    &mut cluster,
-                    &spec(4),
-                    &job,
-                    FailureScenario::at_half(1),
-                )
-                .unwrap();
-                let rerun_records: u64 = failed
-                    .with_failure
-                    .tasks
-                    .iter()
-                    .filter(|t| t.rerun)
-                    .map(|t| t.stats.records)
-                    .sum();
-                assert!(failed.rerun_count > 0 && rerun_records > 0, "{at}");
-                assert_eq!(logged(&log.acquire()), in_order, "{at}: baseline pass only");
-                assert_eq!(failed.output, want, "{at}: failover output");
-            }
+            let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
+            let bad = AtomicUsize::new(0);
+            let job = logging_job(emit, &log, &bad);
+            let mut cluster = DfsCluster::new(4, StorageConfig::default());
+            let failed =
+                run_map_job_with_failure(&mut cluster, &spec(4), &job, FailureScenario::at_half(1))
+                    .unwrap();
+            let rerun_records: u64 = failed
+                .with_failure
+                .tasks
+                .iter()
+                .filter(|t| t.rerun)
+                .map(|t| t.stats.records)
+                .sum();
+            assert!(failed.rerun_count > 0 && rerun_records > 0, "{at}");
+            assert_eq!(logged(&log.acquire()), in_order, "{at}: baseline pass only");
+            assert_eq!(failed.output, want, "{at}: failover output");
         }
     }
 
@@ -819,7 +750,6 @@ mod tests {
             name: "filter".into(),
             input: (0..10).collect(),
             format: &fmt,
-            job_parallelism: None,
             map: Box::new(|rec, out| {
                 if let Some(Value::Long(v)) = rec.row.get(0) {
                     if v % 2 == 0 {
@@ -830,5 +760,67 @@ mod tests {
         };
         let run = run_map_job(&cluster, &spec(2), &job).unwrap();
         assert_eq!(run.output.len(), 5);
+    }
+
+    /// Split `k`'s read fails: the job returns that error, every split
+    /// below `k` was read and mapped, and no split above `k` is read.
+    #[test]
+    fn a_failing_split_ends_the_job_and_no_later_split_is_read() {
+        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+        /// One split per block; the read of block `k` fails. Counts the
+        /// reads it serves and the highest block it was asked for.
+        struct FailAt {
+            k: BlockId,
+            reads: AtomicUsize,
+            highest: AtomicU64,
+        }
+
+        impl InputFormat for FailAt {
+            fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
+                ToyFormat { bytes_per_block: 1 }.splits(cluster, input)
+            }
+
+            fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+                let block = task.split.blocks[0];
+                self.reads.fetch_add(1, Ordering::SeqCst);
+                self.highest.fetch_max(block, Ordering::SeqCst);
+                if block == self.k {
+                    return Err(HailError::Job(format!("split {block}")));
+                }
+                ToyFormat { bytes_per_block: 1 }.read_split(cluster, task)
+            }
+
+            fn name(&self) -> &str {
+                "fail-at"
+            }
+        }
+
+        let cluster = DfsCluster::new(4, StorageConfig::default());
+        for k in [0, 7, 39] {
+            let fmt = FailAt {
+                k,
+                reads: AtomicUsize::new(0),
+                highest: AtomicU64::new(0),
+            };
+            let mapped = AtomicUsize::new(0);
+            let job = MapJob {
+                name: "fails".into(),
+                input: (0..40).collect(),
+                format: &fmt,
+                map: Box::new(|rec, out| {
+                    mapped.fetch_add(1, Ordering::SeqCst);
+                    out.push(rec.row);
+                }),
+            };
+            let err = run_map_job(&cluster, &spec(4), &job).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                HailError::Job(format!("split {k}")).to_string()
+            );
+            assert_eq!(fmt.reads.load(Ordering::SeqCst), k as usize + 1, "k = {k}");
+            assert_eq!(fmt.highest.load(Ordering::SeqCst), k, "k = {k}");
+            assert_eq!(mapped.load(Ordering::SeqCst), k as usize, "k = {k}");
+        }
     }
 }

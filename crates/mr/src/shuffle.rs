@@ -26,11 +26,11 @@ pub struct MapReduceJob<'a> {
     /// Number of reduce tasks (≥1).
     pub reducers: usize,
     /// Frozen-suite residue: the benchmark suite builds this struct as
-    /// a literal. It no longer names a separate setting; the map phase
-    /// runs at the larger of this and `job_parallelism`.
+    /// a literal. Ignored: the map phase reads its splits in order on
+    /// the job's thread.
     pub parallelism: Option<usize>,
-    /// Split overlap for the map phase (see
-    /// [`MapJob::job_parallelism`]); `None` defers to the input format.
+    /// Frozen-suite residue: the benchmark suite builds this struct as
+    /// a literal. Ignored, like `parallelism`.
     pub job_parallelism: Option<usize>,
 }
 
@@ -70,7 +70,6 @@ pub fn run_map_reduce_job(
             name: job.name.clone(),
             input: job.input.clone(),
             format: job.format,
-            job_parallelism: job.job_parallelism.max(job.parallelism),
             map: Box::new(|rec, _out| (job.map)(&rec, &mut pairs_cell.acquire())),
         };
         run_map_job(cluster, spec, &map_job)?
@@ -121,9 +120,7 @@ pub fn run_map_reduce_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{
-        read_splits_sequentially, InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask,
-    };
+    use crate::input_format::{InputFormat, InputSplit, SplitPlan, SplitRead, SplitTask};
     use crate::job::TaskStats;
     use hail_sim::HardwareProfile;
     use hail_types::StorageConfig;
@@ -142,20 +139,15 @@ mod tests {
             })
         }
 
-        fn read_split_batch(
-            &self,
-            _cluster: &DfsCluster,
-            batch: &[SplitTask<'_>],
-            _job_parallelism: Option<usize>,
-        ) -> Result<Vec<SplitRead>> {
-            read_splits_sequentially(batch, |task, emit| {
-                emit(MapRecord::good(Row::new(vec![Value::Long(
+        fn read_split(&self, _cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+            Ok(SplitRead {
+                records: vec![MapRecord::good(Row::new(vec![Value::Long(
                     (task.split.blocks[0] % 3) as i64,
-                )])));
-                Ok(TaskStats {
+                )]))],
+                stats: TaskStats {
                     records: 1,
                     ..Default::default()
-                })
+                },
             })
         }
 

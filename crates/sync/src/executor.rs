@@ -2,16 +2,13 @@
 //! indexed tasks on up to `width` threads — the caller and scoped
 //! helpers — and returns their results in index order.
 //!
-//! It has four callers, each with its own kind of task: the
-//! planner-backed input format reads whole splits of one job at the
-//! job's parallelism, the job manager runs whole jobs at its
-//! `max_concurrent`, the HAIL upload client cuts and prepares runs of
-//! consecutive blocks, and the adaptive rebuild prepares one replica
-//! rewrite per task; the last two go one window at a time, at the
-//! machine's parallelism ([`machine_width`]), and commit on the caller's
-//! thread. A split's blocks
-//! are read on the thread that reads the split, so the map task (the
-//! paper's unit of parallel work) is the unit here too.
+//! It has three callers, each with its own kind of task: the job
+//! manager runs whole jobs at its `max_concurrent`, the HAIL upload
+//! client cuts and prepares runs of consecutive blocks, and the adaptive
+//! rebuild prepares one replica rewrite per task; the last two go one
+//! window at a time, at the machine's parallelism ([`machine_width`]),
+//! and commit on the caller's thread. A job reads its splits in order on
+//! its own thread, as a Hadoop record reader reads one split.
 //!
 //! Determinism: results merge in index order, never completion order,
 //! and on failure the error of the **lowest-indexed** failing task is
@@ -123,8 +120,7 @@ mod tests {
         assert_eq!(err, "task 3");
     }
 
-    /// The input format's split pool: one job's splits, read at
-    /// `job_parallelism`, merge in split order at every width.
+    /// A second task count: results merge in index order at every width.
     #[test]
     fn job_pool_results_in_index_order_at_any_width() {
         for workers in [1, 2, 4, 8] {
@@ -139,7 +135,7 @@ mod tests {
         }
     }
 
-    /// The input format's split pool reports the lowest failing split.
+    /// Two failures far apart: the lower one is reported.
     #[test]
     fn job_pool_lowest_index_error_wins() {
         let err = run_ordered(16, 4, |i| {
@@ -225,6 +221,87 @@ mod tests {
         .unwrap();
         assert_eq!(out[0], 7, "the other tasks waited on task 0");
         assert_eq!(out[1..], [1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    /// SplitMix64: the seeded generator behind the schedules below.
+    fn next_u64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// What one task of a seeded schedule does before it returns.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Return,
+        Yield,
+        SleepMicros(u64),
+        Fail,
+    }
+
+    /// The whole contract under seeded schedules of tasks that return at
+    /// once, yield, sleep or fail, at widths 2 to 8:
+    ///
+    /// - results are slotted by index, and every task runs exactly once;
+    /// - a failing schedule returns the lowest failing index's error,
+    ///   and every task below it ran exactly once;
+    /// - indices are pulled in increasing order: when task `i` starts,
+    ///   the only lower tasks not yet started are ones another worker has
+    ///   pulled and not yet begun, at most one per other worker.
+    #[test]
+    fn seeded_schedules_keep_the_contract() {
+        for seed in 0..48u64 {
+            let mut rng = seed;
+            let n = 64 + (next_u64(&mut rng) % 193) as usize;
+            let width = 2 + (next_u64(&mut rng) % 7) as usize;
+            let may_fail = seed % 2 == 1;
+            let steps: Vec<Step> = (0..n)
+                .map(|_| match next_u64(&mut rng) % 64 {
+                    0..=35 => Step::Return,
+                    36..=51 => Step::Yield,
+                    52..=62 => Step::SleepMicros(next_u64(&mut rng) % 200),
+                    _ if may_fail => Step::Fail,
+                    _ => Step::Return,
+                })
+                .collect();
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let started: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+            let late_starts = AtomicUsize::new(0);
+            let result = run_ordered(n, width, |i| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                let unstarted_below = started[..i]
+                    .iter()
+                    .filter(|s| !s.load(Ordering::SeqCst))
+                    .count();
+                if unstarted_below >= width {
+                    late_starts.fetch_add(1, Ordering::SeqCst);
+                }
+                started[i].store(true, Ordering::SeqCst);
+                match steps[i] {
+                    Step::Return => {}
+                    Step::Yield => std::thread::yield_now(),
+                    Step::SleepMicros(us) => std::thread::sleep(Duration::from_micros(us)),
+                    Step::Fail => return Err(i),
+                }
+                Ok(i * 3 + 1)
+            });
+            let at = format!("seed {seed}, {n} tasks at width {width}");
+            let runs: Vec<usize> = runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+            match steps.iter().position(|s| matches!(s, Step::Fail)) {
+                None => {
+                    assert_eq!(result, Ok((0..n).map(|i| i * 3 + 1).collect()), "{at}");
+                    assert!(runs.iter().all(|&r| r == 1), "{at}: runs {runs:?}");
+                }
+                Some(lowest) => {
+                    assert_eq!(result, Err(lowest), "{at}");
+                    assert!(runs[..=lowest].iter().all(|&r| r == 1), "{at}: {runs:?}");
+                    assert!(runs.iter().all(|&r| r <= 1), "{at}: runs {runs:?}");
+                }
+            }
+            assert_eq!(late_starts.load(Ordering::SeqCst), 0, "{at}: a late start");
+        }
     }
 
     #[test]

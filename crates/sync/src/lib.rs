@@ -29,9 +29,9 @@
 //! the workspace `clippy.toml` disallows them everywhere else.
 //!
 //! It also holds the engine's one ordered fan-out, [`run_ordered`]
-//! (module [`executor`]): a leaf crate, so the split pool and job
-//! manager in `hail-mr`, the upload client in `hail-core` and the
-//! adaptive rebuild in `hail-exec` share it.
+//! (module [`executor`]): a leaf crate, so the job manager in
+//! `hail-mr`, the upload client in `hail-core` and the adaptive rebuild
+//! in `hail-exec` share it.
 
 #![allow(
     clippy::disallowed_types,

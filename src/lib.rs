@@ -106,7 +106,7 @@ pub mod prelude {
     pub use hail_mr::{
         run_map_job, run_map_job_with_failure, run_map_reduce_job, FailureScenario, InputFormat,
         JobManager, JobReport, JobRun, MapJob, MapRecord, MapReduceJob, PathCounts,
-        SelectivityObservation, TaskStats, SPLIT_BATCH_CHUNK,
+        SelectivityObservation, TaskStats,
     };
     pub use hail_pax::{blocks_from_text, PaxBlock, PaxBlockBuilder};
     pub use hail_sim::{ClusterSpec, CostLedger, HardwareProfile, ScaleFactor};

@@ -16,7 +16,7 @@
 //!   absorbed in split order, leave the serial run's evidence.
 
 use hail::exec::{BlockPlan, PlannerConfig};
-use hail::mr::{read_one_split, SplitSource, SplitTask, TaskStats};
+use hail::mr::{SplitSource, SplitTask, TaskStats};
 use hail::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -201,7 +201,12 @@ fn concurrent_read_splits_share_adaptive_state() {
         .splits
         .iter()
         .map(|split| {
-            read_one_split(&format, &cluster, split, split.locations[0], &mut |_| {}).unwrap()
+            let task = SplitTask {
+                split,
+                task_node: split.locations[0],
+                source: None,
+            };
+            format.read_split(&cluster, &task).unwrap().stats
         })
         .collect();
     let serial_records: u64 = serial.iter().map(|t| t.records).sum();
@@ -227,8 +232,7 @@ fn concurrent_read_splits_share_adaptive_state() {
                             task_node: split.locations[0],
                             source,
                         };
-                        let mut reads = format.read_split_batch(cluster, &[task], None).unwrap();
-                        reads.pop().unwrap().stats
+                        format.read_split(cluster, &task).unwrap().stats
                     })
                 })
                 .collect();

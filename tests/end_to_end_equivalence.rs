@@ -6,10 +6,9 @@
 
 use hail::prelude::*;
 
-/// (job parallelism, synopsis pruning): sequential, two and four splits
-/// at once, and pruning off. A `HAIL_*` knob supplies each field's
-/// default; none may change a result.
-const SETTINGS: [(usize, bool); 4] = [(1, true), (2, true), (4, true), (1, false)];
+/// Synopsis pruning on and off. The `HAIL_DISABLE_SYNOPSES` knob
+/// supplies the field's default; neither setting may change a result.
+const SETTINGS: [bool; 2] = [true, false];
 
 fn run(
     cluster: &DfsCluster,
@@ -17,13 +16,12 @@ fn run(
     dataset: &Dataset,
     query: &HailQuery,
     splitting: bool,
-    (job_parallelism, synopsis_pruning): (usize, bool),
+    synopsis_pruning: bool,
 ) -> Vec<Row> {
     let mut format = PlannedInputFormat::new(dataset.clone(), query.clone());
     format.splitting = splitting;
     format.planner.synopsis_pruning = synopsis_pruning;
-    let job = MapJob::collecting("q", dataset.blocks.clone(), &format)
-        .with_job_parallelism(job_parallelism);
+    let job = MapJob::collecting("q", dataset.blocks.clone(), &format);
     run_map_job(cluster, spec, &job).unwrap().output
 }
 
@@ -69,10 +67,18 @@ fn bob_queries_agree_across_all_paths() {
             let a1 = canonical(&run(&hail_cluster, &spec, &hail, &query, false, s));
             let a2 = canonical(&run(&hail_cluster, &spec, &hail, &query, true, s));
             let p = canonical(&run(&hpp_cluster, &spec, &hpp, &query, false, s));
-            assert_eq!(h, expected, "{} at {s:?}: Hadoop vs oracle", q.id);
-            assert_eq!(a1, expected, "{} at {s:?}: HAIL (default splits)", q.id);
-            assert_eq!(a2, expected, "{} at {s:?}: HAIL (HailSplitting)", q.id);
-            assert_eq!(p, expected, "{} at {s:?}: Hadoop++ vs oracle", q.id);
+            assert_eq!(h, expected, "{} with pruning {s}: Hadoop vs oracle", q.id);
+            assert_eq!(
+                a1, expected,
+                "{} with pruning {s}: HAIL (default splits)",
+                q.id
+            );
+            assert_eq!(
+                a2, expected,
+                "{} with pruning {s}: HAIL (HailSplitting)",
+                q.id
+            );
+            assert_eq!(p, expected, "{} with pruning {s}: Hadoop++ vs oracle", q.id);
         }
     }
 }
@@ -111,7 +117,7 @@ fn synthetic_queries_agree_across_all_paths() {
                 assert_eq!(
                     canonical(&run(cluster, &spec, dataset, &query, splitting, s)),
                     expected,
-                    "{} at {s:?}: {name}",
+                    "{} with pruning {s}: {name}",
                     q.id
                 );
             }
@@ -198,7 +204,6 @@ fn bad_records_survive_upload_and_reach_the_map_function() {
         name: "badscan".into(),
         input: dataset.blocks.clone(),
         format: &format,
-        job_parallelism: None,
         map: Box::new(|rec, out| {
             if rec.bad {
                 bad_seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

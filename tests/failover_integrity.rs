@@ -4,14 +4,9 @@
 
 use hail::prelude::*;
 
-/// The job parallelisms every failover job runs at: sequential, and
-/// two and four splits at once.
-const PARALLELISM: [usize; 3] = [1, 2, 4];
-
-/// A collecting job over `dataset` through `format` at job parallelism
-/// `j`.
-fn job<'a>(format: &'a PlannedInputFormat, dataset: &Dataset, j: usize) -> MapJob<'a> {
-    MapJob::collecting("q", dataset.blocks.clone(), format).with_job_parallelism(j)
+/// A collecting job over `dataset` through `format`.
+fn job<'a>(format: &'a PlannedInputFormat, dataset: &Dataset) -> MapJob<'a> {
+    MapJob::collecting("q", dataset.blocks.clone(), format)
 }
 
 fn storage() -> StorageConfig {
@@ -40,15 +35,13 @@ fn results_identical_after_any_single_node_death() {
         let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
         cluster.kill_node(victim).unwrap();
-        for j in PARALLELISM {
-            let format = PlannedInputFormat::new(dataset.clone(), query.clone());
-            let run = run_map_job(&cluster, &spec, &job(&format, &dataset, j)).unwrap();
-            assert_eq!(
-                canonical(&run.output),
-                expected,
-                "node {victim} death changed results at j{j}"
-            );
-        }
+        let format = PlannedInputFormat::new(dataset.clone(), query.clone());
+        let run = run_map_job(&cluster, &spec, &job(&format, &dataset)).unwrap();
+        assert_eq!(
+            canonical(&run.output),
+            expected,
+            "node {victim} death changed results"
+        );
     }
 }
 
@@ -64,11 +57,9 @@ fn results_identical_after_two_node_deaths() {
     let expected = canonical(&oracle_eval(&texts, &schema, &query));
     cluster.kill_node(1).unwrap();
     cluster.kill_node(4).unwrap();
-    for j in PARALLELISM {
-        let format = PlannedInputFormat::new(dataset.clone(), query.clone());
-        let run = run_map_job(&cluster, &spec, &job(&format, &dataset, j)).unwrap();
-        assert_eq!(canonical(&run.output), expected, "j{j}");
-    }
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone());
+    let run = run_map_job(&cluster, &spec, &job(&format, &dataset)).unwrap();
+    assert_eq!(canonical(&run.output), expected);
 }
 
 #[test]
@@ -77,19 +68,17 @@ fn mid_job_failure_preserves_output() {
     let schema = bob_schema();
     let spec = ClusterSpec::new(5, HardwareProfile::physical());
     let query = bob_queries()[0].to_query(&schema).unwrap();
-    for j in PARALLELISM {
-        let (mut cluster, dataset, texts) = setup(5, &config);
-        let expected = canonical(&oracle_eval(&texts, &schema, &query));
+    let (mut cluster, dataset, texts) = setup(5, &config);
+    let expected = canonical(&oracle_eval(&texts, &schema, &query));
 
-        let format = PlannedInputFormat::new(dataset.clone(), query.clone()).without_splitting();
-        let job = job(&format, &dataset, j);
-        let run = run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(2))
-            .unwrap();
-        assert_eq!(canonical(&run.output), expected, "j{j}");
-        assert!(run.with_failure.end_to_end_seconds >= run.baseline.end_to_end_seconds);
-        // The dead node is really dead.
-        assert!(!cluster.datanode(2).unwrap().is_alive());
-    }
+    let format = PlannedInputFormat::new(dataset.clone(), query.clone()).without_splitting();
+    let job = job(&format, &dataset);
+    let run =
+        run_map_job_with_failure(&mut cluster, &spec, &job, FailureScenario::at_half(2)).unwrap();
+    assert_eq!(canonical(&run.output), expected);
+    assert!(run.with_failure.end_to_end_seconds >= run.baseline.end_to_end_seconds);
+    // The dead node is really dead.
+    assert!(!cluster.datanode(2).unwrap().is_alive());
 }
 
 #[test]

@@ -9,29 +9,26 @@
 //! - per-job **output** and whole **report** (modulo measured wall
 //!   clock and queue wait) identical to a solo run at concurrency
 //!   1/2/4, jobs that share a filter shape or repeat a query included;
-//! - the same for conjunctive queries over two filter columns;
-//! - peak memory stays O(chunk) per in-flight job: no
-//!   `read_split_batch` call ever exceeds `SPLIT_BATCH_CHUNK` splits,
-//!   managed or not;
+//! - the same for conjunctive queries over two filter columns, and for
+//!   jobs that all scan the same blocks at once;
+//! - a managed job holds one split's records at a time: it reads split
+//!   *i* only after splits below *i* are read and mapped;
 //! - failover under concurrency: a mid-job node death, then ≥4
 //!   concurrent jobs over the degraded cluster, still bit-for-bit
 //!   against solo runs on that cluster.
-//!
-//! At concurrency 2 in the two solo-equivalence sweeps each job also
-//! reads two splits at once.
 
 use hail::prelude::*;
+use hail::types::BlockId;
 use hail_bench::{
-    make_shared_format, run_queries_managed, run_queries_managed_at, setup_hail, uv_testbed,
-    ExperimentScale, SharedJobInfra, SystemSetup,
+    make_shared_format, run_queries_managed, setup_hail, uv_testbed, ExperimentScale,
+    SharedJobInfra, SystemSetup,
 };
 use hail_mr::{JobReport, JobRun, SplitPlan, SplitRead, SplitTask};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Every `(jobs in flight, job parallelism)` setting the managed sweeps
-/// run: concurrency 1, 2 and 4, where the two concurrent jobs at
-/// concurrency 2 also read two splits each at once.
-const SETTINGS: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 1)];
+/// The numbers of jobs in flight the managed sweeps run at.
+const CONCURRENCY: [usize; 3] = [1, 2, 4];
 
 fn uv_setup(rows_per_node: usize, blocks_per_node: usize) -> (hail_bench::Testbed, SystemSetup) {
     let scale = ExperimentScale::query(4, rows_per_node)
@@ -109,8 +106,7 @@ fn syn_queries(n: usize, schema: &Schema) -> Vec<HailQuery> {
 }
 
 /// ~200 queued Bob/Synthetic queries through the manager at
-/// concurrency 1/2/4 (two splits per job at once at concurrency 2):
-/// every job's output and whole report (wall clocks zeroed) are
+/// concurrency 1/2/4: every job's output and whole report (wall clocks zeroed) are
 /// bit-for-bit its solo run's — each query is queued four times and
 /// each filter shape five times, so jobs share shapes and whole
 /// queries with jobs in flight beside them — and queue-wait telemetry
@@ -132,21 +128,19 @@ fn two_hundred_queries_match_solo_at_every_concurrency() {
         .map(|q| solo(&syn, &syn_tb.spec, q, true))
         .collect();
 
-    for (conc, j) in SETTINGS {
+    for conc in CONCURRENCY {
         let manager = JobManager::new(conc);
         for (setup, spec, queries, expected) in [
             (&uv, &uv_tb.spec, &uv_qs, &uv_expected),
             (&syn, &syn_tb.spec, &syn_qs, &syn_expected),
         ] {
             let infra = SharedJobInfra::for_jobs(conc);
-            let batch =
-                run_queries_managed_at(setup, spec, queries, true, &manager, &infra, Some(j))
-                    .unwrap();
+            let batch = run_queries_managed(setup, spec, queries, true, &manager, &infra).unwrap();
             assert_eq!(batch.summary.jobs, queries.len());
             let runs = batch.runs;
             assert_eq!(runs.len(), queries.len());
             for (i, run) in runs.iter().enumerate() {
-                let at = format!("concurrency {conc}, job parallelism {j}, job {i}");
+                let at = format!("concurrency {conc}, job {i}");
                 assert_eq!(
                     run.output,
                     expected[i % 25].output,
@@ -204,8 +198,7 @@ fn distinct_shape_queries(schema: &Schema) -> Vec<HailQuery> {
 
 /// Conjunctive and single-column jobs alike: managed runs reproduce the
 /// solo run's whole report — every simulated figure, schedule entry,
-/// and counter — not just the output, at every concurrency and job
-/// parallelism.
+/// and counter — not just the output, at every concurrency.
 #[test]
 fn distinct_shapes_reproduce_full_reports() {
     let (tb, setup) = uv_setup(500, 4);
@@ -214,21 +207,20 @@ fn distinct_shapes_reproduce_full_reports() {
         .iter()
         .map(|q| solo(&setup, &tb.spec, q, true))
         .collect();
-    for (conc, j) in SETTINGS {
+    for conc in CONCURRENCY {
         let infra = SharedJobInfra::for_jobs(conc);
-        let runs = run_queries_managed_at(
+        let runs = run_queries_managed(
             &setup,
             &tb.spec,
             &queries,
             true,
             &JobManager::new(conc),
             &infra,
-            Some(j),
         )
         .unwrap()
         .runs;
         for (run, exp) in runs.iter().zip(&expected) {
-            let at = format!("concurrency {conc}, job parallelism {j}");
+            let at = format!("concurrency {conc}");
             assert_eq!(run.output, exp.output, "{at}: output");
             assert_eq!(
                 report_modulo_wall(&run.report),
@@ -240,7 +232,7 @@ fn distinct_shapes_reproduce_full_reports() {
 }
 
 /// Failover under concurrency: a job survives a mid-run node death
-/// (through the shared drive loop's re-evaluation and rerun passes),
+/// (through the re-evaluation and rerun passes),
 /// then four concurrent jobs serve from the degraded cluster with
 /// output and reports still bit-for-bit against solo runs on it.
 #[test]
@@ -332,86 +324,167 @@ fn managed_baselines_match_their_solo_runs() {
     }
 }
 
-/// Wraps a format and records the largest `read_split_batch` it is
-/// ever handed — the O(chunk) memory-bound probe.
-struct BatchRecordingFormat {
-    inner: Box<dyn InputFormat>,
-    max_batch: AtomicUsize,
-    calls: AtomicUsize,
+/// Eight pairwise-distinct filter shapes, repeated `repeats` times:
+/// every job scans the whole block set, so any two concurrent jobs
+/// overlap on every block, and repeated shapes land on identical
+/// (replica, path) choices.
+fn overlapping_queries(schema: &Schema, repeats: usize) -> Vec<HailQuery> {
+    let shapes: Vec<HailQuery> = [
+        ("@3 between(1999-01-01, 2000-01-01)", "{@1}"),
+        ("@1 = '172.101.11.46'", "{@8, @9, @4}"),
+        ("@4 >= 1 and @4 <= 10", "{@8, @9, @4}"),
+        ("@8 = 'searchword3'", "{@1, @8}"),
+        ("@9 <= 120", "{@1, @9}"),
+        ("@4 >= 1 and @4 <= 10 and @9 <= 200", "{@4, @9}"),
+        ("@1 = '172.101.11.46' and @4 <= 50", "{@1, @4}"),
+        ("@9 <= 4000", "{@1, @9}"),
+    ]
+    .iter()
+    .map(|(f, p)| HailQuery::parse(f, p, schema).unwrap())
+    .collect();
+    (0..repeats).flat_map(|_| shapes.iter().cloned()).collect()
 }
 
-impl BatchRecordingFormat {
-    fn new(inner: Box<dyn InputFormat>) -> Self {
-        BatchRecordingFormat {
-            inner,
-            max_batch: AtomicUsize::new(0),
-            calls: AtomicUsize::new(0),
+/// Overlapping-block jobs at concurrency 1/2/4: every block read is one
+/// access path's own read, so jobs that scan the same blocks at once
+/// leave no trace on each other — outputs and reports (modulo wall
+/// clocks) are bit-for-bit their solo runs'.
+#[test]
+fn overlapping_jobs_match_solo_at_every_concurrency() {
+    let (tb, setup) = uv_setup(500, 4);
+    let queries = overlapping_queries(&bob_schema(), 3);
+    let unique = 8;
+    let expected: Vec<JobRun> = queries[..unique]
+        .iter()
+        .map(|q| solo(&setup, &tb.spec, q, true))
+        .collect();
+
+    for conc in CONCURRENCY {
+        let infra = SharedJobInfra::for_jobs(conc);
+        let batch = run_queries_managed(
+            &setup,
+            &tb.spec,
+            &queries,
+            true,
+            &JobManager::new(conc),
+            &infra,
+        )
+        .unwrap();
+        assert_eq!(batch.summary.jobs, queries.len());
+        assert_eq!(
+            batch.summary.logical_blocks,
+            (queries.len() * setup.dataset.blocks.len()) as u64
+        );
+        for (i, run) in batch.runs.iter().enumerate() {
+            let exp = &expected[i % unique];
+            let at = format!("concurrency {conc}, job {i}");
+            assert_eq!(run.output, exp.output, "{at}: output diverged from solo");
+            assert_eq!(
+                report_modulo_wall(&run.report),
+                report_modulo_wall(&exp.report),
+                "{at}: report must be bit-for-bit modulo wall clock"
+            );
         }
     }
 }
 
-impl InputFormat for BatchRecordingFormat {
-    fn splits(&self, cluster: &DfsCluster, input: &[hail::types::BlockId]) -> Result<SplitPlan> {
-        self.inner.splits(cluster, input)
-    }
+/// Wraps a job's format and checks, whenever a split read starts, that
+/// it is the next split of the job's plan and that every record the
+/// earlier reads returned has been mapped: the job reads split *i* only
+/// after splits below *i* are read and mapped.
+struct InOrderFormat {
+    inner: Box<dyn InputFormat>,
+    /// The block lists of the splits the job was cut into, in order.
+    plan: OnceLock<Vec<Vec<BlockId>>>,
+    /// Split reads started.
+    started: AtomicUsize,
+    /// Records the finished reads returned.
+    returned: AtomicUsize,
+    /// Records the job's map function was handed.
+    mapped: AtomicUsize,
+}
 
-    fn read_split_batch(
-        &self,
-        cluster: &DfsCluster,
-        batch: &[SplitTask<'_>],
-        job_parallelism: Option<usize>,
-    ) -> Result<Vec<SplitRead>> {
-        self.max_batch.fetch_max(batch.len(), Ordering::SeqCst);
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        self.inner.read_split_batch(cluster, batch, job_parallelism)
-    }
-
-    fn name(&self) -> &str {
-        "batch-recording"
+impl InOrderFormat {
+    fn new(inner: Box<dyn InputFormat>) -> Self {
+        InOrderFormat {
+            inner,
+            plan: OnceLock::new(),
+            started: AtomicUsize::new(0),
+            returned: AtomicUsize::new(0),
+            mapped: AtomicUsize::new(0),
+        }
     }
 }
 
-/// Peak memory stays O(chunk) per in-flight job under the manager: a
-/// job over >64 per-block splits never sees a `read_split_batch`
-/// larger than `SPLIT_BATCH_CHUNK`, at concurrency 4 either.
-#[test]
-fn managed_jobs_keep_chunked_reads_bounded() {
-    // Per-block splits (no HailSplitting) over 4 × 20 = 80 blocks, so
-    // every job's drive loop must chunk: 80 > SPLIT_BATCH_CHUNK.
-    let (tb, setup) = uv_setup(240, 20);
-    assert!(setup.dataset.blocks.len() > SPLIT_BATCH_CHUNK);
-    let query = HailQuery::parse("@9 <= 150", "{@1, @9}", &bob_schema()).unwrap();
-
-    let infra = SharedJobInfra::for_jobs(4);
-    let formats: Vec<BatchRecordingFormat> = (0..4)
-        .map(|_| {
-            BatchRecordingFormat::new(make_shared_format(&setup, &tb.spec, &query, false, &infra))
-        })
-        .collect();
-    let jobs: Vec<MapJob<'_>> = formats
-        .iter()
-        .map(|f| {
-            MapJob::collecting(
-                "bounded",
-                setup.dataset.blocks.clone(),
-                f as &dyn InputFormat,
-            )
-        })
-        .collect();
-    let runs = JobManager::new(4).run_batch(&setup.cluster, &tb.spec, &jobs);
-    let expected = solo(&setup, &tb.spec, &query, false);
-    for run in runs {
-        assert_eq!(run.unwrap().output, expected.output);
+impl InputFormat for InOrderFormat {
+    fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
+        let plan = self.inner.splits(cluster, input)?;
+        let blocks = plan.splits.iter().map(|s| s.blocks.clone()).collect();
+        assert!(self.plan.set(blocks).is_ok(), "a job cuts its splits once");
+        Ok(plan)
     }
-    for f in &formats {
-        let max = f.max_batch.load(Ordering::SeqCst);
-        assert!(
-            max > 0 && max <= SPLIT_BATCH_CHUNK,
-            "chunk bound violated: {max}"
+
+    fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+        let i = self.started.fetch_add(1, Ordering::SeqCst);
+        let plan = self.plan.get().expect("splits are cut before any read");
+        assert_eq!(task.split.blocks, plan[i], "split {i} read out of order");
+        assert_eq!(
+            self.mapped.load(Ordering::SeqCst),
+            self.returned.load(Ordering::SeqCst),
+            "split {i} read before the splits below it were mapped"
         );
-        assert!(
-            f.calls.load(Ordering::SeqCst) >= setup.dataset.blocks.len() / SPLIT_BATCH_CHUNK,
-            "the drive loop actually chunked"
-        );
+        let read = self.inner.read_split(cluster, task)?;
+        self.returned
+            .fetch_add(read.records.len(), Ordering::SeqCst);
+        Ok(read)
+    }
+
+    fn name(&self) -> &str {
+        "in-order"
+    }
+}
+
+/// A managed job holds one split's records at a time, at concurrency
+/// 1, 2 and 4: each of four jobs over 80 per-block splits reads them in
+/// plan order, mapping every record of a split before it reads the
+/// next, with its solo run's output.
+#[test]
+fn managed_jobs_map_each_split_before_reading_the_next() {
+    let (tb, setup) = uv_setup(240, 20);
+    let query = HailQuery::parse("@9 <= 150", "{@1, @9}", &bob_schema()).unwrap();
+    let expected = solo(&setup, &tb.spec, &query, false);
+    for conc in CONCURRENCY {
+        let infra = SharedJobInfra::for_jobs(conc);
+        let formats: Vec<InOrderFormat> = (0..4)
+            .map(|_| {
+                InOrderFormat::new(make_shared_format(&setup, &tb.spec, &query, false, &infra))
+            })
+            .collect();
+        let jobs: Vec<MapJob<'_>> = formats
+            .iter()
+            .map(|f| MapJob {
+                name: "in-order".into(),
+                input: setup.dataset.blocks.clone(),
+                format: f,
+                map: Box::new(|rec, out| {
+                    f.mapped.fetch_add(1, Ordering::SeqCst);
+                    if !rec.bad {
+                        out.push(rec.row);
+                    }
+                }),
+            })
+            .collect();
+        let runs = JobManager::new(conc).run_batch(&setup.cluster, &tb.spec, &jobs);
+        for (run, f) in runs.into_iter().zip(&formats) {
+            let run = run.unwrap();
+            assert_eq!(run.output, expected.output, "concurrency {conc}");
+            let splits = f.plan.get().unwrap().len();
+            assert_eq!(splits, setup.dataset.blocks.len(), "per-block splits");
+            assert_eq!(f.started.load(Ordering::SeqCst), splits);
+            assert_eq!(
+                f.mapped.load(Ordering::SeqCst),
+                f.returned.load(Ordering::SeqCst)
+            );
+        }
     }
 }

@@ -7,9 +7,9 @@
 //! against the current cluster state. The two must agree on every output
 //! row, in order, and on every figure of every job report except the
 //! measured wall clock and the count of blocks planned at read time —
-//! for Bob-Q1..Q5 and Syn-Q1a..Q2c, at job parallelism 1 and 4, with
-//! `HailSplitting` on and off; under a node death mid-job; and on a job
-//! of more than one chunk of splits. Planning reads no cross-job state:
+//! for Bob-Q1..Q5 and Syn-Q1a..Q2c, with `HailSplitting` on and off;
+//! under a node death mid-job; and on a job of many per-block splits.
+//! Planning reads no cross-job state:
 //! a store of contrary evidence plugged into the planner configuration
 //! moves no plan and outdates no split-time plan.
 
@@ -31,14 +31,9 @@ impl InputFormat for PerSplitPlanning<'_> {
         })
     }
 
-    fn read_split_batch(
-        &self,
-        cluster: &DfsCluster,
-        batch: &[SplitTask<'_>],
-        job_parallelism: Option<usize>,
-    ) -> Result<Vec<SplitRead>> {
-        assert!(batch.iter().all(|task| task.source.is_none()));
-        self.0.read_split_batch(cluster, batch, job_parallelism)
+    fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+        assert!(task.source.is_none());
+        self.0.read_split(cluster, task)
     }
 
     fn name(&self) -> &str {
@@ -112,18 +107,14 @@ fn spec() -> ClusterSpec {
 /// One engine setting of the sweep.
 #[derive(Debug, Clone, Copy)]
 struct Setting {
-    job_parallelism: usize,
     splitting: bool,
 }
 
 impl Setting {
     fn all() -> impl Iterator<Item = Setting> {
-        [(1, true), (4, true), (1, false), (4, false)]
+        [true, false]
             .into_iter()
-            .map(|(job_parallelism, splitting)| Setting {
-                job_parallelism,
-                splitting,
-            })
+            .map(|splitting| Setting { splitting })
     }
 
     fn format(
@@ -170,8 +161,7 @@ fn session(
             true => &per_split_format,
             false => &format,
         };
-        let job = MapJob::collecting(*id, bed.dataset.blocks.clone(), input)
-            .with_job_parallelism(setting.job_parallelism);
+        let job = MapJob::collecting(*id, bed.dataset.blocks.clone(), input);
         let run = run_map_job(&bed.cluster, &spec(), &job).unwrap();
         replanned += run.report.blocks_replanned();
         out.push(format!(
@@ -219,8 +209,7 @@ fn failover(bed: fn() -> Bed, query: usize, setting: Setting, per_split: bool) -
         true => &per_split_format,
         false => &format,
     };
-    let job = MapJob::collecting(*id, bed.dataset.blocks.clone(), input)
-        .with_job_parallelism(setting.job_parallelism);
+    let job = MapJob::collecting(*id, bed.dataset.blocks.clone(), input);
     let run =
         run_map_job_with_failure(&mut bed.cluster, &spec(), &job, FailureScenario::at_half(1))
             .unwrap();
@@ -256,15 +245,13 @@ fn planning_once_reproduces_per_split_planning_across_a_death() {
 /// Planning reads no cross-job state. A store whose evidence says every
 /// filter matches every row — contrary to the selective prior — plugged
 /// into the planner configuration changes nothing: each Bob query's
-/// `explain()` is the default configuration's, and on a job of more
-/// than one chunk of splits the reads execute the split-time plan,
-/// planning no block again, with the default configuration's output
-/// and report. Over two chunks the job is still the per-split one.
+/// `explain()` is the default configuration's, and on a job of many
+/// per-block splits the reads execute the split-time plan, planning no
+/// block again, with the default configuration's output and report.
+/// The job is still the per-split one.
 #[test]
 fn planning_reads_no_cross_job_state() {
     let bed = bob_bed(1500);
-    let blocks = bed.dataset.blocks.len();
-    assert!(blocks > SPLIT_BATCH_CHUNK, "{blocks} blocks");
     let contrary = Arc::new(SelectivityFeedback::default());
     for column in 0..bed.dataset.schema.len() {
         for eq in [false, true] {
@@ -277,11 +264,8 @@ fn planning_reads_no_cross_job_state() {
         feedback: Some(Arc::clone(&contrary)),
         ..Default::default()
     };
-    // Per-block splits, so the job runs more than one chunk of them.
-    let setting = Setting {
-        job_parallelism: 1,
-        splitting: false,
-    };
+    // Per-block splits.
+    let setting = Setting { splitting: false };
     for (id, query) in &bed.queries {
         let plan = |config: &PlannerConfig| {
             QueryPlanner::with_config(&bed.cluster, config.clone())
@@ -297,7 +281,6 @@ fn planning_reads_no_cross_job_state() {
             run_map_job(&bed.cluster, &spec(), &job).unwrap()
         };
         let (with_store, default) = (run(&plugged), run(&PlannerConfig::default()));
-        assert!(with_store.report.tasks.len() > SPLIT_BATCH_CHUNK, "{id}");
         assert_eq!(with_store.report.blocks_replanned(), 0, "{id}");
         assert_eq!(with_store.output, default.output, "{id}");
         assert_eq!(
@@ -308,7 +291,7 @@ fn planning_reads_no_cross_job_state() {
     }
     let (once, _) = session(&bed, setting, &plugged, false);
     let (per_split, _) = session(&bed, setting, &plugged, true);
-    assert_same(&once, &per_split, "two chunks");
+    assert_same(&once, &per_split, "per-block splits");
 }
 
 /// A solo job plans each block once, when its splits are cut: its reads
@@ -380,18 +363,18 @@ fn a_design_change_outdates_the_split_time_plan() {
         .unwrap();
     }
     let read = |source: Option<&SplitSource>| {
-        let tasks: Vec<SplitTask<'_>> = plan
+        let reads: Vec<SplitRead> = plan
             .splits
             .iter()
-            .map(|split| SplitTask {
-                split,
-                task_node: split.locations[0],
-                source,
+            .map(|split| {
+                let task = SplitTask {
+                    split,
+                    task_node: split.locations[0],
+                    source,
+                };
+                format.read_split(&bed.cluster, &task).unwrap()
             })
             .collect();
-        let reads = format
-            .read_split_batch(&bed.cluster, &tasks, Some(1))
-            .unwrap();
         let rows: Vec<Row> = reads
             .iter()
             .flat_map(|read| read.records.iter().map(|r| r.row.clone()))

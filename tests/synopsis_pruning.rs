@@ -298,18 +298,14 @@ fn design_epoch_bump_replans_pruned_blocks() {
         PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(config.clone());
     let split_plan = format.splits(&cluster, &dataset.blocks).unwrap();
     let read = |cluster: &DfsCluster, split_plan: &SplitPlan| {
-        let tasks: Vec<SplitTask<'_>> = split_plan
-            .splits
-            .iter()
-            .map(|split| SplitTask {
+        let mut stats = TaskStats::default();
+        for split in &split_plan.splits {
+            let task = SplitTask {
                 split,
                 task_node: split.locations[0],
                 source: split_plan.source.as_ref(),
-            })
-            .collect();
-        let mut stats = TaskStats::default();
-        for read in format.read_split_batch(cluster, &tasks, Some(1)).unwrap() {
-            stats.merge(&read.stats);
+            };
+            stats.merge(&format.read_split(cluster, &task).unwrap().stats);
         }
         stats
     };

@@ -224,7 +224,6 @@ fn job(setup: &SystemSetup, probe: &Probe) -> JobRun {
         name: probe.name.into(),
         input: setup.dataset.blocks.clone(),
         format: &format,
-        job_parallelism: None,
         map: Box::new(|rec, out| out.push(rec.row.clone())),
     };
     run_map_job(&setup.cluster, &spec(), &job).unwrap()
