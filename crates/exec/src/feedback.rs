@@ -14,20 +14,21 @@
 //!
 //! # Concurrency
 //!
-//! The store is a single rank-checked [`OrderedRwLock`] at
-//! [`LockRank::Feedback`] (see ARCHITECTURE.md, "Concurrency invariants
-//! & enforcement"). The engine feeds it from one thread, between
-//! rounds; the lock stays because the `hail-bench` suite absorbs
-//! through a shared `Arc` (`absorb(&self)`), and the frozen-suite
-//! residue [`crate::planner::PlannerConfig::feedback`] needs the type
-//! to stay `Sync`. [`SelectivityFeedback::absorb`] folds a whole
-//! batch under one write-lock section, so a reader sees none or all of
-//! it. Acquisitions recover from poisoning.
+//! The engine feeds the store from one thread, between rounds, and no
+//! plan reads it. The store still sits behind a `std::sync::RwLock` as
+//! frozen-suite residue: the `hail-bench` suite absorbs through a
+//! shared `Arc` (`absorb(&self)`), and the frozen-suite residue
+//! [`crate::planner::PlannerConfig::feedback`] needs the type to stay
+//! `Sync`. It is a leaf lock: nothing is acquired under it (see
+//! ARCHITECTURE.md, "Concurrency invariants & enforcement").
+//! [`SelectivityFeedback::absorb`] folds a whole batch under one
+//! write-lock section, so a reader sees none or all of it. Every
+//! acquisition recovers from poisoning.
 
 use hail_core::{CmpOp, HailQuery, Predicate};
 use hail_mr::TaskStats;
-use hail_sync::{LockRank, OrderedRwLock};
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 /// True if the query has an equality predicate on `column` — the
 /// predicate *class* under which observations are keyed.
@@ -77,30 +78,33 @@ struct ColumnFeedback {
 /// one class the store is literal-blind, like any column-granularity
 /// statistic: different ranges over the same column share a mean, and
 /// the decay is what lets it track a workload shift.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SelectivityFeedback {
-    inner: OrderedRwLock<BTreeMap<(usize, bool), ColumnFeedback>>,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "frozen-suite residue: the suite absorbs through a shared Arc; a leaf lock"
+    )]
+    inner: std::sync::RwLock<Cells>,
 }
 
-impl Default for SelectivityFeedback {
-    fn default() -> Self {
-        SelectivityFeedback {
-            inner: OrderedRwLock::new(LockRank::Feedback, "selectivity-feedback", BTreeMap::new()),
-        }
-    }
-}
+/// The store's cells, keyed by `(column, predicate class)`.
+type Cells = BTreeMap<(usize, bool), ColumnFeedback>;
 
 impl SelectivityFeedback {
+    /// A read section, recovered if a writer panicked.
+    fn read(&self) -> RwLockReadGuard<'_, Cells> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A write section, recovered if a writer panicked.
+    fn write(&self) -> RwLockWriteGuard<'_, Cells> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Folds one observation into a (column, class) cell. Callers hold
     /// the write lock — `absorb` folds a whole task's batch under one
     /// lock section.
-    fn fold(
-        inner: &mut BTreeMap<(usize, bool), ColumnFeedback>,
-        column: usize,
-        eq: bool,
-        matched: u64,
-        total: u64,
-    ) {
+    fn fold(inner: &mut Cells, column: usize, eq: bool, matched: u64, total: u64) {
         if total == 0 {
             return;
         }
@@ -114,7 +118,7 @@ impl SelectivityFeedback {
     /// Records one block's observed selectivity for a column under a
     /// predicate class (`eq` = equality, else range).
     pub fn observe(&self, column: usize, eq: bool, matched: u64, total: u64) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         Self::fold(&mut inner, column, eq, matched, total);
     }
 
@@ -127,7 +131,7 @@ impl SelectivityFeedback {
         if stats.selectivity.is_empty() {
             return;
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         for obs in &stats.selectivity {
             Self::fold(&mut inner, obs.column, obs.eq, obs.matched, obs.total);
         }
@@ -136,7 +140,7 @@ impl SelectivityFeedback {
     /// The decayed observed mean for a (column, class), with its
     /// weight, if any observation has been recorded.
     pub fn observed(&self, column: usize, eq: bool) -> Option<(f64, f64)> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner
             .get(&(column, eq))
             .filter(|f| f.weight > 0.0)
@@ -145,7 +149,7 @@ impl SelectivityFeedback {
 
     /// Raw observation count for a (column, class) (diagnostics).
     pub fn observation_count(&self, column: usize, eq: bool) -> u64 {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner
             .get(&(column, eq))
             .map(|f| f.observations)
@@ -157,7 +161,7 @@ impl SelectivityFeedback {
     /// re-indexing advisor walks when it looks for sustained evidence
     /// of a selective predicate on an unindexed column.
     pub fn observed_classes(&self) -> Vec<(usize, bool)> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner
             .iter()
             .filter(|(_, f)| f.weight > 0.0)

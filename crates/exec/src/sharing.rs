@@ -3,22 +3,18 @@
 //! plain [`crate::AccessPath::execute`]; see ARCHITECTURE.md, "Scan
 //! sharing, measured and removed".
 
-use hail_sync::{LockRank, OrderedMutex};
+use std::sync::PoisonError;
 
 /// Kept as frozen-suite residue: the `hail-bench` suite times
 /// [`ScanShareRegistry::retained`] as its `sync.ordered_mutex_acquire_ns`
 /// probe. Nothing in the engine builds one.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ScanShareRegistry {
-    lock: OrderedMutex<()>,
-}
-
-impl Default for ScanShareRegistry {
-    fn default() -> Self {
-        ScanShareRegistry {
-            lock: OrderedMutex::new(LockRank::ShareRegistry, "scan-share-registry", ()),
-        }
-    }
+    #[allow(
+        clippy::disallowed_types,
+        reason = "frozen-suite residue: the suite times one uncontended acquire; a leaf lock"
+    )]
+    lock: std::sync::Mutex<()>,
 }
 
 impl ScanShareRegistry {
@@ -27,10 +23,10 @@ impl ScanShareRegistry {
     }
 
     /// Always 0. Takes the registry's lock once, uncontended, and
-    /// nothing else, so the probe that times it still times one
-    /// `OrderedMutex` acquire.
+    /// nothing else, so the probe that times it still times one mutex
+    /// acquire.
     pub fn retained(&self) -> usize {
-        drop(self.lock.acquire());
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
         0
     }
 }

@@ -223,7 +223,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_knob_semantics() {
+    fn prune_reason_display() {
         assert_eq!(PruneReason::Zone.to_string(), "zone");
         assert_eq!(PruneReason::Bloom.to_string(), "bloom");
     }

@@ -95,7 +95,7 @@ impl JobManager {
 #[cfg(test)]
 #[allow(
     clippy::disallowed_types,
-    reason = "a test-only recorder, not an engine lock, so it carries no LockRank"
+    reason = "a test-only recorder, not an engine lock"
 )]
 mod tests {
     use super::*;

@@ -26,6 +26,13 @@ use std::time::Instant;
 /// on scoped threads. A job runs on one thread — it reads, maps and
 /// prices its splits one at a time in split order — so the bounds buy
 /// shareability, not reentrancy.
+///
+/// The map stays `Fn + Send + Sync` rather than `FnMut + Send`:
+/// [`crate::manager::JobManager::run_batch`] shares `&[MapJob]` with
+/// `run_ordered`'s workers, and an `FnMut` map would need `run_ordered`
+/// to hand each worker an owned task, a second code path for one
+/// caller. So a map that accumulates state needs a lock, as
+/// `run_map_reduce_job`'s does.
 pub struct MapJob<'a> {
     pub name: String,
     pub input: Vec<BlockId>,
@@ -315,6 +322,7 @@ pub(crate) fn account_task(
 ///    so the job holds at most one split's records.
 ///
 /// A failing read ends the job with its error; no later split is read.
+/// A profile without map slots fails it before any split is read.
 /// Every output row and every `TaskReport`/`JobReport` field except the
 /// measured `reader_wall_seconds` is deterministic.
 pub fn run_map_job(cluster: &DfsCluster, spec: &ClusterSpec, job: &MapJob<'_>) -> Result<JobRun> {
@@ -334,6 +342,11 @@ pub(crate) fn run_map_job_with_plan(
     plan: &SplitPlan,
 ) -> Result<JobRun> {
     let hw = &spec.profile;
+    if hw.map_slots == 0 {
+        return Err(HailError::Job(
+            "the hardware profile has no map slots".into(),
+        ));
+    }
     if plan.splits.is_empty() && !job.input.is_empty() {
         return Err(HailError::Job("input has blocks but no splits".into()));
     }
@@ -379,11 +392,16 @@ pub(crate) fn run_map_job_with_plan(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "a test-only map log, not an engine lock"
+)]
 mod tests {
     use super::*;
     use crate::input_format::{InputSplit, SplitPlan, SplitRead};
     use hail_sim::HardwareProfile;
     use hail_types::{StorageConfig, Value};
+    use std::sync::Mutex;
 
     /// A toy input format: one split per block, each emitting one record,
     /// charging a fixed disk read.
@@ -650,7 +668,7 @@ mod tests {
     /// `emit`.
     fn logging_job<'a>(
         emit: Emit,
-        log: &'a hail_sync::OrderedMutex<Vec<MapRecord>>,
+        log: &'a Mutex<Vec<MapRecord>>,
         bad: &'a std::sync::atomic::AtomicUsize,
     ) -> MapJob<'a> {
         MapJob {
@@ -658,7 +676,7 @@ mod tests {
             input: (0..40).collect(),
             format: &RecordsFormat,
             map: Box::new(move |rec, out| {
-                log.acquire().push(MapRecord {
+                log.lock().unwrap().push(MapRecord {
                     row: rec.row.clone(),
                     bad: rec.bad,
                 });
@@ -691,7 +709,6 @@ mod tests {
     #[test]
     fn by_value_map_sees_every_record_once_in_split_order() {
         use crate::failover::{run_map_job_with_failure, FailureScenario};
-        use hail_sync::{LockRank, OrderedMutex};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let records: Vec<MapRecord> = (0..40).flat_map(RecordsFormat::records).collect();
@@ -708,12 +725,12 @@ mod tests {
                     .collect(),
             };
             let at = format!("{emit:?}");
-            let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
+            let log = Mutex::new(Vec::new());
             let bad = AtomicUsize::new(0);
             let job = logging_job(emit, &log, &bad);
             let cluster = DfsCluster::new(4, StorageConfig::default());
             let run = run_map_job(&cluster, &spec(4), &job).unwrap();
-            assert_eq!(logged(&log.acquire()), in_order, "{at}");
+            assert_eq!(logged(&log.lock().unwrap()), in_order, "{at}");
             assert_eq!(run.output, want, "{at}");
             let counted = if matches!(emit, Emit::CountBad) {
                 bad_records
@@ -722,7 +739,7 @@ mod tests {
             };
             assert_eq!(bad.load(Ordering::Relaxed), counted, "{at}");
 
-            let log = OrderedMutex::new(LockRank::MapScratch, "map-log", Vec::new());
+            let log = Mutex::new(Vec::new());
             let bad = AtomicUsize::new(0);
             let job = logging_job(emit, &log, &bad);
             let mut cluster = DfsCluster::new(4, StorageConfig::default());
@@ -737,9 +754,60 @@ mod tests {
                 .map(|t| t.stats.records)
                 .sum();
             assert!(failed.rerun_count > 0 && rerun_records > 0, "{at}");
-            assert_eq!(logged(&log.acquire()), in_order, "{at}: baseline pass only");
+            assert_eq!(
+                logged(&log.lock().unwrap()),
+                in_order,
+                "{at}: baseline pass only"
+            );
             assert_eq!(failed.output, want, "{at}: failover output");
         }
+    }
+
+    /// A profile without map slots cannot run a job: each entry point
+    /// returns `HailError::Job` before any split is read, and failover
+    /// kills no node.
+    #[test]
+    fn no_map_slots_fails_before_any_split_is_read() {
+        use crate::failover::{run_map_job_with_failure, FailureScenario};
+        use crate::manager::JobManager;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// [`ToyFormat`], counting the reads it serves.
+        struct Counting(AtomicUsize);
+
+        impl InputFormat for Counting {
+            fn splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
+                ToyFormat { bytes_per_block: 1 }.splits(cluster, input)
+            }
+
+            fn read_split(&self, cluster: &DfsCluster, task: &SplitTask<'_>) -> Result<SplitRead> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                ToyFormat { bytes_per_block: 1 }.read_split(cluster, task)
+            }
+
+            fn name(&self) -> &str {
+                "counting"
+            }
+        }
+
+        let fmt = Counting(AtomicUsize::new(0));
+        let job = MapJob::collecting("no-slots", (0..8).collect(), &fmt);
+        let mut no_slots = spec(4);
+        no_slots.profile.map_slots = 0;
+        let mut cluster = DfsCluster::new(4, StorageConfig::default());
+        fn is_job_error<T>(r: Result<T>) -> bool {
+            matches!(r, Err(HailError::Job(_)))
+        }
+
+        assert!(is_job_error(run_map_job(&cluster, &no_slots, &job)));
+        for run in JobManager::new(2).run_batch(&cluster, &no_slots, std::slice::from_ref(&job)) {
+            assert!(is_job_error(run));
+        }
+        let failed =
+            run_map_job_with_failure(&mut cluster, &no_slots, &job, FailureScenario::at_half(1));
+        assert!(is_job_error(failed));
+        assert!(!cluster.namenode().is_dead(1));
+        assert_eq!(fmt.0.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! (and two of our examples) aggregate. This module provides a
 //! deterministic shuffle (BTreeMap grouping) with cost accounting for
 //! the network transfer and merge-sort the shuffle performs.
+//!
+//! The map phase collects its pairs in one mutex-guarded vector, a lock
+//! only because [`MapJob::map`] must be `Send + Sync`. It is a leaf:
+//! the scheduler calls the map from one thread, and the user map, which
+//! runs under it, may take no lock. It goes with the shuffle.
 
 use crate::job::MapRecord;
 use crate::scheduler::{run_map_job, JobRun, MapJob};
@@ -12,6 +17,7 @@ use hail_dfs::DfsCluster;
 use hail_sim::{ClusterSpec, CostLedger};
 use hail_types::{BlockId, Result, Row, Value};
 use std::collections::BTreeMap;
+use std::sync::PoisonError;
 
 /// A map-reduce job: `map` emits `(key, value-row)` pairs, `reduce`
 /// folds each key's rows into output rows.
@@ -53,28 +59,27 @@ pub fn run_map_reduce_job(
     job: &MapReduceJob<'_>,
 ) -> Result<MapReduceRun> {
     // Map phase: the user's map function appends its (key, row) pairs
-    // straight to the locked vector. The capture is a mutex (not a
-    // RefCell) purely to satisfy MapJob's Send + Sync map bound; the
-    // scheduler still invokes the map function from one thread in split
-    // order, so there is never contention. Rank MapScratch: acquired
-    // with no engine lock held (the drive loop runs map functions
-    // outside every lock), so the user map runs under it and may take
-    // only a lock ranked below it.
-    let pairs_cell = hail_sync::OrderedMutex::new(
-        hail_sync::LockRank::MapScratch,
-        "map-reduce-scratch",
-        Vec::<(Value, Row)>::new(),
-    );
+    // straight to the locked vector, a leaf lock (see the module docs).
+    #[allow(
+        clippy::disallowed_types,
+        reason = "MapJob::map must be Send + Sync; a leaf lock the shuffle's deletion removes"
+    )]
+    let pairs_cell = std::sync::Mutex::new(Vec::<(Value, Row)>::new());
     let map_run = {
         let map_job = MapJob {
             name: job.name.clone(),
             input: job.input.clone(),
             format: job.format,
-            map: Box::new(|rec, _out| (job.map)(&rec, &mut pairs_cell.acquire())),
+            map: Box::new(|rec, _out| {
+                let mut pairs = pairs_cell.lock().unwrap_or_else(PoisonError::into_inner);
+                (job.map)(&rec, &mut pairs)
+            }),
         };
         run_map_job(cluster, spec, &map_job)?
     };
-    let mut pairs = pairs_cell.into_inner();
+    let mut pairs = pairs_cell
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     {
         // Shuffle: group by key. Cost: map output crosses the network
         // once and is merge-sorted.

@@ -1,8 +1,6 @@
-//! ARCHITECTURE.md ("Concurrency invariants & enforcement") embeds two
-//! tables the code also defines: the lock hierarchy and the knob
-//! registry. This test fails when either drifts from the code.
-
-use hail::sync::LockRank;
+//! ARCHITECTURE.md ("Concurrency invariants & enforcement") embeds a
+//! table the code also defines: the knob registry. This test fails when
+//! it drifts from the code.
 
 const ARCHITECTURE: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/ARCHITECTURE.md"));
 
@@ -22,22 +20,6 @@ fn section(marker: &str) -> &'static str {
 
 #[test]
 fn architecture_tables_match_the_code() {
-    // Rank table: the (rank, variant) cells of every row below the
-    // header, in order, against `LockRank::ALL` (highest rank first).
-    let documented: Vec<(String, String)> = section("lock-rank-table")
-        .lines()
-        .skip(2)
-        .map(|row| {
-            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
-            (cells[1].to_string(), cells[2].to_string())
-        })
-        .collect();
-    let declared: Vec<(String, String)> = LockRank::ALL
-        .iter()
-        .map(|&rank| (format!("`{}`", rank as u8), format!("`{rank:?}`")))
-        .collect();
-    assert_eq!(documented, declared, "lock-rank-table vs LockRank::ALL");
-
     // Knob table: exactly what the registry renders — names, defaults
     // and effects.
     assert_eq!(
