@@ -41,17 +41,20 @@ fn logical_rows(bytes: Bytes) -> Result<Vec<String>> {
 /// Recovers the logical rows of a block from any live replica,
 /// returning them in a canonical (sorted-by-string) order so replicas
 /// with different physical sort orders compare equal; bad records come
-/// back prefixed `<bad>`.
+/// back prefixed `<bad>`. A block with no live replica is an error
+/// naming a dead holder; one whose every live replica fails to read is
+/// the last read's error.
 pub fn recover_logical_rows(cluster: &DfsCluster, block: BlockId) -> Result<Vec<String>> {
-    let hosts = cluster.namenode().get_hosts(block)?;
+    let namenode = cluster.namenode();
+    let mut error = namenode.no_live_replica(block);
     let mut ledger = CostLedger::new();
-    for dn in hosts {
-        let Ok(bytes) = cluster.datanode(dn)?.read_replica(block, &mut ledger) else {
-            continue;
-        };
-        return logical_rows(bytes);
+    for dn in namenode.get_hosts(block)? {
+        match cluster.datanode(dn)?.read_replica(block, &mut ledger) {
+            Ok(bytes) => return logical_rows(bytes),
+            Err(e) => error = e,
+        }
     }
-    Err(HailError::UnknownBlock(block))
+    Err(error)
 }
 
 /// Verifies that every live replica of every block recovers identical
@@ -200,6 +203,25 @@ mod tests {
             }
         }
         assert!(recovered > 0);
+    }
+
+    /// A block whose every holder is dead is lost, not unknown.
+    #[test]
+    fn a_lost_block_names_a_dead_holder() {
+        let (mut cluster, ids) = uploaded_cluster();
+        let holders = cluster.namenode().get_hosts(ids[0]).unwrap();
+        for &dn in &holders {
+            cluster.kill_node(dn).unwrap();
+        }
+        let error = recover_logical_rows(&cluster, ids[0]).unwrap_err();
+        assert!(
+            matches!(error, HailError::DeadDatanode(dn) if holders.contains(&dn)),
+            "{error}"
+        );
+        assert_eq!(
+            recover_logical_rows(&cluster, 999).unwrap_err(),
+            HailError::UnknownBlock(999)
+        );
     }
 
     #[test]

@@ -132,6 +132,18 @@ impl Namenode {
             .collect())
     }
 
+    /// The error for a read of `block` that finds no live replica:
+    /// [`HailError::UnknownBlock`] when the namenode has no record of the
+    /// block, else [`HailError::DeadDatanode`] naming its first dead
+    /// holder — a lost block is not an unknown one.
+    pub fn no_live_replica(&self, block: BlockId) -> HailError {
+        let holders = self.dir_block.get(&block).into_iter().flatten();
+        match holders.copied().find(|d| self.dead.contains(d)) {
+            Some(holder) => HailError::DeadDatanode(holder),
+            None => HailError::UnknownBlock(block),
+        }
+    }
+
     /// `getHostsWithIndex`: live datanodes whose replica of the block
     /// carries an index on the given 0-based column (the HAIL extension
     /// to `BlockLocation`, §4.3).

@@ -9,9 +9,9 @@
 //! follows the plan's locations; it never re-derives replica choices),
 //! the split reads execute that same plan while it still holds — a job
 //! plans each block once — and every block read goes through
-//! [`QueryPlanner::execute_block`] → `AccessPath::execute`.
+//! [`QueryPlanner::execute_block`] → [`crate::AccessPath::execute`].
 
-use crate::planner::{PlannerConfig, QueryPlan, QueryPlanner, StampedPlan};
+use crate::planner::{PlannerConfig, QueryPlan, QueryPlanner};
 use crate::splitting::{default_splits, plan_default_splits, plan_hail_splits};
 use hail_core::baselines::hadoop_plus_plus::trojan_header_bytes;
 use hail_core::{Dataset, DatasetFormat, HailQuery};
@@ -70,8 +70,8 @@ impl PlannedInputFormat {
 
     /// HAIL computes splits from the namenode's main-memory `Dir_rep` —
     /// no block header reads, so `client_cost` stays zero (§6.4.1). A
-    /// planned split plan carries the stamped plan it was cut from as its
-    /// [`SplitPlan::source`], for the split reads to execute.
+    /// planned split plan carries the [`QueryPlan`] it was cut from as
+    /// its [`SplitPlan::source`], for the split reads to execute.
     fn planned_splits(&self, cluster: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
         let filtered = !self.query.filter_columns().is_empty();
         if !filtered {
@@ -79,16 +79,17 @@ impl PlannedInputFormat {
             // granularity.
             return default_splits(cluster, input);
         }
-        let planner = self.query_planner(cluster);
-        let stamped = planner.plan_stamped(self.dataset.format, input, &self.query)?;
-        let mut splits = if self.splitting && filtered {
-            plan_hail_splits(&stamped.plan, self.map_slots)
+        let plan = self
+            .query_planner(cluster)
+            .plan(self.dataset.format, input, &self.query)?;
+        let mut splits = if self.splitting {
+            plan_hail_splits(&plan, self.map_slots)
         } else {
             // Default (per-block) splitting, but still scheduling toward
             // the replica the plan chose.
-            plan_default_splits(&stamped.plan)
+            plan_default_splits(&plan)
         };
-        splits.source = Some(SplitSource::new(stamped));
+        splits.source = Some(SplitSource::new(plan));
         Ok(splits)
     }
 }
@@ -116,7 +117,7 @@ impl InputFormat for PlannedInputFormat {
     /// order on this thread, buffering the records.
     ///
     /// A block's plan is the one its splits were cut from (the task's
-    /// `StampedPlan` source) while that plan's design epoch holds;
+    /// [`QueryPlan`] source) while that plan's design epoch holds;
     /// otherwise the block is planned now, against the *current* cluster
     /// state — after a mid-job death or a design change (HAIL's failover
     /// story: it re-plans around dead replicas), for a block the
@@ -128,11 +129,11 @@ impl InputFormat for PlannedInputFormat {
         let (split, task_node) = (task.split, task.task_node);
         let (dataset, query) = (&self.dataset, &self.query);
         let planner = self.query_planner(cluster);
-        let stamped = task
+        let source = task
             .source
-            .and_then(SplitSource::downcast_ref::<StampedPlan>)
-            .filter(|stamped| stamped.holds(cluster));
-        let reused = |block| stamped.is_some_and(|s| s.reusable(block));
+            .and_then(SplitSource::downcast_ref::<QueryPlan>)
+            .filter(|plan| plan.holds(cluster));
+        let reused = |block| source.is_some_and(|plan| plan.reusable(block));
         let replan: Vec<BlockId> = split
             .blocks
             .iter()
@@ -150,8 +151,8 @@ impl InputFormat for PlannedInputFormat {
         };
         let mut records = Vec::new();
         for &block in &split.blocks {
-            let plan = match stamped.filter(|s| s.reusable(block)) {
-                Some(stamped) => &stamped.plan,
+            let plan = match source.filter(|plan| plan.reusable(block)) {
+                Some(plan) => plan,
                 None => &fresh,
             };
             let block_stats = planner.execute_block_into(

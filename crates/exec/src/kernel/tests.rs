@@ -4,9 +4,7 @@
 //! around it. Rows, their order and the whole `TaskStats` must be equal.
 
 use super::*;
-use crate::path::{
-    sole_filter_column, AccessPath, BlockAccess, ClusteredIndexScan, FullScan, ScanLayout,
-};
+use crate::path::{sole_filter_column, AccessPath, BlockAccess, ScanLayout};
 use bytes::Bytes;
 use hail_core::{upload_hail, HailQuery};
 use hail_dfs::DfsCluster;
@@ -359,7 +357,7 @@ fn compare_upload(
                 );
                 emitted += assert_same(
                     &format!("full scan, {what}"),
-                    &|emit| FullScan::new(ScanLayout::HailPax).execute(&a, emit),
+                    &|emit| AccessPath::FullScan(ScanLayout::HailPax).execute(&a, emit),
                     &|emit| reference_full_scan(&a, emit),
                 );
                 let namenode = cluster.namenode();
@@ -375,7 +373,7 @@ fn compare_upload(
                 {
                     emitted += assert_same(
                         &format!("clustered @{}, {what}", column + 1),
-                        &|emit| ClusteredIndexScan { column }.execute(&a, emit),
+                        &|emit| AccessPath::ClusteredIndexScan { column }.execute(&a, emit),
                         &|emit| reference_clustered(column, &a, emit),
                     );
                 }

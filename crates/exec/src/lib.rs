@@ -9,10 +9,12 @@
 //! decision across the record readers, the splitting policies, and the
 //! baselines' hard-wired read paths; this crate consolidates all of it:
 //!
-//! - [`path`] — the [`AccessPath`] trait and its implementations:
-//!   [`FullScan`], [`ClusteredIndexScan`], [`TrojanIndexScan`]
-//! - `kernel` (private) — the one PAX scan kernel under [`FullScan`] and
-//!   [`ClusteredIndexScan`]: evaluate the conjunction
+//! - [`path`] — the closed [`AccessPath`] enum of the paper's three
+//!   block reads: [`AccessPath::FullScan`],
+//!   [`AccessPath::ClusteredIndexScan`], [`AccessPath::TrojanIndexScan`]
+//! - `kernel` (private) — the one PAX scan kernel under the PAX
+//!   [`AccessPath::FullScan`] and [`AccessPath::ClusteredIndexScan`]:
+//!   evaluate the conjunction
 //!   conjunct by conjunct into an ascending selection vector over
 //!   `hail_pax::ColumnCursor`s, then materialise only the projected
 //!   columns of only the selected rows
@@ -44,15 +46,16 @@
 //!   (§4.3), consuming plans instead of re-deriving replica choices
 //! - [`formats`] — the one [`PlannedInputFormat`] serving all three
 //!   systems (Hadoop, Hadoop++, HAIL — told apart by the dataset's
-//!   format), routed through `QueryPlanner::plan` →
-//!   `AccessPath::execute`; it reads one split per call, its blocks in
+//!   format), routed through [`QueryPlanner::plan`] →
+//!   [`AccessPath::execute`]; it reads one split per call, its blocks in
 //!   order on the calling thread
-//! - [`readers`] — single-block reader entry points (planner-backed)
+//! - [`readers`] — [`read_hail_block`], the one single-block reader
+//!   entry point (planner-backed)
 //!
-//! New access paths or index types plug into the planner's candidate
-//! enumeration — nothing else needs to change. Planning keeps no state
-//! across queries: a plan depends on the namenode's `Dir_rep`, the
-//! query and the [`PlannerConfig`] alone.
+//! A new access path is a new [`AccessPath`] variant and its match arms;
+//! a new index type is a new arm of the planner's candidate enumeration.
+//! Planning keeps no state across queries: a plan depends on the
+//! namenode's `Dir_rep`, the query and the [`PlannerConfig`] alone.
 //!
 //! # Evidence for the advisor, plans unchanged
 //!
@@ -119,15 +122,12 @@ pub use adapt::{
 };
 pub use feedback::{SelectivityChoice, SelectivityFeedback};
 pub use formats::PlannedInputFormat;
-pub use path::{
-    AccessPath, BlockAccess, ClusteredIndexScan, DecodedBlock, FullScan, ScanLayout,
-    TrojanIndexScan,
-};
+pub use path::{AccessPath, BlockAccess, DecodedBlock, ScanLayout};
 pub use planner::{
     BlockPlan, CacheStats, Candidate, PlanCache, PlannerConfig, QueryPlan, QueryPlanner,
     SelectivityEstimate,
 };
-pub use readers::{read_hadoop_text_block, read_hail_block, read_hpp_block};
+pub use readers::read_hail_block;
 pub use sharing::ScanShareRegistry;
-pub use splitting::{default_splits, hail_splits, plan_default_splits, plan_hail_splits};
+pub use splitting::{default_splits, plan_default_splits, plan_hail_splits};
 pub use synopsis::{PruneInfo, PruneReason};

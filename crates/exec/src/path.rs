@@ -1,15 +1,18 @@
-//! The [`AccessPath`] trait: every physical way of reading one block
-//! replica at query time, behind one interface.
+//! The [`AccessPath`] enum: every physical way of reading one block
+//! replica at query time.
 //!
-//! These implementations are the former `hail-core` record readers
-//! (`HailRecordReader`, the Hadoop text reader, the Hadoop++ trojan
-//! reader), refactored to a common shape so the
-//! [`crate::planner::QueryPlanner`] can choose between them per block
-//! and per replica:
+//! The paper's map tasks read a block in exactly three ways, and the
+//! [`crate::planner::QueryPlanner`] chooses between them per block and
+//! per replica:
 //!
-//! - [`FullScan`] — stream the whole replica (text, PAX, or row layout)
-//! - [`ClusteredIndexScan`] — HAIL's sparse clustered index (§4.3)
-//! - [`TrojanIndexScan`] — Hadoop++'s dense in-header index (§5)
+//! - [`AccessPath::FullScan`] — stream the whole replica (text, PAX, or
+//!   row layout): Hadoop's record reader
+//! - [`AccessPath::ClusteredIndexScan`] — HAIL's sparse clustered index
+//!   (§4.3)
+//! - [`AccessPath::TrojanIndexScan`] — Hadoop++'s dense in-header index
+//!   (§5)
+//!
+//! The set is closed: a new path is a new variant and its match arms.
 //!
 //! An access path receives a fully resolved [`BlockAccess`] (the block,
 //! the serving replica, the task's node) and performs the read: real
@@ -57,45 +60,98 @@ impl BlockAccess<'_> {
     }
 }
 
-/// One physical way of reading a block replica.
-pub trait AccessPath: fmt::Debug {
-    /// The path's kind, for plan explanation and task statistics.
-    fn kind(&self) -> AccessPathKind;
+/// One physical way of reading a block replica. Its `Display` is the
+/// `EXPLAIN` form, e.g. `clustered-index-scan(@3)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessPath {
+    /// Streams the whole replica, filters it, reconstructs the projection
+    /// (PAX: column at a time through the scan kernel; text and row
+    /// layout: row by row). Works on all three storage layouts.
+    FullScan(ScanLayout),
+    /// HAIL's sparse clustered index scan (§4.3): read the few-KB index
+    /// into memory, resolve the first and last qualifying partition in
+    /// memory, read *only those partitions* of the needed columns,
+    /// binary-search them for the rows within the key bounds,
+    /// post-filter those with the conjuncts the bounds do not imply,
+    /// reconstruct PAX → rows.
+    ClusteredIndexScan {
+        /// The 0-based column the chosen replica is clustered on.
+        column: usize,
+    },
+    /// Hadoop++'s trojan index scan (§5): read the (large) in-header
+    /// index, resolve the qualifying row range, read those rows from the
+    /// binary row layout, post-filter.
+    TrojanIndexScan {
+        /// The block's trojan key column.
+        column: usize,
+    },
+}
 
-    /// Human-readable description for `EXPLAIN` output, e.g.
-    /// `clustered-index-scan(@3)`.
-    fn describe(&self) -> String {
-        self.kind().to_string()
+/// The physical layout an [`AccessPath::FullScan`] streams over. Mirrors
+/// `hail_core::DatasetFormat` but lives at the access-path layer so the
+/// scan knows how to decode what it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanLayout {
+    /// Raw delimited text (standard Hadoop): split every line.
+    Text { delimiter: char },
+    /// HAIL PAX container (sorted or not).
+    HailPax,
+    /// Hadoop++ binary row layout.
+    RowLayout,
+}
+
+impl AccessPath {
+    /// The path's kind, for plan explanation and task statistics.
+    pub fn kind(self) -> AccessPathKind {
+        match self {
+            AccessPath::FullScan(_) => AccessPathKind::FullScan,
+            AccessPath::ClusteredIndexScan { .. } => AccessPathKind::ClusteredIndexScan,
+            AccessPath::TrojanIndexScan { .. } => AccessPathKind::TrojanIndexScan,
+        }
     }
 
     /// Reads the block via this path, emitting qualifying records and
     /// returning the task statistics (with [`TaskStats::paths`] already
     /// recording this read).
-    fn execute(
-        &self,
-        access: &BlockAccess<'_>,
+    pub fn execute(
+        self,
+        a: &BlockAccess<'_>,
         emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats>;
+    ) -> Result<TaskStats> {
+        let mut stats = match self {
+            AccessPath::FullScan(ScanLayout::Text { delimiter }) => scan_text(a, delimiter, emit)?,
+            AccessPath::FullScan(ScanLayout::RowLayout) => scan_rows(a, emit)?,
+            AccessPath::TrojanIndexScan { column } => trojan_scan(a, column, emit)?,
+            AccessPath::FullScan(ScanLayout::HailPax) | AccessPath::ClusteredIndexScan { .. } => {
+                return self.apply_residual(&open_pax(a)?, a, emit);
+            }
+        };
+        stats.paths.record(self.kind());
+        Ok(stats)
+    }
 
     /// `Some(())` for the paths whose read is the two steps
     /// [`AccessPath::produce_decoded`] then [`AccessPath::apply_residual`]
-    /// (the PAX full scan and the clustered index scan); `None` for every
-    /// other path, which reads in one step.
+    /// (the PAX full scan and the clustered index scan); `None` for the
+    /// others, which read in one step.
     ///
     /// Kept as frozen-suite residue: the `hail-bench` replay asks this to
     /// decide which reads it times as two spans.
-    fn share_shape(&self) -> Option<()> {
-        None
+    pub fn share_shape(self) -> Option<()> {
+        matches!(
+            self,
+            AccessPath::FullScan(ScanLayout::HailPax) | AccessPath::ClusteredIndexScan { .. }
+        )
+        .then_some(())
     }
 
     /// The first step of a two-step read: open the serving replica and
     /// its container, charging nothing. [`AccessPath::apply_residual`]
     /// charges the read and verifies each chunk it touches. Only
     /// meaningful when [`AccessPath::share_shape`] is `Some`.
-    fn produce_decoded(&self, _access: &BlockAccess<'_>) -> Result<DecodedBlock> {
-        Err(HailError::Internal(
-            "access path does not read in two steps".into(),
-        ))
+    pub fn produce_decoded(self, a: &BlockAccess<'_>) -> Result<DecodedBlock> {
+        self.share_shape().ok_or_else(one_step)?;
+        open_pax(a)
     }
 
     /// The second step of a two-step read: cost accounting, predicate
@@ -103,16 +159,42 @@ pub trait AccessPath: fmt::Debug {
     /// every chunk that reads, against an opened block. For the two-step
     /// paths `execute` is exactly `produce_decoded` + `apply_residual`.
     /// Returns stats with [`TaskStats::paths`] recorded.
-    fn apply_residual(
-        &self,
-        _decoded: &DecodedBlock,
-        _access: &BlockAccess<'_>,
-        _emit: &mut dyn FnMut(MapRecord),
+    pub fn apply_residual(
+        self,
+        decoded: &DecodedBlock,
+        a: &BlockAccess<'_>,
+        emit: &mut dyn FnMut(MapRecord),
     ) -> Result<TaskStats> {
-        Err(HailError::Internal(
-            "access path does not read in two steps".into(),
-        ))
+        let mut stats = match self {
+            AccessPath::FullScan(ScanLayout::HailPax) => scan_pax(&decoded.indexed, a, emit)?,
+            AccessPath::ClusteredIndexScan { column } => {
+                clustered_scan(&decoded.indexed, column, a, emit)?
+            }
+            _ => return Err(one_step()),
+        };
+        stats.paths.record(self.kind());
+        Ok(stats)
     }
+}
+
+impl fmt::Display for AccessPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AccessPath::FullScan(ScanLayout::Text { .. }) => f.write_str("full-scan(text)"),
+            AccessPath::FullScan(ScanLayout::HailPax) => f.write_str("full-scan(pax)"),
+            AccessPath::FullScan(ScanLayout::RowLayout) => f.write_str("full-scan(rows)"),
+            AccessPath::ClusteredIndexScan { column } => {
+                write!(f, "clustered-index-scan(@{})", column + 1)
+            }
+            AccessPath::TrojanIndexScan { column } => {
+                write!(f, "trojan-index-scan(@{})", column + 1)
+            }
+        }
+    }
+}
+
+fn one_step() -> HailError {
+    HailError::Internal("access path does not read in two steps".into())
 }
 
 /// One opened block replica: the container a two-step read's
@@ -133,395 +215,277 @@ impl DecodedBlock {
     }
 }
 
-/// The physical layout a [`FullScan`] streams over. Mirrors
-/// `hail_core::DatasetFormat` but lives at the access-path layer so the
-/// scan knows how to decode what it reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanLayout {
-    /// Raw delimited text (standard Hadoop): split every line.
-    Text { delimiter: char },
-    /// HAIL PAX container (sorted or not).
-    HailPax,
-    /// Hadoop++ binary row layout.
-    RowLayout,
+/// Opens the serving replica's HAIL container, verified as it is read:
+/// the first step of both two-step reads.
+fn open_pax(a: &BlockAccess<'_>) -> Result<DecodedBlock> {
+    let dn = a.cluster.datanode(a.replica)?;
+    Ok(DecodedBlock {
+        indexed: IndexedBlock::open(dn.open_replica(a.block)?)?,
+    })
 }
 
-/// Streams the whole replica, filters it, reconstructs the projection
-/// (PAX: column at a time through the scan kernel; text and row layout:
-/// row by row). Works on all three storage layouts.
-#[derive(Debug, Clone, Copy)]
-pub struct FullScan {
-    pub layout: ScanLayout,
-}
-
-impl FullScan {
-    pub fn new(layout: ScanLayout) -> Self {
-        FullScan { layout }
-    }
-
-    fn scan_text(
-        &self,
-        a: &BlockAccess<'_>,
-        delimiter: char,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats> {
-        let dn = a.cluster.datanode(a.replica)?;
-        let mut stats = TaskStats::default();
-        let bytes = dn.read_replica(a.block, &mut stats.ledger)?;
-        // Every record is split into strings and compared — CPU over the
-        // whole block (the expensive `v.toString().split(",")` of §4.1).
-        stats.ledger.scan_cpu += bytes.len() as u64;
-        a.charge_remote(&mut stats, bytes.len() as u64);
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| HailError::Corrupt("text block is not UTF-8".into()))?;
-        let (mut matched, mut total) = (0u64, 0u64);
-        let projection = a.query.projected_columns(a.schema);
-        for line in text.lines() {
-            match hail_types::parse_line(line, a.schema, delimiter) {
-                hail_types::ParsedRecord::Good(row) => {
-                    total += 1;
-                    if a.query.matches(&row) {
-                        matched += 1;
-                        emit(MapRecord::good(row.project(&projection)));
-                        stats.records += 1;
-                    }
-                }
-                hail_types::ParsedRecord::Bad { line, .. } => {
-                    emit(MapRecord::bad(line));
-                    stats.records += 1;
-                }
-            }
-        }
-        if let Some((column, eq)) = sole_filter_column(a.query) {
-            stats.selectivity.push(SelectivityObservation {
-                column,
-                eq,
-                matched,
-                total,
-            });
-        }
-        Ok(stats)
-    }
-
-    fn scan_rows(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
-        let dn = a.cluster.datanode(a.replica)?;
-        let mut stats = TaskStats::default();
-        // The scan reads every row, so it reads — and verifies — the
-        // whole replica.
-        let row_block = RowBlock::parse(dn.read_replica(a.block, &mut stats.ledger)?)?;
-        let blen = row_block.byte_len();
-        stats.ledger.scan_cpu += blen as u64;
-        a.charge_remote(&mut stats, blen as u64);
-        let mut matched = 0u64;
-        let projection = a.query.projected_columns(a.schema);
-        for r in 0..row_block.row_count() {
-            let row = row_block.row(a.schema, r)?;
-            if a.query.matches(&row) {
-                matched += 1;
-                emit(MapRecord::good(row.project(&projection)));
-                stats.records += 1;
-            }
-        }
-        if let Some((column, eq)) = sole_filter_column(a.query) {
-            stats.selectivity.push(SelectivityObservation {
-                column,
-                eq,
-                matched,
-                total: row_block.row_count() as u64,
-            });
-        }
-        for bad in row_block.bad_records(a.schema)? {
-            emit(MapRecord::bad(bad));
-            stats.records += 1;
-        }
-        Ok(stats)
-    }
-}
-
-impl AccessPath for FullScan {
-    fn kind(&self) -> AccessPathKind {
-        AccessPathKind::FullScan
-    }
-
-    fn describe(&self) -> String {
-        match self.layout {
-            ScanLayout::Text { .. } => "full-scan(text)".into(),
-            ScanLayout::HailPax => "full-scan(pax)".into(),
-            ScanLayout::RowLayout => "full-scan(rows)".into(),
-        }
-    }
-
-    fn execute(
-        &self,
-        access: &BlockAccess<'_>,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats> {
-        let mut stats = match self.layout {
-            ScanLayout::Text { delimiter } => self.scan_text(access, delimiter, emit)?,
-            ScanLayout::HailPax => {
-                let decoded = self.produce_decoded(access)?;
-                return self.apply_residual(&decoded, access, emit);
-            }
-            ScanLayout::RowLayout => self.scan_rows(access, emit)?,
-        };
-        stats.paths.record(self.kind());
-        Ok(stats)
-    }
-
-    fn share_shape(&self) -> Option<()> {
-        (self.layout == ScanLayout::HailPax).then_some(())
-    }
-
-    fn produce_decoded(&self, a: &BlockAccess<'_>) -> Result<DecodedBlock> {
-        if self.layout != ScanLayout::HailPax {
-            return Err(HailError::Internal(
-                "only the PAX full scan reads in two steps".into(),
-            ));
-        }
-        open_pax(a)
-    }
-
-    fn apply_residual(
-        &self,
-        decoded: &DecodedBlock,
-        a: &BlockAccess<'_>,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats> {
-        if self.layout != ScanLayout::HailPax {
-            return Err(HailError::Internal(
-                "only the PAX full scan reads in two steps".into(),
-            ));
-        }
-        let dn = a.cluster.datanode(a.replica)?;
-        let mut stats = TaskStats::default();
-        // Charged as the sequential read of the whole replica it models;
-        // verified only where the kernel's cursors read.
-        dn.charge_replica_read(a.block, &mut stats.ledger)?;
-        let indexed = decoded.indexed();
-        let pax = indexed.pax();
-
-        // Predicate evaluation + tuple reconstruction stream over the
-        // block.
-        stats.ledger.scan_cpu += pax.byte_len() as u64;
-        a.charge_remote(&mut stats, pax.byte_len() as u64);
-
-        // When the whole conjunction sits on one column, the selection's
-        // length doubles as that column's selectivity observation — no
-        // extra decode.
-        let projection = a.query.projected_columns(a.schema);
-        let mut selection = kernel::candidates(0..pax.row_count())?;
-        kernel::retain_conjunction(pax, &a.query.predicates, &mut selection)?;
-        kernel::materialize(pax, &projection, &selection, |row| {
-            emit(MapRecord::good(row));
-            stats.records += 1;
-        })?;
-        if let Some((column, eq)) = sole_filter_column(a.query) {
-            stats.selectivity.push(SelectivityObservation {
-                column,
-                eq,
-                matched: selection.len() as u64,
-                total: pax.row_count() as u64,
-            });
-        }
-        emit_pax_bad_records(indexed, &mut stats, emit)?;
-        stats.paths.record(self.kind());
-        Ok(stats)
-    }
-}
-
-/// HAIL's sparse clustered index scan (§4.3): read the few-KB index into
-/// memory, resolve the first and last qualifying partition in memory,
-/// read *only those partitions* of the needed columns, binary-search them
-/// for the rows within the key bounds, post-filter those with the
-/// conjuncts the bounds do not imply, reconstruct PAX → rows.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusteredIndexScan {
-    /// The 0-based column the chosen replica is clustered on.
-    pub column: usize,
-}
-
-impl AccessPath for ClusteredIndexScan {
-    fn kind(&self) -> AccessPathKind {
-        AccessPathKind::ClusteredIndexScan
-    }
-
-    fn describe(&self) -> String {
-        format!("clustered-index-scan(@{})", self.column + 1)
-    }
-
-    fn execute(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
-        let decoded = self.produce_decoded(a)?;
-        self.apply_residual(&decoded, a, emit)
-    }
-
-    fn share_shape(&self) -> Option<()> {
-        Some(())
-    }
-
-    fn produce_decoded(&self, a: &BlockAccess<'_>) -> Result<DecodedBlock> {
-        open_pax(a)
-    }
-
-    fn apply_residual(
-        &self,
-        decoded: &DecodedBlock,
-        a: &BlockAccess<'_>,
-        emit: &mut dyn FnMut(MapRecord),
-    ) -> Result<TaskStats> {
-        let dn = a.cluster.datanode(a.replica)?;
-        let indexed = decoded.indexed();
-        let index = indexed
-            .index()
-            .ok_or_else(|| HailError::Internal("replica advertised an index it lacks".into()))?;
-        let pax = indexed.pax();
-
-        let mut stats = TaskStats {
-            serial_pricing: true,
-            ..Default::default()
-        };
-
-        // Read the whole index into main memory ("typically a few KB").
-        dn.charge_range_read(indexed.metadata().index_bytes, &mut stats.ledger)?;
-        let mut remote_bytes = indexed.metadata().index_bytes as u64;
-
-        let bounds = a
-            .query
-            .bounds_on(self.column)
-            .ok_or_else(|| HailError::Internal("index scan without predicate".into()))?;
-
-        // The index is clustered and sound: every row satisfying the
-        // bounds lies inside the qualifying partitions, so counting
-        // bound matches there observes the key column's true per-block
-        // selectivity — the evidence the re-indexing advisor reads.
-        let mut bounds_matched = 0u64;
-        if let Some((first, last)) = index.lookup(&bounds) {
-            let needed = a.query.needed_columns(a.schema);
-            let scan_bytes = pax.partition_scan_bytes(&needed, first, last)?;
-            // The qualifying leaves are contiguous on disk: one seek + one
-            // sequential read per column region.
-            for _ in &needed {
-                dn.charge_range_read(0, &mut stats.ledger)?; // seek per column
-            }
-            stats.ledger.disk_read += scan_bytes as u64;
-            remote_bytes += scan_bytes as u64;
-            // Post-filtering + PAX→row reconstruction over what was read.
-            stats.ledger.scan_cpu += scan_bytes as u64;
-
-            // The partitions are sorted on the key, so the rows within
-            // the bounds are one run, found by binary search.
-            let matched =
-                kernel::sorted_range(pax, self.column, &bounds, index.partition_rows(first, last))?;
-            bounds_matched = matched.len() as u64;
-            // The bounds intersect every index-friendly predicate on the
-            // key (`@4 >= 1 and @4 <= 10` is `[1, 10]`), so post-filtering
-            // runs only the rest: `!=` and the other columns' conjuncts.
-            let residual = a
-                .query
-                .predicates
-                .iter()
-                .filter(|p| p.column() != self.column || !p.index_friendly());
-            let projection = a.query.projected_columns(a.schema);
-            let mut selection = kernel::candidates(matched)?;
-            kernel::retain_conjunction(pax, residual, &mut selection)?;
-            kernel::materialize(pax, &projection, &selection, |row| {
-                emit(MapRecord::good(row));
-                stats.records += 1;
-            })?;
-        }
-        stats.selectivity.push(SelectivityObservation {
-            column: self.column,
-            eq: crate::feedback::has_eq_on(a.query, self.column),
-            matched: bounds_matched,
-            total: pax.row_count() as u64,
-        });
-
-        // Bad records ride along to the map function (§4.3).
-        emit_pax_bad_records(indexed, &mut stats, emit)?;
-        a.charge_remote(&mut stats, remote_bytes);
-        stats.paths.record(self.kind());
-        Ok(stats)
-    }
-}
-
-/// Hadoop++'s trojan index scan (§5): read the (large) in-header index,
-/// resolve the qualifying row range, read those rows from the binary row
-/// layout, post-filter.
-#[derive(Debug, Clone, Copy)]
-pub struct TrojanIndexScan {
-    /// The block's trojan key column.
-    pub column: usize,
-}
-
-impl AccessPath for TrojanIndexScan {
-    fn kind(&self) -> AccessPathKind {
-        AccessPathKind::TrojanIndexScan
-    }
-
-    fn describe(&self) -> String {
-        format!("trojan-index-scan(@{})", self.column + 1)
-    }
-
-    fn execute(&self, a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
-        let dn = a.cluster.datanode(a.replica)?;
-        // Opening verifies the header and the index; each row of the
-        // looked-up range is verified as it is read.
-        let row_block = RowBlock::open(dn.open_replica(a.block)?)?;
-        let index = row_block.index().ok_or_else(|| {
-            HailError::Internal("block advertised a trojan index it lacks".into())
-        })?;
-        let bounds = a
-            .query
-            .bounds_on(self.column)
-            .ok_or_else(|| HailError::Internal("trojan scan without predicate".into()))?;
-
-        let mut stats = TaskStats {
-            serial_pricing: true,
-            ..Default::default()
-        };
-        // Read the (≈150× larger than HAIL's) trojan index into memory.
-        dn.charge_range_read(row_block.header_bytes(), &mut stats.ledger)?;
-        let mut remote_bytes = row_block.header_bytes() as u64;
-
-        let projection = a.query.projected_columns(a.schema);
-        // The dense trojan index is sound too: all bound matches lie in
-        // the looked-up range, so the bound-match count there is the key
-        // column's observed per-block selectivity.
-        let mut bounds_matched = 0u64;
-        if let Some(range) = index.lookup_rows(&bounds) {
-            let scan_bytes =
-                row_block.row_range_bytes(a.schema, range.start, range.end)? + 4 * range.len(); // the offsets slice for the range
-            dn.charge_range_read(scan_bytes, &mut stats.ledger)?;
-            remote_bytes += scan_bytes as u64;
-            stats.ledger.scan_cpu += scan_bytes as u64;
-            for r in range {
-                if r >= row_block.row_count() {
-                    break;
-                }
-                let row = row_block.row(a.schema, r)?;
-                if row.get(self.column).is_some_and(|v| bounds.contains(v)) {
-                    bounds_matched += 1;
-                }
+/// The full scan of a text block: every line split and compared.
+fn scan_text(
+    a: &BlockAccess<'_>,
+    delimiter: char,
+    emit: &mut dyn FnMut(MapRecord),
+) -> Result<TaskStats> {
+    let dn = a.cluster.datanode(a.replica)?;
+    let mut stats = TaskStats::default();
+    let bytes = dn.read_replica(a.block, &mut stats.ledger)?;
+    // Every record is split into strings and compared — CPU over the
+    // whole block (the expensive `v.toString().split(",")` of §4.1).
+    stats.ledger.scan_cpu += bytes.len() as u64;
+    a.charge_remote(&mut stats, bytes.len() as u64);
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|_| HailError::Corrupt("text block is not UTF-8".into()))?;
+    let (mut matched, mut total) = (0u64, 0u64);
+    let projection = a.query.projected_columns(a.schema);
+    for line in text.lines() {
+        match hail_types::parse_line(line, a.schema, delimiter) {
+            hail_types::ParsedRecord::Good(row) => {
+                total += 1;
                 if a.query.matches(&row) {
+                    matched += 1;
                     emit(MapRecord::good(row.project(&projection)));
                     stats.records += 1;
                 }
             }
+            hail_types::ParsedRecord::Bad { line, .. } => {
+                emit(MapRecord::bad(line));
+                stats.records += 1;
+            }
         }
+    }
+    if let Some((column, eq)) = sole_filter_column(a.query) {
         stats.selectivity.push(SelectivityObservation {
-            column: self.column,
-            eq: crate::feedback::has_eq_on(a.query, self.column),
-            matched: bounds_matched,
-            total: row_block.row_count() as u64,
+            column,
+            eq,
+            matched,
+            total,
         });
+    }
+    Ok(stats)
+}
 
-        for bad in row_block.bad_records(a.schema)? {
-            emit(MapRecord::bad(bad));
+/// The full scan of a Hadoop++ row-layout block.
+fn scan_rows(a: &BlockAccess<'_>, emit: &mut dyn FnMut(MapRecord)) -> Result<TaskStats> {
+    let dn = a.cluster.datanode(a.replica)?;
+    let mut stats = TaskStats::default();
+    // The scan reads every row, so it reads — and verifies — the
+    // whole replica.
+    let row_block = RowBlock::parse(dn.read_replica(a.block, &mut stats.ledger)?)?;
+    let blen = row_block.byte_len();
+    stats.ledger.scan_cpu += blen as u64;
+    a.charge_remote(&mut stats, blen as u64);
+    let mut matched = 0u64;
+    let projection = a.query.projected_columns(a.schema);
+    for r in 0..row_block.row_count() {
+        let row = row_block.row(a.schema, r)?;
+        if a.query.matches(&row) {
+            matched += 1;
+            emit(MapRecord::good(row.project(&projection)));
             stats.records += 1;
         }
-        a.charge_remote(&mut stats, remote_bytes);
-        stats.paths.record(self.kind());
-        Ok(stats)
     }
+    if let Some((column, eq)) = sole_filter_column(a.query) {
+        stats.selectivity.push(SelectivityObservation {
+            column,
+            eq,
+            matched,
+            total: row_block.row_count() as u64,
+        });
+    }
+    for bad in row_block.bad_records(a.schema)? {
+        emit(MapRecord::bad(bad));
+        stats.records += 1;
+    }
+    Ok(stats)
+}
+
+/// The full scan of an opened PAX block, through the scan kernel.
+fn scan_pax(
+    indexed: &IndexedBlock,
+    a: &BlockAccess<'_>,
+    emit: &mut dyn FnMut(MapRecord),
+) -> Result<TaskStats> {
+    let dn = a.cluster.datanode(a.replica)?;
+    let mut stats = TaskStats::default();
+    // Charged as the sequential read of the whole replica it models;
+    // verified only where the kernel's cursors read.
+    dn.charge_replica_read(a.block, &mut stats.ledger)?;
+    let pax = indexed.pax();
+
+    // Predicate evaluation + tuple reconstruction stream over the
+    // block.
+    stats.ledger.scan_cpu += pax.byte_len() as u64;
+    a.charge_remote(&mut stats, pax.byte_len() as u64);
+
+    // When the whole conjunction sits on one column, the selection's
+    // length doubles as that column's selectivity observation — no
+    // extra decode.
+    let projection = a.query.projected_columns(a.schema);
+    let mut selection = kernel::candidates(0..pax.row_count())?;
+    kernel::retain_conjunction(pax, &a.query.predicates, &mut selection)?;
+    kernel::materialize(pax, &projection, &selection, |row| {
+        emit(MapRecord::good(row));
+        stats.records += 1;
+    })?;
+    if let Some((column, eq)) = sole_filter_column(a.query) {
+        stats.selectivity.push(SelectivityObservation {
+            column,
+            eq,
+            matched: selection.len() as u64,
+            total: pax.row_count() as u64,
+        });
+    }
+    emit_pax_bad_records(indexed, &mut stats, emit)?;
+    Ok(stats)
+}
+
+/// The clustered index scan of an opened PAX block.
+fn clustered_scan(
+    indexed: &IndexedBlock,
+    column: usize,
+    a: &BlockAccess<'_>,
+    emit: &mut dyn FnMut(MapRecord),
+) -> Result<TaskStats> {
+    let dn = a.cluster.datanode(a.replica)?;
+    let index = indexed
+        .index()
+        .ok_or_else(|| HailError::Internal("replica advertised an index it lacks".into()))?;
+    let pax = indexed.pax();
+
+    let mut stats = TaskStats {
+        serial_pricing: true,
+        ..Default::default()
+    };
+
+    // Read the whole index into main memory ("typically a few KB").
+    dn.charge_range_read(indexed.metadata().index_bytes, &mut stats.ledger)?;
+    let mut remote_bytes = indexed.metadata().index_bytes as u64;
+
+    let bounds = a
+        .query
+        .bounds_on(column)
+        .ok_or_else(|| HailError::Internal("index scan without predicate".into()))?;
+
+    // The index is clustered and sound: every row satisfying the
+    // bounds lies inside the qualifying partitions, so counting
+    // bound matches there observes the key column's true per-block
+    // selectivity — the evidence the re-indexing advisor reads.
+    let mut bounds_matched = 0u64;
+    if let Some((first, last)) = index.lookup(&bounds) {
+        let needed = a.query.needed_columns(a.schema);
+        let scan_bytes = pax.partition_scan_bytes(&needed, first, last)?;
+        // The qualifying leaves are contiguous on disk: one seek + one
+        // sequential read per column region.
+        for _ in &needed {
+            dn.charge_range_read(0, &mut stats.ledger)?; // seek per column
+        }
+        stats.ledger.disk_read += scan_bytes as u64;
+        remote_bytes += scan_bytes as u64;
+        // Post-filtering + PAX→row reconstruction over what was read.
+        stats.ledger.scan_cpu += scan_bytes as u64;
+
+        // The partitions are sorted on the key, so the rows within
+        // the bounds are one run, found by binary search.
+        let matched =
+            kernel::sorted_range(pax, column, &bounds, index.partition_rows(first, last))?;
+        bounds_matched = matched.len() as u64;
+        // The bounds intersect every index-friendly predicate on the
+        // key (`@4 >= 1 and @4 <= 10` is `[1, 10]`), so post-filtering
+        // runs only the rest: `!=` and the other columns' conjuncts.
+        let residual = a
+            .query
+            .predicates
+            .iter()
+            .filter(|p| p.column() != column || !p.index_friendly());
+        let projection = a.query.projected_columns(a.schema);
+        let mut selection = kernel::candidates(matched)?;
+        kernel::retain_conjunction(pax, residual, &mut selection)?;
+        kernel::materialize(pax, &projection, &selection, |row| {
+            emit(MapRecord::good(row));
+            stats.records += 1;
+        })?;
+    }
+    stats.selectivity.push(SelectivityObservation {
+        column,
+        eq: crate::feedback::has_eq_on(a.query, column),
+        matched: bounds_matched,
+        total: pax.row_count() as u64,
+    });
+
+    // Bad records ride along to the map function (§4.3).
+    emit_pax_bad_records(indexed, &mut stats, emit)?;
+    a.charge_remote(&mut stats, remote_bytes);
+    Ok(stats)
+}
+
+/// The trojan index scan of a Hadoop++ row-layout block.
+fn trojan_scan(
+    a: &BlockAccess<'_>,
+    column: usize,
+    emit: &mut dyn FnMut(MapRecord),
+) -> Result<TaskStats> {
+    let dn = a.cluster.datanode(a.replica)?;
+    // Opening verifies the header and the index; each row of the
+    // looked-up range is verified as it is read.
+    let row_block = RowBlock::open(dn.open_replica(a.block)?)?;
+    let index = row_block
+        .index()
+        .ok_or_else(|| HailError::Internal("block advertised a trojan index it lacks".into()))?;
+    let bounds = a
+        .query
+        .bounds_on(column)
+        .ok_or_else(|| HailError::Internal("trojan scan without predicate".into()))?;
+
+    let mut stats = TaskStats {
+        serial_pricing: true,
+        ..Default::default()
+    };
+    // Read the (≈150× larger than HAIL's) trojan index into memory.
+    dn.charge_range_read(row_block.header_bytes(), &mut stats.ledger)?;
+    let mut remote_bytes = row_block.header_bytes() as u64;
+
+    let projection = a.query.projected_columns(a.schema);
+    // The dense trojan index is sound too: all bound matches lie in
+    // the looked-up range, so the bound-match count there is the key
+    // column's observed per-block selectivity.
+    let mut bounds_matched = 0u64;
+    if let Some(range) = index.lookup_rows(&bounds) {
+        let scan_bytes =
+            row_block.row_range_bytes(a.schema, range.start, range.end)? + 4 * range.len(); // the offsets slice for the range
+        dn.charge_range_read(scan_bytes, &mut stats.ledger)?;
+        remote_bytes += scan_bytes as u64;
+        stats.ledger.scan_cpu += scan_bytes as u64;
+        for r in range {
+            if r >= row_block.row_count() {
+                break;
+            }
+            let row = row_block.row(a.schema, r)?;
+            if row.get(column).is_some_and(|v| bounds.contains(v)) {
+                bounds_matched += 1;
+            }
+            if a.query.matches(&row) {
+                emit(MapRecord::good(row.project(&projection)));
+                stats.records += 1;
+            }
+        }
+    }
+    stats.selectivity.push(SelectivityObservation {
+        column,
+        eq: crate::feedback::has_eq_on(a.query, column),
+        matched: bounds_matched,
+        total: row_block.row_count() as u64,
+    });
+
+    for bad in row_block.bad_records(a.schema)? {
+        emit(MapRecord::bad(bad));
+        stats.records += 1;
+    }
+    a.charge_remote(&mut stats, remote_bytes);
+    Ok(stats)
 }
 
 /// The one column a full scan can attribute its match counts to — and
@@ -538,15 +502,6 @@ pub(crate) fn sole_filter_column(query: &HailQuery) -> Option<(usize, bool)> {
         .iter()
         .all(|p| p.column() == column && p.index_friendly())
         .then(|| (column, crate::feedback::has_eq_on(query, column)))
-}
-
-/// Opens the serving replica's HAIL container, verified as it is read:
-/// the first step of both two-step reads.
-fn open_pax(a: &BlockAccess<'_>) -> Result<DecodedBlock> {
-    let dn = a.cluster.datanode(a.replica)?;
-    Ok(DecodedBlock {
-        indexed: IndexedBlock::open(dn.open_replica(a.block)?)?,
-    })
 }
 
 fn emit_pax_bad_records(

@@ -57,9 +57,7 @@
 //! ```
 
 use crate::feedback::{SelectivityChoice, SelectivityFeedback};
-use crate::path::{
-    AccessPath, BlockAccess, ClusteredIndexScan, FullScan, ScanLayout, TrojanIndexScan,
-};
+use crate::path::{AccessPath, BlockAccess, ScanLayout};
 use hail_core::{Dataset, DatasetFormat, HailQuery, Predicate};
 use hail_dfs::DfsCluster;
 use hail_index::IndexKind;
@@ -195,11 +193,10 @@ pub struct CacheStats {
 }
 
 /// One priced `(replica, access path)` alternative.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Candidate {
     pub replica: DatanodeId,
-    pub kind: AccessPathKind,
-    pub detail: String,
+    pub path: AccessPath,
     pub est_seconds: f64,
 }
 
@@ -210,13 +207,16 @@ pub struct BlockPlan {
     /// The replica chosen to serve the read.
     pub replica: DatanodeId,
     /// The access path to execute.
-    pub path: Arc<dyn AccessPath + Send + Sync>,
+    pub path: AccessPath,
+    /// `path.kind()`.
     pub kind: AccessPathKind,
     pub est_seconds: f64,
     /// Scheduling locations: the chosen replica first, then the other
     /// live replica holders as fallbacks.
     pub locations: Vec<DatanodeId>,
     /// All alternatives considered, cheapest first (plan explanation).
+    /// Empty for a pruned block and for a block no live replica held
+    /// when it was planned.
     pub candidates: Vec<Candidate>,
     /// True if the query wanted an index but no live replica offers one
     /// — HAIL's failover story, surfaced as `fell_back_to_scan`.
@@ -232,7 +232,21 @@ pub struct BlockPlan {
     pub pruned: Option<crate::synopsis::PruneInfo>,
 }
 
-/// A full, explainable query plan: one [`BlockPlan`] per input block.
+impl BlockPlan {
+    /// True for the placeholder of a block no live replica held when it
+    /// was planned: no candidate was priced, and no synopsis pruned it.
+    fn degraded(&self) -> bool {
+        self.candidates.is_empty() && self.pruned.is_none()
+    }
+}
+
+/// A full, explainable query plan: one [`BlockPlan`] per input block,
+/// stamped with what it was priced against — the namenode's
+/// `(instance id, design epoch)`. Planning is deterministic in that
+/// stamp (the query and the planner configuration being fixed), so
+/// while it still holds, planning a block again gives the plan already
+/// here; that is why a split read may execute the plan its splits were
+/// cut from.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     pub format: DatasetFormat,
@@ -240,10 +254,12 @@ pub struct QueryPlan {
     pub projection: String,
     pub blocks: Vec<BlockPlan>,
     by_block: BTreeMap<BlockId, usize>,
+    design: (u64, u64),
 }
 
 impl QueryPlan {
-    /// A plan of no blocks.
+    /// A plan of no blocks, stamped with no namenode (instance id 0), so
+    /// it never [holds](QueryPlan::holds).
     pub(crate) fn empty(format: DatasetFormat) -> QueryPlan {
         QueryPlan {
             format,
@@ -251,12 +267,26 @@ impl QueryPlan {
             projection: String::new(),
             blocks: Vec::new(),
             by_block: BTreeMap::new(),
+            design: (0, 0),
         }
     }
 
     /// The plan for one block.
     pub fn block_plan(&self, block: BlockId) -> Option<&BlockPlan> {
         self.by_block.get(&block).map(|&i| &self.blocks[i])
+    }
+
+    /// True while `cluster` is what this plan was priced against: no
+    /// design change or death since (either moves the design epoch).
+    pub(crate) fn holds(&self, cluster: &DfsCluster) -> bool {
+        let namenode = cluster.namenode();
+        self.design == (namenode.instance_id(), namenode.design_epoch())
+    }
+
+    /// Whether this plan has `block`, not degraded: a block the plan
+    /// could not price is planned again by its read, and fails there.
+    pub(crate) fn reusable(&self, block: BlockId) -> bool {
+        self.block_plan(block).is_some_and(|bp| !bp.degraded())
     }
 
     /// Blocks per chosen access-path kind.
@@ -307,7 +337,7 @@ impl QueryPlan {
                 "  block {}: DN{} {}  est {:.3}s  ({} candidate{}){}{}{}{}",
                 bp.block,
                 bp.replica + 1,
-                bp.path.describe(),
+                bp.path,
                 bp.est_seconds,
                 bp.candidates.len(),
                 if bp.candidates.len() == 1 { "" } else { "s" },
@@ -330,39 +360,6 @@ impl QueryPlan {
         }
         let _ = writeln!(out, "paths: {}", parts.join(", "));
         out
-    }
-}
-
-/// A [`QueryPlan`] from [`QueryPlanner::plan_lenient`], stamped with what
-/// it was priced against: the namenode's `(instance id, design epoch)`.
-/// Planning is deterministic in it (the query and the planner
-/// configuration being fixed), so while it still holds, planning a block
-/// again gives the plan already here — which is why a split read may
-/// execute this one instead. A block the lenient pass degraded (no live
-/// replica) is never handed out: its read plans it again and fails as it
-/// always did.
-#[derive(Debug)]
-pub(crate) struct StampedPlan {
-    pub(crate) plan: QueryPlan,
-    design: (u64, u64),
-    /// Per entry of `plan.blocks`: whether the lenient pass degraded it.
-    degraded: Vec<bool>,
-}
-
-impl StampedPlan {
-    /// True while `cluster` is what this plan was priced against: no
-    /// design change or death since (either moves the design epoch).
-    pub(crate) fn holds(&self, cluster: &DfsCluster) -> bool {
-        let namenode = cluster.namenode();
-        self.design == (namenode.instance_id(), namenode.design_epoch())
-    }
-
-    /// Whether this plan has `block`, not degraded.
-    pub(crate) fn reusable(&self, block: BlockId) -> bool {
-        self.plan
-            .by_block
-            .get(&block)
-            .is_some_and(|&i| !self.degraded[i])
     }
 }
 
@@ -411,6 +408,13 @@ impl<'a> QueryPlanner<'a> {
     }
 
     /// Plans a query over explicit blocks of a given physical format.
+    ///
+    /// A known block whose replicas are all dead degrades to a full-scan
+    /// placeholder over the namenode's (empty) list of live holders — no
+    /// candidates, not pruned — instead of erroring: as in HDFS, split
+    /// computation succeeds and the failure surfaces when the block is
+    /// read, which plans it again ([`QueryPlanner::execute_block_into`]).
+    /// Unknown blocks error.
     pub fn plan(
         &self,
         format: DatasetFormat,
@@ -422,59 +426,16 @@ impl<'a> QueryPlanner<'a> {
         let mut by_block = BTreeMap::new();
         for &b in blocks {
             by_block.insert(b, plans.len());
-            plans.push(self.plan_block_with(&selectivity, format, b, query)?);
-        }
-        Ok(QueryPlan {
-            format,
-            filter: render_filter(query),
-            projection: render_projection(query),
-            blocks: plans,
-            by_block,
-        })
-    }
-
-    /// Like [`QueryPlanner::plan`], but a known block whose replicas are
-    /// all dead degrades to a full-scan plan over the namenode's
-    /// (possibly empty) location list instead of erroring — as in HDFS,
-    /// split computation succeeds and the failure surfaces at read
-    /// time. Unknown blocks still error.
-    pub fn plan_lenient(
-        &self,
-        format: DatasetFormat,
-        blocks: &[BlockId],
-        query: &HailQuery,
-    ) -> Result<QueryPlan> {
-        Ok(self.plan_stamped(format, blocks, query)?.plan)
-    }
-
-    /// [`QueryPlanner::plan_lenient`], stamped with what the plan was
-    /// priced against — the plan a split read may execute instead of
-    /// planning its blocks again ([`StampedPlan`]).
-    pub(crate) fn plan_stamped(
-        &self,
-        format: DatasetFormat,
-        blocks: &[BlockId],
-        query: &HailQuery,
-    ) -> Result<StampedPlan> {
-        let selectivity = self.selectivities(query);
-        let mut plans = Vec::with_capacity(blocks.len());
-        let mut by_block = BTreeMap::new();
-        let mut degraded = Vec::with_capacity(blocks.len());
-        for &b in blocks {
-            by_block.insert(b, plans.len());
-            let planned = self.plan_block_with(&selectivity, format, b, query);
-            degraded.push(planned.is_err());
-            match planned {
-                Ok(bp) => plans.push(bp),
+            let planned = match self.plan_block_with(&selectivity, format, b, query) {
+                Ok(bp) => bp,
                 Err(_) => {
                     // Distinguish "unknown block" (propagate) from "no
                     // live replica" (degrade).
                     let hosts = self.cluster.namenode().get_hosts(b)?;
-                    let layout = self.scan_layout(format);
-                    plans.push(BlockPlan {
+                    BlockPlan {
                         block: b,
                         replica: hosts.first().copied().unwrap_or(0),
-                        path: Arc::new(FullScan::new(layout)),
+                        path: AccessPath::FullScan(self.scan_layout(format)),
                         kind: AccessPathKind::FullScan,
                         est_seconds: 0.0,
                         locations: hosts,
@@ -483,21 +444,19 @@ impl<'a> QueryPlanner<'a> {
                             && !query.filter_columns().is_empty(),
                         selectivity: Arc::from([]),
                         pruned: None,
-                    });
+                    }
                 }
-            }
+            };
+            plans.push(planned);
         }
         let namenode = self.cluster.namenode();
-        Ok(StampedPlan {
-            plan: QueryPlan {
-                format,
-                filter: render_filter(query),
-                projection: render_projection(query),
-                blocks: plans,
-                by_block,
-            },
+        Ok(QueryPlan {
+            format,
+            filter: render_filter(query),
+            projection: render_projection(query),
+            blocks: plans,
+            by_block,
             design: (namenode.instance_id(), namenode.design_epoch()),
-            degraded,
         })
     }
 
@@ -543,8 +502,8 @@ impl<'a> QueryPlanner<'a> {
     }
 
     /// [`QueryPlanner::plan_block`] under the query's already-computed
-    /// selectivities — the per-block step of `plan`/`plan_lenient`,
-    /// which compute them once per plan rather than once per block.
+    /// selectivities — the per-block step of `plan`, which computes them
+    /// once per plan rather than once per block.
     /// Block skipping runs *before* candidate enumeration: a synopsis
     /// proof prices nothing.
     fn plan_block_with(
@@ -583,7 +542,7 @@ impl<'a> QueryPlanner<'a> {
         BlockPlan {
             block,
             replica: locations.first().copied().unwrap_or(0),
-            path: Arc::new(FullScan::new(self.scan_layout(format))),
+            path: AccessPath::FullScan(self.scan_layout(format)),
             kind: AccessPathKind::FullScan,
             est_seconds: 0.0,
             locations,
@@ -606,123 +565,87 @@ impl<'a> QueryPlanner<'a> {
         selectivity: Arc<[SelectivityChoice]>,
         excluded: &[DatanodeId],
     ) -> Result<BlockPlan> {
-        let mut replicas = self.cluster.namenode().live_replicas(block);
+        let namenode = self.cluster.namenode();
+        let mut replicas = namenode.live_replicas(block);
         replicas.retain(|info| !excluded.contains(&info.datanode));
         if replicas.is_empty() {
-            // The block exists but no live node serves it (or it is
-            // unknown): surface the same error the readers used to.
-            self.cluster.namenode().get_hosts(block)?;
-            return Err(HailError::UnknownBlock(block));
+            return Err(namenode.no_live_replica(block));
         }
 
-        struct Priced {
-            candidate: Candidate,
-            path: Arc<dyn AccessPath + Send + Sync>,
-        }
-        let mut priced: Vec<Priced> = Vec::new();
         let profile = HardwareProfile::physical();
-        let mut push = |replica: DatanodeId,
-                        path: Arc<dyn AccessPath + Send + Sync>,
-                        ledger: CostLedger,
-                        serial: bool,
-                        replica_bytes: usize| {
-            let scale = ScaleFactor::from_block_sizes(replica_bytes.max(1), LOGICAL_BLOCK);
-            let est_seconds = if serial {
-                ledger.serial_seconds(&profile, scale)
-            } else {
-                ledger.pipelined_seconds(&profile, scale)
-            };
-            priced.push(Priced {
-                candidate: Candidate {
-                    replica,
-                    kind: path.kind(),
-                    detail: path.describe(),
-                    est_seconds,
-                },
-                path,
-            });
-        };
-
+        let scan = AccessPath::FullScan(self.scan_layout(format));
+        let mut candidates = Vec::new();
         for info in &replicas {
+            let scale = ScaleFactor::from_block_sizes(info.replica_bytes.max(1), LOGICAL_BLOCK);
             let data_bytes = info
                 .replica_bytes
                 .saturating_sub(info.index.index_bytes + info.index.sidecar_bytes_total())
                 as u64;
 
             // Full scan: always possible, streams everything.
-            let scan_layout = self.scan_layout(format);
-            push(
-                info.datanode,
-                Arc::new(FullScan::new(scan_layout)),
-                CostLedger {
-                    disk_read: info.replica_bytes as u64,
-                    scan_cpu: data_bytes,
-                    seeks: 1,
-                    ..Default::default()
-                },
-                false,
-                info.replica_bytes,
-            );
+            let ledger = CostLedger {
+                disk_read: info.replica_bytes as u64,
+                scan_cpu: data_bytes,
+                seeks: 1,
+                ..Default::default()
+            };
+            candidates.push(Candidate {
+                replica: info.datanode,
+                path: scan,
+                est_seconds: ledger.pipelined_seconds(&profile, scale),
+            });
 
             // Index scan on this replica's own index (clustered on a
             // HAIL replica, trojan on a Hadoop++ block), when the
             // query ranges over its key column. Both share the same
             // cost shape: read the index, then the qualifying
-            // fraction; they differ in the path object and the seek
-            // count (the clustered scan seeks per column region,
+            // fraction; they differ in the path and the seek count
+            // (the clustered scan seeks per column region,
             // approximated as one extra).
-            if let Some(column) = info.index.key_column {
-                let index_path: Option<(Arc<dyn AccessPath + Send + Sync>, u64)> =
-                    match info.index.kind {
-                        IndexKind::Clustered => Some((Arc::new(ClusteredIndexScan { column }), 3)),
-                        IndexKind::Trojan => Some((Arc::new(TrojanIndexScan { column }), 2)),
-                        _ => None,
-                    };
-                if let Some((path, seeks)) = index_path {
-                    if query.bounds_on(column).is_some() {
-                        let sel = self.config.estimate.for_column(column);
-                        let touched = (sel * data_bytes as f64) as u64;
-                        push(
-                            info.datanode,
-                            path,
-                            CostLedger {
-                                disk_read: info.index.index_bytes as u64 + touched,
-                                scan_cpu: touched,
-                                seeks,
-                                ..Default::default()
-                            },
-                            true,
-                            info.replica_bytes,
-                        );
-                    }
-                }
+            let Some(column) = info.index.key_column else {
+                continue;
+            };
+            let (path, seeks) = match info.index.kind {
+                IndexKind::Clustered => (AccessPath::ClusteredIndexScan { column }, 3),
+                IndexKind::Trojan => (AccessPath::TrojanIndexScan { column }, 2),
+                _ => continue,
+            };
+            if query.bounds_on(column).is_some() {
+                let sel = self.config.estimate.for_column(column);
+                let touched = (sel * data_bytes as f64) as u64;
+                let ledger = CostLedger {
+                    disk_read: info.index.index_bytes as u64 + touched,
+                    scan_cpu: touched,
+                    seeks,
+                    ..Default::default()
+                };
+                candidates.push(Candidate {
+                    replica: info.datanode,
+                    path,
+                    est_seconds: ledger.serial_seconds(&profile, scale),
+                });
             }
         }
 
         // Deterministic choice: cheapest, then lowest replica id, then
         // kind order.
-        priced.sort_by(|a, b| {
-            a.candidate
-                .est_seconds
-                .total_cmp(&b.candidate.est_seconds)
-                .then(a.candidate.replica.cmp(&b.candidate.replica))
-                .then(a.candidate.kind.cmp(&b.candidate.kind))
+        candidates.sort_by(|a, b| {
+            a.est_seconds
+                .total_cmp(&b.est_seconds)
+                .then(a.replica.cmp(&b.replica))
+                .then(a.path.kind().cmp(&b.path.kind()))
         });
         // Text datasets never had an index to fall back from; only the
         // indexed formats can report a genuine failover to scanning.
         let wanted_index =
             format != DatasetFormat::HadoopText && !query.filter_columns().is_empty();
-        let had_index_candidate = priced.iter().any(|p| p.candidate.kind.is_index_scan());
-        let best = priced.first().ok_or_else(|| {
-            HailError::Job(format!("no access path candidates for block {block}"))
-        })?;
-        let chosen_replica = best.candidate.replica;
-        let chosen_kind = best.candidate.kind;
-        let path = Arc::clone(&best.path);
-        let est_seconds = best.candidate.est_seconds;
+        let had_index_candidate = candidates.iter().any(|c| c.path.kind().is_index_scan());
+        // Every live replica offers a full scan, so there is a cheapest.
+        let best = candidates[0];
+        let chosen_kind = best.path.kind();
 
         // Locations: chosen replica first, then remaining live holders.
-        let mut locations = vec![chosen_replica];
+        let mut locations = vec![best.replica];
         for info in &replicas {
             if !locations.contains(&info.datanode) {
                 locations.push(info.datanode);
@@ -731,12 +654,12 @@ impl<'a> QueryPlanner<'a> {
 
         Ok(BlockPlan {
             block,
-            replica: chosen_replica,
-            path,
+            replica: best.replica,
+            path: best.path,
             kind: chosen_kind,
-            est_seconds,
+            est_seconds: best.est_seconds,
             locations,
-            candidates: priced.into_iter().map(|p| p.candidate).collect(),
+            candidates,
             fallback: wanted_index
                 && !had_index_candidate
                 && chosen_kind == AccessPathKind::FullScan,
@@ -751,7 +674,9 @@ impl<'a> QueryPlanner<'a> {
     /// If the planned replica has died since planning (mid-job failure),
     /// the block is re-planned on the degraded cluster — possibly
     /// downgrading an index scan to a full scan, which is HAIL's
-    /// failover story and is surfaced via `fell_back_to_scan`.
+    /// failover story and is surfaced via `fell_back_to_scan`. A block
+    /// no live replica held at planning time is planned again too, and
+    /// fails if it still has none.
     pub fn execute_block(
         &self,
         plan: &QueryPlan,
@@ -825,7 +750,7 @@ impl<'a> QueryPlanner<'a> {
             .map(|d| d.is_alive())
             .unwrap_or(false);
         let originally_indexed = bp.kind.is_index_scan();
-        if !replica_alive {
+        if !replica_alive || bp.degraded() {
             replanned = self.plan_block(plan.format, block, query)?;
             bp = &replanned;
         }
@@ -879,28 +804,23 @@ impl<'a> QueryPlanner<'a> {
         if bp.replica == task_node || !bp.locations.contains(&task_node) {
             return bp.replica;
         }
-        match bp.kind {
+        let serves = match bp.path {
             // A full scan can read any replica.
-            AccessPathKind::FullScan => task_node,
+            AccessPath::FullScan(_) => true,
             // Trojan indexes are identical on every replica (§5).
-            AccessPathKind::TrojanIndexScan => task_node,
+            AccessPath::TrojanIndexScan { .. } => true,
             // A clustered index exists only on replicas sorted on the
-            // same column as the planned one.
-            AccessPathKind::ClusteredIndexScan => {
-                let nn = self.cluster.namenode();
-                let planned_col = nn
-                    .replica_index(bp.block, bp.replica)
-                    .and_then(|m| m.key_column);
-                let serves = planned_col.is_some()
-                    && nn.replica_index(bp.block, task_node).is_some_and(|m| {
-                        m.kind == IndexKind::Clustered && m.key_column == planned_col
-                    });
-                if serves {
-                    task_node
-                } else {
-                    bp.replica
-                }
-            }
+            // planned column.
+            AccessPath::ClusteredIndexScan { column } => self
+                .cluster
+                .namenode()
+                .replica_index(bp.block, task_node)
+                .is_some_and(|m| m.kind == IndexKind::Clustered && m.key_column == Some(column)),
+        };
+        if serves {
+            task_node
+        } else {
+            bp.replica
         }
     }
 }
@@ -1030,7 +950,7 @@ mod tests {
             for w in bp.candidates.windows(2) {
                 assert!(w[0].est_seconds <= w[1].est_seconds, "candidates sorted");
             }
-            assert_eq!(bp.kind, bp.candidates[0].kind);
+            assert_eq!(bp.kind, bp.candidates[0].path.kind());
             assert!((bp.est_seconds - bp.candidates[0].est_seconds).abs() < 1e-12);
             assert_eq!(bp.locations[0], bp.replica);
         }
@@ -1055,6 +975,34 @@ mod tests {
         assert_eq!(bp.kind, AccessPathKind::FullScan);
         assert!(bp.fallback, "index wanted but unavailable → fallback");
         assert!(plan.explain().contains("[fallback]"));
+    }
+
+    /// A known block whose every holder is dead is lost, not unknown:
+    /// planning degrades it to a placeholder, and its read fails naming
+    /// a dead holder.
+    #[test]
+    fn a_lost_block_is_not_reported_unknown() {
+        let (mut c, ds) = setup(300);
+        let b = ds.blocks[0];
+        let holders = c.namenode().get_hosts(b).unwrap();
+        for &dn in &holders {
+            c.kill_node(dn).unwrap();
+        }
+        let q = HailQuery::parse("@1 between(100, 400)", "", &schema()).unwrap();
+        let planner = QueryPlanner::new(&c);
+        let read = |plan: QueryPlan| planner.execute_block(&plan, b, 0, &schema(), &q, &mut |_| {});
+        let error = planner.plan_dataset(&ds, &q).and_then(read).unwrap_err();
+        assert!(
+            matches!(error, HailError::DeadDatanode(dn) if holders.contains(&dn)),
+            "{error}"
+        );
+
+        let plan = planner.plan_dataset(&ds, &q).unwrap();
+        let bp = plan.block_plan(b).unwrap();
+        assert!(bp.candidates.is_empty() && bp.pruned.is_none());
+        assert!(bp.locations.is_empty());
+        assert!(!plan.reusable(b), "a degraded block is planned again");
+        assert!(plan.holds(&c));
     }
 
     /// The satellite requirement: `select_for_workload`'s ranking agrees
@@ -1115,7 +1063,7 @@ mod tests {
                 let full = bp
                     .candidates
                     .iter()
-                    .find(|cand| cand.kind == AccessPathKind::FullScan)
+                    .find(|cand| cand.path.kind() == AccessPathKind::FullScan)
                     .expect("full scan is always a candidate");
                 assert!(bp.est_seconds < full.est_seconds, "{}", q.id);
                 // And the column it scans is one the advisor indexed.
@@ -1141,7 +1089,7 @@ mod tests {
         let full = bp
             .candidates
             .iter()
-            .find(|cand| cand.kind == AccessPathKind::FullScan)
+            .find(|cand| cand.path.kind() == AccessPathKind::FullScan)
             .unwrap();
         assert!(full.est_seconds > 1.0, "scaled: {}", full.est_seconds);
         assert!(bp.est_seconds < full.est_seconds);

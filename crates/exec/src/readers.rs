@@ -1,10 +1,8 @@
-//! Single-block reader entry points, planner-backed.
-//!
-//! These are the former `hail-core::record_reader` functions, kept as
-//! thin wrappers over [`QueryPlanner::execute_block`] so examples,
-//! tests, and ad-hoc tools can read one block without constructing an
-//! input format. All replica and access-path choices go through the
-//! planner — there is no second code path.
+//! The single-block reader entry point kept from the former
+//! `hail-core::record_reader`: a thin wrapper over
+//! [`QueryPlanner::plan`] + [`QueryPlanner::execute_block`], the calls
+//! every other block read makes. All replica and access-path choices go
+//! through the planner — there is no second code path.
 
 use crate::planner::QueryPlanner;
 use hail_core::{DatasetFormat, HailQuery};
@@ -23,78 +21,15 @@ pub fn read_hail_block(
     query: &HailQuery,
     emit: &mut dyn FnMut(MapRecord),
 ) -> Result<TaskStats> {
-    read_block(
-        cluster,
-        DatasetFormat::HailPax,
-        block,
-        task_node,
-        schema,
-        query,
-        emit,
-    )
-}
-
-/// Reads one standard Hadoop text block: full scan, line splitting,
-/// filtering in the reader (the expensive `v.toString().split(",")` of
-/// §4.1).
-pub fn read_hadoop_text_block(
-    cluster: &DfsCluster,
-    block: BlockId,
-    task_node: DatanodeId,
-    schema: &Schema,
-    query: &HailQuery,
-    delimiter: char,
-    emit: &mut dyn FnMut(MapRecord),
-) -> Result<TaskStats> {
-    let planner = QueryPlanner::with_config(
-        cluster,
-        crate::planner::PlannerConfig {
-            text_delimiter: Some(delimiter),
-            ..Default::default()
-        },
-    );
-    let plan = planner.plan(DatasetFormat::HadoopText, &[block], query)?;
-    planner.execute_block(&plan, block, task_node, schema, query, emit)
-}
-
-/// Reads one Hadoop++ row-layout block: trojan-index scan when the
-/// query ranges over the block's key column, full scan otherwise.
-pub fn read_hpp_block(
-    cluster: &DfsCluster,
-    block: BlockId,
-    task_node: DatanodeId,
-    schema: &Schema,
-    query: &HailQuery,
-    emit: &mut dyn FnMut(MapRecord),
-) -> Result<TaskStats> {
-    read_block(
-        cluster,
-        DatasetFormat::HadoopPlusPlus,
-        block,
-        task_node,
-        schema,
-        query,
-        emit,
-    )
-}
-
-fn read_block(
-    cluster: &DfsCluster,
-    format: DatasetFormat,
-    block: BlockId,
-    task_node: DatanodeId,
-    schema: &Schema,
-    query: &HailQuery,
-    emit: &mut dyn FnMut(MapRecord),
-) -> Result<TaskStats> {
     let planner = QueryPlanner::new(cluster);
-    let plan = planner.plan(format, &[block], query)?;
+    let plan = planner.plan(DatasetFormat::HailPax, &[block], query)?;
     planner.execute_block(&plan, block, task_node, schema, query, emit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlannerConfig;
     use hail_core::{upload_hadoop, upload_hail};
     use hail_index::ReplicaIndexConfig;
     use hail_types::{DataType, Field, StorageConfig};
@@ -132,6 +67,29 @@ mod tests {
         let cfg = ReplicaIndexConfig::first_indexed(3, &[1, 0, 2]);
         let ds = upload_hail(&mut c, &schema(), "uv", &[(0, text(rows))], &cfg).unwrap();
         (c, ds)
+    }
+
+    /// Reads one block of a `format` dataset as a map task on node 0
+    /// does: plan it, then execute the plan.
+    fn read(
+        c: &DfsCluster,
+        config: PlannerConfig,
+        format: DatasetFormat,
+        block: BlockId,
+        query: &HailQuery,
+        emit: &mut dyn FnMut(MapRecord),
+    ) -> Result<TaskStats> {
+        let planner = QueryPlanner::with_config(c, config);
+        let plan = planner.plan(format, &[block], query)?;
+        planner.execute_block(&plan, block, 0, &schema(), query, emit)
+    }
+
+    /// A planner configuration reading text blocks split on `delimiter`.
+    fn split_on(delimiter: char) -> PlannerConfig {
+        PlannerConfig {
+            text_delimiter: Some(delimiter),
+            ..Default::default()
+        }
     }
 
     fn collect_hail(
@@ -262,9 +220,14 @@ mod tests {
         let q = HailQuery::parse("@3 >= 10 and @3 <= 20", "{@1, @3}", &schema()).unwrap();
         let mut hadoop_records = Vec::new();
         for &b in &hds.blocks {
-            read_hadoop_text_block(&hc, b, 0, &schema(), &q, '|', &mut |r| {
-                hadoop_records.push(r)
-            })
+            read(
+                &hc,
+                split_on('|'),
+                DatasetFormat::HadoopText,
+                b,
+                &q,
+                &mut |r| hadoop_records.push(r),
+            )
             .unwrap();
         }
         let (hail_records, _) = collect_hail(&pc, &pds, &q);
@@ -291,9 +254,14 @@ mod tests {
         let ds = upload_hadoop(&mut c, &schema(), "csv", &[(0, text.into())]).unwrap();
         let q = HailQuery::parse("@2 = 1999-01-01", "{@1}", &schema()).unwrap();
         let mut records = Vec::new();
-        read_hadoop_text_block(&c, ds.blocks[0], 0, &schema(), &q, ',', &mut |r| {
-            records.push(r)
-        })
+        read(
+            &c,
+            split_on(','),
+            DatasetFormat::HadoopText,
+            ds.blocks[0],
+            &q,
+            &mut |r| records.push(r),
+        )
         .unwrap();
         let good: Vec<_> = records.iter().filter(|r| !r.bad).collect();
         assert_eq!(good.len(), 1, "comma rows must parse: {records:?}");
@@ -309,7 +277,15 @@ mod tests {
         let q = HailQuery::parse("@2 = 1975-01-01", "{@1}", &schema()).unwrap();
         let mut total = TaskStats::default();
         for &b in &ds.blocks {
-            let s = read_hadoop_text_block(&c, b, 0, &schema(), &q, '|', &mut |_| {}).unwrap();
+            let s = read(
+                &c,
+                split_on('|'),
+                DatasetFormat::HadoopText,
+                b,
+                &q,
+                &mut |_| {},
+            )
+            .unwrap();
             total.merge(&s);
         }
         assert!(!total.fell_back_to_scan, "text scans are the normal path");
@@ -359,7 +335,15 @@ mod tests {
         let mut via_index = Vec::new();
         let mut idx_stats = TaskStats::default();
         for &b in &ds.blocks {
-            let s = read_hpp_block(&c, b, 0, &schema(), &q, &mut |r| via_index.push(r)).unwrap();
+            let s = read(
+                &c,
+                PlannerConfig::default(),
+                DatasetFormat::HadoopPlusPlus,
+                b,
+                &q,
+                &mut |r| via_index.push(r),
+            )
+            .unwrap();
             idx_stats.merge(&s);
         }
         assert!(idx_stats.serial_pricing);
@@ -384,7 +368,15 @@ mod tests {
         for &b in &ds.blocks {
             // Key column is @1 (= index 0); q2's first filter is @2 so
             // the planner still finds @1 = … and uses the trojan index.
-            let s = read_hpp_block(&c, b, 0, &schema(), &q2, &mut |r| via_scan.push(r)).unwrap();
+            let s = read(
+                &c,
+                PlannerConfig::default(),
+                DatasetFormat::HadoopPlusPlus,
+                b,
+                &q2,
+                &mut |r| via_scan.push(r),
+            )
+            .unwrap();
             scan_stats.merge(&s);
         }
         let norm = |v: &[MapRecord]| {

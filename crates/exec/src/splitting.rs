@@ -15,8 +15,7 @@
 //! The split locations come straight out of the plan: the scheduler
 //! never consults the namenode's index directory itself.
 
-use crate::planner::{QueryPlan, QueryPlanner};
-use hail_core::{DatasetFormat, HailQuery};
+use crate::planner::QueryPlan;
 use hail_dfs::DfsCluster;
 use hail_mr::{InputSplit, SplitPlan};
 use hail_types::{BlockId, DatanodeId, Result};
@@ -89,29 +88,13 @@ pub fn plan_hail_splits(plan: &QueryPlan, map_slots: usize) -> SplitPlan {
     }
 }
 
-/// Convenience form of [`plan_hail_splits`] that plans internally with
-/// the default planner configuration (HAIL PAX blocks).
-///
-/// Queries without an index-friendly filter keep default splitting —
-/// their failover granularity must stay Hadoop's.
-pub fn hail_splits(
-    cluster: &DfsCluster,
-    blocks: &[BlockId],
-    query: &HailQuery,
-    map_slots: usize,
-) -> Result<SplitPlan> {
-    if query.filter_columns().is_empty() {
-        return default_splits(cluster, blocks);
-    }
-    let plan = QueryPlanner::new(cluster).plan_lenient(DatasetFormat::HailPax, blocks, query)?;
-    Ok(plan_hail_splits(&plan, map_slots))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hail_core::upload_hail;
+    use crate::PlannedInputFormat;
+    use hail_core::{upload_hail, Dataset, HailQuery};
     use hail_index::ReplicaIndexConfig;
+    use hail_mr::InputFormat;
     use hail_types::{DataType, Field, Schema, StorageConfig};
 
     fn schema() -> Schema {
@@ -122,7 +105,7 @@ mod tests {
         .unwrap()
     }
 
-    fn setup(nodes: usize, rows_per_node: usize) -> (DfsCluster, Vec<BlockId>) {
+    fn setup(nodes: usize, rows_per_node: usize) -> (DfsCluster, Dataset) {
         let mut c = DfsCluster::new(nodes, StorageConfig::test_scale(512));
         let cfg = ReplicaIndexConfig::first_indexed(3, &[0, 1]);
         let texts: Vec<(usize, String)> = (0..nodes)
@@ -136,14 +119,20 @@ mod tests {
             })
             .collect();
         let ds = upload_hail(&mut c, &schema(), "t", &texts, &cfg).unwrap();
-        (c, ds.blocks)
+        (c, ds)
+    }
+
+    /// The HAIL input format's splits, 2 map slots per node.
+    fn format_splits(c: &DfsCluster, ds: &Dataset, q: &HailQuery) -> SplitPlan {
+        let format = PlannedInputFormat::new(ds.clone(), q.clone());
+        format.splits(c, &ds.blocks).unwrap()
     }
 
     #[test]
     fn default_one_split_per_block() {
-        let (c, blocks) = setup(4, 60);
-        let plan = default_splits(&c, &blocks).unwrap();
-        assert_eq!(plan.splits.len(), blocks.len());
+        let (c, ds) = setup(4, 60);
+        let plan = default_splits(&c, &ds.blocks).unwrap();
+        assert_eq!(plan.splits.len(), ds.blocks.len());
         for s in &plan.splits {
             assert_eq!(s.blocks.len(), 1);
             assert_eq!(s.locations.len(), 3);
@@ -152,10 +141,11 @@ mod tests {
 
     #[test]
     fn hail_splitting_collapses_task_count() {
-        let (c, blocks) = setup(4, 500);
+        let (c, ds) = setup(4, 500);
+        let blocks = &ds.blocks;
         assert!(blocks.len() > 16, "need many blocks, got {}", blocks.len());
         let q = HailQuery::parse("@1 between(5, 50)", "", &schema()).unwrap();
-        let plan = hail_splits(&c, &blocks, &q, 2).unwrap();
+        let plan = format_splits(&c, &ds, &q);
         // At most map_slots × nodes splits — far fewer than blocks.
         assert!(
             plan.splits.len() <= 2 * 4,
@@ -177,19 +167,20 @@ mod tests {
 
     #[test]
     fn full_scan_keeps_default_splitting() {
-        let (c, blocks) = setup(4, 100);
+        let (c, ds) = setup(4, 100);
         let q = HailQuery::full_scan();
-        let plan = hail_splits(&c, &blocks, &q, 2).unwrap();
-        assert_eq!(plan.splits.len(), blocks.len());
+        let plan = format_splits(&c, &ds, &q);
+        assert_eq!(plan.splits.len(), ds.blocks.len());
     }
 
     #[test]
     fn dead_index_nodes_fall_back_to_default_splits() {
-        let (mut c, blocks) = setup(4, 100);
+        let (mut c, ds) = setup(4, 100);
+        let blocks = &ds.blocks;
         let q = HailQuery::parse("@1 = 7", "", &schema()).unwrap();
         // Kill every node holding a column-0 index.
         let mut killers = std::collections::BTreeSet::new();
-        for &b in &blocks {
+        for &b in blocks {
             for h in c.namenode().get_hosts_with_index(b, 0).unwrap() {
                 killers.insert(h);
             }
@@ -197,7 +188,7 @@ mod tests {
         for k in killers {
             c.kill_node(k).unwrap();
         }
-        let plan = hail_splits(&c, &blocks, &q, 2).unwrap();
+        let plan = format_splits(&c, &ds, &q);
         // Blocks may still be readable; none has an index host, so all
         // fall back to per-block splits (failover granularity intact).
         assert_eq!(plan.splits.len(), blocks.len());
@@ -205,10 +196,10 @@ mod tests {
 
     #[test]
     fn no_silent_block_loss_in_mixed_plans() {
-        let (c, blocks) = setup(4, 150);
+        let (c, ds) = setup(4, 150);
         let q = HailQuery::parse("@2 = 'w3'", "", &schema()).unwrap();
-        let plan = hail_splits(&c, &blocks, &q, 2).unwrap();
+        let plan = format_splits(&c, &ds, &q);
         let total: usize = plan.splits.iter().map(|s| s.blocks.len()).sum();
-        assert_eq!(total, blocks.len());
+        assert_eq!(total, ds.blocks.len());
     }
 }

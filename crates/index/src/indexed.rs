@@ -202,11 +202,6 @@ impl IndexedBlock {
         BlockPrep::new(block).build(order, spec)
     }
 
-    /// Serializes a (pax, index) pair into the container format.
-    pub fn assemble(pax: PaxBlock, index: Option<ClusteredIndex>) -> Result<IndexedBlock> {
-        Self::assemble_with(pax, index, &[], &[])
-    }
-
     /// Serializes PAX data, an optional clustered index, and the built
     /// sidecar synopses into the container format.
     pub fn assemble_with(

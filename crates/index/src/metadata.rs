@@ -15,8 +15,6 @@ pub enum IndexKind {
     Clustered,
     /// Hadoop++-style trojan index (per logical block, dense directory).
     Trojan,
-    /// Unclustered rowid index (ablation only).
-    Unclustered,
     /// Sidecar zone-map synopsis (min/max) over a column, for block
     /// skipping.
     ZoneMap { column: usize },
@@ -26,14 +24,14 @@ pub enum IndexKind {
 }
 
 impl IndexKind {
-    /// The kind's stored tag. Tags 4 and 5 are retired: they named
-    /// sidecar kinds this format no longer has, and decode as corrupt.
+    /// The kind's stored tag. Tags 3, 4 and 5 are retired: they named an
+    /// unclustered primary index and sidecar kinds this format no longer
+    /// has, and decode as corrupt.
     fn tag(self) -> u8 {
         match self {
             IndexKind::None => 0,
             IndexKind::Clustered => 1,
             IndexKind::Trojan => 2,
-            IndexKind::Unclustered => 3,
             IndexKind::ZoneMap { .. } => 6,
             IndexKind::Bloom { .. } => 7,
         }
@@ -47,7 +45,6 @@ impl IndexKind {
             0 => IndexKind::None,
             1 => IndexKind::Clustered,
             2 => IndexKind::Trojan,
-            3 => IndexKind::Unclustered,
             6 => IndexKind::ZoneMap { column },
             7 => IndexKind::Bloom { column },
             other => return Err(HailError::Corrupt(format!("unknown index kind {other}"))),
@@ -67,7 +64,6 @@ impl fmt::Display for IndexKind {
             IndexKind::None => f.write_str("none"),
             IndexKind::Clustered => f.write_str("clustered"),
             IndexKind::Trojan => f.write_str("trojan"),
-            IndexKind::Unclustered => f.write_str("unclustered"),
             IndexKind::ZoneMap { column } => write!(f, "zone-map(@{})", column + 1),
             IndexKind::Bloom { column } => write!(f, "bloom(@{})", column + 1),
         }
@@ -363,10 +359,10 @@ mod tests {
         assert!(!IndexKind::None.is_sidecar());
     }
 
-    /// Tags 4 and 5 named the retired bitmap and inverted-list sidecars.
-    /// A replica still carrying one is corrupt, in the sidecar directory
-    /// and in the primary header alike; the synopsis tags 6 and 7 keep
-    /// decoding.
+    /// Tag 3 named the retired unclustered primary index, tags 4 and 5
+    /// the retired bitmap and inverted-list sidecars. A replica still
+    /// carrying one is corrupt, in the sidecar directory and in the
+    /// primary header alike; the synopsis tags 6 and 7 keep decoding.
     #[test]
     fn retired_sidecar_tags_are_corrupt() {
         let zone = SidecarMetadata {
@@ -374,7 +370,7 @@ mod tests {
             sidecar_bytes: 10,
             sidecar_offset: 100,
         };
-        for tag in [4u8, 5] {
+        for tag in [3u8, 4, 5] {
             let mut bytes = zone.to_bytes();
             bytes[0] = tag;
             let err = SidecarMetadata::from_bytes(&bytes).unwrap_err();

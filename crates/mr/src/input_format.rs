@@ -6,8 +6,8 @@
 //! nothing else in the engine (§4.3). The engine in this crate likewise
 //! only sees this three-method trait; the Hadoop, Hadoop++ and HAIL
 //! behaviours live in `hail-exec`'s one `PlannedInputFormat`, routed
-//! through its cost-based `QueryPlanner` and `AccessPath`
-//! implementations.
+//! through its cost-based `QueryPlanner` and its `AccessPath` enum of
+//! the three block reads.
 
 use crate::job::{MapRecord, TaskStats};
 use hail_dfs::DfsCluster;

@@ -34,7 +34,7 @@ impl MapRecord {
 /// Per-access-path block counts: how many blocks of a task (or job)
 /// were served by each physical access path.
 ///
-/// Filled by the execution layer's `AccessPath` implementations, so the
+/// Filled by every read of the execution layer's `AccessPath`, so the
 /// scheduler and experiment reports can show *how* data was read without
 /// re-deriving replica or index choices themselves.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

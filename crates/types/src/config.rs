@@ -58,12 +58,6 @@ impl StorageConfig {
         self.replication = replication;
         self
     }
-
-    /// Builder-style block-size override.
-    pub fn with_block_size(mut self, block_size: usize) -> Self {
-        self.block_size = block_size;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! | [`dfs`] | `hail-dfs` | namenode (`Dir_rep`), datanodes, upload pipelines |
 //! | [`mr`] | `hail-mr` | MapReduce engine, three-method `InputFormat` trait, scheduler, failover |
 //! | [`core`] | `hail-core` | upload clients, `@HailQuery`, Hadoop++ storage |
-//! | [`exec`] | `hail-exec` | `AccessPath` trait, cost-based `QueryPlanner`, the one `PlannedInputFormat` |
+//! | [`exec`] | `hail-exec` | the closed `AccessPath` enum (full, clustered-index and trojan scans), cost-based `QueryPlanner` with one `plan`, the one `PlannedInputFormat` |
 //! | [`workloads`] | `hail-workloads` | UserVisits/Synthetic generators, Bob/Syn queries |
 //!
 //! ## Quickstart
@@ -95,9 +95,9 @@ pub mod prelude {
         verify_replica_equivalence, DfsCluster, FaultPlan,
     };
     pub use hail_exec::{
-        apply_reindex, default_splits, hail_splits, read_hail_block, AccessPath,
-        PlannedInputFormat, PlannerConfig, QueryPlan, QueryPlanner, ReindexAction, ReindexAdvisor,
-        ReindexOutcome, ReindexPolicy, SelectivityEstimate, SelectivityFeedback,
+        apply_reindex, default_splits, read_hail_block, AccessPath, PlannedInputFormat,
+        PlannerConfig, QueryPlan, QueryPlanner, ReindexAction, ReindexAdvisor, ReindexOutcome,
+        ReindexPolicy, SelectivityEstimate, SelectivityFeedback,
     };
     pub use hail_index::{
         ClusteredIndex, IndexKind, IndexedBlock, KeyBounds, ReplicaIndexConfig, SidecarMetadata,

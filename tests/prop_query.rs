@@ -6,7 +6,7 @@
 //! (Formerly proptest-based; the offline build vendors no proptest, so
 //! the cases are driven by the workspace's deterministic `rand` stub.)
 
-use hail::exec::{default_splits, hail_splits};
+use hail::exec::{default_splits, plan_hail_splits};
 use hail::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -138,7 +138,12 @@ fn splitting_partitions_input() {
 
         for plan in [
             default_splits(&cluster, &ds.blocks).unwrap(),
-            hail_splits(&cluster, &ds.blocks, &query, slots).unwrap(),
+            plan_hail_splits(
+                &QueryPlanner::new(&cluster)
+                    .plan_dataset(&ds, &query)
+                    .unwrap(),
+                slots,
+            ),
         ] {
             let mut covered: Vec<_> = plan.splits.iter().flat_map(|s| s.blocks.clone()).collect();
             covered.sort_unstable();

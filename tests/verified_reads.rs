@@ -23,9 +23,7 @@
 
 use hail::prelude::*;
 use hail_bench::{run_queries_managed, setup_hpp, SharedJobInfra, SystemSetup, Testbed};
-use hail_exec::{
-    BlockAccess, ClusteredIndexScan, FullScan, PruneReason, ScanLayout, TrojanIndexScan,
-};
+use hail_exec::{BlockAccess, PruneReason, ScanLayout};
 use hail_index::{BloomSynopsis, ZoneMapSynopsis, TRAILER_LEN};
 use hail_types::config::CHUNK_SIZE;
 use hail_types::{BlockId, DatanodeId};
@@ -104,7 +102,7 @@ fn query(filter: &str, projection: &str) -> HailQuery {
 /// The path-level probes: which path and the query it serves.
 struct Probe {
     name: &'static str,
-    path: Box<dyn AccessPath + Send + Sync>,
+    path: AccessPath,
     query: HailQuery,
     /// Only the replica clustered on the key can serve it.
     clustered_only: bool,
@@ -112,7 +110,7 @@ struct Probe {
 
 fn probes() -> Vec<Probe> {
     let all = "{@1, @2, @3, @4, @5}";
-    let pax = |name, path: Box<dyn AccessPath + Send + Sync>, query, clustered_only| Probe {
+    let pax = |name, path, query, clustered_only| Probe {
         name,
         path,
         query,
@@ -122,14 +120,14 @@ fn probes() -> Vec<Probe> {
         // No replica serves @5: every block streams.
         pax(
             "full-scan",
-            Box::new(FullScan::new(ScanLayout::HailPax)),
+            AccessPath::FullScan(ScanLayout::HailPax),
             query("@5 >= -1.0", all),
             false,
         ),
         // Every partition qualifies, so every column is read whole.
         pax(
             "clustered-index-scan",
-            Box::new(ClusteredIndexScan { column: 0 }),
+            AccessPath::ClusteredIndexScan { column: 0 },
             query("@1 >= -1", all),
             true,
         ),
@@ -448,20 +446,20 @@ fn a_read_that_fails_halfway_keeps_no_records() {
         .unwrap();
     let clustered = hosts.iter().position(|h| on_key.contains(h)).unwrap();
     let sentinel = MapRecord::bad("kept from before".into());
-    let reads: [(Box<dyn AccessPath>, HailQuery, usize); 2] = [
+    let reads: [(AccessPath, HailQuery, usize); 2] = [
         (
-            Box::new(FullScan::new(ScanLayout::HailPax)),
+            AccessPath::FullScan(ScanLayout::HailPax),
             query("@1 <= 200", "{@1, @2}"),
             0,
         ),
         (
-            Box::new(ClusteredIndexScan { column: 0 }),
+            AccessPath::ClusteredIndexScan { column: 0 },
             query("@1 <= 200", "{@1, @2}"),
             clustered,
         ),
     ];
     for (path, q, pos) in &reads {
-        let what = path.describe();
+        let what = path.to_string();
         let access = BlockAccess {
             cluster: &setup.cluster,
             block,
@@ -520,15 +518,15 @@ fn row_layout_reads_fail_over_too() {
         .unwrap()
         .index
         .index_bytes;
-    let cases: [(&str, Box<dyn AccessPath>, HailQuery); 2] = [
+    let cases: [(&str, AccessPath, HailQuery); 2] = [
         (
             "trojan-index-scan",
-            Box::new(TrojanIndexScan { column: 0 }),
+            AccessPath::TrojanIndexScan { column: 0 },
             query("@1 >= -1", "{@1, @3, @5}"),
         ),
         (
             "full-scan",
-            Box::new(FullScan::new(ScanLayout::RowLayout)),
+            AccessPath::FullScan(ScanLayout::RowLayout),
             query("@5 >= -1.0", "{@1, @3, @5}"),
         ),
     ];
