@@ -6,7 +6,8 @@
 //! workspace vendors this local implementation instead. Clones and
 //! slices share one reference-counted allocation, which is the property
 //! the DFS layer relies on (replica readers hold views of stored blocks
-//! without copying).
+//! without copying). As in the real crate, `Bytes::from(Vec<u8>)` keeps
+//! the vector's allocation instead of copying it.
 
 #![forbid(unsafe_code)]
 
@@ -17,7 +18,8 @@ use std::sync::Arc;
 /// A cheaply cloneable, contiguous, immutable slice of memory.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The buffer a `Vec` was turned into, moved and never copied.
+    data: Arc<Vec<u8>>,
     start: usize,
     len: usize,
 }
@@ -108,7 +110,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             len,
         }
@@ -187,6 +189,24 @@ mod tests {
         let c = b.clone();
         assert_eq!(b, c);
         assert!(Arc::ptr_eq(&b.data, &c.data));
+    }
+
+    /// A vector's buffer becomes the `Bytes`' buffer, and slices and
+    /// clones point into it.
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v: Vec<u8> = (0..=255).collect();
+        let buffer = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), buffer);
+        assert_eq!(b.clone().as_ptr(), buffer);
+        let s = b.slice(10..20);
+        assert_eq!(s.as_ptr(), buffer.wrapping_add(10));
+        assert_eq!(s.slice(5..).as_ptr(), buffer.wrapping_add(15));
+        assert_eq!(&s[..], &(10..20).collect::<Vec<u8>>()[..]);
+        let text = String::from("a string's buffer");
+        let buffer = text.as_ptr();
+        assert_eq!(Bytes::from(text).as_ptr(), buffer);
     }
 
     #[test]

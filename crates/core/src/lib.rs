@@ -5,10 +5,10 @@
 //! store:
 //!
 //! - [`upload`] — the HAIL upload client (parse → PAX → per-replica
-//!   sort + index, prepared a bounded window of blocks at a time in
-//!   parallel and committed through the replication pipeline in order),
-//!   plus the
-//!   standard HDFS upload and the naive two-pass ablation
+//!   sort + index, prepared in parallel a bounded number of blocks
+//!   ahead while the blocks already prepared are committed through the
+//!   replication pipeline in order), plus the standard HDFS upload and
+//!   the naive two-pass ablation
 //! - [`annotation`] — the `@HailQuery` filter/projection language
 //! - [`baselines`] — Hadoop++'s storage format and upload jobs (trojan
 //!   index, row layout)

@@ -6,8 +6,9 @@
 //! ledgers the upload fills.
 //!
 //! The HAIL client uses the pipeline's two phases: the pure per-block
-//! [`prepare_hail_block`] runs for a window of blocks at once, off the
-//! chain, and [`commit_hail_block`] streams, flushes and registers on the
+//! [`prepare_hail_block`] runs for several blocks at once, off the chain
+//! and a bounded number of blocks ahead, while [`commit_hail_block`]
+//! streams, flushes and registers the blocks already prepared on the
 //! caller's thread in node order, block order.
 
 use crate::dataset::{Dataset, DatasetFormat};
@@ -19,9 +20,8 @@ use hail_dfs::{
 use hail_index::ReplicaIndexConfig;
 use hail_pax::{block_spans, PaxBlock, PaxBlockBuilder};
 use hail_sim::ClusterSpec;
-use hail_sync::{machine_width, run_ordered};
-use hail_types::{BlockId, DatanodeId, HailError, Result, Schema, StorageConfig};
-use std::convert::Infallible;
+use hail_sync::{machine_width, run_pipelined};
+use hail_types::{BlockId, DatanodeId, HailError, Result, Schema};
 
 /// Computes the cluster-wide upload time from the per-node ledgers: each
 /// node's client + datanode work forms one pipeline; the cluster finishes
@@ -100,7 +100,7 @@ pub fn upload_hadoop(
 /// Every node uploads its own portion at the same time, as in the paper:
 /// cutting and [replica preparation](prepare_hail_block) fan out over up
 /// to the machine's available parallelism (one worker per node at most),
-/// a window of blocks at a time, while the chain, the flushes and the
+/// one block per task, while the chain, the flushes and the
 /// registrations commit on this thread in node order, block order. Block
 /// ids, ledgers, replica bytes and `Dir_rep` are those of a
 /// node-after-node upload; only the wall clock differs.
@@ -126,23 +126,22 @@ pub fn upload_hail(
 /// except in tests that damage a block on its way to the datanodes.
 type Prepare = fn(&PaxBlock, &ReplicaIndexConfig) -> Result<PreparedBlock>;
 
-/// Consecutive blocks one task cuts and prepares, at most, with one
-/// builder: an upload at width `w` holds at most `w × BLOCKS_PER_TASK`
-/// prepared blocks that are not yet committed, however many nodes and
-/// blocks it uploads.
-const BLOCKS_PER_TASK: usize = 4;
+/// Blocks each thread may prepare ahead of the commits: an upload at
+/// width `w` holds at most `w × BLOCKS_AHEAD_PER_THREAD` prepared blocks
+/// that are not yet committed, however many nodes and blocks it uploads.
+const BLOCKS_AHEAD_PER_THREAD: usize = 4;
 
 /// [`upload_hail`] on up to `width` threads, but no more than there are
 /// nodes, each block through `prepare`.
 ///
 /// The upload's blocks, in commit order, are found up front: a block's
 /// cut depends only on its lines' lengths, so [`block_spans`] finds every
-/// cut without parsing. Window by window — up to `width` ×
-/// [`BLOCKS_PER_TASK`] blocks, split into at most `width` runs of
-/// consecutive blocks — [`run_ordered`] cuts and prepares the window's
-/// blocks; then, block by block, the client ledgers of the nodes reached
-/// so far are charged and the block is committed, or its error returned
-/// — where a serial upload stops. At width 1 this is a serial upload's
+/// cut without parsing. [`run_pipelined`] then cuts and prepares one
+/// block per task, each thread with its own builder, up to `width` ×
+/// [`BLOCKS_AHEAD_PER_THREAD`] blocks ahead of the commits; on this
+/// thread, block by block, the client ledgers of the nodes reached so
+/// far are charged and the block is committed, or its error returned —
+/// where a serial upload stops. At width 1 this is a serial upload's
 /// order of effects.
 fn upload_hail_at(
     cluster: &mut DfsCluster,
@@ -182,32 +181,30 @@ fn upload_hail_at(
     let mut blocks = Vec::with_capacity(spans.len());
     // `node_texts[..charged]` have had their client ledgers charged.
     let mut charged = 0;
-    for window in spans.chunks(width * BLOCKS_PER_TASK) {
-        // At most `width` runs of consecutive blocks, of near-equal length.
-        let tasks: Vec<_> = window.chunks(window.len().div_ceil(width)).collect();
-        let Ok(prepared) = run_ordered(tasks.len(), width, |t| {
-            Ok::<_, Infallible>(cut_and_prepare(
-                tasks[t],
-                schema,
-                &storage,
-                index_config,
-                prepare,
-            ))
-        });
-        // A task's results end at its first error, which ends the upload.
-        for (&(node, _), block) in window.iter().zip(prepared.into_iter().flatten()) {
+    run_pipelined(
+        spans.len(),
+        width,
+        width * BLOCKS_AHEAD_PER_THREAD,
+        || PaxBlockBuilder::new(schema.clone(), storage.clone()),
+        // A failed cut leaves its rows in the builder, but it also ends
+        // the upload: no block prepared after it is committed.
+        |builder, i| cut_block(builder, spans[i].1).and_then(|pax| prepare(&pax, index_config)),
+        |i, block| {
+            let node = spans[i].0;
             if node >= charged {
                 charge_clients(cluster, &node_texts[charged..=node]);
                 charged = node + 1;
             }
+            let writer = node_texts[node].0;
             blocks.push(commit_hail_block(
                 cluster,
-                node_texts[node].0,
+                writer,
                 block?,
                 &FaultPlan::none(),
             )?);
-        }
-    }
+            Ok(())
+        },
+    )?;
     charge_clients(cluster, &node_texts[charged..]);
     Ok(Dataset::new(
         name,
@@ -215,28 +212,6 @@ fn upload_hail_at(
         blocks,
         DatasetFormat::HailPax,
     ))
-}
-
-/// One task's client work off the chain: cuts each span to PAX with one
-/// builder and prepares it, up to and including the first failure.
-fn cut_and_prepare(
-    spans: &[(usize, &str)],
-    schema: &Schema,
-    storage: &StorageConfig,
-    index_config: &ReplicaIndexConfig,
-    prepare: Prepare,
-) -> Vec<Result<PreparedBlock>> {
-    let mut builder = PaxBlockBuilder::new(schema.clone(), storage.clone());
-    let mut prepared = Vec::with_capacity(spans.len());
-    for (_, lines) in spans {
-        let block = cut_block(&mut builder, lines).and_then(|pax| prepare(&pax, index_config));
-        let failed = block.is_err();
-        prepared.push(block);
-        if failed {
-            break;
-        }
-    }
-    prepared
 }
 
 /// The client reads each node's file from local disk and parses every
@@ -324,7 +299,7 @@ mod tests {
     use super::*;
     use hail_index::HailBlockReplicaInfo;
     use hail_sim::{CostLedger, HardwareProfile};
-    use hail_types::{DataType, Field};
+    use hail_types::{DataType, Field, StorageConfig};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -768,14 +743,18 @@ mod tests {
         prepare_hail_block(pax, config)
     }
 
-    /// The upload runs at most one window ahead of its commits: when
-    /// node 0's first block fails to cut, fewer than one window of blocks
-    /// were prepared, however many nodes wait behind it.
+    /// The upload runs at most its lookahead ahead of its commits: when
+    /// node 0's first block fails to cut, and so is never committed,
+    /// fewer than `width × BLOCKS_AHEAD_PER_THREAD` blocks were
+    /// prepared, however many nodes wait behind it.
     #[test]
     fn an_upload_prepares_at_most_one_window_ahead() {
         let mut texts = portions_of(600);
         let per_node = block_spans(&texts[1].1, storage().block_size).len();
-        assert!(per_node >= 2 * BLOCKS_PER_TASK, "{per_node} blocks a node");
+        assert!(
+            per_node >= 2 * BLOCKS_AHEAD_PER_THREAD,
+            "{per_node} blocks a node"
+        );
         texts[0].1.insert_str(0, "7|nul\0here|1\n");
         let config = ReplicaIndexConfig::first_indexed(3, &[0]);
         for width in [1, 2, 4] {
@@ -785,7 +764,7 @@ mod tests {
             assert!(stored.replicas.is_empty());
             let prepared = PREPARED.load(std::sync::atomic::Ordering::SeqCst);
             assert!(
-                prepared < width * BLOCKS_PER_TASK,
+                prepared < width * BLOCKS_AHEAD_PER_THREAD,
                 "width {width}: {prepared} blocks prepared"
             );
         }

@@ -27,8 +27,9 @@
 //! that once more before the commit flushes.
 //!
 //! The adaptive rewrite of a stored replica is split the same way:
-//! [`prepare_rewrite`] reads, verifies and rebuilds under `&DfsCluster`,
-//! and [`commit_rewrite`] charges, flushes and registers under `&mut`.
+//! [`prepare_rewrite`] verifies and rebuilds a replica opened beforehand,
+//! with no borrow of the cluster, and [`commit_rewrite`] charges, flushes
+//! and registers under `&mut`.
 //! Both commits flush a replica through one helper.
 //!
 //! Every position of a chain that succeeds received exactly the client's
@@ -43,7 +44,7 @@ use hail_index::{
     SortOrder,
 };
 use hail_pax::checksum::{chunk_checksums, packetize, reassemble, Packet};
-use hail_pax::PaxBlock;
+use hail_pax::{PaxBlock, ReplicaBytes};
 use hail_sim::CostLedger;
 use hail_types::{BlockId, DatanodeId, HailError, Result};
 use std::borrow::Cow;
@@ -407,8 +408,10 @@ pub fn commit_hail_block(
 /// flush all land on the datanode's upload ledger (it is background
 /// maintenance work, not part of any query's read path).
 ///
-/// This is [`prepare_rewrite`] followed by [`commit_rewrite`]; a failed
-/// prepare charges, writes and registers nothing.
+/// This is [`prepare_rewrite`] of the opened replica
+/// ([`Datanode::open_replica`](crate::Datanode::open_replica)) followed
+/// by [`commit_rewrite`]; a failed open or prepare charges, writes and
+/// registers nothing.
 pub fn rewrite_replica(
     cluster: &mut DfsCluster,
     block: BlockId,
@@ -416,7 +419,8 @@ pub fn rewrite_replica(
     order: SortOrder,
     spec: &SidecarSpec,
 ) -> Result<()> {
-    let prepared = prepare_rewrite(cluster, block, datanode, order, spec)?;
+    let replica = cluster.datanode(datanode)?.open_replica(block)?;
+    let prepared = prepare_rewrite(&replica, block, datanode, order, spec)?;
     commit_rewrite(cluster, prepared)
 }
 
@@ -430,22 +434,26 @@ pub struct PreparedRewrite {
     replica: PreparedReplica,
 }
 
-/// Phase one of [`rewrite_replica`], pure CPU on one replica under
-/// `&DfsCluster`, so a rebuild can prepare many replicas at once: reads
-/// the stored replica back with checksum verification like any
-/// full-replica read, parses it, sorts, indexes and builds the sidecars
-/// over its logical rows (step 7, locally), and checksums the result.
-/// The read's cost is kept for the commit; nothing is charged here.
+/// Phase one of [`rewrite_replica`], pure CPU on one opened replica with
+/// no borrow of the cluster, so a rebuild can prepare many replicas
+/// while it commits others: reads the replica back whole with checksum
+/// verification, as [`Datanode::read_replica`](crate::Datanode::read_replica)
+/// does, parses it, sorts, indexes and builds the sidecars over its
+/// logical rows (step 7, locally), and checksums the result. The read's
+/// cost — one seek and the replica's bytes — is kept for the commit;
+/// nothing is charged here.
 pub fn prepare_rewrite(
-    cluster: &DfsCluster,
+    replica: &ReplicaBytes,
     block: BlockId,
     datanode: DatanodeId,
     order: SortOrder,
     spec: &SidecarSpec,
 ) -> Result<PreparedRewrite> {
+    replica.verify(0..replica.len())?;
     let mut read = CostLedger::new();
-    let bytes = cluster.datanode(datanode)?.read_replica(block, &mut read)?;
-    let old = IndexedBlock::parse(bytes)?;
+    read.seeks += 1;
+    read.disk_read += replica.len() as u64;
+    let old = IndexedBlock::parse(replica.data().clone())?;
     let rebuilt = IndexedBlock::build_with(old.pax(), order, spec)?;
     Ok(PreparedRewrite {
         block,
@@ -681,7 +689,8 @@ mod tests {
             ..SidecarSpec::default()
         };
 
-        let prepared = prepare_rewrite(&c, block, target, order, &spec).unwrap();
+        let opened = c.datanode(target).unwrap().open_replica(block).unwrap();
+        let prepared = prepare_rewrite(&opened, block, target, order, &spec).unwrap();
         let node = c.datanode(target).unwrap();
         assert_eq!(*node.upload_ledger(), before);
         assert_eq!(node.peek_replica(block).unwrap(), old);

@@ -12,11 +12,11 @@
 //! performs the in-place rewrites — the same step-7 sort/index/register
 //! machinery the upload pipeline runs, minus the network hop. Like the
 //! upload, the rebuild runs in two phases: `hail_dfs::prepare_rewrite`
-//! reads, verifies and rebuilds a window of replicas at the machine's
-//! parallelism, as every datanode would sort its own replica at once,
-//! and `hail_dfs::commit_rewrite` charges, flushes and registers them
-//! on the caller's thread in plan order, so the result is a serial
-//! loop's.
+//! verifies and rebuilds opened replicas at the machine's parallelism,
+//! as every datanode would sort its own replica at once, while
+//! `hail_dfs::commit_rewrite` charges, flushes and registers the ones
+//! already rebuilt on the caller's thread in plan order, so the result
+//! is a serial loop's.
 //!
 //! # The correctness contract
 //!
@@ -63,11 +63,11 @@
 use crate::feedback::SelectivityFeedback;
 use hail_dfs::{commit_rewrite, prepare_rewrite, DfsCluster, Namenode};
 use hail_index::{IndexKind, IndexMetadata, SidecarSpec, SortOrder};
-use hail_sync::{machine_width, run_ordered};
+use hail_pax::ReplicaBytes;
+use hail_sync::{machine_width, run_pipelined};
 use hail_types::{BlockId, DatanodeId, Result};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 
 /// One advisory recommendation: a clustered index over `column`, built
 /// by re-sorting one unsorted replica per block on it.
@@ -319,24 +319,23 @@ pub fn apply_reindex(
     apply_reindex_at(cluster, blocks, action, machine_width())
 }
 
-/// Blocks one window prepares replicas for per thread, at most: the
-/// upload's `BLOCKS_PER_TASK`. A rewrite prepares one replica and an
-/// uploaded block `replication` of them, so a rebuild at width `w` holds
-/// at most `w × 4 × replication` prepared replicas that are not yet
-/// committed — what an upload window holds. Every window pays a thread
-/// start and a join, so fewer, larger windows keep more of the fan-out's
-/// gain: at replication 3 and width 2 a window takes 24 rewrites.
-const BLOCKS_PER_THREAD: usize = 4;
+/// Blocks each thread may prepare replicas for ahead of the commits:
+/// the upload's lookahead per thread. A rewrite prepares one replica and
+/// an uploaded block `replication` of them, so a rebuild at width `w`
+/// holds at most `w × 4 × replication` prepared replicas that are not
+/// yet committed — what an upload holds.
+const BLOCKS_AHEAD_PER_THREAD: usize = 4;
 
-/// [`apply_reindex`] on up to `width` threads. Window by window — up to
-/// `width` × [`BLOCKS_PER_THREAD`] × replication planned rewrites —
-/// [`run_ordered`] prepares each rewrite of the window (read, verify,
-/// rebuild, checksum) under `&DfsCluster`; then, in plan order, each is
-/// committed, or its error returned — where a serial loop stops. A
-/// prepare reads only its own block's replica, which no earlier commit
-/// of the window touches (`blocks` lists each block once, as a dataset
-/// does, so the plan does too), and has no effect of its own, so
-/// preparing ahead changes nothing.
+/// [`apply_reindex`] on up to `width` threads. Every planned target's
+/// stored files are opened first, under `&DfsCluster`; then
+/// [`run_pipelined`] prepares each rewrite (verify, rebuild, checksum)
+/// from its opened replica, with no borrow of the cluster, up to `width`
+/// × [`BLOCKS_AHEAD_PER_THREAD`] × replication rewrites ahead of the
+/// commits, and on this thread, in plan order, each is committed, or its
+/// error returned — where a serial loop stops. Opening and preparing
+/// early change nothing: a rewrite reads only its own block's replica,
+/// which no earlier commit touches (`blocks` lists each block once, as
+/// a dataset does, so the plan does too), and has no effect of its own.
 fn apply_reindex_at(
     cluster: &mut DfsCluster,
     blocks: &[BlockId],
@@ -344,24 +343,24 @@ fn apply_reindex_at(
     width: usize,
 ) -> Result<ReindexOutcome> {
     let rewrites = plan_rewrites(cluster.namenode(), blocks, action);
+    let opened: Vec<Result<ReplicaBytes>> = rewrites
+        .iter()
+        .map(|rw| cluster.datanode(rw.datanode)?.open_replica(rw.block))
+        .collect();
     let width = width.max(1);
-    let window = width * BLOCKS_PER_THREAD * cluster.config().replication.max(1);
-    for window in rewrites.chunks(window) {
-        let shared: &DfsCluster = cluster;
-        let Ok(prepared) = run_ordered(window.len(), width, |i| {
-            let rw = &window[i];
-            Ok::<_, Infallible>(prepare_rewrite(
-                shared,
-                rw.block,
-                rw.datanode,
-                rw.order,
-                &rw.spec,
-            ))
-        });
-        for rewrite in prepared {
-            commit_rewrite(cluster, rewrite?)?;
-        }
-    }
+    let lookahead = width * BLOCKS_AHEAD_PER_THREAD * cluster.config().replication.max(1);
+    run_pipelined(
+        rewrites.len(),
+        width,
+        lookahead,
+        || (),
+        |(), i| {
+            let rw = &rewrites[i];
+            let replica = opened[i].as_ref().map_err(Clone::clone)?;
+            prepare_rewrite(replica, rw.block, rw.datanode, rw.order, &rw.spec)
+        },
+        |_, rewrite| commit_rewrite(cluster, rewrite?),
+    )?;
     Ok(ReindexOutcome {
         action: *action,
         replicas_rewritten: rewrites.len(),
@@ -410,9 +409,9 @@ mod tests {
         (cluster, ids)
     }
 
-    /// More than 24 blocks — two or more windows of 12 and 24 rewrites
-    /// at widths 1 and 2, one of 48 at width 4 — whose rewrites keep a
-    /// zone map and a Bloom filter.
+    /// More than 24 blocks — more than the lookahead of 24 rewrites at
+    /// width 2, less than the 48 at width 4 — whose rewrites keep a zone
+    /// map and a Bloom filter.
     fn many_blocks() -> (DfsCluster, Vec<BlockId>) {
         let (cluster, blocks) = upload(
             2000,
@@ -497,9 +496,9 @@ mod tests {
 
     #[test]
     fn rebuild_stops_at_the_first_damaged_replica_at_every_width() {
-        // Block 5 is inside the first window at every width, with
-        // undamaged blocks on both sides of it in that window and later
-        // windows after it at widths 1 and 2.
+        // Block 5 is within the first lookahead at every width, with
+        // undamaged blocks on both sides of it, and at width 2 more
+        // blocks than the lookahead after it.
         const K: usize = 5;
         let action = ReindexAction {
             column: 1,

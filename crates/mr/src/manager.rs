@@ -6,7 +6,11 @@
 //! strict FIFO order, and at most [`JobManager::max_concurrent`] jobs
 //! are in flight at any moment. Each in-flight job runs the ordinary
 //! [`crate::scheduler::run_map_job`] loop on its own thread, so every
-//! job keeps the solo bound of one split's records held at a time.
+//! job keeps the solo bound of one split's records held at a time. The
+//! batch is one `hail_sync::run_pipelined` call with a lookahead of the
+//! whole batch: a slow job never holds back the start of the jobs behind
+//! it, and the caller collects the finished jobs' results in submission
+//! order while the others still run.
 //!
 //! # Determinism contract
 //!
@@ -30,7 +34,7 @@
 use crate::scheduler::{run_map_job, JobRun, MapJob};
 use hail_dfs::DfsCluster;
 use hail_sim::ClusterSpec;
-use hail_sync::run_ordered;
+use hail_sync::run_pipelined;
 use hail_types::Result;
 use std::convert::Infallible;
 use std::time::Instant;
@@ -39,7 +43,7 @@ use std::time::Instant;
 /// bounded number in flight.
 ///
 /// The manager owns no execution resources itself — worker threads are
-/// scoped to each [`JobManager::run_batch`] call ([`run_ordered`] over
+/// scoped to each [`JobManager::run_batch`] call ([`run_pipelined`] over
 /// whole jobs), and jobs share nothing but the cluster they read. The
 /// manager takes no lock of its own. Each job runs on one thread, so a
 /// batch uses at most `max_concurrent` threads.
@@ -78,16 +82,27 @@ impl JobManager {
         jobs: &[MapJob<'_>],
     ) -> Vec<Result<JobRun>> {
         let admitted = Instant::now();
-        // Each task returns its job's own result as a value, so one
-        // failing job never stops the others from running.
-        let Ok(runs) = run_ordered(jobs.len(), self.max_concurrent, |i| {
-            let queue_wait_seconds = admitted.elapsed().as_secs_f64();
-            let result = run_map_job(cluster, spec, &jobs[i]);
-            Ok::<_, Infallible>(result.map(|mut run| {
-                run.report.queue_wait_seconds = queue_wait_seconds;
-                run
-            }))
-        });
+        let mut runs = Vec::with_capacity(jobs.len());
+        // A lookahead of the whole batch: a slow job never holds back the
+        // admission of the jobs behind it. Each commit keeps its job's
+        // own result, so one failing job never stops the others.
+        let Ok(()) = run_pipelined(
+            jobs.len(),
+            self.max_concurrent,
+            jobs.len(),
+            || (),
+            |(), i| {
+                let queue_wait_seconds = admitted.elapsed().as_secs_f64();
+                run_map_job(cluster, spec, &jobs[i]).map(|mut run| {
+                    run.report.queue_wait_seconds = queue_wait_seconds;
+                    run
+                })
+            },
+            |_, result| {
+                runs.push(result);
+                Ok::<_, Infallible>(())
+            },
+        );
         runs
     }
 }

@@ -29,10 +29,10 @@ use std::time::Instant;
 ///
 /// The map stays `Fn + Send + Sync` rather than `FnMut + Send`:
 /// [`crate::manager::JobManager::run_batch`] shares `&[MapJob]` with
-/// `run_ordered`'s workers, and an `FnMut` map would need `run_ordered`
-/// to hand each worker an owned task, a second code path for one
-/// caller. So a map that accumulates state needs a lock, as
-/// `run_map_reduce_job`'s does.
+/// the workers of `hail_sync::run_pipelined`, which may run any job on
+/// any of them, and an `FnMut` map would need the fan-out to hand each
+/// worker an owned task, a second code path for one caller. So a map
+/// that accumulates state needs a lock, as `run_map_reduce_job`'s does.
 pub struct MapJob<'a> {
     pub name: String,
     pub input: Vec<BlockId>,

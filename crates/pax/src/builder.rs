@@ -299,41 +299,61 @@ fn field_ends(line: &[u8], delimiter: &[u8], ends: &mut Vec<usize>) -> bool {
 /// block's text bytes (each line plus one for its terminator) to
 /// `block_size`, and at the end. Each block comes back as the slice of
 /// `text` holding its lines, so its `lines()` are the lines the builder
-/// would have taken. One pass over `text`, eight bytes at a time.
+/// would have taken.
+///
+/// A line's text bytes are its raw bytes, `\n` included, less one for a
+/// `\r\n` end, so no line that ends before `block_size - 1` bytes past
+/// the block's start can fill it: the search jumps there and takes the
+/// next newline. If the `\r\n` ends up to it leave the block short, it
+/// jumps again by what is missing. Only the bytes of a jump's last line
+/// are searched for a newline; the others are only counted for `\r\n`.
 pub fn block_spans(text: &str, block_size: usize) -> Vec<&str> {
     let bytes = text.as_bytes();
+    // Every line brings at least one byte, so a block size of 0 cuts
+    // after every line, as 1 does.
+    let block_size = block_size.max(1);
     let mut spans = Vec::new();
-    let (mut start, mut line_start, mut filled) = (0, 0, 0);
-    // The line ending in the newline at `at`, as `lines()` gives it:
-    // without its `\n` or `\r\n`.
-    let mut line_ends = |at: usize| {
-        let cr = at > line_start && bytes[at - 1] == b'\r';
-        filled += at - line_start - usize::from(cr) + 1;
-        line_start = at + 1;
-        if filled >= block_size {
-            spans.push(&text[start..line_start]);
-            (start, filled) = (line_start, 0);
+    let mut start = 0;
+    // Where the next jump starts (always a line start), and the text
+    // bytes the block still needs from there.
+    let (mut from, mut need) = (0usize, block_size);
+    while let Some(newline) = bytes
+        .get(from.saturating_add(need - 1)..)
+        .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
+    {
+        let end = from + need + newline;
+        let filled = end - from - crlf_count(&bytes[from..end]);
+        if filled >= need {
+            spans.push(&text[start..end]);
+            (start, need) = (end, block_size);
+        } else {
+            need -= filled;
         }
-    };
-    let newlines = u64::from_ne_bytes([b'\n'; 8]);
-    let (words, tail) = bytes.as_chunks::<8>();
-    for (i, word) in words.iter().enumerate() {
-        let mut marks = zero_bytes(u64::from_le_bytes(*word) ^ newlines);
-        while marks != 0 {
-            line_ends(i * 8 + marks.trailing_zeros() as usize / 8);
-            marks &= marks - 1;
-        }
-    }
-    for (i, &b) in tail.iter().enumerate() {
-        if b == b'\n' {
-            line_ends(words.len() * 8 + i);
-        }
+        from = end;
     }
     // A last line without a newline ends the last block, full or not.
     if start < bytes.len() {
         spans.push(&text[start..]);
     }
     spans
+}
+
+/// How many `\r\n` pairs `run` holds: each byte against the next, 255
+/// at a time, so that the count of a stretch fits a byte and the
+/// compiler can compare many bytes at once.
+fn crlf_count(run: &[u8]) -> usize {
+    let Some(next) = run.get(1..) else {
+        return 0;
+    };
+    (run.chunks(255).zip(next.chunks(255)))
+        .map(|(this, next)| {
+            let pairs = this.iter().zip(next);
+            pairs.fold(0u8, |n, (&cr, &lf)| {
+                n + u8::from((cr == b'\r') & (lf == b'\n'))
+            })
+        })
+        .map(usize::from)
+        .sum()
 }
 
 /// Splits a text corpus into content-aware PAX blocks.
@@ -524,6 +544,97 @@ mod tests {
                 line[at] = 0;
                 assert!(!field_ends(&line, b"|", &mut ends), "NUL at {at} of {len}");
             }
+        }
+    }
+
+    /// The line walk [`block_spans`] must agree with: every line's text
+    /// bytes added up one line at a time, as the builder counts them.
+    fn spans_by_line_walk(text: &str, block_size: usize) -> Vec<&str> {
+        let bytes = text.as_bytes();
+        let mut spans = Vec::new();
+        let (mut start, mut line_start, mut filled) = (0, 0, 0);
+        for at in (0..bytes.len()).filter(|&at| bytes[at] == b'\n') {
+            let cr = at > line_start && bytes[at - 1] == b'\r';
+            filled += at - line_start - usize::from(cr) + 1;
+            line_start = at + 1;
+            if filled >= block_size {
+                spans.push(&text[start..line_start]);
+                (start, filled) = (line_start, 0);
+            }
+        }
+        if start < bytes.len() {
+            spans.push(&text[start..]);
+        }
+        spans
+    }
+
+    /// Seeded texts of random lines — short and long, empty, `\r\n` and
+    /// `\n` ends, stray `\r`s inside lines, with and without a final
+    /// newline — cut at every block size from 1 to twice the longest
+    /// line: the jump search cuts where the line walk does, and where
+    /// the builder fills up.
+    #[test]
+    fn block_spans_agree_with_the_line_walk() {
+        let mut x = 0x5EED_B10Cu64;
+        let mut next = |bound: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % bound
+        };
+        for _ in 0..150 {
+            let mut text = String::new();
+            let mut longest = 0;
+            for _ in 0..next(40) {
+                let len = match next(8) {
+                    0 => 0,
+                    1 => 40 + next(120) as usize,
+                    _ => next(12) as usize,
+                };
+                let line: String = (0..len)
+                    .map(|_| match next(16) {
+                        0 => '\r',
+                        1 => '|',
+                        _ => 'a',
+                    })
+                    .collect();
+                longest = longest.max(len + 2);
+                text.push_str(&line);
+                text.push_str(if next(2) == 0 { "\r\n" } else { "\n" });
+            }
+            if next(2) == 0 {
+                text.push_str("tail|1");
+            }
+            for block_size in 0..=2 * longest {
+                let spans = block_spans(&text, block_size);
+                assert_eq!(
+                    spans,
+                    spans_by_line_walk(&text, block_size),
+                    "{text:?} at {block_size}"
+                );
+                assert_eq!(spans.concat(), text);
+            }
+            // Each span is a block the builder cuts where it fills up.
+            let cfg = StorageConfig::test_scale(1 + next(2 * longest as u64 + 1) as usize);
+            let mut builder = PaxBlockBuilder::new(schema(), cfg.clone());
+            let mut fills = Vec::new();
+            let mut taken = 0;
+            for line in text.lines() {
+                builder.push_line(line).unwrap();
+                taken += 1;
+                if builder.is_full() {
+                    builder.finish().unwrap();
+                    fills.push(taken);
+                }
+            }
+            let cuts: Vec<usize> = block_spans(&text, cfg.block_size)
+                .iter()
+                .scan(0, |lines, span| {
+                    *lines += span.lines().count();
+                    Some(*lines)
+                })
+                .collect();
+            assert_eq!(cuts[..fills.len()], fills, "{text:?}");
         }
     }
 

@@ -1,6 +1,7 @@
-//! The engine's one ordered fan-out, [`run_ordered`] (module
-//! [`executor`]), and the machine width the upload and the rebuild fan
-//! out at ([`machine_width`]).
+//! The engine's one fan-out, [`run_pipelined`] (module [`executor`]):
+//! tasks prepared on helper threads and committed on the caller's, in
+//! index order, as they come; and the machine width the upload and the
+//! rebuild fan out at ([`machine_width`]).
 //!
 //! A leaf crate, so the job manager in `hail-mr`, the upload client in
 //! `hail-core` and the adaptive rebuild in `hail-exec` share it. The
@@ -11,4 +12,4 @@
 
 pub mod executor;
 
-pub use executor::{machine_width, run_ordered};
+pub use executor::{machine_width, run_pipelined};

@@ -26,7 +26,7 @@
 //! | [`pax`] | `hail-pax` | PAX block layout, packets, checksums |
 //! | [`index`] | `hail-index` | clustered/trojan/unclustered indexes, zone-map/Bloom synopses |
 //! | [`sim`] | `hail-sim` | hardware profiles and the cost model |
-//! | [`sync`] | `hail-sync` | the one ordered fan-out (`run_ordered`) and the machine width |
+//! | [`sync`] | `hail-sync` | the one ordered fan-out (`run_pipelined`: prepare on helpers, commit in order) and the machine width |
 //! | [`dfs`] | `hail-dfs` | namenode (`Dir_rep`), datanodes, upload pipelines |
 //! | [`mr`] | `hail-mr` | MapReduce engine, three-method `InputFormat` trait, scheduler, failover |
 //! | [`core`] | `hail-core` | upload clients, `@HailQuery`, Hadoop++ storage |
