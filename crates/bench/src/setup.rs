@@ -441,8 +441,8 @@ pub struct AdaptiveRun {
 /// FullScan→index flip lands at the same job boundary whatever the
 /// manager's concurrency is.
 ///
-/// A disabled advisor (policy `enabled: false`, e.g. under
-/// `HAIL_DISABLE_REINDEX=1`) turns this into plain batched serving:
+/// A disabled advisor (policy `enabled: false`) turns this into plain
+/// batched serving:
 /// evidence still accumulates, but the design never changes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_adaptive_workload(

@@ -72,7 +72,7 @@ pub fn encode_row_block(
                 })
                 .collect::<Result<_>>()?;
             let dtype = schema.field(col)?.data_type;
-            TrojanIndex::build(col, dtype, &keys)?.to_bytes()
+            TrojanIndex::build(col, dtype, &keys).to_bytes()?
         }
         None => Vec::new(),
     };

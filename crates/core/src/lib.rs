@@ -13,8 +13,8 @@
 //! - [`baselines`] — Hadoop++'s storage format and upload jobs (trojan
 //!   index, row layout)
 //! - [`dataset`] — dataset handles
-//! - [`knobs`] — the central registry of every `HAIL_*` environment
-//!   knob (the only module in the workspace allowed to read them)
+//! - [`knobs`] — frozen-suite residue with no knob in it: the engine
+//!   reads no environment
 //!
 //! The query side — record readers, splitting policies, input formats —
 //! lives in the `hail-exec` crate behind its cost-based `QueryPlanner`,

@@ -41,9 +41,9 @@
 //! # Hysteresis
 //!
 //! One skewed job must not trigger a rebuild. The advisor requires
-//! `min_observations` absorbed block observations, an observed mean
-//! selectivity at or below `max_selectivity`, *and* the evidence to
-//! persist across `hysteresis_rounds` consecutive advisory rounds
+//! `MIN_OBSERVATIONS` (6) absorbed block observations, an observed mean
+//! selectivity at or below `MAX_SELECTIVITY` (0.15), *and* the evidence to
+//! persist across `HYSTERESIS_ROUNDS` (2) consecutive advisory rounds
 //! before it recommends anything; a round without evidence resets the
 //! streak. Each `(column, class)` fires at most once, and a column gets
 //! at most one action per round: when both its equality and its range
@@ -79,24 +79,28 @@ pub struct ReindexAction {
     pub eq: bool,
 }
 
-/// Evidence thresholds and hysteresis for the advisor.
+/// Minimum absorbed block observations for a `(column, class)` before
+/// its evidence counts at all.
+const MIN_OBSERVATIONS: u64 = 6;
+
+/// Observed mean selectivity must be at or below this for the predicate
+/// to be worth an index (a scan-friendly predicate never triggers a
+/// rebuild).
+const MAX_SELECTIVITY: f64 = 0.15;
+
+/// Consecutive advisory rounds the evidence must persist before a
+/// rebuild fires. A round without evidence resets the streak — one
+/// skewed job cannot trigger a rewrite on its own.
+const HYSTERESIS_ROUNDS: u32 = 2;
+
+/// The advisor's settings. Its evidence thresholds are constants of this
+/// module (see the module docs, "Hysteresis").
 #[derive(Debug, Clone)]
 pub struct ReindexPolicy {
-    /// Master switch; defaults to [`hail_core::knobs::reindex_enabled`]
-    /// (off under `HAIL_DISABLE_REINDEX=1`). Disabled advisors never
-    /// recommend anything: the design stays frozen.
+    /// Master switch; defaults on. Disabled advisors never recommend
+    /// anything: the design stays frozen, the lossless-degradation
+    /// reference the tests compare against.
     pub enabled: bool,
-    /// Minimum absorbed block observations for a `(column, class)`
-    /// before its evidence counts at all.
-    pub min_observations: u64,
-    /// Observed mean selectivity must be at or below this for the
-    /// predicate to be worth an index (a scan-friendly predicate never
-    /// triggers a rebuild).
-    pub max_selectivity: f64,
-    /// Consecutive advisory rounds the evidence must persist before a
-    /// rebuild fires. A round without evidence resets the streak — one
-    /// skewed job cannot trigger a rewrite on its own.
-    pub hysteresis_rounds: u32,
     /// At most this many rebuild actions per round, so background
     /// maintenance stays bounded between job batches.
     pub max_builds_per_round: usize,
@@ -105,10 +109,7 @@ pub struct ReindexPolicy {
 impl Default for ReindexPolicy {
     fn default() -> Self {
         ReindexPolicy {
-            enabled: hail_core::knobs::reindex_enabled(),
-            min_observations: 6,
-            max_selectivity: 0.15,
-            hysteresis_rounds: 2,
+            enabled: true,
             max_builds_per_round: 1,
         }
     }
@@ -168,8 +169,8 @@ impl ReindexAdvisor {
     /// gap check to one dataset's blocks.
     ///
     /// Evidence for a `(column, class)` qualifies when:
-    /// - at least `min_observations` block observations were absorbed,
-    /// - the observed mean selectivity is ≤ `max_selectivity`, and
+    /// - at least `MIN_OBSERVATIONS` (6) block observations were absorbed,
+    /// - the observed mean selectivity is ≤ `MAX_SELECTIVITY` (0.15), and
     /// - some live block lacks a replica clustered on the column.
     ///
     /// A column gets at most one action per round, its first qualifying
@@ -193,10 +194,10 @@ impl ReindexAdvisor {
         let mut actions: Vec<ReindexAction> = Vec::new();
         for (column, eq) in feedback.observed_classes() {
             let entry = state.entry((column, eq)).or_default();
-            let qualified = feedback.observation_count(column, eq) >= self.policy.min_observations
+            let qualified = feedback.observation_count(column, eq) >= MIN_OBSERVATIONS
                 && feedback
                     .observed(column, eq)
-                    .is_some_and(|(mean, _)| mean <= self.policy.max_selectivity)
+                    .is_some_and(|(mean, _)| mean <= MAX_SELECTIVITY)
                 && design_gap(namenode, blocks, column);
             if !qualified {
                 entry.streak = 0;
@@ -205,7 +206,7 @@ impl ReindexAdvisor {
             entry.streak += 1;
             // One action per column per round: a column's second class
             // would find every block the first one rewrites served.
-            if entry.streak >= self.policy.hysteresis_rounds
+            if entry.streak >= HYSTERESIS_ROUNDS
                 && !entry.fired
                 && actions.len() < self.policy.max_builds_per_round
                 && !actions.iter().any(|a| a.column == column)
@@ -554,10 +555,7 @@ mod tests {
     #[test]
     fn advisor_requires_sustained_evidence() {
         let (cluster, blocks) = uploaded();
-        let advisor = ReindexAdvisor::new(ReindexPolicy {
-            enabled: true,
-            ..ReindexPolicy::default()
-        });
+        let advisor = ReindexAdvisor::default();
         let feedback = SelectivityFeedback::default();
         feed(&feedback, 1, false, 8);
 
@@ -584,10 +582,7 @@ mod tests {
     #[test]
     fn one_skewed_round_cannot_trigger() {
         let (cluster, blocks) = uploaded();
-        let advisor = ReindexAdvisor::new(ReindexPolicy {
-            enabled: true,
-            ..ReindexPolicy::default()
-        });
+        let advisor = ReindexAdvisor::default();
         let feedback = SelectivityFeedback::default();
         feed(&feedback, 1, false, 8);
         assert!(advisor
@@ -606,10 +601,7 @@ mod tests {
     #[test]
     fn unselective_or_served_columns_never_trigger() {
         let (cluster, blocks) = uploaded();
-        let advisor = ReindexAdvisor::new(ReindexPolicy {
-            enabled: true,
-            ..ReindexPolicy::default()
-        });
+        let advisor = ReindexAdvisor::default();
         let feedback = SelectivityFeedback::default();
         // Column 0 is already served by the clustered replica; column 1
         // is observed but unselective.

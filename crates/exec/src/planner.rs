@@ -131,9 +131,6 @@ impl SelectivityEstimate {
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     pub estimate: SelectivityEstimate,
-    /// Field delimiter for text (Hadoop) blocks; `None` uses the
-    /// cluster's [`hail_types::StorageConfig::delimiter`].
-    pub text_delimiter: Option<char>,
     /// Ignored: every plan is priced cold. Kept as frozen-suite residue,
     /// because the `hail-bench` suite still sets it.
     pub plan_cache: Option<Arc<PlanCache>>,
@@ -143,9 +140,8 @@ pub struct PlannerConfig {
     pub feedback: Option<Arc<SelectivityFeedback>>,
     /// Consult persisted zone-map/Bloom synopses before candidate
     /// enumeration, skipping blocks they prove empty
-    /// ([`crate::synopsis`]). Defaults on; the `HAIL_DISABLE_SYNOPSES`
-    /// knob ([`hail_core::knobs::synopsis_pruning_enabled`]) flips the
-    /// default off for a whole process.
+    /// ([`crate::synopsis`]). Defaults on; off prices every block, the
+    /// lossless-degradation reference the tests compare against.
     pub synopsis_pruning: bool,
     /// Ignored: nothing in the engine absorbs observations into a
     /// store. Kept as frozen-suite residue, because the `hail-bench`
@@ -157,10 +153,9 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             estimate: SelectivityEstimate::default(),
-            text_delimiter: None,
             plan_cache: None,
             feedback: None,
-            synopsis_pruning: hail_core::knobs::synopsis_pruning_enabled(),
+            synopsis_pruning: true,
             defer_feedback: false,
         }
     }
@@ -464,10 +459,7 @@ impl<'a> QueryPlanner<'a> {
     fn scan_layout(&self, format: DatasetFormat) -> ScanLayout {
         match format {
             DatasetFormat::HadoopText => ScanLayout::Text {
-                delimiter: self
-                    .config
-                    .text_delimiter
-                    .unwrap_or(self.cluster.config().delimiter),
+                delimiter: self.cluster.config().delimiter,
             },
             DatasetFormat::HailPax => ScanLayout::HailPax,
             DatasetFormat::HadoopPlusPlus => ScanLayout::RowLayout,

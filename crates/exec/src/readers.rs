@@ -29,7 +29,6 @@ pub fn read_hail_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PlannerConfig;
     use hail_core::{upload_hadoop, upload_hail};
     use hail_index::ReplicaIndexConfig;
     use hail_types::{DataType, Field, StorageConfig};
@@ -73,23 +72,14 @@ mod tests {
     /// does: plan it, then execute the plan.
     fn read(
         c: &DfsCluster,
-        config: PlannerConfig,
         format: DatasetFormat,
         block: BlockId,
         query: &HailQuery,
         emit: &mut dyn FnMut(MapRecord),
     ) -> Result<TaskStats> {
-        let planner = QueryPlanner::with_config(c, config);
+        let planner = QueryPlanner::new(c);
         let plan = planner.plan(format, &[block], query)?;
         planner.execute_block(&plan, block, 0, &schema(), query, emit)
-    }
-
-    /// A planner configuration reading text blocks split on `delimiter`.
-    fn split_on(delimiter: char) -> PlannerConfig {
-        PlannerConfig {
-            text_delimiter: Some(delimiter),
-            ..Default::default()
-        }
     }
 
     fn collect_hail(
@@ -220,14 +210,9 @@ mod tests {
         let q = HailQuery::parse("@3 >= 10 and @3 <= 20", "{@1, @3}", &schema()).unwrap();
         let mut hadoop_records = Vec::new();
         for &b in &hds.blocks {
-            read(
-                &hc,
-                split_on('|'),
-                DatasetFormat::HadoopText,
-                b,
-                &q,
-                &mut |r| hadoop_records.push(r),
-            )
+            read(&hc, DatasetFormat::HadoopText, b, &q, &mut |r| {
+                hadoop_records.push(r)
+            })
             .unwrap();
         }
         let (hail_records, _) = collect_hail(&pc, &pds, &q);
@@ -243,25 +228,21 @@ mod tests {
         assert_eq!(norm(&hadoop_records), norm(&hail_records));
     }
 
-    /// Regression: the caller's delimiter is honored on text blocks,
-    /// even when it differs from the cluster's configured one.
+    /// Regression: text blocks split on the cluster's configured
+    /// delimiter, not on the default `|`.
     #[test]
     fn text_reader_honors_custom_delimiter() {
-        let mut c = DfsCluster::new(3, StorageConfig::test_scale(1 << 20));
-        assert_eq!(c.config().delimiter, '|');
-        // Comma-separated data in a '|'-configured cluster.
+        let mut config = StorageConfig::test_scale(1 << 20);
+        assert_eq!(config.delimiter, '|');
+        config.delimiter = ',';
+        let mut c = DfsCluster::new(3, config);
         let text = "1.1.1.1,1999-01-01,1.5\n2.2.2.2,1999-06-01,2.5\n";
         let ds = upload_hadoop(&mut c, &schema(), "csv", &[(0, text.into())]).unwrap();
         let q = HailQuery::parse("@2 = 1999-01-01", "{@1}", &schema()).unwrap();
         let mut records = Vec::new();
-        read(
-            &c,
-            split_on(','),
-            DatasetFormat::HadoopText,
-            ds.blocks[0],
-            &q,
-            &mut |r| records.push(r),
-        )
+        read(&c, DatasetFormat::HadoopText, ds.blocks[0], &q, &mut |r| {
+            records.push(r)
+        })
         .unwrap();
         let good: Vec<_> = records.iter().filter(|r| !r.bad).collect();
         assert_eq!(good.len(), 1, "comma rows must parse: {records:?}");
@@ -277,15 +258,7 @@ mod tests {
         let q = HailQuery::parse("@2 = 1975-01-01", "{@1}", &schema()).unwrap();
         let mut total = TaskStats::default();
         for &b in &ds.blocks {
-            let s = read(
-                &c,
-                split_on('|'),
-                DatasetFormat::HadoopText,
-                b,
-                &q,
-                &mut |_| {},
-            )
-            .unwrap();
+            let s = read(&c, DatasetFormat::HadoopText, b, &q, &mut |_| {}).unwrap();
             total.merge(&s);
         }
         assert!(!total.fell_back_to_scan, "text scans are the normal path");
@@ -335,14 +308,9 @@ mod tests {
         let mut via_index = Vec::new();
         let mut idx_stats = TaskStats::default();
         for &b in &ds.blocks {
-            let s = read(
-                &c,
-                PlannerConfig::default(),
-                DatasetFormat::HadoopPlusPlus,
-                b,
-                &q,
-                &mut |r| via_index.push(r),
-            )
+            let s = read(&c, DatasetFormat::HadoopPlusPlus, b, &q, &mut |r| {
+                via_index.push(r)
+            })
             .unwrap();
             idx_stats.merge(&s);
         }
@@ -368,14 +336,9 @@ mod tests {
         for &b in &ds.blocks {
             // Key column is @1 (= index 0); q2's first filter is @2 so
             // the planner still finds @1 = … and uses the trojan index.
-            let s = read(
-                &c,
-                PlannerConfig::default(),
-                DatasetFormat::HadoopPlusPlus,
-                b,
-                &q2,
-                &mut |r| via_scan.push(r),
-            )
+            let s = read(&c, DatasetFormat::HadoopPlusPlus, b, &q2, &mut |r| {
+                via_scan.push(r)
+            })
             .unwrap();
             scan_stats.merge(&s);
         }

@@ -263,29 +263,16 @@ impl ClusteredIndex {
         start..end
     }
 
-    /// Serializes the index to its on-disk form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.push(self.key_type.tag());
-        put_u32(&mut buf, self.key_column as u32);
-        put_u32(&mut buf, self.partition_size as u32);
-        put_u32(&mut buf, self.row_count as u32);
-        put_u32(&mut buf, self.keys.len() as u32);
-        for k in &self.keys {
-            match k {
-                Value::Int(v) | Value::Date(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                Value::Long(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                Value::Float(v) => buf.extend_from_slice(&v.to_bits().to_le_bytes()),
-                Value::Str(s) => {
-                    // Index keys come from parsed values, which never
-                    // exceed u16::MAX bytes in practice; truncating an
-                    // oversized sparse key is safe (it only loosens the
-                    // partition bound) but should never happen.
-                    put_str(&mut buf, s).expect("index key too long");
-                }
-            }
-        }
-        buf
+    /// Serializes the index to its on-disk form; a varchar key longer
+    /// than `u16::MAX` bytes has none.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        encode_runs(
+            self.key_type,
+            self.key_column,
+            self.partition_size,
+            self.row_count,
+            &self.keys,
+        )
     }
 
     /// Parses an index serialized by [`ClusteredIndex::to_bytes`].
@@ -307,13 +294,7 @@ impl ClusteredIndex {
         // A count read from disk: every key takes at least two bytes.
         let mut keys = Vec::with_capacity(n_keys.min(r.remaining() / 2));
         for _ in 0..n_keys {
-            keys.push(match key_type {
-                DataType::Int => Value::Int(r.i32()?),
-                DataType::Date => Value::Date(r.i32()?),
-                DataType::Long => Value::Long(r.i64()?),
-                DataType::Float => Value::Float(r.f64()?),
-                DataType::VarChar => Value::Str(r.str()?),
-            });
+            keys.push(read_key(&mut r, key_type)?);
         }
         Ok(ClusteredIndex {
             key_column,
@@ -326,8 +307,63 @@ impl ClusteredIndex {
 
     /// Serialized size in bytes — the "index read" cost of a lookup.
     pub fn byte_len(&self) -> usize {
-        self.to_bytes().len()
+        encoded_len(&self.keys)
     }
+}
+
+/// Serializes a clustered or trojan index, which share one encoding: the
+/// key type, the key column, the run length (partition size or
+/// granularity), the row count and the first key of every run.
+///
+/// A varchar key longer than `u16::MAX` bytes has no encoding: it is an
+/// error, never a truncated key, so a replica or Hadoop++ block holding
+/// such a value fails its build instead of storing a wrong index.
+pub(crate) fn encode_runs(
+    key_type: DataType,
+    key_column: usize,
+    run: usize,
+    row_count: usize,
+    keys: &[Value],
+) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    buf.push(key_type.tag());
+    put_u32(&mut buf, key_column as u32);
+    put_u32(&mut buf, run as u32);
+    put_u32(&mut buf, row_count as u32);
+    put_u32(&mut buf, keys.len() as u32);
+    for k in keys {
+        match k {
+            Value::Int(v) | Value::Date(v) => buf.extend_from_slice(&v.to_le_bytes()),
+            Value::Long(v) => buf.extend_from_slice(&v.to_le_bytes()),
+            Value::Float(v) => buf.extend_from_slice(&v.to_bits().to_le_bytes()),
+            Value::Str(s) => put_str(&mut buf, s)?,
+        }
+    }
+    Ok(buf)
+}
+
+/// The length of [`encode_runs`] over `keys`, counted without encoding.
+pub(crate) fn encoded_len(keys: &[Value]) -> usize {
+    let key_bytes: usize = keys
+        .iter()
+        .map(|k| match k {
+            Value::Int(_) | Value::Date(_) => 4,
+            Value::Long(_) | Value::Float(_) => 8,
+            Value::Str(s) => 2 + s.len(),
+        })
+        .sum();
+    1 + 4 * 4 + key_bytes
+}
+
+/// Reads one key of an [`encode_runs`] encoding.
+pub(crate) fn read_key(r: &mut ByteReader<'_>, key_type: DataType) -> Result<Value> {
+    Ok(match key_type {
+        DataType::Int => Value::Int(r.i32()?),
+        DataType::Date => Value::Date(r.i32()?),
+        DataType::Long => Value::Long(r.i64()?),
+        DataType::Float => Value::Float(r.f64()?),
+        DataType::VarChar => Value::Str(r.str()?),
+    })
 }
 
 #[cfg(test)]
@@ -430,7 +466,7 @@ mod tests {
     fn serialization_round_trip_int() {
         let values: Vec<i32> = (0..100).map(|i| i * 3).collect();
         let idx = index_over(&values, 16);
-        let bytes = idx.to_bytes();
+        let bytes = idx.to_bytes().unwrap();
         let back = ClusteredIndex::from_bytes(&bytes).unwrap();
         assert_eq!(back, idx);
         assert_eq!(idx.byte_len(), bytes.len());
@@ -443,8 +479,10 @@ mod tests {
             .map(|s| Value::Str(s.to_string()))
             .collect();
         let idx = ClusteredIndex::build(2, DataType::VarChar, 2, &keys).unwrap();
-        let back = ClusteredIndex::from_bytes(&idx.to_bytes()).unwrap();
+        let bytes = idx.to_bytes().unwrap();
+        let back = ClusteredIndex::from_bytes(&bytes).unwrap();
         assert_eq!(back, idx);
+        assert_eq!(idx.byte_len(), bytes.len());
         assert_eq!(
             back.lookup(&KeyBounds::point(Value::Str("beta".into()))),
             Some((0, 0))
@@ -455,7 +493,7 @@ mod tests {
     fn from_bytes_rejects_inconsistent_counts() {
         let values: Vec<i32> = (0..30).collect();
         let idx = index_over(&values, 10);
-        let mut bytes = idx.to_bytes();
+        let mut bytes = idx.to_bytes().unwrap();
         // Corrupt the row count field (offset 1+4+4 = 9).
         bytes[9] ^= 0xFF;
         assert!(ClusteredIndex::from_bytes(&bytes).is_err());

@@ -213,6 +213,7 @@ impl IndexedBlock {
         let index_bytes = index
             .as_ref()
             .map(ClusteredIndex::to_bytes)
+            .transpose()?
             .unwrap_or_default();
 
         // Sidecar region: the zone maps, then the Bloom filters, each in
@@ -223,13 +224,14 @@ impl IndexedBlock {
         let mut sidecars = Vec::new();
         let zone_maps = zone_maps.iter().map(|z| {
             let kind = IndexKind::ZoneMap { column: z.column() };
-            (kind, z.to_bytes())
+            Ok((kind, z.to_bytes()?))
         });
         let blooms = blooms.iter().map(|b| {
             let kind = IndexKind::Bloom { column: b.column() };
-            (kind, b.to_bytes())
+            Ok((kind, b.to_bytes()))
         });
-        for (kind, encoded) in zone_maps.chain(blooms) {
+        for encoded in zone_maps.chain(blooms) {
+            let (kind, encoded) = encoded?;
             sidecars.push(SidecarMetadata {
                 kind,
                 sidecar_bytes: encoded.len(),

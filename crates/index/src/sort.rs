@@ -105,19 +105,6 @@ impl ReplicaIndexConfig {
         Self::new(vec![SortOrder::Clustered { column }; replication])
     }
 
-    /// The sidecar spec at one chain position, with the single bounds
-    /// check every `_on` builder routes through — a silently dropped
-    /// sidecar would only surface much later as a mysteriously
-    /// never-pruned block.
-    fn spec_mut(&mut self, replica: usize) -> &mut SidecarSpec {
-        assert!(
-            replica < self.sidecars.len(),
-            "replica position {replica} out of range for replication {}",
-            self.sidecars.len()
-        );
-        &mut self.sidecars[replica]
-    }
-
     /// Stores a zone-map synopsis over `column` on *every* replica
     /// (synopses are sort-order independent).
     pub fn with_zone_map(mut self, column: usize) -> Self {
@@ -129,38 +116,12 @@ impl ReplicaIndexConfig {
         self
     }
 
-    /// Stores a zone-map synopsis over `column` on one replica chain
-    /// position only.
-    ///
-    /// # Panics
-    /// If `replica` is not a valid chain position.
-    pub fn with_zone_map_on(mut self, replica: usize, column: usize) -> Self {
-        let spec = self.spec_mut(replica);
-        if !spec.zone_map_columns.contains(&column) {
-            spec.zone_map_columns.push(column);
-        }
-        self
-    }
-
     /// Stores a Bloom-filter synopsis over `column` on *every* replica.
     pub fn with_bloom(mut self, column: usize) -> Self {
         for spec in &mut self.sidecars {
             if !spec.bloom_columns.contains(&column) {
                 spec.bloom_columns.push(column);
             }
-        }
-        self
-    }
-
-    /// Stores a Bloom-filter synopsis over `column` on one replica chain
-    /// position only.
-    ///
-    /// # Panics
-    /// If `replica` is not a valid chain position.
-    pub fn with_bloom_on(mut self, replica: usize, column: usize) -> Self {
-        let spec = self.spec_mut(replica);
-        if !spec.bloom_columns.contains(&column) {
-            spec.bloom_columns.push(column);
         }
         self
     }
@@ -273,25 +234,20 @@ mod tests {
         assert!(c.validate(&schema()).is_err());
     }
 
-    /// The all-replica and one-position builders compose: a position's
-    /// spec gathers both, each column once, in call order.
+    /// The all-replica builders compose: every position's spec gathers
+    /// both kinds, each column once, in call order.
     #[test]
     fn sidecar_knobs() {
         let c = ReplicaIndexConfig::first_indexed(3, &[0])
             .with_synopses(1)
-            .with_zone_map_on(2, 0)
-            .with_bloom_on(0, 1);
-        assert_eq!(c.sidecar(0).zone_map_columns, [1]);
-        assert_eq!(c.sidecar(0).bloom_columns, [1]);
-        assert_eq!(c.sidecar(1), c.sidecar(0));
-        assert_eq!(c.sidecar(2).zone_map_columns, [1, 0]);
-        assert_eq!(c.sidecar(2).bloom_columns, [1]);
+            .with_zone_map(0)
+            .with_bloom(1);
+        for spec in c.sidecars() {
+            assert_eq!(spec.zone_map_columns, [1, 0]);
+            assert_eq!(spec.bloom_columns, [1]);
+        }
         assert_eq!(c.sidecars().len(), c.replication());
         assert!(c.validate(&schema()).is_ok());
-        assert!(ReplicaIndexConfig::first_indexed(3, &[0])
-            .sidecars()
-            .iter()
-            .all(SidecarSpec::is_empty));
     }
 
     #[test]
@@ -301,13 +257,10 @@ mod tests {
         assert!(c.sidecars().iter().all(|s| s.bloom_columns == [1]));
         assert!(c.validate(&schema()).is_ok());
 
-        let c = ReplicaIndexConfig::unindexed(3)
-            .with_zone_map_on(1, 0)
-            .with_bloom_on(2, 1);
-        assert!(c.sidecar(0).is_empty());
-        assert_eq!(c.sidecar(1).zone_map_columns, [0]);
-        assert!(c.sidecar(1).bloom_columns.is_empty());
-        assert_eq!(c.sidecar(2).bloom_columns, [1]);
+        assert!(ReplicaIndexConfig::first_indexed(3, &[0])
+            .sidecars()
+            .iter()
+            .all(SidecarSpec::is_empty));
 
         // Duplicate calls don't duplicate the column.
         let c = ReplicaIndexConfig::unindexed(2)
@@ -317,18 +270,6 @@ mod tests {
             .with_bloom(1);
         assert_eq!(c.sidecar(0).zone_map_columns, [0]);
         assert_eq!(c.sidecar(0).bloom_columns, [1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn with_zone_map_on_rejects_bad_position() {
-        let _ = ReplicaIndexConfig::unindexed(3).with_zone_map_on(4, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn with_bloom_on_rejects_bad_position() {
-        let _ = ReplicaIndexConfig::unindexed(3).with_bloom_on(3, 0);
     }
 
     #[test]

@@ -36,8 +36,10 @@ const BLOOM_BITS_PER_ROW: usize = 10;
 const BLOOM_MIN_BITS: usize = 64;
 
 /// Serializes one [`Value`] with a leading type tag, the synopsis
-/// codec's only polymorphic field.
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
+/// codec's only polymorphic field. A string longer than `u16::MAX`
+/// bytes has no encoding: an error, never a truncated bound, which
+/// could prove a block empty that holds a match.
+fn put_value(buf: &mut Vec<u8>, v: &Value) -> Result<()> {
     match v {
         Value::Int(x) => {
             buf.push(0);
@@ -57,9 +59,10 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
         }
         Value::Str(s) => {
             buf.push(4);
-            put_str(buf, s).expect("synopsis string value too long");
+            put_str(buf, s)?;
         }
     }
+    Ok(())
 }
 
 /// Parses one tagged [`Value`] written by [`put_value`].
@@ -176,13 +179,9 @@ impl ZoneMapSynopsis {
         above_lo && below_hi
     }
 
-    /// Serialized size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.to_bytes().len()
-    }
-
-    /// Serializes the zone map.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Serializes the zone map; a varchar bound longer than `u16::MAX`
+    /// bytes has no encoding.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         put_u32(&mut buf, self.column as u32);
         put_u32(&mut buf, self.row_count as u32);
@@ -191,11 +190,11 @@ impl ZoneMapSynopsis {
             None => buf.push(0),
             Some((lo, hi)) => {
                 buf.push(1);
-                put_value(&mut buf, lo);
-                put_value(&mut buf, hi);
+                put_value(&mut buf, lo)?;
+                put_value(&mut buf, hi)?;
             }
         }
-        buf
+        Ok(buf)
     }
 
     /// Parses a serialized zone map.
@@ -485,19 +484,18 @@ mod tests {
             vec![],
         ] {
             let z = ZoneMapSynopsis::build(1, &values, 2);
-            let back = ZoneMapSynopsis::from_bytes(&z.to_bytes()).unwrap();
+            let back = ZoneMapSynopsis::from_bytes(&z.to_bytes().unwrap()).unwrap();
             assert_eq!(back, z);
-            assert_eq!(z.byte_len(), z.to_bytes().len());
         }
     }
 
     #[test]
     fn zone_map_rejects_corrupt_bytes() {
         let z = ZoneMapSynopsis::build(0, &ints(&[1, 2]), 0);
-        let mut raw = z.to_bytes();
+        let mut raw = z.to_bytes().unwrap();
         raw[12] = 9; // bounds marker
         assert!(ZoneMapSynopsis::from_bytes(&raw).is_err());
-        let mut raw2 = z.to_bytes();
+        let mut raw2 = z.to_bytes().unwrap();
         raw2[13] = 250; // value type tag
         assert!(ZoneMapSynopsis::from_bytes(&raw2).is_err());
         assert!(ZoneMapSynopsis::from_bytes(&[1, 2, 3]).is_err());

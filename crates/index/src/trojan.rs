@@ -19,8 +19,8 @@
 //!    to read any block header to compute input splits while Hadoop++
 //!    does").
 
-use crate::clustered::KeyBounds;
-use hail_types::bytes_util::{put_str, put_u32, ByteReader};
+use crate::clustered::{encode_runs, encoded_len, read_key, KeyBounds};
+use hail_types::bytes_util::ByteReader;
 use hail_types::{DataType, HailError, Result, Value};
 
 /// Values per trojan-index entry. Chosen so that the trojan index over a
@@ -41,29 +41,21 @@ pub struct TrojanIndex {
 }
 
 impl TrojanIndex {
-    /// Builds the index from the block's *sorted* key column.
-    pub fn build(key_column: usize, key_type: DataType, sorted_keys: &[Value]) -> Result<Self> {
-        Self::with_granularity(key_column, key_type, sorted_keys, TROJAN_GRANULARITY)
-    }
-
-    /// Builder with explicit granularity (used by ablation benches).
-    pub fn with_granularity(
-        key_column: usize,
-        key_type: DataType,
-        sorted_keys: &[Value],
-        granularity: usize,
-    ) -> Result<Self> {
-        if granularity == 0 {
-            return Err(HailError::Schema("granularity must be positive".into()));
-        }
+    /// Builds the index from the block's *sorted* key column, one entry
+    /// every [`TROJAN_GRANULARITY`] values.
+    pub fn build(key_column: usize, key_type: DataType, sorted_keys: &[Value]) -> TrojanIndex {
         debug_assert!(sorted_keys.windows(2).all(|w| w[0] <= w[1]));
-        Ok(TrojanIndex {
+        TrojanIndex {
             key_column,
             key_type,
-            granularity,
+            granularity: TROJAN_GRANULARITY,
             row_count: sorted_keys.len(),
-            keys: sorted_keys.iter().step_by(granularity).cloned().collect(),
-        })
+            keys: sorted_keys
+                .iter()
+                .step_by(TROJAN_GRANULARITY)
+                .cloned()
+                .collect(),
+        }
     }
 
     pub fn key_column(&self) -> usize {
@@ -117,26 +109,19 @@ impl TrojanIndex {
     /// Serialized (header) size in bytes. The JobClient reads this much
     /// per block while computing splits.
     pub fn byte_len(&self) -> usize {
-        self.to_bytes().len()
+        encoded_len(&self.keys)
     }
 
-    /// Serializes the index header.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.push(self.key_type.tag());
-        put_u32(&mut buf, self.key_column as u32);
-        put_u32(&mut buf, self.granularity as u32);
-        put_u32(&mut buf, self.row_count as u32);
-        put_u32(&mut buf, self.keys.len() as u32);
-        for k in &self.keys {
-            match k {
-                Value::Int(v) | Value::Date(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                Value::Long(v) => buf.extend_from_slice(&v.to_le_bytes()),
-                Value::Float(v) => buf.extend_from_slice(&v.to_bits().to_le_bytes()),
-                Value::Str(s) => put_str(&mut buf, s).expect("index key too long"),
-            }
-        }
-        buf
+    /// Serializes the index header; a varchar key longer than
+    /// `u16::MAX` bytes has none.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        encode_runs(
+            self.key_type,
+            self.key_column,
+            self.granularity,
+            self.row_count,
+            &self.keys,
+        )
     }
 
     /// Parses a serialized header.
@@ -158,13 +143,7 @@ impl TrojanIndex {
         // A count read from disk: every key takes at least two bytes.
         let mut keys = Vec::with_capacity(n.min(r.remaining() / 2));
         for _ in 0..n {
-            keys.push(match key_type {
-                DataType::Int => Value::Int(r.i32()?),
-                DataType::Date => Value::Date(r.i32()?),
-                DataType::Long => Value::Long(r.i64()?),
-                DataType::Float => Value::Float(r.f64()?),
-                DataType::VarChar => Value::Str(r.str()?),
-            });
+            keys.push(read_key(&mut r, key_type)?);
         }
         Ok(TrojanIndex {
             key_column,
@@ -187,7 +166,7 @@ mod tests {
 
     #[test]
     fn lookup_narrows_to_runs() {
-        let idx = TrojanIndex::with_granularity(0, DataType::Int, &keys(100), 8).unwrap();
+        let idx = TrojanIndex::build(0, DataType::Int, &keys(100));
         let r = idx.lookup_rows(&KeyBounds::point(Value::Int(42))).unwrap();
         assert!(r.contains(&42));
         assert!(r.len() <= 8);
@@ -197,7 +176,7 @@ mod tests {
     #[test]
     fn denser_than_hail_index() {
         let ks = keys(100_000);
-        let trojan = TrojanIndex::build(0, DataType::Int, &ks).unwrap();
+        let trojan = TrojanIndex::build(0, DataType::Int, &ks);
         let hail = ClusteredIndex::build(0, DataType::Int, 1024, &ks).unwrap();
         let ratio = trojan.byte_len() as f64 / hail.byte_len() as f64;
         assert!(
@@ -208,14 +187,16 @@ mod tests {
 
     #[test]
     fn serialization_round_trip() {
-        let idx = TrojanIndex::build(2, DataType::Int, &keys(1000)).unwrap();
-        let back = TrojanIndex::from_bytes(&idx.to_bytes()).unwrap();
+        let idx = TrojanIndex::build(2, DataType::Int, &keys(1000));
+        let bytes = idx.to_bytes().unwrap();
+        let back = TrojanIndex::from_bytes(&bytes).unwrap();
         assert_eq!(back, idx);
+        assert_eq!(idx.byte_len(), bytes.len());
     }
 
     #[test]
     fn range_lookup() {
-        let idx = TrojanIndex::with_granularity(0, DataType::Int, &keys(64), 8).unwrap();
+        let idx = TrojanIndex::build(0, DataType::Int, &keys(64));
         let r = idx
             .lookup_rows(&KeyBounds::between(Value::Int(10), Value::Int(20)))
             .unwrap();
@@ -225,7 +206,7 @@ mod tests {
 
     #[test]
     fn empty_index_lookup() {
-        let idx = TrojanIndex::build(0, DataType::Int, &[]).unwrap();
+        let idx = TrojanIndex::build(0, DataType::Int, &[]);
         assert!(idx.lookup_rows(&KeyBounds::point(Value::Int(0))).is_none());
     }
 }

@@ -107,26 +107,15 @@ impl NodeSlots {
     }
 
     /// Picks the node to run a task preferring `locations` — Hadoop's
-    /// data-locality rule. Ties break toward the *earliest* location in
-    /// the split's list: input formats order locations by preference
-    /// (HAIL puts the matching-index replica first, §4.3).
-    ///
-    /// Strict-locality variant of [`NodeSlots::choose_node_delayed`]
-    /// (infinite delay window).
+    /// data-locality rule, strictly: a task waits for a slot on a live
+    /// preferred node, and runs anywhere only when none lives (a remote
+    /// read). Among candidates the earliest-free node wins; ties break
+    /// toward the *earliest* location in the split's list: input formats
+    /// order locations by preference (HAIL puts the matching-index
+    /// replica first, §4.3).
     pub(crate) fn choose_node(&self, locations: &[DatanodeId]) -> Option<DatanodeId> {
-        self.choose_node_delayed(locations, f64::INFINITY)
-    }
-
-    /// Delay scheduling (\[34\]): pick the best preferred node unless the
-    /// cluster has a slot freeing more than `delay_s` earlier — then
-    /// trade locality for immediacy, as the Delay Scheduler does once a
-    /// task has waited out its window.
-    pub(crate) fn choose_node_delayed(
-        &self,
-        locations: &[DatanodeId],
-        delay_s: f64,
-    ) -> Option<DatanodeId> {
-        let first_strict_min = |candidates: &mut dyn Iterator<Item = DatanodeId>| {
+        let live = |n: &DatanodeId| self.live.get(*n).copied().unwrap_or(false);
+        let earliest_free = |candidates: &mut dyn Iterator<Item = DatanodeId>| {
             let mut best: Option<(DatanodeId, f64)> = None;
             for n in candidates {
                 let free = self.node_free_at(n);
@@ -136,25 +125,8 @@ impl NodeSlots {
             }
             best.map(|(n, _)| n)
         };
-        let preferred = first_strict_min(
-            &mut locations
-                .iter()
-                .copied()
-                .filter(|&n| self.live.get(n).copied().unwrap_or(false)),
-        );
-        let anywhere = first_strict_min(&mut (0..self.pools.len()).filter(|&n| self.live[n]));
-        match (preferred, anywhere) {
-            (Some(p), Some(a)) => {
-                if self.node_free_at(p) - self.node_free_at(a) > delay_s {
-                    Some(a) // waited out the delay window: go non-local
-                } else {
-                    Some(p)
-                }
-            }
-            (Some(p), None) => Some(p),
-            // No live preferred node: schedule anywhere (remote read).
-            (None, a) => a,
-        }
+        earliest_free(&mut locations.iter().copied().filter(live))
+            .or_else(|| earliest_free(&mut (0..self.pools.len()).filter(live)))
     }
 
     /// Assigns a task of `duration` to `node`, returning (start, end).
@@ -235,13 +207,12 @@ pub(crate) fn split_estimates(splits: &[InputSplit]) -> Vec<f64> {
 /// Phase 1 of [`run_map_job`]: choose a node for **every** split up
 /// front, before any read happens.
 ///
-/// Runs the exact delay-scheduling [`NodeSlots`] logic the engine has
-/// always used, but prices slot occupancy with *estimates*
-/// ([`split_estimates`]) instead of actual read results, so node choice
-/// never waits on a read. The planning pools here are throwaway: the
-/// final simulated schedule is built in phase 2 from actual per-split
-/// durations on these pre-chosen nodes, so simulated time never observes
-/// the estimates.
+/// Runs the strict-locality [`NodeSlots::choose_node`] rule, but
+/// prices slot occupancy with *estimates* ([`split_estimates`]) instead
+/// of actual read results, so node choice never waits on a read. The
+/// planning pools here are throwaway: the final simulated schedule is
+/// built in phase 2 from actual per-split durations on these pre-chosen
+/// nodes, so simulated time never observes the estimates.
 pub(crate) fn assign_split_nodes(
     cluster: &DfsCluster,
     spec: &ClusterSpec,
@@ -253,7 +224,7 @@ pub(crate) fn assign_split_nodes(
     let ests = split_estimates(splits);
     for (split, est) in splits.iter().zip(ests) {
         let node = planning
-            .choose_node_delayed(&split.locations, spec.locality_delay_s)
+            .choose_node(&split.locations)
             .ok_or_else(|| HailError::Job("no live nodes to schedule on".into()))?;
         planning.assign(node, hw.task_overhead_s + est, 0.0);
         nodes.push(node);
@@ -493,9 +464,11 @@ mod tests {
         }
     }
 
+    /// Strict locality: when every block prefers node 0 — a pathological
+    /// hot spot — all 16 tasks queue on node 0's two slots, however long
+    /// the other nodes sit idle.
     #[test]
-    fn delay_scheduling_trades_locality_for_makespan() {
-        // Every block prefers node 0 — a pathological hot spot.
+    fn strict_locality_queues_a_hot_spot_on_its_node() {
         struct HotSpot;
         impl InputFormat for HotSpot {
             fn splits(&self, _c: &DfsCluster, input: &[BlockId]) -> Result<SplitPlan> {
@@ -527,34 +500,8 @@ mod tests {
 
         let cluster = DfsCluster::new(4, StorageConfig::default());
         let job = MapJob::collecting("hot", (0..16).collect(), &HotSpot);
-
-        // Strict locality: all 16 tasks queue on node 0's two slots.
-        let strict = run_map_job(&cluster, &spec(4), &job).unwrap();
-        assert!(strict.report.tasks.iter().all(|t| t.node == 0));
-
-        // Delay 0 (pure earliest-slot): tasks spread across the cluster
-        // and the makespan shrinks ~4x.
-        let eager_spec = spec(4).with_locality_delay(0.0);
-        let eager = run_map_job(&cluster, &eager_spec, &job).unwrap();
-        let spread: std::collections::BTreeSet<_> =
-            eager.report.tasks.iter().map(|t| t.node).collect();
-        assert!(spread.len() >= 3, "tasks should spread: {spread:?}");
-        assert!(
-            eager.report.end_to_end_seconds * 2.0 < strict.report.end_to_end_seconds,
-            "eager {:.1}s vs strict {:.1}s",
-            eager.report.end_to_end_seconds,
-            strict.report.end_to_end_seconds
-        );
-
-        // A finite but generous window behaves like strict here (the
-        // imbalance never exceeds the window early on, and later tasks
-        // have earned their wait).
-        let windowed_spec = spec(4).with_locality_delay(3.0);
-        let windowed = run_map_job(&cluster, &windowed_spec, &job).unwrap();
-        assert!(
-            windowed.report.end_to_end_seconds <= strict.report.end_to_end_seconds,
-            "a delay window never hurts the makespan"
-        );
+        let run = run_map_job(&cluster, &spec(4), &job).unwrap();
+        assert!(run.report.tasks.iter().all(|t| t.node == 0));
     }
 
     /// Pins the documented `NodeSlots::makespan` behavior after a node

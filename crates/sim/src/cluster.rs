@@ -14,12 +14,6 @@ pub struct ClusterSpec {
     pub profile: HardwareProfile,
     /// Logical-vs-materialized data scaling for experiments.
     pub scale: ScaleFactor,
-    /// Delay-scheduling window (Zaharia et al. \[34\], referenced in
-    /// §4.3): a task waits up to this many seconds for a slot on a
-    /// preferred node before accepting a non-local one. `f64::INFINITY`
-    /// (the default) means strict locality — always wait for a
-    /// preferred node.
-    pub locality_delay_s: f64,
 }
 
 impl ClusterSpec {
@@ -28,15 +22,7 @@ impl ClusterSpec {
             nodes,
             profile,
             scale: ScaleFactor::unit(),
-            locality_delay_s: f64::INFINITY,
         }
-    }
-
-    /// Builder-style delay-scheduling override (seconds a task waits
-    /// for a local slot before going remote; 0 = pure earliest-slot).
-    pub fn with_locality_delay(mut self, seconds: f64) -> Self {
-        self.locality_delay_s = seconds;
-        self
     }
 
     /// Builder-style scale override.

@@ -21,9 +21,8 @@
 //! - killing the replica that holds a freshly built adaptive index
 //!   mid-workload loses no rows, and subsequent planning degrades
 //!   gracefully to the surviving replicas' paths;
-//! - the default policy re-indexes, and a disabled one (what
-//!   `HAIL_DISABLE_REINDEX=1` selects) lets evidence accumulate but
-//!   never moves the design.
+//! - the default policy re-indexes, and a disabled one lets evidence
+//!   accumulate but never moves the design.
 
 use hail::prelude::*;
 use hail_bench::{
@@ -53,8 +52,7 @@ fn adaptive_setup(rows_per_node: usize, blocks_per_node: usize) -> (Testbed, Sys
     (tb, setup)
 }
 
-/// An advisor with the default evidence thresholds, switched on or off
-/// explicitly rather than by the `HAIL_DISABLE_REINDEX` default.
+/// An advisor with the default evidence thresholds, switched on or off.
 fn advisor(enabled: bool) -> ReindexAdvisor {
     ReindexAdvisor::new(ReindexPolicy {
         enabled,
@@ -124,7 +122,7 @@ fn repeated_selective_workload_flips_fullscan_to_index() {
     let round_size = round_queries(&tb.schema).len();
 
     // Exactly one rebuild fired: a clustered index on duration, after
-    // round 2 (hysteresis_rounds = 2), covering every block.
+    // round 2 (the advisor's two hysteresis rounds), covering every block.
     assert_eq!(run.events.len(), 1, "exactly one adaptive rebuild fires");
     let event = &run.events[0];
     assert_eq!(event.outcome.action.column, DURATION_COL);
@@ -299,7 +297,6 @@ fn equality_and_range_evidence_on_one_column_rewrite_each_block_once() {
     let advisor = ReindexAdvisor::new(ReindexPolicy {
         enabled: true,
         max_builds_per_round: 2,
-        ..ReindexPolicy::default()
     });
     let feedback = SelectivityFeedback::default();
     let run = run_adaptive_workload(
@@ -371,7 +368,6 @@ fn two_columns_fire_in_one_round_when_one_has_both_classes() {
     let advisor = ReindexAdvisor::new(ReindexPolicy {
         enabled: true,
         max_builds_per_round: 2,
-        ..ReindexPolicy::default()
     });
     let feedback = SelectivityFeedback::default();
     let run = run_adaptive_workload(
@@ -645,11 +641,11 @@ fn killing_freshly_indexed_replica_degrades_gracefully() {
     );
 }
 
-/// The `HAIL_DISABLE_REINDEX` switch, both ways: the default policy is
-/// on and closes the loop; a disabled one lets evidence accumulate but
-/// never moves the design. Every job matches the oracle either way.
+/// The default policy is on and closes the loop; a disabled one lets
+/// evidence accumulate but never moves the design. Every job matches the
+/// oracle either way.
 #[test]
-fn default_policy_honours_disable_env() {
+fn default_policy_reindexes_and_a_disabled_one_never_does() {
     assert!(ReindexPolicy::default().enabled, "re-indexing defaults on");
     let tb = adaptive_setup(300, 2).0;
     let round_size = round_queries(&tb.schema).len();
@@ -663,7 +659,11 @@ fn default_policy_honours_disable_env() {
             true,
             &JobManager::new(2),
             &SharedJobInfra::for_jobs(2),
-            &advisor(enabled),
+            &if enabled {
+                ReindexAdvisor::default()
+            } else {
+                advisor(false)
+            },
             &feedback,
             round_size,
         )

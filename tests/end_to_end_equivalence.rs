@@ -6,8 +6,7 @@
 
 use hail::prelude::*;
 
-/// Synopsis pruning on and off. The `HAIL_DISABLE_SYNOPSES` knob
-/// supplies the field's default; neither setting may change a result.
+/// Synopsis pruning on and off; neither setting may change a result.
 const SETTINGS: [bool; 2] = [true, false];
 
 fn run(

@@ -110,7 +110,7 @@ fn failed_replica_build_leaves_no_half_registered_block() {
     let pax = pax_block(50);
     let mut cluster = DfsCluster::new(4, StorageConfig::test_scale(1 << 20));
     let bad_order = ReplicaIndexConfig::first_indexed(3, &[0, 99]);
-    let bad_sidecar = ReplicaIndexConfig::first_indexed(3, &[0, 1]).with_bloom_on(2, 99);
+    let bad_sidecar = ReplicaIndexConfig::first_indexed(3, &[0, 1]).with_bloom(99);
     for config in [bad_order, bad_sidecar] {
         let err = hail_upload_block(&mut cluster, 0, &pax, &config, &FaultPlan::none());
         assert!(matches!(err, Err(HailError::UnknownAttribute(100))));
@@ -298,4 +298,60 @@ fn hdfs_baseline_upload_also_detects_corruption() {
 
 fn bytes_of(n: usize) -> bytes::Bytes {
     bytes::Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
+}
+
+/// A varchar value of 64 KiB or more has no encoding as an index key or
+/// a synopsis bound, which store a `u16` length. Indexing or zone-mapping
+/// one fails the upload, the rewrite or the Hadoop++ indexing job with an
+/// error, and registers nothing: it never panics, and never stores a
+/// truncated key or bound.
+#[test]
+fn oversized_varchar_key_fails_the_build_cleanly() {
+    let schema = Schema::new(vec![
+        Field::new("s", DataType::VarChar),
+        Field::new("n", DataType::Int),
+    ])
+    .unwrap();
+    let texts = [(0, format!("{}|2\n", "x".repeat(70_000)))];
+    let storage = StorageConfig::test_scale(1 << 20);
+    let too_long = |err: HailError| assert!(err.to_string().contains("too long"), "{err}");
+
+    for config in [
+        ReplicaIndexConfig::first_indexed(3, &[0]),
+        ReplicaIndexConfig::unindexed(3).with_zone_map(0),
+    ] {
+        let mut cluster = DfsCluster::new(3, storage.clone());
+        too_long(upload_hail(&mut cluster, &schema, "long", &texts, &config).unwrap_err());
+        assert_eq!(cluster.namenode().block_count(), 0);
+        assert_eq!(cluster.stored_bytes(), 0);
+        assert_eq!(cluster.namenode().total_replica_bytes(), 0);
+    }
+
+    // Stored unindexed, the value uploads; indexing it in place fails the
+    // rewrite, which leaves the replica and the design as they were.
+    let mut cluster = DfsCluster::new(3, storage.clone());
+    let unindexed = ReplicaIndexConfig::unindexed(3);
+    let dataset = upload_hail(&mut cluster, &schema, "long", &texts, &unindexed).unwrap();
+    let block = dataset.blocks[0];
+    let (stored, epoch) = (cluster.stored_bytes(), cluster.namenode().design_epoch());
+    let clustered = SortOrder::Clustered { column: 0 };
+    too_long(
+        rewrite_replica(&mut cluster, block, 0, clustered, &SidecarSpec::default()).unwrap_err(),
+    );
+    assert_eq!(cluster.stored_bytes(), stored);
+    assert_eq!(cluster.namenode().design_epoch(), epoch);
+    assert!(cluster
+        .namenode()
+        .get_hosts_with_index(block, 0)
+        .unwrap()
+        .is_empty());
+
+    // Hadoop++: the trojan index job fails; only the staged text and
+    // binary copies, which carry no index, are registered.
+    let mut cluster = DfsCluster::new(3, storage);
+    let spec = ClusterSpec::new(3, HardwareProfile::physical());
+    too_long(
+        upload_hadoop_plus_plus(&mut cluster, &spec, &schema, "long", &texts, Some(0)).unwrap_err(),
+    );
+    assert_eq!(cluster.namenode().block_count(), 2);
 }

@@ -93,7 +93,7 @@ fn uploaded_sidecars_round_trip_and_mirror_dir_rep() {
             let (bloom_meta, bloom) = parsed.bloom_sidecar(country).unwrap().unwrap();
             assert_eq!(zone.bad_records(), n_bad);
             assert_eq!(bloom.bad_records(), n_bad);
-            assert_eq!(zone_meta.sidecar_bytes, zone.to_bytes().len());
+            assert_eq!(zone_meta.sidecar_bytes, zone.to_bytes().unwrap().len());
             assert_eq!(bloom_meta.sidecar_bytes, bloom.to_bytes().len());
             let info = cluster.namenode().replica_info(block, dn).unwrap();
             assert_eq!(&info.index, parsed.metadata());

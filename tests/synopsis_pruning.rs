@@ -234,22 +234,29 @@ fn corrupt_synopsis_tag_fails_replica_parse() {
     assert!(err.to_string().contains("not a sidecar"), "{err}");
 }
 
-/// Synopses on one chain position only: pruning works while the holder
-/// lives, already-planned prunes still execute after it dies (block
-/// content is immutable), and fresh plans degrade to unpruned planning
-/// instead of erroring.
+/// Synopses on one replica only: pruning works while the holder lives,
+/// already-planned prunes still execute after it dies (block content is
+/// immutable), and fresh plans degrade to unpruned planning instead of
+/// erroring.
 #[test]
 fn death_of_synopsis_replica_degrades_to_unpruned_planning() {
     let schema = bob_schema();
     let texts = vec![(0, UserVisitsGenerator::default().node_text(0, 400))];
     let mut cluster = DfsCluster::new(3, storage());
-    let config = ReplicaIndexConfig::unindexed(3)
-        .with_zone_map_on(0, 0)
-        .with_bloom_on(0, 0);
+    let config = ReplicaIndexConfig::unindexed(3);
     let dataset = upload_hail(&mut cluster, &schema, "uv", &texts, &config).unwrap();
+    // An upload stores the same synopses on every replica; rewriting
+    // node 0's replica of each block in place leaves them on it alone.
+    let synopses = SidecarSpec {
+        zone_map_columns: vec![0],
+        bloom_columns: vec![0],
+    };
+    for &b in &dataset.blocks {
+        rewrite_replica(&mut cluster, b, 0, SortOrder::Unsorted, &synopses).unwrap();
+    }
     let block = dataset.blocks[0];
     let holders = cluster.namenode().get_hosts_with_bloom(block, 0).unwrap();
-    assert_eq!(holders.len(), 1, "synopses on one chain position only");
+    assert_eq!(holders, [0], "synopses on one replica only");
 
     let query = HailQuery::parse("@1 = '999.999.999.999'", "{@1}", &schema).unwrap();
     let planner = planner_with(&cluster, true);
@@ -340,8 +347,7 @@ fn job_reports_aggregate_pruning_counters() {
     let spec = ClusterSpec::new(3, HardwareProfile::physical());
     let query = HailQuery::parse("@1 = '999.999.999.999'", "{@1}", &schema).unwrap();
 
-    // Pruning on, then off, set explicitly rather than left to the
-    // `HAIL_DISABLE_SYNOPSES` default.
+    // Pruning on, then off.
     let format =
         PlannedInputFormat::new(dataset.clone(), query.clone()).with_planner(PlannerConfig {
             synopsis_pruning: true,
