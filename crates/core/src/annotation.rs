@@ -190,14 +190,6 @@ impl HailQuery {
         cols
     }
 
-    /// The best index-friendly predicate for a replica indexed on
-    /// `column`, if any.
-    pub fn predicate_on(&self, column: usize) -> Option<&Predicate> {
-        self.predicates
-            .iter()
-            .find(|p| p.column() == column && p.index_friendly())
-    }
-
     /// The intersected key bounds of *all* index-friendly predicates on
     /// `column` — `@4 >= 1 and @4 <= 10` yields the tight `[1, 10]`
     /// range, not just the first conjunct's half-open one.
@@ -428,13 +420,13 @@ mod tests {
     #[test]
     fn key_bounds_extraction() {
         let q = HailQuery::parse("@5 between(10, 20)", "", &schema()).unwrap();
-        let b = q.predicate_on(4).unwrap().key_bounds();
+        let b = q.bounds_on(4).unwrap();
         assert!(b.contains(&Value::Int(10)));
         assert!(b.contains(&Value::Int(20)));
         assert!(!b.contains(&Value::Int(21)));
         // != is not index friendly.
         let q2 = HailQuery::parse("@5 != 3", "", &schema()).unwrap();
-        assert!(q2.predicate_on(4).is_none());
+        assert!(q2.bounds_on(4).is_none());
         assert!(q2.filter_columns().is_empty());
     }
 

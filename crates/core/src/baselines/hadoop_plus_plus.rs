@@ -17,7 +17,7 @@
 //!    splits, delaying job start.
 
 use crate::dataset::{Dataset, DatasetFormat};
-use crate::upload::{upload_hadoop, upload_seconds};
+use crate::upload::{abandon_on_error, upload_hadoop, upload_seconds};
 use bytes::Bytes;
 use hail_dfs::{store_transformed_block, DfsCluster};
 use hail_index::{IndexKind, IndexMetadata, TrojanIndex};
@@ -335,6 +335,11 @@ fn job_framework_seconds(spec: &ClusterSpec, blocks: usize) -> f64 {
 /// MapReduce jobs (binary conversion; sorting + trojan-index creation).
 /// With `key_column = None` only the conversion job runs (the paper's
 /// "0 indexes" Hadoop++ configuration).
+///
+/// The staged text and binary copies stay registered after a successful
+/// upload. A failed one abandons every block it registered, staged or
+/// final, so the namenode names none of them; their replica files stay
+/// on the datanodes as orphans, which HDFS deletes later.
 pub fn upload_hadoop_plus_plus(
     cluster: &mut DfsCluster,
     spec: &ClusterSpec,
@@ -343,112 +348,114 @@ pub fn upload_hadoop_plus_plus(
     node_texts: &[(DatanodeId, String)],
     key_column: Option<usize>,
 ) -> Result<(Dataset, HppUploadReport)> {
-    // Phase 0: plain HDFS upload of the text.
-    let text_ds = upload_hadoop(cluster, schema, name, node_texts)?;
-    let text_upload_seconds = upload_seconds(cluster, spec);
-    cluster.reset_ledgers();
+    abandon_on_error(cluster, |cluster| {
+        // Phase 0: plain HDFS upload of the text.
+        let text_ds = upload_hadoop(cluster, schema, name, node_texts)?;
+        let text_upload_seconds = upload_seconds(cluster, spec);
+        cluster.reset_ledgers();
 
-    // Job 1: convert every block to binary row layout (unsorted, no
-    // index yet), written back with full replication + shuffle
-    // materialization.
-    let delimiter = cluster.config().delimiter;
-    let mut binary_blocks: Vec<BlockId> = Vec::new();
-    for &text_block in &text_ds.blocks {
-        let hosts = cluster.namenode().get_hosts(text_block)?;
-        let reader = hosts[0];
-        let mut ledger = CostLedger::new();
-        let raw = cluster
-            .datanode(reader)?
-            .read_replica(text_block, &mut ledger)?;
-        ledger.parse_cpu += raw.len() as u64;
-        let text = std::str::from_utf8(&raw)
-            .map_err(|_| HailError::Corrupt("text block is not UTF-8".into()))?;
-        let mut rows = Vec::new();
-        let mut bad = Vec::new();
-        for line in text.lines() {
-            match parse_line(line, schema, delimiter) {
-                ParsedRecord::Good(r) => rows.push(r),
-                ParsedRecord::Bad { line, .. } => bad.push(line),
+        // Job 1: convert every block to binary row layout (unsorted, no
+        // index yet), written back with full replication + shuffle
+        // materialization.
+        let delimiter = cluster.config().delimiter;
+        let mut binary_blocks: Vec<BlockId> = Vec::new();
+        for &text_block in &text_ds.blocks {
+            let hosts = cluster.namenode().get_hosts(text_block)?;
+            let reader = hosts[0];
+            let mut ledger = CostLedger::new();
+            let raw = cluster
+                .datanode(reader)?
+                .read_replica(text_block, &mut ledger)?;
+            ledger.parse_cpu += raw.len() as u64;
+            let text = std::str::from_utf8(&raw)
+                .map_err(|_| HailError::Corrupt("text block is not UTF-8".into()))?;
+            let mut rows = Vec::new();
+            let mut bad = Vec::new();
+            for line in text.lines() {
+                match parse_line(line, schema, delimiter) {
+                    ParsedRecord::Good(r) => rows.push(r),
+                    ParsedRecord::Bad { line, .. } => bad.push(line),
+                }
             }
+            let payload = encode_row_block(schema, &rows, &bad, None)?;
+            // Shuffle materialization: map output hits local disk, crosses
+            // the network, and is merge-read by the reducer.
+            ledger.disk_write += payload.len() as u64;
+            ledger.net_sent += payload.len() as u64;
+            ledger.disk_read += payload.len() as u64;
+            ledger.sort_cpu += payload.len() as u64;
+            cluster.datanode_mut(reader)?.add_extra(&ledger);
+            binary_blocks.push(store_transformed_block(
+                cluster,
+                reader,
+                payload,
+                IndexMetadata::none(),
+            )?);
         }
-        let payload = encode_row_block(schema, &rows, &bad, None)?;
-        // Shuffle materialization: map output hits local disk, crosses
-        // the network, and is merge-read by the reducer.
-        ledger.disk_write += payload.len() as u64;
-        ledger.net_sent += payload.len() as u64;
-        ledger.disk_read += payload.len() as u64;
-        ledger.sort_cpu += payload.len() as u64;
-        cluster.datanode_mut(reader)?.add_extra(&ledger);
-        binary_blocks.push(store_transformed_block(
-            cluster,
-            reader,
-            payload,
-            IndexMetadata::none(),
-        )?);
-    }
-    let mut job_data_seconds = vec![upload_seconds(cluster, spec)];
-    let mut job_framework_seconds_v = vec![job_framework_seconds(spec, text_ds.blocks.len())];
-    cluster.reset_ledgers();
+        let mut job_data_seconds = vec![upload_seconds(cluster, spec)];
+        let mut job_framework_seconds_v = vec![job_framework_seconds(spec, text_ds.blocks.len())];
+        cluster.reset_ledgers();
 
-    // Job 2 (optional): sort each block on the key and attach the trojan
-    // index.
-    let final_blocks = match key_column {
-        None => binary_blocks,
-        Some(key) => {
-            let mut indexed_blocks = Vec::new();
-            for &bin_block in &binary_blocks {
-                let hosts = cluster.namenode().get_hosts(bin_block)?;
-                let reader = hosts[0];
-                let mut ledger = CostLedger::new();
-                let raw = cluster
-                    .datanode(reader)?
-                    .read_replica(bin_block, &mut ledger)?;
-                let block = RowBlock::parse(raw)?;
-                let mut rows: Vec<Row> = (0..block.row_count())
-                    .map(|i| block.row(schema, i))
-                    .collect::<Result<_>>()?;
-                let bad = block.bad_records(schema)?;
-                rows.sort_by(|a, b| a.get(key).unwrap().cmp(b.get(key).unwrap()));
-                let payload = encode_row_block(schema, &rows, &bad, Some(key))?;
-                let index_len = RowBlock::parse(payload.clone())?
-                    .index()
-                    .map(TrojanIndex::byte_len)
-                    .unwrap_or(0);
-                // Sorting + shuffle materialization.
-                ledger.sort_cpu += payload.len() as u64;
-                ledger.disk_write += payload.len() as u64;
-                ledger.net_sent += payload.len() as u64;
-                ledger.disk_read += payload.len() as u64;
-                cluster.datanode_mut(reader)?.add_extra(&ledger);
-                let meta = IndexMetadata {
-                    kind: IndexKind::Trojan,
-                    key_column: Some(key),
-                    index_bytes: index_len,
-                    index_offset: 20,
-                    sidecars: Vec::new(),
-                };
-                indexed_blocks.push(store_transformed_block(cluster, reader, payload, meta)?);
+        // Job 2 (optional): sort each block on the key and attach the trojan
+        // index.
+        let final_blocks = match key_column {
+            None => binary_blocks,
+            Some(key) => {
+                let mut indexed_blocks = Vec::new();
+                for &bin_block in &binary_blocks {
+                    let hosts = cluster.namenode().get_hosts(bin_block)?;
+                    let reader = hosts[0];
+                    let mut ledger = CostLedger::new();
+                    let raw = cluster
+                        .datanode(reader)?
+                        .read_replica(bin_block, &mut ledger)?;
+                    let block = RowBlock::parse(raw)?;
+                    let mut rows: Vec<Row> = (0..block.row_count())
+                        .map(|i| block.row(schema, i))
+                        .collect::<Result<_>>()?;
+                    let bad = block.bad_records(schema)?;
+                    rows.sort_by(|a, b| a.get(key).unwrap().cmp(b.get(key).unwrap()));
+                    let payload = encode_row_block(schema, &rows, &bad, Some(key))?;
+                    // The index length is the header field just written.
+                    let mut header = ByteReader::new(&payload);
+                    header.seek(16)?;
+                    let index_len = header.u32()? as usize;
+                    // Sorting + shuffle materialization.
+                    ledger.sort_cpu += payload.len() as u64;
+                    ledger.disk_write += payload.len() as u64;
+                    ledger.net_sent += payload.len() as u64;
+                    ledger.disk_read += payload.len() as u64;
+                    cluster.datanode_mut(reader)?.add_extra(&ledger);
+                    let meta = IndexMetadata {
+                        kind: IndexKind::Trojan,
+                        key_column: Some(key),
+                        index_bytes: index_len,
+                        index_offset: 20,
+                        sidecars: Vec::new(),
+                    };
+                    indexed_blocks.push(store_transformed_block(cluster, reader, payload, meta)?);
+                }
+                job_data_seconds.push(upload_seconds(cluster, spec));
+                job_framework_seconds_v.push(job_framework_seconds(spec, binary_blocks.len()));
+                cluster.reset_ledgers();
+                indexed_blocks
             }
-            job_data_seconds.push(upload_seconds(cluster, spec));
-            job_framework_seconds_v.push(job_framework_seconds(spec, binary_blocks.len()));
-            cluster.reset_ledgers();
-            indexed_blocks
-        }
-    };
+        };
 
-    Ok((
-        Dataset::new(
-            name,
-            schema.clone(),
-            final_blocks,
-            DatasetFormat::HadoopPlusPlus,
-        ),
-        HppUploadReport {
-            text_upload_seconds,
-            job_data_seconds,
-            job_framework_seconds: job_framework_seconds_v,
-        },
-    ))
+        Ok((
+            Dataset::new(
+                name,
+                schema.clone(),
+                final_blocks,
+                DatasetFormat::HadoopPlusPlus,
+            ),
+            HppUploadReport {
+                text_upload_seconds,
+                job_data_seconds,
+                job_framework_seconds: job_framework_seconds_v,
+            },
+        ))
+    })
 }
 
 /// Header size the JobClient reads per block during split computation.

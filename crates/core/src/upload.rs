@@ -234,11 +234,38 @@ fn cut_block(builder: &mut PaxBlockBuilder, lines: &str) -> Result<PaxBlock> {
     builder.finish()
 }
 
+/// Runs an upload that stages blocks on `cluster`, abandoning every
+/// block it registered if it fails: the namenode then names no block of
+/// the failed upload. Replica files already flushed stay on their
+/// datanodes as orphans; nothing names them, and HDFS deletes such files
+/// later.
+pub(crate) fn abandon_on_error<T>(
+    cluster: &mut DfsCluster,
+    upload: impl FnOnce(&mut DfsCluster) -> Result<T>,
+) -> Result<T> {
+    // Block ids only grow, so the upload registered every block above
+    // the last one before it.
+    let last = cluster.namenode().blocks().last().copied();
+    let result = upload(cluster);
+    if result.is_err() {
+        for block in cluster.namenode().blocks() {
+            if Some(block) > last {
+                cluster.abandon_block(block);
+            }
+        }
+    }
+    result
+}
+
 /// The naive two-pass upload the paper's first prototype used (§3.1):
 /// store the original text like HDFS, then re-read every replica's
 /// block, convert to PAX, and re-write it — paying one extra read and one
 /// extra write per replica ("for an input file of 100 GB we would have
 /// to pay 600 GB extra I/O"). Kept as an ablation.
+///
+/// The staged text blocks stay registered after a successful upload; a
+/// failed one abandons every block it registered, leaving its replica
+/// files on the datanodes as orphans.
 pub fn upload_hail_naive(
     cluster: &mut DfsCluster,
     schema: &Schema,
@@ -246,52 +273,54 @@ pub fn upload_hail_naive(
     node_texts: &[(DatanodeId, String)],
     index_config: &ReplicaIndexConfig,
 ) -> Result<Dataset> {
-    // Pass 1: plain HDFS upload of the text.
-    let staged = upload_hadoop(cluster, schema, name, node_texts)?;
+    abandon_on_error(cluster, |cluster| {
+        // Pass 1: plain HDFS upload of the text.
+        let staged = upload_hadoop(cluster, schema, name, node_texts)?;
 
-    // Pass 2: per block, each datanode re-reads the text replica,
-    // parses, sorts, indexes and re-writes. We model it by charging the
-    // extra I/O and then performing the real HAIL conversion.
-    let mut blocks = Vec::new();
-    for (i, &text_block) in staged.blocks.iter().enumerate() {
-        let hosts = cluster.namenode().get_hosts(text_block)?;
-        // Extra read + parse on every replica holder.
-        for &dn in &hosts {
-            let mut extra = hail_sim::CostLedger::new();
-            let data = cluster.datanode(dn)?.read_replica(text_block, &mut extra)?;
-            // Charge the re-read and the parse to the datanode.
-            extra.parse_cpu += data.len() as u64;
-            cluster.datanode_mut(dn)?.add_extra(&extra);
+        // Pass 2: per block, each datanode re-reads the text replica,
+        // parses, sorts, indexes and re-writes. We model it by charging the
+        // extra I/O and then performing the real HAIL conversion.
+        let mut blocks = Vec::new();
+        for (i, &text_block) in staged.blocks.iter().enumerate() {
+            let hosts = cluster.namenode().get_hosts(text_block)?;
+            // Extra read + parse on every replica holder.
+            for &dn in &hosts {
+                let mut extra = hail_sim::CostLedger::new();
+                let data = cluster.datanode(dn)?.read_replica(text_block, &mut extra)?;
+                // Charge the re-read and the parse to the datanode.
+                extra.parse_cpu += data.len() as u64;
+                cluster.datanode_mut(dn)?.add_extra(&extra);
+            }
+            // Rebuild the block as PAX and upload it through the HAIL
+            // pipeline from the first replica holder (extra write included in
+            // the pipeline's normal accounting).
+            let writer = hosts.first().copied().unwrap_or(i % cluster.node_count());
+            let mut peek = hail_sim::CostLedger::new();
+            let text = cluster
+                .datanode(writer)?
+                .read_replica(text_block, &mut peek)?;
+            let text = String::from_utf8(text.to_vec())
+                .map_err(|_| HailError::Corrupt("text block is not UTF-8".into()))?;
+            let mut builder = PaxBlockBuilder::new(schema.clone(), cluster.config().clone());
+            for line in text.lines() {
+                builder.push_line(line)?;
+            }
+            let pax = builder.finish()?;
+            blocks.push(hail_upload_block(
+                cluster,
+                writer,
+                &pax,
+                index_config,
+                &FaultPlan::none(),
+            )?);
         }
-        // Rebuild the block as PAX and upload it through the HAIL
-        // pipeline from the first replica holder (extra write included in
-        // the pipeline's normal accounting).
-        let writer = hosts.first().copied().unwrap_or(i % cluster.node_count());
-        let mut peek = hail_sim::CostLedger::new();
-        let text = cluster
-            .datanode(writer)?
-            .read_replica(text_block, &mut peek)?;
-        let text = String::from_utf8(text.to_vec())
-            .map_err(|_| HailError::Corrupt("text block is not UTF-8".into()))?;
-        let mut builder = PaxBlockBuilder::new(schema.clone(), cluster.config().clone());
-        for line in text.lines() {
-            builder.push_line(line)?;
-        }
-        let pax = builder.finish()?;
-        blocks.push(hail_upload_block(
-            cluster,
-            writer,
-            &pax,
-            index_config,
-            &FaultPlan::none(),
-        )?);
-    }
-    Ok(Dataset::new(
-        name,
-        schema.clone(),
-        blocks,
-        DatasetFormat::HailPax,
-    ))
+        Ok(Dataset::new(
+            name,
+            schema.clone(),
+            blocks,
+            DatasetFormat::HailPax,
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -51,6 +51,12 @@ impl DfsCluster {
         &self.namenode
     }
 
+    /// Abandons a block whose upload failed ([`Namenode::abandon_block`]).
+    /// Replica files already flushed stay on their datanodes as orphans.
+    pub fn abandon_block(&mut self, block: BlockId) {
+        self.namenode.abandon_block(block);
+    }
+
     /// Mutable namenode access (used by the upload pipelines).
     pub(crate) fn namenode_mut(&mut self) -> &mut Namenode {
         &mut self.namenode

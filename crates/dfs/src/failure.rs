@@ -12,8 +12,7 @@ use crate::cluster::DfsCluster;
 use bytes::Bytes;
 use hail_index::IndexedBlock;
 use hail_sim::CostLedger;
-use hail_types::{BlockId, DatanodeId, HailError, Result, Row};
-use std::collections::BTreeSet;
+use hail_types::{BlockId, HailError, Result, Row};
 
 /// The paper's expiry interval: how long until a dead TaskTracker /
 /// datanode is noticed (§6.4.3 sets it to 30 s).
@@ -79,18 +78,6 @@ pub fn verify_replica_equivalence(cluster: &DfsCluster) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// Blocks that lost a replica when `node` died (they remain readable
-/// from surviving replicas).
-pub fn blocks_affected_by(cluster: &DfsCluster, node: DatanodeId) -> Vec<BlockId> {
-    let mut out = BTreeSet::new();
-    for block in cluster.namenode().blocks() {
-        if let Ok(info) = cluster.namenode().replica_info(block, node) {
-            out.insert(info.block);
-        }
-    }
-    out.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -222,14 +209,6 @@ mod tests {
             recover_logical_rows(&cluster, 999).unwrap_err(),
             HailError::UnknownBlock(999)
         );
-    }
-
-    #[test]
-    fn affected_blocks_listed() {
-        let (cluster, ids) = uploaded_cluster();
-        let affected = blocks_affected_by(&cluster, 0);
-        assert!(!affected.is_empty());
-        assert!(affected.iter().all(|b| ids.contains(b)));
     }
 
     #[test]

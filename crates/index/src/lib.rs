@@ -8,7 +8,6 @@
 //! - [`metadata`] — index metadata and the namenode's per-replica info
 //! - [`trojan`] — the Hadoop++ trojan-index baseline
 //! - [`unclustered`] — dense unclustered index (ablation only)
-//! - [`selection`] — which attribute to index on which replica (§3.4)
 //! - [`synopsis`] — per-block zone maps and Bloom filters for block
 //!   skipping, stored as sidecars next to the primary index
 
@@ -17,7 +16,6 @@
 pub mod clustered;
 pub mod indexed;
 pub mod metadata;
-pub mod selection;
 pub mod sort;
 pub mod synopsis;
 pub mod trojan;
@@ -28,7 +26,6 @@ pub use indexed::{BlockPrep, IndexedBlock, ReplicaTail, TRAILER_LEN, TRAILER_MAG
 pub use metadata::{
     HailBlockReplicaInfo, IndexKind, IndexMetadata, SidecarMetadata, SIDECAR_META_LEN,
 };
-pub use selection::{select_for_workload, select_manual, WorkloadFilter};
 pub use sort::{ReplicaIndexConfig, SidecarSpec, SortOrder};
 pub use synopsis::{BloomSynopsis, ZoneMapSynopsis};
 pub use trojan::{TrojanIndex, TROJAN_GRANULARITY};

@@ -59,24 +59,28 @@ impl SidecarSpec {
     }
 }
 
-/// The per-replica index configuration for an upload: `orders[i]` is the
-/// sort order of replica `i`, and `sidecars[i]` the sidecar synopses
-/// replica `i` stores. Its length must equal the replication
-/// factor.
+/// The index configuration for an upload: `orders[i]` is the sort order
+/// of the replica at chain position `i`, so its length is the
+/// replication factor, and one [`SidecarSpec`] names the sidecar
+/// synopses every replica stores (synopses do not depend on the sort
+/// order).
 ///
-/// This is the paper's "configuration file" through which Bob (or a
-/// physical-design algorithm, see [`crate::selection`]) tells HAIL which
-/// clustered index to create on each replica.
+/// This is the paper's "configuration file" through which Bob tells HAIL
+/// which clustered index to create on each replica. The design then
+/// changes only at run time: a replica rewritten in place carries its own
+/// order and spec in the namenode's `Dir_rep`, not in this config.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaIndexConfig {
     orders: Vec<SortOrder>,
-    sidecars: Vec<SidecarSpec>,
+    sidecar: SidecarSpec,
 }
 
 impl ReplicaIndexConfig {
     pub fn new(orders: Vec<SortOrder>) -> Self {
-        let sidecars = vec![SidecarSpec::default(); orders.len()];
-        ReplicaIndexConfig { orders, sidecars }
+        ReplicaIndexConfig {
+            orders,
+            sidecar: SidecarSpec::default(),
+        }
     }
 
     /// All replicas unsorted (HAIL upload with zero indexes — still PAX,
@@ -105,23 +109,18 @@ impl ReplicaIndexConfig {
         Self::new(vec![SortOrder::Clustered { column }; replication])
     }
 
-    /// Stores a zone-map synopsis over `column` on *every* replica
-    /// (synopses are sort-order independent).
+    /// Stores a zone-map synopsis over `column` on every replica.
     pub fn with_zone_map(mut self, column: usize) -> Self {
-        for spec in &mut self.sidecars {
-            if !spec.zone_map_columns.contains(&column) {
-                spec.zone_map_columns.push(column);
-            }
+        if !self.sidecar.zone_map_columns.contains(&column) {
+            self.sidecar.zone_map_columns.push(column);
         }
         self
     }
 
-    /// Stores a Bloom-filter synopsis over `column` on *every* replica.
+    /// Stores a Bloom-filter synopsis over `column` on every replica.
     pub fn with_bloom(mut self, column: usize) -> Self {
-        for spec in &mut self.sidecars {
-            if !spec.bloom_columns.contains(&column) {
-                spec.bloom_columns.push(column);
-            }
+        if !self.sidecar.bloom_columns.contains(&column) {
+            self.sidecar.bloom_columns.push(column);
         }
         self
     }
@@ -136,15 +135,11 @@ impl ReplicaIndexConfig {
         &self.orders
     }
 
-    /// Sidecar specs per replica chain position (same length as
-    /// [`ReplicaIndexConfig::orders`]).
-    pub fn sidecars(&self) -> &[SidecarSpec] {
-        &self.sidecars
-    }
-
-    /// The sidecar spec for one replica chain position.
-    pub fn sidecar(&self, replica: usize) -> &SidecarSpec {
-        &self.sidecars[replica]
+    /// The sidecar spec every replica of the upload stores. The chain
+    /// position is ignored: it is kept as frozen-suite residue, because
+    /// the `hail-bench` suite asks per position.
+    pub fn sidecar(&self, _replica: usize) -> &SidecarSpec {
+        &self.sidecar
     }
 
     /// Replication factor implied by this configuration.
@@ -152,34 +147,16 @@ impl ReplicaIndexConfig {
         self.orders.len()
     }
 
-    /// Number of replicas that carry a clustered index.
-    pub fn index_count(&self) -> usize {
-        self.orders
-            .iter()
-            .filter(|o| matches!(o, SortOrder::Clustered { .. }))
-            .count()
-    }
-
     /// Validates all orders and sidecar columns against a schema.
     pub fn validate(&self, schema: &Schema) -> Result<()> {
         for o in &self.orders {
             o.validate(schema)?;
         }
-        for spec in &self.sidecars {
-            for &c in spec.zone_map_columns.iter().chain(&spec.bloom_columns) {
-                schema.field(c)?;
-            }
+        let spec = &self.sidecar;
+        for &c in spec.zone_map_columns.iter().chain(&spec.bloom_columns) {
+            schema.field(c)?;
         }
         Ok(())
-    }
-
-    /// Replica indexes (positions in the chain) clustered on `column`.
-    pub fn replicas_with_index(&self, column: usize) -> Vec<usize> {
-        self.orders
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| (o.column() == Some(column)).then_some(i))
-            .collect()
     }
 }
 
@@ -200,24 +177,21 @@ mod tests {
     fn unindexed_config() {
         let c = ReplicaIndexConfig::unindexed(3);
         assert_eq!(c.replication(), 3);
-        assert_eq!(c.index_count(), 0);
+        assert!(c.orders().iter().all(|o| *o == SortOrder::Unsorted));
         assert!(c.validate(&schema()).is_ok());
     }
 
     #[test]
     fn first_indexed_pads_with_unsorted() {
         let c = ReplicaIndexConfig::first_indexed(3, &[1]);
-        assert_eq!(c.index_count(), 1);
         assert_eq!(c.orders()[0], SortOrder::Clustered { column: 1 });
-        assert_eq!(c.orders()[1], SortOrder::Unsorted);
+        assert_eq!(c.orders()[1..], [SortOrder::Unsorted; 2]);
     }
 
     #[test]
     fn uniform_config() {
         let c = ReplicaIndexConfig::uniform(3, 0);
-        assert_eq!(c.index_count(), 3);
-        assert_eq!(c.replicas_with_index(0), vec![0, 1, 2]);
-        assert_eq!(c.replicas_with_index(1), Vec::<usize>::new());
+        assert_eq!(c.orders(), [SortOrder::Clustered { column: 0 }; 3]);
     }
 
     #[test]
@@ -234,33 +208,31 @@ mod tests {
         assert!(c.validate(&schema()).is_err());
     }
 
-    /// The all-replica builders compose: every position's spec gathers
-    /// both kinds, each column once, in call order.
+    /// The builders compose: the one spec gathers both kinds, each
+    /// column once, in call order, and every position reads it.
     #[test]
     fn sidecar_knobs() {
         let c = ReplicaIndexConfig::first_indexed(3, &[0])
             .with_synopses(1)
             .with_zone_map(0)
             .with_bloom(1);
-        for spec in c.sidecars() {
-            assert_eq!(spec.zone_map_columns, [1, 0]);
-            assert_eq!(spec.bloom_columns, [1]);
+        for pos in 0..c.replication() {
+            assert_eq!(c.sidecar(pos).zone_map_columns, [1, 0]);
+            assert_eq!(c.sidecar(pos).bloom_columns, [1]);
         }
-        assert_eq!(c.sidecars().len(), c.replication());
         assert!(c.validate(&schema()).is_ok());
     }
 
     #[test]
     fn synopsis_knobs() {
         let c = ReplicaIndexConfig::first_indexed(3, &[0]).with_synopses(1);
-        assert!(c.sidecars().iter().all(|s| s.zone_map_columns == [1]));
-        assert!(c.sidecars().iter().all(|s| s.bloom_columns == [1]));
+        assert_eq!(c.sidecar(0).zone_map_columns, [1]);
+        assert_eq!(c.sidecar(0).bloom_columns, [1]);
         assert!(c.validate(&schema()).is_ok());
 
         assert!(ReplicaIndexConfig::first_indexed(3, &[0])
-            .sidecars()
-            .iter()
-            .all(SidecarSpec::is_empty));
+            .sidecar(0)
+            .is_empty());
 
         // Duplicate calls don't duplicate the column.
         let c = ReplicaIndexConfig::unindexed(2)

@@ -243,17 +243,10 @@ impl JobReport {
         self.tasks.iter().map(|t| t.reader_seconds).sum::<f64>() / self.tasks.len() as f64
     }
 
-    /// Total simulated record-reader work across all tasks (summed, not
-    /// overlapped): the job's reader *work*, as distinct from the
-    /// elapsed wall clock in [`JobReport::reader_wall_seconds`].
-    pub fn total_reader_seconds(&self) -> f64 {
-        self.tasks.iter().map(|t| t.reader_seconds).sum()
-    }
-
     /// Measured wall-clock seconds this process spent inside record
     /// readers, summed across all tasks. It is deliberately separate from
-    /// [`JobReport::total_reader_seconds`] so the paper-scale
-    /// accounting below never mixes domains.
+    /// the simulated reader work in [`JobReport::avg_reader_seconds`] so
+    /// the paper-scale accounting below never mixes domains.
     pub fn reader_wall_seconds(&self) -> f64 {
         self.tasks.iter().map(|t| t.reader_wall_seconds).sum()
     }
@@ -375,7 +368,7 @@ mod tests {
     #[test]
     fn wall_clock_never_leaks_into_simulated_overhead() {
         let r = report_with(&[2.0, 4.0], 2);
-        assert!((r.total_reader_seconds() - 6.0).abs() < 1e-12);
+        assert!((r.avg_reader_seconds() - 3.0).abs() < 1e-12);
         // The helper's wall clock is a quarter of the work.
         assert!((r.reader_wall_seconds() - 1.5).abs() < 1e-12);
         // ideal_seconds is unchanged by the wall-clock speedup…

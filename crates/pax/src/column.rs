@@ -111,17 +111,6 @@ impl ColumnData {
             ColumnData::Str(v) => ColumnData::Str(perm.iter().map(|&i| v[i].clone()).collect()),
         }
     }
-
-    /// Total serialized size of this column's value data in bytes
-    /// (excluding any offset list).
-    pub fn value_bytes(&self) -> usize {
-        match self {
-            ColumnData::Int(v) | ColumnData::Date(v) => v.len() * 4,
-            ColumnData::Long(v) => v.len() * 8,
-            ColumnData::Float(v) => v.len() * 8,
-            ColumnData::Str(v) => v.iter().map(|s| s.len() + 1).sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,17 +143,6 @@ mod tests {
         assert_eq!(p.value(0), Value::Str("a".into()));
         assert_eq!(p.value(1), Value::Str("b".into()));
         assert_eq!(p.value(2), Value::Str("c".into()));
-    }
-
-    #[test]
-    fn value_bytes_accounts_terminators() {
-        let mut c = ColumnData::new(DataType::VarChar);
-        c.push(&Value::Str("ab".into())).unwrap();
-        c.push(&Value::Str("".into())).unwrap();
-        assert_eq!(c.value_bytes(), 3 + 1);
-        let mut f = ColumnData::new(DataType::Float);
-        f.push(&Value::Float(1.0)).unwrap();
-        assert_eq!(f.value_bytes(), 8);
     }
 
     #[test]

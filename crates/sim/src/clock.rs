@@ -19,11 +19,6 @@ impl SlotPool {
         }
     }
 
-    /// Creates a pool whose slots become free at the given times.
-    pub fn from_times(busy_until: Vec<f64>) -> Self {
-        SlotPool { busy_until }
-    }
-
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.busy_until.len()
@@ -57,14 +52,6 @@ impl SlotPool {
         (start, end)
     }
 
-    /// Runs a task on the earliest-free slot. Returns
-    /// `(slot, start, end)`.
-    pub fn assign_earliest(&mut self, duration: f64, not_before: f64) -> (usize, f64, f64) {
-        let slot = self.earliest_slot().expect("empty slot pool");
-        let (start, end) = self.assign(slot, duration, not_before);
-        (slot, start, end)
-    }
-
     /// The instant all slots are idle — the makespan of everything
     /// assigned so far.
     pub fn makespan(&self) -> f64 {
@@ -80,11 +67,6 @@ impl SlotPool {
     pub fn is_dead(&self, slot: usize) -> bool {
         self.busy_until[slot].is_infinite()
     }
-
-    /// Number of live (non-killed) slots.
-    pub fn live_slots(&self) -> usize {
-        self.busy_until.iter().filter(|t| t.is_finite()).count()
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +78,8 @@ mod tests {
         // 2 slots, 5 tasks of 10 s each → makespan 30 s (3 waves).
         let mut pool = SlotPool::new(2);
         for _ in 0..5 {
-            pool.assign_earliest(10.0, 0.0);
+            let slot = pool.earliest_slot().unwrap();
+            pool.assign(slot, 10.0, 0.0);
         }
         assert_eq!(pool.makespan(), 30.0);
     }
@@ -114,11 +97,14 @@ mod tests {
 
     #[test]
     fn earliest_slot_selection() {
-        let mut pool = SlotPool::from_times(vec![10.0, 3.0, 7.0]);
+        let mut pool = SlotPool::new(3);
+        for (slot, busy) in [10.0, 3.0, 7.0].into_iter().enumerate() {
+            pool.assign(slot, busy, 0.0);
+        }
         assert_eq!(pool.earliest_slot(), Some(1));
-        let (slot, start, _) = pool.assign_earliest(1.0, 0.0);
-        assert_eq!(slot, 1);
+        let (start, _) = pool.assign(1, 1.0, 0.0);
         assert_eq!(start, 3.0);
+        assert_eq!(pool.earliest_slot(), Some(1));
     }
 
     #[test]
@@ -126,9 +112,11 @@ mod tests {
         let mut pool = SlotPool::new(2);
         pool.kill(0);
         assert!(pool.is_dead(0));
-        assert_eq!(pool.live_slots(), 1);
-        let (slot, _, _) = pool.assign_earliest(1.0, 0.0);
-        assert_eq!(slot, 1);
+        for _ in 0..3 {
+            let slot = pool.earliest_slot().unwrap();
+            assert_eq!(slot, 1);
+            pool.assign(slot, 1.0, 0.0);
+        }
     }
 
     #[test]

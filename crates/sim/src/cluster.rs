@@ -31,11 +31,6 @@ impl ClusterSpec {
         self
     }
 
-    /// The paper's 10-node physical cluster.
-    pub fn physical_10() -> Self {
-        ClusterSpec::new(10, HardwareProfile::physical())
-    }
-
     /// Total map slots across the cluster.
     pub fn total_map_slots(&self) -> usize {
         self.nodes * self.profile.map_slots
@@ -48,14 +43,14 @@ mod tests {
 
     #[test]
     fn physical_cluster() {
-        let c = ClusterSpec::physical_10();
+        let c = ClusterSpec::new(10, HardwareProfile::physical());
         assert_eq!(c.nodes, 10);
         assert_eq!(c.total_map_slots(), 20);
     }
 
     #[test]
     fn scale_override() {
-        let c = ClusterSpec::physical_10().with_scale(ScaleFactor(64.0));
+        let c = ClusterSpec::new(10, HardwareProfile::physical()).with_scale(ScaleFactor(64.0));
         assert_eq!(c.scale.0, 64.0);
     }
 }

@@ -18,12 +18,6 @@ pub fn put_i32(buf: &mut Vec<u8>, v: i32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends a `u64` in little-endian order.
-#[inline]
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends an `i64` in little-endian order.
 #[inline]
 pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
@@ -167,7 +161,7 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, 7);
         put_i32(&mut buf, -9);
-        put_u64(&mut buf, u64::MAX);
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
         put_i64(&mut buf, i64::MIN);
         put_f64(&mut buf, 2.5);
         let mut r = ByteReader::new(&buf);

@@ -52,12 +52,6 @@ impl StorageConfig {
             ..Default::default()
         }
     }
-
-    /// Builder-style replication override.
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -76,8 +70,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = StorageConfig::test_scale(4096).with_replication(5);
+        let c = StorageConfig::test_scale(4096);
         assert_eq!(c.block_size, 4096);
-        assert_eq!(c.replication, 5);
+        assert_eq!(c.replication, 3);
     }
 }

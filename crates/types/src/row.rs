@@ -134,16 +134,6 @@ impl Row {
         self.values().get(idx)
     }
 
-    /// Value addressed by the paper's 1-based `@pos` convention.
-    pub fn get_position(&self, pos: usize) -> Result<&Value> {
-        if pos == 0 {
-            return Err(HailError::UnknownAttribute(0));
-        }
-        self.values()
-            .get(pos - 1)
-            .ok_or(HailError::UnknownAttribute(pos))
-    }
-
     /// Projects the row to the given 0-based column indexes.
     pub fn project(&self, indexes: &[usize]) -> Row {
         let values = self.values();
@@ -194,19 +184,6 @@ pub enum ParsedRecord {
         line: String,
         reason: String,
     },
-}
-
-impl ParsedRecord {
-    pub fn is_good(&self) -> bool {
-        matches!(self, ParsedRecord::Good(_))
-    }
-
-    pub fn into_row(self) -> Option<Row> {
-        match self {
-            ParsedRecord::Good(r) => Some(r),
-            ParsedRecord::Bad { .. } => None,
-        }
-    }
 }
 
 /// Parses one delimited text line against a schema.
@@ -270,7 +247,9 @@ mod tests {
     #[test]
     fn parses_good_line() {
         let r = parse_line("1.2.3.4|1999-06-01|3.5|12", &schema(), '|');
-        let row = r.into_row().expect("good row");
+        let ParsedRecord::Good(row) = r else {
+            panic!("bad row: {r:?}");
+        };
         assert_eq!(row.get(0).unwrap().as_str(), Some("1.2.3.4"));
         assert_eq!(row.get(3).unwrap().as_i32(), Some(12));
     }
@@ -278,13 +257,13 @@ mod tests {
     #[test]
     fn too_few_fields_is_bad() {
         let r = parse_line("1.2.3.4|1999-06-01", &schema(), '|');
-        assert!(!r.is_good());
+        assert!(matches!(r, ParsedRecord::Bad { .. }));
     }
 
     #[test]
     fn too_many_fields_is_bad() {
         let r = parse_line("a|1999-06-01|1.0|2|extra", &schema(), '|');
-        assert!(!r.is_good());
+        assert!(matches!(r, ParsedRecord::Bad { .. }));
     }
 
     #[test]
@@ -393,14 +372,6 @@ mod tests {
             let refused = std::panic::catch_unwind(|| Row::batch_from_columns(ragged, 2).count());
             assert!(refused.is_err());
         }
-    }
-
-    #[test]
-    fn one_based_get() {
-        let row = parse_line_strict("a|1999-06-01|1.5|9", &schema(), '|').unwrap();
-        assert_eq!(row.get_position(1).unwrap().as_str(), Some("a"));
-        assert!(row.get_position(0).is_err());
-        assert!(row.get_position(5).is_err());
     }
 
     #[test]

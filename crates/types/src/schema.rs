@@ -154,14 +154,6 @@ impl Schema {
             .ok_or(HailError::UnknownAttribute(idx + 1))
     }
 
-    /// Field addressed with the paper's 1-based `@pos` convention.
-    pub fn field_at_position(&self, pos: usize) -> Result<&Field> {
-        if pos == 0 {
-            return Err(HailError::UnknownAttribute(0));
-        }
-        self.field(pos - 1)
-    }
-
     /// Converts a 1-based attribute position to a 0-based column index,
     /// validating range.
     pub fn position_to_index(&self, pos: usize) -> Result<usize> {
@@ -174,20 +166,6 @@ impl Schema {
     /// 0-based index of the field with the given name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
-    }
-
-    /// Sum of the fixed widths of all fixed-size attributes, in bytes.
-    /// Used by the cost model to estimate binary row size.
-    pub fn fixed_row_bytes(&self) -> usize {
-        self.fields
-            .iter()
-            .filter_map(|f| f.data_type.fixed_width())
-            .sum()
-    }
-
-    /// True if every attribute is fixed-size (e.g. the Synthetic dataset).
-    pub fn all_fixed(&self) -> bool {
-        self.fields.iter().all(|f| f.data_type.is_fixed())
     }
 }
 
@@ -241,10 +219,11 @@ mod tests {
     #[test]
     fn one_based_positions() {
         let s = sample();
-        assert_eq!(s.field_at_position(1).unwrap().name, "sourceIP");
-        assert_eq!(s.field_at_position(4).unwrap().name, "duration");
-        assert!(s.field_at_position(0).is_err());
-        assert!(s.field_at_position(5).is_err());
+        let at = |pos| s.position_to_index(pos).map(|i| &s.field(i).unwrap().name);
+        assert_eq!(at(1).unwrap(), "sourceIP");
+        assert_eq!(at(4).unwrap(), "duration");
+        assert!(at(0).is_err());
+        assert!(at(5).is_err());
         assert_eq!(s.position_to_index(2).unwrap(), 1);
     }
 
@@ -253,14 +232,6 @@ mod tests {
         let s = sample();
         assert_eq!(s.index_of("adRevenue"), Some(2));
         assert_eq!(s.index_of("nope"), None);
-    }
-
-    #[test]
-    fn fixed_row_bytes_sums_fixed_types() {
-        let s = sample();
-        // Date(4) + Float(8) + Int(4) = 16; VarChar excluded.
-        assert_eq!(s.fixed_row_bytes(), 16);
-        assert!(!s.all_fixed());
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //! corrupted packets, reordered ACKs, nodes dying mid-stream, corrupted
 //! replicas at rest, and under-replicated clusters.
 
+use hail::core::upload_hail_naive;
+use hail::dfs::store_transformed_block;
 use hail::dfs::FaultPlan;
+use hail::index::IndexMetadata;
 use hail::pax::blocks_from_text;
+use hail::pax::checksum::{checksums_to_bytes, chunk_checksums};
 use hail::prelude::*;
 
 fn schema() -> Schema {
@@ -346,12 +350,182 @@ fn oversized_varchar_key_fails_the_build_cleanly() {
         .unwrap()
         .is_empty());
 
-    // Hadoop++: the trojan index job fails; only the staged text and
-    // binary copies, which carry no index, are registered.
-    let mut cluster = DfsCluster::new(3, storage);
+    // Hadoop++: the trojan index job fails, and the upload abandons the
+    // staged text and binary copies it registered. The naive two-pass
+    // upload fails its HAIL pass and abandons its staged text. Their
+    // replica files stay on the datanodes as orphans.
+    let abandoned = |cluster: &DfsCluster, err: HailError| {
+        too_long(err);
+        assert_eq!(cluster.namenode().block_count(), 0);
+        assert_eq!(cluster.namenode().total_replica_bytes(), 0);
+    };
+    let mut cluster = DfsCluster::new(3, storage.clone());
     let spec = ClusterSpec::new(3, HardwareProfile::physical());
-    too_long(
-        upload_hadoop_plus_plus(&mut cluster, &spec, &schema, "long", &texts, Some(0)).unwrap_err(),
+    let err = upload_hadoop_plus_plus(&mut cluster, &spec, &schema, "long", &texts, Some(0));
+    abandoned(&cluster, err.unwrap_err());
+    let mut cluster = DfsCluster::new(3, storage);
+    let indexed = ReplicaIndexConfig::first_indexed(3, &[0]);
+    let err = upload_hail_naive(&mut cluster, &schema, "long", &texts, &indexed);
+    abandoned(&cluster, err.unwrap_err());
+}
+
+/// FNV-1a 64 of `bytes`, continuing from `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// What an upload left on the cluster: every node's upload ledger and
+/// client ledger as `[disk_read, disk_write, net_sent, parse_cpu,
+/// sort_cpu, scan_cpu, seeks]`, the stored bytes, and per registered
+/// block one digest of its replicas' data and checksum files, which all
+/// of its replicas must share.
+#[derive(Debug, PartialEq)]
+struct Stored {
+    upload: Vec<[u64; 7]>,
+    client: Vec<[u64; 7]>,
+    stored_bytes: u64,
+    digests: Vec<u64>,
+}
+
+fn ledger_fields(l: &CostLedger) -> [u64; 7] {
+    [
+        l.disk_read,
+        l.disk_write,
+        l.net_sent,
+        l.parse_cpu,
+        l.sort_cpu,
+        l.scan_cpu,
+        l.seeks,
+    ]
+}
+
+fn stored(cluster: &DfsCluster) -> Stored {
+    let nodes = 0..cluster.node_count();
+    let digests = cluster
+        .namenode()
+        .blocks()
+        .into_iter()
+        .map(|block| {
+            let digests: Vec<u64> = cluster
+                .namenode()
+                .get_hosts(block)
+                .unwrap()
+                .into_iter()
+                .map(|dn| {
+                    let replica = cluster.datanode(dn).unwrap().open_replica(block).unwrap();
+                    // A replica opens only with one checksum per chunk
+                    // and verifies only if each is its chunk's CRC, so
+                    // the verified list is the stored checksum file.
+                    replica.verify(0..replica.len()).unwrap();
+                    let checksums = chunk_checksums(replica.data());
+                    fnv(
+                        fnv(0xcbf2_9ce4_8422_2325, replica.data()),
+                        &checksums_to_bytes(&checksums),
+                    )
+                })
+                .collect();
+            assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:x?}");
+            digests[0]
+        })
+        .collect();
+    Stored {
+        upload: nodes
+            .clone()
+            .map(|n| ledger_fields(cluster.datanode(n).unwrap().upload_ledger()))
+            .collect(),
+        client: nodes
+            .map(|n| ledger_fields(cluster.client_ledger(n)))
+            .collect(),
+        stored_bytes: cluster.stored_bytes(),
+        digests,
+    }
+}
+
+/// The identical-replica uploads — the HDFS text upload, the Hadoop++
+/// binary rewrite, and one transformed block stored on its own — pinned
+/// whole on one fixed text: every node's ledgers, the stored bytes, each
+/// replica's data and checksum file, and the Hadoop++ report's priced
+/// seconds (its phases reset the ledgers, so its own are left empty).
+#[test]
+fn identical_replica_uploads_are_pinned() {
+    let text: String = (0..400)
+        .map(|i| format!("{}|val{}\n", (i * 37) % 101, i))
+        .collect();
+    let texts = [(1, text)];
+    let storage = StorageConfig::test_scale(2 * 1024);
+    let idle = vec![[0; 7]; 4];
+    let text_digests = [13205425142714896708, 12514606524785785302];
+
+    let mut cluster = DfsCluster::new(4, storage.clone());
+    upload_hadoop(&mut cluster, &schema(), "text", &texts).unwrap();
+    assert_eq!(
+        stored(&cluster),
+        Stored {
+            upload: vec![
+                [0, 3886, 2088, 0, 0, 0, 4],
+                [0, 3886, 3950, 0, 0, 0, 4],
+                [0, 2056, 0, 0, 0, 0, 2],
+                [0, 1830, 1862, 0, 0, 0, 2],
+            ],
+            client: vec![[0; 7], [3854, 0, 0, 0, 0, 0, 2], [0; 7], [0; 7]],
+            stored_bytes: 11562,
+            digests: text_digests.to_vec(),
+        }
     );
-    assert_eq!(cluster.namenode().block_count(), 2);
+
+    let mut cluster = DfsCluster::new(4, storage.clone());
+    let spec = ClusterSpec::new(4, HardwareProfile::physical());
+    let (_, report) =
+        upload_hadoop_plus_plus(&mut cluster, &spec, &schema(), "hpp", &texts, Some(0)).unwrap();
+    let mut digests = text_digests.to_vec();
+    digests.extend([
+        5944863995528154341,
+        11346909552846653054,
+        18055384705623007479,
+        1675668231987970097,
+    ]);
+    assert_eq!(
+        stored(&cluster),
+        Stored {
+            upload: idle.clone(),
+            client: idle.clone(),
+            stored_bytes: 47856,
+            digests,
+        }
+    );
+    let seconds: Vec<u64> = std::iter::once(report.text_upload_seconds)
+        .chain(report.job_data_seconds)
+        .chain(report.job_framework_seconds)
+        .map(f64::to_bits)
+        .collect();
+    assert_eq!(
+        seconds,
+        [
+            4584331127070927150,
+            4584387275291301048,
+            4584390666955119737,
+            4622607247523761357,
+            4622607247523761357,
+        ]
+    );
+
+    let mut cluster = DfsCluster::new(4, storage);
+    let payload = bytes::Bytes::from(texts[0].1.clone());
+    store_transformed_block(&mut cluster, 3, payload, IndexMetadata::none()).unwrap();
+    assert_eq!(
+        stored(&cluster),
+        Stored {
+            upload: vec![
+                [0, 3886, 3918, 0, 0, 0, 2],
+                [0, 3886, 0, 0, 0, 0, 2],
+                [0; 7],
+                [0, 3886, 3918, 0, 0, 0, 2],
+            ],
+            client: idle,
+            stored_bytes: 11562,
+            digests: vec![16264797948433958710],
+        }
+    );
 }

@@ -216,9 +216,10 @@ fn synthetic_queries_execute_through_planner_on_all_systems() {
     }
 }
 
-/// The scheduler path: running the same queries through the input
-/// formats reports per-path counts consistent with the plan, and the
-/// job output still matches the oracle.
+/// The scheduler path: running every Bob query through the input
+/// formats on Bob's design — one replica clustered on each filtered
+/// column — reports per-path counts consistent with the plan, needs no
+/// scan fallback, and the job output still matches the oracle.
 #[test]
 fn job_reports_expose_planner_choices() {
     let schema = bob_schema();
@@ -235,20 +236,49 @@ fn job_reports_expose_planner_choices() {
     )
     .unwrap();
 
-    let query = bob_queries()[0].to_query(&schema).unwrap();
+    for q in bob_queries() {
+        let query = q.to_query(&schema).unwrap();
+        let format = PlannedInputFormat::new(dataset.clone(), query.clone());
+        let job = MapJob::collecting(q.id, dataset.blocks.clone(), &format);
+        let run = run_map_job(&cluster, &spec, &job).unwrap();
+
+        let expected = canonical(&oracle_eval(&texts, &schema, &query));
+        assert_eq!(canonical(&run.output), expected, "{}", q.id);
+
+        let counts = run.report.path_counts();
+        assert_eq!(
+            counts.get(AccessPathKind::ClusteredIndexScan),
+            dataset.blocks.len() as u64,
+            "{}: every block index-served: {counts}",
+            q.id
+        );
+        assert_eq!(counts.get(AccessPathKind::FullScan), 0, "{}", q.id);
+        assert_eq!(run.report.fallback_count(), 0, "{}", q.id);
+    }
+}
+
+#[test]
+fn uncovered_column_falls_back_and_still_answers() {
+    // Index only sourceIP; a visitDate query must scan — same answer.
+    let schema = bob_schema();
+    let texts = UserVisitsGenerator::default().generate(3, 500);
+    let mut storage = StorageConfig::test_scale(4 * 1024);
+    storage.index_partition_size = 8;
+    let mut cluster = DfsCluster::new(3, storage);
+    let dataset = upload_hail(
+        &mut cluster,
+        &schema,
+        "uv",
+        &texts,
+        &ReplicaIndexConfig::uniform(3, 0),
+    )
+    .unwrap();
+    let spec = ClusterSpec::new(3, HardwareProfile::physical());
+    let query = bob_queries()[0].to_query(&schema).unwrap(); // visitDate
     let format = PlannedInputFormat::new(dataset.clone(), query.clone());
     let job = MapJob::collecting("q1", dataset.blocks.clone(), &format);
     let run = run_map_job(&cluster, &spec, &job).unwrap();
-
+    assert!(run.report.fallback_count() > 0, "must fall back to scans");
     let expected = canonical(&oracle_eval(&texts, &schema, &query));
     assert_eq!(canonical(&run.output), expected);
-
-    let counts = run.report.path_counts();
-    assert_eq!(
-        counts.get(AccessPathKind::ClusteredIndexScan),
-        dataset.blocks.len() as u64,
-        "every block index-served: {counts}"
-    );
-    assert_eq!(counts.get(AccessPathKind::FullScan), 0);
-    assert_eq!(run.report.fallback_count(), 0);
 }
